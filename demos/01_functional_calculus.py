@@ -9,7 +9,6 @@ from opentropy import (
     PositiveDefiniteMatrix,
     apply_function,
     eig,
-    half_powers,
     loewner_leq,
     sandwich_bounds,
 )
@@ -29,7 +28,7 @@ a = PositiveDefiniteMatrix(np.diag([1.0, 4.0, 9.0]))
 print("sqrt of diag(1,4,9):", np.diag(apply_function(a, power(0.5)).array).real)
 print("log  of diag(1,4,9):", np.diag(apply_function(a, LOG).array).real)
 
-root, inv_root, inverse = half_powers(a)
+root, inv_root = a.sqrt(), a.inv_sqrt()
 print("A^(1/2) . A^(-1/2) residual:", np.linalg.norm(root.array @ inv_root.array - np.eye(3)))
 
 print()

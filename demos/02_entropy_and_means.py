@@ -8,7 +8,6 @@ import numpy as np
 from opentropy import (
     OperatorField,
     PositiveDefiniteMatrix,
-    field_integral,
     generalized_entropy,
     loewner_leq,
     mean_field,
@@ -69,8 +68,8 @@ print("=== node-wise means vs mean of the integrals ===")
 for p in (0.25, 0.5, 0.75):
     lhs = mean_field(fa, fb, p)
     rhs = natural_power(
-        PositiveDefiniteMatrix(field_integral(fa).array),
-        PositiveDefiniteMatrix(field_integral(fb).array),
+        PositiveDefiniteMatrix(fa.weighted_sum()),
+        PositiveDefiniteMatrix(fb.weighted_sum()),
         p,
     )
     holds, margin = loewner_leq(lhs, rhs)

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Chord data and reverse Jensen constants: the ratio bound gamma, the gap
-bound zeta, their closed forms for log t and -t log t, and both reverse
-inequalities at the level of a positive linear map."""
+bound zeta, their closed forms for log t and -t log t, and the Jensen
+inequality with both reverses for a normalized positive linear map, checked
+through the compression statements."""
 
 import math
 
 import numpy as np
 
 from opentropy import (
+    Instance,
     PositiveDefiniteMatrix,
     PositiveLinearMap,
-    check_jensen,
-    check_jensen_reverse_gamma,
-    check_jensen_reverse_zeta,
+    TheoremId,
+    check,
     chord_gap_bound,
     chord_ratio_bound,
     identric_mean,
@@ -48,11 +49,16 @@ rng = np.random.default_rng(2)
 pm = PositiveLinearMap.random_normalized(4, 4, 2, rng)
 g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
 a = PositiveDefiniteMatrix(g @ g.conj().T + 2.0 * np.eye(4))
-lo, hi = a.lambda_min, a.lambda_max
-
-forward = check_jensen(pm, a, power(0.5))
-print(f"f(Phi(A)) >= Phi(f(A))          margin {forward.margin:+.6f}")
-rev_gamma = check_jensen_reverse_gamma(pm, a, power(0.5), lo, hi)
-print(f"f(Phi(A)) <= gamma*Phi(f(A))    margin {rev_gamma.margin:+.6f}")
-rev_zeta = check_jensen_reverse_zeta(pm, a, power(0.5), lo, hi)
-print(f"f(Phi(A)) <= Phi(f(A)) + zeta*I margin {rev_zeta.margin:+.6f}")
+# Kraus factors with sum C_i* C_i = I form a unital compression family with
+# unit weights: the lifted argument is Phi(A) itself and t0 drops out.
+inst = Instance(
+    theorem=TheoremId.COMPRESSION_JENSEN, seed=2, dim=4, k=len(pm.kraus), f=power(0.5),
+    t0=a.lambda_min, m=a.lambda_min, M=a.lambda_max,
+    cs=pm.kraus, cs_weights=np.ones(len(pm.kraus)), x=a,
+)
+for theorem, claim in (
+    (TheoremId.COMPRESSION_JENSEN, "f(Phi(A)) >= Phi(f(A))         "),
+    (TheoremId.REV_JENSEN_GAMMA, "f(Phi(A)) <= gamma*Phi(f(A))   "),
+    (TheoremId.REV_JENSEN_ZETA, "f(Phi(A)) <= Phi(f(A)) + zeta*I"),
+):
+    print(f"{claim} margin {check(theorem, inst).margin:+.6f}")

@@ -5,7 +5,7 @@ single statement, then run a small seeded campaign and read the report."""
 import json
 
 from opentropy.verify import (
-    THEOREM_NOTES,
+    STATEMENTS,
     CampaignConfig,
     TheoremId,
     campaign,
@@ -16,7 +16,7 @@ from opentropy.functions import power
 
 print("=== every registered statement ===")
 for theorem in TheoremId:
-    print(f"  {theorem.value:20s} {THEOREM_NOTES[theorem]}")
+    print(f"  {theorem.value:20s} {STATEMENTS[theorem].note}")
 
 print()
 print("=== one instance, one check ===")

@@ -15,7 +15,6 @@ from .bounds import (
 from .entropy import (
     OperatorField,
     PairSpectrum,
-    field_integral,
     generalized_entropy,
     mean_field,
     natural_power,
@@ -42,14 +41,7 @@ from .functions import (
     constant,
     power,
 )
-from .maps import (
-    PositiveLinearMap,
-    apply_map,
-    check_jensen,
-    check_jensen_reverse_gamma,
-    check_jensen_reverse_zeta,
-    lifted_jensen_lhs,
-)
+from .maps import PositiveLinearMap
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     HermitianMatrix,
@@ -58,7 +50,6 @@ from .matcore import (
     apply_function,
     congruence,
     eig,
-    half_powers,
     identity,
     loewner_leq,
     sandwich_bounds,

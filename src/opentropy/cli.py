@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -151,12 +150,7 @@ def _cmd_check(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2
-    result = verify.check(inst.theorem, inst, args.tol)
-    if result.hypothesis_met and not result.holds:
-        retry = verify.check(inst.theorem, inst, 1e-6)
-        triage = "numerical" if retry.holds else "substantive"
-        result = replace(result, triage=triage,
-                         detail=result.detail + f" [violation triaged as {triage}]")
+    result = verify.triage(inst.theorem, inst, args.tol)
     sys.stdout.write(_json_text(result.to_json()))
     status = "skip (hypothesis not met)" if not result.hypothesis_met else (
         "holds" if result.holds else f"VIOLATED ({result.triage})"

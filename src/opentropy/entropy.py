@@ -35,7 +35,6 @@ __all__ = [
     "natural_power",
     "relative_entropy",
     "variational_form",
-    "field_integral",
     "generalized_entropy",
     "mean_field",
     "field_to_json",
@@ -86,6 +85,7 @@ class OperatorField:
         return iter(zip(self._weights, self._matrices))
 
     def weighted_sum(self) -> np.ndarray:
+        """sum_s w_s A_s, standing in for the Bochner integral of the field."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for w, m in self:
             out += w * m.array
@@ -197,11 +197,6 @@ def variational_form(
     """
     inner = relative_entropy(b.inv(), a.inv(), q - 1.0, f)
     return HermitianMatrix(b.array @ inner.array @ b.array)
-
-
-def field_integral(field: OperatorField) -> HermitianMatrix:
-    """The weighted sum standing in for the Bochner integral of the field."""
-    return HermitianMatrix(field.weighted_sum())
 
 
 def generalized_entropy(

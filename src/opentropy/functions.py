@@ -28,7 +28,6 @@ __all__ = [
     "power",
     "custom",
     "parse",
-    "evaluate",
     "check_nonnegative_on",
     "check_midpoint_concave_on",
     "validate_declared_flags",
@@ -81,10 +80,6 @@ class ScalarFunction:
         if self.deriv is None:
             raise PreconditionError(f"{self.name} carries no derivative")
         return float(self.deriv(float(t)))
-
-
-def evaluate(f: ScalarFunction, t: float) -> float:
-    return f.evaluate(t)
 
 
 IDENTITY = ScalarFunction(

@@ -1,38 +1,19 @@
-"""Normalized positive linear maps in Kraus form, and Jensen-type checks.
+"""Normalized positive linear maps in Kraus form.
 
 A map Phi(X) = sum_i C_i* X C_i is positive by construction and normalized
-(unital) when sum_i C_i* C_i = I.  For operator concave f and normalized Phi
-the Davis-Choi-Jensen inequality f(Phi(A)) >= Phi(f(A)) holds; the reverse
-checks bound f(Phi(A)) from above by gamma * Phi(f(A)) or Phi(f(A)) + zeta*I
-using the chord constants from the bounds module.
+(unital) when sum_i C_i* C_i = I.  The Jensen inequality f(Phi(A)) >= Phi(f(A))
+for such maps and its reverses are the compression statements of the verify
+module (a unital compression family is a Kraus family).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import chord_gap_bound, chord_ratio_bound
 from .errors import PreconditionError, ShapeError
-from .functions import ScalarFunction
-from .matcore import (
-    DEFAULT_LOEWNER_TOL,
-    HermitianMatrix,
-    PositiveDefiniteMatrix,
-    _symmetrize,
-    apply_function,
-    loewner_leq,
-)
+from .matcore import HermitianMatrix, _symmetrize
 
-__all__ = [
-    "PositiveLinearMap",
-    "apply_map",
-    "lifted_jensen_lhs",
-    "check_jensen",
-    "check_jensen_reverse_gamma",
-    "check_jensen_reverse_zeta",
-    "map_to_json",
-    "map_from_json",
-]
+__all__ = ["PositiveLinearMap", "map_to_json", "map_from_json"]
 
 
 class PositiveLinearMap:
@@ -91,138 +72,26 @@ class PositiveLinearMap:
 
     @classmethod
     def random_normalized(cls, in_dim: int, out_dim: int, n_terms: int, rng) -> "PositiveLinearMap":
-        """Sample G_i, set S = sum G_i* G_i and C_i = G_i S^{-1/2}: exactly unital."""
+        """Sample G_i and return C_i = G_i S^{-1/2} with S = sum G_i* G_i: exactly unital.
+
+        The C_i are the row blocks of the polar factor U V* of the stacked
+        [G_1; ...; G_n] = U diag(sigma) V* (thin SVD), whose orthonormal
+        columns keep sum C_i* C_i = I to rounding (about 1e-14); an eigensolve
+        of S leaves errors near the 1e-10 tolerance of is_normalized.
+        """
+        n = max(1, int(n_terms))
+        if n * in_dim < out_dim:
+            raise PreconditionError(f"{n} terms of {in_dim}x{out_dim} cannot sum to I_{out_dim}")
         gs = [
             (rng.standard_normal((in_dim, out_dim)) + 1j * rng.standard_normal((in_dim, out_dim)))
             / np.sqrt(2.0)
-            for _ in range(max(1, int(n_terms)))
+            for _ in range(n)
         ]
-        s = np.zeros((out_dim, out_dim), dtype=complex)
-        for g in gs:
-            s += g.conj().T @ g
-        s_isqrt = PositiveDefiniteMatrix(_symmetrize(s)).inv_sqrt_array
-        return cls(g @ s_isqrt for g in gs)
+        u, _, vh = np.linalg.svd(np.vstack(gs), full_matrices=False)
+        return cls(np.split(u @ vh, n))
 
     def __repr__(self) -> str:
         return f"PositiveLinearMap(terms={len(self._kraus)}, {self._in_dim}->{self._out_dim})"
-
-
-def apply_map(p: PositiveLinearMap, x: HermitianMatrix) -> HermitianMatrix:
-    return p.apply(x)
-
-
-def lifted_jensen_lhs(cs, weights, x: PositiveDefiniteMatrix, t0: float) -> PositiveDefiniteMatrix:
-    """sum_s w_s C_s* X C_s + t0 (I - sum_s w_s C_s* C_s).
-
-    Requires the weighted compression sum to stay below the identity and
-    t0 inside the spectral range of X; the result is then uniformly positive
-    (bounded below by min(lambda_min(X), t0)).
-    """
-    cs = [np.asarray(c, dtype=complex) for c in cs]
-    weights = np.asarray(weights, dtype=float)
-    if len(cs) != weights.size:
-        raise ShapeError("one weight per compression factor is required")
-    if np.any(weights <= 0.0):
-        raise PreconditionError("compression weights must be positive")
-    dim = x.dim
-    gram = np.zeros((dim, dim), dtype=complex)
-    lifted = np.zeros((dim, dim), dtype=complex)
-    for w, c in zip(weights, cs):
-        if c.shape != (dim, dim):
-            raise ShapeError(f"compression factor shape {c.shape} does not match dim {dim}")
-        gram += w * (c.conj().T @ c)
-        lifted += w * (c.conj().T @ x.array @ c)
-    holds, margin = loewner_leq(HermitianMatrix(gram), np.eye(dim), 1e-10)
-    if not holds:
-        raise PreconditionError(
-            f"compression sum exceeds the identity (margin {margin:.6e})"
-        )
-    t0 = float(t0)
-    slack = 1e-9 * max(1.0, x.lambda_max)
-    if not (x.lambda_min - slack <= t0 <= x.lambda_max + slack):
-        raise PreconditionError(
-            f"t0={t0} outside the spectral range [{x.lambda_min}, {x.lambda_max}] of X"
-        )
-    out = _symmetrize(lifted) + t0 * (np.eye(dim) - _symmetrize(gram))
-    return PositiveDefiniteMatrix(out)
-
-
-def _result(theorem, holds, margin, lhs, rhs, detail):
-    # Imported here: verify imports this module, so a top-level import would cycle.
-    from .verify import VerificationResult
-
-    def norm(x):
-        w = np.linalg.eigvalsh(_symmetrize(x))
-        return float(max(abs(w[0]), abs(w[-1])))
-
-    return VerificationResult(
-        theorem=theorem,
-        holds=holds,
-        margin=margin,
-        lhs_norm=norm(lhs),
-        rhs_norm=norm(rhs),
-        hypothesis_met=True,
-        detail=detail,
-    )
-
-
-def _require_jensen_inputs(p: PositiveLinearMap, a: PositiveDefiniteMatrix, f: ScalarFunction):
-    if not p.is_normalized():
-        raise PreconditionError("map is not normalized: sum C_i* C_i differs from I")
-    if a.dim != p.in_dim:
-        raise ShapeError(f"map expects dimension {p.in_dim}, matrix has {a.dim}")
-    if not f.operator_concave:
-        raise PreconditionError(f"{f.name} is not flagged operator concave")
-
-
-def check_jensen(p: PositiveLinearMap, a: PositiveDefiniteMatrix, f: ScalarFunction,
-                 tol: float = DEFAULT_LOEWNER_TOL):
-    """Verify f(Phi(A)) >= Phi(f(A)); margin = lambda_min of the difference."""
-    _require_jensen_inputs(p, a, f)
-    phi_a = PositiveDefiniteMatrix(p.apply_array(a.array))
-    lhs = apply_function(phi_a, f).array
-    rhs = p.apply_array(apply_function(a, f).array)
-    holds, margin = loewner_leq(HermitianMatrix(rhs), HermitianMatrix(lhs), tol)
-    return _result("davis_choi_jensen", holds, margin, lhs, rhs,
-                   "f(Phi(A)) vs Phi(f(A)) for a normalized positive map")
-
-
-def _check_spectrum_window(a: PositiveDefiniteMatrix, m: float, M: float):
-    slack = 1e-9 * max(1.0, a.lambda_max)
-    if a.lambda_min < m - slack or a.lambda_max > M + slack:
-        raise PreconditionError(
-            f"spectrum [{a.lambda_min}, {a.lambda_max}] not inside [{m}, {M}]"
-        )
-
-
-def check_jensen_reverse_gamma(p: PositiveLinearMap, a: PositiveDefiniteMatrix,
-                               f: ScalarFunction, m: float, M: float,
-                               tol: float = DEFAULT_LOEWNER_TOL):
-    """Verify f(Phi(A)) <= gamma * Phi(f(A)) with the chord ratio bound on [m, M]."""
-    _require_jensen_inputs(p, a, f)
-    _check_spectrum_window(a, m, M)
-    gamma = chord_ratio_bound(f, m, M)
-    phi_a = PositiveDefiniteMatrix(p.apply_array(a.array))
-    lhs = apply_function(phi_a, f).array
-    rhs = gamma * p.apply_array(apply_function(a, f).array)
-    holds, margin = loewner_leq(HermitianMatrix(lhs), HermitianMatrix(rhs), tol)
-    return _result("jensen_reverse_gamma", holds, margin, lhs, rhs,
-                   f"f(Phi(A)) vs gamma*Phi(f(A)) with gamma={gamma!r}")
-
-
-def check_jensen_reverse_zeta(p: PositiveLinearMap, a: PositiveDefiniteMatrix,
-                              f: ScalarFunction, m: float, M: float,
-                              tol: float = DEFAULT_LOEWNER_TOL):
-    """Verify zeta*I + Phi(f(A)) >= f(Phi(A)) with the chord gap bound on [m, M]."""
-    _require_jensen_inputs(p, a, f)
-    _check_spectrum_window(a, m, M)
-    zeta = chord_gap_bound(f, m, M)
-    phi_a = PositiveDefiniteMatrix(p.apply_array(a.array))
-    lhs = apply_function(phi_a, f).array
-    rhs = zeta * np.eye(a.dim) + p.apply_array(apply_function(a, f).array)
-    holds, margin = loewner_leq(HermitianMatrix(lhs), HermitianMatrix(rhs), tol)
-    return _result("jensen_reverse_zeta", holds, margin, lhs, rhs,
-                   f"f(Phi(A)) vs Phi(f(A)) + zeta*I with zeta={zeta!r}")
 
 
 def map_to_json(p: PositiveLinearMap) -> dict:

@@ -21,7 +21,6 @@ __all__ = [
     "PositiveDefiniteMatrix",
     "eig",
     "apply_function",
-    "half_powers",
     "congruence",
     "loewner_leq",
     "sandwich_bounds",
@@ -250,11 +249,6 @@ def apply_function(a: PositiveDefiniteMatrix, f) -> HermitianMatrix:
     """
     values = f.evaluate_array(a.eigenvalues)
     return HermitianMatrix(a.scalar_image(values))
-
-
-def half_powers(a: PositiveDefiniteMatrix):
-    """(A^{1/2}, A^{-1/2}, A^{-1}), all sharing the eigenbasis of A."""
-    return a.sqrt(), a.inv_sqrt(), a.inv()
 
 
 def congruence(c, x) -> HermitianMatrix:

@@ -1,10 +1,12 @@
-"""Constrained random instances, per-theorem checkers, and bulk campaigns.
+"""Constrained random instances, the statement table, and bulk campaigns.
 
 Every numbered inequality handled by the package has one TheoremId and one
-checker.  A checker evaluates both sides of the inequality exactly as
-displayed and reports the Loewner margin (lambda_min of the difference that
-the statement claims is positive semidefinite; a scalar slack for the
-information inequality; a two-sided margin for the homogeneity identity).
+entry in STATEMENTS.  The entry says how to draw a hypothesis-satisfying
+instance, which hypotheses the checker gates on, and how to build both sides
+of the inequality exactly as displayed.  One shared path turns the sides into
+the Loewner margin (lambda_min of the difference that the statement claims is
+positive semidefinite; a scalar slack for the information inequality; a
+two-sided margin for the homogeneity identity).
 
 Hypothesis violations are never counted as failures: the checker reports
 hypothesis_met=False with an explanation and an empty margin.  Genuine
@@ -18,10 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -52,17 +53,18 @@ from .matcore import (
 
 __all__ = [
     "TheoremId",
-    "THEOREM_NOTES",
+    "Statement",
+    "STATEMENTS",
     "VerificationResult",
     "Instance",
     "CampaignConfig",
     "TrialRecord",
     "TheoremSummary",
     "CampaignReport",
-    "CHECKERS",
     "random_resolution",
     "random_instance",
     "check",
+    "triage",
     "trial_seed",
     "run_trial",
     "campaign",
@@ -70,7 +72,7 @@ __all__ = [
 
 
 class TheoremId(Enum):
-    """One enumerant per verified statement; the registry of checkers is total."""
+    """One enumerant per verified statement; the statement table is total."""
 
     MEAN_INTEGRAL = "mean_integral"
     COMPRESSION_JENSEN = "compression_jensen"
@@ -90,52 +92,6 @@ class TheoremId(Enum):
     EXAMPLE_LOG_PAIR = "example_log_pair"
 
 
-THEOREM_NOTES: dict[TheoremId, str] = {
-    TheoremId.MEAN_INTEGRAL: "sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]",
-    TheoremId.COMPRESSION_JENSEN: "f(sum w C*XC + t0(I - sum w C*C)) >= sum w C*f(X)C + f(t0)(I - sum w C*C)",
-    TheoremId.ENTROPY_LOWER: "f(W) - f(t0)(I - V) >= S_p with V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V)",
-    TheoremId.ENTROPY_NONNEG: "S_q >= 0 when f >= 0 on the encountered spectra",
-    TheoremId.ENTROPY_UPPER: "S_q <= sum w (A#_{q+1}B - A#_qB) when f(t) <= t - 1",
-    TheoremId.KLEIN_UPPER: "S(A|B) <= B - A (relative operator entropy, Klein bound)",
-    TheoremId.INFO_INEQ: "sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b",
-    TheoremId.SUBADDITIVE: "S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise",
-    TheoremId.HOMOGENEOUS: "S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)",
-    TheoremId.JOINT_CONCAVE: "S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1",
-    TheoremId.MAP_MONOTONE: "Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi",
-    TheoremId.REV_JENSEN_GAMMA: "f(lifted argument) <= gamma * [sum w C*f(X)C + f(t0)(I - sum w C*C)]",
-    TheoremId.REV_ENTROPY_GAMMA: "f(W) - gamma f(t0)(I - V) <= gamma S_p",
-    TheoremId.REV_JENSEN_ZETA: "f(lifted argument) <= sum w C*f(X)C + f(t0)(I - sum w C*C) + zeta I",
-    TheoremId.REV_ENTROPY_ZETA: "f(W) - f(t0)(I - V) <= S_p + zeta I",
-    TheoremId.EXAMPLE_LOG_PAIR: "closed-form gap bounds for log t and -t log t in the reverse entropy bound",
-}
-
-# Theorems whose hypotheses include sum w A = sum w B = I and m < 1 < M.
-_NORMALIZED_THEOREMS = frozenset(
-    {
-        TheoremId.ENTROPY_LOWER,
-        TheoremId.ENTROPY_NONNEG,
-        TheoremId.ENTROPY_UPPER,
-        TheoremId.REV_ENTROPY_GAMMA,
-        TheoremId.REV_ENTROPY_ZETA,
-        TheoremId.EXAMPLE_LOG_PAIR,
-    }
-)
-
-_COMPRESSION_THEOREMS = frozenset(
-    {TheoremId.COMPRESSION_JENSEN, TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA}
-)
-
-# p must sit in [0,1] for these; elsewhere the exponent is any real.
-_UNIT_EXPONENT_THEOREMS = frozenset(
-    {
-        TheoremId.MEAN_INTEGRAL,
-        TheoremId.ENTROPY_LOWER,
-        TheoremId.REV_ENTROPY_GAMMA,
-        TheoremId.REV_ENTROPY_ZETA,
-        TheoremId.EXAMPLE_LOG_PAIR,
-    }
-)
-
 _STRADDLE_LO = 1.0 - 1e-6
 _STRADDLE_HI = 1.0 + 1e-6
 _RESAMPLE_CAP = 100
@@ -150,7 +106,7 @@ class VerificationResult:
     hypothesis_met=False means "not applicable", never "fail".
     """
 
-    theorem: TheoremId | str
+    theorem: TheoremId
     holds: bool
     margin: float | None
     lhs_norm: float
@@ -160,9 +116,8 @@ class VerificationResult:
     triage: str | None = None
 
     def to_json(self) -> dict:
-        name = self.theorem.value if isinstance(self.theorem, TheoremId) else str(self.theorem)
         return {
-            "theorem": name,
+            "theorem": self.theorem.value,
             "holds": self.holds,
             "margin": self.margin,
             "lhs_norm": self.lhs_norm,
@@ -175,7 +130,7 @@ class VerificationResult:
 
 @dataclass
 class Instance:
-    """A generated hypothesis-satisfying input for one theorem checker.
+    """A generated hypothesis-satisfying input for one statement.
 
     (m, M) are the measured sandwich constants over the paired nodes (the
     spectral range of X for the compression checks); t0 lies in [m, M] where
@@ -205,7 +160,8 @@ class Instance:
     beta: float | None = None
 
     def validate(self) -> None:
-        if self.theorem in _NORMALIZED_THEOREMS:
+        family = STATEMENTS[self.theorem].family
+        if family is _normalized:
             if not (self.fa.is_normalized() and self.fb.is_normalized()):
                 raise PreconditionError("fields must sum to the identity within 1e-10")
             if not (self.m <= _STRADDLE_LO and self.M >= _STRADDLE_HI):
@@ -216,7 +172,16 @@ class Instance:
             slack = 1e-9 * max(1.0, abs(self.M))
             if not (self.m - slack <= self.t0 <= self.M + slack):
                 raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
-        if self.theorem is TheoremId.INFO_INEQ:
+        if family is _compression:
+            # The chord constants are taken on [m, M]; they bound f on the
+            # spectrum of X only when the window covers it.
+            slack = 1e-9 * max(1.0, abs(self.M))
+            if self.x.lambda_min < self.m - slack or self.x.lambda_max > self.M + slack:
+                raise PreconditionError(
+                    f"spectrum [{self.x.lambda_min}, {self.x.lambda_max}] of X "
+                    f"not inside [{self.m}, {self.M}]"
+                )
+        if family is _probability:
             a = np.diag(self.fa.matrices[0].array).real
             b = np.diag(self.fb.matrices[0].array).real
             if abs(a.sum() - 1.0) > 1e-10 or abs(b.sum() - 1.0) > 1e-10:
@@ -244,7 +209,7 @@ class Instance:
         if self.pmap is not None:
             out["map"] = map_to_json(self.pmap)
         if self.cs is not None:
-            out["cs"] = [_cmat_to_json(c) for c in self.cs]
+            out["cs"] = [matrix_to_json(c) for c in self.cs]
             out["cs_weights"] = [float(w) for w in self.cs_weights]
         if self.x is not None:
             out["x"] = matrix_to_json(self.x)
@@ -279,36 +244,104 @@ class Instance:
         return inst
 
 
-def _cmat_to_json(c: np.ndarray) -> dict:
-    return {"dim": int(c.shape[0]), "re": c.real.tolist(), "im": c.imag.tolist()}
-
-
 def _cmat_from_json(d: dict) -> np.ndarray:
     return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# checker helpers
+# shared path: claims -> margin, norms, verdict
 # ---------------------------------------------------------------------------
 
 
-def _lmin(arr: np.ndarray) -> float:
+class _Skip(Exception):
+    """A hypothesis of the statement fails on this instance (not a failure)."""
+
+
+@dataclass(frozen=True)
+class Sides:
+    """Both sides of a statement on one instance, as a builder returns them.
+
+    Each claim (lhs, op, rhs) asserts lhs op rhs in the Loewner order, with op
+    one of "<=", ">=" or "==" (two-sided).  A cross-check recomputes a claimed
+    side by a second route: it adds a margin but not a norm.  The margin is the
+    least one over claims and cross-checks; the norms are the largest over the
+    claims.  `detail` is a string, or a function of the per-claim margins.
+    A side that is a Python float (the information inequality) is its own
+    eigenvalue.
+    """
+
+    claims: list
+    detail: str | Callable[[list[float]], str]
+    cross_checks: list = field(default_factory=list)
+
+
+def _lmin(arr) -> float:
+    if isinstance(arr, float):
+        return arr
     return float(np.linalg.eigvalsh(_symmetrize(arr))[0])
 
 
-def _snorm(arr: np.ndarray) -> float:
+def _snorm(arr) -> float:
+    if isinstance(arr, float):
+        return abs(arr)
     w = np.linalg.eigvalsh(_symmetrize(arr))
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def _result(theorem, margin, lhs, rhs, tol, detail) -> VerificationResult:
-    ln, rn = _snorm(lhs), _snorm(rhs)
+def _margin(lhs, op: str, rhs) -> float:
+    if op == "<=":
+        return _lmin(rhs - lhs)
+    if op == ">=":
+        return _lmin(lhs - rhs)
+    return min(_lmin(lhs - rhs), _lmin(rhs - lhs))
+
+
+def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult:
+    margins = [_margin(*claim) for claim in sides.claims]
+    margin = min(margins + [_margin(*claim) for claim in sides.cross_checks])
+    ln = max(_snorm(lhs) for lhs, _, _ in sides.claims)
+    rn = max(_snorm(rhs) for _, _, rhs in sides.claims)
     holds = margin >= -tol * max(1.0, ln, rn)
+    detail = sides.detail(margins) if callable(sides.detail) else sides.detail
     return VerificationResult(theorem, holds, margin, ln, rn, True, detail)
 
 
-def _skip(theorem, why: str) -> VerificationResult:
-    return VerificationResult(theorem, True, None, 0.0, 0.0, False, why)
+def _require_unit_exponent(q) -> float:
+    p = float(q)
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"this statement requires an exponent in [0, 1], got {p}")
+    return p
+
+
+def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | None:
+    """Apply the statement's hypothesis gates to f on [lo, hi].
+
+    Raises _Skip when one fails; returns the chord constant the statement
+    needs (gamma or zeta on [lo, hi]), or None.
+    """
+    validate_declared_flags(f, lo, hi)
+    if st.concave and not f.operator_concave:
+        raise _Skip(f"{f.name} is not flagged operator concave")
+    if st.nonneg and not check_nonnegative_on(f, lo, hi):
+        raise _Skip(f"{f.name} is negative somewhere on [{lo:.6g}, {hi:.6g}]")
+    if st.below_t_minus_1:
+        ts = np.linspace(lo, hi, functions.GRID_POINTS)
+        excess = float((f.evaluate_array(ts) - (ts - 1.0)).max())
+        if excess > 1e-12:
+            raise _Skip(f"{f.name}(t) exceeds t - 1 by {excess:.3e} on [{lo:.6g}, {hi:.6g}]")
+    if st.constant == "gamma":
+        try:
+            return chord_ratio_bound(f, lo, hi)
+        except (UndefinedRatioError, PreconditionError) as exc:
+            raise _Skip(f"ratio bound undefined: {exc}") from exc
+    if st.constant == "zeta":
+        return chord_gap_bound(f, lo, hi)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# term helpers shared by the builders
+# ---------------------------------------------------------------------------
 
 
 def _pair_cores(fa: OperatorField, fb: OperatorField):
@@ -327,39 +360,28 @@ def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
     return _symmetrize((v * scalar_map(w)) @ v.conj().T)
 
 
-def _require_unit_exponent(q) -> float:
-    p = float(q)
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"this statement requires an exponent in [0, 1], got {p}")
-    return p
-
-
-def _gate(theorem, f: ScalarFunction, m: float, M: float, *, concave: bool, nonneg: bool):
-    """Common hypothesis gates; returns a skip result or None."""
-    validate_declared_flags(f, m, M)
-    if concave and not f.operator_concave:
-        return _skip(theorem, f"{f.name} is not flagged operator concave")
-    if nonneg and not check_nonnegative_on(f, m, M):
-        return _skip(theorem, f"{f.name} is negative somewhere on [{m:.6g}, {M:.6g}]")
-    return None
-
-
-def _entropy_terms(inst: Instance, p: float, f: ScalarFunction | None = None):
-    """V, W, S and the identity for the normalized-field statements."""
+def _entropy_terms(inst: Instance, p: float):
+    """Pair spectra, I, V = sum w A#_pB and W = sum w A#_{p+1}B + t0(I - V)."""
     cores = _pair_cores(inst.fa, inst.fb)
     dim = inst.fa.dim
     eye = np.eye(dim)
     v = _aggregate(cores, dim, lambda lam: lam ** p)
     w_arg = _aggregate(cores, dim, lambda lam: lam ** (p + 1.0)) + inst.t0 * (eye - v)
-    s = None
-    if f is not None:
-        s = _aggregate(cores, dim, lambda lam: lam ** p * f.evaluate_array(lam))
-    return cores, eye, v, w_arg, s
+    return cores, eye, v, w_arg
 
 
-def _compression_terms(inst: Instance, f: ScalarFunction):
+def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
+    """f(W) - gamma f(t0)(I - V), S_p = sum w A^{1/2} T^p f(T) A^{1/2} and I."""
+    p, f = float(inst.q), inst.f
+    cores, eye, v, w_arg = _entropy_terms(inst, p)
+    s = _aggregate(cores, inst.fa.dim, lambda lam: lam ** p * f.evaluate_array(lam))
+    lhs = _spectral_image(w_arg, f.evaluate_array) - gamma * f.evaluate(inst.t0) * (eye - v)
+    return lhs, s, eye
+
+
+def _compression_terms(inst: Instance):
     """f(lifted argument) and the compressed right-hand side it is checked against."""
-    x = inst.x
+    f, x = inst.f, inst.x
     dim = x.dim
     eye = np.eye(dim)
     gram = np.zeros((dim, dim), dtype=complex)
@@ -382,354 +404,202 @@ def _compression_terms(inst: Instance, f: ScalarFunction):
 
 
 # ---------------------------------------------------------------------------
-# checkers (one per TheoremId)
+# builders: (inst, gate) -> Sides, one per statement.  `gate(lo, hi)` applies
+# the statement's declared gates on [lo, hi] (default: the instance window)
+# and returns its chord constant.
 # ---------------------------------------------------------------------------
 
 
-def _check_mean_integral(inst: Instance, tol: float) -> VerificationResult:
-    p = _require_unit_exponent(inst.q)
-    cores = _pair_cores(inst.fa, inst.fb)
-    dim = inst.fa.dim
-    lhs = _aggregate(cores, dim, lambda lam: lam ** p)
+def _mean_integral(inst: Instance, gate) -> Sides:
+    """sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]"""
+    p = float(inst.q)
+    lhs = _aggregate(_pair_cores(inst.fa, inst.fb), inst.fa.dim, lambda lam: lam ** p)
     total_a = PositiveDefiniteMatrix(inst.fa.weighted_sum())
     total_b = PositiveDefiniteMatrix(inst.fb.weighted_sum())
     rhs = PairSpectrum(total_a, total_b).power_mean(p)
-    margin = _lmin(rhs - lhs)
-    return _result(
-        TheoremId.MEAN_INTEGRAL, margin, lhs, rhs, tol,
-        f"node-wise power means vs power mean of the integrals at p={p:g}",
-    )
+    return Sides([(lhs, "<=", rhs)], f"node-wise power means vs power mean of the integrals at p={p:g}")
 
 
-def _check_compression_jensen(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    skip = _gate(TheoremId.COMPRESSION_JENSEN, f, inst.m, inst.M, concave=True, nonneg=True)
-    if skip:
-        return skip
-    f_arg, rhs = _compression_terms(inst, f)
-    margin = _lmin(f_arg - rhs)
-    return _result(
-        TheoremId.COMPRESSION_JENSEN, margin, f_arg, rhs, tol,
-        "lifted Jensen inequality for a sub-unital compression family",
-    )
+def _compression_jensen(inst: Instance, gate) -> Sides:
+    """f(sum w C*XC + t0(I - sum w C*C)) >= sum w C*f(X)C + f(t0)(I - sum w C*C)"""
+    gate()
+    f_arg, rhs = _compression_terms(inst)
+    return Sides([(f_arg, ">=", rhs)], "lifted Jensen inequality for a sub-unital compression family")
 
 
-def _check_entropy_lower(inst: Instance, tol: float) -> VerificationResult:
-    p = _require_unit_exponent(inst.q)
-    f = inst.f
-    skip = _gate(TheoremId.ENTROPY_LOWER, f, inst.m, inst.M, concave=True, nonneg=True)
-    if skip:
-        return skip
-    _, eye, v, w_arg, s = _entropy_terms(inst, p, f)
-    lhs = _spectral_image(w_arg, f.evaluate_array) - f.evaluate(inst.t0) * (eye - v)
-    margin = _lmin(lhs - s)
-    return _result(
-        TheoremId.ENTROPY_LOWER, margin, lhs, s, tol,
-        f"entropy lower bound at p={p:g}, t0={inst.t0:.6g}",
-    )
+def _rev_jensen_gamma(inst: Instance, gate) -> Sides:
+    """f(lifted argument) <= gamma * [sum w C*f(X)C + f(t0)(I - sum w C*C)]"""
+    gamma = gate()
+    f_arg, rhs = _compression_terms(inst)
+    return Sides([(f_arg, "<=", gamma * rhs)], f"reverse lifted Jensen with gamma={gamma!r}")
 
 
-def _check_entropy_nonneg(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    validate_declared_flags(f, inst.m, inst.M)
-    if not check_nonnegative_on(f, inst.m, inst.M):
-        return _skip(
-            TheoremId.ENTROPY_NONNEG,
-            f"{f.name} is negative somewhere on the encountered spectra [{inst.m:.6g}, {inst.M:.6g}]",
-        )
-    q = float(inst.q)
+def _rev_jensen_zeta(inst: Instance, gate) -> Sides:
+    """f(lifted argument) <= sum w C*f(X)C + f(t0)(I - sum w C*C) + zeta I"""
+    zeta = gate()
+    f_arg, rhs = _compression_terms(inst)
+    shifted = rhs + zeta * np.eye(inst.x.dim)
+    return Sides([(f_arg, "<=", shifted)], f"reverse lifted Jensen with zeta={zeta!r}")
+
+
+def _entropy_lower(inst: Instance, gate) -> Sides:
+    """f(W) - f(t0)(I - V) >= S_p with V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V)"""
+    gate()
+    lhs, s, _ = _entropy_bound_terms(inst)
+    return Sides([(lhs, ">=", s)], f"entropy lower bound at p={inst.q:g}, t0={inst.t0:.6g}")
+
+
+def _rev_entropy_gamma(inst: Instance, gate) -> Sides:
+    """f(W) - gamma f(t0)(I - V) <= gamma S_p"""
+    gamma = gate()
+    lhs, s, _ = _entropy_bound_terms(inst, gamma)
+    detail = f"reverse entropy bound with gamma={gamma!r} at p={inst.q:g}"
+    return Sides([(lhs, "<=", gamma * s)], detail)
+
+
+def _rev_entropy_zeta(inst: Instance, gate) -> Sides:
+    """f(W) - f(t0)(I - V) <= S_p + zeta I"""
+    zeta = gate()
+    lhs, s, eye = _entropy_bound_terms(inst)
+    detail = f"reverse entropy bound with zeta={zeta!r} at p={inst.q:g}"
+    return Sides([(lhs, "<=", s + zeta * eye)], detail)
+
+
+def _entropy_nonneg(inst: Instance, gate) -> Sides:
+    """S_q >= 0 when f >= 0 on the encountered spectra"""
+    gate()
+    q, f, dim = float(inst.q), inst.f, inst.fa.dim
+    s = _aggregate(_pair_cores(inst.fa, inst.fb), dim, lambda lam: lam ** q * f.evaluate_array(lam))
+    detail = f"nonnegativity of the aggregated entropy at q={q:g}"
+    return Sides([(np.zeros((dim, dim)), "<=", s)], detail)
+
+
+def _entropy_upper(inst: Instance, gate) -> Sides:
+    """S_q <= sum w (A#_{q+1}B - A#_qB) when f(t) <= t - 1"""
+    gate()
+    q, f, dim = float(inst.q), inst.f, inst.fa.dim
     cores = _pair_cores(inst.fa, inst.fb)
-    dim = inst.fa.dim
-    s = _aggregate(cores, dim, lambda lam: lam ** q * f.evaluate_array(lam))
-    margin = _lmin(s)
-    return _result(
-        TheoremId.ENTROPY_NONNEG, margin, np.zeros((dim, dim)), s, tol,
-        f"nonnegativity of the aggregated entropy at q={q:g}",
-    )
-
-
-def _check_entropy_upper(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    validate_declared_flags(f, inst.m, inst.M)
-    ts = np.linspace(inst.m, inst.M, functions.GRID_POINTS)
-    excess = float((f.evaluate_array(ts) - (ts - 1.0)).max())
-    if excess > 1e-12:
-        return _skip(
-            TheoremId.ENTROPY_UPPER,
-            f"{f.name}(t) exceeds t - 1 by {excess:.3e} on [{inst.m:.6g}, {inst.M:.6g}]",
-        )
-    q = float(inst.q)
-    cores = _pair_cores(inst.fa, inst.fb)
-    dim = inst.fa.dim
     s = _aggregate(cores, dim, lambda lam: lam ** q * f.evaluate_array(lam))
     rhs = _aggregate(cores, dim, lambda lam: lam ** (q + 1.0) - lam ** q)
-    margin = _lmin(rhs - s)
+    nodes = list(zip(inst.fa, inst.fb))
     detail = f"entropy upper bound at q={q:g}"
     if q == 0.0:
-        direct = sum(w * (b.array - a.array) for (w, a), (_, b) in zip(inst.fa, inst.fb))
-        margin = min(margin, _lmin(_symmetrize(direct) - s))
+        direct = sum(w * (b.array - a.array) for (w, a), (_, b) in nodes)
         detail += "; closed form sum w (B - A) cross-checked"
     elif q == 1.0:
-        direct = sum(
-            w * (b.array @ a.inv().array @ b.array - b.array)
-            for (w, a), (_, b) in zip(inst.fa, inst.fb)
-        )
-        margin = min(margin, _lmin(_symmetrize(direct) - s))
+        direct = sum(w * (b.array @ a.inv().array @ b.array - b.array) for (w, a), (_, b) in nodes)
         detail += "; closed form sum w (B A^{-1} B - B) cross-checked"
-    return _result(TheoremId.ENTROPY_UPPER, margin, s, rhs, tol, detail)
+    else:
+        return Sides([(s, "<=", rhs)], detail)
+    return Sides([(s, "<=", rhs)], detail, cross_checks=[(s, "<=", _symmetrize(direct))])
 
 
-def _check_klein_upper(inst: Instance, tol: float) -> VerificationResult:
-    a = inst.fa.matrices[0]
-    b = inst.fb.matrices[0]
+def _klein_upper(inst: Instance, gate) -> Sides:
+    """S(A|B) <= B - A (relative operator entropy, Klein bound)"""
+    a, b = inst.fa.matrices[0], inst.fb.matrices[0]
     s = PairSpectrum(a, b).entropy_term(0.0, LOG)
-    diff = b.array - a.array
-    margin = _lmin(diff - s)
-    return _result(
-        TheoremId.KLEIN_UPPER, margin, s, diff, tol,
-        "relative operator entropy against B - A",
-    )
+    return Sides([(s, "<=", b.array - a.array)], "relative operator entropy against B - A")
 
 
-def _check_info_ineq(inst: Instance, tol: float) -> VerificationResult:
+def _info_ineq(inst: Instance, gate) -> Sides:
+    """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
     a = np.diag(inst.fa.matrices[0].array).real
     b = np.diag(inst.fb.matrices[0].array).real
     value = float(np.sum(a * np.log(a / b)))
-    holds = value >= -tol
     detail = "divergence of two probability vectors; equality exactly when a = b"
-    return VerificationResult(
-        TheoremId.INFO_INEQ, holds, value, abs(value), 0.0, True, detail
-    )
+    return Sides([(value, ">=", 0.0)], detail)
 
 
-def _check_subadditive(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
+def _subadditive(inst: Instance, gate) -> Sides:
+    """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
     left = inst.fa.nodewise_sum(inst.fb)
     right = inst.fc.nodewise_sum(inst.fd)
     sum_lo, sum_hi = _measure_pair(left, right)
-    lo, hi = min(inst.m, sum_lo), max(inst.M, sum_hi)
-    skip = _gate(TheoremId.SUBADDITIVE, f, lo, hi, concave=True, nonneg=False)
-    if skip:
-        return skip
-    dim = inst.fa.dim
-    lhs = _aggregate(_pair_cores(left, right), dim, f.evaluate_array)
-    rhs = _aggregate(_pair_cores(inst.fa, inst.fc), dim, f.evaluate_array) + _aggregate(
-        _pair_cores(inst.fb, inst.fd), dim, f.evaluate_array
+    gate(min(inst.m, sum_lo), max(inst.M, sum_hi))
+    term, dim = inst.f.evaluate_array, inst.fa.dim
+    lhs = _aggregate(_pair_cores(left, right), dim, term)
+    rhs = _aggregate(_pair_cores(inst.fa, inst.fc), dim, term) + _aggregate(
+        _pair_cores(inst.fb, inst.fd), dim, term
     )
-    margin = _lmin(lhs - rhs)
-    return _result(
-        TheoremId.SUBADDITIVE, margin, lhs, rhs, tol,
-        "subadditivity of the aggregated entropy at q=0",
-    )
+    return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
 
-def _check_homogeneous(inst: Instance, tol: float) -> VerificationResult:
-    alpha = float(inst.alpha)
-    q = float(inst.q)
-    f = inst.f
-    dim = inst.fa.dim
+def _homogeneous(inst: Instance, gate) -> Sides:
+    """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
+    alpha, q, f, dim = float(inst.alpha), float(inst.q), inst.f, inst.fa.dim
     term = lambda lam: lam ** q * f.evaluate_array(lam)
     lhs = _aggregate(_pair_cores(inst.fa.scaled(alpha), inst.fb.scaled(alpha)), dim, term)
     rhs = alpha * _aggregate(_pair_cores(inst.fa, inst.fb), dim, term)
-    margin = min(_lmin(lhs - rhs), _lmin(rhs - lhs))
-    return _result(
-        TheoremId.HOMOGENEOUS, margin, lhs, rhs, tol,
-        f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)",
-    )
+    return Sides([(lhs, "==", rhs)], f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)")
 
 
-def _check_joint_concave(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
+def _joint_concave(inst: Instance, gate) -> Sides:
+    """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
     alpha, beta = float(inst.alpha), float(inst.beta)
     if alpha <= 0.0 or beta <= 0.0 or abs(alpha + beta - 1.0) > 1e-12:
         raise PreconditionError(f"need alpha, beta > 0 with alpha + beta = 1, got {alpha}, {beta}")
     mixed_a = inst.fa.blend(inst.fa2, alpha, beta)
     mixed_b = inst.fb.blend(inst.fb2, alpha, beta)
     mix_lo, mix_hi = _measure_pair(mixed_a, mixed_b)
-    lo, hi = min(inst.m, mix_lo), max(inst.M, mix_hi)
-    skip = _gate(TheoremId.JOINT_CONCAVE, f, lo, hi, concave=True, nonneg=False)
-    if skip:
-        return skip
-    dim = inst.fa.dim
-    lhs = _aggregate(_pair_cores(mixed_a, mixed_b), dim, f.evaluate_array)
-    rhs = alpha * _aggregate(_pair_cores(inst.fa, inst.fb), dim, f.evaluate_array) + beta * _aggregate(
-        _pair_cores(inst.fa2, inst.fb2), dim, f.evaluate_array
+    gate(min(inst.m, mix_lo), max(inst.M, mix_hi))
+    term, dim = inst.f.evaluate_array, inst.fa.dim
+    lhs = _aggregate(_pair_cores(mixed_a, mixed_b), dim, term)
+    rhs = alpha * _aggregate(_pair_cores(inst.fa, inst.fb), dim, term) + beta * _aggregate(
+        _pair_cores(inst.fa2, inst.fb2), dim, term
     )
-    margin = _lmin(lhs - rhs)
-    return _result(
-        TheoremId.JOINT_CONCAVE, margin, lhs, rhs, tol,
-        f"joint concavity at alpha={alpha:g}",
-    )
+    return Sides([(lhs, ">=", rhs)], f"joint concavity at alpha={alpha:g}")
 
 
-def _check_map_monotone(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    skip = _gate(TheoremId.MAP_MONOTONE, f, inst.m, inst.M, concave=True, nonneg=False)
-    if skip:
-        return skip
-    pm = inst.pmap
+def _map_monotone(inst: Instance, gate) -> Sides:
+    """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
+    gate()
+    f, pm = inst.f, inst.pmap
     if not pm.is_normalized():
         raise PreconditionError("map is not normalized")
-    dim = inst.fa.dim
-    inner = _aggregate(_pair_cores(inst.fa, inst.fb), dim, f.evaluate_array)
-    lhs = pm.apply_array(inner)
+    lhs = pm.apply_array(_aggregate(_pair_cores(inst.fa, inst.fb), inst.fa.dim, f.evaluate_array))
     try:
-        image_nodes = [
-            (
-                w,
-                PositiveDefiniteMatrix(pm.apply_array(a.array)),
-                PositiveDefiniteMatrix(pm.apply_array(b.array)),
-            )
-            for (w, a), (_, b) in zip(inst.fa, inst.fb)
-        ]
+        image_a, image_b = (
+            OperatorField((w, PositiveDefiniteMatrix(pm.apply_array(a.array))) for w, a in fld)
+            for fld in (inst.fa, inst.fb)
+        )
     except NotPositiveDefiniteError as exc:
-        return _skip(TheoremId.MAP_MONOTONE, f"map image not positive definite ({exc})")
-    rhs = np.zeros((pm.out_dim, pm.out_dim), dtype=complex)
-    for w, pa, pb in image_nodes:
-        rhs += w * PairSpectrum(pa, pb).entropy_term(0.0, f)
-    margin = _lmin(_symmetrize(rhs) - lhs)
-    return _result(
-        TheoremId.MAP_MONOTONE, margin, lhs, rhs, tol,
-        "informational monotonicity under a normalized positive map",
-    )
+        raise _Skip(f"map image not positive definite ({exc})") from exc
+    rhs = _aggregate(_pair_cores(image_a, image_b), pm.out_dim, f.evaluate_array)
+    return Sides([(lhs, "<=", rhs)], "informational monotonicity under a normalized positive map")
 
 
-def _check_rev_jensen_gamma(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    skip = _gate(TheoremId.REV_JENSEN_GAMMA, f, inst.m, inst.M, concave=True, nonneg=True)
-    if skip:
-        return skip
-    try:
-        gamma = chord_ratio_bound(f, inst.m, inst.M)
-    except (UndefinedRatioError, PreconditionError) as exc:
-        return _skip(TheoremId.REV_JENSEN_GAMMA, f"ratio bound undefined: {exc}")
-    f_arg, rhs = _compression_terms(inst, f)
-    margin = _lmin(gamma * rhs - f_arg)
-    return _result(
-        TheoremId.REV_JENSEN_GAMMA, margin, f_arg, gamma * rhs, tol,
-        f"reverse lifted Jensen with gamma={gamma!r}",
-    )
-
-
-def _check_rev_jensen_zeta(inst: Instance, tol: float) -> VerificationResult:
-    f = inst.f
-    skip = _gate(TheoremId.REV_JENSEN_ZETA, f, inst.m, inst.M, concave=True, nonneg=False)
-    if skip:
-        return skip
-    zeta = chord_gap_bound(f, inst.m, inst.M)
-    f_arg, rhs = _compression_terms(inst, f)
-    shifted = rhs + zeta * np.eye(inst.x.dim)
-    margin = _lmin(shifted - f_arg)
-    return _result(
-        TheoremId.REV_JENSEN_ZETA, margin, f_arg, shifted, tol,
-        f"reverse lifted Jensen with zeta={zeta!r}",
-    )
-
-
-def _check_rev_entropy_gamma(inst: Instance, tol: float) -> VerificationResult:
-    p = _require_unit_exponent(inst.q)
-    f = inst.f
-    skip = _gate(TheoremId.REV_ENTROPY_GAMMA, f, inst.m, inst.M, concave=True, nonneg=True)
-    if skip:
-        return skip
-    try:
-        gamma = chord_ratio_bound(f, inst.m, inst.M)
-    except (UndefinedRatioError, PreconditionError) as exc:
-        return _skip(TheoremId.REV_ENTROPY_GAMMA, f"ratio bound undefined: {exc}")
-    _, eye, v, w_arg, s = _entropy_terms(inst, p, f)
-    lhs = _spectral_image(w_arg, f.evaluate_array) - gamma * f.evaluate(inst.t0) * (eye - v)
-    rhs = gamma * s
-    margin = _lmin(rhs - lhs)
-    return _result(
-        TheoremId.REV_ENTROPY_GAMMA, margin, lhs, rhs, tol,
-        f"reverse entropy bound with gamma={gamma!r} at p={p:g}",
-    )
-
-
-def _check_rev_entropy_zeta(inst: Instance, tol: float) -> VerificationResult:
-    p = _require_unit_exponent(inst.q)
-    f = inst.f
-    skip = _gate(TheoremId.REV_ENTROPY_ZETA, f, inst.m, inst.M, concave=True, nonneg=False)
-    if skip:
-        return skip
-    zeta = chord_gap_bound(f, inst.m, inst.M)
-    _, eye, v, w_arg, s = _entropy_terms(inst, p, f)
-    lhs = _spectral_image(w_arg, f.evaluate_array) - f.evaluate(inst.t0) * (eye - v)
-    rhs = s + zeta * eye
-    margin = _lmin(rhs - lhs)
-    return _result(
-        TheoremId.REV_ENTROPY_ZETA, margin, lhs, rhs, tol,
-        f"reverse entropy bound with zeta={zeta!r} at p={p:g}",
-    )
-
-
-def _check_example_log_pair(inst: Instance, tol: float) -> VerificationResult:
-    p = _require_unit_exponent(inst.q)
+def _example_log_pair(inst: Instance, gate) -> Sides:
+    """closed-form gap bounds for log t and -t log t in the reverse entropy bound"""
+    p, t0 = float(inst.q), inst.t0
     try:
         zeta_log, zeta_neg = zeta_closed_forms(inst.m, inst.M)
     except PreconditionError as exc:
-        return _skip(TheoremId.EXAMPLE_LOG_PAIR, f"closed forms need m < 1 < M: {exc}")
-    cores, eye, v, w_arg, _ = _entropy_terms(inst, p)
+        raise _Skip(f"closed forms need m < 1 < M: {exc}") from exc
+    cores, eye, v, w_arg = _entropy_terms(inst, p)
     dim = inst.fa.dim
     s_p = _aggregate(cores, dim, lambda lam: lam ** p * np.log(lam))
     s_p1 = _aggregate(cores, dim, lambda lam: lam ** (p + 1.0) * np.log(lam))
     ww, wv = np.linalg.eigh(_symmetrize(w_arg))
     w_log_w = _symmetrize((wv * (ww * np.log(ww))) @ wv.conj().T)
     log_w = _symmetrize((wv * np.log(ww)) @ wv.conj().T)
-    t0 = inst.t0
-    # -t log t route: W log W - t0 log(t0) (I - V) >= S_{p+1} - zeta_neg I
-    lhs1 = w_log_w - t0 * math.log(t0) * (eye - v)
-    rhs1 = s_p1 - zeta_neg * eye
-    margin1 = _lmin(lhs1 - rhs1)
-    # log route: log W - log(t0) (I - V) <= S_p + zeta_log I
-    lhs2 = log_w - math.log(t0) * (eye - v)
-    rhs2 = s_p + zeta_log * eye
-    margin2 = _lmin(rhs2 - lhs2)
-    margin = min(margin1, margin2)
-    lhs_n = max(_snorm(lhs1), _snorm(lhs2))
-    rhs_n = max(_snorm(rhs1), _snorm(rhs2))
-    holds = margin >= -tol * max(1.0, lhs_n, rhs_n)
-    return VerificationResult(
-        TheoremId.EXAMPLE_LOG_PAIR, holds, margin, lhs_n, rhs_n, True,
-        f"closed-form pair at p={p:g}: margins {margin1:.3e} (-t log t) and {margin2:.3e} (log)",
+    return Sides(
+        [
+            # -t log t route: W log W - t0 log(t0) (I - V) >= S_{p+1} - zeta_neg I
+            (w_log_w - t0 * math.log(t0) * (eye - v), ">=", s_p1 - zeta_neg * eye),
+            # log route: log W - log(t0) (I - V) <= S_p + zeta_log I
+            (log_w - math.log(t0) * (eye - v), "<=", s_p + zeta_log * eye),
+        ],
+        lambda m: f"closed-form pair at p={p:g}: margins {m[0]:.3e} (-t log t) and {m[1]:.3e} (log)",
     )
 
 
-CHECKERS = {
-    TheoremId.MEAN_INTEGRAL: _check_mean_integral,
-    TheoremId.COMPRESSION_JENSEN: _check_compression_jensen,
-    TheoremId.ENTROPY_LOWER: _check_entropy_lower,
-    TheoremId.ENTROPY_NONNEG: _check_entropy_nonneg,
-    TheoremId.ENTROPY_UPPER: _check_entropy_upper,
-    TheoremId.KLEIN_UPPER: _check_klein_upper,
-    TheoremId.INFO_INEQ: _check_info_ineq,
-    TheoremId.SUBADDITIVE: _check_subadditive,
-    TheoremId.HOMOGENEOUS: _check_homogeneous,
-    TheoremId.JOINT_CONCAVE: _check_joint_concave,
-    TheoremId.MAP_MONOTONE: _check_map_monotone,
-    TheoremId.REV_JENSEN_GAMMA: _check_rev_jensen_gamma,
-    TheoremId.REV_ENTROPY_GAMMA: _check_rev_entropy_gamma,
-    TheoremId.REV_JENSEN_ZETA: _check_rev_jensen_zeta,
-    TheoremId.REV_ENTROPY_ZETA: _check_rev_entropy_zeta,
-    TheoremId.EXAMPLE_LOG_PAIR: _check_example_log_pair,
-}
-
-
-def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
-    """Evaluate one theorem on one instance; pure in (theorem, inst, tol)."""
-    if tol < 0.0:
-        raise PreconditionError("tol must be nonnegative")
-    return CHECKERS[theorem](inst, tol)
-
-
 # ---------------------------------------------------------------------------
-# constrained random generation
+# generator families: (rng, inst, diagonal) -> None, filling the instance
 # ---------------------------------------------------------------------------
 
 
-def _cgauss(rng, n: int, m: int | None = None) -> np.ndarray:
-    m = n if m is None else m
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
+def _cgauss(rng, n: int) -> np.ndarray:
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
 
 def _random_unitary(rng, n: int) -> np.ndarray:
@@ -777,7 +647,9 @@ def _measure_pair(fa: OperatorField, fb: OperatorField) -> tuple[float, float]:
     return lo, hi
 
 
-def _normalized_pair(rng, dim: int, k: int, diagonal: bool):
+def _normalized(rng, inst: Instance, diagonal: bool) -> None:
+    """Two fields summing to the identity with m < 1 < M, and t0 in [m, M]."""
+    dim, k = inst.dim, inst.k
     if k < 2:
         raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
     for _ in range(_RESAMPLE_CAP):
@@ -788,7 +660,9 @@ def _normalized_pair(rng, dim: int, k: int, diagonal: bool):
         fb = OperatorField.from_matrices(weights, [PositiveDefiniteMatrix(b / w) for w, b in zip(weights, rb)])
         m, M = _measure_pair(fa, fb)
         if m <= _STRADDLE_LO and M >= _STRADDLE_HI:
-            return fa, fb, m, M
+            inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
+            inst.t0 = float(rng.uniform(m, M))
+            return
     raise GenerationError(f"no strict m < 1 < M pair after {_RESAMPLE_CAP} draws")
 
 
@@ -803,8 +677,9 @@ def _free_field(rng, dim: int, k: int, weights, diagonal: bool) -> OperatorField
     return OperatorField.from_matrices(weights, [_free_pd(rng, dim, diagonal) for _ in range(k)])
 
 
-def _centered_pair(rng, dim: int, k: int, diagonal: bool):
+def _centered(rng, inst: Instance, diagonal: bool) -> None:
     """A free pair rescaled so the measured sandwich window straddles 1."""
+    dim, k = inst.dim, inst.k
     for _ in range(_RESAMPLE_CAP):
         weights = _random_weights(rng, k)
         fa = _free_field(rng, dim, k, weights, diagonal)
@@ -818,11 +693,33 @@ def _centered_pair(rng, dim: int, k: int, diagonal: bool):
         # A scalar 1x1 pair has m = M; the straddle is only possible (and only
         # stated) for genuinely spread spectra.
         if dim == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI):
-            return fa, fb, m, M
+            inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
+            return
     raise GenerationError(f"no usable free pair after {_RESAMPLE_CAP} draws")
 
 
-def _compression_data(rng, dim: int, k: int, diagonal: bool):
+def _free(draw_order: tuple[str, ...], pairs: tuple[tuple[str, str], ...]):
+    """Free fields with one shared weight vector, drawn into the named slots;
+    the window covers every named pair."""
+
+    def draw(rng, inst: Instance, diagonal: bool) -> None:
+        weights = _random_weights(rng, inst.k)
+        for name in draw_order:
+            setattr(inst, name, _free_field(rng, inst.dim, inst.k, weights, diagonal))
+        fields = [(getattr(inst, a), getattr(inst, b)) for a, b in pairs]
+        inst.m = min(_measure_pair(fa, fb)[0] for fa, fb in fields)
+        inst.M = max(_measure_pair(fa, fb)[1] for fa, fb in fields)
+
+    return draw
+
+
+_four_fields = _free(("fa", "fb", "fc", "fd"), (("fa", "fc"), ("fb", "fd")))
+_two_pairs = _free(("fa", "fb", "fa2", "fb2"), (("fa", "fb"), ("fa2", "fb2")))
+
+
+def _compression(rng, inst: Instance, diagonal: bool) -> None:
+    """A sub-unital family {C_s} with weights, X centred on 1, and t0 in spec(X)'s range."""
+    dim, k = inst.dim, inst.k
     extra = 1 if rng.uniform() < 0.75 else 0
     arrays = _resolution_arrays(rng, dim, k + extra, diagonal)[:k]
     weights = _random_weights(rng, k)
@@ -835,7 +732,9 @@ def _compression_data(rng, dim: int, k: int, diagonal: bool):
         x = x0.scaled(1.0 / math.sqrt(x0.lambda_min * x0.lambda_max))
     else:
         x = x0
-    return tuple(cs), weights, x
+    inst.cs, inst.cs_weights, inst.x = tuple(cs), weights, x
+    inst.m, inst.M = x.lambda_min, x.lambda_max
+    inst.t0 = float(rng.uniform(inst.m, inst.M))
 
 
 def _prob_vector(rng, dim: int) -> np.ndarray:
@@ -846,6 +745,129 @@ def _prob_vector(rng, dim: int) -> np.ndarray:
 
 def _diag_field(vec: np.ndarray) -> OperatorField:
     return OperatorField.from_matrices([1.0], [PositiveDefiniteMatrix(np.diag(vec).astype(complex))])
+
+
+def _probability(rng, inst: Instance, diagonal: bool) -> None:
+    """Two strictly positive probability vectors as diagonal one-node fields."""
+    a, b = _prob_vector(rng, inst.dim), _prob_vector(rng, inst.dim)
+    inst.fa, inst.fb = _diag_field(a), _diag_field(b)
+    inst.m, inst.M = _measure_pair(inst.fa, inst.fb)
+
+
+def _draw_scale(rng, inst: Instance, diagonal: bool) -> None:
+    inst.alpha = float(rng.choice([0.5, 2.0]))
+
+
+def _draw_blend(rng, inst: Instance, diagonal: bool) -> None:
+    inst.alpha = float(rng.uniform(0.25, 0.75))
+    inst.beta = 1.0 - inst.alpha
+
+
+def _draw_map(rng, inst: Instance, diagonal: bool) -> None:
+    dim = inst.dim
+    if diagonal:
+        probs = rng.dirichlet(np.ones(3))
+        kraus = []
+        for prob in probs:
+            perm = np.eye(dim)[rng.permutation(dim)]
+            kraus.append(math.sqrt(prob) * perm.astype(complex))
+        inst.pmap = PositiveLinearMap(kraus)
+    else:
+        inst.pmap = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng)
+
+
+# ---------------------------------------------------------------------------
+# the statement table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One verified statement: how to draw it, what it assumes, what it claims.
+
+    family and extras fill a fresh instance from the generator; `fixed` pins
+    instance fields before the draw.  unit_exponent requires q in [0, 1].  The
+    gates (operator concave, nonnegative on the window, f(t) <= t - 1) skip
+    the check when they fail; `constant` names the chord constant the builder
+    receives from its gate ("gamma" or "zeta").  The builder's docstring is
+    the statement as displayed.
+    """
+
+    family: Callable
+    build: Callable[[Instance, Callable], Sides]
+    extras: Callable | None = None
+    fixed: dict = field(default_factory=dict)
+    unit_exponent: bool = False
+    concave: bool = False
+    nonneg: bool = False
+    below_t_minus_1: bool = False
+    constant: str | None = None
+
+    @property
+    def note(self) -> str:
+        return self.build.__doc__
+
+
+STATEMENTS: dict[TheoremId, Statement] = {
+    TheoremId.MEAN_INTEGRAL: Statement(_centered, _mean_integral, fixed={"f": None}, unit_exponent=True),
+    TheoremId.COMPRESSION_JENSEN: Statement(_compression, _compression_jensen, concave=True, nonneg=True),
+    TheoremId.ENTROPY_LOWER: Statement(
+        _normalized, _entropy_lower, unit_exponent=True, concave=True, nonneg=True
+    ),
+    TheoremId.ENTROPY_NONNEG: Statement(_normalized, _entropy_nonneg, nonneg=True),
+    TheoremId.ENTROPY_UPPER: Statement(_normalized, _entropy_upper, below_t_minus_1=True),
+    TheoremId.KLEIN_UPPER: Statement(_centered, _klein_upper, fixed={"k": 1, "f": LOG}),
+    TheoremId.INFO_INEQ: Statement(_probability, _info_ineq, fixed={"k": 1, "f": LOG}),
+    TheoremId.SUBADDITIVE: Statement(_four_fields, _subadditive, fixed={"q": 0.0}, concave=True),
+    TheoremId.HOMOGENEOUS: Statement(_centered, _homogeneous, extras=_draw_scale),
+    TheoremId.JOINT_CONCAVE: Statement(
+        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, concave=True
+    ),
+    TheoremId.MAP_MONOTONE: Statement(
+        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, concave=True
+    ),
+    TheoremId.REV_JENSEN_GAMMA: Statement(
+        _compression, _rev_jensen_gamma, concave=True, nonneg=True, constant="gamma"
+    ),
+    TheoremId.REV_ENTROPY_GAMMA: Statement(
+        _normalized, _rev_entropy_gamma, unit_exponent=True, concave=True, nonneg=True,
+        constant="gamma",
+    ),
+    TheoremId.REV_JENSEN_ZETA: Statement(_compression, _rev_jensen_zeta, concave=True, constant="zeta"),
+    TheoremId.REV_ENTROPY_ZETA: Statement(
+        _normalized, _rev_entropy_zeta, unit_exponent=True, concave=True, constant="zeta"
+    ),
+    TheoremId.EXAMPLE_LOG_PAIR: Statement(
+        _normalized, _example_log_pair, fixed={"f": None}, unit_exponent=True
+    ),
+}
+
+
+def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
+    """Evaluate one theorem on one instance; pure in (theorem, inst, tol)."""
+    if tol < 0.0:
+        raise PreconditionError("tol must be nonnegative")
+    st = STATEMENTS[theorem]
+    if st.unit_exponent:
+        _require_unit_exponent(inst.q)
+
+    def gate(lo: float = inst.m, hi: float = inst.M) -> float | None:
+        return _gate(st, inst.f, lo, hi)
+
+    try:
+        sides = st.build(inst, gate)
+    except _Skip as skip:
+        return VerificationResult(theorem, True, None, 0.0, 0.0, False, str(skip))
+    return _verdict(theorem, sides, tol)
+
+
+def triage(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
+    """check, then label a violation "numerical" if it holds at tol=1e-6, else "substantive"."""
+    result = check(theorem, inst, tol)
+    if result.hypothesis_met and not result.holds:
+        retry = check(theorem, inst, 1e-6)
+        result = replace(result, triage="numerical" if retry.holds else "substantive")
+    return result
 
 
 def random_instance(
@@ -867,73 +889,19 @@ def random_instance(
         raise PreconditionError(f"dim must lie in 1..64, got {dim}")
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    if theorem in _UNIT_EXPONENT_THEOREMS:
+    st = STATEMENTS[theorem]
+    if st.unit_exponent:
         _require_unit_exponent(p_or_q)
     rng = np.random.default_rng(seed)
-    if f is None:
-        f = functions.power(0.5)
-    inst = Instance(theorem=theorem, seed=int(seed), dim=int(dim), k=int(k), f=f, q=float(p_or_q))
-
-    if theorem in _NORMALIZED_THEOREMS:
-        inst.fa, inst.fb, inst.m, inst.M = _normalized_pair(rng, dim, k, diagonal)
-        inst.t0 = float(rng.uniform(inst.m, inst.M))
-        if theorem is TheoremId.EXAMPLE_LOG_PAIR:
-            inst.f = None
-    elif theorem in _COMPRESSION_THEOREMS:
-        inst.cs, inst.cs_weights, inst.x = _compression_data(rng, dim, k, diagonal)
-        inst.m, inst.M = inst.x.lambda_min, inst.x.lambda_max
-        inst.t0 = float(rng.uniform(inst.m, inst.M))
-    elif theorem is TheoremId.MEAN_INTEGRAL:
-        inst.fa, inst.fb, inst.m, inst.M = _centered_pair(rng, dim, k, diagonal)
-        inst.f = None
-    elif theorem is TheoremId.KLEIN_UPPER:
-        inst.k = 1
-        inst.fa, inst.fb, inst.m, inst.M = _centered_pair(rng, dim, 1, diagonal)
-        inst.f = LOG
-    elif theorem is TheoremId.INFO_INEQ:
-        inst.k = 1
-        a, b = _prob_vector(rng, dim), _prob_vector(rng, dim)
-        inst.fa, inst.fb = _diag_field(a), _diag_field(b)
-        inst.m, inst.M = _measure_pair(inst.fa, inst.fb)
-        inst.f = LOG
-    elif theorem is TheoremId.SUBADDITIVE:
-        weights = _random_weights(rng, k)
-        inst.fa = _free_field(rng, dim, k, weights, diagonal)
-        inst.fb = _free_field(rng, dim, k, weights, diagonal)
-        inst.fc = _free_field(rng, dim, k, weights, diagonal)
-        inst.fd = _free_field(rng, dim, k, weights, diagonal)
-        inst.m = min(_measure_pair(inst.fa, inst.fc)[0], _measure_pair(inst.fb, inst.fd)[0])
-        inst.M = max(_measure_pair(inst.fa, inst.fc)[1], _measure_pair(inst.fb, inst.fd)[1])
-        inst.q = 0.0
-    elif theorem is TheoremId.HOMOGENEOUS:
-        inst.fa, inst.fb, inst.m, inst.M = _centered_pair(rng, dim, k, diagonal)
-        inst.alpha = float(rng.choice([0.5, 2.0]))
-    elif theorem is TheoremId.JOINT_CONCAVE:
-        weights = _random_weights(rng, k)
-        inst.fa = _free_field(rng, dim, k, weights, diagonal)
-        inst.fb = _free_field(rng, dim, k, weights, diagonal)
-        inst.fa2 = _free_field(rng, dim, k, weights, diagonal)
-        inst.fb2 = _free_field(rng, dim, k, weights, diagonal)
-        inst.m = min(_measure_pair(inst.fa, inst.fb)[0], _measure_pair(inst.fa2, inst.fb2)[0])
-        inst.M = max(_measure_pair(inst.fa, inst.fb)[1], _measure_pair(inst.fa2, inst.fb2)[1])
-        inst.alpha = float(rng.uniform(0.25, 0.75))
-        inst.beta = 1.0 - inst.alpha
-        inst.q = 0.0
-    elif theorem is TheoremId.MAP_MONOTONE:
-        inst.fa, inst.fb, inst.m, inst.M = _centered_pair(rng, dim, k, diagonal)
-        if diagonal:
-            probs = rng.dirichlet(np.ones(3))
-            kraus = []
-            for prob in probs:
-                perm = np.eye(dim)[rng.permutation(dim)]
-                kraus.append(math.sqrt(prob) * perm.astype(complex))
-            inst.pmap = PositiveLinearMap(kraus)
-        else:
-            inst.pmap = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng)
-        inst.q = 0.0
-    else:  # pragma: no cover - the enum is closed
-        raise PreconditionError(f"no generator for {theorem}")
-
+    inst = Instance(
+        theorem=theorem, seed=int(seed), dim=int(dim), k=int(k),
+        f=functions.power(0.5) if f is None else f, q=float(p_or_q),
+    )
+    for key, value in st.fixed.items():
+        setattr(inst, key, value)
+    st.family(rng, inst, diagonal)
+    if st.extras is not None:
+        st.extras(rng, inst, diagonal)
     inst.validate()
     return inst
 
@@ -1099,28 +1067,15 @@ def run_trial(
     try:
         inst = random_instance(theorem, dim, k, inst_seed, f, exponent)
     except GenerationError as exc:
+        inst = None
         result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
-        record = TrialRecord(theorem, index, int(seed), dim, k, spec, exponent,
-                             False, True, None, None, result.detail)
-        return record, None, result
-    result = check(theorem, inst, config.tol)
-    if result.hypothesis_met and not result.holds:
-        # Separate float noise from a substantive violation before reporting.
-        retry = check(theorem, inst, 1e-6)
-        result = replace(result, triage="numerical" if retry.holds else "substantive")
+    else:
+        result = triage(theorem, inst, config.tol)
     record = TrialRecord(
         theorem, index, int(seed), dim, k, spec, exponent,
         result.hypothesis_met, result.holds, result.margin, result.triage, result.detail,
     )
     return record, inst, result
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("OE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def campaign(config: CampaignConfig) -> CampaignReport:
@@ -1129,16 +1084,11 @@ def campaign(config: CampaignConfig) -> CampaignReport:
     records: list[TrialRecord] = []
     failures: list[dict] = []
     summaries: list[TheoremSummary] = []
-    workers = _worker_count()
     for theorem in config.theorems:
-        seeds = [trial_seed(config.seed, theorem, i) for i in range(config.trials)]
-        if workers > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(
-                    pool.map(lambda si: run_trial(theorem, config, si[1], si[0]), enumerate(seeds))
-                )
-        else:
-            rows = [run_trial(theorem, config, s, i) for i, s in enumerate(seeds)]
+        rows = [
+            run_trial(theorem, config, trial_seed(config.seed, theorem, i), i)
+            for i in range(config.trials)
+        ]
         passes = skips = numerical = substantive = 0
         min_margin: float | None = None
         worst_seed: int | None = None

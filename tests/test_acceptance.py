@@ -11,13 +11,13 @@ import numpy as np
 
 import scalar_oracle
 from opentropy import (
+    HermitianMatrix,
     OperatorField,
     PositiveDefiniteMatrix,
     apply_function,
     chord_gap_bound,
     chord_ratio_bound,
     eig,
-    field_integral,
     generalized_entropy,
     loewner_leq,
     mean_field,
@@ -89,7 +89,10 @@ def test_criterion_2_scalar_oracle_equivalence():
             variational_form(fa.matrices[0], fb.matrices[0], q, f),
             [scalar_oracle.entropy_term(x, y, q, sf) for x, y in zip(a0, b0)],
         )
-        close(field_integral(fa), [sum(w[j] * das[j][i] for j in range(k)) for i in range(dim)])
+        close(
+            HermitianMatrix(fa.weighted_sum()),
+            [sum(w[j] * das[j][i] for j in range(k)) for i in range(dim)],
+        )
         close(
             generalized_entropy(fa, fb, q, f),
             [

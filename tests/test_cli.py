@@ -125,6 +125,13 @@ class TestCampaign:
         code, _, _ = run(capsys, "campaign", "--trials", "-3")
         assert code == 2
 
+    def test_one_factor_kraus_maps_stay_normalized(self, capsys):
+        # Seed 58 draws a one-factor Kraus map that an eigensolve-based
+        # normalization left outside the 1e-10 unital check (exit 2).
+        code, _, err = run(capsys, "campaign", "--theorems", "map_monotone", "--trials", "10",
+                           "--dims", "2:8", "--k", "2:4", "--seed", "58")
+        assert code == 0, err
+
 
 class TestBounds:
     def test_identity(self, capsys):

@@ -9,7 +9,6 @@ from opentropy import (
     PositiveDefiniteMatrix,
     PreconditionError,
     ShapeError,
-    field_integral,
     generalized_entropy,
     loewner_leq,
     mean_field,
@@ -125,10 +124,10 @@ class TestFields:
     def test_field_integral(self, rng):
         a = random_pd(rng, 3)
         single = OperatorField([(1.0, a)])
-        np.testing.assert_allclose(field_integral(single).array, a.array, atol=1e-14)
+        np.testing.assert_allclose(single.weighted_sum(), a.array, atol=1e-14)
         eye = PositiveDefiniteMatrix(np.eye(3))
         halves = OperatorField([(0.5, eye), (0.5, eye)])
-        np.testing.assert_allclose(field_integral(halves).array, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(halves.weighted_sum(), np.eye(3), atol=1e-14)
         assert halves.is_normalized()
 
     def test_json_round_trip(self, rng):
@@ -239,8 +238,8 @@ class TestMeanField:
 
     def test_endpoints(self, rng):
         fa, fb = random_pair(rng, 3, 2)
-        np.testing.assert_allclose(mean_field(fa, fb, 0.0).array, field_integral(fa).array, atol=1e-11)
-        np.testing.assert_allclose(mean_field(fa, fb, 1.0).array, field_integral(fb).array, atol=1e-10)
+        np.testing.assert_allclose(mean_field(fa, fb, 0.0).array, fa.weighted_sum(), atol=1e-11)
+        np.testing.assert_allclose(mean_field(fa, fb, 1.0).array, fb.weighted_sum(), atol=1e-10)
 
     def test_commuting_scalar_formula(self, rng):
         a1, b1 = rng.uniform(0.3, 3.0, size=2), rng.uniform(0.3, 3.0, size=2)
@@ -261,8 +260,8 @@ class TestMeanField:
             fa, fb = random_pair(rng, 3, 3)
             lhs = mean_field(fa, fb, p)
             rhs = natural_power(
-                PositiveDefiniteMatrix(field_integral(fa).array),
-                PositiveDefiniteMatrix(field_integral(fb).array),
+                PositiveDefiniteMatrix(fa.weighted_sum()),
+                PositiveDefiniteMatrix(fb.weighted_sum()),
                 p,
             )
             assert loewner_leq(lhs, rhs, 1e-9)[0]

@@ -13,7 +13,6 @@ from opentropy.functions import (
     check_nonnegative_on,
     constant,
     custom,
-    evaluate,
     parse,
     power,
     validate_declared_flags,
@@ -23,18 +22,18 @@ CATALOG = [IDENTITY, LOG, NEG_T_LOG_T, power(0.5), power(0.25), affine(1.0, 2.0)
 
 
 def test_known_values():
-    assert evaluate(LOG, 1.0) == 0.0
-    assert evaluate(power(0.5), 4.0) == 2.0
-    assert abs(evaluate(NEG_T_LOG_T, math.e) + math.e) <= 1e-15
-    assert evaluate(IDENTITY, 2.5) == 2.5
-    assert evaluate(affine(1.0, 2.0), 3.0) == 7.0
+    assert LOG.evaluate(1.0) == 0.0
+    assert power(0.5).evaluate(4.0) == 2.0
+    assert abs(NEG_T_LOG_T.evaluate(math.e) + math.e) <= 1e-15
+    assert IDENTITY.evaluate(2.5) == 2.5
+    assert affine(1.0, 2.0).evaluate(3.0) == 7.0
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        evaluate(LOG, 0.0)
+        LOG.evaluate(0.0)
     with pytest.raises(DomainError):
-        evaluate(power(0.5), -1.0)
+        power(0.5).evaluate(-1.0)
     with pytest.raises(DomainError):
         LOG.evaluate_array(np.array([1.0, -2.0]))
 

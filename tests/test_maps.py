@@ -9,15 +9,11 @@ from opentropy import (
     PositiveLinearMap,
     PreconditionError,
     ShapeError,
-    apply_map,
-    check_jensen,
-    check_jensen_reverse_gamma,
-    check_jensen_reverse_zeta,
     chord_gap_bound,
-    lifted_jensen_lhs,
 )
-from opentropy.functions import IDENTITY, LOG, custom, power
+from opentropy.functions import IDENTITY, LOG, NEG_T_LOG_T, custom, power
 from opentropy.maps import map_from_json, map_to_json
+from opentropy.verify import Instance, TheoremId, check, random_instance
 
 from conftest import random_hermitian, random_pd
 
@@ -25,6 +21,29 @@ from conftest import random_hermitian, random_pd
 def random_unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def jensen_instance(theorem, kraus, x, f, t0=None, m=None, M=None):
+    """A compression instance for the Kraus family `kraus` (unit weights) on X.
+
+    With a unital family the compression statements are the Jensen
+    inequality f(Phi(X)) >= Phi(f(X)) and its two reverses for Phi(X) =
+    sum C* X C; the window [m, M] defaults to the spectral range of X.
+    """
+    return Instance(
+        theorem=theorem, seed=0, dim=x.dim, k=len(kraus), f=f, q=0.5,
+        t0=float(np.mean(x.eigenvalues)) if t0 is None else t0,
+        m=x.lambda_min if m is None else m, M=x.lambda_max if M is None else M,
+        cs=tuple(np.asarray(c, dtype=complex) for c in kraus),
+        cs_weights=np.ones(len(kraus)), x=x,
+    )
+
+
+def pinching(dim):
+    projectors = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
+    for i in range(dim):
+        projectors[i][i, i] = 1.0
+    return projectors
 
 
 class TestPositiveLinearMap:
@@ -36,7 +55,7 @@ class TestPositiveLinearMap:
         u = random_unitary(rng, 3)
         p = PositiveLinearMap([u])
         x = random_hermitian(rng, 3)
-        got = np.linalg.eigvalsh(apply_map(p, x).array)
+        got = np.linalg.eigvalsh(p.apply(x).array)
         want = np.linalg.eigvalsh(x.array)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -44,17 +63,14 @@ class TestPositiveLinearMap:
         p = PositiveLinearMap([np.eye(3) / math.sqrt(2.0), np.eye(3) / math.sqrt(2.0)])
         assert p.is_normalized()
         x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(apply_map(p, x).array, x.array, atol=1e-13)
+        np.testing.assert_allclose(p.apply(x).array, x.array, atol=1e-13)
 
     def test_pinching_to_diagonal(self, rng):
-        projectors = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
-        for i in range(3):
-            projectors[i][i, i] = 1.0
-        p = PositiveLinearMap(projectors)
+        p = PositiveLinearMap(pinching(3))
         assert p.is_normalized()
         x = random_hermitian(rng, 3)
         np.testing.assert_allclose(
-            apply_map(p, x).array, np.diag(np.diag(x.array)), atol=1e-13
+            p.apply(x).array, np.diag(np.diag(x.array)), atol=1e-13
         )
 
     def test_linearity(self, rng):
@@ -78,6 +94,10 @@ class TestPositiveLinearMap:
             p = PositiveLinearMap.random_normalized(5, 5, int(rng.integers(1, 4)), rng)
             assert np.linalg.norm(p.kraus_gram() - np.eye(5)) <= 1e-12
             np.testing.assert_allclose(p.apply_array(np.eye(5)), np.eye(5), atol=1e-10)
+
+    def test_too_few_terms_for_unital_rejected(self, rng):
+        with pytest.raises(PreconditionError):
+            PositiveLinearMap.random_normalized(1, 3, 2, rng)
 
     def test_rectangular_kraus(self, rng):
         c = np.zeros((3, 2), dtype=complex)
@@ -104,53 +124,51 @@ class TestLiftedJensenLhs:
     def test_exact_unital_family_has_no_offset(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
         x = random_pd(rng, 3)
-        t0 = float(np.mean(x.eigenvalues))
-        out = lifted_jensen_lhs(p.kraus, np.ones(len(p.kraus)), x, t0)
-        np.testing.assert_allclose(out.array, p.apply_array(x.array), atol=1e-12)
+        margins = [
+            check(TheoremId.COMPRESSION_JENSEN,
+                  jensen_instance(TheoremId.COMPRESSION_JENSEN, p.kraus, x, power(0.5), t0)).margin
+            for t0 in (x.lambda_min, x.lambda_max)
+        ]
+        assert margins[0] == pytest.approx(margins[1], abs=1e-12)
 
     def test_zero_factor_gives_t0_identity(self, rng):
+        # Lifted argument t0 I: both sides reduce to f(t0) I.
         x = random_pd(rng, 3)
-        t0 = float(x.eigenvalues[0])
-        out = lifted_jensen_lhs([np.zeros((3, 3))], [1.0], x, t0)
-        np.testing.assert_allclose(out.array, t0 * np.eye(3), atol=1e-13)
-
-    def test_contraction_family_lower_bound(self, rng):
-        for _ in range(20):
-            x = random_pd(rng, 4)
-            c = 0.5 * random_unitary(rng, 4)
-            t0 = float(rng.uniform(x.lambda_min, x.lambda_max))
-            out = lifted_jensen_lhs([c], [1.0], x, t0)
-            assert out.lambda_min >= min(x.lambda_min, t0) - 1e-10
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, [np.zeros((3, 3))], x, power(0.5),
+                               t0=float(x.eigenvalues[0]))
+        res = check(TheoremId.COMPRESSION_JENSEN, inst)
+        assert res.holds and abs(res.margin) <= 1e-13
 
     def test_oversized_family_rejected(self, rng):
         x = random_pd(rng, 3)
-        with pytest.raises(PreconditionError, match="margin"):
-            lifted_jensen_lhs([np.eye(3), np.eye(3)], [1.0, 1.0], x, x.lambda_min)
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, [np.eye(3), np.eye(3)], x, power(0.5))
+        with pytest.raises(PreconditionError, match="exceeds the identity"):
+            check(TheoremId.COMPRESSION_JENSEN, inst)
 
     def test_t0_outside_spectrum_rejected(self, rng):
         x = random_pd(rng, 3)
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, [0.5 * np.eye(3)], x, power(0.5),
+                               t0=10.0 * x.lambda_max)
         with pytest.raises(PreconditionError):
-            lifted_jensen_lhs([0.5 * np.eye(3)], [1.0], x, 10.0 * x.lambda_max)
+            inst.validate()
 
 
 class TestJensenChecks:
     def test_unitary_map_gives_equality(self, rng):
-        p = PositiveLinearMap([random_unitary(rng, 4)])
-        a = random_pd(rng, 4)
-        res = check_jensen(p, a, LOG)
-        assert res.holds and abs(res.margin) <= 1e-12
+        a = random_pd(rng, 4)  # spectrum above 1, where log is nonnegative
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, [random_unitary(rng, 4)], a, LOG)
+        res = check(TheoremId.COMPRESSION_JENSEN, inst)
+        assert res.hypothesis_met and res.holds and abs(res.margin) <= 1e-12
 
     def test_identity_function_gives_equality(self, rng):
         p = PositiveLinearMap.random_normalized(4, 4, 2, rng)
-        res = check_jensen(p, random_pd(rng, 4), IDENTITY)
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, p.kraus, random_pd(rng, 4), IDENTITY)
+        res = check(TheoremId.COMPRESSION_JENSEN, inst)
         assert res.holds and abs(res.margin) <= 1e-12
 
     def test_pinching_strictly_positive_margin(self, rng):
-        projectors = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
-        for i in range(3):
-            projectors[i][i, i] = 1.0
-        a = random_pd(rng, 3)
-        res = check_jensen(PositiveLinearMap(projectors), a, power(0.5))
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, pinching(3), random_pd(rng, 3), power(0.5))
+        res = check(TheoremId.COMPRESSION_JENSEN, inst)
         assert res.holds and res.margin > 0.0
 
     def test_random_draws_hold(self, rng):
@@ -159,35 +177,39 @@ class TestJensenChecks:
             p = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng)
             a = random_pd(rng, dim)
             f = [LOG, power(0.5), power(0.25)][int(rng.integers(3))]
-            res = check_jensen(p, a, f)
-            assert res.holds, res.to_json()
+            res = check(TheoremId.COMPRESSION_JENSEN,
+                        jensen_instance(TheoremId.COMPRESSION_JENSEN, p.kraus, a, f))
+            assert res.hypothesis_met and res.holds, res.to_json()
 
-    def test_unnormalized_map_rejected(self, rng):
-        p = PositiveLinearMap([0.5 * np.eye(3)])
-        with pytest.raises(PreconditionError):
-            check_jensen(p, random_pd(rng, 3), LOG)
+    def test_unnormalized_map_rejected(self):
+        inst = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 5, NEG_T_LOG_T, 0.0)
+        inst.pmap = PositiveLinearMap([0.5 * np.eye(3)])
+        with pytest.raises(PreconditionError, match="not normalized"):
+            check(TheoremId.MAP_MONOTONE, inst)
 
     def test_non_concave_flag_rejected(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
         square = custom(lambda t: t * t, name="square")
-        with pytest.raises(PreconditionError):
-            check_jensen(p, random_pd(rng, 3), square)
+        inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, p.kraus, random_pd(rng, 3), square)
+        res = check(TheoremId.COMPRESSION_JENSEN, inst)
+        assert not res.hypothesis_met and "operator concave" in res.detail
 
 
 class TestJensenReverses:
     def test_identity_function_margins_vanish(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
         a = random_pd(rng, 3)
-        m, M = a.lambda_min, a.lambda_max
-        res_g = check_jensen_reverse_gamma(p, a, IDENTITY, m, M)
-        res_z = check_jensen_reverse_zeta(p, a, IDENTITY, m, M)
+        res_g = check(TheoremId.REV_JENSEN_GAMMA,
+                      jensen_instance(TheoremId.REV_JENSEN_GAMMA, p.kraus, a, IDENTITY))
+        res_z = check(TheoremId.REV_JENSEN_ZETA,
+                      jensen_instance(TheoremId.REV_JENSEN_ZETA, p.kraus, a, IDENTITY))
         assert res_g.holds and res_g.margin >= -1e-12
         assert res_z.holds and abs(res_z.margin) <= 1e-10
 
     def test_unitary_map_zeta_margin_is_zeta(self, rng):
         a = PositiveDefiniteMatrix(np.diag([1.0, 1.5, math.e]))
-        p = PositiveLinearMap([random_unitary(rng, 3)])
-        res = check_jensen_reverse_zeta(p, a, LOG, 1.0, math.e)
+        inst = jensen_instance(TheoremId.REV_JENSEN_ZETA, [random_unitary(rng, 3)], a, LOG)
+        res = check(TheoremId.REV_JENSEN_ZETA, inst)
         zeta = chord_gap_bound(LOG, 1.0, math.e)
         assert res.holds
         assert abs(res.margin - zeta) <= 1e-10
@@ -197,26 +219,25 @@ class TestJensenReverses:
             dim = int(rng.integers(2, 6))
             p = PositiveLinearMap.random_normalized(dim, dim, 2, rng)
             a = random_pd(rng, dim)
-            m, M = a.lambda_min, a.lambda_max
-            if M / m < 1.0 + 1e-6:
+            if a.lambda_max / a.lambda_min < 1.0 + 1e-6:
                 continue
-            res_g = check_jensen_reverse_gamma(p, a, power(0.5), m, M)
-            res_z = check_jensen_reverse_zeta(p, a, power(0.5), m, M)
-            assert res_g.holds, res_g.to_json()
-            assert res_z.holds, res_z.to_json()
+            for theorem in (TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA):
+                res = check(theorem, jensen_instance(theorem, p.kraus, a, power(0.5)))
+                assert res.hypothesis_met and res.holds, res.to_json()
 
     def test_spectrum_window_enforced(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
         a = PositiveDefiniteMatrix(np.diag([1.0, 2.0, 5.0]))
-        with pytest.raises(PreconditionError):
-            check_jensen_reverse_zeta(p, a, power(0.5), 1.0, 4.0)
+        inst = jensen_instance(TheoremId.REV_JENSEN_ZETA, p.kraus, a, power(0.5), t0=2.0, m=1.0, M=4.0)
+        with pytest.raises(PreconditionError, match="not inside"):
+            inst.validate()
 
 
 def test_result_wire_format(rng):
     p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
-    res = check_jensen(p, random_pd(rng, 3), LOG)
-    payload = res.to_json()
-    assert payload["theorem"] == "davis_choi_jensen"
+    inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, p.kraus, random_pd(rng, 3), LOG)
+    payload = check(TheoremId.COMPRESSION_JENSEN, inst).to_json()
+    assert payload["theorem"] == "compression_jensen"
     assert payload["hypothesis_met"] is True
     assert isinstance(payload["margin"], float)
 
@@ -225,5 +246,5 @@ def test_hermitian_wrapper_accepted(rng):
     p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
     h = HermitianMatrix(np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(
-        apply_map(p, h).array, p.apply_array(h.array), atol=1e-14
+        p.apply(h).array, p.apply_array(h.array), atol=1e-14
     )
