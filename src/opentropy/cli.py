@@ -8,7 +8,8 @@ Subcommands:
 
 Machine-readable JSON goes to stdout (or --out); the human summary goes to
 stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = substantive
-violation, 2 = usage or input error.  All randomness flows from --seed.
+violation, 2 = usage or input error (for campaign: also any trial that ended
+in an error, after the report is written).  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -181,11 +182,14 @@ def _cmd_campaign(args) -> int:
     else:
         _emit(report.to_csv(), args.out)
     for summary in report.summaries:
+        errors = f", {summary.errors} errors" if summary.errors else ""
         print(
             f"{summary.theorem.value}: {summary.passes}/{summary.trials} pass, "
-            f"{summary.hypothesis_skips} skips, min_margin={summary.min_margin}",
+            f"{summary.hypothesis_skips} skips{errors}, min_margin={summary.min_margin}",
             file=sys.stderr,
         )
+    if report.error_total:
+        return 2
     return 0 if report.substantive_total == 0 else 1
 
 

@@ -13,18 +13,36 @@ With q = 0 and f = log this is the Fujii-Kamei relative operator entropy.
 Weighted node families (OperatorField) stand in for continuous fields with a
 finite measure: integration is the weighted sum, which satisfies the defining
 linear-functional identity exactly in finite dimensions.
+
+One kernel serves every field statement.  A field is one (k, d, d) stack with
+one stacked eigendecomposition; PairSpectrum takes two aligned fields (or two
+matrices, the one-node case) to the eigenvalues of every T_s and the frames
+Q_s in one pass, so that any weighted sum
+
+    sum_s w_s A_s^{1/2} g(T_s) A_s^{1/2} = sum_s w_s Q_s diag(g(lambda_s)) Q_s*
+
+is one batched product and one weighted sum (the eigenbasis route of Higham,
+Functions of Matrices, SIAM 2008; cf. Golub and Van Loan, Matrix
+Computations, 8.7, for the symmetric-definite pair).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import NotPositiveDefiniteError, PreconditionError, ShapeError
 from .functions import ScalarFunction
 from .matcore import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    SpectralDecomposition,
+    _adjoint,
+    _entries,
+    _relative_spectrum,
+    _require_pd_floor,
+    _scalar_image,
     _symmetrize,
+    eig,
     matrix_from_json,
     matrix_to_json,
 )
@@ -43,24 +61,51 @@ __all__ = [
 
 
 class OperatorField:
-    """Finite weighted family {(w_s, A_s)} of PD matrices of one dimension."""
+    """Finite weighted family {(w_s, A_s)} of PD matrices of one dimension.
 
-    __slots__ = ("_weights", "_matrices")
+    Stored as one read-only (k, d, d) stack of the node matrices (`arrays`)
+    with its weights and one stacked eigendecomposition (`decomposition`),
+    computed by a single eigensolve at construction; that solve also applies
+    the PositiveDefiniteMatrix floor to every node (NotPositiveDefiniteError).
+    `matrices` builds the nodes as PositiveDefiniteMatrix values lazily from
+    the stacked decomposition, with no further eigensolve.  Fields are
+    immutable, so the pair spectra against another field are memoised on the
+    field (`pair_spectrum`).
 
-    def __init__(self, nodes):
-        nodes = list(nodes)
-        if not nodes:
-            raise PreconditionError("an operator field needs at least one node")
-        weights = np.array([float(w) for w, _ in nodes])
-        matrices = tuple(m for _, m in nodes)
+    Nodes are (weight, matrix) pairs; a matrix may be a PositiveDefiniteMatrix,
+    a HermitianMatrix or an array, symmetrized like a HermitianMatrix.  The
+    keyword-only arguments are the package's own route for a Hermitian stack
+    it has already built (and, for a rescaling, its decomposition).
+    """
+
+    __slots__ = ("_weights", "_arrays", "_decomp", "_matrices", "_spectra")
+
+    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None):
+        if _arrays is None:
+            nodes = list(nodes)
+            if not nodes:
+                raise PreconditionError("an operator field needs at least one node")
+            _weights = np.array([float(w) for w, _ in nodes])
+            matrices = [HermitianMatrix(_entries(m)).array for _, m in nodes]
+            dims = {m.shape[0] for m in matrices}
+            if len(dims) != 1:
+                raise ShapeError(f"field nodes have mixed dimensions {sorted(dims)}")
+            _arrays = np.stack(matrices)
+        weights = np.asarray(_weights, dtype=float)
+        if weights.shape != (len(_arrays),):
+            raise ShapeError(f"{weights.shape} weights for {len(_arrays)} nodes")
         if np.any(weights <= 0.0):
             raise PreconditionError("field weights must be strictly positive")
-        dims = {m.dim for m in matrices}
-        if len(dims) != 1:
-            raise ShapeError(f"field nodes have mixed dimensions {sorted(dims)}")
+        if _decomposition is None:
+            _decomposition = eig(_arrays)
+        _require_pd_floor(_decomposition.eigenvalues)
         weights.setflags(write=False)
+        _arrays.setflags(write=False)
         self._weights = weights
-        self._matrices = matrices
+        self._arrays = _arrays
+        self._decomp = _decomposition
+        self._matrices = None
+        self._spectra = {}
 
     @classmethod
     def from_matrices(cls, weights, matrices) -> "OperatorField":
@@ -71,25 +116,38 @@ class OperatorField:
         return self._weights
 
     @property
+    def arrays(self) -> np.ndarray:
+        """The node matrices as one read-only (k, d, d) complex array."""
+        return self._arrays
+
+    @property
+    def decomposition(self) -> SpectralDecomposition:
+        """Eigenvalues (k, d) and eigenvectors (k, d, d) of every node."""
+        return self._decomp
+
+    @property
     def matrices(self) -> tuple[PositiveDefiniteMatrix, ...]:
+        if self._matrices is None:
+            lam, vec = self._decomp.eigenvalues, self._decomp.eigenvectors
+            self._matrices = tuple(
+                PositiveDefiniteMatrix(a, _decomposition=SpectralDecomposition(w, v))
+                for a, w, v in zip(self._arrays, lam, vec)
+            )
         return self._matrices
 
     @property
     def dim(self) -> int:
-        return self._matrices[0].dim
+        return self._arrays.shape[1]
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._arrays)
 
     def __iter__(self):
-        return iter(zip(self._weights, self._matrices))
+        return iter(zip(self._weights, self.matrices))
 
     def weighted_sum(self) -> np.ndarray:
         """sum_s w_s A_s, standing in for the Bochner integral of the field."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, m in self:
-            out += w * m.array
-        return _symmetrize(out)
+        return _weighted_sum(self._weights, self._arrays)
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
         """True when sum_s w_s A_s = I within `tol` in Frobenius norm."""
@@ -97,28 +155,47 @@ class OperatorField:
         return float(np.linalg.norm(residual)) <= tol
 
     def scaled(self, alpha: float) -> "OperatorField":
-        """Scale the matrices (not the weights) by alpha > 0."""
-        return OperatorField((w, m.scaled(alpha)) for w, m in self)
+        """Scale the matrices (not the weights) by alpha > 0.
+
+        The scaled nodes are rebuilt from the scaled eigenvalues; their pair
+        spectra against another field are solved afresh.
+        """
+        alpha = float(alpha)
+        if alpha <= 0.0:
+            raise NotPositiveDefiniteError(f"scaling a field by {alpha} leaves the cone")
+        vec = self._decomp.eigenvectors
+        lam = alpha * self._decomp.eigenvalues
+        return OperatorField(
+            _weights=self._weights, _arrays=_scalar_image(vec, lam),
+            _decomposition=SpectralDecomposition(lam, vec),
+        )
 
     def nodewise_sum(self, other: "OperatorField") -> "OperatorField":
         _require_aligned(self, other)
-        return OperatorField(
-            (w, PositiveDefiniteMatrix(a.array + b.array))
-            for (w, a), (_, b) in zip(self, other)
-        )
+        return OperatorField(_weights=self._weights, _arrays=self._arrays + other._arrays)
 
     def blend(self, other: "OperatorField", alpha: float, beta: float) -> "OperatorField":
         """Node-wise alpha*A_s + beta*B_s for positive alpha, beta."""
         _require_aligned(self, other)
         if alpha <= 0.0 or beta <= 0.0:
             raise PreconditionError("blend coefficients must be positive")
-        return OperatorField(
-            (w, PositiveDefiniteMatrix(alpha * a.array + beta * b.array))
-            for (w, a), (_, b) in zip(self, other)
-        )
+        return OperatorField(_weights=self._weights, _arrays=alpha * self._arrays + beta * other._arrays)
+
+    def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
+        """PairSpectrum(self, other), solved once per pair of field objects."""
+        spectrum = self._spectra.get(other)
+        if spectrum is None:
+            spectrum = self._spectra[other] = PairSpectrum(self, other)
+        return spectrum
 
     def __repr__(self) -> str:
         return f"OperatorField(k={len(self)}, dim={self.dim})"
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_s w_s X_s over the node axis of a (..., k, d, d) stack, symmetrized."""
+    *lead, k, d, _ = stack.shape
+    return _symmetrize((weights @ stack.reshape(*lead, k, d * d)).reshape(*lead, d, d))
 
 
 def _require_aligned(fa: OperatorField, fb: OperatorField) -> None:
@@ -126,46 +203,83 @@ def _require_aligned(fa: OperatorField, fb: OperatorField) -> None:
         raise ShapeError(f"fields have {len(fa)} vs {len(fb)} nodes")
     if fa.dim != fb.dim:
         raise ShapeError(f"fields have dimension {fa.dim} vs {fb.dim}")
-    if not np.allclose(fa.weights, fb.weights, rtol=1e-12, atol=1e-12):
+    if fa.weights is not fb.weights and not np.allclose(fa.weights, fb.weights, rtol=1e-12, atol=1e-12):
         raise PreconditionError("fields must share one weight vector node-for-node")
 
 
-class PairSpectrum:
-    """Cached spectral data of the relative arrangement of a PD pair (A, B).
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
 
-    Stores the eigenvalues `lam` of T = A^{-1/2} B A^{-1/2} and the frame
-    Q = A^{1/2} U, so that A^{1/2} g(T) A^{1/2} = Q diag(g(lam)) Q* for any
-    scalar g.  Every mean and entropy of the pair is one diagonal scaling away.
+
+class PairSpectrum:
+    """Spectral data of the node-wise relative arrangement of PD pairs (A_s, B_s).
+
+    Built from two aligned OperatorFields, or from two PositiveDefiniteMatrix
+    values as the one-node field of weight 1.  For every node it stores the
+    eigenvalues of T_s = A_s^{-1/2} B_s A_s^{-1/2} (`eigenvalues`, (k, d),
+    ascending) and the frame Q_s = A_s^{1/2} U_s (`frame`, (k, d, d)), with U_s
+    the eigenvectors of T_s, so that A_s^{1/2} g(T_s) A_s^{1/2} =
+    Q_s diag(g(lambda_s)) Q_s* for any scalar g.  All nodes come from one pass
+    over A's stacked eigendecomposition (matcore's pair kernel, which
+    sandwich_bounds shares): R = A^{-1/2} and S = A^{1/2} as batched
+    products, T = R B R, one stacked eigensolve of T, and Q = S U.  Every
+    mean and entropy of the pair is one diagonal scaling away, and a field
+    aggregate is one batched product and one weighted sum.
     """
 
-    __slots__ = ("eigenvalues", "frame")
+    __slots__ = ("weights", "eigenvalues", "frame")
 
-    def __init__(self, a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix):
-        if a.dim != b.dim:
-            raise ShapeError(f"pair dimension mismatch: {a.dim} vs {b.dim}")
-        r = a.inv_sqrt_array
-        t = _symmetrize(r @ b.array @ r)
-        lam, u = np.linalg.eigh(t)
-        self.eigenvalues = lam
-        self.frame = a.sqrt_array @ u
+    def __init__(self, a, b):
+        if isinstance(a, OperatorField):
+            _require_aligned(a, b)
+            self.weights = a.weights
+            decomp, b_arr = a.decomposition, b.arrays
+        else:
+            if a.dim != b.dim:
+                raise ShapeError(f"pair dimension mismatch: {a.dim} vs {b.dim}")
+            self.weights = _UNIT_WEIGHT
+            decomp, b_arr = a.decomposition, b.array
+        lam, frame = _relative_spectrum(decomp, b_arr)
+        d = lam.shape[-1]
+        self.eigenvalues = lam.reshape(-1, d)
+        self.frame = frame.reshape(-1, d, d)
 
     @property
     def m(self) -> float:
-        return float(self.eigenvalues[0])
+        """Least eigenvalue over all nodes: the largest m with m A_s <= B_s for every s."""
+        return float(self.eigenvalues[:, 0].min())
 
     @property
     def M(self) -> float:
-        return float(self.eigenvalues[-1])
+        """Largest eigenvalue over all nodes: the least M with B_s <= M A_s for every s."""
+        return float(self.eigenvalues[:, -1].max())
+
+    def _products(self, values) -> np.ndarray:
+        q = self.frame
+        return (q * np.asarray(values)[..., None, :]) @ _adjoint(q)
+
+    def node_images(self, values) -> np.ndarray:
+        """Q_s diag(values_s) Q_s* per node, unweighted: (..., k, d, d) for values (..., k, d)."""
+        return _symmetrize(self._products(values))
 
     def conjugate(self, values) -> np.ndarray:
-        """Q diag(values) Q* (Hermitian for real `values`)."""
-        q = self.frame
-        return _symmetrize((q * np.asarray(values)) @ q.conj().T)
+        """sum_s w_s Q_s diag(values_s) Q_s* (Hermitian for real `values`).
+
+        `values` has the shape of `eigenvalues`, with optional leading axes
+        for several aggregates at once; a (d,) vector applies to every node.
+        """
+        return _weighted_sum(self.weights, self._products(values))
+
+    def aggregate(self, g) -> np.ndarray:
+        """sum_s w_s A_s^{1/2} g(T_s) A_s^{1/2} for a vectorized scalar map g."""
+        return self.conjugate(g(self.eigenvalues))
 
     def power_mean(self, q: float) -> np.ndarray:
+        """sum_s w_s (A_s #_q B_s)."""
         return self.conjugate(self.eigenvalues ** float(q))
 
     def entropy_term(self, q: float, f: ScalarFunction) -> np.ndarray:
+        """sum_s w_s S(A_s, B_s; q, f)."""
         lam = self.eigenvalues
         return self.conjugate(lam ** float(q) * f.evaluate_array(lam))
 
@@ -203,35 +317,27 @@ def generalized_entropy(
     fa: OperatorField, fb: OperatorField, q: float, f: ScalarFunction
 ) -> HermitianMatrix:
     """sum_s w_s S(A_s, B_s; q, f) over node-aligned fields."""
-    _require_aligned(fa, fb)
-    out = np.zeros((fa.dim, fa.dim), dtype=complex)
-    for (w, a), (_, b) in zip(fa, fb):
-        out += w * PairSpectrum(a, b).entropy_term(q, f)
-    return HermitianMatrix(out)
+    return HermitianMatrix(fa.pair_spectrum(fb).entropy_term(q, f))
 
 
 def mean_field(fa: OperatorField, fb: OperatorField, p: float) -> HermitianMatrix:
     """sum_s w_s (A_s #_p B_s) for p in [0, 1]."""
     if not 0.0 <= float(p) <= 1.0:
         raise PreconditionError(f"mean_field requires p in [0, 1], got {p}")
-    _require_aligned(fa, fb)
-    out = np.zeros((fa.dim, fa.dim), dtype=complex)
-    for (w, a), (_, b) in zip(fa, fb):
-        out += w * PairSpectrum(a, b).power_mean(p)
-    return HermitianMatrix(out)
+    return HermitianMatrix(fa.pair_spectrum(fb).power_mean(p))
 
 
 def field_to_json(field: OperatorField) -> dict:
     """Exchange format: {"weights": [...], "matrices": [matrix, ...]}."""
     return {
         "weights": [float(w) for w in field.weights],
-        "matrices": [matrix_to_json(m) for m in field.matrices],
+        "matrices": [matrix_to_json(a) for a in field.arrays],
     }
 
 
 def field_from_json(data: dict) -> OperatorField:
     weights = [float(w) for w in data["weights"]]
-    matrices = [PositiveDefiniteMatrix(matrix_from_json(d)) for d in data["matrices"]]
+    matrices = [matrix_from_json(d) for d in data["matrices"]]
     if len(weights) != len(matrices):
         raise ShapeError("field payload has mismatched weights/matrices lengths")
     return OperatorField.from_matrices(weights, matrices)

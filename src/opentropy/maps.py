@@ -59,10 +59,8 @@ class PositiveLinearMap:
         return float(np.linalg.norm(residual)) <= tol
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self._out_dim, self._out_dim), dtype=complex)
-        for c in self._kraus:
-            out += c.conj().T @ x @ c
-        return _symmetrize(out)
+        """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in)."""
+        return _symmetrize(sum(c.conj().T @ x @ c for c in self._kraus))
 
     def apply(self, x) -> HermitianMatrix:
         arr = x.array if hasattr(x, "array") else np.asarray(x, dtype=complex)

@@ -4,6 +4,10 @@ Spectral decompositions, functional calculus, congruences, and comparison in
 the Loewner order (A <= B iff B - A is positive semidefinite).  All values are
 small dense complex matrices, immutable after construction; Hermitian drift
 from floating-point products is absorbed by symmetrizing once at construction.
+The private helpers (`_symmetrize`, `_adjoint`, `_scalar_image`,
+`_require_pd_floor`) and `eig` also take a stack of matrices (..., d, d), so
+the weighted fields of the entropy module decompose all their nodes in one
+LAPACK call; a stacked solve gives the same bits as one solve per matrix.
 """
 
 from __future__ import annotations
@@ -36,8 +40,29 @@ DEFAULT_LOEWNER_TOL = 1e-9
 _PD_RELATIVE_FLOOR = 1e-12
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    return (a + _adjoint(a)) / 2.0
+
+
+def _scalar_image(vectors: np.ndarray, values) -> np.ndarray:
+    """V diag(values) V*, for one eigenbasis or a stack of them."""
+    return _symmetrize((vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors))
+
+
+def _require_pd_floor(eigenvalues: np.ndarray) -> None:
+    """Raise NotPositiveDefiniteError unless lambda_min > 0 and lambda_min > 1e-12 lambda_max,
+    for one ascending spectrum or for every row of a stack of them."""
+    lows = eigenvalues[..., 0].reshape(-1).tolist()
+    highs = eigenvalues[..., -1].reshape(-1).tolist()
+    for lo, hi in zip(lows, highs):
+        if lo <= 0.0 or lo <= _PD_RELATIVE_FLOOR * hi:
+            raise NotPositiveDefiniteError(
+                f"smallest eigenvalue {lo:.6e} is not safely positive (largest is {hi:.6e})"
+            )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -116,7 +141,11 @@ def identity(dim: int) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in nondecreasing order with matching orthonormal columns."""
+    """Eigenvalues in nondecreasing order with matching orthonormal columns.
+
+    Either one matrix's (eigenvalues (d,), eigenvectors (d, d)) or a stack's
+    ((k, d) and (k, d, d)), one row of eigenvalues per matrix.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -127,11 +156,12 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
-def eig(h: HermitianMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix (LAPACK, ascending order)."""
+def eig(h) -> SpectralDecomposition:
+    """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
+    Hermitian stack (..., d, d) in one call (LAPACK, ascending order)."""
     try:
         w, v = np.linalg.eigh(_entries(h))
     except np.linalg.LinAlgError as exc:
@@ -142,9 +172,13 @@ def eig(h: HermitianMatrix) -> SpectralDecomposition:
 class PositiveDefiniteMatrix:
     """Hermitian matrix whose eigenvalues are all strictly positive.
 
-    The spectral decomposition is computed once at construction, cached, and
-    reused by every derived quantity (roots, inverses, rescalings), so chains
-    like A -> A^{-1/2} cost no further eigensolves.
+    Construction rejects lambda_min <= 0 and lambda_min <= 1e-12 lambda_max
+    (NotPositiveDefiniteError).  The spectral decomposition is computed once
+    at construction, or passed in with `_decomposition=` when it is already
+    known (a rescaling, or a node of an OperatorField, whose stacked solve
+    covers all its nodes), cached, and reused by every derived quantity
+    (roots, inverses, rescalings), so chains like A -> A^{-1/2} cost no
+    further eigensolves.
     """
 
     __slots__ = ("_herm", "_decomp", "_sqrt_arr", "_inv_sqrt_arr")
@@ -152,12 +186,7 @@ class PositiveDefiniteMatrix:
     def __init__(self, entries, *, _decomposition: SpectralDecomposition | None = None):
         herm = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(_entries(entries))
         decomp = _decomposition if _decomposition is not None else eig(herm)
-        lo = float(decomp.eigenvalues[0])
-        hi = float(decomp.eigenvalues[-1])
-        if lo <= 0.0 or lo <= _PD_RELATIVE_FLOOR * hi:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {lo:.6e} is not safely positive (largest is {hi:.6e})"
-            )
+        _require_pd_floor(decomp.eigenvalues)
         self._herm = herm
         self._decomp = decomp
         self._sqrt_arr = None
@@ -168,7 +197,7 @@ class PositiveDefiniteMatrix:
         order = np.argsort(eigenvalues)
         w = np.ascontiguousarray(eigenvalues[order])
         v = np.ascontiguousarray(eigenvectors[:, order])
-        herm = HermitianMatrix((v * w) @ v.conj().T)
+        herm = HermitianMatrix((v * w) @ _adjoint(v))
         return cls(herm, _decomposition=SpectralDecomposition(w, v))
 
     @property
@@ -201,8 +230,7 @@ class PositiveDefiniteMatrix:
 
     def scalar_image(self, values) -> np.ndarray:
         """V diag(values) V* for per-eigenvalue scalars `values`."""
-        v = self._decomp.eigenvectors
-        return _symmetrize((v * np.asarray(values)) @ v.conj().T)
+        return _scalar_image(self._decomp.eigenvectors, values)
 
     @property
     def sqrt_array(self) -> np.ndarray:
@@ -278,6 +306,21 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
     return bool(margin >= -tol * scale), margin
 
 
+def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair kernel: eigenvalues of T = A^{-1/2} B A^{-1/2} and frames Q = A^{1/2} U.
+
+    `a` is the eigendecomposition of A, `b` the array of B; both are one
+    matrix or stacks of the same length.  R = A^{-1/2} and S = A^{1/2} come
+    from A's eigenbasis in one batched product, T = R B R, one (stacked)
+    eigensolve gives T = U diag(lambda) U*, and Q = S U, so that
+    A^{1/2} g(T) A^{1/2} = Q diag(g(lambda)) Q* for any scalar g.
+    """
+    root = np.sqrt(a.eigenvalues)
+    r, s = _scalar_image(a.eigenvectors, np.stack([1.0 / root, root]))
+    lam, u = np.linalg.eigh(_symmetrize(r @ b @ r))
+    return lam, s @ u
+
+
 def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A.
 
@@ -285,9 +328,8 @@ def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tup
     """
     if a.dim != b.dim:
         raise ShapeError(f"sandwich_bounds dimension mismatch: {a.dim} vs {b.dim}")
-    r = a.inv_sqrt_array
-    w = np.linalg.eigvalsh(_symmetrize(r @ b.array @ r))
-    return float(w[0]), float(w[-1])
+    lam, _ = _relative_spectrum(a.decomposition, b.array)
+    return float(lam[0]), float(lam[-1])
 
 
 def matrix_to_json(m) -> dict:

@@ -31,6 +31,7 @@ from .bounds import chord_gap_bound, chord_ratio_bound, zeta_closed_forms
 from .entropy import (
     OperatorField,
     PairSpectrum,
+    _weighted_sum,
     field_from_json,
     field_to_json,
 )
@@ -45,10 +46,13 @@ from .maps import PositiveLinearMap, map_from_json, map_to_json
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     PositiveDefiniteMatrix,
+    _adjoint,
+    _require_pd_floor,
+    _scalar_image,
     _symmetrize,
+    eig,
     matrix_from_json,
     matrix_to_json,
-    sandwich_bounds,
 )
 
 __all__ = [
@@ -103,7 +107,9 @@ class VerificationResult:
 
     margin is lambda_min of the claimed-PSD difference (scalar slack for
     INFO_INEQ, two-sided for equalities) and None on hypothesis skips.
-    hypothesis_met=False means "not applicable", never "fail".
+    hypothesis_met=False means "not applicable", never "fail"; in a campaign,
+    hypothesis_met=False with holds=False marks a trial that ended in an
+    error (see run_trial).
     """
 
     theorem: TheoremId
@@ -160,7 +166,12 @@ class Instance:
     beta: float | None = None
 
     def validate(self) -> None:
-        family = STATEMENTS[self.theorem].family
+        st = STATEMENTS[self.theorem]
+        for slot in st.needs:
+            if getattr(self, slot) is None:
+                name = "map" if slot == "pmap" else slot
+                raise PreconditionError(f"a {self.theorem.value} instance needs {name!r}, which is missing")
+        family = st.family
         if family is _normalized:
             if not (self.fa.is_normalized() and self.fb.is_normalized()):
                 raise PreconditionError("fields must sum to the identity within 1e-10")
@@ -182,8 +193,8 @@ class Instance:
                     f"not inside [{self.m}, {self.M}]"
                 )
         if family is _probability:
-            a = np.diag(self.fa.matrices[0].array).real
-            b = np.diag(self.fb.matrices[0].array).real
+            a = np.diag(self.fa.arrays[0]).real
+            b = np.diag(self.fb.arrays[0]).real
             if abs(a.sum() - 1.0) > 1e-10 or abs(b.sum() - 1.0) > 1e-10:
                 raise PreconditionError("probability vectors must sum to one")
 
@@ -237,6 +248,7 @@ class Instance:
             inst.pmap = map_from_json(data["map"])
         if "cs" in data:
             inst.cs = tuple(_cmat_from_json(d) for d in data["cs"])
+        if "cs_weights" in data:
             inst.cs_weights = np.asarray(data["cs_weights"], dtype=float)
         if "x" in data:
             inst.x = PositiveDefiniteMatrix(matrix_from_json(data["x"]))
@@ -275,32 +287,38 @@ class Sides:
     cross_checks: list = field(default_factory=list)
 
 
-def _lmin(arr) -> float:
-    if isinstance(arr, float):
-        return arr
-    return float(np.linalg.eigvalsh(_symmetrize(arr))[0])
+def _spectra(items: list) -> list:
+    """Ascending eigenvalues of each Hermitian item, in one stacked solve (the
+    same bits as one solve each); a float is its own eigenvalue."""
+    if all(isinstance(x, float) for x in items):
+        return [np.array([x]) for x in items]
+    return list(np.linalg.eigvalsh(_symmetrize(np.stack(items))))
 
 
-def _snorm(arr) -> float:
-    if isinstance(arr, float):
-        return abs(arr)
-    w = np.linalg.eigvalsh(_symmetrize(arr))
+def _snorm(w: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def _margin(lhs, op: str, rhs) -> float:
+def _psd_parts(lhs, op: str, rhs) -> list:
+    """The differences a claim says are positive semidefinite."""
     if op == "<=":
-        return _lmin(rhs - lhs)
+        return [rhs - lhs]
     if op == ">=":
-        return _lmin(lhs - rhs)
-    return min(_lmin(lhs - rhs), _lmin(rhs - lhs))
+        return [lhs - rhs]
+    return [lhs - rhs, rhs - lhs]
 
 
 def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult:
-    margins = [_margin(*claim) for claim in sides.claims]
-    margin = min(margins + [_margin(*claim) for claim in sides.cross_checks])
-    ln = max(_snorm(lhs) for lhs, _, _ in sides.claims)
-    rn = max(_snorm(rhs) for _, _, rhs in sides.claims)
+    parts = [_psd_parts(*claim) for claim in sides.claims + sides.cross_checks]
+    n = len(sides.claims)
+    # Every difference, then every claimed lhs and rhs, in one stacked solve.
+    spectra = iter(_spectra(
+        [d for ds in parts for d in ds] + [side for lhs, _, rhs in sides.claims for side in (lhs, rhs)]
+    ))
+    all_margins = [min(float(next(spectra)[0]) for _ in ds) for ds in parts]
+    margins, margin = all_margins[:n], min(all_margins)
+    norms = [_snorm(next(spectra)) for _ in range(2 * n)]
+    ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = margin >= -tol * max(1.0, ln, rn)
     detail = sides.detail(margins) if callable(sides.detail) else sides.detail
     return VerificationResult(theorem, holds, margin, ln, rn, True, detail)
@@ -344,37 +362,25 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 # ---------------------------------------------------------------------------
 
 
-def _pair_cores(fa: OperatorField, fb: OperatorField):
-    return [(float(w), PairSpectrum(a, b)) for (w, a), (_, b) in zip(fa, fb)]
-
-
-def _aggregate(cores, dim: int, values_of) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, core in cores:
-        out += w * core.conjugate(values_of(core.eigenvalues))
-    return _symmetrize(out)
-
-
 def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
     w, v = np.linalg.eigh(_symmetrize(arr))
-    return _symmetrize((v * scalar_map(w)) @ v.conj().T)
+    return _scalar_image(v, scalar_map(w))
 
 
-def _entropy_terms(inst: Instance, p: float):
-    """Pair spectra, I, V = sum w A#_pB and W = sum w A#_{p+1}B + t0(I - V)."""
-    cores = _pair_cores(inst.fa, inst.fb)
-    dim = inst.fa.dim
-    eye = np.eye(dim)
-    v = _aggregate(cores, dim, lambda lam: lam ** p)
-    w_arg = _aggregate(cores, dim, lambda lam: lam ** (p + 1.0)) + inst.t0 * (eye - v)
-    return cores, eye, v, w_arg
+def _entropy_terms(inst: Instance, p: float, *more):
+    """Pair spectra, I, V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V), and
+    one aggregate sum w A^{1/2} g(T) A^{1/2} per extra eigenvalue map g."""
+    spectrum = inst.fa.pair_spectrum(inst.fb)
+    lam = spectrum.eigenvalues
+    eye = np.eye(inst.fa.dim)
+    v, w_plus, *rest = spectrum.conjugate(np.stack([lam ** p, lam ** (p + 1.0)] + [g(lam) for g in more]))
+    return spectrum, eye, v, w_plus + inst.t0 * (eye - v), rest
 
 
 def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
     """f(W) - gamma f(t0)(I - V), S_p = sum w A^{1/2} T^p f(T) A^{1/2} and I."""
     p, f = float(inst.q), inst.f
-    cores, eye, v, w_arg = _entropy_terms(inst, p)
-    s = _aggregate(cores, inst.fa.dim, lambda lam: lam ** p * f.evaluate_array(lam))
+    _, eye, v, w_arg, (s,) = _entropy_terms(inst, p, lambda lam: lam ** p * f.evaluate_array(lam))
     lhs = _spectral_image(w_arg, f.evaluate_array) - gamma * f.evaluate(inst.t0) * (eye - v)
     return lhs, s, eye
 
@@ -382,24 +388,20 @@ def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
 def _compression_terms(inst: Instance):
     """f(lifted argument) and the compressed right-hand side it is checked against."""
     f, x = inst.f, inst.x
-    dim = x.dim
-    eye = np.eye(dim)
-    gram = np.zeros((dim, dim), dtype=complex)
-    lifted = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(x.dim)
+    c = np.stack(inst.cs)
+    ch = _adjoint(c)
     fx = x.scalar_image(f.evaluate_array(x.eigenvalues))
-    compressed = np.zeros((dim, dim), dtype=complex)
-    for w, c in zip(inst.cs_weights, inst.cs):
-        ch = c.conj().T
-        gram += w * (ch @ c)
-        lifted += w * (ch @ x.array @ c)
-        compressed += w * (ch @ fx @ c)
-    gram = _symmetrize(gram)
+    gram, lifted, compressed = _weighted_sum(
+        inst.cs_weights, np.stack([ch @ c, ch @ x.array @ c, ch @ fx @ c])
+    )
     defect = eye - gram
-    if _lmin(defect) < -1e-10 * max(1.0, _snorm(gram)):
+    low, size = _spectra([defect, gram])
+    if low[0] < -1e-10 * max(1.0, _snorm(size)):
         raise PreconditionError("compression sum exceeds the identity")
-    arg = _symmetrize(lifted) + inst.t0 * defect
+    arg = lifted + inst.t0 * defect
     f_arg = _spectral_image(arg, f.evaluate_array)
-    rhs = _symmetrize(compressed) + f.evaluate(inst.t0) * defect
+    rhs = compressed + f.evaluate(inst.t0) * defect
     return f_arg, rhs
 
 
@@ -413,7 +415,7 @@ def _compression_terms(inst: Instance):
 def _mean_integral(inst: Instance, gate) -> Sides:
     """sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]"""
     p = float(inst.q)
-    lhs = _aggregate(_pair_cores(inst.fa, inst.fb), inst.fa.dim, lambda lam: lam ** p)
+    lhs = inst.fa.pair_spectrum(inst.fb).power_mean(p)
     total_a = PositiveDefiniteMatrix(inst.fa.weighted_sum())
     total_b = PositiveDefiniteMatrix(inst.fb.weighted_sum())
     rhs = PairSpectrum(total_a, total_b).power_mean(p)
@@ -469,7 +471,7 @@ def _entropy_nonneg(inst: Instance, gate) -> Sides:
     """S_q >= 0 when f >= 0 on the encountered spectra"""
     gate()
     q, f, dim = float(inst.q), inst.f, inst.fa.dim
-    s = _aggregate(_pair_cores(inst.fa, inst.fb), dim, lambda lam: lam ** q * f.evaluate_array(lam))
+    s = inst.fa.pair_spectrum(inst.fb).entropy_term(q, f)
     detail = f"nonnegativity of the aggregated entropy at q={q:g}"
     return Sides([(np.zeros((dim, dim)), "<=", s)], detail)
 
@@ -477,34 +479,38 @@ def _entropy_nonneg(inst: Instance, gate) -> Sides:
 def _entropy_upper(inst: Instance, gate) -> Sides:
     """S_q <= sum w (A#_{q+1}B - A#_qB) when f(t) <= t - 1"""
     gate()
-    q, f, dim = float(inst.q), inst.f, inst.fa.dim
-    cores = _pair_cores(inst.fa, inst.fb)
-    s = _aggregate(cores, dim, lambda lam: lam ** q * f.evaluate_array(lam))
-    rhs = _aggregate(cores, dim, lambda lam: lam ** (q + 1.0) - lam ** q)
-    nodes = list(zip(inst.fa, inst.fb))
+    q, f, fa, fb = float(inst.q), inst.f, inst.fa, inst.fb
+    spectrum = fa.pair_spectrum(fb)
+    lam = spectrum.eigenvalues
+    s, rhs = spectrum.conjugate(np.stack([lam ** q * f.evaluate_array(lam), lam ** (q + 1.0) - lam ** q]))
     detail = f"entropy upper bound at q={q:g}"
+    # The closed forms are taken on the node arrays, apart from the pair spectra.
+    a, b = fa.arrays, fb.arrays
     if q == 0.0:
-        direct = sum(w * (b.array - a.array) for (w, a), (_, b) in nodes)
+        direct = _weighted_sum(fa.weights, b - a)
         detail += "; closed form sum w (B - A) cross-checked"
     elif q == 1.0:
-        direct = sum(w * (b.array @ a.inv().array @ b.array - b.array) for (w, a), (_, b) in nodes)
+        a_inv = _scalar_image(fa.decomposition.eigenvectors, 1.0 / fa.decomposition.eigenvalues)
+        direct = _weighted_sum(fa.weights, b @ a_inv @ b - b)
         detail += "; closed form sum w (B A^{-1} B - B) cross-checked"
     else:
         return Sides([(s, "<=", rhs)], detail)
-    return Sides([(s, "<=", rhs)], detail, cross_checks=[(s, "<=", _symmetrize(direct))])
+    return Sides([(s, "<=", rhs)], detail, cross_checks=[(s, "<=", direct)])
 
 
 def _klein_upper(inst: Instance, gate) -> Sides:
     """S(A|B) <= B - A (relative operator entropy, Klein bound)"""
-    a, b = inst.fa.matrices[0], inst.fb.matrices[0]
-    s = PairSpectrum(a, b).entropy_term(0.0, LOG)
-    return Sides([(s, "<=", b.array - a.array)], "relative operator entropy against B - A")
+    spectrum = inst.fa.pair_spectrum(inst.fb)
+    # The node's own term, unweighted: the field carries the pair's one node.
+    s = spectrum.node_images(LOG.evaluate_array(spectrum.eigenvalues))[0]
+    rhs = inst.fb.arrays[0] - inst.fa.arrays[0]
+    return Sides([(s, "<=", rhs)], "relative operator entropy against B - A")
 
 
 def _info_ineq(inst: Instance, gate) -> Sides:
     """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
-    a = np.diag(inst.fa.matrices[0].array).real
-    b = np.diag(inst.fb.matrices[0].array).real
+    a = np.diag(inst.fa.arrays[0]).real
+    b = np.diag(inst.fb.arrays[0]).real
     value = float(np.sum(a * np.log(a / b)))
     detail = "divergence of two probability vectors; equality exactly when a = b"
     return Sides([(value, ">=", 0.0)], detail)
@@ -516,20 +522,18 @@ def _subadditive(inst: Instance, gate) -> Sides:
     right = inst.fc.nodewise_sum(inst.fd)
     sum_lo, sum_hi = _measure_pair(left, right)
     gate(min(inst.m, sum_lo), max(inst.M, sum_hi))
-    term, dim = inst.f.evaluate_array, inst.fa.dim
-    lhs = _aggregate(_pair_cores(left, right), dim, term)
-    rhs = _aggregate(_pair_cores(inst.fa, inst.fc), dim, term) + _aggregate(
-        _pair_cores(inst.fb, inst.fd), dim, term
-    )
+    term = inst.f.evaluate_array
+    lhs = left.pair_spectrum(right).aggregate(term)
+    rhs = inst.fa.pair_spectrum(inst.fc).aggregate(term) + inst.fb.pair_spectrum(inst.fd).aggregate(term)
     return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
 
 def _homogeneous(inst: Instance, gate) -> Sides:
     """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
-    alpha, q, f, dim = float(inst.alpha), float(inst.q), inst.f, inst.fa.dim
-    term = lambda lam: lam ** q * f.evaluate_array(lam)
-    lhs = _aggregate(_pair_cores(inst.fa.scaled(alpha), inst.fb.scaled(alpha)), dim, term)
-    rhs = alpha * _aggregate(_pair_cores(inst.fa, inst.fb), dim, term)
+    alpha, q, f = float(inst.alpha), float(inst.q), inst.f
+    # The scaled pair is solved afresh: the lhs shares no spectra with the rhs.
+    lhs = inst.fa.scaled(alpha).pair_spectrum(inst.fb.scaled(alpha)).entropy_term(q, f)
+    rhs = alpha * inst.fa.pair_spectrum(inst.fb).entropy_term(q, f)
     return Sides([(lhs, "==", rhs)], f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)")
 
 
@@ -542,11 +546,11 @@ def _joint_concave(inst: Instance, gate) -> Sides:
     mixed_b = inst.fb.blend(inst.fb2, alpha, beta)
     mix_lo, mix_hi = _measure_pair(mixed_a, mixed_b)
     gate(min(inst.m, mix_lo), max(inst.M, mix_hi))
-    term, dim = inst.f.evaluate_array, inst.fa.dim
-    lhs = _aggregate(_pair_cores(mixed_a, mixed_b), dim, term)
-    rhs = alpha * _aggregate(_pair_cores(inst.fa, inst.fb), dim, term) + beta * _aggregate(
-        _pair_cores(inst.fa2, inst.fb2), dim, term
-    )
+    term = inst.f.evaluate_array
+    lhs = mixed_a.pair_spectrum(mixed_b).aggregate(term)
+    first = inst.fa.pair_spectrum(inst.fb).aggregate(term)
+    second = inst.fa2.pair_spectrum(inst.fb2).aggregate(term)
+    rhs = alpha * first + beta * second
     return Sides([(lhs, ">=", rhs)], f"joint concavity at alpha={alpha:g}")
 
 
@@ -556,15 +560,15 @@ def _map_monotone(inst: Instance, gate) -> Sides:
     f, pm = inst.f, inst.pmap
     if not pm.is_normalized():
         raise PreconditionError("map is not normalized")
-    lhs = pm.apply_array(_aggregate(_pair_cores(inst.fa, inst.fb), inst.fa.dim, f.evaluate_array))
+    lhs = pm.apply_array(inst.fa.pair_spectrum(inst.fb).aggregate(f.evaluate_array))
     try:
         image_a, image_b = (
-            OperatorField((w, PositiveDefiniteMatrix(pm.apply_array(a.array))) for w, a in fld)
+            OperatorField(_weights=fld.weights, _arrays=pm.apply_array(fld.arrays))
             for fld in (inst.fa, inst.fb)
         )
     except NotPositiveDefiniteError as exc:
         raise _Skip(f"map image not positive definite ({exc})") from exc
-    rhs = _aggregate(_pair_cores(image_a, image_b), pm.out_dim, f.evaluate_array)
+    rhs = image_a.pair_spectrum(image_b).aggregate(f.evaluate_array)
     return Sides([(lhs, "<=", rhs)], "informational monotonicity under a normalized positive map")
 
 
@@ -575,13 +579,11 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
         zeta_log, zeta_neg = zeta_closed_forms(inst.m, inst.M)
     except PreconditionError as exc:
         raise _Skip(f"closed forms need m < 1 < M: {exc}") from exc
-    cores, eye, v, w_arg = _entropy_terms(inst, p)
-    dim = inst.fa.dim
-    s_p = _aggregate(cores, dim, lambda lam: lam ** p * np.log(lam))
-    s_p1 = _aggregate(cores, dim, lambda lam: lam ** (p + 1.0) * np.log(lam))
+    _, eye, v, w_arg, (s_p, s_p1) = _entropy_terms(
+        inst, p, lambda lam: lam ** p * np.log(lam), lambda lam: lam ** (p + 1.0) * np.log(lam)
+    )
     ww, wv = np.linalg.eigh(_symmetrize(w_arg))
-    w_log_w = _symmetrize((wv * (ww * np.log(ww))) @ wv.conj().T)
-    log_w = _symmetrize((wv * np.log(ww)) @ wv.conj().T)
+    w_log_w, log_w = _scalar_image(wv, np.stack([ww * np.log(ww), np.log(ww)]))
     return Sides(
         [
             # -t log t route: W log W - t0 log(t0) (I - V) >= S_{p+1} - zeta_neg I
@@ -598,30 +600,36 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
 # ---------------------------------------------------------------------------
 
 
-def _cgauss(rng, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+def _cgauss(rng, n: int, k: int | None = None) -> np.ndarray:
+    """A complex Gaussian n x n matrix (real part drawn first), or a (k, n, n)
+    stack of them drawn one after another in the same single rng call."""
+    z = rng.standard_normal((2, n, n) if k is None else (k, 2, n, n))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
-def _random_unitary(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_cgauss(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_unitaries(rng, n: int, k: int) -> np.ndarray:
+    """k Haar-random n x n unitaries, drawn one after another, as one stack."""
+    q, r = np.linalg.qr(_cgauss(rng, n, k))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _resolution_arrays(rng, dim: int, k: int, diagonal: bool) -> list[np.ndarray]:
+def _diagonals(rows: np.ndarray) -> np.ndarray:
+    """The stack of complex diagonal matrices diag(row), one per row."""
+    return rows[:, :, None] * np.eye(rows.shape[1], dtype=complex)
+
+
+def _resolution_arrays(rng, dim: int, k: int, diagonal: bool) -> np.ndarray:
+    """A (k, dim, dim) stack of PD matrices summing to the identity."""
     if diagonal:
         cols = rng.uniform(0.2, 1.0, size=(k, dim))
         cols /= cols.sum(axis=0)
-        return [np.diag(row).astype(complex) for row in cols]
-    gs = []
-    total = np.zeros((dim, dim), dtype=complex)
-    for _ in range(k):
-        g = _cgauss(rng, dim)
-        # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
-        arr = _symmetrize(g @ g.conj().T) + 0.5 * dim * np.eye(dim)
-        gs.append(arr)
-        total += arr
-    isq = PositiveDefiniteMatrix(_symmetrize(total)).inv_sqrt_array
-    return [_symmetrize(isq @ g @ isq) for g in gs]
+        return _diagonals(cols)
+    g = _cgauss(rng, dim, k)
+    # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
+    arrays = _symmetrize(g @ _adjoint(g)) + 0.5 * dim * np.eye(dim)
+    isq = PositiveDefiniteMatrix(_symmetrize(arrays.sum(axis=0))).inv_sqrt_array
+    return _symmetrize(isq @ arrays @ isq)
 
 
 def random_resolution(dim: int, k: int, seed: int) -> OperatorField:
@@ -629,8 +637,7 @@ def random_resolution(dim: int, k: int, seed: int) -> OperatorField:
     if dim < 1 or k < 1:
         raise PreconditionError(f"need dim >= 1 and k >= 1, got dim={dim}, k={k}")
     rng = np.random.default_rng(seed)
-    arrays = _resolution_arrays(rng, dim, k, diagonal=False)
-    return OperatorField.from_matrices([1.0] * k, [PositiveDefiniteMatrix(a) for a in arrays])
+    return OperatorField(_weights=np.ones(k), _arrays=_resolution_arrays(rng, dim, k, diagonal=False))
 
 
 def _random_weights(rng, k: int) -> np.ndarray:
@@ -640,11 +647,9 @@ def _random_weights(rng, k: int) -> np.ndarray:
 
 
 def _measure_pair(fa: OperatorField, fb: OperatorField) -> tuple[float, float]:
-    lo, hi = math.inf, -math.inf
-    for (_, a), (_, b) in zip(fa, fb):
-        m, M = sandwich_bounds(a, b)
-        lo, hi = min(lo, m), max(hi, M)
-    return lo, hi
+    """(m, M) over the paired nodes, from the memoised pair spectra the check reuses."""
+    spectrum = fa.pair_spectrum(fb)
+    return spectrum.m, spectrum.M
 
 
 def _normalized(rng, inst: Instance, diagonal: bool) -> None:
@@ -656,8 +661,9 @@ def _normalized(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, k)
         ra = _resolution_arrays(rng, dim, k, diagonal)
         rb = _resolution_arrays(rng, dim, k, diagonal)
-        fa = OperatorField.from_matrices(weights, [PositiveDefiniteMatrix(a / w) for w, a in zip(weights, ra)])
-        fb = OperatorField.from_matrices(weights, [PositiveDefiniteMatrix(b / w) for w, b in zip(weights, rb)])
+        per_weight = weights[:, None, None]
+        fa = OperatorField(_weights=weights, _arrays=ra / per_weight)
+        fb = OperatorField(_weights=weights, _arrays=rb / per_weight)
         m, M = _measure_pair(fa, fb)
         if m <= _STRADDLE_LO and M >= _STRADDLE_HI:
             inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
@@ -666,15 +672,16 @@ def _normalized(rng, inst: Instance, diagonal: bool) -> None:
     raise GenerationError(f"no strict m < 1 < M pair after {_RESAMPLE_CAP} draws")
 
 
-def _free_pd(rng, dim: int, diagonal: bool) -> PositiveDefiniteMatrix:
+def _free_arrays(rng, dim: int, k: int, diagonal: bool) -> np.ndarray:
+    """k well-conditioned PD matrices, drawn node by node, as one stack."""
     if diagonal:
-        return PositiveDefiniteMatrix(np.diag(rng.uniform(0.5, 4.0, size=dim)).astype(complex))
-    g = _cgauss(rng, dim)
-    return PositiveDefiniteMatrix(_symmetrize(g @ g.conj().T) / dim + 0.5 * np.eye(dim))
+        return _diagonals(np.stack([rng.uniform(0.5, 4.0, size=dim) for _ in range(k)]))
+    g = _cgauss(rng, dim, k)
+    return _symmetrize(g @ _adjoint(g)) / dim + 0.5 * np.eye(dim)
 
 
 def _free_field(rng, dim: int, k: int, weights, diagonal: bool) -> OperatorField:
-    return OperatorField.from_matrices(weights, [_free_pd(rng, dim, diagonal) for _ in range(k)])
+    return OperatorField(_weights=weights, _arrays=_free_arrays(rng, dim, k, diagonal))
 
 
 def _centered(rng, inst: Instance, diagonal: bool) -> None:
@@ -706,9 +713,9 @@ def _free(draw_order: tuple[str, ...], pairs: tuple[tuple[str, str], ...]):
         weights = _random_weights(rng, inst.k)
         for name in draw_order:
             setattr(inst, name, _free_field(rng, inst.dim, inst.k, weights, diagonal))
-        fields = [(getattr(inst, a), getattr(inst, b)) for a, b in pairs]
-        inst.m = min(_measure_pair(fa, fb)[0] for fa, fb in fields)
-        inst.M = max(_measure_pair(fa, fb)[1] for fa, fb in fields)
+        windows = [_measure_pair(getattr(inst, a), getattr(inst, b)) for a, b in pairs]
+        inst.m = min(m for m, _ in windows)
+        inst.M = max(M for _, M in windows)
 
     return draw
 
@@ -723,11 +730,11 @@ def _compression(rng, inst: Instance, diagonal: bool) -> None:
     extra = 1 if rng.uniform() < 0.75 else 0
     arrays = _resolution_arrays(rng, dim, k + extra, diagonal)[:k]
     weights = _random_weights(rng, k)
-    cs = []
-    for w, arr in zip(weights, arrays):
-        root = PositiveDefiniteMatrix(arr / w).sqrt_array
-        cs.append(root if diagonal else _random_unitary(rng, dim) @ root)
-    x0 = _free_pd(rng, dim, diagonal)
+    nodes = eig(arrays / weights[:, None, None])
+    _require_pd_floor(nodes.eigenvalues)
+    roots = _scalar_image(nodes.eigenvectors, np.sqrt(nodes.eigenvalues))
+    cs = roots if diagonal else _random_unitaries(rng, dim, k) @ roots
+    x0 = PositiveDefiniteMatrix(_free_arrays(rng, dim, 1, diagonal)[0])
     if dim > 1 and x0.lambda_max / x0.lambda_min > 1.0 + 1e-9:
         x = x0.scaled(1.0 / math.sqrt(x0.lambda_min * x0.lambda_max))
     else:
@@ -744,7 +751,7 @@ def _prob_vector(rng, dim: int) -> np.ndarray:
 
 
 def _diag_field(vec: np.ndarray) -> OperatorField:
-    return OperatorField.from_matrices([1.0], [PositiveDefiniteMatrix(np.diag(vec).astype(complex))])
+    return OperatorField(_weights=np.ones(1), _arrays=_diagonals(vec[None]))
 
 
 def _probability(rng, inst: Instance, diagonal: bool) -> None:
@@ -776,6 +783,20 @@ def _draw_map(rng, inst: Instance, diagonal: bool) -> None:
         inst.pmap = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng)
 
 
+# The instance slots each generator family and extra fills.
+_FILLS = {
+    _normalized: ("fa", "fb", "m", "M", "t0"),
+    _centered: ("fa", "fb", "m", "M"),
+    _four_fields: ("fa", "fb", "fc", "fd", "m", "M"),
+    _two_pairs: ("fa", "fb", "fa2", "fb2", "m", "M"),
+    _compression: ("cs", "cs_weights", "x", "m", "M", "t0"),
+    _probability: ("fa", "fb", "m", "M"),
+    _draw_scale: ("alpha",),
+    _draw_blend: ("alpha", "beta"),
+    _draw_map: ("pmap",),
+}
+
+
 # ---------------------------------------------------------------------------
 # the statement table
 # ---------------------------------------------------------------------------
@@ -786,7 +807,8 @@ class Statement:
     """One verified statement: how to draw it, what it assumes, what it claims.
 
     family and extras fill a fresh instance from the generator; `fixed` pins
-    instance fields before the draw.  unit_exponent requires q in [0, 1].  The
+    instance fields before the draw; `reads` names the drawn parameters (f, q)
+    the builder uses.  unit_exponent requires q in [0, 1].  The
     gates (operator concave, nonnegative on the window, f(t) <= t - 1) skip
     the check when they fail; `constant` names the chord constant the builder
     receives from its gate ("gamma" or "zeta").  The builder's docstring is
@@ -797,6 +819,7 @@ class Statement:
     build: Callable[[Instance, Callable], Sides]
     extras: Callable | None = None
     fixed: dict = field(default_factory=dict)
+    reads: tuple[str, ...] = ("f", "q")
     unit_exponent: bool = False
     concave: bool = False
     nonneg: bool = False
@@ -807,38 +830,51 @@ class Statement:
     def note(self) -> str:
         return self.build.__doc__
 
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """The instance slots a check of this statement reads."""
+        return _FILLS[self.family] + _FILLS.get(self.extras, ()) + self.reads
+
 
 STATEMENTS: dict[TheoremId, Statement] = {
-    TheoremId.MEAN_INTEGRAL: Statement(_centered, _mean_integral, fixed={"f": None}, unit_exponent=True),
-    TheoremId.COMPRESSION_JENSEN: Statement(_compression, _compression_jensen, concave=True, nonneg=True),
+    TheoremId.MEAN_INTEGRAL: Statement(
+        _centered, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
+    ),
+    TheoremId.COMPRESSION_JENSEN: Statement(
+        _compression, _compression_jensen, reads=("f",), concave=True, nonneg=True
+    ),
     TheoremId.ENTROPY_LOWER: Statement(
         _normalized, _entropy_lower, unit_exponent=True, concave=True, nonneg=True
     ),
     TheoremId.ENTROPY_NONNEG: Statement(_normalized, _entropy_nonneg, nonneg=True),
     TheoremId.ENTROPY_UPPER: Statement(_normalized, _entropy_upper, below_t_minus_1=True),
-    TheoremId.KLEIN_UPPER: Statement(_centered, _klein_upper, fixed={"k": 1, "f": LOG}),
-    TheoremId.INFO_INEQ: Statement(_probability, _info_ineq, fixed={"k": 1, "f": LOG}),
-    TheoremId.SUBADDITIVE: Statement(_four_fields, _subadditive, fixed={"q": 0.0}, concave=True),
+    TheoremId.KLEIN_UPPER: Statement(_centered, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.INFO_INEQ: Statement(_probability, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.SUBADDITIVE: Statement(
+        _four_fields, _subadditive, fixed={"q": 0.0}, reads=("f",), concave=True
+    ),
     TheoremId.HOMOGENEOUS: Statement(_centered, _homogeneous, extras=_draw_scale),
     TheoremId.JOINT_CONCAVE: Statement(
-        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, concave=True
+        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, reads=("f",), concave=True
     ),
     TheoremId.MAP_MONOTONE: Statement(
-        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, concave=True
+        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, reads=("f",), concave=True
     ),
     TheoremId.REV_JENSEN_GAMMA: Statement(
-        _compression, _rev_jensen_gamma, concave=True, nonneg=True, constant="gamma"
+        _compression, _rev_jensen_gamma, reads=("f",), concave=True, nonneg=True, constant="gamma"
     ),
     TheoremId.REV_ENTROPY_GAMMA: Statement(
         _normalized, _rev_entropy_gamma, unit_exponent=True, concave=True, nonneg=True,
         constant="gamma",
     ),
-    TheoremId.REV_JENSEN_ZETA: Statement(_compression, _rev_jensen_zeta, concave=True, constant="zeta"),
+    TheoremId.REV_JENSEN_ZETA: Statement(
+        _compression, _rev_jensen_zeta, reads=("f",), concave=True, constant="zeta"
+    ),
     TheoremId.REV_ENTROPY_ZETA: Statement(
         _normalized, _rev_entropy_zeta, unit_exponent=True, concave=True, constant="zeta"
     ),
     TheoremId.EXAMPLE_LOG_PAIR: Statement(
-        _normalized, _example_log_pair, fixed={"f": None}, unit_exponent=True
+        _normalized, _example_log_pair, fixed={"f": None}, reads=("q",), unit_exponent=True
     ),
 }
 
@@ -993,6 +1029,7 @@ class TheoremSummary:
     violations_substantive: int
     min_margin: float | None
     worst_seed: int | None
+    errors: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -1000,6 +1037,7 @@ class TheoremSummary:
             "trials": self.trials,
             "passes": self.passes,
             "skips": self.hypothesis_skips,
+            "errors": self.errors,
             "violations_numerical": self.violations_numerical,
             "violations_substantive": self.violations_substantive,
             "min_margin": self.min_margin,
@@ -1017,6 +1055,10 @@ class CampaignReport:
     @property
     def substantive_total(self) -> int:
         return sum(s.violations_substantive for s in self.summaries)
+
+    @property
+    def error_total(self) -> int:
+        return sum(s.errors for s in self.summaries)
 
     def to_json(self) -> dict:
         return {
@@ -1056,7 +1098,13 @@ def trial_seed(master_seed: int, theorem: TheoremId, index: int) -> int:
 def run_trial(
     theorem: TheoremId, config: CampaignConfig, seed: int, index: int = 0
 ) -> tuple[TrialRecord, Instance | None, VerificationResult]:
-    """One campaign cell: draw parameters and an instance from `seed`, check, triage."""
+    """One campaign cell: draw parameters and an instance from `seed`, check, triage.
+
+    Every cell ends in one outcome.  A generation failure is a hypothesis skip;
+    a PreconditionError while drawing or checking (an exponent or a term count
+    the statement does not admit) is an error: hypothesis_met and holds both
+    False, detail "error: <message>".
+    """
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
     k = int(rng.integers(config.terms[0], config.terms[1] + 1))
@@ -1064,13 +1112,14 @@ def run_trial(
     exponent = float(config.exponents[int(rng.integers(len(config.exponents)))])
     inst_seed = int(rng.integers(0, 2**63))
     f = functions.parse(spec)
+    inst = None
     try:
         inst = random_instance(theorem, dim, k, inst_seed, f, exponent)
-    except GenerationError as exc:
-        inst = None
-        result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
-    else:
         result = triage(theorem, inst, config.tol)
+    except GenerationError as exc:
+        result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
+    except PreconditionError as exc:
+        result = VerificationResult(theorem, False, None, 0.0, 0.0, False, f"error: {exc}")
     record = TrialRecord(
         theorem, index, int(seed), dim, k, spec, exponent,
         result.hypothesis_met, result.holds, result.margin, result.triage, result.detail,
@@ -1089,13 +1138,16 @@ def campaign(config: CampaignConfig) -> CampaignReport:
             run_trial(theorem, config, trial_seed(config.seed, theorem, i), i)
             for i in range(config.trials)
         ]
-        passes = skips = numerical = substantive = 0
+        passes = skips = errors = numerical = substantive = 0
         min_margin: float | None = None
         worst_seed: int | None = None
         for record, inst, result in rows:
             records.append(record)
             if not record.hypothesis_met:
-                skips += 1
+                if record.holds:
+                    skips += 1
+                else:
+                    errors += 1
                 continue
             if record.holds:
                 passes += 1
@@ -1115,6 +1167,6 @@ def campaign(config: CampaignConfig) -> CampaignReport:
                 )
         summaries.append(
             TheoremSummary(theorem, config.trials, passes, skips, numerical, substantive,
-                           min_margin, worst_seed)
+                           min_margin, worst_seed, errors)
         )
     return CampaignReport(config, summaries, records, failures)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from opentropy.cli import main
 from opentropy.verify import Instance
@@ -86,6 +87,20 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--file", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("theorem,key", [
+        ("compression_jensen", "x"), ("subadditive", "fc"), ("joint_concave", "beta"),
+        ("map_monotone", "map"), ("entropy_lower", "t0"),
+    ])
+    def test_missing_field_exits_2(self, tmp_path, capsys, theorem, key):
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "1",
+            "--out", str(out))
+        payload = json.loads(out.read_text())
+        del payload[key]
+        out.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and repr(key) in err
+
 
 class TestCampaign:
     def test_zero_trials_empty_report(self, capsys):
@@ -124,6 +139,24 @@ class TestCampaign:
     def test_negative_trials_exit_2(self, capsys):
         code, _, _ = run(capsys, "campaign", "--trials", "-3")
         assert code == 2
+
+    @pytest.mark.parametrize("option,erring", [
+        ("--k=1:1", {"entropy_lower", "entropy_nonneg", "entropy_upper", "rev_entropy_gamma",
+                     "rev_entropy_zeta", "example_log_pair"}),
+        ("--q=-3,5", {"mean_integral", "entropy_lower", "rev_entropy_gamma", "rev_entropy_zeta",
+                      "example_log_pair"}),
+    ])
+    def test_precondition_errors_are_counted_not_fatal(self, tmp_path, capsys, option, erring):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "campaign", "--trials", "1", option, "--seed", "0", "--out", str(out))
+        assert code == 2
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == 16
+        assert {r["theorem"] for r in results if r["errors"]} == erring
+        for r in results:
+            outcomes = r["passes"] + r["skips"] + r["violations_numerical"] + r["violations_substantive"]
+            assert outcomes + r["errors"] == r["trials"] == 1
+        assert "1 errors" in err
 
     def test_one_factor_kraus_maps_stay_normalized(self, capsys):
         # Seed 58 draws a one-factor Kraus map that an eigensolve-based

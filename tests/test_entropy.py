@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from opentropy import (
+    NotPositiveDefiniteError,
     OperatorField,
+    PairSpectrum,
     PositiveDefiniteMatrix,
     PreconditionError,
     ShapeError,
@@ -265,3 +267,66 @@ class TestMeanField:
                 p,
             )
             assert loewner_leq(lhs, rhs, 1e-9)[0]
+
+
+def direct_entropy(a, b, q, f):
+    """A^{1/2} T^q f(T) A^{1/2} for one pair, by its own eigensolve of T."""
+    r = a.inv_sqrt_array
+    t = r @ b.array @ r
+    lam, u = np.linalg.eigh((t + t.conj().T) / 2.0)
+    return a.sqrt_array @ (u * (lam ** q * f.evaluate_array(lam))) @ u.conj().T @ a.sqrt_array
+
+
+def relative_gap(x, y):
+    return np.linalg.norm(np.asarray(x) - np.asarray(y)) / max(1.0, np.linalg.norm(np.asarray(y)))
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("dim,k", [(1, 1), (2, 3), (3, 1), (4, 4), (6, 2)])
+    def test_field_spectra_and_aggregates_match_per_node(self, rng, dim, k):
+        for _ in range(5):
+            fa, fb = random_pair(rng, dim, k)
+            spectrum = fa.pair_spectrum(fb)
+            assert spectrum.eigenvalues.shape == (k, dim) and spectrum.frame.shape == (k, dim, dim)
+            for s, (a, b) in enumerate(zip(fa.matrices, fb.matrices)):
+                single = PairSpectrum(a, b)
+                assert relative_gap(spectrum.eigenvalues[s], single.eigenvalues[0]) <= 1e-12
+            assert spectrum.m == min(PairSpectrum(a, b).m for a, b in zip(fa.matrices, fb.matrices))
+            for q, f in ((0.0, LOG), (0.5, NEG_T_LOG_T), (1.0, power(0.5))):
+                per_node = sum(w * relative_entropy(a, b, q, f).array for (w, a), (_, b) in zip(fa, fb))
+                direct = sum(w * direct_entropy(a, b, q, f) for (w, a), (_, b) in zip(fa, fb))
+                stacked = generalized_entropy(fa, fb, q, f).array
+                assert relative_gap(stacked, per_node) <= 1e-12
+                assert relative_gap(stacked, direct) <= 1e-12
+            for p in (0.0, 0.3, 1.0):
+                per_node = sum(w * natural_power(a, b, p).array for (w, a), (_, b) in zip(fa, fb))
+                assert relative_gap(mean_field(fa, fb, p).array, per_node) <= 1e-12
+
+    def test_pair_spectrum_is_memoised_on_the_field_pair(self, rng):
+        fa, fb = random_pair(rng, 3, 2)
+        assert fa.pair_spectrum(fb) is fa.pair_spectrum(fb)
+        assert fb.pair_spectrum(fa) is not fa.pair_spectrum(fb)
+        scaled = fa.scaled(2.0)
+        assert scaled.pair_spectrum(fb.scaled(2.0)) is not fa.pair_spectrum(fb)
+
+    def test_matrices_rebuild_nodes_without_a_solve(self, rng, monkeypatch):
+        arrays = [random_pd(rng, 4).array for _ in range(3)]
+        field = OperatorField.from_matrices([1.0, 0.5, 2.0], arrays)
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        nodes = field.matrices
+        assert not calls
+        for arr, node in zip(arrays, nodes):
+            np.testing.assert_array_equal(node.array, arr)
+            np.testing.assert_allclose(node.eigenvalues, np.linalg.eigvalsh(arr), rtol=1e-13)
+        np.testing.assert_array_equal(field.arrays, np.stack(arrays))
+
+    def test_node_below_the_floor_rejected(self, rng):
+        good = random_pd(rng, 3)
+        with pytest.raises(NotPositiveDefiniteError):
+            OperatorField([(1.0, good), (1.0, np.diag([1.0, 1.0, 1e-13]))])
+        with pytest.raises(NotPositiveDefiniteError):
+            OperatorField([(1.0, np.diag([1.0, -0.5, 2.0])), (1.0, good)])
+        # Just above the floor is accepted.
+        OperatorField([(1.0, good), (1.0, np.diag([1.0, 1.0, 1e-11]))])

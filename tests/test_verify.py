@@ -286,3 +286,55 @@ def test_map_monotone_rectangular_consistency():
     inst = random_instance(TheoremId.MAP_MONOTONE, 4, 2, 31, NEG_T_LOG_T, 0.0)
     res = check(TheoremId.MAP_MONOTONE, inst)
     assert res.hypothesis_met and res.holds
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw)
+        )
+    return calls
+
+
+def test_field_solves_do_not_grow_with_the_node_count(monkeypatch):
+    # Fields and pair spectra are stacked, and the check reuses the pair
+    # spectra generation measured: one draw and its check cost the same
+    # number of eigensolves at any k.
+    calls = count_solves(monkeypatch)
+    counts = []
+    for k in (2, 4):
+        calls.clear()
+        inst = random_instance(TheoremId.ENTROPY_LOWER, 3, k, 20240, power(0.5), 0.5)
+        result = check(TheoremId.ENTROPY_LOWER, inst)
+        assert result.hypothesis_met and result.holds
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+
+
+def test_precondition_error_is_a_trial_outcome():
+    config = CampaignConfig(theorems=(TheoremId.ENTROPY_LOWER, TheoremId.KLEIN_UPPER), trials=2,
+                            terms=(1, 1), seed=3)
+    seed = trial_seed(3, TheoremId.ENTROPY_LOWER, 0)
+    record, inst, _ = run_trial(TheoremId.ENTROPY_LOWER, config, seed)
+    assert inst is None and not record.hypothesis_met and not record.holds
+    assert record.detail == "error: normalized instances need k >= 2 (k = 1 forces both fields to {I})"
+    report = campaign(config)
+    lower, klein = report.summaries
+    assert (lower.errors, lower.passes, lower.hypothesis_skips) == (2, 0, 0)
+    assert klein.errors == 0 and klein.passes == 2
+    assert report.error_total == 2 and report.failures == []
+    assert report.to_json()["results"][0]["errors"] == 2
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId))
+def test_instance_file_with_a_missing_field_is_rejected(theorem):
+    inst = random_instance(theorem, 2, 2, 5)
+    payload = inst.to_json()
+    needed = [("map" if slot == "pmap" else slot) for slot in STATEMENTS[theorem].needs]
+    assert needed and all(key in payload for key in needed)
+    for key in needed:
+        partial = {name: value for name, value in payload.items() if name != key}
+        with pytest.raises(PreconditionError, match=repr(key)):
+            Instance.from_json(partial)
