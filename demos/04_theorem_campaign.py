@@ -38,5 +38,5 @@ report = campaign(config)
 print(f"{'statement':22s} {'pass':>4s} {'skip':>4s}  worst margin")
 for s in report.summaries:
     margin = "-" if s.min_margin is None else f"{s.min_margin:+.3e}"
-    print(f"{s.theorem.value:22s} {s.passes:4d} {s.hypothesis_skips:4d}  {margin}")
+    print(f"{s.theorem.value:22s} {s.passes:4d} {s.skips:4d}  {margin}")
 print("substantive violations:", report.substantive_total)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PreconditionError, UndefinedRatioError
 from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, check_nonnegative_on
+from .matcore import _JsonRecord
 
 __all__ = [
     "SecantData",
@@ -44,12 +45,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class SecantData:
+class SecantData(_JsonRecord):
     """Chord coefficients and both reverse constants for f on [m, M].
 
     `gamma`/`argmax_gamma` are None when the ratio bound is undefined for f on
-    the interval (nonpositive chord or negative f).  Field names follow the
-    CLI exchange format.
+    the interval (nonpositive chord or negative f).  The fields are the CLI
+    exchange format (`to_json`).
     """
 
     m: float
@@ -60,18 +61,6 @@ class SecantData:
     zeta: float
     argmax_gamma: float | None
     argmax_zeta: float
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "M": self.M,
-            "mu": self.mu,
-            "nu": self.nu,
-            "gamma": self.gamma,
-            "zeta": self.zeta,
-            "argmax_gamma": self.argmax_gamma,
-            "argmax_zeta": self.argmax_zeta,
-        }
 
 
 def _check_interval(m: float, M: float) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +79,12 @@ def _theorem_list(text: str) -> tuple[verify.TheoremId, ...]:
     return tuple(_theorem(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _spec_list(text: str) -> tuple[str, ...]:
+    """Split comma-separated function specs.  Parameters are numbers, so only a
+    comma followed by a letter starts a new spec ("affine:0.5,1,log" is two)."""
+    return tuple(part.strip() for part in re.split(r",(?=\s*[A-Za-z])", text) if part.strip())
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -111,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--trials", type=_nonnegative_int, required=True)
     camp.add_argument("--dims", type=_int_range, default=(2, 8))
     camp.add_argument("--k", type=_int_range, default=(2, 4))
-    camp.add_argument("--functions", type=str, default="power:0.5,power:0.25,neg_t_log_t,log")
+    camp.add_argument("--functions", type=_spec_list, default="power:0.5,power:0.25,neg_t_log_t,log")
     camp.add_argument("--q", type=_float_list, default=(0.0, 0.25, 0.5, 0.75, 1.0))
     camp.add_argument("--tol", type=_positive_float, default=verify.DEFAULT_LOEWNER_TOL)
     camp.add_argument("--seed", type=int, default=0)
@@ -166,7 +173,7 @@ def _cmd_campaign(args) -> int:
         trials=args.trials,
         dims=args.dims,
         terms=args.k,
-        functions=tuple(s.strip() for s in args.functions.split(",") if s.strip()),
+        functions=args.functions,
         exponents=args.q,
         tol=args.tol,
         seed=args.seed,
@@ -185,7 +192,7 @@ def _cmd_campaign(args) -> int:
         errors = f", {summary.errors} errors" if summary.errors else ""
         print(
             f"{summary.theorem.value}: {summary.passes}/{summary.trials} pass, "
-            f"{summary.hypothesis_skips} skips{errors}, min_margin={summary.min_margin}",
+            f"{summary.skips} skips{errors}, min_margin={summary.min_margin}",
             file=sys.stderr,
         )
     if report.error_total:

@@ -40,7 +40,6 @@ from .matcore import (
     _entries,
     _relative_spectrum,
     _require_pd_floor,
-    _scalar_image,
     _symmetrize,
     eig,
     matrix_from_json,
@@ -75,12 +74,12 @@ class OperatorField:
     Nodes are (weight, matrix) pairs; a matrix may be a PositiveDefiniteMatrix,
     a HermitianMatrix or an array, symmetrized like a HermitianMatrix.  The
     keyword-only arguments are the package's own route for a Hermitian stack
-    it has already built (and, for a rescaling, its decomposition).
+    it has already built.
     """
 
     __slots__ = ("_weights", "_arrays", "_decomp", "_matrices", "_spectra")
 
-    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None):
+    def __init__(self, nodes=(), *, _weights=None, _arrays=None):
         if _arrays is None:
             nodes = list(nodes)
             if not nodes:
@@ -96,14 +95,13 @@ class OperatorField:
             raise ShapeError(f"{weights.shape} weights for {len(_arrays)} nodes")
         if np.any(weights <= 0.0):
             raise PreconditionError("field weights must be strictly positive")
-        if _decomposition is None:
-            _decomposition = eig(_arrays)
-        _require_pd_floor(_decomposition.eigenvalues)
+        decomposition = eig(_arrays)
+        _require_pd_floor(decomposition.eigenvalues)
         weights.setflags(write=False)
         _arrays.setflags(write=False)
         self._weights = weights
         self._arrays = _arrays
-        self._decomp = _decomposition
+        self._decomp = decomposition
         self._matrices = None
         self._spectra = {}
 
@@ -155,20 +153,12 @@ class OperatorField:
         return float(np.linalg.norm(residual)) <= tol
 
     def scaled(self, alpha: float) -> "OperatorField":
-        """Scale the matrices (not the weights) by alpha > 0.
-
-        The scaled nodes are rebuilt from the scaled eigenvalues; their pair
-        spectra against another field are solved afresh.
-        """
+        """Scale the matrices (not the weights) by alpha > 0: a new field that
+        solves its own node arrays, with its own pair spectra."""
         alpha = float(alpha)
         if alpha <= 0.0:
             raise NotPositiveDefiniteError(f"scaling a field by {alpha} leaves the cone")
-        vec = self._decomp.eigenvectors
-        lam = alpha * self._decomp.eigenvalues
-        return OperatorField(
-            _weights=self._weights, _arrays=_scalar_image(vec, lam),
-            _decomposition=SpectralDecomposition(lam, vec),
-        )
+        return OperatorField(_weights=self._weights, _arrays=alpha * self._arrays)
 
     def nodewise_sum(self, other: "OperatorField") -> "OperatorField":
         _require_aligned(self, other)

@@ -45,7 +45,10 @@ class ScalarFunction:
     """A function f: (domain_low, inf) -> R plus order-theoretic metadata.
 
     `fn` and `deriv` accept floats or ndarrays.  `nonnegative_on` is the
-    closed interval on which f >= 0 is guaranteed (None if nowhere).
+    closed interval on which f >= 0 is guaranteed (None if nowhere).  `spec`
+    is set only by the catalog constructors (and so by `parse`): it marks the
+    function as a catalog entry whose flags are trusted, and it is the
+    function's exchange format.
     """
 
     name: str
@@ -193,15 +196,6 @@ def custom(
     )
 
 
-_CATALOG_PREFIXES = ("identity", "log", "neg_t_log_t", "power_", "const_", "affine_")
-
-
-def _is_catalog(f: ScalarFunction) -> bool:
-    return any(
-        f.name == p if not p.endswith("_") else f.name.startswith(p) for p in _CATALOG_PREFIXES
-    )
-
-
 def parse(text: str) -> ScalarFunction:
     """Parse a CLI function spec: log | power:p | neg_t_log_t | affine:a,b | const:c | identity."""
     head, _, arg = text.strip().partition(":")
@@ -245,11 +239,11 @@ def check_midpoint_concave_on(f: ScalarFunction, m: float, M: float) -> bool:
 def validate_declared_flags(f: ScalarFunction, m: float, M: float) -> None:
     """Refuse custom functions whose declared flags fail the scalar grid checks.
 
-    Catalog entries pass immediately.  Operator concavity itself is not
-    verifiable from samples; midpoint concavity is the testable necessary
-    condition.
+    Catalog entries (the functions that carry a `spec`) pass immediately,
+    whatever their name.  Operator concavity itself is not verifiable from
+    samples; midpoint concavity is the testable necessary condition.
     """
-    if _is_catalog(f):
+    if f.spec:
         return
     vals = f.evaluate_array(_grid(m, M))
     if not np.all(np.isfinite(vals)):

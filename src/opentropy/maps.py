@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import HermitianMatrix, _symmetrize
+from .matcore import HermitianMatrix, _array_from_json, _symmetrize, matrix_to_json
 
 __all__ = ["PositiveLinearMap", "map_to_json", "map_from_json"]
 
@@ -96,18 +96,8 @@ def map_to_json(p: PositiveLinearMap) -> dict:
     """Exchange format: {"kraus": [matrix, ...]} using the matcore matrix layout."""
     if p.in_dim != p.out_dim:
         raise ShapeError("only square Kraus families are serializable")
-    return {
-        "kraus": [
-            {"dim": p.in_dim, "re": c.real.tolist(), "im": c.imag.tolist()}
-            for c in p.kraus
-        ]
-    }
+    return {"kraus": [matrix_to_json(c) for c in p.kraus]}
 
 
 def map_from_json(data: dict) -> PositiveLinearMap:
-    factors = []
-    for d in data["kraus"]:
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
-        factors.append(re + 1j * im)
-    return PositiveLinearMap(factors)
+    return PositiveLinearMap([_array_from_json(d) for d in data["kraus"]])

@@ -12,7 +12,8 @@ LAPACK call; a stacked solve gives the same bits as one solve per matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -173,12 +174,12 @@ class PositiveDefiniteMatrix:
     """Hermitian matrix whose eigenvalues are all strictly positive.
 
     Construction rejects lambda_min <= 0 and lambda_min <= 1e-12 lambda_max
-    (NotPositiveDefiniteError).  The spectral decomposition is computed once
-    at construction, or passed in with `_decomposition=` when it is already
-    known (a rescaling, or a node of an OperatorField, whose stacked solve
-    covers all its nodes), cached, and reused by every derived quantity
-    (roots, inverses, rescalings), so chains like A -> A^{-1/2} cost no
-    further eigensolves.
+    (NotPositiveDefiniteError).  The spectral decomposition is the solve of
+    the stored array, computed once at construction (or taken from the
+    stacked solve of the OperatorField the matrix is a node of, which gives
+    the same bits), cached, and reused by `scalar_image` and the root arrays.
+    `sqrt`, `inv`, `power` and `scaled` return new matrices that solve their
+    own arrays, so a matrix rebuilt from its entries behaves identically.
     """
 
     __slots__ = ("_herm", "_decomp", "_sqrt_arr", "_inv_sqrt_arr")
@@ -191,14 +192,6 @@ class PositiveDefiniteMatrix:
         self._decomp = decomp
         self._sqrt_arr = None
         self._inv_sqrt_arr = None
-
-    @classmethod
-    def _from_eigenbasis(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "PositiveDefiniteMatrix":
-        order = np.argsort(eigenvalues)
-        w = np.ascontiguousarray(eigenvalues[order])
-        v = np.ascontiguousarray(eigenvectors[:, order])
-        herm = HermitianMatrix((v * w) @ _adjoint(v))
-        return cls(herm, _decomposition=SpectralDecomposition(w, v))
 
     @property
     def matrix(self) -> HermitianMatrix:
@@ -260,10 +253,10 @@ class PositiveDefiniteMatrix:
         alpha = float(alpha)
         if alpha <= 0.0:
             raise NotPositiveDefiniteError(f"scaling a PD matrix by {alpha} leaves the cone")
-        return self._map_eigenvalues(lambda w: alpha * w)
+        return PositiveDefiniteMatrix(alpha * self.array)
 
     def _map_eigenvalues(self, fn) -> "PositiveDefiniteMatrix":
-        return PositiveDefiniteMatrix._from_eigenbasis(fn(self._decomp.eigenvalues), self._decomp.eigenvectors)
+        return PositiveDefiniteMatrix(self.scalar_image(fn(self._decomp.eigenvalues)))
 
     def __repr__(self) -> str:
         return f"PositiveDefiniteMatrix(dim={self.dim}, lambda_min={self.lambda_min:.3e})"
@@ -302,8 +295,12 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
     margin = float(np.linalg.eigvalsh(_symmetrize(bb - aa))[0])
     wa = np.linalg.eigvalsh(_symmetrize(aa))
     wb = np.linalg.eigvalsh(_symmetrize(bb))
-    scale = float(max(1.0, abs(wa[0]), abs(wa[-1]), abs(wb[0]), abs(wb[-1])))
-    return bool(margin >= -tol * scale), margin
+    return _holds_within(margin, tol, abs(wa[0]), abs(wa[-1]), abs(wb[0]), abs(wb[-1])), margin
+
+
+def _holds_within(margin: float, tol: float, *norms: float) -> bool:
+    """The one tolerance rule of the Loewner tests: margin >= -tol * max(1, norms)."""
+    return bool(margin >= -tol * float(max(1.0, *norms)))
 
 
 def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,10 +341,31 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> HermitianMatrix:
+def _array_from_json(data: dict) -> np.ndarray:
+    """The complex (dim, dim) array of a matrix payload, entry for entry (not symmetrized)."""
     dim = int(data["dim"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
-    return HermitianMatrix(re + 1j * im)
+    return re + 1j * im
+
+
+def matrix_from_json(data: dict) -> HermitianMatrix:
+    return HermitianMatrix(_array_from_json(data))
+
+
+class _JsonRecord:
+    """Mixin for a dataclass whose exchange format is its fields in declaration
+    order, enums by value and tuples as lists."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    return value

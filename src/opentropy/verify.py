@@ -10,9 +10,14 @@ two-sided margin for the homogeneity identity).
 
 Hypothesis violations are never counted as failures: the checker reports
 hypothesis_met=False with an explanation and an empty margin.  Genuine
-violations are triaged by re-checking at tol=1e-6 and labeled "numerical"
-(float noise) or "substantive" (a real counterexample, which would be a
-finding).
+violations are triaged by the same tolerance rule at tol=1e-6 and labeled
+"numerical" (float noise) or "substantive" (a real counterexample, which
+would be a finding).
+
+An Instance is its JSON: every slot has one encoder and one decoder
+(`_SLOTS`), and every matrix and field is the solve of exactly the array its
+JSON stores, so a file written by `gen` or dumped by a campaign re-checks to
+the same margin bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ from .matcore import (
     DEFAULT_LOEWNER_TOL,
     PositiveDefiniteMatrix,
     _adjoint,
+    _array_from_json,
+    _holds_within,
+    _JsonRecord,
     _require_pd_floor,
     _scalar_image,
     _symmetrize,
@@ -102,7 +110,7 @@ _RESAMPLE_CAP = 100
 
 
 @dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(_JsonRecord):
     """Outcome of one inequality check.
 
     margin is lambda_min of the claimed-PSD difference (scalar slack for
@@ -120,18 +128,6 @@ class VerificationResult:
     hypothesis_met: bool
     detail: str
     triage: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "holds": self.holds,
-            "margin": self.margin,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-            "hypothesis_met": self.hypothesis_met,
-            "detail": self.detail,
-            "triage": self.triage,
-        }
 
 
 @dataclass
@@ -169,8 +165,8 @@ class Instance:
         st = STATEMENTS[self.theorem]
         for slot in st.needs:
             if getattr(self, slot) is None:
-                name = "map" if slot == "pmap" else slot
-                raise PreconditionError(f"a {self.theorem.value} instance needs {name!r}, which is missing")
+                key = _SLOTS[slot][0]
+                raise PreconditionError(f"a {self.theorem.value} instance needs {key!r}, which is missing")
         family = st.family
         if family is _normalized:
             if not (self.fa.is_normalized() and self.fb.is_normalized()):
@@ -199,65 +195,42 @@ class Instance:
                 raise PreconditionError("probability vectors must sum to one")
 
     def to_json(self) -> dict:
-        out: dict = {
-            "theorem": self.theorem.value,
-            "seed": int(self.seed),
-            "dim": int(self.dim),
-            "k": int(self.k),
+        return {
+            key: encode(getattr(self, slot))
+            for slot, (key, encode, _) in _SLOTS.items()
+            if getattr(self, slot) is not None
         }
-        if self.f is not None:
-            if not self.f.spec:
-                raise PreconditionError("custom scalar functions are not serializable")
-            out["f"] = self.f.spec
-        for key in ("q", "t0", "m", "M", "alpha", "beta"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = float(value)
-        for key in ("fa", "fb", "fc", "fd", "fa2", "fb2"):
-            fld = getattr(self, key)
-            if fld is not None:
-                out[key] = field_to_json(fld)
-        if self.pmap is not None:
-            out["map"] = map_to_json(self.pmap)
-        if self.cs is not None:
-            out["cs"] = [matrix_to_json(c) for c in self.cs]
-            out["cs_weights"] = [float(w) for w in self.cs_weights]
-        if self.x is not None:
-            out["x"] = matrix_to_json(self.x)
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
-        inst = cls(
-            theorem=TheoremId(data["theorem"]),
-            seed=int(data["seed"]),
-            dim=int(data["dim"]),
-            k=int(data["k"]),
-            f=functions.parse(data["f"]) if "f" in data else None,
-            q=data.get("q"),
-            t0=data.get("t0"),
-            m=data.get("m"),
-            M=data.get("M"),
-            alpha=data.get("alpha"),
-            beta=data.get("beta"),
-        )
-        for key in ("fa", "fb", "fc", "fd", "fa2", "fb2"):
-            if key in data:
-                setattr(inst, key, field_from_json(data[key]))
-        if "map" in data:
-            inst.pmap = map_from_json(data["map"])
-        if "cs" in data:
-            inst.cs = tuple(_cmat_from_json(d) for d in data["cs"])
-        if "cs_weights" in data:
-            inst.cs_weights = np.asarray(data["cs_weights"], dtype=float)
-        if "x" in data:
-            inst.x = PositiveDefiniteMatrix(matrix_from_json(data["x"]))
+        inst = cls(**{slot: decode(data[key]) for slot, (key, _, decode) in _SLOTS.items() if key in data})
         inst.validate()
         return inst
 
 
-def _cmat_from_json(d: dict) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+def _function_to_json(f: ScalarFunction) -> str:
+    if not f.spec:
+        raise PreconditionError("custom scalar functions are not serializable")
+    return f.spec
+
+
+# The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
+# that is None is left out of the file; a key absent from the file is None.
+_SLOTS: dict[str, tuple[str, Callable, Callable]] = {
+    "theorem": ("theorem", lambda t: t.value, TheoremId),
+    "seed": ("seed", int, int),
+    "dim": ("dim", int, int),
+    "k": ("k", int, int),
+    "f": ("f", _function_to_json, functions.parse),
+    **{name: (name, float, float) for name in ("q", "t0", "m", "M")},
+    **{name: (name, field_to_json, field_from_json) for name in ("fa", "fb", "fc", "fd", "fa2", "fb2")},
+    "pmap": ("map", map_to_json, map_from_json),
+    "cs": ("cs", lambda cs: [matrix_to_json(c) for c in cs], lambda d: tuple(map(_array_from_json, d))),
+    "cs_weights": ("cs_weights", lambda w: [float(v) for v in w], lambda d: np.asarray(d, dtype=float)),
+    "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
+    "alpha": ("alpha", float, float),
+    "beta": ("beta", float, float),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +292,7 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     margins, margin = all_margins[:n], min(all_margins)
     norms = [_snorm(next(spectra)) for _ in range(2 * n)]
     ln, rn = max(norms[0::2]), max(norms[1::2])
-    holds = margin >= -tol * max(1.0, ln, rn)
+    holds = _holds_within(margin, tol, ln, rn)
     detail = sides.detail(margins) if callable(sides.detail) else sides.detail
     return VerificationResult(theorem, holds, margin, ln, rn, True, detail)
 
@@ -898,11 +871,12 @@ def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) 
 
 
 def triage(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
-    """check, then label a violation "numerical" if it holds at tol=1e-6, else "substantive"."""
+    """check, then label a violation "numerical" if its margin and norms pass the
+    tolerance rule at tol=1e-6, else "substantive" (neither depends on tol)."""
     result = check(theorem, inst, tol)
     if result.hypothesis_met and not result.holds:
-        retry = check(theorem, inst, 1e-6)
-        result = replace(result, triage="numerical" if retry.holds else "substantive")
+        numerical = _holds_within(result.margin, 1e-6, result.lhs_norm, result.rhs_norm)
+        result = replace(result, triage="numerical" if numerical else "substantive")
     return result
 
 
@@ -948,7 +922,7 @@ def random_instance(
 
 
 @dataclass
-class CampaignConfig:
+class CampaignConfig(_JsonRecord):
     """Plan for a bulk verification run; every random draw flows from `seed`."""
 
     theorems: tuple[TheoremId, ...] = tuple(TheoremId)
@@ -974,21 +948,9 @@ class CampaignConfig:
         for spec in self.functions:
             functions.parse(spec)
 
-    def to_json(self) -> dict:
-        return {
-            "theorems": [t.value for t in self.theorems],
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "terms": list(self.terms),
-            "functions": list(self.functions),
-            "exponents": list(self.exponents),
-            "tol": self.tol,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(_JsonRecord):
     theorem: TheoremId
     index: int
     seed: int
@@ -1002,47 +964,23 @@ class TrialRecord:
     triage: str | None
     detail: str
 
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "index": self.index,
-            "seed": self.seed,
-            "dim": self.dim,
-            "k": self.k,
-            "function": self.function,
-            "exponent": self.exponent,
-            "hypothesis_met": self.hypothesis_met,
-            "holds": self.holds,
-            "margin": self.margin,
-            "triage": self.triage,
-            "detail": self.detail,
-        }
+
+# The per-trial CSV row: every TrialRecord field but the free-text detail.
+_CSV_COLUMNS = ("theorem", "index", "seed", "dim", "k", "function", "exponent",
+                "hypothesis_met", "holds", "margin", "triage")
 
 
 @dataclass(frozen=True)
-class TheoremSummary:
+class TheoremSummary(_JsonRecord):
     theorem: TheoremId
     trials: int
     passes: int
-    hypothesis_skips: int
+    skips: int
+    errors: int
     violations_numerical: int
     violations_substantive: int
     min_margin: float | None
     worst_seed: int | None
-    errors: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "trials": self.trials,
-            "passes": self.passes,
-            "skips": self.hypothesis_skips,
-            "errors": self.errors,
-            "violations_numerical": self.violations_numerical,
-            "violations_substantive": self.violations_substantive,
-            "min_margin": self.min_margin,
-            "worst_seed": self.worst_seed,
-        }
 
 
 @dataclass
@@ -1070,17 +1008,9 @@ class CampaignReport:
     def to_csv(self) -> str:
         """One row per trial, suitable for external tooling."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["theorem", "index", "seed", "dim", "k", "function", "exponent",
-             "hypothesis_met", "holds", "margin", "triage"]
-        )
-        for r in self.records:
-            writer.writerow(
-                [r.theorem.value, r.index, r.seed, r.dim, r.k, r.function, repr(r.exponent),
-                 r.hypothesis_met, r.holds, "" if r.margin is None else repr(r.margin),
-                 r.triage or ""]
-            )
+        writer = csv.DictWriter(buf, _CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(r.to_json() for r in self.records)
         return buf.getvalue()
 
 
@@ -1166,7 +1096,7 @@ def campaign(config: CampaignConfig) -> CampaignReport:
                     }
                 )
         summaries.append(
-            TheoremSummary(theorem, config.trials, passes, skips, numerical, substantive,
-                           min_margin, worst_seed, errors)
+            TheoremSummary(theorem, config.trials, passes, skips, errors, numerical, substantive,
+                           min_margin, worst_seed)
         )
     return CampaignReport(config, summaries, records, failures)

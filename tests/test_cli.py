@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from opentropy.cli import main
-from opentropy.verify import Instance
+from opentropy.functions import power
+from opentropy.verify import Instance, TheoremId, random_instance, triage
 
 
 def run(capsys, *argv):
@@ -64,9 +65,19 @@ class TestCheck:
         assert code == 0
         assert json.loads(stdout)["hypothesis_met"] is False
 
+    @pytest.mark.parametrize("theorem", ["homogeneous", "compression_jensen"])
+    def test_gen_file_replays_the_margin_bitwise(self, tmp_path, capsys, theorem):
+        out = tmp_path / "inst.json"
+        for seed in range(3):
+            run(capsys, "gen", "--theorem", theorem, "--dim", "4", "--k", "3",
+                "--seed", str(seed), "--out", str(out))
+            code, stdout, _ = run(capsys, "check", "--file", str(out))
+            want = triage(TheoremId(theorem), random_instance(TheoremId(theorem), 4, 3, seed, power(0.5), 0.5))
+            assert code == 0 and json.loads(stdout) == want.to_json()
+
     def test_tol_zero_triggers_numerical_triage(self, tmp_path, capsys):
         # The homogeneity margin is an equality residual of order -1e-15, so a
-        # zero tolerance flags it; re-checking at 1e-6 labels it numerical.
+        # zero tolerance flags it; the rule at tol 1e-6 labels it numerical.
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", "homogeneous", "--dim", "3", "--k", "2",
             "--seed", "11", "--out", str(out))
@@ -131,6 +142,12 @@ class TestCampaign:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5 and lines[0].startswith("theorem,")
+
+    def test_affine_spec_keeps_its_parameters(self, capsys):
+        code, stdout, err = run(capsys, "campaign", "--theorems", "compression_jensen", "--trials", "4",
+                                "--functions", "affine:0.5,1,log", "--seed", "3")
+        assert code == 0, err
+        assert json.loads(stdout)["config"]["functions"] == ["affine:0.5,1", "log"]
 
     def test_bad_dims_exit_2(self, capsys):
         code, _, _ = run(capsys, "campaign", "--trials", "1", "--dims", "8:2")

@@ -95,9 +95,11 @@ class TestDeclaredFlagValidation:
         validate_declared_flags(LOG, 0.5, 2.0)
 
     def test_custom_concave_claim_rejected_for_convex(self):
-        square = custom(lambda t: t * t, name="square", operator_concave=True)
-        with pytest.raises(PreconditionError):
-            validate_declared_flags(square, 0.5, 2.0)
+        # A catalog name earns no trust: only the catalog constructors set a spec.
+        for name in ("square", "log", "power_0.5", "affine_1_2"):
+            square = custom(lambda t: t * t, name=name, operator_concave=True)
+            with pytest.raises(PreconditionError):
+                validate_declared_flags(square, 0.5, 2.0)
 
     def test_custom_nonnegativity_claim_rejected(self):
         dip = custom(

@@ -81,10 +81,11 @@ class TestPositiveDefinite:
         with pytest.raises(NotPositiveDefiniteError):
             PositiveDefiniteMatrix(np.diag([1.0, -0.5]))
 
-    def test_scaled_reuses_eigenbasis(self, rng):
+    def test_scaled_solves_its_own_array(self, rng):
         a = random_pd(rng, 4)
         b = a.scaled(2.5)
-        np.testing.assert_allclose(b.array, 2.5 * a.array, rtol=1e-14)
+        np.testing.assert_array_equal(b.array, 2.5 * a.array)
+        np.testing.assert_array_equal(b.eigenvalues, np.linalg.eigh(b.array)[0])
         with pytest.raises(NotPositiveDefiniteError):
             a.scaled(-1.0)
 
