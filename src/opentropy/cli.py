@@ -92,6 +92,18 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite `--q -3,5` as `--q=-3,5`: argparse reads a separate value that
+    starts with "-" and is not a single number as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--q" and re.match(r"-[\d.]", token):
+            out[-1] = f"--q={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opentropy",
@@ -217,7 +229,7 @@ def _cmd_bounds(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

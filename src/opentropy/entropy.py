@@ -210,11 +210,11 @@ class PairSpectrum:
     ascending) and the frame Q_s = A_s^{1/2} U_s (`frame`, (k, d, d)), with U_s
     the eigenvectors of T_s, so that A_s^{1/2} g(T_s) A_s^{1/2} =
     Q_s diag(g(lambda_s)) Q_s* for any scalar g.  All nodes come from one pass
-    over A's stacked eigendecomposition (matcore's pair kernel, which
-    sandwich_bounds shares): R = A^{-1/2} and S = A^{1/2} as batched
-    products, T = R B R, one stacked eigensolve of T, and Q = S U.  Every
-    mean and entropy of the pair is one diagonal scaling away, and a field
-    aggregate is one batched product and one weighted sum.
+    over A's stacked eigendecomposition (matcore's pair kernel): R = A^{-1/2}
+    and S = A^{1/2} as batched products, T = R B R, one stacked eigensolve of
+    T, and Q = S U.  Every mean and entropy of the pair is one diagonal
+    scaling away, and a field aggregate is one batched product and one
+    weighted sum.
     """
 
     __slots__ = ("weights", "eigenvalues", "frame")

@@ -223,17 +223,23 @@ def _grid(m: float, M: float) -> np.ndarray:
     return np.linspace(m, M, GRID_POINTS)
 
 
+def _nonnegative(vals: np.ndarray) -> bool:
+    return float(vals.min()) >= -1e-12
+
+
+def _midpoint_concave(vals: np.ndarray) -> bool:
+    gaps = vals[1:-1] - (vals[:-2] + vals[2:]) / 2.0
+    return float(gaps.min()) >= -1e-12
+
+
 def check_nonnegative_on(f: ScalarFunction, m: float, M: float) -> bool:
     """Grid test (endpoints included): min f on [m, M] >= -1e-12."""
-    vals = f.evaluate_array(_grid(m, M))
-    return float(vals.min()) >= -1e-12
+    return _nonnegative(f.evaluate_array(_grid(m, M)))
 
 
 def check_midpoint_concave_on(f: ScalarFunction, m: float, M: float) -> bool:
     """Discrete midpoint concavity on the grid: a necessary condition only."""
-    vals = f.evaluate_array(_grid(m, M))
-    gaps = vals[1:-1] - (vals[:-2] + vals[2:]) / 2.0
-    return float(gaps.min()) >= -1e-12
+    return _midpoint_concave(f.evaluate_array(_grid(m, M)))
 
 
 def validate_declared_flags(f: ScalarFunction, m: float, M: float) -> None:
@@ -241,19 +247,20 @@ def validate_declared_flags(f: ScalarFunction, m: float, M: float) -> None:
 
     Catalog entries (the functions that carry a `spec`) pass immediately,
     whatever their name.  Operator concavity itself is not verifiable from
-    samples; midpoint concavity is the testable necessary condition.
+    samples; midpoint concavity is the testable necessary condition.  Every
+    test reads one evaluation of f on the grid.
     """
     if f.spec:
         return
     vals = f.evaluate_array(_grid(m, M))
     if not np.all(np.isfinite(vals)):
         raise PreconditionError(f"{f.name} is not finite everywhere on [{m}, {M}]")
-    if (f.operator_concave or f.strictly_concave) and not check_midpoint_concave_on(f, m, M):
+    if (f.operator_concave or f.strictly_concave) and not _midpoint_concave(vals):
         raise PreconditionError(
             f"{f.name} is flagged concave but fails midpoint concavity on [{m}, {M}]"
         )
     lo_hi = f.nonnegative_on
-    if lo_hi is not None and lo_hi[0] <= m and M <= lo_hi[1] and not check_nonnegative_on(f, m, M):
+    if lo_hi is not None and lo_hi[0] <= m and M <= lo_hi[1] and not _nonnegative(vals):
         raise PreconditionError(
             f"{f.name} claims nonnegativity covering [{m}, {M}] but the grid finds negative values"
         )

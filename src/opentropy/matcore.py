@@ -318,6 +318,14 @@ def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndar
     return lam, s @ u
 
 
+def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
+    """The eigenvalues of T = A^{-1/2} B A^{-1/2} alone, for one matrix or a
+    stack: R = A^{-1/2} from A's eigenbasis and one eigenvalues-only solve of
+    T = R B R, with no frames (for callers that read only the spectrum)."""
+    r = _scalar_image(a.eigenvectors, 1.0 / np.sqrt(a.eigenvalues))
+    return np.linalg.eigvalsh(_symmetrize(r @ b @ r))
+
+
 def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A.
 
@@ -325,7 +333,7 @@ def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tup
     """
     if a.dim != b.dim:
         raise ShapeError(f"sandwich_bounds dimension mismatch: {a.dim} vs {b.dim}")
-    lam, _ = _relative_spectrum(a.decomposition, b.array)
+    lam = _relative_eigenvalues(a.decomposition, b.array)
     return float(lam[0]), float(lam[-1])
 
 

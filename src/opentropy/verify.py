@@ -23,6 +23,7 @@ the same margin bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -55,6 +56,7 @@ from .matcore import (
     _array_from_json,
     _holds_within,
     _JsonRecord,
+    _relative_eigenvalues,
     _require_pd_floor,
     _scalar_image,
     _symmetrize,
@@ -313,7 +315,11 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
     validate_declared_flags(f, lo, hi)
     if st.concave and not f.operator_concave:
         raise _Skip(f"{f.name} is not flagged operator concave")
-    if st.nonneg and not check_nonnegative_on(f, lo, hi):
+    # A declared interval covering [lo, hi] is a fact: trusted for a catalog
+    # f, and grid-checked on [lo, hi] by validate_declared_flags for any other.
+    declared = f.nonnegative_on
+    covered = declared is not None and declared[0] <= lo and hi <= declared[1]
+    if st.nonneg and not covered and not check_nonnegative_on(f, lo, hi):
         raise _Skip(f"{f.name} is negative somewhere on [{lo:.6g}, {hi:.6g}]")
     if st.below_t_minus_1:
         ts = np.linspace(lo, hi, functions.GRID_POINTS)
@@ -664,7 +670,9 @@ def _centered(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, k)
         fa = _free_field(rng, dim, k, weights, diagonal)
         fb = _free_field(rng, dim, k, weights, diagonal)
-        m, M = _measure_pair(fa, fb)
+        # The unscaled pair is only measured: its spectrum alone, not memoised.
+        lam = _relative_eigenvalues(fa.decomposition, fb.arrays)
+        m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
         if M / m >= 1.0 + 1e-9:
             fb = fb.scaled(1.0 / math.sqrt(m * M))
             m, M = _measure_pair(fa, fb)
@@ -807,6 +815,37 @@ class Statement:
     def needs(self) -> tuple[str, ...]:
         """The instance slots a check of this statement reads."""
         return _FILLS[self.family] + _FILLS.get(self.extras, ()) + self.reads
+
+    def admits(self, f: ScalarFunction) -> bool:
+        """Whether f can meet this statement's function gates on the windows
+        its family draws, judged from the declared gates and f's flags alone.
+
+        `concave` needs f flagged operator concave.  `nonneg` on a family whose
+        windows contain 1 in their interior needs f's declared nonnegative
+        interval to contain a neighbourhood of 1.  `below_t_minus_1` needs the
+        tangent line at 1: f flagged concave with f(1) = 0 and f'(1) = 1,
+        which gives f(t) <= t - 1 everywhere.  Admissibility only shapes a
+        campaign's draw of f; every trial is still gated.
+        """
+        if self.concave and not f.operator_concave:
+            return False
+        if self.nonneg and self.family in _STRADDLING_FAMILIES:
+            interval = f.nonnegative_on
+            if interval is None or not interval[0] < 1.0 < interval[1]:
+                return False
+        return not self.below_t_minus_1 or _tangent_at_one(f)
+
+
+# The families whose windows contain 1 in their interior (the compression
+# family's X is centred on 1 for dim >= 2).
+_STRADDLING_FAMILIES = (_normalized, _compression)
+
+
+def _tangent_at_one(f: ScalarFunction) -> bool:
+    """f concave with f(1) = 0 and f'(1) = 1, so that f(t) <= t - 1."""
+    if not (f.operator_concave or f.strictly_concave) or f.deriv is None or not f.domain_low < 1.0:
+        return False
+    return f.evaluate(1.0) == 0.0 and f.derivative(1.0) == 1.0
 
 
 STATEMENTS: dict[TheoremId, Statement] = {
@@ -1025,10 +1064,21 @@ def trial_seed(master_seed: int, theorem: TheoremId, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=256)
+def _function_pool(theorem: TheoremId, specs: tuple[str, ...]) -> tuple[tuple[str, ScalarFunction], ...]:
+    """The configured (spec, f) pairs `theorem` admits, in config order; all of
+    them when it admits none, so that those trials skip at the gate."""
+    parsed = tuple((spec, functions.parse(spec)) for spec in specs)
+    return tuple(pair for pair in parsed if STATEMENTS[theorem].admits(pair[1])) or parsed
+
+
 def run_trial(
     theorem: TheoremId, config: CampaignConfig, seed: int, index: int = 0
 ) -> tuple[TrialRecord, Instance | None, VerificationResult]:
     """One campaign cell: draw parameters and an instance from `seed`, check, triage.
+
+    f is drawn from the configured functions the statement admits
+    (`Statement.admits`), or from all of them when it admits none.
 
     Every cell ends in one outcome.  A generation failure is a hypothesis skip;
     a PreconditionError while drawing or checking (an exponent or a term count
@@ -1038,10 +1088,10 @@ def run_trial(
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
     k = int(rng.integers(config.terms[0], config.terms[1] + 1))
-    spec = config.functions[int(rng.integers(len(config.functions)))]
+    pool = _function_pool(theorem, tuple(config.functions))
+    spec, f = pool[int(rng.integers(len(pool)))]
     exponent = float(config.exponents[int(rng.integers(len(config.exponents)))])
     inst_seed = int(rng.integers(0, 2**63))
-    f = functions.parse(spec)
     inst = None
     try:
         inst = random_instance(theorem, dim, k, inst_seed, f, exponent)

@@ -5,7 +5,7 @@ import pytest
 
 from opentropy.cli import main
 from opentropy.functions import power
-from opentropy.verify import Instance, TheoremId, random_instance, triage
+from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, random_instance, triage
 
 
 def run(capsys, *argv):
@@ -174,6 +174,29 @@ class TestCampaign:
             outcomes = r["passes"] + r["skips"] + r["violations_numerical"] + r["violations_substantive"]
             assert outcomes + r["errors"] == r["trials"] == 1
         assert "1 errors" in err
+
+    def test_negative_exponent_list_is_a_value(self, tmp_path, capsys):
+        reports = []
+        for option in (["--q", "-3,5"], ["--q=-3,5"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            code, _, err = run(capsys, "campaign", "--theorems", "mean_integral,klein_upper",
+                               "--trials", "2", *option, "--seed", "0", "--out", str(out))
+            assert code == 2 and "mean_integral: 0/2 pass, 0 skips, 2 errors" in err, err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["exponents"] == [-3.0, 5.0]
+
+    def test_no_admissible_function_skips_at_the_gate(self, capsys):
+        # log is negative on every normalized window, so entropy_lower admits
+        # no configured function: the draw falls back to all of them.
+        code, stdout, err = run(capsys, "campaign", "--theorems", "entropy_lower", "--trials", "12",
+                                "--functions", "log", "--seed", "4")
+        assert code == 0, err
+        (row,) = json.loads(stdout)["results"]
+        assert (row["passes"], row["skips"], row["errors"]) == (0, 12, 0)
+        config = CampaignConfig(theorems=(TheoremId.ENTROPY_LOWER,), trials=12, functions=("log",), seed=4)
+        details = [r.detail for r in campaign(config).records]
+        assert all(d.startswith("log is negative somewhere on [") for d in details), details
 
     def test_one_factor_kraus_maps_stay_normalized(self, capsys):
         # Seed 58 draws a one-factor Kraus map that an eigensolve-based

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scalar_oracle
 from opentropy import PreconditionError
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound
 from opentropy.entropy import OperatorField
-from opentropy.functions import LOG, NEG_T_LOG_T, parse, power
+from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, custom, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
 from opentropy.verify import (
     STATEMENTS,
@@ -312,6 +313,74 @@ def test_field_solves_do_not_grow_with_the_node_count(monkeypatch):
         assert result.hypothesis_met and result.holds
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "theorem", [TheoremId.MEAN_INTEGRAL, TheoremId.KLEIN_UPPER, TheoremId.HOMOGENEOUS, TheoremId.MAP_MONOTONE]
+)
+def test_centered_draw_measures_the_unscaled_pair_without_frames(monkeypatch, theorem):
+    # Three field solves (fa, fb, the rescaled fb), the eigenvalues alone of
+    # the unscaled pair, and one full solve of the rescaled pair, which the
+    # check reuses.
+    calls = count_solves(monkeypatch)
+    inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
+    assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"]
+    calls.clear()
+    inst.fa.pair_spectrum(inst.fb)
+    assert calls == []
+
+
+def test_nonnegative_declaration_covering_the_window_skips_the_grid():
+    grid_calls = []
+
+    def sqrt(t):
+        grid_calls.append(np.size(t) == GRID_POINTS)
+        return t ** 0.5
+
+    f = custom(sqrt, name="counted_sqrt", nonnegative_on=(0.0, math.inf))
+    for seed in range(3):
+        grid_calls.clear()
+        inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, seed, f, 0.5)
+        result = check(TheoremId.ENTROPY_NONNEG, inst)
+        # validate_declared_flags evaluates f on the grid once; the gate
+        # trusts the checked declaration instead of evaluating it again.
+        assert sum(grid_calls) == 1
+        reference = check(TheoremId.ENTROPY_NONNEG, random_instance(
+            TheoremId.ENTROPY_NONNEG, 3, 2, seed, power(0.5), 0.5))
+        assert result.hypothesis_met and result.margin == reference.margin
+    negative = custom(lambda t: t - 1.0, name="shifted", nonnegative_on=(1.0, math.inf))
+    inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, 0, negative, 0.5)
+    assert not check(TheoremId.ENTROPY_NONNEG, inst).hypothesis_met
+
+
+_STRADDLING_NONNEG = {
+    TheoremId.COMPRESSION_JENSEN, TheoremId.ENTROPY_LOWER, TheoremId.ENTROPY_NONNEG,
+    TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_ENTROPY_GAMMA,
+}
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId))
+def test_trials_draw_from_the_admissible_functions(theorem):
+    config = CampaignConfig(dims=(2, 3), seed=11)
+    if theorem is TheoremId.ENTROPY_UPPER:
+        want = ["log"]
+    elif theorem in _STRADDLING_NONNEG:
+        want = ["power:0.5", "power:0.25"]
+    else:
+        want = list(config.functions)
+    assert [spec for spec in config.functions if STATEMENTS[theorem].admits(parse(spec))] == want
+    records = [run_trial(theorem, config, trial_seed(11, theorem, i), i)[0] for i in range(24)]
+    assert {r.function for r in records} == set(want)
+    assert all(r.hypothesis_met and r.holds for r in records)
+
+
+def test_tangent_line_admission():
+    upper = STATEMENTS[TheoremId.ENTROPY_UPPER]
+    tangent = custom(np.log, name="my_log", deriv=lambda t: 1.0 / t, operator_concave=True)
+    assert upper.admits(LOG) and upper.admits(tangent)
+    assert not upper.admits(custom(np.log, name="unflagged_log", deriv=lambda t: 1.0 / t))
+    assert not upper.admits(custom(np.log, name="no_derivative", operator_concave=True))
+    assert not any(upper.admits(f) for f in (IDENTITY, NEG_T_LOG_T, power(0.5), parse("affine:0,1")))
 
 
 def test_precondition_error_is_a_trial_outcome():
