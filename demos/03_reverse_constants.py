@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Chord data and reverse Jensen constants: the ratio bound gamma, the gap
-bound zeta, their closed forms for log t and -t log t, and the Jensen
+bound zeta, their closed forms against the grid search, and the Jensen
 inequality with both reverses for a normalized positive linear map, checked
 through the compression statements."""
 
@@ -21,6 +21,7 @@ from opentropy import (
     secant_data,
     zeta_closed_forms,
 )
+from opentropy.bounds import grid_values
 from opentropy.functions import LOG, NEG_T_LOG_T, power
 
 print("=== secant data for sqrt on [1, 4] ===")
@@ -34,8 +35,9 @@ print("=== closed forms on [m, M] with m < 1 < M ===")
 m, M = 0.5, 2.0
 zeta_log, zeta_neg = zeta_closed_forms(m, M)
 print(f"L({m}, {M}) = {logarithmic_mean(m, M):.10f},  I({m}, {M}) = {identric_mean(m, M):.10f}")
-print(f"gap bound for log t     : closed {zeta_log:.12f}  numeric {chord_gap_bound(LOG, m, M):.12f}")
-print(f"gap bound for -t log t  : closed {zeta_neg:.12f}  numeric {chord_gap_bound(NEG_T_LOG_T, m, M):.12f}")
+for name, f, closed in (("log t   ", LOG, zeta_log), ("-t log t", NEG_T_LOG_T, zeta_neg)):
+    print(f"gap bound for {name}: closed {closed:.12f}  at the mean {chord_gap_bound(f, m, M):.12f}"
+          f"  grid {grid_values(f, m, M)['zeta']:.12f}")
 
 print()
 print("=== ratio bound needs a positive chord ===")

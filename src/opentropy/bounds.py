@@ -1,19 +1,36 @@
-"""Secant data and reverse-Jensen constants via scalar optimization.
+"""Secant data and reverse-Jensen constants: closed forms, else scalar optimization.
 
 For f on [m, M] the chord through (m, f(m)) and (M, f(M)) is
 c(t) = mu*t + nu with
 
     mu = (f(M) - f(m)) / (M - m),    nu = (M f(m) - m f(M)) / (M - m).
 
-Two correction constants turn the Jensen inequality around:
+Two correction constants turn the Jensen inequality around (the
+Mond-Pecaric method):
 
     ratio bound  gamma = max { f(t) / c(t) : m <= t <= M }   (needs c > 0, f >= 0)
     gap bound    zeta  = max { f(t) - c(t) : m <= t <= M }
 
 For concave f the chord lies below the function, so gamma >= 1 and zeta >= 0
-with equality cases at the endpoints.  Maxima are located on a 4096-point
-grid and refined by golden-section search; when a derivative is available the
-gap bound is cross-checked against the stationarity equation f'(t) = mu.
+with equality cases at the endpoints.
+
+Closed forms.  For a catalog function (`ScalarFunction.is_catalog`) the table
+`_CLOSED_FORMS`, keyed on its spec, gives the argmax, and the constant is f/c
+or f - c there:
+
+    power:p, 0 < p < 1   gamma at t = p nu / ((1 - p) mu), so gamma is
+                         1/K(m, M, p), the generalized Kantorovich constant;
+                         zeta at t = (mu/p)^{1/(p-1)}, where f'(t) = mu
+    log                  zeta at the logarithmic mean L(m, M)
+    neg_t_log_t          zeta at the identric mean I(m, M)
+
+(Furuta, Micic Hot, Pecaric and Seo, Mond-Pecaric Method in Operator
+Inequalities, 2005, ch. 2.)  Every other constant comes from the grid search:
+custom f, the linear entries (identity, affine, const, power:0, power:1) and
+gamma of log and -t log t.  It locates the maximum on a 4096-point grid and
+refines it by golden-section search; when a derivative is available the gap
+bound is cross-checked against the stationarity equation f'(t) = mu.  The
+grid search is the oracle the closed forms are tested against (`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -36,6 +53,7 @@ __all__ = [
     "chord_ratio_bound",
     "chord_gap_bound",
     "secant_data",
+    "grid_values",
     "logarithmic_mean",
     "identric_mean",
     "zeta_closed_forms",
@@ -152,7 +170,8 @@ def _ratio_bound(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
 
 def chord_ratio_bound(f: ScalarFunction, m: float, M: float) -> float:
     """max f/chord on [m, M]; >= 1 for concave f, = 1 at the endpoints."""
-    return _ratio_bound(f, m, M)[1]
+    m, M = _check_interval(m, M)
+    return _ratio(f, m, M, *secant_coeffs(f, m, M))[1]
 
 
 def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list[float]:
@@ -206,7 +225,62 @@ def chord_gap_bound(f: ScalarFunction, m: float, M: float) -> float:
     [4.631138111478391, 4.638084518833767], whose exact value is 0, gives
     -1.06e-12.
     """
-    return _gap_bound(f, m, M)[1]
+    m, M = _check_interval(m, M)
+    return _gap(f, m, M, *secant_coeffs(f, m, M))[1]
+
+
+def _power_forms(arg: str):
+    p = float(arg)
+    if not 0.0 < p < 1.0:
+        return None, None
+    return (
+        # d/dt t^p / (mu t + nu) = 0  <=>  p (mu t + nu) = mu t
+        lambda m, M, mu, nu: p * nu / ((1.0 - p) * mu),
+        lambda m, M, mu, nu: (mu / p) ** (1.0 / (p - 1.0)),
+    )
+
+
+# Catalog spec head -> (spec parameter -> (argmax of f/chord, argmax of
+# f - chord)), each argmax a function of (m, M, mu, nu); None leaves that
+# constant to the grid search.
+_CLOSED_FORMS = {
+    "power": _power_forms,
+    "log": lambda _: (None, lambda m, M, mu, nu: logarithmic_mean(m, M)),
+    "neg_t_log_t": lambda _: (None, lambda m, M, mu, nu: identric_mean(m, M)),
+}
+_RATIO, _GAP = 0, 1
+
+
+def _argmax_rule(f: ScalarFunction, which: int):
+    if not f.is_catalog:
+        return None
+    head, _, arg = f.spec.partition(":")
+    forms = _CLOSED_FORMS.get(head)
+    return forms(arg)[which] if forms else None
+
+
+def _closed_form(f: ScalarFunction, which: int, m: float, M: float, mu: float, nu: float):
+    """(argmax, value) of f/chord or f - chord from the closed-form table, or
+    None where the grid search decides."""
+    rule = _argmax_rule(f, which)
+    if rule is None:
+        return None
+    try:
+        t = min(max(rule(m, M, mu, nu), m), M)
+    except ArithmeticError:  # mu == 0: a window a few ulps wide
+        return None
+    ft, ct = f.evaluate(t), mu * t + nu
+    value, floor = (ft / ct, 1.0) if which == _RATIO else (ft - ct, 0.0)
+    # The endpoints give exactly 1 and 0; only rounding lands below them.
+    return (t, value) if value >= floor else (m, floor)
+
+
+def _ratio(f: ScalarFunction, m: float, M: float, mu: float, nu: float) -> tuple[float, float]:
+    return _closed_form(f, _RATIO, m, M, mu, nu) or _ratio_bound(f, m, M)
+
+
+def _gap(f: ScalarFunction, m: float, M: float, mu: float, nu: float) -> tuple[float, float]:
+    return _closed_form(f, _GAP, m, M, mu, nu) or _gap_bound(f, m, M)
 
 
 def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
@@ -214,15 +288,24 @@ def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
     m, M = _check_interval(m, M)
     mu, nu = secant_coeffs(f, m, M)
     try:
-        argmax_gamma, gamma = _ratio_bound(f, m, M)
+        argmax_gamma, gamma = _ratio(f, m, M, mu, nu)
     except (UndefinedRatioError, PreconditionError):
         argmax_gamma, gamma = None, None
-    argmax_zeta, zeta = _gap_bound(f, m, M)
+    argmax_zeta, zeta = _gap(f, m, M, mu, nu)
     return SecantData(
         m=m, M=M, mu=mu, nu=nu,
         gamma=gamma, zeta=zeta,
         argmax_gamma=argmax_gamma, argmax_zeta=argmax_zeta,
     )
+
+
+def grid_values(f: ScalarFunction, m: float, M: float) -> dict[str, float]:
+    """The grid search's value of each constant that `secant_data` takes from
+    a closed form for f ("gamma", "zeta"): an independent cross-check."""
+    m, M = _check_interval(m, M)
+    searches = {"gamma": (_RATIO, _ratio_bound), "zeta": (_GAP, _gap_bound)}
+    return {name: search(f, m, M)[1] for name, (which, search) in searches.items()
+            if _argmax_rule(f, which) is not None}
 
 
 def logarithmic_mean(a: float, b: float) -> float:
@@ -273,5 +356,6 @@ def zeta_closed_forms(m: float, M: float) -> tuple[float, float]:
     return zeta_log, zeta_neg
 
 
-# Functions whose gap bound has a closed form cross-checked by the CLI.
+# The functions whose gap bound `zeta_closed_forms` gives on windows with
+# m < 1 < M.
 CLOSED_FORM_FUNCTIONS = (LOG.name, NEG_T_LOG_T.name)

@@ -4,7 +4,8 @@ Subcommands:
     gen       write one random instance as JSON
     check     re-verify an instance file and print the result
     campaign  run the bulk per-theorem verification grid
-    bounds    print chord/secant data (mu, nu, gamma, zeta) for f on [m, M]
+    bounds    print chord/secant data (mu, nu, gamma, zeta) for f on [m, M], with
+              grid-search cross-checks of the constants taken from closed forms
 
 Machine-readable JSON goes to stdout (or --out); the human summary goes to
 stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = substantive
@@ -216,6 +217,10 @@ def _cmd_bounds(args) -> int:
     f = functions.parse(args.f)
     data = bounds_mod.secant_data(f, args.m, args.M)
     payload = data.to_json()
+    # A constant taken from a closed form is cross-checked against the grid search.
+    for name, grid in bounds_mod.grid_values(f, args.m, args.M).items():
+        payload[f"{name}_grid"] = grid
+        payload[f"{name}_grid_delta"] = payload[name] - grid
     if f.name in bounds_mod.CLOSED_FORM_FUNCTIONS and args.m < 1.0 < args.M:
         zeta_log, zeta_neg = bounds_mod.zeta_closed_forms(args.m, args.M)
         closed = zeta_log if f.name == "log" else zeta_neg

@@ -46,9 +46,13 @@ class ScalarFunction:
 
     `fn` and `deriv` accept floats or ndarrays.  `nonnegative_on` is the
     closed interval on which f >= 0 is guaranteed (None if nowhere).  `spec`
-    is set only by the catalog constructors (and so by `parse`): it marks the
-    function as a catalog entry whose flags are trusted, and it is the
-    function's exchange format.
+    is the function's exchange format.  The private `_catalog` marker is set
+    only by the catalog constructors (and so by `parse`): it makes the
+    function a catalog entry (`is_catalog`), whose flags are trusted, whose
+    chord constants may come from closed forms keyed on its spec, and which
+    serializes as its spec.  A hand-built function with a catalog spec but no
+    marker is an ordinary custom function.  `dataclasses.replace` copies the
+    marker: a copy whose fn wraps the catalog's (to count calls) stays one.
     """
 
     name: str
@@ -60,6 +64,11 @@ class ScalarFunction:
     operator_concave: bool = False
     strictly_concave: bool = False
     spec: str = field(default="", repr=False)
+    _catalog: bool = field(default=False, repr=False)
+
+    @property
+    def is_catalog(self) -> bool:
+        return self._catalog
 
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
@@ -94,6 +103,7 @@ IDENTITY = ScalarFunction(
     operator_concave=True,
     strictly_concave=False,
     spec="identity",
+    _catalog=True,
 )
 
 LOG = ScalarFunction(
@@ -105,6 +115,7 @@ LOG = ScalarFunction(
     operator_concave=True,
     strictly_concave=True,
     spec="log",
+    _catalog=True,
 )
 
 NEG_T_LOG_T = ScalarFunction(
@@ -116,6 +127,7 @@ NEG_T_LOG_T = ScalarFunction(
     operator_concave=True,
     strictly_concave=True,
     spec="neg_t_log_t",
+    _catalog=True,
 )
 
 
@@ -132,6 +144,7 @@ def constant(c: float) -> ScalarFunction:
         operator_concave=True,
         strictly_concave=False,
         spec=f"const:{c!r}",
+        _catalog=True,
     )
 
 
@@ -148,6 +161,7 @@ def affine(a: float, b: float) -> ScalarFunction:
         operator_concave=True,
         strictly_concave=False,
         spec=f"affine:{a!r},{b!r}",
+        _catalog=True,
     )
 
 
@@ -164,6 +178,7 @@ def power(p: float) -> ScalarFunction:
         operator_concave=True,
         strictly_concave=0.0 < p < 1.0,
         spec=f"power:{p!r}",
+        _catalog=True,
     )
 
 
@@ -245,12 +260,12 @@ def check_midpoint_concave_on(f: ScalarFunction, m: float, M: float) -> bool:
 def validate_declared_flags(f: ScalarFunction, m: float, M: float) -> None:
     """Refuse custom functions whose declared flags fail the scalar grid checks.
 
-    Catalog entries (the functions that carry a `spec`) pass immediately,
-    whatever their name.  Operator concavity itself is not verifiable from
-    samples; midpoint concavity is the testable necessary condition.  Every
-    test reads one evaluation of f on the grid.
+    Catalog entries (`is_catalog`) pass immediately, whatever their name or
+    spec.  Operator concavity itself is not verifiable from samples; midpoint
+    concavity is the testable necessary condition.  Every test reads one
+    evaluation of f on the grid.
     """
-    if f.spec:
+    if f.is_catalog:
         return
     vals = f.evaluate_array(_grid(m, M))
     if not np.all(np.isfinite(vals)):

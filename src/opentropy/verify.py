@@ -136,9 +136,9 @@ class VerificationResult(_JsonRecord):
 class Instance:
     """A generated hypothesis-satisfying input for one statement.
 
-    (m, M) are the measured sandwich constants over the paired nodes (the
-    spectral range of X for the compression checks); t0 lies in [m, M] where
-    used.  Optional slots cover the extra fields some statements need.
+    (m, M) are the measured sandwich constants over the paired nodes (for
+    the compression checks, a window covering the spectrum of X); t0 lies in
+    [m, M] where used.  Optional slots cover the extra fields some statements need.
     """
 
     theorem: TheoremId
@@ -211,7 +211,7 @@ class Instance:
 
 
 def _function_to_json(f: ScalarFunction) -> str:
-    if not f.spec:
+    if not f.is_catalog:
         raise PreconditionError("custom scalar functions are not serializable")
     return f.spec
 
@@ -321,7 +321,9 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
     covered = declared is not None and declared[0] <= lo and hi <= declared[1]
     if st.nonneg and not covered and not check_nonnegative_on(f, lo, hi):
         raise _Skip(f"{f.name} is negative somewhere on [{lo:.6g}, {hi:.6g}]")
-    if st.below_t_minus_1:
+    # The tangent line at 1 gives f(t) <= t - 1 everywhere, but only the
+    # catalog's flags are facts; any other f is evaluated on the grid.
+    if st.below_t_minus_1 and not (f.is_catalog and _tangent_at_one(f)):
         ts = np.linspace(lo, hi, functions.GRID_POINTS)
         excess = float((f.evaluate_array(ts) - (ts - 1.0)).max())
         if excess > 1e-12:
@@ -706,7 +708,12 @@ _two_pairs = _free(("fa", "fb", "fa2", "fb2"), (("fa", "fb"), ("fa2", "fb2")))
 
 
 def _compression(rng, inst: Instance, diagonal: bool) -> None:
-    """A sub-unital family {C_s} with weights, X centred on 1, and t0 in spec(X)'s range."""
+    """A sub-unital family {C_s} with weights, X centred on 1, and t0 in [m, M].
+
+    [m, M] is spec(X)'s range; at dim 1, where X is a scalar x with no spread
+    to centre, it is the window [r, max(x, 1/r)] with r = min(x, 1/x,
+    1 - 1e-6), which contains x and has 1 in its interior as at dim >= 2.
+    """
     dim, k = inst.dim, inst.k
     extra = 1 if rng.uniform() < 0.75 else 0
     arrays = _resolution_arrays(rng, dim, k + extra, diagonal)[:k]
@@ -722,6 +729,9 @@ def _compression(rng, inst: Instance, diagonal: bool) -> None:
         x = x0
     inst.cs, inst.cs_weights, inst.x = tuple(cs), weights, x
     inst.m, inst.M = x.lambda_min, x.lambda_max
+    if dim == 1:
+        r = min(inst.m, 1.0 / inst.m, _STRADDLE_LO)
+        inst.m, inst.M = r, max(inst.M, 1.0 / r)
     inst.t0 = float(rng.uniform(inst.m, inst.M))
 
 
@@ -836,8 +846,7 @@ class Statement:
         return not self.below_t_minus_1 or _tangent_at_one(f)
 
 
-# The families whose windows contain 1 in their interior (the compression
-# family's X is centred on 1 for dim >= 2).
+# The families whose windows contain 1 in their interior.
 _STRADDLING_FAMILIES = (_normalized, _compression)
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,14 @@ from opentropy import (
     secant_data,
     zeta_closed_forms,
 )
-from opentropy.bounds import _gap_bound, _ratio_bound
-from opentropy.functions import IDENTITY, LOG, NEG_T_LOG_T, constant, custom, power
+from opentropy.bounds import _gap_bound, _ratio_bound, grid_values
+from opentropy.functions import (
+    IDENTITY, LOG, NEG_T_LOG_T, ScalarFunction, constant, custom, parse, power, validate_declared_flags,
+)
+from opentropy.verify import TheoremId, random_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WINDOW_KINDS, draw_spec, draw_window  # noqa: E402
 
 
 def dense_scan_max(obj, m, M, n=1_000_000):
@@ -206,6 +214,62 @@ class TestZetaClosedForms:
         zeta_log, zeta_neg = zeta_closed_forms(1.0 - 1e-6, 1.0 + 1e-6)
         assert 0.0 <= zeta_log <= 1e-9
         assert 0.0 <= zeta_neg <= 1e-9
+
+
+class TestClosedFormsAgainstTheGrid:
+    # The grid search (_ratio_bound, _gap_bound) is the oracle: on the
+    # benchmark's windows, straddling 1 or not, narrow or wide, each closed
+    # form matches it, lies in [m, M] and is never below it beyond rounding.
+    @pytest.mark.parametrize("slot", ["power", "log", "neg_t_log_t"])
+    def test_thousand_windows(self, slot):
+        rng = np.random.default_rng(606)
+        for i in range(1000):
+            m, M = draw_window(rng, WINDOW_KINDS[i % len(WINDOW_KINDS)])
+            f = parse(draw_spec(rng, slot))
+            data = secant_data(f, m, M)
+            zeta_tol = 1e-12 * max(1.0, abs(f(m)), abs(f(M)))
+            zeta_grid = _gap_bound(f, m, M)[1]
+            assert abs(data.zeta - zeta_grid) <= zeta_tol
+            assert data.zeta >= zeta_grid - zeta_tol
+            assert m <= data.argmax_zeta <= M
+            if slot == "power":
+                gamma_grid = _ratio_bound(f, m, M)[1]
+                assert abs(data.gamma - gamma_grid) <= 1e-12 * gamma_grid
+                assert data.gamma >= gamma_grid * (1.0 - 1e-12)
+                assert m <= data.argmax_gamma <= M
+            assert set(grid_values(f, m, M)) == ({"gamma", "zeta"} if slot == "power" else {"zeta"})
+
+    def test_linear_and_custom_functions_have_none(self):
+        for f in (IDENTITY, constant(2.0), parse("affine:1,2"), power(0.0), power(1.0),
+                  custom(np.sqrt, name="root", deriv=lambda t: 0.5 / np.sqrt(t))):
+            assert grid_values(f, 0.5, 2.0) == {}
+
+    def test_power_gamma_is_the_inverse_kantorovich_constant(self):
+        # K(m, M, p) = (m M^p - M m^p) / ((p - 1)(M - m))
+        #              * ((p - 1)/p * (M^p - m^p) / (m M^p - M m^p))^p
+        for p, m, M in [(0.5, 1.0, 4.0), (0.25, 0.1, 9.0), (0.9, 0.5, 1.5)]:
+            h = (m * M ** p - M * m ** p)
+            kantorovich = h / ((p - 1.0) * (M - m)) * ((p - 1.0) / p * (M ** p - m ** p) / h) ** p
+            assert abs(chord_ratio_bound(power(p), m, M) - 1.0 / kantorovich) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["log", "power:0.5"])
+    def test_a_catalog_spec_without_the_marker_earns_no_trust(self, spec):
+        # A hand-built function that names a catalog spec is not a catalog
+        # entry: its flags are checked, it does not serialize as the spec,
+        # and its constants come from the grid search, not from the spec's
+        # closed forms, which would take them at the wrong point.
+        bump = ScalarFunction("bump", lambda t: 2.0 + np.sin(3.0 * t), deriv=lambda t: 3.0 * np.cos(3.0 * t),
+                              operator_concave=True, spec=spec)
+        assert not bump.is_catalog and grid_values(bump, 0.5, 2.0) == {}
+        with pytest.raises(PreconditionError, match="midpoint concavity"):
+            validate_declared_flags(bump, 0.5, 2.0)
+        with pytest.raises(PreconditionError, match="not serializable"):
+            random_instance(TheoremId.REV_JENSEN_ZETA, 2, 2, 0, bump).to_json()
+        mu, nu = secant_coeffs(bump, 0.5, 2.0)
+        gap = dense_scan_max(lambda t: bump.fn(t) - (mu * t + nu), 0.5, 2.0)
+        ratio = dense_scan_max(lambda t: bump.fn(t) / (mu * t + nu), 0.5, 2.0)
+        assert abs(chord_gap_bound(bump, 0.5, 2.0) - gap) <= 1e-8
+        assert abs(chord_ratio_bound(bump, 0.5, 2.0) - ratio) <= 1e-8
 
 
 class TestSecantData:

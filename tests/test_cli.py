@@ -213,6 +213,7 @@ class TestBounds:
         payload = json.loads(stdout)
         assert abs(payload["gamma"] - 1.0) <= 1e-12
         assert abs(payload["zeta"]) <= 1e-12
+        assert not any(key.endswith("_grid") for key in payload)
 
     def test_log_closed_form_delta(self, capsys):
         code, stdout, _ = run(capsys, "bounds", "--f", "log", "--m", "0.5", "--M", "2")
@@ -220,6 +221,7 @@ class TestBounds:
         payload = json.loads(stdout)
         assert payload["gamma"] is None
         assert abs(payload["zeta_closed_form_delta"]) <= 1e-8
+        assert abs(payload["zeta_grid_delta"]) <= 1e-12 and "gamma_grid" not in payload
 
     def test_sqrt_values(self, capsys):
         code, stdout, _ = run(capsys, "bounds", "--f", "power:0.5", "--m", "1", "--M", "4")
@@ -227,11 +229,15 @@ class TestBounds:
         assert code == 0
         assert abs(payload["gamma"] - 3.0 * np.sqrt(2.0) / 4.0) <= 1e-10
         assert abs(payload["zeta"] - 1.0 / 12.0) <= 1e-10
+        assert abs(payload["gamma_grid"] - payload["gamma"]) <= 1e-12
+        assert payload["gamma_grid_delta"] == payload["gamma"] - payload["gamma_grid"]
+        assert abs(payload["zeta_grid_delta"]) <= 1e-12
 
     def test_neg_t_log_t_closed_form_delta(self, capsys):
         code, stdout, _ = run(capsys, "bounds", "--f", "neg_t_log_t", "--m", "0.5", "--M", "2")
         payload = json.loads(stdout)
         assert code == 0 and abs(payload["zeta_closed_form_delta"]) <= 1e-8
+        assert abs(payload["zeta_grid_delta"]) <= 1e-12
 
     def test_reversed_interval_exits_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--f", "log", "--m", "2", "--M", "1")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -372,6 +373,46 @@ def test_trials_draw_from_the_admissible_functions(theorem):
     records = [run_trial(theorem, config, trial_seed(11, theorem, i), i)[0] for i in range(24)]
     assert {r.function for r in records} == set(want)
     assert all(r.hypothesis_met and r.holds for r in records)
+
+
+def test_tangent_line_of_a_catalog_function_skips_the_grid():
+    grid_calls = []
+
+    def counted_log(t):
+        grid_calls.append(np.size(t) == GRID_POINTS)
+        return np.log(t)
+
+    catalog = dataclasses.replace(LOG, fn=counted_log)
+    declared = custom(counted_log, name="my_log", deriv=lambda t: 1.0 / t, operator_concave=True)
+    for seed in range(3):
+        results = []
+        for f, grids in ((catalog, 0), (declared, 2)):
+            grid_calls.clear()
+            results.append(check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, f)))
+            # A custom f is evaluated on the grid by validate_declared_flags
+            # and again by the f(t) <= t - 1 test; a catalog f by neither.
+            assert sum(grid_calls) == grids
+        assert all(r.hypothesis_met for r in results) and results[0].margin == results[1].margin
+
+
+_COMPRESSION = (TheoremId.COMPRESSION_JENSEN, TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA)
+
+
+@pytest.mark.parametrize(
+    "spec", ["power:0.5", "power:0.25", "power:0", "power:1", "log", "neg_t_log_t", "identity",
+             "affine:0.5,1", "const:2"]
+)
+def test_dim_one_compression_gates_agree_with_admission(spec):
+    # At dim 1 X is a scalar; its window still contains 1 in its interior,
+    # so a statement's gates pass exactly when it admits f.
+    config = CampaignConfig(theorems=_COMPRESSION, trials=12, dims=(1, 1), terms=(1, 3),
+                            functions=(spec,), seed=19)
+    report = campaign(config)
+    for theorem in _COMPRESSION:
+        admitted = STATEMENTS[theorem].admits(parse(spec))
+        rows = [r for r in report.records if r.theorem is theorem]
+        assert len(rows) == 12 and all(r.hypothesis_met == admitted and r.holds for r in rows)
+    assert report.error_total == 0 and report.failures == []
 
 
 def test_tangent_line_admission():
