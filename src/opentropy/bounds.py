@@ -25,12 +25,16 @@ or f - c there:
     neg_t_log_t          zeta at the identric mean I(m, M)
 
 (Furuta, Micic Hot, Pecaric and Seo, Mond-Pecaric Method in Operator
-Inequalities, 2005, ch. 2.)  Every other constant comes from the grid search:
-custom f, the linear entries (identity, affine, const, power:0, power:1) and
-gamma of log and -t log t.  It locates the maximum on a 4096-point grid and
-refines it by golden-section search; when a derivative is available the gap
-bound is cross-checked against the stationarity equation f'(t) = mu.  The
-grid search is the oracle the closed forms are tested against (`grid_values`).
+Inequalities, 2005, ch. 2.)  Every other constant comes from one grid search,
+`_maximize`: custom f, the linear entries (identity, affine, const, power:0,
+power:1) and gamma of log and -t log t.  It scans a 4096-point grid, then
+golden-section search refines the best bracket until it is 1e-12 (M - m) wide
+or its probes stop falling strictly inside it (a window a few ulps wide).  The
+chord is linear and equals f at both ends, so the ratio bound reads its sign
+off f(m) and f(M) and leaves an end where it vanishes out of the search.  The
+gap bound is cross-checked against f'(t) = mu when f has a derivative.  Each
+call checks the window and computes the chord once.  The grid search is the
+oracle the closed forms are tested against (`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -88,18 +92,29 @@ def _check_interval(m: float, M: float) -> tuple[float, float]:
     return m, M
 
 
-def secant_coeffs(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
-    """(mu, nu) of the chord; c(m) = f(m) and c(M) = f(M) by construction."""
+# A checked window and f's chord on it, (m, M, f(m), f(M), mu, nu): the line
+# c(t) = mu*t + nu through (m, f(m)) and (M, f(M)).
+_Chord = tuple[float, float, float, float, float, float]
+
+
+def _chord(f: ScalarFunction, m: float, M: float) -> _Chord:
     m, M = _check_interval(m, M)
     fm, fM = f.evaluate(m), f.evaluate(M)
-    return (fM - fm) / (M - m), (M * fm - m * fM) / (M - m)
+    return m, M, fm, fM, (fM - fm) / (M - m), (M * fm - m * fM) / (M - m)
+
+
+def secant_coeffs(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
+    """(mu, nu) of the chord; c(m) = f(m) and c(M) = f(M) by construction."""
+    return _chord(f, m, M)[4:]
 
 
 def _golden_max(obj, a: float, b: float, width: float) -> tuple[float, float]:
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = float(obj(c)), float(obj(d))
-    while (b - a) > width:
+    # Below a few ulps of t the probes stop moving strictly inside the
+    # bracket, which then never narrows to `width`.
+    while (b - a) > width and a < c < d < b:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
@@ -111,54 +126,37 @@ def _golden_max(obj, a: float, b: float, width: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _maximize(obj, m: float, M: float) -> tuple[float, float]:
-    """Grid scan, then golden-section refinement of the best bracket."""
+def _maximize(obj, m: float, M: float, lo: int = 0, hi: int = GRID_POINTS - 1) -> tuple[float, float]:
+    """Grid scan over grid points lo..hi of [m, M], then golden-section
+    refinement of the best bracket within them."""
     ts = np.linspace(m, M, GRID_POINTS)
     vs = np.asarray(obj(ts), dtype=float)
-    i = int(np.argmax(vs))
+    i = lo + int(np.argmax(vs[lo : hi + 1]))
     t_best, v_best = float(ts[i]), float(vs[i])
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, GRID_POINTS - 1)])
-    t_ref, v_ref = _golden_max(obj, lo, hi, 1e-12 * (M - m))
+    t_ref, v_ref = _golden_max(obj, float(ts[max(i - 1, lo)]), float(ts[min(i + 1, hi)]), 1e-12 * (M - m))
     if v_ref > v_best:
         t_best, v_best = t_ref, v_ref
     return t_best, v_best
 
 
-def _ratio_bound(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
-    m, M = _check_interval(m, M)
-    mu, nu = secant_coeffs(f, m, M)
-    ts = np.linspace(m, M, GRID_POINTS)
-    chord = mu * ts + nu
-    scale = max(1.0, abs(f.evaluate(m)), abs(f.evaluate(M)))
-    if float(chord.min()) < -1e-12 * scale:
+def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
+    m, M, fm, fM, mu, nu = chord
+    if min(fm, fM) < -1e-12 * max(1.0, abs(fm), abs(fM)):
         raise UndefinedRatioError(
-            f"chord mu*t + nu reaches {float(chord.min()):.6e} on [{m}, {M}]; ratio bound undefined"
+            f"chord mu*t + nu reaches {min(fm, fM):.6e} on [{m}, {M}]; ratio bound undefined"
         )
     if not check_nonnegative_on(f, m, M):
         raise PreconditionError(f"{f.name} is negative somewhere on [{m}, {M}]")
-    # With f >= 0 the chord (which interpolates f at the endpoints) can only
-    # vanish at an endpoint where f itself vanishes; there the ratio extends
-    # continuously to f'(t)/mu, which may be the (non-attained) supremum.
-    left_zero = float(chord[0]) <= 0.0
-    right_zero = float(chord[-1]) <= 0.0
+    # With f >= 0 the chord vanishes only at an end where f does.  The search
+    # leaves such an end out (0/0 there is all cancellation noise); the end
+    # adds the ratio's limit f'(t)/mu, which may be the unattained supremum.
+    left_zero, right_zero = fm <= 0.0, fM <= 0.0
     if left_zero and right_zero:
         raise UndefinedRatioError(f"chord vanishes identically on [{m}, {M}]")
-    # The numeric search stays one grid cell away from a vanishing endpoint
-    # (the 0/0 division there is all cancellation noise); the endpoint itself
-    # contributes its analytic limit below.
-    lo_idx = 1 if left_zero else 0
-    hi_idx = GRID_POINTS - 2 if right_zero else GRID_POINTS - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(f.fn(ts), dtype=float) / chord
-    i = lo_idx + int(np.argmax(vals[lo_idx : hi_idx + 1]))
-    t_best, v_best = float(ts[i]), float(vals[i])
-    lo = float(ts[max(i - 1, lo_idx)])
-    hi = float(ts[min(i + 1, hi_idx)])
-    if hi > lo:
-        t_ref, v_ref = _golden_max(lambda t: f.fn(t) / (mu * t + nu), lo, hi, 1e-12 * (M - m))
-        if v_ref > v_best:
-            t_best, v_best = t_ref, v_ref
+        t_best, v_best = _maximize(
+            lambda t: f.fn(t) / (mu * t + nu), m, M, int(left_zero), GRID_POINTS - 1 - int(right_zero)
+        )
     if f.deriv is not None and mu != 0.0:
         for endpoint, is_zero in ((m, left_zero), (M, right_zero)):
             if is_zero:
@@ -170,8 +168,7 @@ def _ratio_bound(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
 
 def chord_ratio_bound(f: ScalarFunction, m: float, M: float) -> float:
     """max f/chord on [m, M]; >= 1 for concave f, = 1 at the endpoints."""
-    m, M = _check_interval(m, M)
-    return _ratio(f, m, M, *secant_coeffs(f, m, M))[1]
+    return _ratio(f, _chord(f, m, M))[1]
 
 
 def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list[float]:
@@ -194,9 +191,8 @@ def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list
     return roots
 
 
-def _gap_bound(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
-    m, M = _check_interval(m, M)
-    mu, nu = secant_coeffs(f, m, M)
+def _gap_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
+    m, M, _, _, mu, nu = chord
     obj = lambda t: f.fn(t) - (mu * t + nu)
     t_grid, v_grid = _maximize(obj, m, M)
     if f.deriv is None:
@@ -225,8 +221,7 @@ def chord_gap_bound(f: ScalarFunction, m: float, M: float) -> float:
     [4.631138111478391, 4.638084518833767], whose exact value is 0, gives
     -1.06e-12.
     """
-    m, M = _check_interval(m, M)
-    return _gap(f, m, M, *secant_coeffs(f, m, M))[1]
+    return _gap(f, _chord(f, m, M))[1]
 
 
 def _power_forms(arg: str):
@@ -259,12 +254,13 @@ def _argmax_rule(f: ScalarFunction, which: int):
     return forms(arg)[which] if forms else None
 
 
-def _closed_form(f: ScalarFunction, which: int, m: float, M: float, mu: float, nu: float):
+def _closed_form(f: ScalarFunction, which: int, chord: _Chord):
     """(argmax, value) of f/chord or f - chord from the closed-form table, or
     None where the grid search decides."""
     rule = _argmax_rule(f, which)
     if rule is None:
         return None
+    m, M, _, _, mu, nu = chord
     try:
         t = min(max(rule(m, M, mu, nu), m), M)
     except ArithmeticError:  # mu == 0: a window a few ulps wide
@@ -275,23 +271,23 @@ def _closed_form(f: ScalarFunction, which: int, m: float, M: float, mu: float, n
     return (t, value) if value >= floor else (m, floor)
 
 
-def _ratio(f: ScalarFunction, m: float, M: float, mu: float, nu: float) -> tuple[float, float]:
-    return _closed_form(f, _RATIO, m, M, mu, nu) or _ratio_bound(f, m, M)
+def _ratio(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
+    return _closed_form(f, _RATIO, chord) or _ratio_bound(f, chord)
 
 
-def _gap(f: ScalarFunction, m: float, M: float, mu: float, nu: float) -> tuple[float, float]:
-    return _closed_form(f, _GAP, m, M, mu, nu) or _gap_bound(f, m, M)
+def _gap(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
+    return _closed_form(f, _GAP, chord) or _gap_bound(f, chord)
 
 
 def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
     """Full chord data; the ratio bound is reported as None where undefined."""
-    m, M = _check_interval(m, M)
-    mu, nu = secant_coeffs(f, m, M)
+    chord = _chord(f, m, M)
     try:
-        argmax_gamma, gamma = _ratio(f, m, M, mu, nu)
+        argmax_gamma, gamma = _ratio(f, chord)
     except (UndefinedRatioError, PreconditionError):
         argmax_gamma, gamma = None, None
-    argmax_zeta, zeta = _gap(f, m, M, mu, nu)
+    argmax_zeta, zeta = _gap(f, chord)
+    m, M, _, _, mu, nu = chord
     return SecantData(
         m=m, M=M, mu=mu, nu=nu,
         gamma=gamma, zeta=zeta,
@@ -302,9 +298,9 @@ def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
 def grid_values(f: ScalarFunction, m: float, M: float) -> dict[str, float]:
     """The grid search's value of each constant that `secant_data` takes from
     a closed form for f ("gamma", "zeta"): an independent cross-check."""
-    m, M = _check_interval(m, M)
+    chord = _chord(f, m, M)
     searches = {"gamma": (_RATIO, _ratio_bound), "zeta": (_GAP, _gap_bound)}
-    return {name: search(f, m, M)[1] for name, (which, search) in searches.items()
+    return {name: search(f, chord)[1] for name, (which, search) in searches.items()
             if _argmax_rule(f, which) is not None}
 
 

@@ -133,8 +133,8 @@ NEG_T_LOG_T = ScalarFunction(
 
 def constant(c: float) -> ScalarFunction:
     c = float(c)
-    if c < 0.0:
-        raise PreconditionError(f"constant catalog entry requires c >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise PreconditionError(f"constant catalog entry requires a finite c >= 0, got {c}")
     return ScalarFunction(
         name=f"const_{c:g}",
         fn=lambda t, _c=c: _c + 0.0 * t,
@@ -150,8 +150,8 @@ def constant(c: float) -> ScalarFunction:
 
 def affine(a: float, b: float) -> ScalarFunction:
     a, b = float(a), float(b)
-    if a < 0.0 or b < 0.0:
-        raise PreconditionError(f"affine catalog entry requires a, b >= 0, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
+        raise PreconditionError(f"affine catalog entry requires finite a, b >= 0, got a={a}, b={b}")
     return ScalarFunction(
         name=f"affine_{a:g}_{b:g}",
         fn=lambda t, _a=a, _b=b: _a + _b * t,

@@ -42,6 +42,7 @@ from .entropy import (
     field_to_json,
 )
 from .errors import (
+    EigenConvergenceError,
     GenerationError,
     NotPositiveDefiniteError,
     PreconditionError,
@@ -749,7 +750,6 @@ def _probability(rng, inst: Instance, diagonal: bool) -> None:
     """Two strictly positive probability vectors as diagonal one-node fields."""
     a, b = _prob_vector(rng, inst.dim), _prob_vector(rng, inst.dim)
     inst.fa, inst.fb = _diag_field(a), _diag_field(b)
-    inst.m, inst.M = _measure_pair(inst.fa, inst.fb)
 
 
 def _draw_scale(rng, inst: Instance, diagonal: bool) -> None:
@@ -781,7 +781,7 @@ _FILLS = {
     _four_fields: ("fa", "fb", "fc", "fd", "m", "M"),
     _two_pairs: ("fa", "fb", "fa2", "fb2", "m", "M"),
     _compression: ("cs", "cs_weights", "x", "m", "M", "t0"),
-    _probability: ("fa", "fb", "m", "M"),
+    _probability: ("fa", "fb"),
     _draw_scale: ("alpha",),
     _draw_blend: ("alpha", "beta"),
     _draw_map: ("pmap",),
@@ -993,6 +993,8 @@ class CampaignConfig(_JsonRecord):
             raise PreconditionError(f"terms must satisfy 1 <= lo <= hi, got {self.terms}")
         if not self.functions or not self.exponents:
             raise PreconditionError("need at least one function and one exponent")
+        if not all(math.isfinite(q) for q in self.exponents):
+            raise PreconditionError(f"exponents must be finite, got {self.exponents}")
         for spec in self.functions:
             functions.parse(spec)
 
@@ -1091,7 +1093,8 @@ def run_trial(
 
     Every cell ends in one outcome.  A generation failure is a hypothesis skip;
     a PreconditionError while drawing or checking (an exponent or a term count
-    the statement does not admit) is an error: hypothesis_met and holds both
+    the statement does not admit) or an eigensolver failure (an exponent so
+    large that a side overflows) is an error: hypothesis_met and holds both
     False, detail "error: <message>".
     """
     rng = np.random.default_rng(seed)
@@ -1107,7 +1110,7 @@ def run_trial(
         result = triage(theorem, inst, config.tol)
     except GenerationError as exc:
         result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
-    except PreconditionError as exc:
+    except (PreconditionError, np.linalg.LinAlgError, EigenConvergenceError) as exc:
         result = VerificationResult(theorem, False, None, 0.0, 0.0, False, f"error: {exc}")
     record = TrialRecord(
         theorem, index, int(seed), dim, k, spec, exponent,

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,20 @@ def random_pd(rng, dim, ridge=None) -> PositiveDefiniteMatrix:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12911)
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test with TimeoutError once it has run for 10 s, so that a
+    hang ends as a failure instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 10 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -26,9 +26,9 @@ from opentropy import (
     variational_form,
     zeta_closed_forms,
 )
-from opentropy.bounds import _gap_bound, _ratio_bound
+from opentropy.bounds import _chord, _gap_bound, _ratio_bound
 from opentropy.cli import main
-from opentropy.functions import IDENTITY, LOG, parse, power
+from opentropy.functions import IDENTITY, LOG, NEG_T_LOG_T, parse, power
 from opentropy.verify import TheoremId, check, random_instance
 
 from conftest import random_hermitian, random_pd
@@ -151,12 +151,12 @@ def test_criterion_4_reverse_constants():
         assert abs(chord_gap_bound(parse("neg_t_log_t"), m, M) - zeta_neg) <= 1e-8
         # chord_gap_bound takes both from closed forms too: the grid search
         # is the independent route.
-        assert abs(_gap_bound(LOG, m, M)[1] - zeta_log) <= 1e-8
-        assert abs(_gap_bound(parse("neg_t_log_t"), m, M)[1] - zeta_neg) <= 1e-8
+        assert abs(_gap_bound(LOG, _chord(LOG, m, M))[1] - zeta_log) <= 1e-8
+        assert abs(_gap_bound(NEG_T_LOG_T, _chord(NEG_T_LOG_T, m, M))[1] - zeta_neg) <= 1e-8
     assert abs(chord_ratio_bound(IDENTITY, 0.5, 3.0) - 1.0) <= 1e-12
     assert abs(chord_gap_bound(IDENTITY, 0.5, 3.0)) <= 1e-12
     assert abs(chord_ratio_bound(power(0.5), 1.0, 4.0) - 3.0 * math.sqrt(2.0) / 4.0) <= 1e-10
-    assert abs(_ratio_bound(power(0.5), 1.0, 4.0)[1] - 3.0 * math.sqrt(2.0) / 4.0) <= 1e-10
+    assert abs(_ratio_bound(power(0.5), _chord(power(0.5), 1.0, 4.0))[1] - 3.0 * math.sqrt(2.0) / 4.0) <= 1e-10
     _ok(4, "reverse constants vs closed forms and stationarity values")
 
 

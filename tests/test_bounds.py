@@ -18,7 +18,7 @@ from opentropy import (
     secant_data,
     zeta_closed_forms,
 )
-from opentropy.bounds import _gap_bound, _ratio_bound, grid_values
+from opentropy.bounds import _chord, _gap_bound, _ratio_bound, grid_values
 from opentropy.functions import (
     IDENTITY, LOG, NEG_T_LOG_T, ScalarFunction, constant, custom, parse, power, validate_declared_flags,
 )
@@ -66,7 +66,7 @@ class TestRatioBound:
         assert abs(chord_ratio_bound(constant(2.0), 0.5, 7.0) - 1.0) <= 1e-12
 
     def test_sqrt_on_1_4(self):
-        t, v = _ratio_bound(power(0.5), 1.0, 4.0)
+        t, v = _ratio_bound(power(0.5), _chord(power(0.5), 1.0, 4.0))
         assert abs(v - 3.0 * math.sqrt(2.0) / 4.0) <= 1e-10
         assert abs(t - 2.0) <= 1e-5
 
@@ -88,6 +88,15 @@ class TestRatioBound:
         with pytest.raises(UndefinedRatioError):
             chord_ratio_bound(LOG, 0.5, 2.0)
 
+    def test_undefined_ratio_reads_f_at_the_ends_only(self):
+        # The chord is linear and equals f at m and M: one evaluation of f at
+        # each end decides that it goes negative, with no grid.
+        sizes = []
+        counted = custom(lambda t: sizes.append(np.size(t)) or np.log(t), name="counted_log")
+        with pytest.raises(UndefinedRatioError):
+            chord_ratio_bound(counted, 0.5, 2.0)
+        assert sizes == [1, 1]
+
     def test_negative_f_rejected(self):
         dip = custom(lambda t: (t - 1.0) ** 4 - 0.05, name="dip")
         with pytest.raises(PreconditionError):
@@ -103,7 +112,7 @@ class TestGapBound:
         assert abs(chord_gap_bound(IDENTITY, 1.0, 5.0)) <= 1e-12
 
     def test_sqrt_on_1_4(self):
-        t, v = _gap_bound(power(0.5), 1.0, 4.0)
+        t, v = _gap_bound(power(0.5), _chord(power(0.5), 1.0, 4.0))
         assert abs(v - 1.0 / 12.0) <= 1e-10
         assert abs(t - 9.0 / 4.0) <= 1e-9
 
@@ -228,12 +237,12 @@ class TestClosedFormsAgainstTheGrid:
             f = parse(draw_spec(rng, slot))
             data = secant_data(f, m, M)
             zeta_tol = 1e-12 * max(1.0, abs(f(m)), abs(f(M)))
-            zeta_grid = _gap_bound(f, m, M)[1]
+            zeta_grid = _gap_bound(f, _chord(f, m, M))[1]
             assert abs(data.zeta - zeta_grid) <= zeta_tol
             assert data.zeta >= zeta_grid - zeta_tol
             assert m <= data.argmax_zeta <= M
             if slot == "power":
-                gamma_grid = _ratio_bound(f, m, M)[1]
+                gamma_grid = _ratio_bound(f, _chord(f, m, M))[1]
                 assert abs(data.gamma - gamma_grid) <= 1e-12 * gamma_grid
                 assert data.gamma >= gamma_grid * (1.0 - 1e-12)
                 assert m <= data.argmax_gamma <= M
@@ -270,6 +279,21 @@ class TestClosedFormsAgainstTheGrid:
         ratio = dense_scan_max(lambda t: bump.fn(t) / (mu * t + nu), 0.5, 2.0)
         assert abs(chord_gap_bound(bump, 0.5, 2.0) - gap) <= 1e-8
         assert abs(chord_ratio_bound(bump, 0.5, 2.0) - ratio) <= 1e-8
+
+
+class TestNarrowWindows:
+    # Relative width below about 2e-4 puts the golden search's stop width,
+    # 1e-12 (M - m), under one ulp of t: a search that waits only for that
+    # width never ends here.
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize("f,m,M", [(LOG, 1.0, 1.0001), (NEG_T_LOG_T, 0.5, 0.5001)])
+    def test_secant_data_returns(self, f, m, M):
+        data = secant_data(f, m, M)
+        assert 1.0 <= data.gamma <= 1.0 + 1e-4 and 0.0 <= data.zeta <= 1e-8
+
+    @pytest.mark.usefixtures("deadline")
+    def test_grid_values_returns(self):
+        assert abs(grid_values(LOG, 1.0, 1.0001)["zeta"] - secant_data(LOG, 1.0, 1.0001).zeta) <= 1e-15
 
 
 class TestSecantData:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opentropy import verify
 from opentropy.cli import main
 from opentropy.functions import power
 from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, random_instance, triage
@@ -175,6 +176,27 @@ class TestCampaign:
             assert outcomes + r["errors"] == r["trials"] == 1
         assert "1 errors" in err
 
+    @pytest.mark.parametrize("option", [("--functions", "const:inf"), ("--q", "inf"), ("--q", "nan")])
+    def test_nonfinite_parameter_exits_2_before_any_trial(self, monkeypatch, tmp_path, capsys, option):
+        trials = []
+        monkeypatch.setattr(verify, "run_trial", lambda *args: trials.append(args))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "campaign", "--trials", "2", *option, "--out", str(out))
+        assert code == 2 and "error:" in err
+        assert trials == [] and not out.exists()
+
+    def test_eigensolver_failure_is_counted_not_fatal(self, tmp_path, capsys):
+        # q = 1e308 overflows the q-dependent sides of these statements, and
+        # the eigensolve of their difference does not converge.
+        out = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "campaign", "--theorems", "entropy_nonneg,entropy_upper,homogeneous",
+                               "--trials", "2", "--q", "1e308", "--seed", "7", "--out", str(out))
+        assert code == 2 and "entropy_upper: 0/2 pass, 0 skips, 2 errors" in err, err
+        for r in json.loads(out.read_text())["results"]:
+            outcomes = r["passes"] + r["skips"] + r["violations_numerical"] + r["violations_substantive"]
+            assert outcomes + r["errors"] == r["trials"] == 2
+
     def test_negative_exponent_list_is_a_value(self, tmp_path, capsys):
         reports = []
         for option in (["--q", "-3,5"], ["--q=-3,5"]):
@@ -246,6 +268,17 @@ class TestBounds:
     def test_unknown_function_exits_2(self, capsys):
         code, _, _ = run(capsys, "bounds", "--f", "sqrtish", "--m", "1", "--M", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "affine:inf,1", "affine:1,nan"])
+    def test_nonfinite_parameter_exits_2(self, capsys, spec):
+        code, stdout, err = run(capsys, "bounds", "--f", spec, "--m", "1", "--M", "2")
+        assert code == 2 and stdout == "" and "finite" in err
+
+    @pytest.mark.usefixtures("deadline")
+    def test_one_ulp_window_returns(self, capsys):
+        # The grid cross-check's golden search cannot narrow below one ulp.
+        code, stdout, _ = run(capsys, "bounds", "--f", "log", "--m", "1", "--M", "1.0000000000000002")
+        assert code == 0 and json.loads(stdout)["zeta"] == 0.0
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -45,6 +45,13 @@ def test_catalog_rejects_bad_parameters():
         constant(-1.0)
     with pytest.raises(PreconditionError):
         affine(-1.0, 2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            constant(bad)
+        with pytest.raises(PreconditionError):
+            affine(bad, 1.0)
+        with pytest.raises(PreconditionError):
+            affine(1.0, bad)
 
 
 def test_nonnegativity_grid():

@@ -91,6 +91,16 @@ class TestRandomInstance:
         assert abs(a.sum() - 1.0) <= 1e-12 and abs(b.sum() - 1.0) <= 1e-12
         assert np.all(a > 0) and np.all(b > 0)
 
+    def test_info_draw_measures_no_window(self):
+        # The divergence reads the two diagonals only, so the draw solves no
+        # pair spectrum for an [m, M] that nothing reads.
+        inst = random_instance(TheoremId.INFO_INEQ, 6, 1, 3)
+        assert inst.m is None and inst.M is None and not inst.fa._spectra
+        # Files that carry the window still load and replay.
+        spectrum = inst.fa.pair_spectrum(inst.fb)
+        old = Instance.from_json(dict(inst.to_json(), m=spectrum.m, M=spectrum.M))
+        assert old.M == spectrum.M and check(TheoremId.INFO_INEQ, old) == check(TheoremId.INFO_INEQ, inst)
+
     def test_compression_instance_shapes(self):
         inst = random_instance(TheoremId.COMPRESSION_JENSEN, 4, 3, 21)
         assert len(inst.cs) == 3 and inst.cs_weights.shape == (3,)
