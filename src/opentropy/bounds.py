@@ -32,9 +32,12 @@ golden-section search refines the best bracket until it is 1e-12 (M - m) wide
 or its probes stop falling strictly inside it (a window a few ulps wide).  The
 chord is linear and equals f at both ends, so the ratio bound reads its sign
 off f(m) and f(M) and leaves an end where it vanishes out of the search.  The
-gap bound is cross-checked against f'(t) = mu when f has a derivative.  Each
-call checks the window and computes the chord once.  The grid search is the
-oracle the closed forms are tested against (`grid_values`).
+ratio bound evaluates f on the grid once, for its nonnegativity check and
+its search; a catalog f whose declared nonnegative interval covers [m, M]
+skips the check.  The gap bound is cross-checked against f'(t) = mu when f
+has a derivative.  Each call checks the window and computes the chord once.
+The grid search is the oracle the closed forms are tested against
+(`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, PreconditionError, UndefinedRatioError
-from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, check_nonnegative_on
+from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, _grid, _nonnegative
 from .matcore import _JsonRecord
 
 __all__ = [
@@ -126,11 +129,11 @@ def _golden_max(obj, a: float, b: float, width: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _maximize(obj, m: float, M: float, lo: int = 0, hi: int = GRID_POINTS - 1) -> tuple[float, float]:
-    """Grid scan over grid points lo..hi of [m, M], then golden-section
-    refinement of the best bracket within them."""
-    ts = np.linspace(m, M, GRID_POINTS)
-    vs = np.asarray(obj(ts), dtype=float)
+def _maximize(obj, ts, vs, lo: int = 0, hi: int = GRID_POINTS - 1) -> tuple[float, float]:
+    """Scan of obj's values `vs` over grid points lo..hi of the grid `ts` of
+    [m, M], then golden-section refinement of the best bracket within them."""
+    m, M = float(ts[0]), float(ts[-1])
+    vs = np.asarray(vs, dtype=float)
     i = lo + int(np.argmax(vs[lo : hi + 1]))
     t_best, v_best = float(ts[i]), float(vs[i])
     t_ref, v_ref = _golden_max(obj, float(ts[max(i - 1, lo)]), float(ts[min(i + 1, hi)]), 1e-12 * (M - m))
@@ -145,7 +148,14 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
         raise UndefinedRatioError(
             f"chord mu*t + nu reaches {min(fm, fM):.6e} on [{m}, {M}]; ratio bound undefined"
         )
-    if not check_nonnegative_on(f, m, M):
+    # f is evaluated on the grid once, for the nonnegativity check and the
+    # search; a catalog f's declared nonnegative interval covering [m, M] is
+    # a fact and needs no check.
+    ts = _grid(m, M)
+    fs = f.evaluate_array(ts)
+    declared = f.nonnegative_on
+    trusted = f.is_catalog and declared is not None and declared[0] <= m and M <= declared[1]
+    if not trusted and not _nonnegative(fs):
         raise PreconditionError(f"{f.name} is negative somewhere on [{m}, {M}]")
     # With f >= 0 the chord vanishes only at an end where f does.  The search
     # leaves such an end out (0/0 there is all cancellation noise); the end
@@ -155,7 +165,8 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
         raise UndefinedRatioError(f"chord vanishes identically on [{m}, {M}]")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_best, v_best = _maximize(
-            lambda t: f.fn(t) / (mu * t + nu), m, M, int(left_zero), GRID_POINTS - 1 - int(right_zero)
+            lambda t: f.fn(t) / (mu * t + nu), ts, fs / (mu * ts + nu),
+            int(left_zero), GRID_POINTS - 1 - int(right_zero),
         )
     if f.deriv is not None and mu != 0.0:
         for endpoint, is_zero in ((m, left_zero), (M, right_zero)):
@@ -194,7 +205,8 @@ def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list
 def _gap_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
     m, M, _, _, mu, nu = chord
     obj = lambda t: f.fn(t) - (mu * t + nu)
-    t_grid, v_grid = _maximize(obj, m, M)
+    ts = _grid(m, M)
+    t_grid, v_grid = _maximize(obj, ts, obj(ts))
     if f.deriv is None:
         return t_grid, v_grid
     roots = _stationary_points(f, mu, m, M)

@@ -173,11 +173,13 @@ def _cmd_check(args) -> int:
         return 2
     result = verify.triage(inst.theorem, inst, args.tol)
     sys.stdout.write(_json_text(result.to_json()))
-    status = "skip (hypothesis not met)" if not result.hypothesis_met else (
-        "holds" if result.holds else f"VIOLATED ({result.triage})"
-    )
+    if not result.hypothesis_met:
+        # hypothesis_met and holds both False is an error outcome (a non-finite margin).
+        status = "skip (hypothesis not met)" if result.holds else result.detail
+    else:
+        status = "holds" if result.holds else f"VIOLATED ({result.triage})"
     print(f"{inst.theorem.value}: {status}, margin={result.margin}", file=sys.stderr)
-    return 0 if (result.holds or not result.hypothesis_met) else 1
+    return 0 if result.holds else (1 if result.hypothesis_met else 2)
 
 
 def _cmd_campaign(args) -> int:

@@ -24,6 +24,13 @@ Q_s in one pass, so that any weighted sum
 is one batched product and one weighted sum (the eigenbasis route of Higham,
 Functions of Matrices, SIAM 2008; cf. Golub and Van Loan, Matrix
 Computations, 8.7, for the symmetric-definite pair).
+
+The kernel also takes a leading axis.  `OperatorField.stack` builds n aligned
+fields from one (n, k, d, d) stack with one eigensolve and one floor check,
+and `pair_spectra` solves the spectra of several aligned pairs of one shape
+in one pass of the pair kernel.  Both give the same bits as one solve per
+field or pair, and each field and spectrum is still built by its
+constructor, which receives its slice of the stacked solve privately.
 """
 
 from __future__ import annotations
@@ -39,9 +46,8 @@ from .matcore import (
     _adjoint,
     _entries,
     _relative_spectrum,
-    _require_pd_floor,
+    _solve_pd,
     _symmetrize,
-    eig,
     matrix_from_json,
     matrix_to_json,
 )
@@ -49,6 +55,7 @@ from .matcore import (
 __all__ = [
     "OperatorField",
     "PairSpectrum",
+    "pair_spectra",
     "natural_power",
     "relative_entropy",
     "variational_form",
@@ -74,12 +81,12 @@ class OperatorField:
     Nodes are (weight, matrix) pairs; a matrix may be a PositiveDefiniteMatrix,
     a HermitianMatrix or an array, symmetrized like a HermitianMatrix.  The
     keyword-only arguments are the package's own route for a Hermitian stack
-    it has already built.
+    it has already built (and, from `stack`, its floor-checked solve).
     """
 
     __slots__ = ("_weights", "_arrays", "_decomp", "_matrices", "_spectra")
 
-    def __init__(self, nodes=(), *, _weights=None, _arrays=None):
+    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None):
         if _arrays is None:
             nodes = list(nodes)
             if not nodes:
@@ -95,8 +102,7 @@ class OperatorField:
             raise ShapeError(f"{weights.shape} weights for {len(_arrays)} nodes")
         if np.any(weights <= 0.0):
             raise PreconditionError("field weights must be strictly positive")
-        decomposition = eig(_arrays)
-        _require_pd_floor(decomposition.eigenvalues)
+        decomposition = _decomposition if _decomposition is not None else _solve_pd(_arrays)
         weights.setflags(write=False)
         _arrays.setflags(write=False)
         self._weights = weights
@@ -108,6 +114,15 @@ class OperatorField:
     @classmethod
     def from_matrices(cls, weights, matrices) -> "OperatorField":
         return cls(zip(weights, matrices))
+
+    @classmethod
+    def stack(cls, weights, arrays: np.ndarray) -> tuple["OperatorField", ...]:
+        """n aligned fields sharing `weights`, one per item of an exactly
+        Hermitian (n, k, d, d) stack, from one eigensolve and one floor check
+        for all of them."""
+        decomposition = _solve_pd(arrays)
+        parts = zip(arrays, decomposition.unstack())
+        return tuple(cls(_weights=weights, _arrays=a, _decomposition=d) for a, d in parts)
 
     @property
     def weights(self) -> np.ndarray:
@@ -126,11 +141,8 @@ class OperatorField:
     @property
     def matrices(self) -> tuple[PositiveDefiniteMatrix, ...]:
         if self._matrices is None:
-            lam, vec = self._decomp.eigenvalues, self._decomp.eigenvectors
-            self._matrices = tuple(
-                PositiveDefiniteMatrix(a, _decomposition=SpectralDecomposition(w, v))
-                for a, w, v in zip(self._arrays, lam, vec)
-            )
+            parts = zip(self._arrays, self._decomp.unstack())
+            self._matrices = tuple(PositiveDefiniteMatrix(a, _decomposition=d) for a, d in parts)
         return self._matrices
 
     @property
@@ -214,12 +226,13 @@ class PairSpectrum:
     and S = A^{1/2} as batched products, T = R B R, one stacked eigensolve of
     T, and Q = S U.  Every mean and entropy of the pair is one diagonal
     scaling away, and a field aggregate is one batched product and one
-    weighted sum.
+    weighted sum.  `pair_spectra` solves several aligned pairs in one pass and
+    hands each its slice (`_spectrum`).
     """
 
     __slots__ = ("weights", "eigenvalues", "frame")
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, *, _spectrum=None):
         if isinstance(a, OperatorField):
             _require_aligned(a, b)
             self.weights = a.weights
@@ -229,7 +242,7 @@ class PairSpectrum:
                 raise ShapeError(f"pair dimension mismatch: {a.dim} vs {b.dim}")
             self.weights = _UNIT_WEIGHT
             decomp, b_arr = a.decomposition, b.array
-        lam, frame = _relative_spectrum(decomp, b_arr)
+        lam, frame = _relative_spectrum(decomp, b_arr) if _spectrum is None else _spectrum
         d = lam.shape[-1]
         self.eigenvalues = lam.reshape(-1, d)
         self.frame = frame.reshape(-1, d, d)
@@ -272,6 +285,23 @@ class PairSpectrum:
         """sum_s w_s S(A_s, B_s; q, f)."""
         lam = self.eigenvalues
         return self.conjugate(lam ** float(q) * f.evaluate_array(lam))
+
+
+def pair_spectra(pairs) -> tuple[PairSpectrum, ...]:
+    """fa.pair_spectrum(fb) for each (fa, fb) of aligned field pairs of one
+    shape; the pairs not yet solved are solved in one pass of the pair kernel
+    (one (n, k, d, d) stack) and memoised like `pair_spectrum`."""
+    pairs = list(pairs)
+    todo = [(a, b) for a, b in pairs if b not in a._spectra]
+    if todo:
+        decomp = SpectralDecomposition(
+            np.array([a.decomposition.eigenvalues for a, _ in todo]),
+            np.array([a.decomposition.eigenvectors for a, _ in todo]),
+        )
+        lams, frames = _relative_spectrum(decomp, np.array([b.arrays for _, b in todo]))
+        for (a, b), lam, frame in zip(todo, lams, frames):
+            a._spectra[b] = PairSpectrum(a, b, _spectrum=(lam, frame))
+    return tuple(a._spectra[b] for a, b in pairs)
 
 
 def natural_power(x: PositiveDefiniteMatrix, y: PositiveDefiniteMatrix, q: float) -> PositiveDefiniteMatrix:

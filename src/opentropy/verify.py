@@ -37,9 +37,11 @@ from .bounds import chord_gap_bound, chord_ratio_bound, zeta_closed_forms
 from .entropy import (
     OperatorField,
     PairSpectrum,
+    _require_aligned,
     _weighted_sum,
     field_from_json,
     field_to_json,
+    pair_spectra,
 )
 from .errors import (
     EigenConvergenceError,
@@ -53,15 +55,15 @@ from .maps import PositiveLinearMap, map_from_json, map_to_json
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     PositiveDefiniteMatrix,
+    SpectralDecomposition,
     _adjoint,
     _array_from_json,
     _holds_within,
     _JsonRecord,
     _relative_eigenvalues,
-    _require_pd_floor,
     _scalar_image,
+    _solve_pd,
     _symmetrize,
-    eig,
     matrix_from_json,
     matrix_to_json,
 )
@@ -170,6 +172,8 @@ class Instance:
             if getattr(self, slot) is None:
                 key = _SLOTS[slot][0]
                 raise PreconditionError(f"a {self.theorem.value} instance needs {key!r}, which is missing")
+        if self.q is not None and not math.isfinite(self.q):
+            raise PreconditionError(f"the exponent must be finite, got {self.q}")
         family = st.family
         if family is _normalized:
             if not (self.fa.is_normalized() and self.fb.is_normalized()):
@@ -264,11 +268,13 @@ class Sides:
 
 
 def _spectra(items: list) -> list:
-    """Ascending eigenvalues of each Hermitian item, in one stacked solve (the
-    same bits as one solve each); a float is its own eigenvalue."""
+    """Ascending eigenvalues of each item, in one stacked solve (the same bits
+    as one solve each); a float is its own eigenvalue.  Every item a builder
+    makes is exactly Hermitian (a sum, difference or real multiple of
+    symmetrized arrays), so it is solved as it is."""
     if all(isinstance(x, float) for x in items):
         return [np.array([x]) for x in items]
-    return list(np.linalg.eigvalsh(_symmetrize(np.stack(items))))
+    return list(np.linalg.eigvalsh(np.array(items)))
 
 
 def _snorm(w: np.ndarray) -> float:
@@ -293,6 +299,9 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     ))
     all_margins = [min(float(next(spectra)[0]) for _ in ds) for ds in parts]
     margins, margin = all_margins[:n], min(all_margins)
+    if not math.isfinite(margin):
+        # Overflow in a side (an exponent like 1e308): no order can be read off.
+        return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
     norms = [_snorm(next(spectra)) for _ in range(2 * n)]
     ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = _holds_within(margin, tol, ln, rn)
@@ -345,8 +354,18 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 
 
 def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
-    w, v = np.linalg.eigh(_symmetrize(arr))
+    """scalar_map applied to an exactly Hermitian array (every caller's is a
+    sum of symmetrized arrays and real multiples of them)."""
+    w, v = np.linalg.eigh(arr)
     return _scalar_image(v, scalar_map(w))
+
+
+def _fields_like(fields: tuple, stack: np.ndarray) -> tuple:
+    """Fields on the nodes and weights that the aligned `fields` share, one
+    per item of the (n, k, d, d) `stack` of their combinations, solved in one call."""
+    for other in fields[1:]:
+        _require_aligned(fields[0], other)
+    return OperatorField.stack(fields[0].weights, stack)
 
 
 def _entropy_terms(inst: Instance, p: float, *more):
@@ -355,7 +374,7 @@ def _entropy_terms(inst: Instance, p: float, *more):
     spectrum = inst.fa.pair_spectrum(inst.fb)
     lam = spectrum.eigenvalues
     eye = np.eye(inst.fa.dim)
-    v, w_plus, *rest = spectrum.conjugate(np.stack([lam ** p, lam ** (p + 1.0)] + [g(lam) for g in more]))
+    v, w_plus, *rest = spectrum.conjugate(np.array([lam ** p, lam ** (p + 1.0)] + [g(lam) for g in more]))
     return spectrum, eye, v, w_plus + inst.t0 * (eye - v), rest
 
 
@@ -371,11 +390,11 @@ def _compression_terms(inst: Instance):
     """f(lifted argument) and the compressed right-hand side it is checked against."""
     f, x = inst.f, inst.x
     eye = np.eye(x.dim)
-    c = np.stack(inst.cs)
+    c = np.array(inst.cs)
     ch = _adjoint(c)
     fx = x.scalar_image(f.evaluate_array(x.eigenvalues))
     gram, lifted, compressed = _weighted_sum(
-        inst.cs_weights, np.stack([ch @ c, ch @ x.array @ c, ch @ fx @ c])
+        inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
     )
     defect = eye - gram
     low, size = _spectra([defect, gram])
@@ -398,8 +417,8 @@ def _mean_integral(inst: Instance, gate) -> Sides:
     """sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]"""
     p = float(inst.q)
     lhs = inst.fa.pair_spectrum(inst.fb).power_mean(p)
-    total_a = PositiveDefiniteMatrix(inst.fa.weighted_sum())
-    total_b = PositiveDefiniteMatrix(inst.fb.weighted_sum())
+    totals = np.array([inst.fa.weighted_sum(), inst.fb.weighted_sum()])
+    total_a, total_b = PositiveDefiniteMatrix.stack(totals)
     rhs = PairSpectrum(total_a, total_b).power_mean(p)
     return Sides([(lhs, "<=", rhs)], f"node-wise power means vs power mean of the integrals at p={p:g}")
 
@@ -464,7 +483,7 @@ def _entropy_upper(inst: Instance, gate) -> Sides:
     q, f, fa, fb = float(inst.q), inst.f, inst.fa, inst.fb
     spectrum = fa.pair_spectrum(fb)
     lam = spectrum.eigenvalues
-    s, rhs = spectrum.conjugate(np.stack([lam ** q * f.evaluate_array(lam), lam ** (q + 1.0) - lam ** q]))
+    s, rhs = spectrum.conjugate(np.array([lam ** q * f.evaluate_array(lam), lam ** (q + 1.0) - lam ** q]))
     detail = f"entropy upper bound at q={q:g}"
     # The closed forms are taken on the node arrays, apart from the pair spectra.
     a, b = fa.arrays, fb.arrays
@@ -500,8 +519,8 @@ def _info_ineq(inst: Instance, gate) -> Sides:
 
 def _subadditive(inst: Instance, gate) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
-    left = inst.fa.nodewise_sum(inst.fb)
-    right = inst.fc.nodewise_sum(inst.fd)
+    fa, fb, fc, fd = inst.fa, inst.fb, inst.fc, inst.fd
+    left, right = _fields_like((fa, fb, fc, fd), np.array([fa.arrays + fb.arrays, fc.arrays + fd.arrays]))
     sum_lo, sum_hi = _measure_pair(left, right)
     gate(min(inst.m, sum_lo), max(inst.M, sum_hi))
     term = inst.f.evaluate_array
@@ -513,8 +532,11 @@ def _subadditive(inst: Instance, gate) -> Sides:
 def _homogeneous(inst: Instance, gate) -> Sides:
     """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
     alpha, q, f = float(inst.alpha), float(inst.q), inst.f
+    if alpha <= 0.0:
+        raise NotPositiveDefiniteError(f"scaling a field by {alpha} leaves the cone")
     # The scaled pair is solved afresh: the lhs shares no spectra with the rhs.
-    lhs = inst.fa.scaled(alpha).pair_spectrum(inst.fb.scaled(alpha)).entropy_term(q, f)
+    scaled_a, scaled_b = _fields_like((inst.fa, inst.fb), alpha * np.array([inst.fa.arrays, inst.fb.arrays]))
+    lhs = scaled_a.pair_spectrum(scaled_b).entropy_term(q, f)
     rhs = alpha * inst.fa.pair_spectrum(inst.fb).entropy_term(q, f)
     return Sides([(lhs, "==", rhs)], f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)")
 
@@ -524,8 +546,9 @@ def _joint_concave(inst: Instance, gate) -> Sides:
     alpha, beta = float(inst.alpha), float(inst.beta)
     if alpha <= 0.0 or beta <= 0.0 or abs(alpha + beta - 1.0) > 1e-12:
         raise PreconditionError(f"need alpha, beta > 0 with alpha + beta = 1, got {alpha}, {beta}")
-    mixed_a = inst.fa.blend(inst.fa2, alpha, beta)
-    mixed_b = inst.fb.blend(inst.fb2, alpha, beta)
+    fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
+    mixed = np.array([alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays])
+    mixed_a, mixed_b = _fields_like((fa, fb, fa2, fb2), mixed)
     mix_lo, mix_hi = _measure_pair(mixed_a, mixed_b)
     gate(min(inst.m, mix_lo), max(inst.M, mix_hi))
     term = inst.f.evaluate_array
@@ -564,8 +587,8 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
     _, eye, v, w_arg, (s_p, s_p1) = _entropy_terms(
         inst, p, lambda lam: lam ** p * np.log(lam), lambda lam: lam ** (p + 1.0) * np.log(lam)
     )
-    ww, wv = np.linalg.eigh(_symmetrize(w_arg))
-    w_log_w, log_w = _scalar_image(wv, np.stack([ww * np.log(ww), np.log(ww)]))
+    ww, wv = np.linalg.eigh(w_arg)
+    w_log_w, log_w = _scalar_image(wv, np.array([ww * np.log(ww), np.log(ww)]))
     return Sides(
         [
             # -t log t route: W log W - t0 log(t0) (I - V) >= S_{p+1} - zeta_neg I
@@ -582,10 +605,11 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
 # ---------------------------------------------------------------------------
 
 
-def _cgauss(rng, n: int, k: int | None = None) -> np.ndarray:
-    """A complex Gaussian n x n matrix (real part drawn first), or a (k, n, n)
-    stack of them drawn one after another in the same single rng call."""
-    z = rng.standard_normal((2, n, n) if k is None else (k, 2, n, n))
+def _cgauss(rng, n: int, *lead: int) -> np.ndarray:
+    """A complex Gaussian n x n matrix (real part drawn first), or a
+    (*lead, n, n) stack of them drawn one after another in one rng call (the
+    same numbers, in the same order, as one call per matrix)."""
+    z = rng.standard_normal((*lead, 2, n, n))
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
@@ -597,20 +621,27 @@ def _random_unitaries(rng, n: int, k: int) -> np.ndarray:
 
 
 def _diagonals(rows: np.ndarray) -> np.ndarray:
-    """The stack of complex diagonal matrices diag(row), one per row."""
-    return rows[:, :, None] * np.eye(rows.shape[1], dtype=complex)
+    """The stack of complex diagonal matrices diag(row), one per row (last axis)."""
+    return rows[..., None] * np.eye(rows.shape[-1], dtype=complex)
 
 
-def _resolution_arrays(rng, dim: int, k: int, diagonal: bool) -> np.ndarray:
-    """A (k, dim, dim) stack of PD matrices summing to the identity."""
+def _lead(k: int, count: int | None) -> tuple[int, ...]:
+    return (k,) if count is None else (count, k)
+
+
+def _resolution_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None) -> np.ndarray:
+    """A (k, dim, dim) stack of PD matrices summing to the identity, or
+    `count` of them as one (count, k, dim, dim) stack, drawn as consecutive
+    calls would draw them and with the count sums solved in one call."""
     if diagonal:
-        cols = rng.uniform(0.2, 1.0, size=(k, dim))
-        cols /= cols.sum(axis=0)
+        cols = rng.uniform(0.2, 1.0, size=(*_lead(k, count), dim))
+        cols /= cols.sum(axis=-2, keepdims=True)
         return _diagonals(cols)
-    g = _cgauss(rng, dim, k)
+    g = _cgauss(rng, dim, *_lead(k, count))
     # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
     arrays = _symmetrize(g @ _adjoint(g)) + 0.5 * dim * np.eye(dim)
-    isq = PositiveDefiniteMatrix(_symmetrize(arrays.sum(axis=0))).inv_sqrt_array
+    sums = _solve_pd(arrays.sum(axis=-3))
+    isq = _scalar_image(sums.eigenvectors, 1.0 / np.sqrt(sums.eigenvalues))[..., None, :, :]
     return _symmetrize(isq @ arrays @ isq)
 
 
@@ -641,11 +672,8 @@ def _normalized(rng, inst: Instance, diagonal: bool) -> None:
         raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
     for _ in range(_RESAMPLE_CAP):
         weights = _random_weights(rng, k)
-        ra = _resolution_arrays(rng, dim, k, diagonal)
-        rb = _resolution_arrays(rng, dim, k, diagonal)
-        per_weight = weights[:, None, None]
-        fa = OperatorField(_weights=weights, _arrays=ra / per_weight)
-        fb = OperatorField(_weights=weights, _arrays=rb / per_weight)
+        resolutions = _resolution_arrays(rng, dim, k, diagonal, 2)
+        fa, fb = OperatorField.stack(weights, resolutions / weights[:, None, None])
         m, M = _measure_pair(fa, fb)
         if m <= _STRADDLE_LO and M >= _STRADDLE_HI:
             inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
@@ -654,16 +682,13 @@ def _normalized(rng, inst: Instance, diagonal: bool) -> None:
     raise GenerationError(f"no strict m < 1 < M pair after {_RESAMPLE_CAP} draws")
 
 
-def _free_arrays(rng, dim: int, k: int, diagonal: bool) -> np.ndarray:
-    """k well-conditioned PD matrices, drawn node by node, as one stack."""
+def _free_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None) -> np.ndarray:
+    """k well-conditioned PD matrices, drawn node by node, as one (k, dim, dim)
+    stack, or `count` such stacks drawn one after another as (count, k, dim, dim)."""
     if diagonal:
-        return _diagonals(np.stack([rng.uniform(0.5, 4.0, size=dim) for _ in range(k)]))
-    g = _cgauss(rng, dim, k)
+        return _diagonals(rng.uniform(0.5, 4.0, size=(*_lead(k, count), dim)))
+    g = _cgauss(rng, dim, *_lead(k, count))
     return _symmetrize(g @ _adjoint(g)) / dim + 0.5 * np.eye(dim)
-
-
-def _free_field(rng, dim: int, k: int, weights, diagonal: bool) -> OperatorField:
-    return OperatorField(_weights=weights, _arrays=_free_arrays(rng, dim, k, diagonal))
 
 
 def _centered(rng, inst: Instance, diagonal: bool) -> None:
@@ -671,8 +696,7 @@ def _centered(rng, inst: Instance, diagonal: bool) -> None:
     dim, k = inst.dim, inst.k
     for _ in range(_RESAMPLE_CAP):
         weights = _random_weights(rng, k)
-        fa = _free_field(rng, dim, k, weights, diagonal)
-        fb = _free_field(rng, dim, k, weights, diagonal)
+        fa, fb = OperatorField.stack(weights, _free_arrays(rng, dim, k, diagonal, 2))
         # The unscaled pair is only measured: its spectrum alone, not memoised.
         lam = _relative_eigenvalues(fa.decomposition, fb.arrays)
         m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
@@ -695,11 +719,12 @@ def _free(draw_order: tuple[str, ...], pairs: tuple[tuple[str, str], ...]):
 
     def draw(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, inst.k)
-        for name in draw_order:
-            setattr(inst, name, _free_field(rng, inst.dim, inst.k, weights, diagonal))
-        windows = [_measure_pair(getattr(inst, a), getattr(inst, b)) for a, b in pairs]
-        inst.m = min(m for m, _ in windows)
-        inst.M = max(M for _, M in windows)
+        arrays = _free_arrays(rng, inst.dim, inst.k, diagonal, len(draw_order))
+        for name, fld in zip(draw_order, OperatorField.stack(weights, arrays)):
+            setattr(inst, name, fld)
+        spectra = pair_spectra((getattr(inst, a), getattr(inst, b)) for a, b in pairs)
+        inst.m = min(s.m for s in spectra)
+        inst.M = max(s.M for s in spectra)
 
     return draw
 
@@ -719,11 +744,14 @@ def _compression(rng, inst: Instance, diagonal: bool) -> None:
     extra = 1 if rng.uniform() < 0.75 else 0
     arrays = _resolution_arrays(rng, dim, k + extra, diagonal)[:k]
     weights = _random_weights(rng, k)
-    nodes = eig(arrays / weights[:, None, None])
-    _require_pd_floor(nodes.eigenvalues)
-    roots = _scalar_image(nodes.eigenvectors, np.sqrt(nodes.eigenvalues))
-    cs = roots if diagonal else _random_unitaries(rng, dim, k) @ roots
-    x0 = PositiveDefiniteMatrix(_free_arrays(rng, dim, 1, diagonal)[0])
+    unitaries = None if diagonal else _random_unitaries(rng, dim, k)
+    x0_array = _free_arrays(rng, dim, 1, diagonal)
+    # The k nodes C_s*C_s and X0 in one solve: node roots from the first k, X0 from the last.
+    solved = _solve_pd(np.concatenate([arrays / weights[:, None, None], x0_array]))
+    roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
+    cs = roots if diagonal else unitaries @ roots
+    x0_decomposition = SpectralDecomposition(solved.eigenvalues[k], solved.eigenvectors[k])
+    x0 = PositiveDefiniteMatrix(x0_array[0], _decomposition=x0_decomposition)
     if dim > 1 and x0.lambda_max / x0.lambda_min > 1.0 + 1e-9:
         x = x0.scaled(1.0 / math.sqrt(x0.lambda_min * x0.lambda_max))
     else:
@@ -742,14 +770,10 @@ def _prob_vector(rng, dim: int) -> np.ndarray:
     return v / v.sum()
 
 
-def _diag_field(vec: np.ndarray) -> OperatorField:
-    return OperatorField(_weights=np.ones(1), _arrays=_diagonals(vec[None]))
-
-
 def _probability(rng, inst: Instance, diagonal: bool) -> None:
     """Two strictly positive probability vectors as diagonal one-node fields."""
-    a, b = _prob_vector(rng, inst.dim), _prob_vector(rng, inst.dim)
-    inst.fa, inst.fb = _diag_field(a), _diag_field(b)
+    vectors = np.array([_prob_vector(rng, inst.dim) for _ in range(2)])
+    inst.fa, inst.fb = OperatorField.stack(np.ones(1), _diagonals(vectors[:, None]))
 
 
 def _draw_scale(rng, inst: Instance, diagonal: bool) -> None:

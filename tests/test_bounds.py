@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -20,7 +21,8 @@ from opentropy import (
 )
 from opentropy.bounds import _chord, _gap_bound, _ratio_bound, grid_values
 from opentropy.functions import (
-    IDENTITY, LOG, NEG_T_LOG_T, ScalarFunction, constant, custom, parse, power, validate_declared_flags,
+    GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, ScalarFunction, constant, custom, parse, power,
+    validate_declared_flags,
 )
 from opentropy.verify import TheoremId, random_instance
 
@@ -101,6 +103,24 @@ class TestRatioBound:
         dip = custom(lambda t: (t - 1.0) ** 4 - 0.05, name="dip")
         with pytest.raises(PreconditionError):
             chord_ratio_bound(dip, 0.5, 1.5)
+
+    @pytest.mark.parametrize("f", [LOG, custom(np.log, name="plain_log")], ids=["catalog", "custom"])
+    def test_grid_is_evaluated_once(self, f):
+        # The nonnegativity check and the search share one evaluation of f on
+        # the grid (a catalog f whose declared interval covers the window
+        # needs no check at all), and the value does not change.
+        sizes = []
+        counted = dataclasses.replace(f, fn=lambda t: sizes.append(np.size(t)) or np.log(t))
+        assert chord_ratio_bound(counted, 1.5, 4.0) == chord_ratio_bound(f, 1.5, 4.0)
+        assert sizes.count(GRID_POINTS) == 1
+
+    def test_catalog_declaration_not_covering_the_window_is_checked(self):
+        # The catalog marker with log's declared interval [1, inf), which does
+        # not cover [0.9, 3]: f is positive at both ends, and the grid check
+        # finds the dip below 0 near t = 1.
+        dip = dataclasses.replace(LOG, fn=lambda t: np.log(t) + 0.2 - 0.3 * np.exp(-(((t - 1.0) / 0.05) ** 2)))
+        with pytest.raises(PreconditionError, match="negative"):
+            chord_ratio_bound(dip, 0.9, 3.0)
 
     def test_at_least_one_for_concave(self):
         for f, m, M in [(power(0.5), 0.3, 5.0), (power(0.25), 1.0, 9.0)]:

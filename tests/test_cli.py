@@ -41,6 +41,13 @@ class TestGen:
                          "--k", "2", "--seed", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_nonfinite_exponent_exits_2(self, tmp_path, capsys, q):
+        out = tmp_path / "inst.json"
+        code, _, err = run(capsys, "gen", "--theorem", "homogeneous", "--dim", "2", "--k", "2",
+                           "--seed", "0", "--q", q, "--out", str(out))
+        assert code == 2 and "finite" in err and not out.exists()
+
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run(capsys, "gen", "--theorem", "nonsense", "--dim", "2",
                          "--k", "2", "--seed", "7")
@@ -88,6 +95,19 @@ class TestCheck:
             assert code == 1 and payload["triage"] == "numerical"
         else:  # an exactly nonnegative residual passes even at tol 0
             assert code == 0
+
+    def test_nonfinite_margin_is_an_error(self, tmp_path, capsys):
+        # q = 1e308 overflows both sides of the homogeneity identity to NaN:
+        # an error outcome, never a counterexample.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "homogeneous", "--dim", "2", "--k", "2",
+            "--seed", "0", "--q", "1e308", "--out", str(out))
+        with np.errstate(all="ignore"):
+            code, stdout, err = run(capsys, "check", "--file", str(out))
+        payload = json.loads(stdout)
+        assert code == 2 and "error: non-finite margin" in err
+        assert payload["detail"] == "error: non-finite margin" and payload["triage"] is None
+        assert payload["margin"] is None and not payload["holds"] and not payload["hypothesis_met"]
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -196,6 +216,23 @@ class TestCampaign:
         for r in json.loads(out.read_text())["results"]:
             outcomes = r["passes"] + r["skips"] + r["violations_numerical"] + r["violations_substantive"]
             assert outcomes + r["errors"] == r["trials"] == 2
+
+    def test_nonfinite_margin_is_counted_as_an_error(self, tmp_path, capsys):
+        # Both seed-7 entropy_nonneg trials overflow to a NaN margin at
+        # q = 1e308: two errors, no counterexample, and a report that is
+        # strict JSON (no NaN or Infinity constants).
+        out = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            code, _, _ = run(capsys, "campaign", "--theorems", "entropy_nonneg", "--trials", "2",
+                             "--seed", "7", "--q", "1e308", "--out", str(out))
+
+        def refuse(name):
+            raise ValueError(f"report holds the non-JSON constant {name}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        (result,) = report["results"]
+        assert code == 2 and result["errors"] == 2 and result["violations_substantive"] == 0
+        assert report["failures"] == []
 
     def test_negative_exponent_list_is_a_value(self, tmp_path, capsys):
         reports = []

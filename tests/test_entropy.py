@@ -18,7 +18,7 @@ from opentropy import (
     relative_entropy,
     variational_form,
 )
-from opentropy.entropy import field_from_json, field_to_json
+from opentropy.entropy import field_from_json, field_to_json, pair_spectra
 from opentropy.functions import LOG, NEG_T_LOG_T, power
 
 from conftest import random_pd
@@ -321,6 +321,32 @@ class TestStackedKernel:
             np.testing.assert_array_equal(node.array, arr)
             np.testing.assert_allclose(node.eigenvalues, np.linalg.eigvalsh(arr), rtol=1e-13)
         np.testing.assert_array_equal(field.arrays, np.stack(arrays))
+
+    @pytest.mark.parametrize("dim,k", [(1, 1), (3, 2), (5, 4)])
+    def test_stacked_fields_and_pair_spectra_match_single_builds(self, rng, dim, k):
+        weights = rng.uniform(0.5, 2.0, size=k)
+        stack = np.stack([[random_pd(rng, dim).array for _ in range(k)] for _ in range(4)])
+        fields = OperatorField.stack(weights, stack)
+        singles = [OperatorField(_weights=weights, _arrays=arrays) for arrays in stack]
+        for built, single in zip(fields, singles):
+            np.testing.assert_array_equal(built.arrays, single.arrays)
+            np.testing.assert_array_equal(built.decomposition.eigenvalues, single.decomposition.eigenvalues)
+            np.testing.assert_array_equal(built.decomposition.eigenvectors, single.decomposition.eigenvectors)
+        pairs = [(fields[0], fields[2]), (fields[1], fields[3])]
+        spectra = pair_spectra(pairs)
+        single_pairs = [(singles[0], singles[2]), (singles[1], singles[3])]
+        for (a, b), spectrum, (sa, sb) in zip(pairs, spectra, single_pairs):
+            assert a.pair_spectrum(b) is spectrum
+            single = PairSpectrum(sa, sb)
+            np.testing.assert_array_equal(spectrum.eigenvalues, single.eigenvalues)
+            np.testing.assert_array_equal(spectrum.frame, single.frame)
+        assert pair_spectra(pairs) == spectra
+
+    def test_stacked_fields_reject_a_node_below_the_floor(self, rng):
+        stack = np.stack([[random_pd(rng, 2).array] for _ in range(3)])
+        stack[2, 0] = np.diag([1.0, 1e-13])
+        with pytest.raises(NotPositiveDefiniteError):
+            OperatorField.stack(np.ones(1), stack)
 
     def test_node_below_the_floor_rejected(self, rng):
         good = random_pd(rng, 3)

@@ -17,7 +17,7 @@ from opentropy import (
     sandwich_bounds,
 )
 from opentropy.functions import IDENTITY, LOG, custom, power
-from opentropy.matcore import matrix_from_json, matrix_to_json
+from opentropy.matcore import _relative_spectrum, _require_pd_floor, matrix_from_json, matrix_to_json
 
 from conftest import random_hermitian, random_pd
 
@@ -69,6 +69,55 @@ class TestEig:
             assert np.linalg.norm(d.reconstruct() - h.array) <= 1e-10 * max(1.0, hnorm)
             assert np.linalg.norm(d.eigenvectors.conj().T @ d.eigenvectors - np.eye(dim)) <= 1e-11
             assert np.all(np.diff(d.eigenvalues) >= 0)
+
+
+class TestStackedSolves:
+    """A solve of an (n, k, d, d) stack gives the same bits as one solve per
+    matrix: the field kernel solves several fields and pairs as one stack and
+    relies on this for bit-identical reports."""
+
+    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
+    def test_stack_matches_per_matrix_calls_bitwise(self, rng, dim):
+        n, k = 2, 3
+        a, b = (np.stack([[random_pd(rng, dim).array for _ in range(k)] for _ in range(n)]) for _ in range(2))
+        whole = eig(a)
+        values = np.linalg.eigvalsh(b)
+        lam, frame = _relative_spectrum(whole, b)
+        for i in range(n):
+            for s in range(k):
+                one = eig(a[i, s])
+                np.testing.assert_array_equal(whole.eigenvalues[i, s], one.eigenvalues)
+                np.testing.assert_array_equal(whole.eigenvectors[i, s], one.eigenvectors)
+                np.testing.assert_array_equal(values[i, s], np.linalg.eigvalsh(b[i, s]))
+                one_lam, one_frame = _relative_spectrum(one, b[i, s])
+                np.testing.assert_array_equal(lam[i, s], one_lam)
+                np.testing.assert_array_equal(frame[i, s], one_frame)
+
+    def test_unstack_gives_each_items_decomposition(self, rng):
+        stack = np.stack([random_pd(rng, 3).array for _ in range(4)])
+        whole = eig(stack)
+        for arr, part in zip(stack, whole.unstack()):
+            np.testing.assert_array_equal(part.eigenvalues, eig(arr).eigenvalues)
+            np.testing.assert_array_equal(part.eigenvectors, eig(arr).eigenvectors)
+
+    def test_stacked_pd_matrices_match_single_builds(self, rng):
+        stack = np.stack([random_pd(rng, 4).array for _ in range(3)])
+        for built, arr in zip(PositiveDefiniteMatrix.stack(stack), stack):
+            single = PositiveDefiniteMatrix(arr)
+            np.testing.assert_array_equal(built.array, single.array)
+            np.testing.assert_array_equal(built.eigenvalues, single.eigenvalues)
+            np.testing.assert_array_equal(built.inv_sqrt_array, single.inv_sqrt_array)
+
+    def test_stacked_pd_floor_rejects_any_item(self, rng):
+        stack = np.stack([random_pd(rng, 2).array, np.diag([1.0, 1e-13]).astype(complex)])
+        with pytest.raises(NotPositiveDefiniteError, match="1.000000e-13"):
+            PositiveDefiniteMatrix.stack(stack)
+
+    def test_floor_reports_the_first_failing_row(self):
+        spectra = np.array([[[1.0, 2.0], [-3.0, 1.0]], [[-5.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(NotPositiveDefiniteError, match="-3.000000e"):
+            _require_pd_floor(spectra)
+        _require_pd_floor(np.array([[1.0, 2.0], [1e-11, 1.0]]))
 
 
 class TestPositiveDefinite:

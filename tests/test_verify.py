@@ -11,6 +11,7 @@ from opentropy.bounds import chord_gap_bound, chord_ratio_bound
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, custom, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
+from opentropy import verify
 from opentropy.verify import (
     STATEMENTS,
     CampaignConfig,
@@ -108,15 +109,52 @@ class TestRandomInstance:
 
     def test_json_round_trip_preserves_margin(self):
         # An instance is its JSON: arrays survive JSON bit for bit and every
-        # matrix and field is the solve of its array, so the reloaded instance
-        # checks to the same margin, norms and detail, bit for bit.  (Of the
-        # catalog, only log meets entropy_upper's f(t) <= t - 1.)
+        # matrix and field is the solve of its array (a draw solves several
+        # fields as one stack, a reload one field at a time: the same bits),
+        # so the reloaded instance checks to the same margin, norms and
+        # detail, bit for bit.  dim 1 and k = 1 are drawn wherever the family
+        # allows them (normalized fields need k >= 2).  (Of the catalog, only
+        # log meets entropy_upper's f(t) <= t - 1.)
         for theorem in TheoremId:
             f = LOG if theorem is TheoremId.ENTROPY_UPPER else power(0.5)
-            for seed, dim in ((17, 3), (18, 4), (19, 2), (20, 5)):
-                inst = random_instance(theorem, dim, 3, seed, f, 0.5)
+            least_k = 2 if STATEMENTS[theorem].family is verify._normalized else 1
+            cases = [(17, 3, 3, False), (18, 4, 3, False), (19, 2, 3, False), (20, 5, 3, False),
+                     (21, 1, least_k, False), (22, 3, least_k, False), (23, 1, 3, False),
+                     (24, 3, 3, True), (25, 1, least_k, True), (26, 4, least_k, True)]
+            for seed, dim, k, diagonal in cases:
+                inst = random_instance(theorem, dim, k, seed, f, 0.5, diagonal=diagonal)
                 back = Instance.from_json(json.loads(json.dumps(inst.to_json())))
                 assert check(theorem, back) == check(theorem, inst), (theorem, seed)
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_exponent_rejected(self, q):
+        with pytest.raises(PreconditionError, match="finite"):
+            random_instance(TheoremId.HOMOGENEOUS, 2, 2, 0, power(0.5), q)
+
+
+class TestStackedDraws:
+    """A draw with a leading count takes the same numbers, in the same order,
+    as that many consecutive draws, and leaves the rng in the same state."""
+
+    @staticmethod
+    def same(single, stacked, count=3):
+        one, many = np.random.default_rng(41), np.random.default_rng(41)
+        want = np.stack([single(one) for _ in range(count)])
+        got = stacked(many, count)
+        np.testing.assert_array_equal(got, want)
+        assert one.bit_generator.state == many.bit_generator.state
+
+    @pytest.mark.parametrize("dim,k", [(1, 1), (3, 2), (6, 4)])
+    def test_cgauss(self, dim, k):
+        self.same(lambda rng: verify._cgauss(rng, dim), lambda rng, n: verify._cgauss(rng, dim, n))
+        self.same(lambda rng: verify._cgauss(rng, dim, k), lambda rng, n: verify._cgauss(rng, dim, n, k))
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("dim,k", [(1, 1), (1, 3), (3, 2), (6, 4)])
+    def test_resolution_and_free_arrays(self, dim, k, diagonal):
+        for draw in (verify._resolution_arrays, verify._free_arrays):
+            single = lambda rng: draw(rng, dim, k, diagonal)
+            self.same(single, lambda rng, n: draw(rng, dim, k, diagonal, n))
 
 
 class TestCheckerBehavior:
@@ -326,16 +364,29 @@ def test_field_solves_do_not_grow_with_the_node_count(monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("theorem,solves", [
+    # four fields as one stack, then both measured pair spectra in one pass
+    (TheoremId.SUBADDITIVE, ["eigh"] * 2),
+    (TheoremId.JOINT_CONCAVE, ["eigh"] * 2),
+    # both probability vectors' diagonal fields as one stack
+    (TheoremId.INFO_INEQ, ["eigh"]),
+])
+def test_draws_solve_their_fields_as_one_stack(monkeypatch, theorem, solves):
+    calls = count_solves(monkeypatch)
+    random_instance(theorem, 3, 2, 7, LOG, 0.0)
+    assert calls == solves
+
+
 @pytest.mark.parametrize(
     "theorem", [TheoremId.MEAN_INTEGRAL, TheoremId.KLEIN_UPPER, TheoremId.HOMOGENEOUS, TheoremId.MAP_MONOTONE]
 )
 def test_centered_draw_measures_the_unscaled_pair_without_frames(monkeypatch, theorem):
-    # Three field solves (fa, fb, the rescaled fb), the eigenvalues alone of
-    # the unscaled pair, and one full solve of the rescaled pair, which the
-    # check reuses.
+    # Two field solves (fa and fb as one stack, then the rescaled fb), the
+    # eigenvalues alone of the unscaled pair, and one full solve of the
+    # rescaled pair, which the check reuses.
     calls = count_solves(monkeypatch)
     inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
-    assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"]
+    assert sorted(calls) == ["eigh"] * 3 + ["eigvalsh"]
     calls.clear()
     inst.fa.pair_spectrum(inst.fb)
     assert calls == []
