@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     UndefinedRatioError,
+    UnresolvableWindowError,
 )
 from .functions import (
     IDENTITY,

@@ -36,8 +36,11 @@ ratio bound evaluates f on the grid once, for its nonnegativity check and
 its search; a catalog f whose declared nonnegative interval covers [m, M]
 skips the check.  The gap bound is cross-checked against f'(t) = mu when f
 has a derivative.  Each call checks the window and computes the chord once.
-The grid search is the oracle the closed forms are tested against
-(`grid_values`).
+A window too narrow for double precision to resolve the chord (its rounding
+unit eps * max(1, |f(m)|, |f(M)|) * M / (M - m) above 1e-8, see `_chord`)
+raises UnresolvableWindowError, a PreconditionError, instead of answering
+with rounding noise.  The grid search is the oracle the closed forms are
+tested against (`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -46,11 +49,18 @@ gap bound takes for log t and -t log t on intervals with m < 1 < M.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, PreconditionError, UndefinedRatioError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    PreconditionError,
+    UndefinedRatioError,
+    UnresolvableWindowError,
+)
 from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, _grid, _nonnegative
 from .matcore import _JsonRecord
 
@@ -67,6 +77,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,30 @@ def _check_interval(m: float, M: float) -> tuple[float, float]:
 # c(t) = mu*t + nu through (m, f(m)) and (M, f(M)).
 _Chord = tuple[float, float, float, float, float, float]
 
+# The largest chord rounding unit eps * max(1, |f(m)|, |f(M)|) * M / (M - m)
+# of a window whose constants are reported.  mu and nu are differences over
+# M - m, so the chord, and with it gamma and zeta, carries an error of a few
+# such units; above 1e-8 that error alone can exceed the campaign's margin
+# floor of -1e-8.  The unit stays below 8.7e-13 on the benchmark's secant
+# windows (seeds 0-2) and below 4.2e-15 on the seed-42 acceptance campaign's
+# windows, and it reads 1.65 for log on [3, 3 + 1 ulp], 1.0 on [1, 1 + 1 ulp],
+# 7.3e-4 on [3, 3 + 1e-12] and 6.3e-3 for power:0.5 on [2, 2 + 1e-13], where
+# the computed gamma (0.549, nan, 0.99983 < 1 for a concave f) and zeta
+# (8.8e-4 against about 1e-28) are rounding noise.
+_RESOLUTION_LIMIT = 1e-8
+
 
 def _chord(f: ScalarFunction, m: float, M: float) -> _Chord:
+    """The chord of f on the checked window [m, M]; UnresolvableWindowError
+    when its rounding unit exceeds `_RESOLUTION_LIMIT`."""
     m, M = _check_interval(m, M)
     fm, fM = f.evaluate(m), f.evaluate(M)
+    unit = _EPS * max(1.0, abs(fm), abs(fM)) * M / (M - m)
+    if unit > _RESOLUTION_LIMIT:
+        raise UnresolvableWindowError(
+            f"[{m!r}, {M!r}] is too narrow to resolve the chord of {f.name}: "
+            f"its rounding unit is {unit:.3e}, above {_RESOLUTION_LIMIT:g}"
+        )
     return m, M, fm, fM, (fM - fm) / (M - m), (M * fm - m * fM) / (M - m)
 
 

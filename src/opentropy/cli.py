@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import functions, verify
-from .errors import DomainError, PreconditionError, ShapeError
+from .errors import DomainError, EigenConvergenceError, PreconditionError, ShapeError
 
 __all__ = ["main", "build_parser"]
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PreconditionError, DomainError, ShapeError, ValueError) as exc:
+    except (PreconditionError, DomainError, ShapeError, ValueError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,7 @@ from .matcore import (
     SpectralDecomposition,
     _adjoint,
     _entries,
+    _eye,
     _relative_spectrum,
     _solve_pd,
     _symmetrize,
@@ -73,6 +74,8 @@ class OperatorField:
     with its weights and one stacked eigendecomposition (`decomposition`),
     computed by a single eigensolve at construction; that solve also applies
     the PositiveDefiniteMatrix floor to every node (NotPositiveDefiniteError).
+    A field from `stack` receives its solve, its checked weights and its
+    read-only slice of the stack from there.
     `matrices` builds the nodes as PositiveDefiniteMatrix values lazily from
     the stacked decomposition, with no further eigensolve.  Fields are
     immutable, so the pair spectra against another field are memoised on the
@@ -97,17 +100,13 @@ class OperatorField:
             if len(dims) != 1:
                 raise ShapeError(f"field nodes have mixed dimensions {sorted(dims)}")
             _arrays = np.stack(matrices)
-        weights = np.asarray(_weights, dtype=float)
-        if weights.shape != (len(_arrays),):
-            raise ShapeError(f"{weights.shape} weights for {len(_arrays)} nodes")
-        if np.any(weights <= 0.0):
-            raise PreconditionError("field weights must be strictly positive")
-        decomposition = _decomposition if _decomposition is not None else _solve_pd(_arrays)
-        weights.setflags(write=False)
-        _arrays.setflags(write=False)
-        self._weights = weights
+        if _decomposition is None:
+            _weights = _checked_weights(_weights, len(_arrays))
+            _decomposition = _solve_pd(_arrays)
+            _arrays.setflags(write=False)
+        self._weights = _weights
         self._arrays = _arrays
-        self._decomp = decomposition
+        self._decomp = _decomposition
         self._matrices = None
         self._spectra = {}
 
@@ -119,8 +118,11 @@ class OperatorField:
     def stack(cls, weights, arrays: np.ndarray) -> tuple["OperatorField", ...]:
         """n aligned fields sharing `weights`, one per item of an exactly
         Hermitian (n, k, d, d) stack, from one eigensolve and one floor check
-        for all of them."""
+        for all of them.  The weights are checked and the stack frozen once,
+        and each field takes its read-only slice."""
+        weights = _checked_weights(weights, arrays.shape[1])
         decomposition = _solve_pd(arrays)
+        arrays.setflags(write=False)
         parts = zip(arrays, decomposition.unstack())
         return tuple(cls(_weights=weights, _arrays=a, _decomposition=d) for a, d in parts)
 
@@ -161,7 +163,7 @@ class OperatorField:
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
         """True when sum_s w_s A_s = I within `tol` in Frobenius norm."""
-        residual = self.weighted_sum() - np.eye(self.dim)
+        residual = self.weighted_sum() - _eye(self.dim)
         return float(np.linalg.norm(residual)) <= tol
 
     def scaled(self, alpha: float) -> "OperatorField":
@@ -192,6 +194,17 @@ class OperatorField:
 
     def __repr__(self) -> str:
         return f"OperatorField(k={len(self)}, dim={self.dim})"
+
+
+def _checked_weights(weights, k: int) -> np.ndarray:
+    """`weights` as a read-only float vector of k strictly positive entries."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (k,):
+        raise ShapeError(f"{weights.shape} weights for {k} nodes")
+    if np.any(weights <= 0.0):
+        raise PreconditionError("field weights must be strictly positive")
+    weights.setflags(write=False)
+    return weights
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -25,6 +25,10 @@ class UndefinedRatioError(PreconditionError):
     """The secant chord is nonpositive somewhere, so the ratio bound is undefined."""
 
 
+class UnresolvableWindowError(PreconditionError):
+    """The window [m, M] is too narrow for double precision to resolve f's chord on it."""
+
+
 class ConsistencyError(ArithmeticError):
     """Two independent computations of the same quantity disagree."""
 

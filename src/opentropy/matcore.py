@@ -5,30 +5,48 @@ the Loewner order (A <= B iff B - A is positive semidefinite).  All values are
 small dense complex matrices, immutable after construction; Hermitian drift
 from floating-point products is absorbed by symmetrizing once at construction.
 
+One eigensolver entry.  Every eigensolve of the package goes through `_eigh`
+(eigenvalues and eigenvectors) or `_eigvalsh` (eigenvalues alone).  Each
+calls the LAPACK gufunc that `np.linalg.eigh` and `np.linalg.eigvalsh` call
+themselves (`_umath_linalg.eigh_lo`, `eigvalsh_lo`), with the signature numpy
+picks from the dtype ("D" for complex input, "d" otherwise) and under the
+same `np.errstate`, whose callback raises EigenConvergenceError where numpy
+raises LinAlgError.  It skips the numpy.linalg wrapper's conversions and
+checks, which pass the package's (..., d, d) float and complex ndarrays
+through unchanged: about 6 us of a 25-30 us solve of a (3, 5, 5) complex
+stack (timeit), on the 2x2 to 8x8 arrays where a trial's time is per-call
+overhead rather than LAPACK work.  The results are the same bits
+(tests/test_matcore.py compares both at d = 1..8 and 64), NaN spectra of
+non-finite input included.
+
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_relative_eigenvalues`) and the private helpers (`_symmetrize`, `_adjoint`,
 `_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
 (..., d, d) as well as one matrix.  A field of the entropy module is one
 (k, d, d) stack; n aligned fields built together are one (n, k, d, d) stack,
 decomposed in one LAPACK call with one floor check, and
-`PositiveDefiniteMatrix.stack` does the same for n matrices.  Stacked LAPACK and matmul give the same bits
-per matrix as one call per matrix (tests/test_matcore.py checks eigh,
-eigvalsh and the pair kernel at d = 1..8 and 64), so a stacked solve never
-changes a result.  A value built from a stacked solve still goes through its
-constructor, with its slice of the decomposition passed privately.  Stacks
-on a trial's path are gathered with `np.array([...])`, which copies
-same-shape arrays along a new leading axis as `np.stack` does, at about a
-fifth of its call overhead on these small arrays.
+`PositiveDefiniteMatrix.stack` does the same for n matrices.  Stacked LAPACK
+and matmul give the same bits per matrix as one call per matrix
+(tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
+and 64), so a stacked solve never changes a result.  A value built from a
+stacked solve still goes through its constructor, with its slice of the
+decomposition passed privately; the slices of a read-only stack are
+read-only already, so `SpectralDecomposition.unstack` does not freeze them
+again.  Stacks on a trial's path are gathered with `np.array([...])`, which
+copies same-shape arrays along a new leading axis as `np.stack` does, at
+about a fifth of its call overhead on these small arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import EigenConvergenceError, NotPositiveDefiniteError, ShapeError
+from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError
 
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
@@ -52,6 +70,31 @@ DEFAULT_LOEWNER_TOL = 1e-9
 _PD_RELATIVE_FLOOR = 1e-12
 
 
+def _nonconvergence(err, flag) -> None:
+    raise EigenConvergenceError("eigendecomposition did not converge")
+
+
+def _solver_errstate() -> np.errstate:
+    """The floating-point state numpy.linalg solves under: a non-convergence
+    sets `invalid`, which calls `_nonconvergence`; the rest is ignored."""
+    return np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian
+    ndarray (..., d, d), as `np.linalg.eigh` gives them (the module docstring
+    says why this entry skips it)."""
+    with _solver_errstate():
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian ndarray (..., d, d), as
+    `np.linalg.eigvalsh` gives them."""
+    with _solver_errstate():
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
@@ -68,12 +111,13 @@ def _scalar_image(vectors: np.ndarray, values) -> np.ndarray:
 def _require_pd_floor(eigenvalues: np.ndarray) -> None:
     """Raise NotPositiveDefiniteError unless lambda_min > 0 and lambda_min > 1e-12 lambda_max,
     for one ascending spectrum or for every row of a stack of them (the first
-    failing row is reported).  A loop over Python floats: at the 1 to 24 rows
-    of a trial's stacks it is several times faster than a vectorized test."""
+    failing row is reported).  The test is written so that a NaN at either
+    end fails it.  A loop over Python floats: at the 1 to 24 rows of a
+    trial's stacks it is several times faster than a vectorized test."""
     lows = eigenvalues[..., 0].reshape(-1).tolist()
     highs = eigenvalues[..., -1].reshape(-1).tolist()
     for lo, hi in zip(lows, highs):
-        if lo <= 0.0 or lo <= _PD_RELATIVE_FLOOR * hi:
+        if not (lo > 0.0 and lo > _PD_RELATIVE_FLOOR * hi):
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {lo:.6e} is not safely positive (largest is {hi:.6e})"
             )
@@ -117,7 +161,7 @@ class HermitianMatrix:
         return float(np.linalg.norm(self._array))
 
     def spectral_norm(self) -> float:
-        w = np.linalg.eigvalsh(self._array)
+        w = _eigvalsh(self._array)
         return float(max(abs(w[0]), abs(w[-1])))
 
     def trace(self) -> float:
@@ -150,7 +194,13 @@ def _entries(m) -> np.ndarray:
 
 
 def identity(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(dim, dtype=complex))
+    return HermitianMatrix(_eye(dim, complex))
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(dim: int, dtype=float) -> np.ndarray:
+    """The read-only dim x dim identity of `dtype`, built once per (dim, dtype)."""
+    return _freeze(np.eye(dim, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -173,18 +223,23 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
     def unstack(self) -> tuple["SpectralDecomposition", ...]:
-        """The decompositions of the items along the leading axis of a stack."""
-        return tuple(SpectralDecomposition(w, v) for w, v in zip(self.eigenvalues, self.eigenvectors))
+        """The decompositions of the items along the leading axis of a stack.
+        They are slices of this one's read-only arrays, read-only themselves,
+        so they are set up without freezing them again."""
+        new, setattr_ = object.__new__, object.__setattr__
+        items = []
+        for w, v in zip(self.eigenvalues, self.eigenvectors):
+            item = new(SpectralDecomposition)
+            setattr_(item, "eigenvalues", w)
+            setattr_(item, "eigenvectors", v)
+            items.append(item)
+        return tuple(items)
 
 
 def eig(h) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
     Hermitian stack (..., d, d) in one call (LAPACK, ascending order)."""
-    try:
-        w, v = np.linalg.eigh(_entries(h))
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return SpectralDecomposition(w, v)
+    return SpectralDecomposition(*_eigh(_entries(h)))
 
 
 def _solve_pd(stack: np.ndarray) -> SpectralDecomposition:
@@ -323,9 +378,9 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
     aa, bb = _entries(a), _entries(b)
     if aa.shape != bb.shape:
         raise ShapeError(f"loewner_leq shape mismatch: {aa.shape} vs {bb.shape}")
-    margin = float(np.linalg.eigvalsh(_symmetrize(bb - aa))[0])
-    wa = np.linalg.eigvalsh(_symmetrize(aa))
-    wb = np.linalg.eigvalsh(_symmetrize(bb))
+    margin = float(_eigvalsh(_symmetrize(bb - aa))[0])
+    wa = _eigvalsh(_symmetrize(aa))
+    wb = _eigvalsh(_symmetrize(bb))
     return _holds_within(margin, tol, abs(wa[0]), abs(wa[-1]), abs(wb[0]), abs(wb[-1])), margin
 
 
@@ -345,7 +400,7 @@ def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndar
     """
     root = np.sqrt(a.eigenvalues)
     r, s = _scalar_image(a.eigenvectors, np.array([1.0 / root, root]))
-    lam, u = np.linalg.eigh(_symmetrize(r @ b @ r))
+    lam, u = _eigh(_symmetrize(r @ b @ r))
     return lam, s @ u
 
 
@@ -354,7 +409,7 @@ def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray
     stack: R = A^{-1/2} from A's eigenbasis and one eigenvalues-only solve of
     T = R B R, with no frames (for callers that read only the spectrum)."""
     r = _scalar_image(a.eigenvectors, 1.0 / np.sqrt(a.eigenvalues))
-    return np.linalg.eigvalsh(_symmetrize(r @ b @ r))
+    return _eigvalsh(_symmetrize(r @ b @ r))
 
 
 def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tuple[float, float]:
@@ -381,12 +436,16 @@ def matrix_to_json(m) -> dict:
 
 
 def _array_from_json(data: dict) -> np.ndarray:
-    """The complex (dim, dim) array of a matrix payload, entry for entry (not symmetrized)."""
+    """The complex (dim, dim) array of a matrix payload, entry for entry (not
+    symmetrized).  Non-finite entries are rejected (PreconditionError): the
+    eigensolver returns NaN spectra for them without an error."""
     dim = int(data["dim"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise PreconditionError("matrix payload has non-finite entries")
     return re + 1j * im
 
 

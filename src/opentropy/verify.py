@@ -44,6 +44,7 @@ from .entropy import (
     pair_spectra,
 )
 from .errors import (
+    DomainError,
     EigenConvergenceError,
     GenerationError,
     NotPositiveDefiniteError,
@@ -58,6 +59,9 @@ from .matcore import (
     SpectralDecomposition,
     _adjoint,
     _array_from_json,
+    _eigh,
+    _eigvalsh,
+    _eye,
     _holds_within,
     _JsonRecord,
     _relative_eigenvalues,
@@ -274,7 +278,7 @@ def _spectra(items: list) -> list:
     symmetrized arrays), so it is solved as it is."""
     if all(isinstance(x, float) for x in items):
         return [np.array([x]) for x in items]
-    return list(np.linalg.eigvalsh(np.array(items)))
+    return list(_eigvalsh(np.array(items)))
 
 
 def _snorm(w: np.ndarray) -> float:
@@ -356,7 +360,7 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
     """scalar_map applied to an exactly Hermitian array (every caller's is a
     sum of symmetrized arrays and real multiples of them)."""
-    w, v = np.linalg.eigh(arr)
+    w, v = _eigh(arr)
     return _scalar_image(v, scalar_map(w))
 
 
@@ -373,7 +377,7 @@ def _entropy_terms(inst: Instance, p: float, *more):
     one aggregate sum w A^{1/2} g(T) A^{1/2} per extra eigenvalue map g."""
     spectrum = inst.fa.pair_spectrum(inst.fb)
     lam = spectrum.eigenvalues
-    eye = np.eye(inst.fa.dim)
+    eye = _eye(inst.fa.dim)
     v, w_plus, *rest = spectrum.conjugate(np.array([lam ** p, lam ** (p + 1.0)] + [g(lam) for g in more]))
     return spectrum, eye, v, w_plus + inst.t0 * (eye - v), rest
 
@@ -389,7 +393,7 @@ def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
 def _compression_terms(inst: Instance):
     """f(lifted argument) and the compressed right-hand side it is checked against."""
     f, x = inst.f, inst.x
-    eye = np.eye(x.dim)
+    eye = _eye(x.dim)
     c = np.array(inst.cs)
     ch = _adjoint(c)
     fx = x.scalar_image(f.evaluate_array(x.eigenvalues))
@@ -441,7 +445,7 @@ def _rev_jensen_zeta(inst: Instance, gate) -> Sides:
     """f(lifted argument) <= sum w C*f(X)C + f(t0)(I - sum w C*C) + zeta I"""
     zeta = gate()
     f_arg, rhs = _compression_terms(inst)
-    shifted = rhs + zeta * np.eye(inst.x.dim)
+    shifted = rhs + zeta * _eye(inst.x.dim)
     return Sides([(f_arg, "<=", shifted)], f"reverse lifted Jensen with zeta={zeta!r}")
 
 
@@ -587,7 +591,7 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
     _, eye, v, w_arg, (s_p, s_p1) = _entropy_terms(
         inst, p, lambda lam: lam ** p * np.log(lam), lambda lam: lam ** (p + 1.0) * np.log(lam)
     )
-    ww, wv = np.linalg.eigh(w_arg)
+    ww, wv = _eigh(w_arg)
     w_log_w, log_w = _scalar_image(wv, np.array([ww * np.log(ww), np.log(ww)]))
     return Sides(
         [
@@ -605,12 +609,21 @@ def _example_log_pair(inst: Instance, gate) -> Sides:
 # ---------------------------------------------------------------------------
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
 def _cgauss(rng, n: int, *lead: int) -> np.ndarray:
     """A complex Gaussian n x n matrix (real part drawn first), or a
     (*lead, n, n) stack of them drawn one after another in one rng call (the
-    same numbers, in the same order, as one call per matrix)."""
+    same numbers, in the same order, as one call per matrix).  Both parts are
+    scaled by 1/sqrt(2) and written into one complex array, the same bits as
+    (re + 1j im) / sqrt(2), which numpy divides as a product with 1/sqrt(2)."""
     z = rng.standard_normal((*lead, 2, n, n))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
+    z *= _INV_SQRT2
+    out = np.empty((*lead, n, n), dtype=complex)
+    out.real = z[..., 0, :, :]
+    out.imag = z[..., 1, :, :]
+    return out
 
 
 def _random_unitaries(rng, n: int, k: int) -> np.ndarray:
@@ -622,7 +635,7 @@ def _random_unitaries(rng, n: int, k: int) -> np.ndarray:
 
 def _diagonals(rows: np.ndarray) -> np.ndarray:
     """The stack of complex diagonal matrices diag(row), one per row (last axis)."""
-    return rows[..., None] * np.eye(rows.shape[-1], dtype=complex)
+    return rows[..., None] * _eye(rows.shape[-1], complex)
 
 
 def _lead(k: int, count: int | None) -> tuple[int, ...]:
@@ -639,7 +652,7 @@ def _resolution_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None 
         return _diagonals(cols)
     g = _cgauss(rng, dim, *_lead(k, count))
     # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
-    arrays = _symmetrize(g @ _adjoint(g)) + 0.5 * dim * np.eye(dim)
+    arrays = _symmetrize(g @ _adjoint(g)) + 0.5 * dim * _eye(dim)
     sums = _solve_pd(arrays.sum(axis=-3))
     isq = _scalar_image(sums.eigenvectors, 1.0 / np.sqrt(sums.eigenvalues))[..., None, :, :]
     return _symmetrize(isq @ arrays @ isq)
@@ -688,7 +701,7 @@ def _free_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None
     if diagonal:
         return _diagonals(rng.uniform(0.5, 4.0, size=(*_lead(k, count), dim)))
     g = _cgauss(rng, dim, *_lead(k, count))
-    return _symmetrize(g @ _adjoint(g)) / dim + 0.5 * np.eye(dim)
+    return _symmetrize(g @ _adjoint(g)) / dim + 0.5 * _eye(dim)
 
 
 def _centered(rng, inst: Instance, diagonal: bool) -> None:
@@ -845,9 +858,9 @@ class Statement:
     def note(self) -> str:
         return self.build.__doc__
 
-    @property
+    @functools.cached_property
     def needs(self) -> tuple[str, ...]:
-        """The instance slots a check of this statement reads."""
+        """The instance slots a check of this statement reads (computed once)."""
         return _FILLS[self.family] + _FILLS.get(self.extras, ()) + self.reads
 
     def admits(self, f: ScalarFunction) -> bool:
@@ -1117,9 +1130,11 @@ def run_trial(
 
     Every cell ends in one outcome.  A generation failure is a hypothesis skip;
     a PreconditionError while drawing or checking (an exponent or a term count
-    the statement does not admit) or an eigensolver failure (an exponent so
-    large that a side overflows) is an error: hypothesis_met and holds both
-    False, detail "error: <message>".
+    the statement does not admit, a window too narrow for the chord), a
+    matrix that fails the positive-definite floor, a scalar function
+    evaluated outside its domain, or an eigensolver or SVD failure (an
+    exponent so large that a side overflows) is an error: hypothesis_met and
+    holds both False, detail "error: <message>".
     """
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
@@ -1134,7 +1149,8 @@ def run_trial(
         result = triage(theorem, inst, config.tol)
     except GenerationError as exc:
         result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
-    except (PreconditionError, np.linalg.LinAlgError, EigenConvergenceError) as exc:
+    except (PreconditionError, NotPositiveDefiniteError, DomainError, np.linalg.LinAlgError,
+            EigenConvergenceError) as exc:
         result = VerificationResult(theorem, False, None, 0.0, 0.0, False, f"error: {exc}")
     record = TrialRecord(
         theorem, index, int(seed), dim, k, spec, exponent,

@@ -11,6 +11,7 @@ from opentropy import (
     DomainError,
     PreconditionError,
     UndefinedRatioError,
+    UnresolvableWindowError,
     chord_gap_bound,
     chord_ratio_bound,
     identric_mean,
@@ -314,6 +315,34 @@ class TestNarrowWindows:
     @pytest.mark.usefixtures("deadline")
     def test_grid_values_returns(self):
         assert abs(grid_values(LOG, 1.0, 1.0001)["zeta"] - secant_data(LOG, 1.0, 1.0001).zeta) <= 1e-15
+
+
+class TestUnresolvableWindows:
+    # Chord rounding unit eps * max(1, |f(m)|, |f(M)|) * M / (M - m) of each
+    # window, and what the constants read without the check: gamma 0.549,
+    # gamma nan, gamma 0.99983 < 1 for a concave f, zeta 8.8e-4 for an exact
+    # value of about 1e-28.
+    @pytest.mark.parametrize("f,m,M,unit", [
+        (LOG, 3.0, 3.0000000000000004, 1.65),
+        (LOG, 1.0, 1.0000000000000002, 1.0),
+        (LOG, 3.0, 3.0 + 1e-12, 7.3e-4),
+        (power(0.5), 2.0, 2.0 + 1e-13, 6.3e-3),
+    ])
+    def test_reported_as_unresolvable(self, f, m, M, unit):
+        measured = sys.float_info.epsilon * max(1.0, abs(f(m)), abs(f(M))) * M / (M - m)
+        assert measured == pytest.approx(unit, rel=0.02)
+        for constant in (secant_data, chord_ratio_bound, chord_gap_bound, secant_coeffs, grid_values):
+            with pytest.raises(UnresolvableWindowError, match="too narrow"):
+                constant(f, m, M)
+
+    def test_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError):
+            secant_data(LOG, 1.0, 1.0000000000000002)
+
+    def test_narrow_window_within_the_limit_is_answered(self):
+        # Unit 2.2e-10, under the 1e-8 limit.
+        data = secant_data(LOG, 1.0, 1.0 + 1e-6)
+        assert 1.0 <= data.gamma <= 1.0 + 1e-6 and 0.0 <= data.zeta <= 1e-12
 
 
 class TestSecantData:

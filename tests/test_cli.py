@@ -8,6 +8,8 @@ from opentropy.cli import main
 from opentropy.functions import power
 from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, random_instance, triage
 
+from conftest import ENTRY, rebind_entry
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -109,6 +111,16 @@ class TestCheck:
         assert payload["detail"] == "error: non-finite margin" and payload["triage"] is None
         assert payload["margin"] is None and not payload["holds"] and not payload["hypothesis_met"]
 
+    def test_eigensolver_failure_exits_2(self, tmp_path, capsys):
+        # q = 1e308 on a diagonal instance fills a side with inf and NaN,
+        # where the eigensolver does not converge: an error, not a violation.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "homogeneous", "--dim", "3", "--k", "2",
+            "--seed", "0", "--q", "1e308", "--diagonal", "--out", str(out))
+        with np.errstate(all="ignore"):
+            code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "did not converge" in err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -134,7 +146,45 @@ class TestCheck:
         assert code == 2 and repr(key) in err
 
 
+    @pytest.mark.parametrize("theorem,key,value", [
+        ("compression_jensen", "cs", float("nan")), ("compression_jensen", "x", float("inf")),
+        ("map_monotone", "map", float("nan")), ("entropy_lower", "fa", -float("inf")),
+    ])
+    def test_nonfinite_matrix_entry_exits_2(self, tmp_path, capsys, theorem, key, value):
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "1",
+            "--f", "log", "--out", str(out))
+        payload = json.loads(out.read_text())
+        matrix = {"cs": lambda p: p["cs"][0], "x": lambda p: p["x"], "map": lambda p: p["map"]["kraus"][0],
+                  "fa": lambda p: p["fa"]["matrices"][0]}[key](payload)
+        matrix["re"][0][0] = value
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "non-finite" in err
+
+
 class TestCampaign:
+    def test_report_bytes_do_not_depend_on_the_eigensolver_entry(self, tmp_path, capsys, monkeypatch):
+        # matcore's entry calls numpy.linalg's LAPACK gufuncs directly; with
+        # it routed back through np.linalg.eigh and eigvalsh, the campaign
+        # writes the same bytes.
+        def reports(tag):
+            written = {}
+            for fmt in ("json", "csv"):
+                path = tmp_path / f"{tag}.{fmt}"
+                code, _, _ = run(capsys, "campaign", "--trials", "2", "--dims", "2:4", "--seed", "7",
+                                 "--format", fmt, "--out", str(path))
+                assert code == 0
+                written[fmt] = path.read_bytes()
+            return written
+
+        entry = reports("entry")
+        used = []
+        for name, solver in ENTRY.items():
+            real = getattr(np.linalg, solver)
+            rebind_entry(monkeypatch, name, lambda a, _real=real: used.append(1) or _real(a))
+        assert reports("numpy") == entry and used
+
     def test_zero_trials_empty_report(self, capsys):
         code, stdout, _ = run(capsys, "campaign", "--trials", "0", "--seed", "1")
         assert code == 0
@@ -312,10 +362,10 @@ class TestBounds:
         assert code == 2 and stdout == "" and "finite" in err
 
     @pytest.mark.usefixtures("deadline")
-    def test_one_ulp_window_returns(self, capsys):
-        # The grid cross-check's golden search cannot narrow below one ulp.
-        code, stdout, _ = run(capsys, "bounds", "--f", "log", "--m", "1", "--M", "1.0000000000000002")
-        assert code == 0 and json.loads(stdout)["zeta"] == 0.0
+    def test_one_ulp_window_exits_2(self, capsys):
+        # mu and nu are rounding noise on [1, 1 + 1 ulp]: no constant is reported.
+        code, stdout, err = run(capsys, "bounds", "--f", "log", "--m", "1", "--M", "1.0000000000000002")
+        assert code == 2 and stdout == "" and "too narrow" in err
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -5,9 +5,11 @@ import pytest
 
 from opentropy import (
     DomainError,
+    EigenConvergenceError,
     HermitianMatrix,
     NotPositiveDefiniteError,
     PositiveDefiniteMatrix,
+    PreconditionError,
     ShapeError,
     apply_function,
     congruence,
@@ -17,7 +19,15 @@ from opentropy import (
     sandwich_bounds,
 )
 from opentropy.functions import IDENTITY, LOG, custom, power
-from opentropy.matcore import _relative_spectrum, _require_pd_floor, matrix_from_json, matrix_to_json
+from opentropy.entropy import OperatorField
+from opentropy.matcore import (
+    _eigh,
+    _eigvalsh,
+    _relative_spectrum,
+    _require_pd_floor,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 from conftest import random_hermitian, random_pd
 
@@ -46,6 +56,58 @@ class TestHermitianMatrix:
     def test_json_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matrix_from_json({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_nonfinite_entry_rejected(self, part, value):
+        payload = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        payload[part][1][0] = value
+        with pytest.raises(PreconditionError, match="non-finite"):
+            matrix_from_json(payload)
+
+
+class TestEigensolverEntry:
+    """matcore's `_eigh` and `_eigvalsh` call numpy.linalg's LAPACK gufuncs
+    without its wrapper and must give exactly what `np.linalg.eigh` and
+    `np.linalg.eigvalsh` give."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
+    def test_matches_numpy_linalg_bitwise(self, rng, dim, dtype):
+        g = rng.standard_normal((2, 3, dim, dim))
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal((2, 3, dim, dim))
+        a = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+        w, v = _eigh(a)
+        expected_w, expected_v = np.linalg.eigh(a)
+        values = _eigvalsh(a)
+        assert w.dtype == expected_w.dtype and v.dtype == expected_v.dtype == a.dtype
+        np.testing.assert_array_equal(w, expected_w)
+        np.testing.assert_array_equal(v, expected_v)
+        np.testing.assert_array_equal(values, np.linalg.eigvalsh(a))
+        assert values.dtype == np.float64
+
+    @pytest.mark.parametrize("a", [
+        np.diag([np.nan, 1.0]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 1.0], [1.0, 1.0]], dtype=complex),
+    ], ids=["nan-diagonal", "inf-diagonal", "inf-complex"])
+    def test_nonfinite_input_gives_numpys_nans_without_a_warning(self, a):
+        # filterwarnings = error turns any RuntimeWarning into a failure here.
+        w, v = _eigh(a)
+        expected_w, expected_v = np.linalg.eigh(a)
+        assert np.isnan(w).any()
+        np.testing.assert_array_equal(w, expected_w)
+        np.testing.assert_array_equal(v, expected_v)
+        np.testing.assert_array_equal(_eigvalsh(a), np.linalg.eigvalsh(a))
+
+    def test_nonconvergence_raises_eigen_convergence_error(self):
+        a = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(a)
+        for solve in (_eigh, _eigvalsh, eig):
+            with pytest.raises(EigenConvergenceError, match="did not converge"):
+                solve(a)
 
 
 class TestEig:
@@ -118,6 +180,19 @@ class TestStackedSolves:
         with pytest.raises(NotPositiveDefiniteError, match="-3.000000e"):
             _require_pd_floor(spectra)
         _require_pd_floor(np.array([[1.0, 2.0], [1e-11, 1.0]]))
+
+    @pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [1.0, np.inf]])
+    def test_floor_rejects_a_nan_or_inf_end(self, spectrum):
+        with pytest.raises(NotPositiveDefiniteError):
+            _require_pd_floor(np.array(spectrum))
+        with pytest.raises(NotPositiveDefiniteError):
+            _require_pd_floor(np.array([[1.0, 2.0], spectrum]))
+
+    def test_nan_matrix_and_field_node_rejected(self, rng):
+        with pytest.raises(NotPositiveDefiniteError, match="nan"):
+            PositiveDefiniteMatrix(np.diag([np.nan, 1.0]))
+        with pytest.raises(NotPositiveDefiniteError, match="nan"):
+            OperatorField([(1.0, random_pd(rng, 2)), (1.0, np.diag([np.nan, 1.0]))])
 
 
 class TestPositiveDefinite:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from opentropy import PreconditionError
+from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, UnresolvableWindowError
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, custom, parse, power
@@ -339,29 +339,18 @@ def test_map_monotone_rectangular_consistency():
     assert res.hypothesis_met and res.holds
 
 
-def count_solves(monkeypatch) -> list:
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw)
-        )
-    return calls
-
-
-def test_field_solves_do_not_grow_with_the_node_count(monkeypatch):
+def test_field_solves_do_not_grow_with_the_node_count(solve_calls):
     # Fields and pair spectra are stacked, and the check reuses the pair
     # spectra generation measured: one draw and its check cost the same
     # number of eigensolves at any k.
-    calls = count_solves(monkeypatch)
     counts = []
     for k in (2, 4):
-        calls.clear()
+        solve_calls.clear()
         inst = random_instance(TheoremId.ENTROPY_LOWER, 3, k, 20240, power(0.5), 0.5)
         result = check(TheoremId.ENTROPY_LOWER, inst)
         assert result.hypothesis_met and result.holds
-        counts.append(sorted(calls))
-    assert counts[0] == counts[1]
+        counts.append(sorted(solve_calls))
+    assert counts[0] and counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("theorem,solves", [
@@ -371,25 +360,23 @@ def test_field_solves_do_not_grow_with_the_node_count(monkeypatch):
     # both probability vectors' diagonal fields as one stack
     (TheoremId.INFO_INEQ, ["eigh"]),
 ])
-def test_draws_solve_their_fields_as_one_stack(monkeypatch, theorem, solves):
-    calls = count_solves(monkeypatch)
+def test_draws_solve_their_fields_as_one_stack(solve_calls, theorem, solves):
     random_instance(theorem, 3, 2, 7, LOG, 0.0)
-    assert calls == solves
+    assert solve_calls == solves
 
 
 @pytest.mark.parametrize(
     "theorem", [TheoremId.MEAN_INTEGRAL, TheoremId.KLEIN_UPPER, TheoremId.HOMOGENEOUS, TheoremId.MAP_MONOTONE]
 )
-def test_centered_draw_measures_the_unscaled_pair_without_frames(monkeypatch, theorem):
+def test_centered_draw_measures_the_unscaled_pair_without_frames(solve_calls, theorem):
     # Two field solves (fa and fb as one stack, then the rescaled fb), the
     # eigenvalues alone of the unscaled pair, and one full solve of the
     # rescaled pair, which the check reuses.
-    calls = count_solves(monkeypatch)
     inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
-    assert sorted(calls) == ["eigh"] * 3 + ["eigvalsh"]
-    calls.clear()
+    assert sorted(solve_calls) == ["eigh"] * 3 + ["eigvalsh"]
+    solve_calls.clear()
     inst.fa.pair_spectrum(inst.fb)
-    assert calls == []
+    assert solve_calls == []
 
 
 def test_nonnegative_declaration_covering_the_window_skips_the_grid():
@@ -498,6 +485,38 @@ def test_precondition_error_is_a_trial_outcome():
     assert klein.errors == 0 and klein.passes == 2
     assert report.error_total == 2 and report.failures == []
     assert report.to_json()["results"][0]["errors"] == 2
+
+
+@pytest.mark.parametrize("error", [
+    NotPositiveDefiniteError("smallest eigenvalue nan is not safely positive (largest is 1.0e+00)"),
+    DomainError("log is undefined at -1"),
+])
+def test_floor_and_domain_errors_are_trial_outcomes(monkeypatch, error):
+    # One bad cell ends as an error outcome; the rest of the campaign runs.
+    real, calls = verify.triage, []
+
+    def triage(theorem, inst, tol):
+        calls.append(theorem)
+        if len(calls) == 1:
+            raise error
+        return real(theorem, inst, tol)
+
+    monkeypatch.setattr(verify, "triage", triage)
+    report = campaign(CampaignConfig(theorems=(TheoremId.KLEIN_UPPER,), trials=3, seed=2))
+    (summary,) = report.summaries
+    assert (summary.errors, summary.passes, summary.skips) == (1, 2, 0)
+    assert report.records[0].detail == f"error: {error}" and report.failures == []
+
+
+def test_unresolvable_window_skips_gamma_and_raises_for_zeta():
+    # A gamma gate skips on a precondition failure; a zeta gate has none to
+    # skip on, so the error reaches run_trial, which counts it.
+    inst = random_instance(TheoremId.REV_JENSEN_GAMMA, 2, 2, 0, LOG)
+    inst.m, inst.M = 3.0, 3.0000000000000004
+    result = check(TheoremId.REV_JENSEN_GAMMA, inst)
+    assert not result.hypothesis_met and result.holds and "too narrow" in result.detail
+    with pytest.raises(UnresolvableWindowError, match="too narrow"):
+        check(TheoremId.REV_JENSEN_ZETA, dataclasses.replace(inst, theorem=TheoremId.REV_JENSEN_ZETA))
 
 
 @pytest.mark.parametrize("theorem", list(TheoremId))
