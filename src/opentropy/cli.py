@@ -193,11 +193,6 @@ def _cmd_campaign(args) -> int:
         tol=args.tol,
         seed=args.seed,
     )
-    try:
-        config.validate()
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = verify.campaign(config)
     if args.format == "json":
         _emit(_json_text(report.to_json()), args.out)

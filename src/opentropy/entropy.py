@@ -178,13 +178,6 @@ class OperatorField:
         _require_aligned(self, other)
         return OperatorField(_weights=self._weights, _arrays=self._arrays + other._arrays)
 
-    def blend(self, other: "OperatorField", alpha: float, beta: float) -> "OperatorField":
-        """Node-wise alpha*A_s + beta*B_s for positive alpha, beta."""
-        _require_aligned(self, other)
-        if alpha <= 0.0 or beta <= 0.0:
-            raise PreconditionError("blend coefficients must be positive")
-        return OperatorField(_weights=self._weights, _arrays=alpha * self._arrays + beta * other._arrays)
-
     def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
         """PairSpectrum(self, other), solved once per pair of field objects."""
         spectrum = self._spectra.get(other)

@@ -1,10 +1,10 @@
 """Catalog of scalar functions on (0, inf) with operator-order metadata.
 
-Each entry records whether the function is operator monotone / operator
-concave.  Those flags are facts carried by the catalog: operator properties
-cannot be certified from point samples, so custom functions declare their own
-flags and are grid-checked here for the scalar necessary conditions
-(nonnegativity, midpoint concavity) before a checker will trust them.
+Each entry records whether the function is operator concave.  That flag is
+a fact carried by the catalog: operator properties cannot be certified from
+point samples, so custom functions declare their own flags and are
+grid-checked here for the scalar necessary conditions (nonnegativity,
+midpoint concavity) before a checker will trust them.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class ScalarFunction:
     deriv: Callable | None = None
     domain_low: float = 0.0
     nonnegative_on: tuple[float, float] | None = None
-    operator_monotone: bool = False
     operator_concave: bool = False
     strictly_concave: bool = False
     spec: str = field(default="", repr=False)
@@ -99,7 +98,6 @@ IDENTITY = ScalarFunction(
     fn=lambda t: t * 1.0,
     deriv=lambda t: t * 0.0 + 1.0,
     nonnegative_on=(0.0, _INF),
-    operator_monotone=True,
     operator_concave=True,
     strictly_concave=False,
     spec="identity",
@@ -111,7 +109,6 @@ LOG = ScalarFunction(
     fn=np.log,
     deriv=lambda t: 1.0 / t,
     nonnegative_on=(1.0, _INF),
-    operator_monotone=True,
     operator_concave=True,
     strictly_concave=True,
     spec="log",
@@ -123,7 +120,6 @@ NEG_T_LOG_T = ScalarFunction(
     fn=lambda t: -t * np.log(t),
     deriv=lambda t: -np.log(t) - 1.0,
     nonnegative_on=(0.0, 1.0),
-    operator_monotone=False,
     operator_concave=True,
     strictly_concave=True,
     spec="neg_t_log_t",
@@ -140,7 +136,6 @@ def constant(c: float) -> ScalarFunction:
         fn=lambda t, _c=c: _c + 0.0 * t,
         deriv=lambda t: 0.0 * t,
         nonnegative_on=(0.0, _INF),
-        operator_monotone=True,
         operator_concave=True,
         strictly_concave=False,
         spec=f"const:{c!r}",
@@ -157,7 +152,6 @@ def affine(a: float, b: float) -> ScalarFunction:
         fn=lambda t, _a=a, _b=b: _a + _b * t,
         deriv=lambda t, _b=b: _b + 0.0 * t,
         nonnegative_on=(0.0, _INF),
-        operator_monotone=True,
         operator_concave=True,
         strictly_concave=False,
         spec=f"affine:{a!r},{b!r}",
@@ -174,7 +168,6 @@ def power(p: float) -> ScalarFunction:
         fn=lambda t, _p=p: t ** _p,
         deriv=lambda t, _p=p: _p * t ** (_p - 1.0),
         nonnegative_on=(0.0, _INF),
-        operator_monotone=True,
         operator_concave=True,
         strictly_concave=0.0 < p < 1.0,
         spec=f"power:{p!r}",
@@ -189,7 +182,6 @@ def custom(
     deriv: Callable | None = None,
     domain_low: float = 0.0,
     nonnegative_on: tuple[float, float] | None = None,
-    operator_monotone: bool = False,
     operator_concave: bool = False,
     strictly_concave: bool = False,
 ) -> ScalarFunction:
@@ -204,7 +196,6 @@ def custom(
         deriv=deriv,
         domain_low=float(domain_low),
         nonnegative_on=nonnegative_on,
-        operator_monotone=operator_monotone,
         operator_concave=operator_concave,
         strictly_concave=strictly_concave,
         spec="",

@@ -24,17 +24,17 @@ Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
 (..., d, d) as well as one matrix.  A field of the entropy module is one
 (k, d, d) stack; n aligned fields built together are one (n, k, d, d) stack,
-decomposed in one LAPACK call with one floor check, and
-`PositiveDefiniteMatrix.stack` does the same for n matrices.  Stacked LAPACK
-and matmul give the same bits per matrix as one call per matrix
-(tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
-and 64), so a stacked solve never changes a result.  A value built from a
-stacked solve still goes through its constructor, with its slice of the
-decomposition passed privately; the slices of a read-only stack are
-read-only already, so `SpectralDecomposition.unstack` does not freeze them
-again.  Stacks on a trial's path are gathered with `np.array([...])`, which
-copies same-shape arrays along a new leading axis as `np.stack` does, at
-about a fifth of its call overhead on these small arrays.
+decomposed in one LAPACK call with one floor check (n matrices built together
+are n one-node fields).  Stacked LAPACK and matmul give the same bits per
+matrix as one call per matrix (tests/test_matcore.py checks eigh, eigvalsh
+and the pair kernel at d = 1..8 and 64), so a stacked solve never changes a
+result.  A value built from a stacked solve still goes through its
+constructor, with its slice of the decomposition passed privately; the
+slices of a read-only stack are read-only already, so
+`SpectralDecomposition.unstack` does not freeze them again.  Stacks on a
+trial's path are gathered with `np.array([...])`, which copies same-shape
+arrays along a new leading axis as `np.stack` does, at about a fifth of its
+call overhead on these small arrays.
 """
 
 from __future__ import annotations
@@ -157,16 +157,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self._array.shape[0]
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self._array))
-
-    def spectral_norm(self) -> float:
-        w = _eigvalsh(self._array)
-        return float(max(abs(w[0]), abs(w[-1])))
-
-    def trace(self) -> float:
-        return float(np.trace(self._array).real)
-
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix(self._array + _entries(other))
 
@@ -257,27 +247,17 @@ class PositiveDefiniteMatrix:
     (NotPositiveDefiniteError).  The spectral decomposition is the solve of
     the stored array, computed once at construction (or taken, already
     floor-checked, from a stacked solve that gives the same bits: the
-    OperatorField the matrix is a node of, or `stack`), cached, and reused
-    by `scalar_image` and the root arrays.
-    `sqrt`, `inv`, `power` and `scaled` return new matrices that solve their
-    own arrays, so a matrix rebuilt from its entries behaves identically.
+    OperatorField the matrix is a node of), and reused by `scalar_image`.
+    `sqrt`, `inv_sqrt`, `inv` and `scaled` return new matrices that solve
+    their own arrays, so a matrix rebuilt from its entries behaves identically.
     """
 
-    __slots__ = ("_herm", "_decomp", "_sqrt_arr", "_inv_sqrt_arr")
+    __slots__ = ("_herm", "_decomp")
 
     def __init__(self, entries, *, _decomposition: SpectralDecomposition | None = None):
         herm = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(_entries(entries))
         self._herm = herm
         self._decomp = _decomposition if _decomposition is not None else _solve_pd(herm.array)
-        self._sqrt_arr = None
-        self._inv_sqrt_arr = None
-
-    @classmethod
-    def stack(cls, arrays: np.ndarray) -> tuple["PositiveDefiniteMatrix", ...]:
-        """One matrix per item of an exactly Hermitian (n, d, d) stack, from
-        one eigensolve and one floor check for all of them."""
-        decomposition = _solve_pd(arrays)
-        return tuple(cls(a, _decomposition=d) for a, d in zip(arrays, decomposition.unstack()))
 
     @property
     def matrix(self) -> HermitianMatrix:
@@ -311,18 +291,6 @@ class PositiveDefiniteMatrix:
         """V diag(values) V* for per-eigenvalue scalars `values`."""
         return _scalar_image(self._decomp.eigenvectors, values)
 
-    @property
-    def sqrt_array(self) -> np.ndarray:
-        if self._sqrt_arr is None:
-            self._sqrt_arr = _freeze(self.scalar_image(np.sqrt(self._decomp.eigenvalues)))
-        return self._sqrt_arr
-
-    @property
-    def inv_sqrt_array(self) -> np.ndarray:
-        if self._inv_sqrt_arr is None:
-            self._inv_sqrt_arr = _freeze(self.scalar_image(1.0 / np.sqrt(self._decomp.eigenvalues)))
-        return self._inv_sqrt_arr
-
     def sqrt(self) -> "PositiveDefiniteMatrix":
         return self._map_eigenvalues(np.sqrt)
 
@@ -331,9 +299,6 @@ class PositiveDefiniteMatrix:
 
     def inv(self) -> "PositiveDefiniteMatrix":
         return self._map_eigenvalues(lambda w: 1.0 / w)
-
-    def power(self, q: float) -> "PositiveDefiniteMatrix":
-        return self._map_eigenvalues(lambda w: w ** float(q))
 
     def scaled(self, alpha: float) -> "PositiveDefiniteMatrix":
         alpha = float(alpha)

@@ -36,7 +36,6 @@ from . import functions
 from .bounds import chord_gap_bound, chord_ratio_bound, zeta_closed_forms
 from .entropy import (
     OperatorField,
-    PairSpectrum,
     _require_aligned,
     _weighted_sum,
     field_from_json,
@@ -143,9 +142,9 @@ class VerificationResult(_JsonRecord):
 class Instance:
     """A generated hypothesis-satisfying input for one statement.
 
-    (m, M) are the measured sandwich constants over the paired nodes (for
-    the compression checks, a window covering the spectrum of X); t0 lies in
-    [m, M] where used.  Optional slots cover the extra fields some statements need.
+    (m, M) is a window covering the pair spectra of the family's field pairs
+    (`_PAIRS`; a draw stores their measured sandwich constants) or, for the
+    compression checks, the spectrum of X; t0 lies in [m, M] where used.  Optional slots cover the extra fields some statements need.
     """
 
     theorem: TheoremId
@@ -186,24 +185,30 @@ class Instance:
                 raise PreconditionError(
                     f"need m <= 1 - 1e-6 and M >= 1 + 1e-6, got m={self.m}, M={self.M}"
                 )
-        if self.t0 is not None:
-            slack = 1e-9 * max(1.0, abs(self.M))
-            if not (self.m - slack <= self.t0 <= self.M + slack):
-                raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
-        if family is _compression:
-            # The chord constants are taken on [m, M]; they bound f on the
-            # spectrum of X only when the window covers it.
-            slack = 1e-9 * max(1.0, abs(self.M))
-            if self.x.lambda_min < self.m - slack or self.x.lambda_max > self.M + slack:
+        if self.t0 is not None and not self._covers(self.t0, self.t0):
+            raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
+        # The chord constants are taken on [m, M]; they bound f on the spectrum
+        # of X, or on the pair spectra of the fields, only when the window covers it.
+        if family is _compression and not self._covers(self.x.lambda_min, self.x.lambda_max):
+            raise PreconditionError(
+                f"spectrum [{self.x.lambda_min}, {self.x.lambda_max}] of X not inside [{self.m}, {self.M}]"
+            )
+        for a, b in _PAIRS.get(family, ()):
+            spectrum = getattr(self, a).pair_spectrum(getattr(self, b))
+            if not self._covers(spectrum.m, spectrum.M):
                 raise PreconditionError(
-                    f"spectrum [{self.x.lambda_min}, {self.x.lambda_max}] of X "
-                    f"not inside [{self.m}, {self.M}]"
+                    f"pair spectrum [{spectrum.m}, {spectrum.M}] of ({a}, {b}) not inside [{self.m}, {self.M}]"
                 )
         if family is _probability:
             a = np.diag(self.fa.arrays[0]).real
             b = np.diag(self.fb.arrays[0]).real
             if abs(a.sum() - 1.0) > 1e-10 or abs(b.sum() - 1.0) > 1e-10:
                 raise PreconditionError("probability vectors must sum to one")
+
+    def _covers(self, lo: float, hi: float) -> bool:
+        """[lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
+        slack = 1e-9 * max(1.0, abs(self.M))
+        return self.m - slack <= lo and hi <= self.M + slack
 
     def to_json(self) -> dict:
         return {
@@ -271,14 +276,14 @@ class Sides:
     cross_checks: list = field(default_factory=list)
 
 
-def _spectra(items: list) -> list:
-    """Ascending eigenvalues of each item, in one stacked solve (the same bits
-    as one solve each); a float is its own eigenvalue.  Every item a builder
-    makes is exactly Hermitian (a sum, difference or real multiple of
-    symmetrized arrays), so it is solved as it is."""
-    if all(isinstance(x, float) for x in items):
-        return [np.array([x]) for x in items]
-    return list(_eigvalsh(np.array(items)))
+def _spectra(stack: np.ndarray) -> list:
+    """Ascending eigenvalues of each item of a stack, in one stacked solve (the
+    same bits as one solve each); a stack of floats is its own eigenvalues.
+    Every item a builder makes is exactly Hermitian (a sum, difference or real
+    multiple of symmetrized arrays), so it is solved as it is."""
+    if stack.ndim == 1:
+        return list(stack[:, None])
+    return list(_eigvalsh(stack))
 
 
 def _snorm(w: np.ndarray) -> float:
@@ -298,14 +303,16 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     parts = [_psd_parts(*claim) for claim in sides.claims + sides.cross_checks]
     n = len(sides.claims)
     # Every difference, then every claimed lhs and rhs, in one stacked solve.
-    spectra = iter(_spectra(
+    stack = np.array(
         [d for ds in parts for d in ds] + [side for lhs, _, rhs in sides.claims for side in (lhs, rhs)]
-    ))
+    )
+    if not np.isfinite(stack).all():
+        # Overflow in a side (an exponent like 1e308): no order can be read off.
+        # Checked before the solve, which can return finite eigenvalues for NaN entries.
+        return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
+    spectra = iter(_spectra(stack))
     all_margins = [min(float(next(spectra)[0]) for _ in ds) for ds in parts]
     margins, margin = all_margins[:n], min(all_margins)
-    if not math.isfinite(margin):
-        # Overflow in a side (an exponent like 1e308): no order can be read off.
-        return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
     norms = [_snorm(next(spectra)) for _ in range(2 * n)]
     ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = _holds_within(margin, tol, ln, rn)
@@ -401,7 +408,7 @@ def _compression_terms(inst: Instance):
         inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
     )
     defect = eye - gram
-    low, size = _spectra([defect, gram])
+    low, size = _spectra(np.array([defect, gram]))
     if low[0] < -1e-10 * max(1.0, _snorm(size)):
         raise PreconditionError("compression sum exceeds the identity")
     arg = lifted + inst.t0 * defect
@@ -422,8 +429,8 @@ def _mean_integral(inst: Instance, gate) -> Sides:
     p = float(inst.q)
     lhs = inst.fa.pair_spectrum(inst.fb).power_mean(p)
     totals = np.array([inst.fa.weighted_sum(), inst.fb.weighted_sum()])
-    total_a, total_b = PositiveDefiniteMatrix.stack(totals)
-    rhs = PairSpectrum(total_a, total_b).power_mean(p)
+    total_a, total_b = OperatorField.stack(np.ones(1), totals[:, None])
+    rhs = total_a.pair_spectrum(total_b).power_mean(p)
     return Sides([(lhs, "<=", rhs)], f"node-wise power means vs power mean of the integrals at p={p:g}")
 
 
@@ -525,10 +532,10 @@ def _subadditive(inst: Instance, gate) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
     fa, fb, fc, fd = inst.fa, inst.fb, inst.fc, inst.fd
     left, right = _fields_like((fa, fb, fc, fd), np.array([fa.arrays + fb.arrays, fc.arrays + fd.arrays]))
-    sum_lo, sum_hi = _measure_pair(left, right)
-    gate(min(inst.m, sum_lo), max(inst.M, sum_hi))
+    spectrum = left.pair_spectrum(right)
+    gate(min(inst.m, spectrum.m), max(inst.M, spectrum.M))
     term = inst.f.evaluate_array
-    lhs = left.pair_spectrum(right).aggregate(term)
+    lhs = spectrum.aggregate(term)
     rhs = inst.fa.pair_spectrum(inst.fc).aggregate(term) + inst.fb.pair_spectrum(inst.fd).aggregate(term)
     return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
@@ -553,10 +560,10 @@ def _joint_concave(inst: Instance, gate) -> Sides:
     fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
     mixed = np.array([alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays])
     mixed_a, mixed_b = _fields_like((fa, fb, fa2, fb2), mixed)
-    mix_lo, mix_hi = _measure_pair(mixed_a, mixed_b)
-    gate(min(inst.m, mix_lo), max(inst.M, mix_hi))
+    spectrum = mixed_a.pair_spectrum(mixed_b)
+    gate(min(inst.m, spectrum.m), max(inst.M, spectrum.M))
     term = inst.f.evaluate_array
-    lhs = mixed_a.pair_spectrum(mixed_b).aggregate(term)
+    lhs = spectrum.aggregate(term)
     first = inst.fa.pair_spectrum(inst.fb).aggregate(term)
     second = inst.fa2.pair_spectrum(inst.fb2).aggregate(term)
     rhs = alpha * first + beta * second
@@ -672,12 +679,6 @@ def _random_weights(rng, k: int) -> np.ndarray:
     return rng.uniform(0.5, 2.0, size=k)
 
 
-def _measure_pair(fa: OperatorField, fb: OperatorField) -> tuple[float, float]:
-    """(m, M) over the paired nodes, from the memoised pair spectra the check reuses."""
-    spectrum = fa.pair_spectrum(fb)
-    return spectrum.m, spectrum.M
-
-
 def _normalized(rng, inst: Instance, diagonal: bool) -> None:
     """Two fields summing to the identity with m < 1 < M, and t0 in [m, M]."""
     dim, k = inst.dim, inst.k
@@ -687,7 +688,9 @@ def _normalized(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, k)
         resolutions = _resolution_arrays(rng, dim, k, diagonal, 2)
         fa, fb = OperatorField.stack(weights, resolutions / weights[:, None, None])
-        m, M = _measure_pair(fa, fb)
+        # The memoised pair spectrum: the check reuses it.
+        spectrum = fa.pair_spectrum(fb)
+        m, M = spectrum.m, spectrum.M
         if m <= _STRADDLE_LO and M >= _STRADDLE_HI:
             inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
             inst.t0 = float(rng.uniform(m, M))
@@ -715,7 +718,8 @@ def _centered(rng, inst: Instance, diagonal: bool) -> None:
         m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
         if M / m >= 1.0 + 1e-9:
             fb = fb.scaled(1.0 / math.sqrt(m * M))
-            m, M = _measure_pair(fa, fb)
+            spectrum = fa.pair_spectrum(fb)
+            m, M = spectrum.m, spectrum.M
         elif dim > 1 or k > 1:
             continue
         # A scalar 1x1 pair has m = M; the straddle is only possible (and only
@@ -726,24 +730,24 @@ def _centered(rng, inst: Instance, diagonal: bool) -> None:
     raise GenerationError(f"no usable free pair after {_RESAMPLE_CAP} draws")
 
 
-def _free(draw_order: tuple[str, ...], pairs: tuple[tuple[str, str], ...]):
+def _free(draw_order: tuple[str, ...]):
     """Free fields with one shared weight vector, drawn into the named slots;
-    the window covers every named pair."""
+    the window covers every pair that `_PAIRS` names for the family."""
 
     def draw(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, inst.k)
         arrays = _free_arrays(rng, inst.dim, inst.k, diagonal, len(draw_order))
         for name, fld in zip(draw_order, OperatorField.stack(weights, arrays)):
             setattr(inst, name, fld)
-        spectra = pair_spectra((getattr(inst, a), getattr(inst, b)) for a, b in pairs)
+        spectra = pair_spectra((getattr(inst, a), getattr(inst, b)) for a, b in _PAIRS[draw])
         inst.m = min(s.m for s in spectra)
         inst.M = max(s.M for s in spectra)
 
     return draw
 
 
-_four_fields = _free(("fa", "fb", "fc", "fd"), (("fa", "fc"), ("fb", "fd")))
-_two_pairs = _free(("fa", "fb", "fa2", "fb2"), (("fa", "fb"), ("fa2", "fb2")))
+_four_fields = _free(("fa", "fb", "fc", "fd"))
+_two_pairs = _free(("fa", "fb", "fa2", "fb2"))
 
 
 def _compression(rng, inst: Instance, diagonal: bool) -> None:
@@ -822,6 +826,14 @@ _FILLS = {
     _draw_scale: ("alpha",),
     _draw_blend: ("alpha", "beta"),
     _draw_map: ("pmap",),
+}
+
+# The field pairs whose spectra the window [m, M] of each field family covers.
+_PAIRS = {
+    _normalized: (("fa", "fb"),),
+    _centered: (("fa", "fb"),),
+    _four_fields: (("fa", "fc"), ("fb", "fd")),
+    _two_pairs: (("fa", "fb"), ("fa2", "fb2")),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from opentropy import verify
 from opentropy.cli import main
+from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
 from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, random_instance, triage
 
@@ -111,15 +113,37 @@ class TestCheck:
         assert payload["detail"] == "error: non-finite margin" and payload["triage"] is None
         assert payload["margin"] is None and not payload["holds"] and not payload["hypothesis_met"]
 
-    def test_eigensolver_failure_exits_2(self, tmp_path, capsys):
-        # q = 1e308 on a diagonal instance fills a side with inf and NaN,
-        # where the eigensolver does not converge: an error, not a violation.
+    def test_nonfinite_side_is_an_error_before_the_solve(self, tmp_path, capsys):
+        # q = 1e308 on a diagonal instance fills a side with inf and NaN: it
+        # is refused before the margin's solve, which may not converge on it.
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", "homogeneous", "--dim", "3", "--k", "2",
             "--seed", "0", "--q", "1e308", "--diagonal", "--out", str(out))
         with np.errstate(all="ignore"):
             code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and json.loads(stdout)["detail"] == "error: non-finite margin"
+
+    def test_eigensolver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A margin solve that does not converge is an error, not a violation.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "homogeneous", "--dim", "3", "--k", "2",
+            "--seed", "0", "--out", str(out))
+
+        def fail(a):
+            raise EigenConvergenceError("eigendecomposition did not converge")
+
+        rebind_entry(monkeypatch, "_eigvalsh", fail)
+        code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "did not converge" in err
+
+    def test_window_narrower_than_the_pair_spectra_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        inst = random_instance(TheoremId.REV_ENTROPY_GAMMA, 3, 2, 5, power(0.5), 0.5)
+        payload = inst.to_json()
+        payload["m"], payload["M"] = min(inst.t0, 1.0 - 2e-6), max(inst.t0, 1.0 + 2e-6)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "pair spectrum" in err
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -283,6 +307,21 @@ class TestCampaign:
         (result,) = report["results"]
         assert code == 2 and result["errors"] == 2 and result["violations_substantive"] == 0
         assert report["failures"] == []
+
+    def test_nonfinite_side_is_counted_as_an_error(self, tmp_path, capsys, monkeypatch):
+        # A side holding NaN, which the eigensolver would read as a pass.
+        def nan_side(inst, gate):
+            return verify.Sides([(np.diag([np.nan, 1.0]), "<=", 2.0 * np.eye(inst.fa.dim))], "NaN side")
+
+        statement = verify.STATEMENTS[TheoremId.ENTROPY_NONNEG]
+        monkeypatch.setitem(verify.STATEMENTS, TheoremId.ENTROPY_NONNEG,
+                            dataclasses.replace(statement, build=nan_side))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "campaign", "--theorems", "entropy_nonneg", "--trials", "2",
+                           "--dims", "2:2", "--seed", "7", "--out", str(out))
+        (result,) = json.loads(out.read_text())["results"]
+        assert code == 2 and "0/2 pass, 0 skips, 2 errors" in err
+        assert result["errors"] == 2 and result["passes"] == 0
 
     def test_negative_exponent_list_is_a_value(self, tmp_path, capsys):
         reports = []

@@ -204,7 +204,8 @@ class TestGeneralizedEntropy:
             w = rng.uniform(0.5, 2.0, size=2)
             make = lambda: OperatorField.from_matrices(w, [random_pd(rng, 3) for _ in range(2)])
             fa1, fb1, fa2, fb2 = make(), make(), make(), make()
-            lhs = generalized_entropy(fa1.blend(fa2, alpha, beta), fb1.blend(fb2, alpha, beta), 0.0, LOG)
+            mix = lambda x, y: OperatorField.from_matrices(w, alpha * x.arrays + beta * y.arrays)
+            lhs = generalized_entropy(mix(fa1, fa2), mix(fb1, fb2), 0.0, LOG)
             rhs = alpha * generalized_entropy(fa1, fb1, 0.0, LOG) + beta * generalized_entropy(
                 fa2, fb2, 0.0, LOG
             )
@@ -271,10 +272,10 @@ class TestMeanField:
 
 def direct_entropy(a, b, q, f):
     """A^{1/2} T^q f(T) A^{1/2} for one pair, by its own eigensolve of T."""
-    r = a.inv_sqrt_array
+    r, root = a.inv_sqrt().array, a.sqrt().array
     t = r @ b.array @ r
     lam, u = np.linalg.eigh((t + t.conj().T) / 2.0)
-    return a.sqrt_array @ (u * (lam ** q * f.evaluate_array(lam))) @ u.conj().T @ a.sqrt_array
+    return root @ (u * (lam ** q * f.evaluate_array(lam))) @ u.conj().T @ root
 
 
 def relative_gap(x, y):

@@ -162,19 +162,6 @@ class TestStackedSolves:
             np.testing.assert_array_equal(part.eigenvalues, eig(arr).eigenvalues)
             np.testing.assert_array_equal(part.eigenvectors, eig(arr).eigenvectors)
 
-    def test_stacked_pd_matrices_match_single_builds(self, rng):
-        stack = np.stack([random_pd(rng, 4).array for _ in range(3)])
-        for built, arr in zip(PositiveDefiniteMatrix.stack(stack), stack):
-            single = PositiveDefiniteMatrix(arr)
-            np.testing.assert_array_equal(built.array, single.array)
-            np.testing.assert_array_equal(built.eigenvalues, single.eigenvalues)
-            np.testing.assert_array_equal(built.inv_sqrt_array, single.inv_sqrt_array)
-
-    def test_stacked_pd_floor_rejects_any_item(self, rng):
-        stack = np.stack([random_pd(rng, 2).array, np.diag([1.0, 1e-13]).astype(complex)])
-        with pytest.raises(NotPositiveDefiniteError, match="1.000000e-13"):
-            PositiveDefiniteMatrix.stack(stack)
-
     def test_floor_reports_the_first_failing_row(self):
         spectra = np.array([[[1.0, 2.0], [-3.0, 1.0]], [[-5.0, 1.0], [1.0, 1.0]]])
         with pytest.raises(NotPositiveDefiniteError, match="-3.000000e"):

@@ -7,7 +7,7 @@ import pytest
 
 import scalar_oracle
 from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, UnresolvableWindowError
-from opentropy.bounds import chord_gap_bound, chord_ratio_bound
+from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, custom, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
@@ -23,6 +23,7 @@ from opentropy.verify import (
     random_resolution,
     run_trial,
     trial_seed,
+    triage,
 )
 
 SMALL = CampaignConfig(trials=4, dims=(2, 5), terms=(2, 3), seed=7)
@@ -529,3 +530,65 @@ def test_instance_file_with_a_missing_field_is_rejected(theorem):
         partial = {name: value for name, value in payload.items() if name != key}
         with pytest.raises(PreconditionError, match=repr(key)):
             Instance.from_json(partial)
+
+
+# The statements whose field families measure their window on pair spectra.
+_PAIRED = [t for t in TheoremId if STATEMENTS[t].family in verify._PAIRS]
+
+
+@pytest.mark.parametrize("theorem", _PAIRED)
+def test_window_must_cover_the_pair_spectra(theorem):
+    # A stored window narrower than the pair spectra would turn a true
+    # statement into a violation (rev_entropy_gamma read margin -0.0338,
+    # triaged substantive); a wider one is still a valid window.
+    payload = random_instance(theorem, 3, 2, 5).to_json()
+    centre = payload.get("t0", 1.0)
+    narrowed = dict(payload, m=min(centre, 1.0 - 2e-6), M=max(centre, 1.0 + 2e-6))
+    with pytest.raises(PreconditionError, match="pair spectrum"):
+        Instance.from_json(narrowed)
+    widened = Instance.from_json(dict(payload, m=payload["m"] / 2.0, M=2.0 * payload["M"]))
+    assert triage(theorem, widened).triage != "substantive"
+
+
+def test_nonfinite_side_is_an_error_before_the_solve():
+    # The eigensolver reads diag(nan, 1) as [0, -0], which would pass.
+    sides = verify.Sides([(np.diag([np.nan, 1.0]), "<=", 2.0 * np.eye(2))], "x")
+    result = verify._verdict(TheoremId.ENTROPY_NONNEG, sides, 1e-9)
+    assert not result.hypothesis_met and not result.holds and result.margin is None
+    assert result.detail == "error: non-finite margin"
+
+
+def _two_point_witness(theorem, f, which):
+    """X = diag(m, M) on [m, M] = [0.5, 2] and the state-induced compression
+    C_j = x e_j*, with |x_1|^2 = (M - t*)/(M - m) at the chord constant's
+    argmax t*: then Phi(X) = t* I and Phi(f(X)) is the chord at t*, so the
+    reverse Jensen statement holds with equality."""
+    m, M = 0.5, 2.0
+    t_star = getattr(secant_data(f, m, M), which)
+    x = np.sqrt([(M - t_star) / (M - m), (t_star - m) / (M - m)])
+    cs = tuple(np.outer(x, e).astype(complex) for e in np.eye(2))
+    inst = Instance(theorem, 0, 2, 2, f=f, t0=m, m=m, M=M, cs=cs, cs_weights=np.ones(2),
+                    x=PositiveDefiniteMatrix(np.diag([m, M])))
+    inst.validate()
+    return inst
+
+
+_WITNESSES = [
+    *((TheoremId.REV_JENSEN_GAMMA, "argmax_gamma", spec) for spec in ("power:0.5", "power:0.25")),
+    *((TheoremId.REV_JENSEN_ZETA, "argmax_zeta", spec)
+      for spec in ("power:0.5", "power:0.25", "log", "neg_t_log_t")),
+]
+
+
+@pytest.mark.parametrize("theorem,which,spec", _WITNESSES)
+def test_reverse_jensen_constants_are_sharp_on_two_point_witnesses(monkeypatch, theorem, which, spec):
+    inst = _two_point_witness(theorem, parse(spec), which)
+    result = check(theorem, inst)
+    assert result.hypothesis_met and result.holds
+    assert abs(result.margin) <= 1e-12 * max(1.0, result.lhs_norm, result.rhs_norm)
+    # A constant 1e-6 (relative) short of the true one fails on the witness.
+    shrink = 1.0 - 1e-6
+    monkeypatch.setattr(verify, "chord_ratio_bound", lambda *args: 1.0 + (chord_ratio_bound(*args) - 1.0) * shrink)
+    monkeypatch.setattr(verify, "chord_gap_bound", lambda *args: chord_gap_bound(*args) * shrink)
+    mutated = check(theorem, inst)
+    assert mutated.hypothesis_met and not mutated.holds
