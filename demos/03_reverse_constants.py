@@ -50,6 +50,7 @@ print("=== Jensen and its reverses for a random normalized map ===")
 rng = np.random.default_rng(2)
 pm = PositiveLinearMap.random_normalized(4, 4, 2, rng)
 g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
+# X is a PositiveDefiniteMatrix: a one-node field, solved once here.
 a = PositiveDefiniteMatrix(g @ g.conj().T + 2.0 * np.eye(4))
 # Kraus factors with sum C_i* C_i = I form a unital compression family with
 # unit weights: the lifted argument is Phi(A) itself and t0 drops out.

@@ -13,8 +13,6 @@ from .bounds import (
     zeta_closed_forms,
 )
 from .entropy import (
-    OperatorField,
-    PairSpectrum,
     generalized_entropy,
     mean_field,
     natural_power,
@@ -45,13 +43,13 @@ from .functions import (
 from .maps import PositiveLinearMap
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
-    HermitianMatrix,
+    OperatorField,
+    PairSpectrum,
     PositiveDefiniteMatrix,
     SpectralDecomposition,
     apply_function,
     congruence,
     eig,
-    identity,
     loewner_leq,
     sandwich_bounds,
 )

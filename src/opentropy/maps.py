@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import HermitianMatrix, _array_from_json, _symmetrize, matrix_to_json
+from .matcore import _array_from_json, _entries, _freeze, _symmetrize, matrix_to_json
 
 __all__ = ["PositiveLinearMap", "map_to_json", "map_from_json"]
 
@@ -62,11 +62,12 @@ class PositiveLinearMap:
         """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in)."""
         return _symmetrize(sum(c.conj().T @ x @ c for c in self._kraus))
 
-    def apply(self, x) -> HermitianMatrix:
-        arr = x.array if hasattr(x, "array") else np.asarray(x, dtype=complex)
+    def apply(self, x) -> np.ndarray:
+        """Phi(X) as a read-only array, for an array-like or a PositiveDefiniteMatrix X."""
+        arr = _entries(x)
         if arr.shape != (self._in_dim, self._in_dim):
             raise ShapeError(f"map expects a {self._in_dim}x{self._in_dim} input, got {arr.shape}")
-        return HermitianMatrix(self.apply_array(arr))
+        return _freeze(self.apply_array(arr))
 
     @classmethod
     def random_normalized(cls, in_dim: int, out_dim: int, n_terms: int, rng) -> "PositiveLinearMap":

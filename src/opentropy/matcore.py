@@ -1,9 +1,13 @@
-"""Dense complex Hermitian matrix kernel.
+"""Dense complex Hermitian matrix kernel and the positive-definite values.
 
 Spectral decompositions, functional calculus, congruences, and comparison in
-the Loewner order (A <= B iff B - A is positive semidefinite).  All values are
-small dense complex matrices, immutable after construction; Hermitian drift
-from floating-point products is absorbed by symmetrizing once at construction.
+the Loewner order (A <= B iff B - A is positive semidefinite).  A Hermitian
+matrix is a plain complex ndarray: every Hermitian result of the package is
+a read-only (d, d) array, symmetrized once where a product can leave drift.
+The one positive-definite value is OperatorField, a finite weighted family
+{(w_s, A_s)} of PD matrices; a single PD matrix (PositiveDefiniteMatrix) is
+the one-node field of weight 1, and PairSpectrum holds the relative spectra
+of two aligned fields.
 
 One eigensolver entry.  Every eigensolve of the package goes through `_eigh`
 (eigenvalues and eigenvectors) or `_eigvalsh` (eigenvalues alone).  Each
@@ -22,14 +26,14 @@ non-finite input included.
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_relative_eigenvalues`) and the private helpers (`_symmetrize`, `_adjoint`,
 `_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
-(..., d, d) as well as one matrix.  A field of the entropy module is one
-(k, d, d) stack; n aligned fields built together are one (n, k, d, d) stack,
-decomposed in one LAPACK call with one floor check (n matrices built together
-are n one-node fields).  Stacked LAPACK and matmul give the same bits per
-matrix as one call per matrix (tests/test_matcore.py checks eigh, eigvalsh
-and the pair kernel at d = 1..8 and 64), so a stacked solve never changes a
-result.  A value built from a stacked solve still goes through its
-constructor, with its slice of the decomposition passed privately; the
+(..., d, d) as well as one matrix.  A field is one (k, d, d) stack; n aligned
+fields built together (`OperatorField.stack`) are one (n, k, d, d) stack,
+decomposed in one LAPACK call with one floor check, and `pair_spectra`
+solves several aligned pairs in one pass of the pair kernel.  Stacked LAPACK
+and matmul give the same bits per matrix as one call per matrix
+(tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
+and 64), so a stacked solve never changes a result.  A field or spectrum
+built from a stacked solve receives its read-only slice privately; the
 slices of a read-only stack are read-only already, so
 `SpectralDecomposition.unstack` does not freeze them again.  Stacks on a
 trial's path are gathered with `np.array([...])`, which copies same-shape
@@ -50,15 +54,16 @@ from .errors import EigenConvergenceError, NotPositiveDefiniteError, Preconditio
 
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
-    "HermitianMatrix",
     "SpectralDecomposition",
+    "OperatorField",
     "PositiveDefiniteMatrix",
+    "PairSpectrum",
+    "pair_spectra",
     "eig",
     "apply_function",
     "congruence",
     "loewner_leq",
     "sandwich_bounds",
-    "identity",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -128,63 +133,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class HermitianMatrix:
-    """Immutable dense complex Hermitian matrix.
-
-    Input entries are symmetrized to (H + H*)/2 at construction rather than
-    rejected, which absorbs floating-point drift from matrix products.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, entries):
-        if isinstance(entries, HermitianMatrix):
-            self._array = entries._array
-            return
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ShapeError("dimension must be at least 1")
-        self._array = _freeze(_symmetrize(arr))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The underlying (read-only) complex ndarray."""
-        return self._array
-
-    @property
-    def dim(self) -> int:
-        return self._array.shape[0]
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self._array + _entries(other))
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self._array - _entries(other))
-
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self._array)
-
-    def __rmul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(float(scalar) * self._array)
-
-    __mul__ = __rmul__
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
-
-
 def _entries(m) -> np.ndarray:
-    if isinstance(m, HermitianMatrix):
-        return m.array
-    if isinstance(m, PositiveDefiniteMatrix):
-        return m.array
-    return np.asarray(m, dtype=complex)
+    """The complex array of a matrix: an array-like, or a PositiveDefiniteMatrix."""
+    return np.asarray(getattr(m, "array", m), dtype=complex)
 
 
-def identity(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(_eye(dim, complex))
+def _square(m) -> np.ndarray:
+    arr = _entries(m)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ShapeError(f"expected a square matrix of dimension >= 1, got shape {arr.shape}")
+    return arr
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,96 +198,280 @@ def _solve_pd(stack: np.ndarray) -> SpectralDecomposition:
     return decomposition
 
 
-class PositiveDefiniteMatrix:
-    """Hermitian matrix whose eigenvalues are all strictly positive.
+class OperatorField:
+    """Finite weighted family {(w_s, A_s)} of PD matrices of one dimension.
 
-    Construction rejects lambda_min <= 0 and lambda_min <= 1e-12 lambda_max
-    (NotPositiveDefiniteError).  The spectral decomposition is the solve of
-    the stored array, computed once at construction (or taken, already
-    floor-checked, from a stacked solve that gives the same bits: the
-    OperatorField the matrix is a node of), and reused by `scalar_image`.
-    `sqrt`, `inv_sqrt`, `inv` and `scaled` return new matrices that solve
-    their own arrays, so a matrix rebuilt from its entries behaves identically.
+    Stored as one read-only (k, d, d) stack of the node matrices (`arrays`)
+    with its weights and one stacked eigendecomposition (`decomposition`),
+    computed by a single eigensolve at construction; that solve also applies
+    the PD floor to every node: lambda_min > 0 and lambda_min > 1e-12
+    lambda_max (NotPositiveDefiniteError).  Fields are immutable, so the pair
+    spectra against another field are memoised on the field (`pair_spectrum`).
+
+    Nodes are (weight, matrix) pairs; a matrix is an array-like or a
+    PositiveDefiniteMatrix and is symmetrized to (A + A*)/2.  The keyword-only
+    arguments are the package's own route for a Hermitian stack it has
+    already built (and, from `stack`, its floor-checked solve).
     """
 
-    __slots__ = ("_herm", "_decomp")
+    __slots__ = ("_weights", "_arrays", "_decomp", "_spectra")
 
-    def __init__(self, entries, *, _decomposition: SpectralDecomposition | None = None):
-        herm = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(_entries(entries))
-        self._herm = herm
-        self._decomp = _decomposition if _decomposition is not None else _solve_pd(herm.array)
+    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None):
+        if _arrays is None:
+            nodes = list(nodes)
+            if not nodes:
+                raise PreconditionError("an operator field needs at least one node")
+            _weights = [float(w) for w, _ in nodes]
+            matrices = [_square(m) for _, m in nodes]
+            dims = {len(m) for m in matrices}
+            if len(dims) != 1:
+                raise ShapeError(f"field nodes have mixed dimensions {sorted(dims)}")
+            _arrays = _symmetrize(np.array(matrices))
+        if _decomposition is None:
+            _weights = _checked_weights(_weights, len(_arrays))
+            _decomposition = _solve_pd(_arrays)
+            _arrays.setflags(write=False)
+        self._weights = _weights
+        self._arrays = _arrays
+        self._decomp = _decomposition
+        self._spectra = {}
+
+    @classmethod
+    def from_matrices(cls, weights, matrices) -> "OperatorField":
+        return cls(zip(weights, matrices))
+
+    @classmethod
+    def stack(cls, weights, arrays: np.ndarray) -> tuple["OperatorField", ...]:
+        """n aligned fields sharing `weights`, one per item of an exactly
+        Hermitian (n, k, d, d) stack, from one eigensolve and one floor check
+        for all of them.  The weights are checked and the stack frozen once,
+        and each field takes its read-only slice."""
+        weights = _checked_weights(weights, arrays.shape[1])
+        decomposition = _solve_pd(arrays)
+        arrays.setflags(write=False)
+        parts = zip(arrays, decomposition.unstack())
+        return tuple(OperatorField(_weights=weights, _arrays=a, _decomposition=d) for a, d in parts)
 
     @property
-    def matrix(self) -> HermitianMatrix:
-        return self._herm
+    def weights(self) -> np.ndarray:
+        return self._weights
 
     @property
-    def array(self) -> np.ndarray:
-        return self._herm.array
-
-    @property
-    def dim(self) -> int:
-        return self._herm.dim
+    def arrays(self) -> np.ndarray:
+        """The node matrices as one read-only (k, d, d) complex array."""
+        return self._arrays
 
     @property
     def decomposition(self) -> SpectralDecomposition:
+        """Eigenvalues (k, d) and eigenvectors (k, d, d) of every node."""
         return self._decomp
 
     @property
+    def dim(self) -> int:
+        return self._arrays.shape[1]
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def weighted_sum(self) -> np.ndarray:
+        """sum_s w_s A_s, standing in for the Bochner integral of the field."""
+        return _weighted_sum(self._weights, self._arrays)
+
+    def is_normalized(self, tol: float = 1e-10) -> bool:
+        """True when sum_s w_s A_s = I within `tol` in Frobenius norm."""
+        residual = self.weighted_sum() - _eye(self.dim)
+        return float(np.linalg.norm(residual)) <= tol
+
+    def scaled(self, alpha: float) -> "OperatorField":
+        """Scale the matrices (not the weights) by alpha > 0: a new field that
+        solves its own node arrays, with its own pair spectra."""
+        return OperatorField(_weights=self._weights, _arrays=_positive(alpha) * self._arrays)
+
+    def nodewise_sum(self, other: "OperatorField") -> "OperatorField":
+        _require_aligned(self, other)
+        return OperatorField(_weights=self._weights, _arrays=self._arrays + other._arrays)
+
+    def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
+        """PairSpectrum(self, other), solved once per pair of field objects."""
+        spectrum = self._spectra.get(other)
+        if spectrum is None:
+            spectrum = self._spectra[other] = PairSpectrum(self, other)
+        return spectrum
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={len(self)}, dim={self.dim})"
+
+
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
+
+
+class PositiveDefiniteMatrix(OperatorField):
+    """One PD matrix A: the one-node field {(1, A)}, built from its entries
+    (symmetrized) and solved at construction like any field.  `array`,
+    `eigenvalues` and `lambda_min`/`lambda_max` read its node; `inv` and
+    `scaled` return new matrices that solve their own arrays, so a matrix
+    rebuilt from its entries behaves identically."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        arrays = _freeze(_symmetrize(_square(entries))[None])
+        super().__init__(_weights=_UNIT_WEIGHT, _arrays=arrays, _decomposition=_solve_pd(arrays))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only (d, d) complex array."""
+        return self._arrays[0]
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        return self._decomp.eigenvalues
+        return self._decomp.eigenvalues[0]
 
     @property
     def lambda_min(self) -> float:
-        return float(self._decomp.eigenvalues[0])
+        return float(self._decomp.eigenvalues[0, 0])
 
     @property
     def lambda_max(self) -> float:
-        return float(self._decomp.eigenvalues[-1])
-
-    def scalar_image(self, values) -> np.ndarray:
-        """V diag(values) V* for per-eigenvalue scalars `values`."""
-        return _scalar_image(self._decomp.eigenvectors, values)
-
-    def sqrt(self) -> "PositiveDefiniteMatrix":
-        return self._map_eigenvalues(np.sqrt)
-
-    def inv_sqrt(self) -> "PositiveDefiniteMatrix":
-        return self._map_eigenvalues(lambda w: 1.0 / np.sqrt(w))
+        return float(self._decomp.eigenvalues[0, -1])
 
     def inv(self) -> "PositiveDefiniteMatrix":
-        return self._map_eigenvalues(lambda w: 1.0 / w)
+        return PositiveDefiniteMatrix(_scalar_image(self._decomp.eigenvectors[0], 1.0 / self.eigenvalues))
 
     def scaled(self, alpha: float) -> "PositiveDefiniteMatrix":
-        alpha = float(alpha)
-        if alpha <= 0.0:
-            raise NotPositiveDefiniteError(f"scaling a PD matrix by {alpha} leaves the cone")
-        return PositiveDefiniteMatrix(alpha * self.array)
-
-    def _map_eigenvalues(self, fn) -> "PositiveDefiniteMatrix":
-        return PositiveDefiniteMatrix(self.scalar_image(fn(self._decomp.eigenvalues)))
-
-    def __repr__(self) -> str:
-        return f"PositiveDefiniteMatrix(dim={self.dim}, lambda_min={self.lambda_min:.3e})"
+        return PositiveDefiniteMatrix(_positive(alpha) * self.array)
 
 
-def apply_function(a: PositiveDefiniteMatrix, f) -> HermitianMatrix:
+def _positive(alpha) -> float:
+    alpha = float(alpha)
+    if alpha <= 0.0:
+        raise NotPositiveDefiniteError(f"scaling by {alpha} leaves the positive cone")
+    return alpha
+
+
+def _checked_weights(weights, k: int) -> np.ndarray:
+    """`weights` as a read-only float vector of k strictly positive entries."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (k,):
+        raise ShapeError(f"{weights.shape} weights for {k} nodes")
+    if np.any(weights <= 0.0):
+        raise PreconditionError("field weights must be strictly positive")
+    weights.setflags(write=False)
+    return weights
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_s w_s X_s over the node axis of a (..., k, d, d) stack, symmetrized."""
+    *lead, k, d, _ = stack.shape
+    return _symmetrize((weights @ stack.reshape(*lead, k, d * d)).reshape(*lead, d, d))
+
+
+def _require_aligned(fa: OperatorField, fb: OperatorField) -> None:
+    if len(fa) != len(fb):
+        raise ShapeError(f"fields have {len(fa)} vs {len(fb)} nodes")
+    if fa.dim != fb.dim:
+        raise ShapeError(f"fields have dimension {fa.dim} vs {fb.dim}")
+    if fa.weights is not fb.weights and not np.allclose(fa.weights, fb.weights, rtol=1e-12, atol=1e-12):
+        raise PreconditionError("fields must share one weight vector node-for-node")
+
+
+class PairSpectrum:
+    """Spectral data of the node-wise relative arrangement of PD pairs (A_s, B_s).
+
+    Built from two aligned OperatorFields (two PositiveDefiniteMatrix values
+    are the one-node case).  For every node it stores the eigenvalues of
+    T_s = A_s^{-1/2} B_s A_s^{-1/2} (`eigenvalues`, (k, d), ascending) and the
+    frame Q_s = A_s^{1/2} U_s (`frame`, (k, d, d)), with U_s the eigenvectors
+    of T_s, so that A_s^{1/2} g(T_s) A_s^{1/2} = Q_s diag(g(lambda_s)) Q_s*
+    for any scalar g.  All nodes come from one pass over A's stacked
+    eigendecomposition (the pair kernel `_relative_spectrum`).  Every mean and
+    entropy of the pair is one diagonal scaling away, and a field aggregate is
+    one batched product and one weighted sum.  `pair_spectra` solves several
+    aligned pairs in one pass and hands each its slice (`_spectrum`).
+    """
+
+    __slots__ = ("weights", "eigenvalues", "frame")
+
+    def __init__(self, fa: OperatorField, fb: OperatorField, *, _spectrum=None):
+        _require_aligned(fa, fb)
+        self.weights = fa.weights
+        self.eigenvalues, self.frame = _spectrum or _relative_spectrum(fa.decomposition, fb.arrays)
+
+    @property
+    def m(self) -> float:
+        """Least eigenvalue over all nodes: the largest m with m A_s <= B_s for every s."""
+        return float(self.eigenvalues[:, 0].min())
+
+    @property
+    def M(self) -> float:
+        """Largest eigenvalue over all nodes: the least M with B_s <= M A_s for every s."""
+        return float(self.eigenvalues[:, -1].max())
+
+    def _products(self, values) -> np.ndarray:
+        q = self.frame
+        return (q * np.asarray(values)[..., None, :]) @ _adjoint(q)
+
+    def node_images(self, values) -> np.ndarray:
+        """Q_s diag(values_s) Q_s* per node, unweighted: (..., k, d, d) for values (..., k, d)."""
+        return _symmetrize(self._products(values))
+
+    def conjugate(self, values) -> np.ndarray:
+        """sum_s w_s Q_s diag(values_s) Q_s* (Hermitian for real `values`).
+
+        `values` has the shape of `eigenvalues`, with optional leading axes
+        for several aggregates at once; a (d,) vector applies to every node.
+        """
+        return _weighted_sum(self.weights, self._products(values))
+
+    def aggregate(self, g) -> np.ndarray:
+        """sum_s w_s A_s^{1/2} g(T_s) A_s^{1/2} for a vectorized scalar map g."""
+        return self.conjugate(g(self.eigenvalues))
+
+    def power_mean(self, q: float) -> np.ndarray:
+        """sum_s w_s (A_s #_q B_s)."""
+        return self.conjugate(self.eigenvalues ** float(q))
+
+    def entropy_term(self, q: float, f) -> np.ndarray:
+        """sum_s w_s S(A_s, B_s; q, f) for a ScalarFunction f."""
+        lam = self.eigenvalues
+        return self.conjugate(lam ** float(q) * f.evaluate_array(lam))
+
+
+def pair_spectra(pairs) -> tuple[PairSpectrum, ...]:
+    """fa.pair_spectrum(fb) for each (fa, fb) of aligned field pairs of one
+    shape; the pairs not yet solved are solved in one pass of the pair kernel
+    (one (n, k, d, d) stack) and memoised like `pair_spectrum`."""
+    pairs = list(pairs)
+    todo = [(a, b) for a, b in pairs if b not in a._spectra]
+    if todo:
+        decomp = SpectralDecomposition(
+            np.array([a.decomposition.eigenvalues for a, _ in todo]),
+            np.array([a.decomposition.eigenvectors for a, _ in todo]),
+        )
+        lams, frames = _relative_spectrum(decomp, np.array([b.arrays for _, b in todo]))
+        for (a, b), lam, frame in zip(todo, lams, frames):
+            a._spectra[b] = PairSpectrum(a, b, _spectrum=(lam, frame))
+    return tuple(a._spectra[b] for a, b in pairs)
+
+
+def apply_function(a: PositiveDefiniteMatrix, f) -> np.ndarray:
     """Spectral functional calculus: V diag(f(lambda_i)) V*.
 
     `f` is a ScalarFunction (or anything with `evaluate_array`); every
     eigenvalue of `a` must lie in its domain.
     """
     values = f.evaluate_array(a.eigenvalues)
-    return HermitianMatrix(a.scalar_image(values))
+    return _freeze(_scalar_image(a.decomposition.eigenvectors[0], values))
 
 
-def congruence(c, x) -> HermitianMatrix:
+def congruence(c, x) -> np.ndarray:
     """C* X C, re-symmetrized.  C may be rectangular (n x m) against an n x n X."""
     c = np.asarray(c, dtype=complex)
     arr = _entries(x)
     if c.ndim != 2 or c.shape[0] != arr.shape[0]:
         raise ShapeError(f"congruence shape mismatch: C is {c.shape}, X is {arr.shape}")
-    return HermitianMatrix(c.conj().T @ arr @ c)
+    return _freeze(_symmetrize(c.conj().T @ arr @ c))
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
@@ -377,15 +519,16 @@ def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray
     return _eigvalsh(_symmetrize(r @ b @ r))
 
 
-def sandwich_bounds(a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix) -> tuple[float, float]:
-    """Tightest constants (m, M) with m*A <= B <= M*A.
+def sandwich_bounds(a: OperatorField, b: OperatorField) -> tuple[float, float]:
+    """Tightest constants (m, M) with m A_s <= B_s <= M A_s at every node of
+    two aligned fields (of two PD matrices, the one-node case).
 
-    These are the extreme eigenvalues of A^{-1/2} B A^{-1/2}.
+    These are the extreme eigenvalues of A_s^{-1/2} B_s A_s^{-1/2} over the
+    nodes, from one eigenvalues-only solve without frames.
     """
-    if a.dim != b.dim:
-        raise ShapeError(f"sandwich_bounds dimension mismatch: {a.dim} vs {b.dim}")
-    lam = _relative_eigenvalues(a.decomposition, b.array)
-    return float(lam[0]), float(lam[-1])
+    _require_aligned(a, b)
+    lam = _relative_eigenvalues(a.decomposition, b.arrays)
+    return float(lam[:, 0].min()), float(lam[:, -1].max())
 
 
 def matrix_to_json(m) -> dict:
@@ -414,8 +557,14 @@ def _array_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def matrix_from_json(data: dict) -> HermitianMatrix:
-    return HermitianMatrix(_array_from_json(data))
+def matrix_from_json(data: dict) -> np.ndarray:
+    """The read-only Hermitian array of a matrix payload.  A payload that is
+    not exactly its conjugate transpose is rejected (PreconditionError), so
+    that the matrix checked is the matrix the file states."""
+    arr = _array_from_json(data)
+    if not np.array_equal(arr, _adjoint(arr)):
+        raise PreconditionError("matrix payload is not Hermitian")
+    return _freeze(arr)
 
 
 class _JsonRecord:

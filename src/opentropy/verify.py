@@ -16,8 +16,9 @@ would be a finding).
 
 An Instance is its JSON: every slot has one encoder and one decoder
 (`_SLOTS`), and every matrix and field is the solve of exactly the array its
-JSON stores, so a file written by `gen` or dumped by a campaign re-checks to
-the same margin bit for bit.
+JSON stores (a field or X matrix that is not exactly Hermitian is refused),
+so a file written by `gen` or dumped by a campaign re-checks to the same
+margin bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ import numpy as np
 
 from . import functions
 from .bounds import chord_gap_bound, chord_ratio_bound, zeta_closed_forms
-from .entropy import (
-    OperatorField,
-    _require_aligned,
-    _weighted_sum,
-    field_from_json,
-    field_to_json,
-    pair_spectra,
-)
+from .entropy import field_from_json, field_to_json
 from .errors import (
     DomainError,
     EigenConvergenceError,
@@ -54,8 +48,8 @@ from .functions import LOG, ScalarFunction, check_nonnegative_on, validate_decla
 from .maps import PositiveLinearMap, map_from_json, map_to_json
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
+    OperatorField,
     PositiveDefiniteMatrix,
-    SpectralDecomposition,
     _adjoint,
     _array_from_json,
     _eigh,
@@ -63,12 +57,16 @@ from .matcore import (
     _eye,
     _holds_within,
     _JsonRecord,
-    _relative_eigenvalues,
+    _require_aligned,
     _scalar_image,
     _solve_pd,
     _symmetrize,
+    _weighted_sum,
+    apply_function,
     matrix_from_json,
     matrix_to_json,
+    pair_spectra,
+    sandwich_bounds,
 )
 
 __all__ = [
@@ -200,10 +198,12 @@ class Instance:
                     f"pair spectrum [{spectrum.m}, {spectrum.M}] of ({a}, {b}) not inside [{self.m}, {self.M}]"
                 )
         if family is _probability:
-            a = np.diag(self.fa.arrays[0]).real
-            b = np.diag(self.fb.arrays[0]).real
-            if abs(a.sum() - 1.0) > 1e-10 or abs(b.sum() - 1.0) > 1e-10:
-                raise PreconditionError("probability vectors must sum to one")
+            for name in ("fa", "fb"):
+                arrays = getattr(self, name).arrays
+                if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
+                    raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
+                if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
+                    raise PreconditionError("probability vectors must sum to one")
 
     def _covers(self, lo: float, hi: float) -> bool:
         """[lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
@@ -403,7 +403,7 @@ def _compression_terms(inst: Instance):
     eye = _eye(x.dim)
     c = np.array(inst.cs)
     ch = _adjoint(c)
-    fx = x.scalar_image(f.evaluate_array(x.eigenvalues))
+    fx = apply_function(x, f)
     gram, lifted, compressed = _weighted_sum(
         inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
     )
@@ -714,8 +714,7 @@ def _centered(rng, inst: Instance, diagonal: bool) -> None:
         weights = _random_weights(rng, k)
         fa, fb = OperatorField.stack(weights, _free_arrays(rng, dim, k, diagonal, 2))
         # The unscaled pair is only measured: its spectrum alone, not memoised.
-        lam = _relative_eigenvalues(fa.decomposition, fb.arrays)
-        m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
+        m, M = sandwich_bounds(fa, fb)
         if M / m >= 1.0 + 1e-9:
             fb = fb.scaled(1.0 / math.sqrt(m * M))
             spectrum = fa.pair_spectrum(fb)
@@ -763,16 +762,14 @@ def _compression(rng, inst: Instance, diagonal: bool) -> None:
     weights = _random_weights(rng, k)
     unitaries = None if diagonal else _random_unitaries(rng, dim, k)
     x0_array = _free_arrays(rng, dim, 1, diagonal)
-    # The k nodes C_s*C_s and X0 in one solve: node roots from the first k, X0 from the last.
+    # The k nodes C_s*C_s and X0 in one solve: node roots from the first k,
+    # from the last X0's extreme eigenvalues, which centre X = X0 / sqrt(lo hi).
     solved = _solve_pd(np.concatenate([arrays / weights[:, None, None], x0_array]))
     roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
     cs = roots if diagonal else unitaries @ roots
-    x0_decomposition = SpectralDecomposition(solved.eigenvalues[k], solved.eigenvectors[k])
-    x0 = PositiveDefiniteMatrix(x0_array[0], _decomposition=x0_decomposition)
-    if dim > 1 and x0.lambda_max / x0.lambda_min > 1.0 + 1e-9:
-        x = x0.scaled(1.0 / math.sqrt(x0.lambda_min * x0.lambda_max))
-    else:
-        x = x0
+    lo, hi = float(solved.eigenvalues[k, 0]), float(solved.eigenvalues[k, -1])
+    scale = 1.0 / math.sqrt(lo * hi) if dim > 1 and hi / lo > 1.0 + 1e-9 else 1.0
+    x = PositiveDefiniteMatrix(scale * x0_array[0])
     inst.cs, inst.cs_weights, inst.x = tuple(cs), weights, x
     inst.m, inst.M = x.lambda_min, x.lambda_max
     if dim == 1:

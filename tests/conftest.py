@@ -4,15 +4,16 @@ import sys
 import numpy as np
 import pytest
 
-from opentropy import HermitianMatrix, PositiveDefiniteMatrix, matcore
+from opentropy import PositiveDefiniteMatrix, matcore
 
 # matcore's eigensolver entry: function name -> the numpy.linalg solver it matches.
 ENTRY = {"_eigh": "eigh", "_eigvalsh": "eigvalsh"}
 
 
-def random_hermitian(rng, dim, scale=1.0) -> HermitianMatrix:
+def random_hermitian(rng, dim, scale=1.0) -> np.ndarray:
+    """An exactly Hermitian complex array."""
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return HermitianMatrix(scale * (g + g.conj().T) / 2.0)
+    return scale * (g + g.conj().T) / 2.0
 
 
 def random_pd(rng, dim, ridge=None) -> PositiveDefiniteMatrix:

@@ -41,12 +41,12 @@ def power_mean(a, b, p):
     return a * (b / a) ** p
 
 
-def _diag(pd) -> list[float]:
-    return [float(x) for x in np.diag(pd.array).real]
+def _diag(array) -> list[float]:
+    return [float(x) for x in np.diag(array).real]
 
 
 def _field(field):
-    return [float(w) for w in field.weights], [_diag(m) for m in field.matrices]
+    return [float(w) for w in field.weights], [_diag(a) for a in field.arrays]
 
 
 def _fn(inst: Instance):
@@ -114,7 +114,7 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
 
     if theorem in (TheoremId.COMPRESSION_JENSEN, TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA):
         f = _fn(inst)
-        x = _diag(inst.x)
+        x = _diag(inst.x.array)
         n = len(x)
         cs = [[float(np.asarray(c)[i, i].real) for i in range(n)] for c in inst.cs]
         ws = [float(w) for w in inst.cs_weights]
@@ -165,13 +165,13 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
         return min(margins)
 
     if theorem is TheoremId.KLEIN_UPPER:
-        a = _diag(inst.fa.matrices[0])
-        b = _diag(inst.fb.matrices[0])
+        a = _diag(inst.fa.arrays[0])
+        b = _diag(inst.fb.arrays[0])
         return min(bb - aa - aa * math.log(bb / aa) for aa, bb in zip(a, b))
 
     if theorem is TheoremId.INFO_INEQ:
-        a = _diag(inst.fa.matrices[0])
-        b = _diag(inst.fb.matrices[0])
+        a = _diag(inst.fa.arrays[0])
+        b = _diag(inst.fb.arrays[0])
         return sum(aa * math.log(aa / bb) for aa, bb in zip(a, b))
 
     if theorem is TheoremId.SUBADDITIVE:

@@ -145,6 +145,46 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "pair spectrum" in err
 
+    def test_info_ineq_file_must_hold_diagonal_fields(self, tmp_path, capsys):
+        # The check reads only the diagonals, so an off-diagonal file was
+        # checked as another pair of vectors (holds, margin 1.244, exit 0).
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.INFO_INEQ, 3, 1, 3).to_json()
+        fa = payload["fa"]["matrices"][0]
+        fa["re"][0][1] = fa["re"][1][0] = 0.3
+        fa["im"][0][2], fa["im"][2][0] = 0.05, -0.05
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "diagonal" in err
+        two_nodes = random_instance(TheoremId.INFO_INEQ, 3, 1, 3).to_json()
+        two_nodes["fb"]["weights"] *= 2
+        two_nodes["fb"]["matrices"] *= 2
+        out.write_text(json.dumps(two_nodes))
+        code, _, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and "diagonal" in err
+
+    @pytest.mark.parametrize("theorem,key", [("klein_upper", "fb"), ("compression_jensen", "x")])
+    def test_non_hermitian_matrix_exits_2(self, tmp_path, capsys, theorem, key):
+        # Symmetrizing it would check another matrix than the file states
+        # (klein_upper read the unperturbed margin 0.23405202228924632).
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 3, 1, 5).to_json()
+        matrix = payload[key] if key == "x" else payload[key]["matrices"][0]
+        matrix["re"][0][1] += 1e-4
+        matrix["re"][1][0] -= 1e-4
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "not Hermitian" in err
+
+    def test_compression_factors_need_not_be_hermitian(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 5).to_json()
+        c = np.array(payload["cs"][0]["re"]) + 1j * np.array(payload["cs"][0]["im"])
+        assert not np.array_equal(c, c.conj().T)
+        out.write_text(json.dumps(payload))
+        code, stdout, _ = run(capsys, "check", "--file", str(out))
+        assert code == 0 and json.loads(stdout)["holds"] is True
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

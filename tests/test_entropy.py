@@ -18,7 +18,8 @@ from opentropy import (
     relative_entropy,
     variational_form,
 )
-from opentropy.entropy import field_from_json, field_to_json, pair_spectra
+from opentropy.entropy import field_from_json, field_to_json
+from opentropy.matcore import pair_spectra
 from opentropy.functions import LOG, NEG_T_LOG_T, power
 
 from conftest import random_pd
@@ -32,6 +33,12 @@ def diag_pd(*entries):
 def random_field(rng, dim, k, unit_weights=False):
     weights = np.ones(k) if unit_weights else rng.uniform(0.5, 2.0, size=k)
     return OperatorField.from_matrices(weights, [random_pd(rng, dim) for _ in range(k)])
+
+
+def nodes(fa, fb):
+    """(w_s, A_s, B_s) per node of two aligned fields, each node its own PD matrix."""
+    pd = PositiveDefiniteMatrix
+    return [(w, pd(a), pd(b)) for w, a, b in zip(fa.weights, fa.arrays, fb.arrays)]
 
 
 def random_pair(rng, dim, k):
@@ -66,22 +73,22 @@ class TestNaturalPower:
 class TestRelativeEntropy:
     def test_equal_pair_is_zero(self, rng):
         a = random_pd(rng, 4)
-        assert np.linalg.norm(relative_entropy(a, a, 0.0, LOG).array) <= 1e-12
+        assert np.linalg.norm(relative_entropy(a, a, 0.0, LOG)) <= 1e-12
 
     def test_diagonal_log_case(self):
         out = relative_entropy(PositiveDefiniteMatrix(np.eye(2)), diag_pd(math.e, math.e ** 2), 0.0, LOG)
-        np.testing.assert_allclose(out.array, np.diag([1.0, 2.0]), atol=1e-13)
+        np.testing.assert_allclose(out, np.diag([1.0, 2.0]), atol=1e-13)
 
     def test_commuting_formula(self):
         out = relative_entropy(diag_pd(1.0, 2.0), diag_pd(2.0, 2.0), 1.0, LOG)
-        np.testing.assert_allclose(out.array, np.diag([2.0 * math.log(2.0), 0.0]), atol=1e-13)
+        np.testing.assert_allclose(out, np.diag([2.0 * math.log(2.0), 0.0]), atol=1e-13)
 
     def test_scalar_oracle_on_diagonals(self, rng):
         for _ in range(50):
             a = rng.uniform(0.3, 3.0, size=3)
             b = rng.uniform(0.3, 3.0, size=3)
             q = float(rng.uniform(-1.5, 2.0))
-            got = np.diag(relative_entropy(diag_pd(*a), diag_pd(*b), q, LOG).array).real
+            got = np.diag(relative_entropy(diag_pd(*a), diag_pd(*b), q, LOG)).real
             want = [entropy_term(ai, bi, q, math.log) for ai, bi in zip(a, b)]
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-12)
 
@@ -93,8 +100,8 @@ class TestVariationalForm:
         for _ in range(30):
             dim = int(rng.integers(2, 9))
             a, b = random_pd(rng, dim), random_pd(rng, dim)
-            direct = relative_entropy(a, b, q, f).array
-            flipped = variational_form(a, b, q, f).array
+            direct = relative_entropy(a, b, q, f)
+            flipped = variational_form(a, b, q, f)
             err = np.linalg.norm(direct - flipped) / max(1.0, np.linalg.norm(direct))
             assert err <= 1e-9
 
@@ -103,15 +110,15 @@ class TestVariationalForm:
         # nevertheless lands on the Hermitian entropy.
         for _ in range(20):
             a, b = random_pd(rng, 4), random_pd(rng, 4)
-            direct = relative_entropy(a, b, 0.0, LOG).array
-            inner = relative_entropy(b.inv(), a.inv(), 0.0, LOG).array
+            direct = relative_entropy(a, b, 0.0, LOG)
+            inner = relative_entropy(b.inv(), a.inv(), 0.0, LOG)
             raw = a.array @ inner @ b.array
             err = np.linalg.norm(direct - raw) / max(1.0, np.linalg.norm(direct))
             assert err <= 1e-9
 
     def test_identity_pair(self):
         eye = PositiveDefiniteMatrix(np.eye(3))
-        assert np.linalg.norm(variational_form(eye, eye, 0.0, LOG).array) <= 1e-12
+        assert np.linalg.norm(variational_form(eye, eye, 0.0, LOG)) <= 1e-12
 
 
 class TestFields:
@@ -136,15 +143,14 @@ class TestFields:
         f = random_field(rng, 3, 2)
         back = field_from_json(json.loads(json.dumps(field_to_json(f))))
         np.testing.assert_array_equal(back.weights, f.weights)
-        for m1, m2 in zip(back.matrices, f.matrices):
-            np.testing.assert_array_equal(m1.array, m2.array)
+        np.testing.assert_array_equal(back.arrays, f.arrays)
 
 
 class TestGeneralizedEntropy:
     def test_single_node_equal_pair(self, rng):
         a = random_pd(rng, 3)
         fa = OperatorField([(1.0, a)])
-        assert np.linalg.norm(generalized_entropy(fa, fa, 0.0, LOG).array) <= 1e-12
+        assert np.linalg.norm(generalized_entropy(fa, fa, 0.0, LOG)) <= 1e-12
 
     def test_weight_mismatch_rejected(self, rng):
         fa = OperatorField([(1.0, random_pd(rng, 2)), (1.0, random_pd(rng, 2))])
@@ -161,7 +167,7 @@ class TestGeneralizedEntropy:
         w = rng.uniform(0.5, 2.0, size=2)
         fa = OperatorField.from_matrices(w, [diag_pd(*a1), diag_pd(*a2)])
         fb = OperatorField.from_matrices(w, [diag_pd(*b1), diag_pd(*b2)])
-        got = np.diag(generalized_entropy(fa, fb, 0.5, LOG).array).real
+        got = np.diag(generalized_entropy(fa, fb, 0.5, LOG)).real
         want = [
             w[0] * entropy_term(a1[i], b1[i], 0.5, math.log)
             + w[1] * entropy_term(a2[i], b2[i], 0.5, math.log)
@@ -173,14 +179,14 @@ class TestGeneralizedEntropy:
         for _ in range(25):
             fa, fb = random_field(rng, 3, 2, True), random_field(rng, 3, 2, True)  # unit weights align
             s = generalized_entropy(fa, fb, float(rng.uniform(-1, 2)), power(0.5))
-            assert np.linalg.eigvalsh(s.array)[0] >= -1e-9
+            assert np.linalg.eigvalsh(s)[0] >= -1e-9
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
     def test_homogeneity(self, rng, alpha):
         fa, fb = random_pair(rng, 3, 2)
         for q, f in [(0.0, LOG), (0.7, power(0.5)), (-0.5, NEG_T_LOG_T)]:
-            base = generalized_entropy(fa, fb, q, f).array
-            scaled = generalized_entropy(fa.scaled(alpha), fb.scaled(alpha), q, f).array
+            base = generalized_entropy(fa, fb, q, f)
+            scaled = generalized_entropy(fa.scaled(alpha), fb.scaled(alpha), q, f)
             err = np.linalg.norm(scaled - alpha * base) / max(1.0, np.linalg.norm(base))
             assert err <= 1e-10
 
@@ -217,17 +223,14 @@ class TestGeneralizedEntropy:
             fa, fb = random_pair(rng, 3, 2)
             s = generalized_entropy(fa, fb, q, LOG)
             rhs = np.zeros((3, 3), dtype=complex)
-            for (w, a), (_, b) in zip(fa, fb):
+            for w, a, b in nodes(fa, fb):
                 rhs += w * (natural_power(a, b, q + 1.0).array - natural_power(a, b, q).array)
             assert loewner_leq(s, rhs, 1e-9)[0]
             if q == 0.0:
-                direct = sum(w * (b.array - a.array) for (w, a), (_, b) in zip(fa, fb))
+                direct = sum(w * (b.array - a.array) for w, a, b in nodes(fa, fb))
                 assert loewner_leq(s, direct, 1e-9)[0]
             if q == 1.0:
-                direct = sum(
-                    w * (b.array @ a.inv().array @ b.array - b.array)
-                    for (w, a), (_, b) in zip(fa, fb)
-                )
+                direct = sum(w * (b.array @ a.inv().array @ b.array - b.array) for w, a, b in nodes(fa, fb))
                 assert loewner_leq(s, direct, 1e-9)[0]
 
 
@@ -241,8 +244,8 @@ class TestMeanField:
 
     def test_endpoints(self, rng):
         fa, fb = random_pair(rng, 3, 2)
-        np.testing.assert_allclose(mean_field(fa, fb, 0.0).array, fa.weighted_sum(), atol=1e-11)
-        np.testing.assert_allclose(mean_field(fa, fb, 1.0).array, fb.weighted_sum(), atol=1e-10)
+        np.testing.assert_allclose(mean_field(fa, fb, 0.0), fa.weighted_sum(), atol=1e-11)
+        np.testing.assert_allclose(mean_field(fa, fb, 1.0), fb.weighted_sum(), atol=1e-10)
 
     def test_commuting_scalar_formula(self, rng):
         a1, b1 = rng.uniform(0.3, 3.0, size=2), rng.uniform(0.3, 3.0, size=2)
@@ -250,7 +253,7 @@ class TestMeanField:
         w = rng.uniform(0.5, 2.0, size=2)
         fa = OperatorField.from_matrices(w, [diag_pd(*a1), diag_pd(*a2)])
         fb = OperatorField.from_matrices(w, [diag_pd(*b1), diag_pd(*b2)])
-        got = np.diag(mean_field(fa, fb, 0.75).array).real
+        got = np.diag(mean_field(fa, fb, 0.75)).real
         want = [
             w[0] * power_mean(a1[i], b1[i], 0.75) + w[1] * power_mean(a2[i], b2[i], 0.75)
             for i in range(2)
@@ -272,7 +275,8 @@ class TestMeanField:
 
 def direct_entropy(a, b, q, f):
     """A^{1/2} T^q f(T) A^{1/2} for one pair, by its own eigensolve of T."""
-    r, root = a.inv_sqrt().array, a.sqrt().array
+    w, v = np.linalg.eigh(a.array)
+    r, root = (v * w ** -0.5) @ v.conj().T, (v * w ** 0.5) @ v.conj().T
     t = r @ b.array @ r
     lam, u = np.linalg.eigh((t + t.conj().T) / 2.0)
     return root @ (u * (lam ** q * f.evaluate_array(lam))) @ u.conj().T @ root
@@ -289,19 +293,19 @@ class TestStackedKernel:
             fa, fb = random_pair(rng, dim, k)
             spectrum = fa.pair_spectrum(fb)
             assert spectrum.eigenvalues.shape == (k, dim) and spectrum.frame.shape == (k, dim, dim)
-            for s, (a, b) in enumerate(zip(fa.matrices, fb.matrices)):
+            for s, (_, a, b) in enumerate(nodes(fa, fb)):
                 single = PairSpectrum(a, b)
                 assert relative_gap(spectrum.eigenvalues[s], single.eigenvalues[0]) <= 1e-12
-            assert spectrum.m == min(PairSpectrum(a, b).m for a, b in zip(fa.matrices, fb.matrices))
+            assert spectrum.m == min(PairSpectrum(a, b).m for _, a, b in nodes(fa, fb))
             for q, f in ((0.0, LOG), (0.5, NEG_T_LOG_T), (1.0, power(0.5))):
-                per_node = sum(w * relative_entropy(a, b, q, f).array for (w, a), (_, b) in zip(fa, fb))
-                direct = sum(w * direct_entropy(a, b, q, f) for (w, a), (_, b) in zip(fa, fb))
-                stacked = generalized_entropy(fa, fb, q, f).array
+                per_node = sum(w * relative_entropy(a, b, q, f) for w, a, b in nodes(fa, fb))
+                direct = sum(w * direct_entropy(a, b, q, f) for w, a, b in nodes(fa, fb))
+                stacked = generalized_entropy(fa, fb, q, f)
                 assert relative_gap(stacked, per_node) <= 1e-12
                 assert relative_gap(stacked, direct) <= 1e-12
             for p in (0.0, 0.3, 1.0):
-                per_node = sum(w * natural_power(a, b, p).array for (w, a), (_, b) in zip(fa, fb))
-                assert relative_gap(mean_field(fa, fb, p).array, per_node) <= 1e-12
+                per_node = sum(w * natural_power(a, b, p).array for w, a, b in nodes(fa, fb))
+                assert relative_gap(mean_field(fa, fb, p), per_node) <= 1e-12
 
     def test_pair_spectrum_is_memoised_on_the_field_pair(self, rng):
         fa, fb = random_pair(rng, 3, 2)
@@ -314,14 +318,14 @@ class TestStackedKernel:
         arrays = [random_pd(rng, 4).array for _ in range(3)]
         solve_calls.clear()
         field = OperatorField.from_matrices([1.0, 0.5, 2.0], arrays)
-        # The counter sees the field's own solve, so it can see a rebuild's.
+        # The counter sees the field's own solve, so it can see a second one.
         assert solve_calls == ["eigh"]
         solve_calls.clear()
-        nodes = field.matrices
+        node_arrays, decomposition = field.arrays, field.decomposition
         assert not solve_calls
-        for arr, node in zip(arrays, nodes):
-            np.testing.assert_array_equal(node.array, arr)
-            np.testing.assert_allclose(node.eigenvalues, np.linalg.eigvalsh(arr), rtol=1e-13)
+        for arr, node, values in zip(arrays, node_arrays, decomposition.eigenvalues):
+            np.testing.assert_array_equal(node, arr)
+            np.testing.assert_allclose(values, np.linalg.eigvalsh(arr), rtol=1e-13)
         np.testing.assert_array_equal(field.arrays, np.stack(arrays))
 
     @pytest.mark.parametrize("dim,k", [(1, 1), (3, 2), (5, 4)])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from opentropy import (
-    HermitianMatrix,
     PositiveDefiniteMatrix,
     PositiveLinearMap,
     PreconditionError,
@@ -55,22 +54,22 @@ class TestPositiveLinearMap:
         u = random_unitary(rng, 3)
         p = PositiveLinearMap([u])
         x = random_hermitian(rng, 3)
-        got = np.linalg.eigvalsh(p.apply(x).array)
-        want = np.linalg.eigvalsh(x.array)
+        got = np.linalg.eigvalsh(p.apply(x))
+        want = np.linalg.eigvalsh(x)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_split_identity_is_identity_map(self, rng):
         p = PositiveLinearMap([np.eye(3) / math.sqrt(2.0), np.eye(3) / math.sqrt(2.0)])
         assert p.is_normalized()
         x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(p.apply(x).array, x.array, atol=1e-13)
+        np.testing.assert_allclose(p.apply(x), x, atol=1e-13)
 
     def test_pinching_to_diagonal(self, rng):
         p = PositiveLinearMap(pinching(3))
         assert p.is_normalized()
         x = random_hermitian(rng, 3)
         np.testing.assert_allclose(
-            p.apply(x).array, np.diag(np.diag(x.array)), atol=1e-13
+            p.apply(x), np.diag(np.diag(x)), atol=1e-13
         )
 
     def test_linearity(self, rng):
@@ -78,8 +77,8 @@ class TestPositiveLinearMap:
         x, y = random_hermitian(rng, 4), random_hermitian(rng, 4)
         for _ in range(20):
             alpha, beta = rng.uniform(-2, 2, size=2)
-            lhs = p.apply_array(alpha * x.array + beta * y.array)
-            rhs = alpha * p.apply_array(x.array) + beta * p.apply_array(y.array)
+            lhs = p.apply_array(alpha * x + beta * y)
+            rhs = alpha * p.apply_array(x) + beta * p.apply_array(y)
             assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
 
     def test_positivity_preserved(self, rng):
@@ -106,7 +105,7 @@ class TestPositiveLinearMap:
         p = PositiveLinearMap([c])  # corner compression to the top 2x2 block
         assert (p.in_dim, p.out_dim) == (3, 2)
         x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(p.apply(x).array, x.array[:2, :2], atol=1e-14)
+        np.testing.assert_allclose(p.apply(x), x[:2, :2], atol=1e-14)
 
     def test_shape_check_on_apply(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
@@ -244,7 +243,9 @@ def test_result_wire_format(rng):
 
 def test_hermitian_wrapper_accepted(rng):
     p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
-    h = HermitianMatrix(np.diag([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(
-        p.apply(h).array, p.apply_array(h.array), atol=1e-14
-    )
+    a = PositiveDefiniteMatrix(np.diag([1.0, 2.0, 3.0]))
+    out = p.apply(a)
+    np.testing.assert_array_equal(out, p.apply_array(a.array))
+    np.testing.assert_array_equal(out, p.apply(np.diag([1.0, 2.0, 3.0])))
+    with pytest.raises(ValueError):
+        out[0, 0] = 5.0

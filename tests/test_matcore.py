@@ -6,20 +6,18 @@ import pytest
 from opentropy import (
     DomainError,
     EigenConvergenceError,
-    HermitianMatrix,
     NotPositiveDefiniteError,
+    OperatorField,
     PositiveDefiniteMatrix,
     PreconditionError,
     ShapeError,
     apply_function,
     congruence,
     eig,
-    identity,
     loewner_leq,
     sandwich_bounds,
 )
 from opentropy.functions import IDENTITY, LOG, custom, power
-from opentropy.entropy import OperatorField
 from opentropy.matcore import (
     _eigh,
     _eigvalsh,
@@ -33,25 +31,40 @@ from conftest import random_hermitian, random_pd
 
 
 class TestHermitianMatrix:
+    """Hermitian matrices as the package holds them: plain read-only complex
+    arrays, symmetrized by the PD constructors and checked exactly by the
+    payload decoder."""
+
     def test_symmetrization_absorbs_drift(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = HermitianMatrix(g)
-        np.testing.assert_allclose(h.array, h.array.conj().T, atol=1e-12)
-        np.testing.assert_allclose(h.array, (g + g.conj().T) / 2)
+        h = PositiveDefiniteMatrix(g @ g.conj().T + np.eye(4) + 1e-3 * g).array
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
+        np.testing.assert_allclose(h, (g @ g.conj().T + np.eye(4)) + 1e-3 * (g + g.conj().T) / 2)
 
     def test_rejects_nonsquare(self):
+        for entries in (np.ones((2, 3)), np.ones(2), np.ones((0, 0))):
+            with pytest.raises(ShapeError):
+                PositiveDefiniteMatrix(entries)
         with pytest.raises(ShapeError):
-            HermitianMatrix(np.ones((2, 3)))
+            OperatorField([(1.0, np.ones((2, 3)))])
 
-    def test_array_is_readonly(self):
-        h = identity(3)
-        with pytest.raises(ValueError):
-            h.array[0, 0] = 5.0
+    def test_array_is_readonly(self, rng):
+        a = random_pd(rng, 3)
+        results = (a.array, apply_function(a, LOG), congruence(np.eye(3), a), matrix_from_json(matrix_to_json(a)))
+        for h in results:
+            with pytest.raises(ValueError):
+                h[0, 0] = 5.0
 
     def test_json_round_trip(self, rng):
         h = random_hermitian(rng, 5)
         back = matrix_from_json(json.loads(json.dumps(matrix_to_json(h))))
-        np.testing.assert_array_equal(back.array, h.array)
+        np.testing.assert_array_equal(back, h)
+
+    def test_json_non_hermitian_payload_rejected(self, rng):
+        payload = matrix_to_json(random_hermitian(rng, 3))
+        payload["re"][0][1] += 1e-4
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            matrix_from_json(payload)
 
     def test_json_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -112,13 +125,13 @@ class TestEigensolverEntry:
 
 class TestEig:
     def test_diagonal_is_already_sorted(self):
-        d = eig(HermitianMatrix(np.diag([3.0, 1.0])))
+        d = eig(np.diag([3.0, 1.0]))
         np.testing.assert_array_equal(d.eigenvalues, [1.0, 3.0])
         # columns are identity columns up to permutation
         np.testing.assert_array_equal(np.abs(d.eigenvectors), np.eye(2)[:, [1, 0]])
 
     def test_symmetry_forced_spectrum(self):
-        d = eig(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        d = eig([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(d.eigenvalues, [-1.0, 1.0], atol=1e-15)
 
     def test_reconstruction_and_orthonormality(self, rng):
@@ -127,8 +140,8 @@ class TestEig:
             dim = int(rng.integers(1, 17))
             h = random_hermitian(rng, dim, scale=10.0 ** rng.uniform(-2, 2))
             d = eig(h)
-            hnorm = float(np.linalg.norm(h.array))
-            assert np.linalg.norm(d.reconstruct() - h.array) <= 1e-10 * max(1.0, hnorm)
+            hnorm = float(np.linalg.norm(h))
+            assert np.linalg.norm(d.reconstruct() - h) <= 1e-10 * max(1.0, hnorm)
             assert np.linalg.norm(d.eigenvectors.conj().T @ d.eigenvectors - np.eye(dim)) <= 1e-11
             assert np.all(np.diff(d.eigenvalues) >= 0)
 
@@ -204,20 +217,20 @@ class TestPositiveDefinite:
 class TestApplyFunction:
     def test_identity_function(self, rng):
         a = random_pd(rng, 4)
-        np.testing.assert_allclose(apply_function(a, IDENTITY).array, a.array, atol=1e-13)
+        np.testing.assert_allclose(apply_function(a, IDENTITY), a.array, atol=1e-13)
 
     def test_log_on_diagonal(self):
         a = PositiveDefiniteMatrix(np.diag([1.0, np.e]))
-        np.testing.assert_allclose(apply_function(a, LOG).array, np.diag([0.0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(apply_function(a, LOG), np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_sqrt_on_diagonal(self):
         a = PositiveDefiniteMatrix(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(apply_function(a, power(0.5)).array, np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_allclose(apply_function(a, power(0.5)), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_commutes_with_argument(self, rng):
         for _ in range(50):
             a = random_pd(rng, 5)
-            fa = apply_function(a, LOG).array
+            fa = apply_function(a, LOG)
             comm = fa @ a.array - a.array @ fa
             scale = max(1.0, np.linalg.norm(fa) * np.linalg.norm(a.array))
             assert np.linalg.norm(comm) <= 1e-10 * scale
@@ -231,50 +244,57 @@ class TestApplyFunction:
     def test_composition_on_diagonal_is_entrywise(self):
         entries = np.array([1.7, 0.3, 2.9])
         a = PositiveDefiniteMatrix(np.diag(entries))
-        g_of_a = PositiveDefiniteMatrix(apply_function(a, power(0.5)).array)
-        composed = apply_function(g_of_a, LOG).array
+        g_of_a = PositiveDefiniteMatrix(apply_function(a, power(0.5)))
+        composed = apply_function(g_of_a, LOG)
         np.testing.assert_array_equal(np.diag(composed).real, np.log(np.sqrt(entries)))
+
+
+INV_SQRT = custom(lambda t: 1.0 / np.sqrt(t), name="inv_sqrt")
+
+
+def half_powers(a):
+    """A^{1/2}, A^{-1/2} and A^{-1} as arrays."""
+    return apply_function(a, power(0.5)), apply_function(a, INV_SQRT), a.inv().array
 
 
 class TestHalfPowers:
     def test_identity(self):
         a = PositiveDefiniteMatrix(np.eye(3))
-        s, isq, inv = a.sqrt(), a.inv_sqrt(), a.inv()
-        for m in (s, isq, inv):
-            np.testing.assert_allclose(m.array, np.eye(3), atol=1e-14)
+        for m in half_powers(a):
+            np.testing.assert_allclose(m, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
         a = PositiveDefiniteMatrix(np.diag([4.0, 16.0]))
-        s, isq, inv = a.sqrt(), a.inv_sqrt(), a.inv()
-        np.testing.assert_allclose(s.array, np.diag([2.0, 4.0]), atol=1e-14)
-        np.testing.assert_allclose(isq.array, np.diag([0.5, 0.25]), atol=1e-14)
-        np.testing.assert_allclose(inv.array, np.diag([0.25, 0.0625]), atol=1e-14)
+        s, isq, inv = half_powers(a)
+        np.testing.assert_allclose(s, np.diag([2.0, 4.0]), atol=1e-14)
+        np.testing.assert_allclose(isq, np.diag([0.5, 0.25]), atol=1e-14)
+        np.testing.assert_allclose(inv, np.diag([0.25, 0.0625]), atol=1e-14)
 
     def test_residuals_random(self, rng):
         for _ in range(25):
             a = random_pd(rng, 4)
-            s, isq = a.sqrt(), a.inv_sqrt()
+            s, isq, _ = half_powers(a)
             anorm = np.linalg.norm(a.array)
-            assert np.linalg.norm(s.array @ s.array - a.array) <= 1e-10 * max(1.0, anorm)
-            assert np.linalg.norm(s.array @ isq.array - np.eye(4)) <= 1e-10
+            assert np.linalg.norm(s @ s - a.array) <= 1e-10 * max(1.0, anorm)
+            assert np.linalg.norm(s @ isq - np.eye(4)) <= 1e-10
 
 
 class TestCongruence:
     def test_identity_and_scaling(self, rng):
         x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(congruence(np.eye(3), x).array, x.array, atol=1e-14)
-        np.testing.assert_allclose(congruence(2.0 * np.eye(3), x).array, 4.0 * x.array, atol=1e-13)
+        np.testing.assert_allclose(congruence(np.eye(3), x), x, atol=1e-14)
+        np.testing.assert_allclose(congruence(2.0 * np.eye(3), x), 4.0 * x, atol=1e-13)
 
     def test_unitary_preserves_spectrum(self, rng):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(g)
-        out = congruence(u, HermitianMatrix(np.diag([1.0, 2.0])))
+        out = congruence(u, np.diag([1.0, 2.0]))
         np.testing.assert_allclose(eig(out).eigenvalues, [1.0, 2.0], atol=1e-12)
 
     def test_preserves_psd(self, rng):
         for _ in range(50):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            x = HermitianMatrix(g @ g.conj().T)  # PSD
+            x = g @ g.conj().T  # PSD
             c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             w = eig(congruence(c, x)).eigenvalues
             assert w[0] >= -1e-10 * max(1.0, abs(w[-1]))
@@ -286,13 +306,11 @@ class TestCongruence:
 
 class TestLoewner:
     def test_strict_order(self):
-        holds, margin = loewner_leq(identity(2), 2.0 * identity(2))
+        holds, margin = loewner_leq(np.eye(2), 2.0 * np.eye(2))
         assert holds and abs(margin - 1.0) <= 1e-14
 
     def test_incomparable_pair(self):
-        holds, margin = loewner_leq(
-            HermitianMatrix(np.diag([1.0, 3.0])), HermitianMatrix(np.diag([2.0, 2.0]))
-        )
+        holds, margin = loewner_leq(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]))
         assert not holds and abs(margin + 1.0) <= 1e-14
 
     def test_reflexive(self, rng):
@@ -331,3 +349,12 @@ class TestSandwich:
             m, M = sandwich_bounds(a, b)
             assert loewner_leq(a.scaled(m), b, 1e-10)[0]
             assert loewner_leq(b, a.scaled(M), 1e-10)[0]
+
+    def test_fields_take_the_extremes_over_their_nodes(self, rng):
+        w = [1.0, 0.5, 2.0]
+        fa, fb = (OperatorField.from_matrices(w, [random_pd(rng, 3) for _ in range(3)]) for _ in range(2))
+        m, M = sandwich_bounds(fa, fb)
+        spectrum = fa.pair_spectrum(fb)
+        assert abs(m - spectrum.m) <= 1e-12 * spectrum.M and abs(M - spectrum.M) <= 1e-12 * spectrum.M
+        with pytest.raises(ShapeError):
+            sandwich_bounds(fa, random_pd(rng, 3))

@@ -36,11 +36,11 @@ def test_registry_is_total():
 class TestRandomResolution:
     def test_single_term_is_identity(self):
         field = random_resolution(3, 1, seed=0)
-        np.testing.assert_allclose(field.matrices[0].array, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(field.arrays[0], np.eye(3), atol=1e-12)
 
     def test_scalar_case_sums_to_one(self):
         field = random_resolution(1, 2, seed=1)
-        vals = [float(m.array[0, 0].real) for m in field.matrices]
+        vals = [float(a[0, 0].real) for a in field.arrays]
         assert all(v > 0 for v in vals)
         assert abs(sum(vals) - 1.0) <= 1e-12
 
@@ -49,8 +49,7 @@ class TestRandomResolution:
         residual = np.linalg.norm(field.weighted_sum() - np.eye(4))
         assert residual <= 1e-10
         again = random_resolution(4, 3, seed=42)
-        for m1, m2 in zip(field.matrices, again.matrices):
-            np.testing.assert_array_equal(m1.array, m2.array)
+        np.testing.assert_array_equal(field.arrays, again.arrays)
 
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):
@@ -88,8 +87,8 @@ class TestRandomInstance:
 
     def test_info_instance_is_probability_pair(self):
         inst = random_instance(TheoremId.INFO_INEQ, 8, 1, 5)
-        a = np.diag(inst.fa.matrices[0].array).real
-        b = np.diag(inst.fb.matrices[0].array).real
+        a = np.diag(inst.fa.arrays[0]).real
+        b = np.diag(inst.fb.arrays[0]).real
         assert abs(a.sum() - 1.0) <= 1e-12 and abs(b.sum() - 1.0) <= 1e-12
         assert np.all(a > 0) and np.all(b > 0)
 
@@ -592,3 +591,16 @@ def test_reverse_jensen_constants_are_sharp_on_two_point_witnesses(monkeypatch, 
     monkeypatch.setattr(verify, "chord_gap_bound", lambda *args: chord_gap_bound(*args) * shrink)
     mutated = check(theorem, inst)
     assert mutated.hypothesis_met and not mutated.holds
+
+
+@pytest.mark.parametrize("q", [-1.0, -0.5, 1.5, 2.0, 3.0])
+def test_exponents_outside_the_unit_interval_hold(q):
+    # These statements declare no range on q, and no default campaign
+    # draws one outside [0, 1].
+    theorems = (TheoremId.ENTROPY_NONNEG, TheoremId.ENTROPY_UPPER, TheoremId.HOMOGENEOUS)
+    config = CampaignConfig(theorems=theorems, trials=40, dims=(2, 6), exponents=(q,), seed=11)
+    report = campaign(config)
+    assert [s.passes for s in report.summaries] == [40, 40, 40]
+    assert len(report.records) == 120
+    assert all(r.exponent == q and r.hypothesis_met and r.holds for r in report.records)
+    assert {r.dim for r in report.records} == {2, 3, 4, 5, 6}
