@@ -11,12 +11,12 @@ Mond-Pecaric method):
     ratio bound  gamma = max { f(t) / c(t) : m <= t <= M }   (needs c > 0, f >= 0)
     gap bound    zeta  = max { f(t) - c(t) : m <= t <= M }
 
-For concave f the chord lies below the function, so gamma >= 1 and zeta >= 0
-with equality cases at the endpoints.
+f is a catalog function (`functions`), and every entry is concave, so the
+chord lies below f: gamma >= 1 and zeta >= 0, with equality cases at the
+endpoints.
 
-Closed forms.  For a catalog function (`ScalarFunction.is_catalog`) the table
-`_CLOSED_FORMS`, keyed on its spec, gives the argmax, and the constant is f/c
-or f - c there:
+Closed forms.  The table `_CLOSED_FORMS`, keyed on the head of f's spec,
+gives the argmax, and the constant is f/c or f - c there:
 
     power:p, 0 < p < 1   gamma at t = p nu / ((1 - p) mu), so gamma is
                          1/K(m, M, p), the generalized Kantorovich constant;
@@ -26,21 +26,21 @@ or f - c there:
 
 (Furuta, Micic Hot, Pecaric and Seo, Mond-Pecaric Method in Operator
 Inequalities, 2005, ch. 2.)  Every other constant comes from one grid search,
-`_maximize`: custom f, the linear entries (identity, affine, const, power:0,
+`_maximize`: those of the linear entries (identity, affine, const, power:0,
 power:1) and gamma of log and -t log t.  It scans a 4096-point grid, then
 golden-section search refines the best bracket until it is 1e-12 (M - m) wide
 or its probes stop falling strictly inside it (a window a few ulps wide).  The
 chord is linear and equals f at both ends, so the ratio bound reads its sign
 off f(m) and f(M) and leaves an end where it vanishes out of the search.  The
 ratio bound evaluates f on the grid once, for its nonnegativity check and
-its search; a catalog f whose declared nonnegative interval covers [m, M]
-skips the check.  The gap bound is cross-checked against f'(t) = mu when f
-has a derivative.  Each call checks the window and computes the chord once.
-A window too narrow for double precision to resolve the chord (its rounding
-unit eps * max(1, |f(m)|, |f(M)|) * M / (M - m) above 1e-8, see `_chord`)
-raises UnresolvableWindowError, a PreconditionError, instead of answering
-with rounding noise.  The grid search is the oracle the closed forms are
-tested against (`grid_values`).
+its search; an f whose nonnegative interval covers [m, M] skips the check.
+The gap bound is cross-checked against f'(t) = mu.  Each call checks the
+window and computes the chord once.  A window too narrow for double
+precision to resolve the chord (its rounding unit
+eps * max(1, |f(m)|, |f(M)|) * M / (M - m) above 1e-8, see `_chord`) raises
+UnresolvableWindowError, a PreconditionError, instead of answering with
+rounding noise.  The grid search is the oracle the closed forms are tested
+against (`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -180,13 +180,11 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
             f"chord mu*t + nu reaches {min(fm, fM):.6e} on [{m}, {M}]; ratio bound undefined"
         )
     # f is evaluated on the grid once, for the nonnegativity check and the
-    # search; a catalog f's declared nonnegative interval covering [m, M] is
-    # a fact and needs no check.
+    # search; the catalog's nonnegative interval covering [m, M] needs no check.
     ts = _grid(m, M)
     fs = f.evaluate_array(ts)
-    declared = f.nonnegative_on
-    trusted = f.is_catalog and declared is not None and declared[0] <= m and M <= declared[1]
-    if not trusted and not _nonnegative(fs):
+    lo, hi = f.nonnegative_on
+    if not (lo <= m and M <= hi) and not _nonnegative(fs):
         raise PreconditionError(f"{f.name} is negative somewhere on [{m}, {M}]")
     # With f >= 0 the chord vanishes only at an end where f does.  The search
     # leaves such an end out (0/0 there is all cancellation noise); the end
@@ -199,7 +197,7 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
             lambda t: f.fn(t) / (mu * t + nu), ts, fs / (mu * ts + nu),
             int(left_zero), GRID_POINTS - 1 - int(right_zero),
         )
-    if f.deriv is not None and mu != 0.0:
+    if mu != 0.0:
         for endpoint, is_zero in ((m, left_zero), (M, right_zero)):
             if is_zero:
                 limit = f.derivative(endpoint) / mu
@@ -238,8 +236,6 @@ def _gap_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
     obj = lambda t: f.fn(t) - (mu * t + nu)
     ts = _grid(m, M)
     t_grid, v_grid = _maximize(obj, ts, obj(ts))
-    if f.deriv is None:
-        return t_grid, v_grid
     roots = _stationary_points(f, mu, m, M)
     if not roots:
         # No interior stationary point: the maximum sits at an endpoint (value 0).
@@ -290,8 +286,6 @@ _RATIO, _GAP = 0, 1
 
 
 def _argmax_rule(f: ScalarFunction, which: int):
-    if not f.is_catalog:
-        return None
     head, _, arg = f.spec.partition(":")
     forms = _CLOSED_FORMS.get(head)
     return forms(arg)[which] if forms else None

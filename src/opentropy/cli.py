@@ -7,6 +7,10 @@ Subcommands:
     bounds    print chord/secant data (mu, nu, gamma, zeta) for f on [m, M], with
               grid-search cross-checks of the constants taken from closed forms
 
+A function is named by its catalog spec (log, power:p, neg_t_log_t,
+affine:a,b, const:c, identity; see functions.parse), the only form in which
+the CLI and instance files carry one.
+
 Machine-readable JSON goes to stdout (or --out); the human summary goes to
 stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = substantive
 violation, 2 = usage or input error (for campaign: also any trial that ended

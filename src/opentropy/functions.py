@@ -1,10 +1,13 @@
-"""Catalog of scalar functions on (0, inf) with operator-order metadata.
+"""The catalog of scalar functions on (0, inf): the spec is the function.
 
-Each entry records whether the function is operator concave.  That flag is
-a fact carried by the catalog: operator properties cannot be certified from
-point samples, so custom functions declare their own flags and are
-grid-checked here for the scalar necessary conditions (nonnegativity,
-midpoint concavity) before a checker will trust them.
+A `ScalarFunction` is built from its spec alone ("log", "power:0.5", ...).
+One table, `_CATALOG`, gives each spec head its callables f and f' and the
+closed interval on which f >= 0; a spec outside it raises PreconditionError.
+Every entry (log, -t log t, t^p with 0 <= p <= 1, a + b t and c with
+a, b, c >= 0) is operator concave on (0, inf), the hypothesis of the
+paper's reverse inequalities, so `operator_concave` is the constant True and
+no flag is ever declared.  `check_nonnegative_on` is a grid test, for the
+windows an entry's nonnegative interval does not cover.
 """
 
 from __future__ import annotations
@@ -26,11 +29,8 @@ __all__ = [
     "constant",
     "affine",
     "power",
-    "custom",
     "parse",
     "check_nonnegative_on",
-    "check_midpoint_concave_on",
-    "validate_declared_flags",
 ]
 
 # Shared scan density for every scalar grid in the package (matches the
@@ -38,189 +38,120 @@ __all__ = [
 GRID_POINTS = 4096
 
 _INF = math.inf
+_POSITIVE = (0.0, _INF)
+
+
+def _power(p: float):
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"power catalog entry requires p in [0, 1], got {p}")
+    return (lambda t: t ** p), (lambda t: p * t ** (p - 1.0)), _POSITIVE
+
+
+def _constant(c: float):
+    if not (math.isfinite(c) and c >= 0.0):
+        raise PreconditionError(f"constant catalog entry requires a finite c >= 0, got {c}")
+    return (lambda t: c + 0.0 * t), (lambda t: 0.0 * t), _POSITIVE
+
+
+def _affine(a: float, b: float):
+    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
+        raise PreconditionError(f"affine catalog entry requires finite a, b >= 0, got a={a}, b={b}")
+    return (lambda t: a + b * t), (lambda t: b + 0.0 * t), _POSITIVE
+
+
+# Spec head -> entry: the spec's parameters -> (f, f', the closed interval on
+# which f >= 0).  f and f' accept floats or ndarrays.
+_CATALOG = {
+    "identity": lambda: ((lambda t: t * 1.0), (lambda t: t * 0.0 + 1.0), _POSITIVE),
+    "log": lambda: (np.log, (lambda t: 1.0 / t), (1.0, _INF)),
+    "neg_t_log_t": lambda: ((lambda t: -t * np.log(t)), (lambda t: -np.log(t) - 1.0), (0.0, 1.0)),
+    "power": _power,
+    "const": _constant,
+    "affine": _affine,
+}
 
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A function f: (domain_low, inf) -> R plus order-theoretic metadata.
+    """The catalog function f: (0, inf) -> R of a spec.
 
-    `fn` and `deriv` accept floats or ndarrays.  `nonnegative_on` is the
-    closed interval on which f >= 0 is guaranteed (None if nowhere).  `spec`
-    is the function's exchange format.  The private `_catalog` marker is set
-    only by the catalog constructors (and so by `parse`): it makes the
-    function a catalog entry (`is_catalog`), whose flags are trusted, whose
-    chord constants may come from closed forms keyed on its spec, and which
-    serializes as its spec.  A hand-built function with a catalog spec but no
-    marker is an ordinary custom function.  `dataclasses.replace` copies the
-    marker: a copy whose fn wraps the catalog's (to count calls) stays one.
+    `spec` is the exchange format, kept in the form `parse` prints
+    ("power:.5" becomes "power:0.5").  `name`, `nonnegative_on` (the closed
+    interval on which f >= 0) and the default `fn` and `deriv` come from the
+    catalog entry.  `fn` and `deriv` may be passed, as `dataclasses.replace`
+    passes them, only to wrap the entry's own callables (to count calls, say);
+    equality and hashing read the spec.
     """
 
-    name: str
-    fn: Callable
-    deriv: Callable | None = None
-    domain_low: float = 0.0
-    nonnegative_on: tuple[float, float] | None = None
-    operator_concave: bool = False
-    strictly_concave: bool = False
-    spec: str = field(default="", repr=False)
-    _catalog: bool = field(default=False, repr=False)
+    spec: str
+    fn: Callable | None = field(default=None, repr=False, compare=False)
+    deriv: Callable | None = field(default=None, repr=False, compare=False)
+    name: str = field(init=False)
+    nonnegative_on: tuple[float, float] = field(init=False)
 
-    @property
-    def is_catalog(self) -> bool:
-        return self._catalog
+    # Every catalog entry is operator concave on (0, inf).
+    operator_concave = True
+
+    def __post_init__(self) -> None:
+        head, _, arg = self.spec.strip().partition(":")
+        if head not in _CATALOG:
+            raise PreconditionError(f"unknown function spec {self.spec!r}")
+        try:
+            params = [float(s) for s in arg.split(",")] if arg else []
+            fn, deriv, nonnegative_on = _CATALOG[head](*params)
+        except TypeError:
+            raise PreconditionError(f"wrong number of parameters in function spec {self.spec!r}") from None
+        except ValueError as exc:
+            raise PreconditionError(f"malformed function spec {self.spec!r}: {exc}") from exc
+        derived = {
+            "spec": ":".join([head, ",".join(map(repr, params))]) if params else head,
+            "name": "_".join([head, *(f"{v:g}" for v in params)]),
+            "fn": fn if self.fn is None else self.fn,
+            "deriv": deriv if self.deriv is None else self.deriv,
+            "nonnegative_on": nonnegative_on,
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
 
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
 
     def evaluate(self, t: float) -> float:
         t = float(t)
-        if not t > self.domain_low or not math.isfinite(t):
-            raise DomainError(f"{self.name}: argument {t!r} outside domain ({self.domain_low}, inf)")
+        if not t > 0.0 or not math.isfinite(t):
+            raise DomainError(f"{self.name}: argument {t!r} outside domain (0.0, inf)")
         return float(self.fn(t))
 
     def evaluate_array(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        if values.size and not float(values.min()) > self.domain_low:
-            raise DomainError(
-                f"{self.name}: eigenvalue {float(values.min()):.6e} outside domain "
-                f"({self.domain_low}, inf)"
-            )
+        if values.size and not float(values.min()) > 0.0:
+            raise DomainError(f"{self.name}: eigenvalue {float(values.min()):.6e} outside domain (0.0, inf)")
         return np.asarray(self.fn(values), dtype=float)
 
     def derivative(self, t: float) -> float:
-        if self.deriv is None:
-            raise PreconditionError(f"{self.name} carries no derivative")
         return float(self.deriv(float(t)))
 
 
-IDENTITY = ScalarFunction(
-    name="identity",
-    fn=lambda t: t * 1.0,
-    deriv=lambda t: t * 0.0 + 1.0,
-    nonnegative_on=(0.0, _INF),
-    operator_concave=True,
-    strictly_concave=False,
-    spec="identity",
-    _catalog=True,
-)
-
-LOG = ScalarFunction(
-    name="log",
-    fn=np.log,
-    deriv=lambda t: 1.0 / t,
-    nonnegative_on=(1.0, _INF),
-    operator_concave=True,
-    strictly_concave=True,
-    spec="log",
-    _catalog=True,
-)
-
-NEG_T_LOG_T = ScalarFunction(
-    name="neg_t_log_t",
-    fn=lambda t: -t * np.log(t),
-    deriv=lambda t: -np.log(t) - 1.0,
-    nonnegative_on=(0.0, 1.0),
-    operator_concave=True,
-    strictly_concave=True,
-    spec="neg_t_log_t",
-    _catalog=True,
-)
+IDENTITY = ScalarFunction("identity")
+LOG = ScalarFunction("log")
+NEG_T_LOG_T = ScalarFunction("neg_t_log_t")
 
 
 def constant(c: float) -> ScalarFunction:
-    c = float(c)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise PreconditionError(f"constant catalog entry requires a finite c >= 0, got {c}")
-    return ScalarFunction(
-        name=f"const_{c:g}",
-        fn=lambda t, _c=c: _c + 0.0 * t,
-        deriv=lambda t: 0.0 * t,
-        nonnegative_on=(0.0, _INF),
-        operator_concave=True,
-        strictly_concave=False,
-        spec=f"const:{c!r}",
-        _catalog=True,
-    )
+    return ScalarFunction(f"const:{float(c)!r}")
 
 
 def affine(a: float, b: float) -> ScalarFunction:
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
-        raise PreconditionError(f"affine catalog entry requires finite a, b >= 0, got a={a}, b={b}")
-    return ScalarFunction(
-        name=f"affine_{a:g}_{b:g}",
-        fn=lambda t, _a=a, _b=b: _a + _b * t,
-        deriv=lambda t, _b=b: _b + 0.0 * t,
-        nonnegative_on=(0.0, _INF),
-        operator_concave=True,
-        strictly_concave=False,
-        spec=f"affine:{a!r},{b!r}",
-        _catalog=True,
-    )
+    return ScalarFunction(f"affine:{float(a)!r},{float(b)!r}")
 
 
 def power(p: float) -> ScalarFunction:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"power catalog entry requires p in [0, 1], got {p}")
-    return ScalarFunction(
-        name=f"power_{p:g}",
-        fn=lambda t, _p=p: t ** _p,
-        deriv=lambda t, _p=p: _p * t ** (_p - 1.0),
-        nonnegative_on=(0.0, _INF),
-        operator_concave=True,
-        strictly_concave=0.0 < p < 1.0,
-        spec=f"power:{p!r}",
-        _catalog=True,
-    )
-
-
-def custom(
-    fn: Callable,
-    *,
-    name: str = "custom",
-    deriv: Callable | None = None,
-    domain_low: float = 0.0,
-    nonnegative_on: tuple[float, float] | None = None,
-    operator_concave: bool = False,
-    strictly_concave: bool = False,
-) -> ScalarFunction:
-    """Wrap a caller-supplied function with caller-declared flags.
-
-    The flags are taken on trust only after `validate_declared_flags` passes
-    on the interval a checker is about to use.
-    """
-    return ScalarFunction(
-        name=name,
-        fn=fn,
-        deriv=deriv,
-        domain_low=float(domain_low),
-        nonnegative_on=nonnegative_on,
-        operator_concave=operator_concave,
-        strictly_concave=strictly_concave,
-        spec="",
-    )
+    return ScalarFunction(f"power:{float(p)!r}")
 
 
 def parse(text: str) -> ScalarFunction:
-    """Parse a CLI function spec: log | power:p | neg_t_log_t | affine:a,b | const:c | identity."""
-    head, _, arg = text.strip().partition(":")
-    bare = {"identity": IDENTITY, "log": LOG, "neg_t_log_t": NEG_T_LOG_T}
-    try:
-        if head in bare:
-            if arg:
-                raise PreconditionError(f"{head} takes no parameter, got {text!r}")
-            return bare[head]
-        if head == "power":
-            return power(float(arg))
-        if head == "const":
-            return constant(float(arg))
-        if head == "affine":
-            a, b = (float(s) for s in arg.split(","))
-            return affine(a, b)
-    except (ValueError, TypeError) as exc:
-        raise PreconditionError(f"malformed function spec {text!r}: {exc}") from exc
-    raise PreconditionError(f"unknown function spec {text!r}")
+    """The catalog function of a CLI spec: log | power:p | neg_t_log_t | affine:a,b | const:c | identity."""
+    return ScalarFunction(text)
 
 
 def _grid(m: float, M: float) -> np.ndarray:
@@ -233,40 +164,6 @@ def _nonnegative(vals: np.ndarray) -> bool:
     return float(vals.min()) >= -1e-12
 
 
-def _midpoint_concave(vals: np.ndarray) -> bool:
-    gaps = vals[1:-1] - (vals[:-2] + vals[2:]) / 2.0
-    return float(gaps.min()) >= -1e-12
-
-
 def check_nonnegative_on(f: ScalarFunction, m: float, M: float) -> bool:
     """Grid test (endpoints included): min f on [m, M] >= -1e-12."""
     return _nonnegative(f.evaluate_array(_grid(m, M)))
-
-
-def check_midpoint_concave_on(f: ScalarFunction, m: float, M: float) -> bool:
-    """Discrete midpoint concavity on the grid: a necessary condition only."""
-    return _midpoint_concave(f.evaluate_array(_grid(m, M)))
-
-
-def validate_declared_flags(f: ScalarFunction, m: float, M: float) -> None:
-    """Refuse custom functions whose declared flags fail the scalar grid checks.
-
-    Catalog entries (`is_catalog`) pass immediately, whatever their name or
-    spec.  Operator concavity itself is not verifiable from samples; midpoint
-    concavity is the testable necessary condition.  Every test reads one
-    evaluation of f on the grid.
-    """
-    if f.is_catalog:
-        return
-    vals = f.evaluate_array(_grid(m, M))
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError(f"{f.name} is not finite everywhere on [{m}, {M}]")
-    if (f.operator_concave or f.strictly_concave) and not _midpoint_concave(vals):
-        raise PreconditionError(
-            f"{f.name} is flagged concave but fails midpoint concavity on [{m}, {M}]"
-        )
-    lo_hi = f.nonnegative_on
-    if lo_hi is not None and lo_hi[0] <= m and M <= lo_hi[1] and not _nonnegative(vals):
-        raise PreconditionError(
-            f"{f.name} claims nonnegativity covering [{m}, {M}] but the grid finds negative values"
-        )

@@ -351,12 +351,12 @@ def _positive(alpha) -> float:
 
 
 def _checked_weights(weights, k: int) -> np.ndarray:
-    """`weights` as a read-only float vector of k strictly positive entries."""
+    """`weights` as a read-only float vector of k strictly positive finite entries."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (k,):
         raise ShapeError(f"{weights.shape} weights for {k} nodes")
-    if np.any(weights <= 0.0):
-        raise PreconditionError("field weights must be strictly positive")
+    if not all(0.0 < w < np.inf for w in weights.tolist()):
+        raise PreconditionError("weights must be strictly positive and finite")
     weights.setflags(write=False)
     return weights
 

@@ -15,10 +15,11 @@ violations are triaged by the same tolerance rule at tol=1e-6 and labeled
 would be a finding).
 
 An Instance is its JSON: every slot has one encoder and one decoder
-(`_SLOTS`), and every matrix and field is the solve of exactly the array its
-JSON stores (a field or X matrix that is not exactly Hermitian is refused),
-so a file written by `gen` or dumped by a campaign re-checks to the same
-margin bit for bit.
+(`_SLOTS`; the function slot is its catalog spec), and every matrix and field
+is the solve of exactly the array its JSON stores (a field or X matrix that
+is not exactly Hermitian is refused, and so is a payload that does not match
+the header's dim and k), so a file written by `gen` or dumped by a campaign
+re-checks to the same margin bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     PreconditionError,
     UndefinedRatioError,
 )
-from .functions import LOG, ScalarFunction, check_nonnegative_on, validate_declared_flags
+from .functions import LOG, ScalarFunction, check_nonnegative_on
 from .maps import PositiveLinearMap, map_from_json, map_to_json
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
@@ -52,6 +53,7 @@ from .matcore import (
     PositiveDefiniteMatrix,
     _adjoint,
     _array_from_json,
+    _checked_weights,
     _eigh,
     _eigvalsh,
     _eye,
@@ -176,6 +178,14 @@ class Instance:
         if self.q is not None and not math.isfinite(self.q):
             raise PreconditionError(f"the exponent must be finite, got {self.q}")
         family = st.family
+        if family is _probability:
+            for name in ("fa", "fb"):
+                arrays = getattr(self, name).arrays
+                if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
+                    raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
+                if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
+                    raise PreconditionError("probability vectors must sum to one")
+        self._check_header()
         if family is _normalized:
             if not (self.fa.is_normalized() and self.fb.is_normalized()):
                 raise PreconditionError("fields must sum to the identity within 1e-10")
@@ -185,6 +195,9 @@ class Instance:
                 )
         if self.t0 is not None and not self._covers(self.t0, self.t0):
             raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
+        if family is _compression:
+            # One strictly positive finite weight per factor: a positive measure.
+            _checked_weights(self.cs_weights, len(self.cs))
         # The chord constants are taken on [m, M]; they bound f on the spectrum
         # of X, or on the pair spectra of the fields, only when the window covers it.
         if family is _compression and not self._covers(self.x.lambda_min, self.x.lambda_max):
@@ -197,13 +210,23 @@ class Instance:
                 raise PreconditionError(
                     f"pair spectrum [{spectrum.m}, {spectrum.M}] of ({a}, {b}) not inside [{self.m}, {self.M}]"
                 )
-        if family is _probability:
-            for name in ("fa", "fb"):
-                arrays = getattr(self, name).arrays
-                if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
-                    raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
-                if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
-                    raise PreconditionError("probability vectors must sum to one")
+
+    def _check_header(self) -> None:
+        """dim and k describe the payload: every field and cs hold k dim x dim
+        matrices, X is dim x dim and the map takes dim x dim input."""
+        node = (self.dim, self.dim)
+        for slot in (*_FIELDS, "cs", "x", "pmap"):
+            value = getattr(self, slot)
+            if value is None:
+                continue
+            if slot == "cs":
+                fits = len(value) == self.k and all(c.shape == node for c in value)
+            elif slot == "pmap":
+                fits = value.in_dim == self.dim
+            else:
+                fits = value.arrays.shape == (1 if slot == "x" else self.k, *node)
+            if not fits:
+                raise PreconditionError(f"{_SLOTS[slot][0]!r} does not match the header dim={self.dim}, k={self.k}")
 
     def _covers(self, lo: float, hi: float) -> bool:
         """[lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
@@ -224,11 +247,7 @@ class Instance:
         return inst
 
 
-def _function_to_json(f: ScalarFunction) -> str:
-    if not f.is_catalog:
-        raise PreconditionError("custom scalar functions are not serializable")
-    return f.spec
-
+_FIELDS = ("fa", "fb", "fc", "fd", "fa2", "fb2")
 
 # The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
 # that is None is left out of the file; a key absent from the file is None.
@@ -237,9 +256,9 @@ _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "seed": ("seed", int, int),
     "dim": ("dim", int, int),
     "k": ("k", int, int),
-    "f": ("f", _function_to_json, functions.parse),
+    "f": ("f", lambda f: f.spec, functions.parse),
     **{name: (name, float, float) for name in ("q", "t0", "m", "M")},
-    **{name: (name, field_to_json, field_from_json) for name in ("fa", "fb", "fc", "fd", "fa2", "fb2")},
+    **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
     "pmap": ("map", map_to_json, map_from_json),
     "cs": ("cs", lambda cs: [matrix_to_json(c) for c in cs], lambda d: tuple(map(_array_from_json, d))),
     "cs_weights": ("cs_weights", lambda w: [float(v) for v in w], lambda d: np.asarray(d, dtype=float)),
@@ -333,18 +352,13 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
     Raises _Skip when one fails; returns the chord constant the statement
     needs (gamma or zeta on [lo, hi]), or None.
     """
-    validate_declared_flags(f, lo, hi)
-    if st.concave and not f.operator_concave:
-        raise _Skip(f"{f.name} is not flagged operator concave")
-    # A declared interval covering [lo, hi] is a fact: trusted for a catalog
-    # f, and grid-checked on [lo, hi] by validate_declared_flags for any other.
-    declared = f.nonnegative_on
-    covered = declared is not None and declared[0] <= lo and hi <= declared[1]
-    if st.nonneg and not covered and not check_nonnegative_on(f, lo, hi):
+    # The catalog's nonnegative interval covering [lo, hi] needs no grid.
+    low, high = f.nonnegative_on
+    if st.nonneg and not (low <= lo and hi <= high) and not check_nonnegative_on(f, lo, hi):
         raise _Skip(f"{f.name} is negative somewhere on [{lo:.6g}, {hi:.6g}]")
-    # The tangent line at 1 gives f(t) <= t - 1 everywhere, but only the
-    # catalog's flags are facts; any other f is evaluated on the grid.
-    if st.below_t_minus_1 and not (f.is_catalog and _tangent_at_one(f)):
+    # The tangent line at 1 gives f(t) <= t - 1 everywhere; any other f is
+    # evaluated on the grid.
+    if st.below_t_minus_1 and not _tangent_at_one(f):
         ts = np.linspace(lo, hi, functions.GRID_POINTS)
         excess = float((f.evaluate_array(ts) - (ts - 1.0)).max())
         if excess > 1e-12:
@@ -419,7 +433,7 @@ def _compression_terms(inst: Instance):
 
 # ---------------------------------------------------------------------------
 # builders: (inst, gate) -> Sides, one per statement.  `gate(lo, hi)` applies
-# the statement's declared gates on [lo, hi] (default: the instance window)
+# the statement's gates on [lo, hi] (default: the instance window)
 # and returns its chord constant.
 # ---------------------------------------------------------------------------
 
@@ -845,11 +859,12 @@ class Statement:
 
     family and extras fill a fresh instance from the generator; `fixed` pins
     instance fields before the draw; `reads` names the drawn parameters (f, q)
-    the builder uses.  unit_exponent requires q in [0, 1].  The
-    gates (operator concave, nonnegative on the window, f(t) <= t - 1) skip
-    the check when they fail; `constant` names the chord constant the builder
-    receives from its gate ("gamma" or "zeta").  The builder's docstring is
-    the statement as displayed.
+    the builder uses.  unit_exponent requires q in [0, 1].  The gates
+    (nonnegative on the window, f(t) <= t - 1) skip the check when they
+    fail; `constant` names the chord constant the builder receives from its
+    gate ("gamma" or "zeta").  No statement gates on operator concavity: f is
+    a catalog entry, and every entry is operator concave.  The builder's
+    docstring is the statement as displayed.
     """
 
     family: Callable
@@ -858,7 +873,6 @@ class Statement:
     fixed: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ("f", "q")
     unit_exponent: bool = False
-    concave: bool = False
     nonneg: bool = False
     below_t_minus_1: bool = False
     constant: str | None = None
@@ -874,20 +888,17 @@ class Statement:
 
     def admits(self, f: ScalarFunction) -> bool:
         """Whether f can meet this statement's function gates on the windows
-        its family draws, judged from the declared gates and f's flags alone.
+        its family draws, judged from the gates and f's catalog entry alone.
 
-        `concave` needs f flagged operator concave.  `nonneg` on a family whose
-        windows contain 1 in their interior needs f's declared nonnegative
-        interval to contain a neighbourhood of 1.  `below_t_minus_1` needs the
-        tangent line at 1: f flagged concave with f(1) = 0 and f'(1) = 1,
-        which gives f(t) <= t - 1 everywhere.  Admissibility only shapes a
-        campaign's draw of f; every trial is still gated.
+        `nonneg` on a family whose windows contain 1 in their interior needs
+        f's nonnegative interval to contain a neighbourhood of 1.
+        `below_t_minus_1` needs the tangent line at 1: f(1) = 0 and f'(1) = 1,
+        which for a concave f gives f(t) <= t - 1 everywhere.  Admissibility
+        only shapes a campaign's draw of f; every trial is still gated.
         """
-        if self.concave and not f.operator_concave:
-            return False
         if self.nonneg and self.family in _STRADDLING_FAMILIES:
-            interval = f.nonnegative_on
-            if interval is None or not interval[0] < 1.0 < interval[1]:
+            low, high = f.nonnegative_on
+            if not low < 1.0 < high:
                 return False
         return not self.below_t_minus_1 or _tangent_at_one(f)
 
@@ -897,9 +908,7 @@ _STRADDLING_FAMILIES = (_normalized, _compression)
 
 
 def _tangent_at_one(f: ScalarFunction) -> bool:
-    """f concave with f(1) = 0 and f'(1) = 1, so that f(t) <= t - 1."""
-    if not (f.operator_concave or f.strictly_concave) or f.deriv is None or not f.domain_low < 1.0:
-        return False
+    """f(1) = 0 and f'(1) = 1, so that the concave f has f(t) <= t - 1."""
     return f.evaluate(1.0) == 0.0 and f.derivative(1.0) == 1.0
 
 
@@ -908,37 +917,36 @@ STATEMENTS: dict[TheoremId, Statement] = {
         _centered, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
     ),
     TheoremId.COMPRESSION_JENSEN: Statement(
-        _compression, _compression_jensen, reads=("f",), concave=True, nonneg=True
+        _compression, _compression_jensen, reads=("f",), nonneg=True
     ),
     TheoremId.ENTROPY_LOWER: Statement(
-        _normalized, _entropy_lower, unit_exponent=True, concave=True, nonneg=True
+        _normalized, _entropy_lower, unit_exponent=True, nonneg=True
     ),
     TheoremId.ENTROPY_NONNEG: Statement(_normalized, _entropy_nonneg, nonneg=True),
     TheoremId.ENTROPY_UPPER: Statement(_normalized, _entropy_upper, below_t_minus_1=True),
     TheoremId.KLEIN_UPPER: Statement(_centered, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
     TheoremId.INFO_INEQ: Statement(_probability, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
     TheoremId.SUBADDITIVE: Statement(
-        _four_fields, _subadditive, fixed={"q": 0.0}, reads=("f",), concave=True
+        _four_fields, _subadditive, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.HOMOGENEOUS: Statement(_centered, _homogeneous, extras=_draw_scale),
     TheoremId.JOINT_CONCAVE: Statement(
-        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, reads=("f",), concave=True
+        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.MAP_MONOTONE: Statement(
-        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, reads=("f",), concave=True
+        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.REV_JENSEN_GAMMA: Statement(
-        _compression, _rev_jensen_gamma, reads=("f",), concave=True, nonneg=True, constant="gamma"
+        _compression, _rev_jensen_gamma, reads=("f",), nonneg=True, constant="gamma"
     ),
     TheoremId.REV_ENTROPY_GAMMA: Statement(
-        _normalized, _rev_entropy_gamma, unit_exponent=True, concave=True, nonneg=True,
-        constant="gamma",
+        _normalized, _rev_entropy_gamma, unit_exponent=True, nonneg=True, constant="gamma"
     ),
     TheoremId.REV_JENSEN_ZETA: Statement(
-        _compression, _rev_jensen_zeta, reads=("f",), concave=True, constant="zeta"
+        _compression, _rev_jensen_zeta, reads=("f",), constant="zeta"
     ),
     TheoremId.REV_ENTROPY_ZETA: Statement(
-        _normalized, _rev_entropy_zeta, unit_exponent=True, concave=True, constant="zeta"
+        _normalized, _rev_entropy_zeta, unit_exponent=True, constant="zeta"
     ),
     TheoremId.EXAMPLE_LOG_PAIR: Statement(
         _normalized, _example_log_pair, fixed={"f": None}, reads=("q",), unit_exponent=True

@@ -21,11 +21,7 @@ from opentropy import (
     zeta_closed_forms,
 )
 from opentropy.bounds import _chord, _gap_bound, _ratio_bound, grid_values
-from opentropy.functions import (
-    GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, ScalarFunction, constant, custom, parse, power,
-    validate_declared_flags,
-)
-from opentropy.verify import TheoremId, random_instance
+from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, constant, parse, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WINDOW_KINDS, draw_spec, draw_window  # noqa: E402
@@ -95,30 +91,33 @@ class TestRatioBound:
         # The chord is linear and equals f at m and M: one evaluation of f at
         # each end decides that it goes negative, with no grid.
         sizes = []
-        counted = custom(lambda t: sizes.append(np.size(t)) or np.log(t), name="counted_log")
+        counted = dataclasses.replace(LOG, fn=lambda t: sizes.append(np.size(t)) or np.log(t))
         with pytest.raises(UndefinedRatioError):
             chord_ratio_bound(counted, 0.5, 2.0)
         assert sizes == [1, 1]
 
     def test_negative_f_rejected(self):
-        dip = custom(lambda t: (t - 1.0) ** 4 - 0.05, name="dip")
+        # A dip below 0 inside the window, under log's entry, whose
+        # nonnegative interval [1, inf) does not cover [0.5, 1.5].
+        dip = dataclasses.replace(LOG, fn=lambda t: (t - 1.0) ** 4 - 0.05)
         with pytest.raises(PreconditionError):
             chord_ratio_bound(dip, 0.5, 1.5)
 
-    @pytest.mark.parametrize("f", [LOG, custom(np.log, name="plain_log")], ids=["catalog", "custom"])
+    @pytest.mark.parametrize("f", [LOG, dataclasses.replace(NEG_T_LOG_T, fn=np.log)], ids=["catalog", "custom"])
     def test_grid_is_evaluated_once(self, f):
         # The nonnegativity check and the search share one evaluation of f on
-        # the grid (a catalog f whose declared interval covers the window
-        # needs no check at all), and the value does not change.
+        # the grid (an f whose nonnegative interval covers the window needs no
+        # check at all: log's [1, inf) does, and -t log t's (0, 1), which the
+        # second case wraps around log, does not), and the value does not change.
         sizes = []
         counted = dataclasses.replace(f, fn=lambda t: sizes.append(np.size(t)) or np.log(t))
         assert chord_ratio_bound(counted, 1.5, 4.0) == chord_ratio_bound(f, 1.5, 4.0)
         assert sizes.count(GRID_POINTS) == 1
 
     def test_catalog_declaration_not_covering_the_window_is_checked(self):
-        # The catalog marker with log's declared interval [1, inf), which does
-        # not cover [0.9, 3]: f is positive at both ends, and the grid check
-        # finds the dip below 0 near t = 1.
+        # log's entry, whose nonnegative interval [1, inf) does not cover
+        # [0.9, 3], wrapped around a dip: f is positive at both ends, and the
+        # grid check finds the dip below 0 near t = 1.
         dip = dataclasses.replace(LOG, fn=lambda t: np.log(t) + 0.2 - 0.3 * np.exp(-(((t - 1.0) / 0.05) ** 2)))
         with pytest.raises(PreconditionError, match="negative"):
             chord_ratio_bound(dip, 0.9, 3.0)
@@ -160,13 +159,9 @@ class TestGapBound:
     def test_stationarity_cross_check_disagreement_raises(self):
         # A derivative that lies about the function sends the stationarity
         # route far from the grid optimum.
-        liar = custom(np.log, name="liar", deriv=lambda t: 1.0 / t + 0.3)
+        liar = dataclasses.replace(LOG, deriv=lambda t: 1.0 / t + 0.3)
         with pytest.raises(ConsistencyError):
-            chord_gap_bound(liar, 0.5, 4.0)
-
-    def test_derivative_free_function_uses_grid_only(self):
-        plain = custom(np.log, name="plain_log")
-        assert abs(chord_gap_bound(plain, 0.5, 2.0) - chord_gap_bound(LOG, 0.5, 2.0)) <= 1e-9
+            _gap_bound(liar, _chord(liar, 0.5, 4.0))
 
 
 class TestScalarSandwich:
@@ -270,8 +265,7 @@ class TestClosedFormsAgainstTheGrid:
             assert set(grid_values(f, m, M)) == ({"gamma", "zeta"} if slot == "power" else {"zeta"})
 
     def test_linear_and_custom_functions_have_none(self):
-        for f in (IDENTITY, constant(2.0), parse("affine:1,2"), power(0.0), power(1.0),
-                  custom(np.sqrt, name="root", deriv=lambda t: 0.5 / np.sqrt(t))):
+        for f in (IDENTITY, constant(2.0), parse("affine:1,2"), power(0.0), power(1.0)):
             assert grid_values(f, 0.5, 2.0) == {}
 
     def test_power_gamma_is_the_inverse_kantorovich_constant(self):
@@ -281,25 +275,6 @@ class TestClosedFormsAgainstTheGrid:
             h = (m * M ** p - M * m ** p)
             kantorovich = h / ((p - 1.0) * (M - m)) * ((p - 1.0) / p * (M ** p - m ** p) / h) ** p
             assert abs(chord_ratio_bound(power(p), m, M) - 1.0 / kantorovich) <= 1e-12
-
-    @pytest.mark.parametrize("spec", ["log", "power:0.5"])
-    def test_a_catalog_spec_without_the_marker_earns_no_trust(self, spec):
-        # A hand-built function that names a catalog spec is not a catalog
-        # entry: its flags are checked, it does not serialize as the spec,
-        # and its constants come from the grid search, not from the spec's
-        # closed forms, which would take them at the wrong point.
-        bump = ScalarFunction("bump", lambda t: 2.0 + np.sin(3.0 * t), deriv=lambda t: 3.0 * np.cos(3.0 * t),
-                              operator_concave=True, spec=spec)
-        assert not bump.is_catalog and grid_values(bump, 0.5, 2.0) == {}
-        with pytest.raises(PreconditionError, match="midpoint concavity"):
-            validate_declared_flags(bump, 0.5, 2.0)
-        with pytest.raises(PreconditionError, match="not serializable"):
-            random_instance(TheoremId.REV_JENSEN_ZETA, 2, 2, 0, bump).to_json()
-        mu, nu = secant_coeffs(bump, 0.5, 2.0)
-        gap = dense_scan_max(lambda t: bump.fn(t) - (mu * t + nu), 0.5, 2.0)
-        ratio = dense_scan_max(lambda t: bump.fn(t) / (mu * t + nu), 0.5, 2.0)
-        assert abs(chord_gap_bound(bump, 0.5, 2.0) - gap) <= 1e-8
-        assert abs(chord_ratio_bound(bump, 0.5, 2.0) - ratio) <= 1e-8
 
 
 class TestNarrowWindows:

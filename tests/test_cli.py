@@ -185,6 +185,44 @@ class TestCheck:
         code, stdout, _ = run(capsys, "check", "--file", str(out))
         assert code == 0 and json.loads(stdout)["holds"] is True
 
+    @pytest.mark.parametrize("edit", ["negate", "zero", "nan", "extra"])
+    def test_compression_weights_must_be_a_positive_measure(self, tmp_path, capsys, edit):
+        # A negated weight read as a counterexample to the paper ("VIOLATED
+        # (substantive), margin=-0.039278644459173624", exit 1), a zero one as holds.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 3, 0).to_json()
+        weights = payload["cs_weights"]
+        if edit == "extra":
+            weights.append(1.0)
+        else:
+            weights[0] = {"negate": -weights[0], "zero": 0.0, "nan": float("nan")}[edit]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert ("weights for 3 nodes" if edit == "extra" else "strictly positive and finite") in err
+
+    @pytest.mark.parametrize("theorem,header", [
+        ("map_monotone", {"dim": 5, "k": 7}), ("map_monotone", {"k": 3}), ("compression_jensen", {"dim": 4}),
+        ("compression_jensen", {"k": 3}), ("subadditive", {"dim": 2}), ("klein_upper", {"k": 2}),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{key}={n}" for key, n in v.items()))
+    def test_header_must_match_the_payload(self, tmp_path, capsys, theorem, header):
+        # A map_monotone file (dim 3, k 2) with the header dim 5, k 7 loaded
+        # and held (exit 0).
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 3, 2, 0).to_json()
+        payload.update(header)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "does not match the header" in err
+
+    def test_map_must_take_the_fields_dimension(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 0).to_json()
+        payload["map"] = random_instance(TheoremId.MAP_MONOTONE, 2, 2, 0).to_json()["map"]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "'map' does not match the header dim=3" in err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,12 @@ from opentropy.functions import (
     IDENTITY,
     LOG,
     NEG_T_LOG_T,
+    ScalarFunction,
     affine,
-    check_midpoint_concave_on,
     check_nonnegative_on,
     constant,
-    custom,
     parse,
     power,
-    validate_declared_flags,
 )
 
 CATALOG = [IDENTITY, LOG, NEG_T_LOG_T, power(0.5), power(0.25), affine(1.0, 2.0), constant(3.0)]
@@ -61,7 +60,7 @@ def test_nonnegativity_grid():
     assert not check_nonnegative_on(NEG_T_LOG_T, 0.5, 2.0)
 
 
-@pytest.mark.parametrize("f", [f for f in CATALOG if f.deriv is not None])
+@pytest.mark.parametrize("f", CATALOG)
 def test_derivative_matches_central_difference(f, rng):
     h = 1e-5
     for _ in range(50):
@@ -77,8 +76,9 @@ def test_powers_monotone_in_exponent():
         assert np.all(power(p).evaluate_array(ts) <= power(q).evaluate_array(ts) + 1e-12)
 
 
-@pytest.mark.parametrize("f", [f for f in CATALOG if f.operator_concave])
+@pytest.mark.parametrize("f", CATALOG)
 def test_flagged_concave_satisfies_midpoint_concavity(f, rng):
+    assert f.operator_concave
     for _ in range(1000):
         a, b = rng.uniform(0.05, 10.0, size=2)
         assert f.fn((a + b) / 2.0) >= (f.fn(a) + f.fn(b)) / 2.0 - 1e-12
@@ -98,34 +98,46 @@ def test_parse_rejects_malformed(bad):
 
 
 class TestDeclaredFlagValidation:
-    def test_catalog_passes_without_scanning(self):
-        validate_declared_flags(LOG, 0.5, 2.0)
-
+    # Flags are not declared: a function is its catalog spec, and the catalog
+    # entry gives its flags.
     def test_custom_concave_claim_rejected_for_convex(self):
-        # A catalog name earns no trust: only the catalog constructors set a spec.
-        for name in ("square", "log", "power_0.5", "affine_1_2"):
-            square = custom(lambda t: t * t, name=name, operator_concave=True)
-            with pytest.raises(PreconditionError):
-                validate_declared_flags(square, 0.5, 2.0)
+        # A catalog name is not a spec, and no caller can flag t^2 concave.
+        for name in ("square", "power_0.5", "affine_1_2"):
+            with pytest.raises(PreconditionError, match="unknown function spec"):
+                ScalarFunction(name)
+        with pytest.raises(TypeError):
+            ScalarFunction("log", operator_concave=True)
+        with pytest.raises(ValueError):
+            dataclasses.replace(LOG, name="square")
 
     def test_custom_nonnegativity_claim_rejected(self):
-        dip = custom(
-            lambda t: (t - 1.0) ** 4 - 0.05,
-            name="dip",
-            nonnegative_on=(0.0, math.inf),
-        )
-        with pytest.raises(PreconditionError):
-            validate_declared_flags(dip, 0.5, 1.5)
+        with pytest.raises(TypeError):
+            ScalarFunction("log", nonnegative_on=(0.0, math.inf))
+        with pytest.raises(ValueError):
+            dataclasses.replace(LOG, nonnegative_on=(0.0, math.inf))
+        assert LOG.nonnegative_on == (1.0, math.inf)
 
-    def test_honest_custom_passes(self):
-        root = custom(
-            lambda t: np.sqrt(t),
-            name="another_root",
-            operator_concave=True,
-            nonnegative_on=(0.0, math.inf),
-        )
-        validate_declared_flags(root, 0.5, 4.0)
 
-    def test_midpoint_concavity_grid(self):
-        assert check_midpoint_concave_on(LOG, 0.5, 4.0)
-        assert not check_midpoint_concave_on(custom(lambda t: t * t, name="sq"), 0.5, 4.0)
+class TestClosedCatalog:
+    def test_spec_alone_builds_the_entry(self):
+        ts = np.linspace(0.1, 5.0, 64)
+        for f in CATALOG:
+            g = ScalarFunction(f.spec)
+            assert g == f and hash(g) == hash(f) and g.name == f.name
+            assert g.nonnegative_on == f.nonnegative_on and g.operator_concave
+            np.testing.assert_array_equal(g.fn(ts), f.fn(ts))
+            np.testing.assert_array_equal(g.deriv(ts), f.deriv(ts))
+        assert parse(" power:.5 ").spec == "power:0.5" and parse("log:").spec == "log"
+
+    def test_replace_wraps_the_callables_and_keeps_the_entry(self):
+        calls = []
+
+        def counted(fn):
+            return lambda t: calls.append(t) or fn(t)
+
+        for f in CATALOG:
+            g = dataclasses.replace(f, fn=counted(f.fn), deriv=counted(f.deriv))
+            assert (g.spec, g.name, g.nonnegative_on, g.operator_concave) == (
+                f.spec, f.name, f.nonnegative_on, f.operator_concave)
+            assert g == f and g.evaluate(2.0) == f.evaluate(2.0) and g.derivative(2.0) == f.derivative(2.0)
+        assert len(calls) == 2 * len(CATALOG)

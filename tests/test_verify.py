@@ -9,7 +9,7 @@ import scalar_oracle
 from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, UnresolvableWindowError
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
-from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, custom, parse, power
+from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
 from opentropy import verify
 from opentropy.verify import (
@@ -386,19 +386,20 @@ def test_nonnegative_declaration_covering_the_window_skips_the_grid():
         grid_calls.append(np.size(t) == GRID_POINTS)
         return t ** 0.5
 
-    f = custom(sqrt, name="counted_sqrt", nonnegative_on=(0.0, math.inf))
+    f = dataclasses.replace(power(0.5), fn=sqrt)
     for seed in range(3):
         grid_calls.clear()
         inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, seed, f, 0.5)
         result = check(TheoremId.ENTROPY_NONNEG, inst)
-        # validate_declared_flags evaluates f on the grid once; the gate
-        # trusts the checked declaration instead of evaluating it again.
-        assert sum(grid_calls) == 1
+        # power:0.5's nonnegative interval (0, inf) covers the window, so the
+        # gate evaluates f on no grid (f is still evaluated on the spectra).
+        assert grid_calls and sum(grid_calls) == 0
         reference = check(TheoremId.ENTROPY_NONNEG, random_instance(
             TheoremId.ENTROPY_NONNEG, 3, 2, seed, power(0.5), 0.5))
         assert result.hypothesis_met and result.margin == reference.margin
-    negative = custom(lambda t: t - 1.0, name="shifted", nonnegative_on=(1.0, math.inf))
-    inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, 0, negative, 0.5)
+    # log's interval [1, inf) does not cover the window, which straddles 1:
+    # the grid finds log < 0 there.
+    inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, 0, LOG, 0.5)
     assert not check(TheoremId.ENTROPY_NONNEG, inst).hypothesis_met
 
 
@@ -430,17 +431,24 @@ def test_tangent_line_of_a_catalog_function_skips_the_grid():
         grid_calls.append(np.size(t) == GRID_POINTS)
         return np.log(t)
 
+    def counted_root(t):
+        grid_calls.append(np.size(t) == GRID_POINTS)
+        return np.sqrt(t)
+
     catalog = dataclasses.replace(LOG, fn=counted_log)
-    declared = custom(counted_log, name="my_log", deriv=lambda t: 1.0 / t, operator_concave=True)
+    # power:0.5 has no tangent line at 1 (its value there is 1), so the
+    # f(t) <= t - 1 test evaluates it on the grid, once.
+    root = dataclasses.replace(power(0.5), fn=counted_root)
     for seed in range(3):
-        results = []
-        for f, grids in ((catalog, 0), (declared, 2)):
-            grid_calls.clear()
-            results.append(check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, f)))
-            # A custom f is evaluated on the grid by validate_declared_flags
-            # and again by the f(t) <= t - 1 test; a catalog f by neither.
-            assert sum(grid_calls) == grids
-        assert all(r.hypothesis_met for r in results) and results[0].margin == results[1].margin
+        grid_calls.clear()
+        result = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, catalog))
+        assert grid_calls and sum(grid_calls) == 0
+        reference = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, LOG))
+        assert result.hypothesis_met and result.margin == reference.margin
+        grid_calls.clear()
+        skipped = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, root))
+        assert sum(grid_calls) == 1
+        assert not skipped.hypothesis_met and "exceeds t - 1" in skipped.detail
 
 
 _COMPRESSION = (TheoremId.COMPRESSION_JENSEN, TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA)
@@ -465,10 +473,9 @@ def test_dim_one_compression_gates_agree_with_admission(spec):
 
 def test_tangent_line_admission():
     upper = STATEMENTS[TheoremId.ENTROPY_UPPER]
-    tangent = custom(np.log, name="my_log", deriv=lambda t: 1.0 / t, operator_concave=True)
-    assert upper.admits(LOG) and upper.admits(tangent)
-    assert not upper.admits(custom(np.log, name="unflagged_log", deriv=lambda t: 1.0 / t))
-    assert not upper.admits(custom(np.log, name="no_derivative", operator_concave=True))
+    assert upper.admits(LOG) and upper.admits(dataclasses.replace(LOG, fn=np.log, deriv=lambda t: 1.0 / t))
+    # log's value at 1 with a slope of 2 there: no tangent line at 1.
+    assert not upper.admits(dataclasses.replace(LOG, deriv=lambda t: 2.0 / t))
     assert not any(upper.admits(f) for f in (IDENTITY, NEG_T_LOG_T, power(0.5), parse("affine:0,1")))
 
 
