@@ -42,6 +42,10 @@ for name, f, closed in (("log t   ", LOG, zeta_log), ("-t log t", NEG_T_LOG_T, z
 print()
 print("=== ratio bound needs a positive chord ===")
 print("log on [0.5, 2] has gamma:", secant_data(LOG, 0.5, 2.0).gamma, "(chord changes sign)")
+for name, f, lo, hi in (("log t   ", LOG, 1.5, 4.0), ("-t log t", NEG_T_LOG_T, 0.2, 0.8)):
+    data = secant_data(f, lo, hi)
+    print(f"ratio bound for {name} on [{lo}, {hi}]: Lambert W {data.gamma:.12f} at t = {data.argmax_gamma:.6f}"
+          f"  grid {grid_values(f, lo, hi)['gamma']:.12f}")
 print("log on [1, e^2] extends to the endpoint limit:",
       chord_ratio_bound(LOG, 1.0, math.e ** 2), "= (M-1)/log M =", (math.e ** 2 - 1) / 2.0)
 

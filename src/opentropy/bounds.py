@@ -15,24 +15,35 @@ f is a catalog function (`functions`), and every entry is concave, so the
 chord lies below f: gamma >= 1 and zeta >= 0, with equality cases at the
 endpoints.
 
-Closed forms.  The table `_CLOSED_FORMS`, keyed on the head of f's spec,
-gives the argmax, and the constant is f/c or f - c there:
+Closed forms.  The table `_CLOSED_FORMS`, keyed on the head of f's spec
+(parsed once, when f is built), gives the argmax, and the constant is f/c or
+f - c there:
 
     power:p, 0 < p < 1   gamma at t = p nu / ((1 - p) mu), so gamma is
                          1/K(m, M, p), the generalized Kantorovich constant;
                          zeta at t = (mu/p)^{1/(p-1)}, where f'(t) = mu
-    log                  zeta at the logarithmic mean L(m, M)
-    neg_t_log_t          zeta at the identric mean I(m, M)
+    log                  gamma at t = exp(1 + W0(nu / (e mu)));
+                         zeta at the logarithmic mean L(m, M)
+    neg_t_log_t          gamma at t = (nu/mu) W0(mu / (e nu)) = exp(-1 - W0(mu / (e nu)));
+                         zeta at the identric mean I(m, M)
 
 (Furuta, Micic Hot, Pecaric and Seo, Mond-Pecaric Method in Operator
-Inequalities, 2005, ch. 2.)  Every other constant comes from one grid search,
-`_maximize`: those of the linear entries (identity, affine, const, power:0,
-power:1) and gamma of log and -t log t.  It scans a 4096-point grid, then
-golden-section search refines the best bracket until it is 1e-12 (M - m) wide
-or its probes stop falling strictly inside it (a window a few ulps wide).  The
-chord is linear and equals f at both ends, so the ratio bound reads its sign
-off f(m) and f(M) and leaves an end where it vanishes out of the search.  The
-ratio bound evaluates f on the grid once, for its nonnegativity check and
+Inequalities, 2005, ch. 2.)  W0 is the principal branch of the Lambert W
+function, `_lambert_w0`.  The chord is linear and equals f at both ends, so
+whether gamma is defined (the chord goes below 0, or vanishes at both ends) is
+read off f(m) and f(M), once, before any rule or search; an undefined gamma
+raises nothing on `secant_data`'s path.  The closed form needs no
+nonnegativity check: a concave f with f(m), f(M) >= 0 is >= 0 on [m, M].
+Where the chord vanishes at one end (log on [1, M], -t log t on [m, 1], where
+W0's argument is the branch point -1/e), gamma is the ratio's limit
+f'(end)/mu there.
+
+Every other constant comes from one grid search, `_maximize`: those of the
+linear entries (identity, affine, const, power:0, power:1).  It scans a
+4096-point grid, then golden-section search refines the best bracket until it
+is 1e-12 (M - m) wide or its probes stop falling strictly inside it (a window a
+few ulps wide).  The ratio search leaves an end where the chord vanishes out of
+the scan, and evaluates f on the grid once, for its nonnegativity check and
 its search; an f whose nonnegative interval covers [m, M] skips the check.
 The gap bound is cross-checked against f'(t) = mu.  Each call checks the
 window and computes the chord once.  A window too narrow for double
@@ -173,11 +184,27 @@ def _maximize(obj, ts, vs, lo: int = 0, hi: int = GRID_POINTS - 1) -> tuple[floa
     return t_best, v_best
 
 
-def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
-    m, M, fm, fM, mu, nu = chord
+def _ratio_ends(fm: float, fM: float) -> tuple[bool, bool] | None:
+    """Whether the chord vanishes at m and at M, or None where the ratio bound
+    is undefined.  The chord is linear and equals f at both ends, so f(m) and
+    f(M) decide: it goes below 0, or it vanishes at both ends."""
     if min(fm, fM) < -1e-12 * max(1.0, abs(fm), abs(fM)):
+        return None
+    left_zero, right_zero = fm <= 0.0, fM <= 0.0
+    return None if left_zero and right_zero else (left_zero, right_zero)
+
+
+def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
+    """The grid search's (argmax, value) of f/chord, the oracle of the closed
+    forms.  Raises UndefinedRatioError where the ratio bound is undefined and
+    PreconditionError where f dips below 0 on the grid."""
+    m, M, fm, fM, mu, nu = chord
+    ends = _ratio_ends(fm, fM)
+    if ends is None:
+        low = min(fm, fM)
         raise UndefinedRatioError(
-            f"chord mu*t + nu reaches {min(fm, fM):.6e} on [{m}, {M}]; ratio bound undefined"
+            f"chord mu*t + nu reaches {low:.6e} on [{m}, {M}]; ratio bound undefined" if low < 0.0
+            else f"chord vanishes identically on [{m}, {M}]"
         )
     # f is evaluated on the grid once, for the nonnegativity check and the
     # search; the catalog's nonnegative interval covering [m, M] needs no check.
@@ -189,9 +216,7 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
     # With f >= 0 the chord vanishes only at an end where f does.  The search
     # leaves such an end out (0/0 there is all cancellation noise); the end
     # adds the ratio's limit f'(t)/mu, which may be the unattained supremum.
-    left_zero, right_zero = fm <= 0.0, fM <= 0.0
-    if left_zero and right_zero:
-        raise UndefinedRatioError(f"chord vanishes identically on [{m}, {M}]")
+    left_zero, right_zero = ends
     with np.errstate(divide="ignore", invalid="ignore"):
         t_best, v_best = _maximize(
             lambda t: f.fn(t) / (mu * t + nu), ts, fs / (mu * ts + nu),
@@ -208,7 +233,9 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
 
 def chord_ratio_bound(f: ScalarFunction, m: float, M: float) -> float:
     """max f/chord on [m, M]; >= 1 for concave f, = 1 at the endpoints."""
-    return _ratio(f, _chord(f, m, M))[1]
+    chord = _chord(f, m, M)
+    # Where the bound is undefined, the grid search raises the reason.
+    return (_ratio(f, chord, _rules(f)[0]) or _ratio_bound(f, chord))[1]
 
 
 def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list[float]:
@@ -260,85 +287,158 @@ def chord_gap_bound(f: ScalarFunction, m: float, M: float) -> float:
     [4.631138111478391, 4.638084518833767], whose exact value is 0, gives
     -1.06e-12.
     """
-    return _gap(f, _chord(f, m, M))[1]
+    return _gap(f, _chord(f, m, M), _rules(f)[1])[1]
 
 
-def _power_forms(arg: str):
-    p = float(arg)
-    if not 0.0 < p < 1.0:
-        return None, None
-    return (
-        # d/dt t^p / (mu t + nu) = 0  <=>  p (mu t + nu) = mu t
-        lambda m, M, mu, nu: p * nu / ((1.0 - p) * mu),
-        lambda m, M, mu, nu: (mu / p) ** (1.0 / (p - 1.0)),
-    )
+# -1/e = -(_INV_E + _INV_E_LO), two doubles, so that x + 1/e is exact up to
+# one rounding near the branch point of W0.
+_INV_E = 0.36787944117144233
+_INV_E_LO = -1.2428753672788363e-17
 
 
-# Catalog spec head -> (spec parameter -> (argmax of f/chord, argmax of
-# f - chord)), each argmax a function of (m, M, mu, nu); None leaves that
-# constant to the grid search.
+def _lambert_w0(x: float) -> float:
+    """The principal branch W0 of w e^w = x on [-1/e, inf).
+
+    Near the branch point, the series in p = sqrt(2 (e x + 1)); elsewhere
+    Halley's iteration from the series (x < 0) or from log1p(x), less
+    log log1p(x) above 3 (Corless, Gonnet, Hare, Jeffrey and Knuth, "On the
+    Lambert W function", Adv. Comput. Math. 5, 1996).  An x at or below -1/e,
+    which rounding can give, returns the branch point's W0 = -1.
+    """
+    d = (x + _INV_E) + _INV_E_LO
+    if d <= 0.0:
+        return -1.0
+    if x < 0.0:
+        p = math.sqrt(2.0 * math.e * d)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
+                                                     + p * (-43.0 / 540.0 + p * 769.0 / 17280.0))))
+        if p < 1e-3:  # the series' next term is below p^6 / 38
+            return w
+    else:
+        w = math.log1p(x)
+        if x > 3.0:
+            w -= math.log(w)
+    for _ in range(16):
+        ew = math.exp(w)
+        r = w * ew - x
+        step = r / (ew * (w + 1.0) - 0.5 * (w + 2.0) * r / (w + 1.0))
+        w -= step
+        # The error cubes at each step: after one below 1e-8 it is rounding.
+        if abs(step) <= 1e-8 * (1.0 + abs(w)):
+            break
+    return w
+
+
+# The closed-form argmax rules, each a function of (f.params, m, M, mu, nu).
+# gamma's rule sets the derivative of f/chord to zero:
+#   power:p      p (mu t + nu) = mu t;
+#   log          mu + nu/t = mu log t, and t = e^{1+w} gives w e^w = nu/(e mu);
+#   neg_t_log_t  nu log t + mu t + nu = 0, and t = e^{-1-w} = (nu/mu) w gives
+#                w e^w = mu/(e nu);
+# W0, not W-1, keeps f(t) >= 0: log t = 1 + w >= 0 for log, and
+# log t = -1 - w <= 0 for -t log t.  zeta's rule solves f'(t) = mu.
+def _power_gamma(params, m, M, mu, nu):
+    (p,) = params
+    return p * nu / ((1.0 - p) * mu)
+
+
+def _power_zeta(params, m, M, mu, nu):
+    (p,) = params
+    return (mu / p) ** (1.0 / (p - 1.0))
+
+
+def _log_gamma(params, m, M, mu, nu):
+    return math.exp(1.0 + _lambert_w0(nu / (math.e * mu)))
+
+
+def _neg_t_log_t_gamma(params, m, M, mu, nu):
+    return math.exp(-1.0 - _lambert_w0(mu / (math.e * nu)))
+
+
+# Catalog spec head -> (argmax rule of f/chord, of f - chord).  Entries not
+# here (identity, affine, const) are linear and take the grid search.
 _CLOSED_FORMS = {
-    "power": _power_forms,
-    "log": lambda _: (None, lambda m, M, mu, nu: logarithmic_mean(m, M)),
-    "neg_t_log_t": lambda _: (None, lambda m, M, mu, nu: identric_mean(m, M)),
+    "power": (_power_gamma, _power_zeta),
+    "log": (_log_gamma, lambda params, m, M, mu, nu: logarithmic_mean(m, M)),
+    "neg_t_log_t": (_neg_t_log_t_gamma, lambda params, m, M, mu, nu: identric_mean(m, M)),
 }
-_RATIO, _GAP = 0, 1
+_GRID = (None, None)
 
 
-def _argmax_rule(f: ScalarFunction, which: int):
-    head, _, arg = f.spec.partition(":")
-    forms = _CLOSED_FORMS.get(head)
-    return forms(arg)[which] if forms else None
+def _rules(f: ScalarFunction):
+    """f's (gamma rule, zeta rule), read off the spec parsed at construction;
+    power:0 and power:1 are linear and take the grid search."""
+    if f.head == "power" and not 0.0 < f.params[0] < 1.0:
+        return _GRID
+    return _CLOSED_FORMS.get(f.head, _GRID)
 
 
-def _closed_form(f: ScalarFunction, which: int, chord: _Chord):
-    """(argmax, value) of f/chord or f - chord from the closed-form table, or
-    None where the grid search decides."""
-    rule = _argmax_rule(f, which)
-    if rule is None:
-        return None
+def _closed_form(f: ScalarFunction, rule, chord: _Chord, ratio: bool):
+    """(argmax, value) of f/chord (`ratio`) or f - chord at the rule's argmax,
+    clamped to [m, M]; None where the rule fails in floating point."""
     m, M, _, _, mu, nu = chord
     try:
-        t = min(max(rule(m, M, mu, nu), m), M)
-    except ArithmeticError:  # mu == 0: a window a few ulps wide
+        t = min(max(rule(f.params, m, M, mu, nu), m), M)
+    except ArithmeticError:  # mu == 0: power:p with p near 0, f(m) == f(M) in floating point
         return None
     ft, ct = f.evaluate(t), mu * t + nu
-    value, floor = (ft / ct, 1.0) if which == _RATIO else (ft - ct, 0.0)
+    value, floor = (ft / ct, 1.0) if ratio else (ft - ct, 0.0)
     # The endpoints give exactly 1 and 0; only rounding lands below them.
     return (t, value) if value >= floor else (m, floor)
 
 
-def _ratio(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
-    return _closed_form(f, _RATIO, chord) or _ratio_bound(f, chord)
+def _ratio(f: ScalarFunction, chord: _Chord, rule):
+    """(argmax, value) of f/chord, or None, raising nothing, where the ratio
+    bound is undefined.
+
+    Where the chord vanishes at one end, with f, f/chord is the slope of f's
+    secant from that end over mu; for concave f it climbs toward that end,
+    so the bound is the limit f'(end)/mu there.
+    """
+    m, M, fm, fM, mu, _ = chord
+    ends = _ratio_ends(fm, fM)
+    if ends is None:
+        return None
+    left_zero, right_zero = ends
+    if rule is not None:
+        if left_zero or right_zero:
+            end = m if left_zero else M
+            return end, f.derivative(end) / mu
+        found = _closed_form(f, rule, chord, ratio=True)
+        if found is not None:
+            return found
+    # Every entry left to the grid is >= 0 on (0, inf), so the search raises nothing.
+    return _ratio_bound(f, chord)
 
 
-def _gap(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
-    return _closed_form(f, _GAP, chord) or _gap_bound(f, chord)
+def _gap(f: ScalarFunction, chord: _Chord, rule) -> tuple[float, float]:
+    found = None if rule is None else _closed_form(f, rule, chord, ratio=False)
+    return found or _gap_bound(f, chord)
 
 
 def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
     """Full chord data; the ratio bound is reported as None where undefined."""
     chord = _chord(f, m, M)
-    try:
-        argmax_gamma, gamma = _ratio(f, chord)
-    except (UndefinedRatioError, PreconditionError):
-        argmax_gamma, gamma = None, None
-    argmax_zeta, zeta = _gap(f, chord)
+    gamma_rule, zeta_rule = _rules(f)
+    argmax_gamma, gamma = _ratio(f, chord, gamma_rule) or (None, None)
+    argmax_zeta, zeta = _gap(f, chord, zeta_rule)
     m, M, _, _, mu, nu = chord
-    return SecantData(
-        m=m, M=M, mu=mu, nu=nu,
-        gamma=gamma, zeta=zeta,
-        argmax_gamma=argmax_gamma, argmax_zeta=argmax_zeta,
-    )
+    # Positional arguments: the frozen dataclass binds keywords about 30% slower.
+    return SecantData(m, M, mu, nu, gamma, zeta, argmax_gamma, argmax_zeta)
 
 
 def grid_values(f: ScalarFunction, m: float, M: float) -> dict[str, float]:
     """The grid search's value of each constant that `secant_data` takes from
-    a closed form for f ("gamma", "zeta"): an independent cross-check."""
+    a closed form for f and that is defined on [m, M] ("gamma", "zeta"): an
+    independent cross-check."""
     chord = _chord(f, m, M)
-    searches = {"gamma": (_RATIO, _ratio_bound), "zeta": (_GAP, _gap_bound)}
-    return {name: search(f, chord)[1] for name, (which, search) in searches.items()
-            if _argmax_rule(f, which) is not None}
+    gamma_rule, zeta_rule = _rules(f)
+    values = {}
+    if gamma_rule is not None and _ratio_ends(chord[2], chord[3]) is not None:
+        values["gamma"] = _ratio_bound(f, chord)[1]
+    if zeta_rule is not None:
+        values["zeta"] = _gap_bound(f, chord)[1]
+    return values
 
 
 def logarithmic_mean(a: float, b: float) -> float:

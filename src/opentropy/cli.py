@@ -218,7 +218,8 @@ def _cmd_bounds(args) -> int:
     f = functions.parse(args.f)
     data = bounds_mod.secant_data(f, args.m, args.M)
     payload = data.to_json()
-    # A constant taken from a closed form is cross-checked against the grid search.
+    # A constant taken from a closed form, where it is defined, is cross-checked
+    # against the grid search.
     for name, grid in bounds_mod.grid_values(f, args.m, args.M).items():
         payload[f"{name}_grid"] = grid
         payload[f"{name}_grid_delta"] = payload[name] - grid

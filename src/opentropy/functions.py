@@ -76,17 +76,20 @@ class ScalarFunction:
     """The catalog function f: (0, inf) -> R of a spec.
 
     `spec` is the exchange format, kept in the form `parse` prints
-    ("power:.5" becomes "power:0.5").  `name`, `nonnegative_on` (the closed
-    interval on which f >= 0) and the default `fn` and `deriv` come from the
-    catalog entry.  `fn` and `deriv` may be passed, as `dataclasses.replace`
-    passes them, only to wrap the entry's own callables (to count calls, say);
-    equality and hashing read the spec.
+    ("power:.5" becomes "power:0.5").  `head` and `params` are the spec
+    parsed once, its head and its numbers.  `name`, `nonnegative_on` (the
+    closed interval on which f >= 0) and the default `fn` and `deriv` come
+    from the catalog entry.  `fn` and `deriv` may be passed, as
+    `dataclasses.replace` passes them, only to wrap the entry's own callables
+    (to count calls, say); equality and hashing read the spec.
     """
 
     spec: str
     fn: Callable | None = field(default=None, repr=False, compare=False)
     deriv: Callable | None = field(default=None, repr=False, compare=False)
     name: str = field(init=False)
+    head: str = field(init=False, repr=False, compare=False)
+    params: tuple[float, ...] = field(init=False, repr=False, compare=False)
     nonnegative_on: tuple[float, float] = field(init=False)
 
     # Every catalog entry is operator concave on (0, inf).
@@ -106,6 +109,8 @@ class ScalarFunction:
         derived = {
             "spec": ":".join([head, ",".join(map(repr, params))]) if params else head,
             "name": "_".join([head, *(f"{v:g}" for v in params)]),
+            "head": head,
+            "params": tuple(params),
             "fn": fn if self.fn is None else self.fn,
             "deriv": deriv if self.deriv is None else self.deriv,
             "nonnegative_on": nonnegative_on,

@@ -20,11 +20,12 @@ from opentropy import (
     secant_data,
     zeta_closed_forms,
 )
-from opentropy.bounds import _chord, _gap_bound, _ratio_bound, grid_values
+from opentropy import bounds
+from opentropy.bounds import _chord, _gap_bound, _lambert_w0, _ratio_bound, grid_values
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, constant, parse, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import WINDOW_KINDS, draw_spec, draw_window  # noqa: E402
+from workloads import WINDOW_KINDS, SweepWorkload, draw_spec, draw_window  # noqa: E402
 
 
 def dense_scan_max(obj, m, M, n=1_000_000):
@@ -83,6 +84,13 @@ class TestRatioBound:
         M = math.e ** 2
         assert abs(chord_ratio_bound(LOG, 1.0, M) - (M - 1.0) / math.log(M)) <= 1e-10
 
+    def test_neg_t_log_t_to_one_hits_endpoint_limit(self):
+        # The mirror: on [m, 1] the chord vanishes at t = 1 together with
+        # -t log t, and the ratio climbs to the limit f'(1)/mu, which is
+        # (1 - m)/(-m log m), there.
+        m = math.exp(-2.0)
+        assert abs(chord_ratio_bound(NEG_T_LOG_T, m, 1.0) - (1.0 - m) / (-m * math.log(m))) <= 1e-10
+
     def test_nonpositive_chord_rejected(self):
         with pytest.raises(UndefinedRatioError):
             chord_ratio_bound(LOG, 0.5, 2.0)
@@ -98,10 +106,11 @@ class TestRatioBound:
 
     def test_negative_f_rejected(self):
         # A dip below 0 inside the window, under log's entry, whose
-        # nonnegative interval [1, inf) does not cover [0.5, 1.5].
+        # nonnegative interval [1, inf) does not cover [0.5, 1.5].  The grid
+        # search is called directly: chord_ratio_bound takes log's closed form.
         dip = dataclasses.replace(LOG, fn=lambda t: (t - 1.0) ** 4 - 0.05)
         with pytest.raises(PreconditionError):
-            chord_ratio_bound(dip, 0.5, 1.5)
+            _ratio_bound(dip, _chord(dip, 0.5, 1.5))
 
     @pytest.mark.parametrize("f", [LOG, dataclasses.replace(NEG_T_LOG_T, fn=np.log)], ids=["catalog", "custom"])
     def test_grid_is_evaluated_once(self, f):
@@ -109,18 +118,20 @@ class TestRatioBound:
         # the grid (an f whose nonnegative interval covers the window needs no
         # check at all: log's [1, inf) does, and -t log t's (0, 1), which the
         # second case wraps around log, does not), and the value does not change.
+        # The grid search is called directly: both specs have closed forms.
         sizes = []
         counted = dataclasses.replace(f, fn=lambda t: sizes.append(np.size(t)) or np.log(t))
-        assert chord_ratio_bound(counted, 1.5, 4.0) == chord_ratio_bound(f, 1.5, 4.0)
+        assert _ratio_bound(counted, _chord(counted, 1.5, 4.0)) == _ratio_bound(f, _chord(f, 1.5, 4.0))
         assert sizes.count(GRID_POINTS) == 1
 
     def test_catalog_declaration_not_covering_the_window_is_checked(self):
         # log's entry, whose nonnegative interval [1, inf) does not cover
         # [0.9, 3], wrapped around a dip: f is positive at both ends, and the
-        # grid check finds the dip below 0 near t = 1.
+        # grid check finds the dip below 0 near t = 1.  The grid search is
+        # called directly: chord_ratio_bound takes log's closed form.
         dip = dataclasses.replace(LOG, fn=lambda t: np.log(t) + 0.2 - 0.3 * np.exp(-(((t - 1.0) / 0.05) ** 2)))
         with pytest.raises(PreconditionError, match="negative"):
-            chord_ratio_bound(dip, 0.9, 3.0)
+            _ratio_bound(dip, _chord(dip, 0.9, 3.0))
 
     def test_at_least_one_for_concave(self):
         for f, m, M in [(power(0.5), 0.3, 5.0), (power(0.25), 1.0, 9.0)]:
@@ -245,9 +256,13 @@ class TestClosedFormsAgainstTheGrid:
     # The grid search (_ratio_bound, _gap_bound) is the oracle: on the
     # benchmark's windows, straddling 1 or not, narrow or wide, each closed
     # form matches it, lies in [m, M] and is never below it beyond rounding.
+    # gamma of log and -t log t is defined on about a quarter of the windows
+    # (m >= 1 for log, M <= 1 for -t log t); elsewhere the grid search
+    # raises, and grid_values leaves gamma out.
     @pytest.mark.parametrize("slot", ["power", "log", "neg_t_log_t"])
     def test_thousand_windows(self, slot):
         rng = np.random.default_rng(606)
+        gammas = 0
         for i in range(1000):
             m, M = draw_window(rng, WINDOW_KINDS[i % len(WINDOW_KINDS)])
             f = parse(draw_spec(rng, slot))
@@ -257,12 +272,18 @@ class TestClosedFormsAgainstTheGrid:
             assert abs(data.zeta - zeta_grid) <= zeta_tol
             assert data.zeta >= zeta_grid - zeta_tol
             assert m <= data.argmax_zeta <= M
-            if slot == "power":
+            if data.gamma is None:
+                assert data.argmax_gamma is None
+                with pytest.raises(UndefinedRatioError):
+                    _ratio_bound(f, _chord(f, m, M))
+            else:
+                gammas += 1
                 gamma_grid = _ratio_bound(f, _chord(f, m, M))[1]
                 assert abs(data.gamma - gamma_grid) <= 1e-12 * gamma_grid
                 assert data.gamma >= gamma_grid * (1.0 - 1e-12)
                 assert m <= data.argmax_gamma <= M
-            assert set(grid_values(f, m, M)) == ({"gamma", "zeta"} if slot == "power" else {"zeta"})
+            assert set(grid_values(f, m, M)) == ({"zeta"} if data.gamma is None else {"gamma", "zeta"})
+        assert gammas == {"power": 1000, "log": 235, "neg_t_log_t": 265}[slot]
 
     def test_linear_and_custom_functions_have_none(self):
         for f in (IDENTITY, constant(2.0), parse("affine:1,2"), power(0.0), power(1.0)):
@@ -275,6 +296,31 @@ class TestClosedFormsAgainstTheGrid:
             h = (m * M ** p - M * m ** p)
             kantorovich = h / ((p - 1.0) * (M - m)) * ((p - 1.0) / p * (M ** p - m ** p) / h) ** p
             assert abs(chord_ratio_bound(power(p), m, M) - 1.0 / kantorovich) <= 1e-12
+
+
+class TestLambertW0:
+    # W0's condition number |x W0'(x) / W0(x)| is 1 / (1 + W0(x)), which
+    # grows without bound at the branch point x = -1/e.
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        branch = -1.0 / math.e
+        xs = [math.nextafter(branch, 0.0), 0.0]
+        xs += [branch + d for d in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
+        xs += list(np.linspace(-0.36, 0.0, 50)) + list(np.logspace(-300, 6, 200))
+        with mpmath.workdps(50):
+            for x in map(float, xs):
+                assert mpmath.mpf(x) > -1 / mpmath.e
+                exact = mpmath.lambertw(mpmath.mpf(x)).real
+                tol = 4.0 * eps * max(1.0, 1.0 / float(1 + exact)) * abs(exact)
+                assert abs(mpmath.mpf(_lambert_w0(x)) - exact) <= tol, x
+
+    def test_branch_point(self):
+        # -1/e rounds below the branch point, where W0 is -1.
+        assert _lambert_w0(-1.0 / math.e) == -1.0
+        assert _lambert_w0(-0.5) == -1.0
+        assert _lambert_w0(0.0) == 0.0
+        assert _lambert_w0(math.e) == pytest.approx(1.0, rel=4 * sys.float_info.epsilon)
 
 
 class TestNarrowWindows:
@@ -321,6 +367,19 @@ class TestUnresolvableWindows:
 
 
 class TestSecantData:
+    def test_closed_form_windows_take_no_search(self, monkeypatch):
+        # Every power, log and -t log t window of the benchmark's sweep
+        # (seed 0, block 0) takes its constants from closed forms.
+        def no_search(*args):
+            raise AssertionError("grid search reached")
+
+        monkeypatch.setattr(bounds, "_maximize", no_search)
+        windows = [(f, m, M) for f, m, M in SweepWorkload(0, 100, 1).windows(0)
+                   if f.head in ("power", "log", "neg_t_log_t")]
+        assert len(windows) == 70
+        for f, m, M in windows:
+            secant_data(f, m, M)
+
     def test_fields_and_argmax_ranges(self):
         data = secant_data(power(0.5), 1.0, 4.0)
         assert data.gamma is not None and 1.0 <= data.argmax_gamma <= 4.0

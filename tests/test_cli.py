@@ -445,9 +445,17 @@ class TestBounds:
         code, stdout, _ = run(capsys, "bounds", "--f", "log", "--m", "0.5", "--M", "2")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["gamma"] is None
+        assert payload["gamma"] is None and '"gamma": null' in stdout
         assert abs(payload["zeta_closed_form_delta"]) <= 1e-8
         assert abs(payload["zeta_grid_delta"]) <= 1e-12 and "gamma_grid" not in payload
+
+    @pytest.mark.parametrize("spec,m,M", [("log", "1.5", "4"), ("neg_t_log_t", "0.2", "0.8")])
+    def test_closed_form_gamma_is_checked_against_the_grid(self, capsys, spec, m, M):
+        code, stdout, _ = run(capsys, "bounds", "--f", spec, "--m", m, "--M", M)
+        payload = json.loads(stdout)
+        assert code == 0 and float(m) <= payload["argmax_gamma"] <= float(M)
+        assert payload["gamma_grid_delta"] == payload["gamma"] - payload["gamma_grid"]
+        assert abs(payload["gamma_grid_delta"]) <= 1e-12 * payload["gamma"]
 
     def test_sqrt_values(self, capsys):
         code, stdout, _ = run(capsys, "bounds", "--f", "power:0.5", "--m", "1", "--M", "4")
