@@ -36,7 +36,6 @@ from .functions import (
     NEG_T_LOG_T,
     ScalarFunction,
     affine,
-    check_nonnegative_on,
     constant,
     power,
 )

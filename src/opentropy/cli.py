@@ -175,7 +175,7 @@ def _cmd_check(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2
-    result = verify.triage(inst.theorem, inst, args.tol)
+    result = verify.check(inst.theorem, inst, args.tol)
     sys.stdout.write(_json_text(result.to_json()))
     if not result.hypothesis_met:
         # hypothesis_met and holds both False is an error outcome (a non-finite margin).

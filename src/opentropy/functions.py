@@ -6,8 +6,7 @@ closed interval on which f >= 0; a spec outside it raises PreconditionError.
 Every entry (log, -t log t, t^p with 0 <= p <= 1, a + b t and c with
 a, b, c >= 0) is operator concave on (0, inf), the hypothesis of the
 paper's reverse inequalities, so `operator_concave` is the constant True and
-no flag is ever declared.  `check_nonnegative_on` is a grid test, for the
-windows an entry's nonnegative interval does not cover.
+no flag is ever declared.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "affine",
     "power",
     "parse",
-    "check_nonnegative_on",
 ]
 
 # Shared scan density for every scalar grid in the package (matches the
@@ -167,8 +165,3 @@ def _grid(m: float, M: float) -> np.ndarray:
 
 def _nonnegative(vals: np.ndarray) -> bool:
     return float(vals.min()) >= -1e-12
-
-
-def check_nonnegative_on(f: ScalarFunction, m: float, M: float) -> bool:
-    """Grid test (endpoints included): min f on [m, M] >= -1e-12."""
-    return _nonnegative(f.evaluate_array(_grid(m, M)))

@@ -3,16 +3,18 @@
 Every numbered inequality handled by the package has one TheoremId and one
 entry in STATEMENTS.  The entry says how to draw a hypothesis-satisfying
 instance, which hypotheses the checker gates on, and how to build both sides
-of the inequality exactly as displayed.  One shared path turns the sides into
-the Loewner margin (lambda_min of the difference that the statement claims is
-positive semidefinite; a scalar slack for the information inequality; a
-two-sided margin for the homogeneity identity).
+of the inequality exactly as displayed.  `check` makes one pass over it: the
+hypotheses (the exponent range, then the function gates on the instance
+window, which give the statement's chord constant), then both sides, then
+one labelled verdict.  The verdict's margin is the Loewner margin (lambda_min
+of the difference that the statement claims is positive semidefinite; a
+scalar slack for the information inequality; a two-sided margin for the
+homogeneity identity).
 
-Hypothesis violations are never counted as failures: the checker reports
-hypothesis_met=False with an explanation and an empty margin.  Genuine
-violations are triaged by the same tolerance rule at tol=1e-6 and labeled
-"numerical" (float noise) or "substantive" (a real counterexample, which
-would be a finding).
+A failed hypothesis is never counted as a failure: the checker reports
+hypothesis_met=False with an explanation and an empty margin.  A violation
+carries a label from the same tolerance rule at tol=1e-6: "numerical" (float
+noise) or "substantive" (a real counterexample, which would be a finding).
 
 An Instance is its JSON: every slot has one encoder and one decoder
 (`_SLOTS`; the function slot is its catalog spec), and every matrix and field
@@ -28,7 +30,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -45,7 +47,7 @@ from .errors import (
     PreconditionError,
     UndefinedRatioError,
 )
-from .functions import LOG, ScalarFunction, check_nonnegative_on
+from .functions import LOG, ScalarFunction
 from .maps import PositiveLinearMap, map_from_json, map_to_json
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
@@ -84,7 +86,6 @@ __all__ = [
     "random_resolution",
     "random_instance",
     "check",
-    "triage",
     "trial_seed",
     "run_trial",
     "campaign",
@@ -125,7 +126,8 @@ class VerificationResult(_JsonRecord):
     INFO_INEQ, two-sided for equalities) and None on hypothesis skips.
     hypothesis_met=False means "not applicable", never "fail"; in a campaign,
     hypothesis_met=False with holds=False marks a trial that ended in an
-    error (see run_trial).
+    error (see run_trial).  triage labels a violation (hypothesis_met and
+    not holds) "numerical" or "substantive" and is None otherwise.
     """
 
     theorem: TheoremId
@@ -142,7 +144,7 @@ class VerificationResult(_JsonRecord):
 class Instance:
     """A generated hypothesis-satisfying input for one statement.
 
-    (m, M) is a window covering the pair spectra of the family's field pairs
+    (m, M) is a window 0 < m <= M < inf covering the pair spectra of the family's field pairs
     (`_PAIRS`; a draw stores their measured sandwich constants) or, for the
     compression checks, the spectrum of X; t0 lies in [m, M] where used.  Optional slots cover the extra fields some statements need.
     """
@@ -177,6 +179,8 @@ class Instance:
                 raise PreconditionError(f"a {self.theorem.value} instance needs {key!r}, which is missing")
         if self.q is not None and not math.isfinite(self.q):
             raise PreconditionError(f"the exponent must be finite, got {self.q}")
+        if "m" in st.needs and not 0.0 < self.m <= self.M < math.inf:
+            raise PreconditionError(f"need a window 0 < m <= M < inf, got m={self.m}, M={self.M}")
         family = st.family
         if family is _probability:
             for name in ("fa", "fb"):
@@ -336,7 +340,9 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = _holds_within(margin, tol, ln, rn)
     detail = sides.detail(margins) if callable(sides.detail) else sides.detail
-    return VerificationResult(theorem, holds, margin, ln, rn, True, detail)
+    # A violation is numerical if it passes the rule at tol=1e-6 (whatever tol is).
+    label = None if holds else ("numerical" if _holds_within(margin, 1e-6, ln, rn) else "substantive")
+    return VerificationResult(theorem, holds, margin, ln, rn, True, detail, label)
 
 
 def _require_unit_exponent(q) -> float:
@@ -347,22 +353,21 @@ def _require_unit_exponent(q) -> float:
 
 
 def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | None:
-    """Apply the statement's hypothesis gates to f on [lo, hi].
+    """Apply the statement's function gates to f on the window [lo, hi].
 
     Raises _Skip when one fails; returns the chord constant the statement
-    needs (gamma or zeta on [lo, hi]), or None.
+    needs (gamma or zeta on [lo, hi]), or None.  The gates are decided from
+    the catalog and evaluate f only at scalars.  Every entry is concave, so
+    f >= 0 on [lo, hi] exactly when it is at both ends.  An entry tangent to
+    t - 1 at 1 has f(t) <= t - 1 everywhere; any other entry (each is >= 0
+    at 1) exceeds t - 1 next to 1, which the windows of a `below_t_minus_1`
+    statement hold in their interior (`Instance.validate`).  The chord
+    constants are `bounds`' own.
     """
-    # The catalog's nonnegative interval covering [lo, hi] needs no grid.
-    low, high = f.nonnegative_on
-    if st.nonneg and not (low <= lo and hi <= high) and not check_nonnegative_on(f, lo, hi):
+    if st.nonneg and not (f.evaluate(lo) >= -1e-12 and f.evaluate(hi) >= -1e-12):
         raise _Skip(f"{f.name} is negative somewhere on [{lo:.6g}, {hi:.6g}]")
-    # The tangent line at 1 gives f(t) <= t - 1 everywhere; any other f is
-    # evaluated on the grid.
     if st.below_t_minus_1 and not _tangent_at_one(f):
-        ts = np.linspace(lo, hi, functions.GRID_POINTS)
-        excess = float((f.evaluate_array(ts) - (ts - 1.0)).max())
-        if excess > 1e-12:
-            raise _Skip(f"{f.name}(t) exceeds t - 1 by {excess:.3e} on [{lo:.6g}, {hi:.6g}]")
+        raise _Skip(f"{f.name}(t) exceeds t - 1 next to 1 on [{lo:.6g}, {hi:.6g}]: no tangent line at 1")
     if st.constant == "gamma":
         try:
             return chord_ratio_bound(f, lo, hi)
@@ -432,13 +437,13 @@ def _compression_terms(inst: Instance):
 
 
 # ---------------------------------------------------------------------------
-# builders: (inst, gate) -> Sides, one per statement.  `gate(lo, hi)` applies
-# the statement's gates on [lo, hi] (default: the instance window)
-# and returns its chord constant.
+# builders: (inst, constant) -> Sides, one per statement.  `check` has
+# applied the statement's gates; constant is its chord constant on the
+# instance window, or None.
 # ---------------------------------------------------------------------------
 
 
-def _mean_integral(inst: Instance, gate) -> Sides:
+def _mean_integral(inst: Instance, constant: None) -> Sides:
     """sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]"""
     p = float(inst.q)
     lhs = inst.fa.pair_spectrum(inst.fb).power_mean(p)
@@ -448,63 +453,55 @@ def _mean_integral(inst: Instance, gate) -> Sides:
     return Sides([(lhs, "<=", rhs)], f"node-wise power means vs power mean of the integrals at p={p:g}")
 
 
-def _compression_jensen(inst: Instance, gate) -> Sides:
+def _compression_jensen(inst: Instance, constant: None) -> Sides:
     """f(sum w C*XC + t0(I - sum w C*C)) >= sum w C*f(X)C + f(t0)(I - sum w C*C)"""
-    gate()
     f_arg, rhs = _compression_terms(inst)
     return Sides([(f_arg, ">=", rhs)], "lifted Jensen inequality for a sub-unital compression family")
 
 
-def _rev_jensen_gamma(inst: Instance, gate) -> Sides:
+def _rev_jensen_gamma(inst: Instance, gamma: float) -> Sides:
     """f(lifted argument) <= gamma * [sum w C*f(X)C + f(t0)(I - sum w C*C)]"""
-    gamma = gate()
     f_arg, rhs = _compression_terms(inst)
     return Sides([(f_arg, "<=", gamma * rhs)], f"reverse lifted Jensen with gamma={gamma!r}")
 
 
-def _rev_jensen_zeta(inst: Instance, gate) -> Sides:
+def _rev_jensen_zeta(inst: Instance, zeta: float) -> Sides:
     """f(lifted argument) <= sum w C*f(X)C + f(t0)(I - sum w C*C) + zeta I"""
-    zeta = gate()
     f_arg, rhs = _compression_terms(inst)
     shifted = rhs + zeta * _eye(inst.x.dim)
     return Sides([(f_arg, "<=", shifted)], f"reverse lifted Jensen with zeta={zeta!r}")
 
 
-def _entropy_lower(inst: Instance, gate) -> Sides:
+def _entropy_lower(inst: Instance, constant: None) -> Sides:
     """f(W) - f(t0)(I - V) >= S_p with V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V)"""
-    gate()
     lhs, s, _ = _entropy_bound_terms(inst)
     return Sides([(lhs, ">=", s)], f"entropy lower bound at p={inst.q:g}, t0={inst.t0:.6g}")
 
 
-def _rev_entropy_gamma(inst: Instance, gate) -> Sides:
+def _rev_entropy_gamma(inst: Instance, gamma: float) -> Sides:
     """f(W) - gamma f(t0)(I - V) <= gamma S_p"""
-    gamma = gate()
     lhs, s, _ = _entropy_bound_terms(inst, gamma)
     detail = f"reverse entropy bound with gamma={gamma!r} at p={inst.q:g}"
     return Sides([(lhs, "<=", gamma * s)], detail)
 
 
-def _rev_entropy_zeta(inst: Instance, gate) -> Sides:
+def _rev_entropy_zeta(inst: Instance, zeta: float) -> Sides:
     """f(W) - f(t0)(I - V) <= S_p + zeta I"""
-    zeta = gate()
     lhs, s, eye = _entropy_bound_terms(inst)
     detail = f"reverse entropy bound with zeta={zeta!r} at p={inst.q:g}"
     return Sides([(lhs, "<=", s + zeta * eye)], detail)
 
 
-def _entropy_nonneg(inst: Instance, gate) -> Sides:
+def _entropy_nonneg(inst: Instance, constant: None) -> Sides:
     """S_q >= 0 when f >= 0 on the encountered spectra"""
-    gate()
     q, f, dim = float(inst.q), inst.f, inst.fa.dim
     s = inst.fa.pair_spectrum(inst.fb).entropy_term(q, f)
     detail = f"nonnegativity of the aggregated entropy at q={q:g}"
     return Sides([(np.zeros((dim, dim)), "<=", s)], detail)
 
 
-def _entropy_upper(inst: Instance, gate) -> Sides:
+def _entropy_upper(inst: Instance, constant: None) -> Sides:
     """S_q <= sum w (A#_{q+1}B - A#_qB) when f(t) <= t - 1"""
-    gate()
     q, f, fa, fb = float(inst.q), inst.f, inst.fa, inst.fb
     spectrum = fa.pair_spectrum(fb)
     lam = spectrum.eigenvalues
@@ -524,7 +521,7 @@ def _entropy_upper(inst: Instance, gate) -> Sides:
     return Sides([(s, "<=", rhs)], detail, cross_checks=[(s, "<=", direct)])
 
 
-def _klein_upper(inst: Instance, gate) -> Sides:
+def _klein_upper(inst: Instance, constant: None) -> Sides:
     """S(A|B) <= B - A (relative operator entropy, Klein bound)"""
     spectrum = inst.fa.pair_spectrum(inst.fb)
     # The node's own term, unweighted: the field carries the pair's one node.
@@ -533,7 +530,7 @@ def _klein_upper(inst: Instance, gate) -> Sides:
     return Sides([(s, "<=", rhs)], "relative operator entropy against B - A")
 
 
-def _info_ineq(inst: Instance, gate) -> Sides:
+def _info_ineq(inst: Instance, constant: None) -> Sides:
     """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
     a = np.diag(inst.fa.arrays[0]).real
     b = np.diag(inst.fb.arrays[0]).real
@@ -542,19 +539,17 @@ def _info_ineq(inst: Instance, gate) -> Sides:
     return Sides([(value, ">=", 0.0)], detail)
 
 
-def _subadditive(inst: Instance, gate) -> Sides:
+def _subadditive(inst: Instance, constant: None) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
     fa, fb, fc, fd = inst.fa, inst.fb, inst.fc, inst.fd
     left, right = _fields_like((fa, fb, fc, fd), np.array([fa.arrays + fb.arrays, fc.arrays + fd.arrays]))
-    spectrum = left.pair_spectrum(right)
-    gate(min(inst.m, spectrum.m), max(inst.M, spectrum.M))
     term = inst.f.evaluate_array
-    lhs = spectrum.aggregate(term)
+    lhs = left.pair_spectrum(right).aggregate(term)
     rhs = inst.fa.pair_spectrum(inst.fc).aggregate(term) + inst.fb.pair_spectrum(inst.fd).aggregate(term)
     return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
 
-def _homogeneous(inst: Instance, gate) -> Sides:
+def _homogeneous(inst: Instance, constant: None) -> Sides:
     """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
     alpha, q, f = float(inst.alpha), float(inst.q), inst.f
     if alpha <= 0.0:
@@ -566,7 +561,7 @@ def _homogeneous(inst: Instance, gate) -> Sides:
     return Sides([(lhs, "==", rhs)], f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)")
 
 
-def _joint_concave(inst: Instance, gate) -> Sides:
+def _joint_concave(inst: Instance, constant: None) -> Sides:
     """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
     alpha, beta = float(inst.alpha), float(inst.beta)
     if alpha <= 0.0 or beta <= 0.0 or abs(alpha + beta - 1.0) > 1e-12:
@@ -574,19 +569,16 @@ def _joint_concave(inst: Instance, gate) -> Sides:
     fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
     mixed = np.array([alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays])
     mixed_a, mixed_b = _fields_like((fa, fb, fa2, fb2), mixed)
-    spectrum = mixed_a.pair_spectrum(mixed_b)
-    gate(min(inst.m, spectrum.m), max(inst.M, spectrum.M))
     term = inst.f.evaluate_array
-    lhs = spectrum.aggregate(term)
+    lhs = mixed_a.pair_spectrum(mixed_b).aggregate(term)
     first = inst.fa.pair_spectrum(inst.fb).aggregate(term)
     second = inst.fa2.pair_spectrum(inst.fb2).aggregate(term)
     rhs = alpha * first + beta * second
     return Sides([(lhs, ">=", rhs)], f"joint concavity at alpha={alpha:g}")
 
 
-def _map_monotone(inst: Instance, gate) -> Sides:
+def _map_monotone(inst: Instance, constant: None) -> Sides:
     """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
-    gate()
     f, pm = inst.f, inst.pmap
     if not pm.is_normalized():
         raise PreconditionError("map is not normalized")
@@ -602,7 +594,7 @@ def _map_monotone(inst: Instance, gate) -> Sides:
     return Sides([(lhs, "<=", rhs)], "informational monotonicity under a normalized positive map")
 
 
-def _example_log_pair(inst: Instance, gate) -> Sides:
+def _example_log_pair(inst: Instance, constant: None) -> Sides:
     """closed-form gap bounds for log t and -t log t in the reverse entropy bound"""
     p, t0 = float(inst.q), inst.t0
     try:
@@ -859,16 +851,19 @@ class Statement:
 
     family and extras fill a fresh instance from the generator; `fixed` pins
     instance fields before the draw; `reads` names the drawn parameters (f, q)
-    the builder uses.  unit_exponent requires q in [0, 1].  The gates
-    (nonnegative on the window, f(t) <= t - 1) skip the check when they
-    fail; `constant` names the chord constant the builder receives from its
-    gate ("gamma" or "zeta").  No statement gates on operator concavity: f is
-    a catalog entry, and every entry is operator concave.  The builder's
+    the builder uses.  The hypotheses, which `check` applies once on the
+    instance window before the builder runs: unit_exponent requires q in
+    [0, 1]; the function gates (`nonneg`: f >= 0 on the window;
+    `below_t_minus_1`: f(t) <= t - 1) skip the check when they fail; and
+    `constant` names the chord constant on the window ("gamma" or "zeta")
+    that the builder receives, None when unset.  No statement gates on
+    operator concavity: f is a catalog entry, and every entry is operator
+    concave.  The builder maps (instance, constant) to the Sides, and its
     docstring is the statement as displayed.
     """
 
     family: Callable
-    build: Callable[[Instance, Callable], Sides]
+    build: Callable[[Instance, float | None], Sides]
     extras: Callable | None = None
     fixed: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ("f", "q")
@@ -955,31 +950,22 @@ STATEMENTS: dict[TheoremId, Statement] = {
 
 
 def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
-    """Evaluate one theorem on one instance; pure in (theorem, inst, tol)."""
-    if tol < 0.0:
-        raise PreconditionError("tol must be nonnegative")
+    """Evaluate one theorem on one instance in one pass; pure in (theorem, inst, tol).
+
+    The hypotheses come first: the exponent range, then `_gate` on the
+    instance window, whose chord constant the builder receives.  Then the
+    builder's sides, and last `_verdict`'s margin with its label.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
     st = STATEMENTS[theorem]
     if st.unit_exponent:
         _require_unit_exponent(inst.q)
-
-    def gate(lo: float = inst.m, hi: float = inst.M) -> float | None:
-        return _gate(st, inst.f, lo, hi)
-
     try:
-        sides = st.build(inst, gate)
+        sides = st.build(inst, _gate(st, inst.f, inst.m, inst.M))
     except _Skip as skip:
         return VerificationResult(theorem, True, None, 0.0, 0.0, False, str(skip))
     return _verdict(theorem, sides, tol)
-
-
-def triage(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
-    """check, then label a violation "numerical" if its margin and norms pass the
-    tolerance rule at tol=1e-6, else "substantive" (neither depends on tol)."""
-    result = check(theorem, inst, tol)
-    if result.hypothesis_met and not result.holds:
-        numerical = _holds_within(result.margin, 1e-6, result.lhs_norm, result.rhs_norm)
-        result = replace(result, triage="numerical" if numerical else "substantive")
-    return result
 
 
 def random_instance(
@@ -1039,8 +1025,8 @@ class CampaignConfig(_JsonRecord):
     def validate(self) -> None:
         if self.trials < 0:
             raise PreconditionError("trials must be >= 0")
-        if self.tol <= 0.0:
-            raise PreconditionError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise PreconditionError(f"tol must be finite and > 0, got {self.tol}")
         if not (1 <= self.dims[0] <= self.dims[1] <= 64):
             raise PreconditionError(f"dims must satisfy 1 <= lo <= hi <= 64, got {self.dims}")
         if not (1 <= self.terms[0] <= self.terms[1]):
@@ -1140,7 +1126,7 @@ def _function_pool(theorem: TheoremId, specs: tuple[str, ...]) -> tuple[tuple[st
 def run_trial(
     theorem: TheoremId, config: CampaignConfig, seed: int, index: int = 0
 ) -> tuple[TrialRecord, Instance | None, VerificationResult]:
-    """One campaign cell: draw parameters and an instance from `seed`, check, triage.
+    """One campaign cell: draw parameters and an instance from `seed`, then check it.
 
     f is drawn from the configured functions the statement admits
     (`Statement.admits`), or from all of them when it admits none.
@@ -1163,7 +1149,7 @@ def run_trial(
     inst = None
     try:
         inst = random_instance(theorem, dim, k, inst_seed, f, exponent)
-        result = triage(theorem, inst, config.tol)
+        result = check(theorem, inst, config.tol)
     except GenerationError as exc:
         result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")
     except (PreconditionError, NotPositiveDefiniteError, DomainError, np.linalg.LinAlgError,

@@ -8,7 +8,7 @@ from opentropy import verify
 from opentropy.cli import main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
-from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, random_instance, triage
+from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, check, random_instance
 
 from conftest import ENTRY, rebind_entry
 
@@ -84,7 +84,7 @@ class TestCheck:
             run(capsys, "gen", "--theorem", theorem, "--dim", "4", "--k", "3",
                 "--seed", str(seed), "--out", str(out))
             code, stdout, _ = run(capsys, "check", "--file", str(out))
-            want = triage(TheoremId(theorem), random_instance(TheoremId(theorem), 4, 3, seed, power(0.5), 0.5))
+            want = check(TheoremId(theorem), random_instance(TheoremId(theorem), 4, 3, seed, power(0.5), 0.5))
             assert code == 0 and json.loads(stdout) == want.to_json()
 
     def test_tol_zero_triggers_numerical_triage(self, tmp_path, capsys):
@@ -135,6 +135,24 @@ class TestCheck:
         rebind_entry(monkeypatch, "_eigvalsh", fail)
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "did not converge" in err
+
+    def test_window_outside_the_positive_half_line_exits_2(self, tmp_path, capsys):
+        # With m = -1 this file re-checked as holds (exit 0).
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "entropy_upper", "--dim", "3", "--k", "2", "--seed", "4",
+            "--f", "log", "--out", str(out))
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), m=-1.0)))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "0 < m <= M < inf" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tol_exits_2(self, tmp_path, capsys, tol):
+        # --tol nan printed VIOLATED (exit 1) on a valid file; inf passed any margin.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "klein_upper", "--dim", "3", "--k", "1", "--seed", "1",
+            "--out", str(out))
+        code, stdout, err = run(capsys, "check", "--file", str(out), "--tol", tol)
+        assert code == 2 and stdout == "" and "tol must be finite" in err
 
     def test_window_narrower_than_the_pair_spectra_exits_2(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -348,7 +366,8 @@ class TestCampaign:
             assert outcomes + r["errors"] == r["trials"] == 1
         assert "1 errors" in err
 
-    @pytest.mark.parametrize("option", [("--functions", "const:inf"), ("--q", "inf"), ("--q", "nan")])
+    @pytest.mark.parametrize("option", [("--functions", "const:inf"), ("--q", "inf"), ("--q", "nan"),
+                                        ("--tol", "inf"), ("--tol", "nan")])
     def test_nonfinite_parameter_exits_2_before_any_trial(self, monkeypatch, tmp_path, capsys, option):
         trials = []
         monkeypatch.setattr(verify, "run_trial", lambda *args: trials.append(args))

@@ -11,7 +11,6 @@ from opentropy.functions import (
     NEG_T_LOG_T,
     ScalarFunction,
     affine,
-    check_nonnegative_on,
     constant,
     parse,
     power,
@@ -51,13 +50,6 @@ def test_catalog_rejects_bad_parameters():
             affine(bad, 1.0)
         with pytest.raises(PreconditionError):
             affine(1.0, bad)
-
-
-def test_nonnegativity_grid():
-    assert check_nonnegative_on(LOG, 1.0, 2.0)
-    assert not check_nonnegative_on(LOG, 0.5, 2.0)
-    assert check_nonnegative_on(NEG_T_LOG_T, 0.5, 1.0)
-    assert not check_nonnegative_on(NEG_T_LOG_T, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("f", CATALOG)

@@ -23,7 +23,6 @@ from opentropy.verify import (
     random_resolution,
     run_trial,
     trial_seed,
-    triage,
 )
 
 SMALL = CampaignConfig(trials=4, dims=(2, 5), terms=(2, 3), seed=7)
@@ -391,14 +390,13 @@ def test_nonnegative_declaration_covering_the_window_skips_the_grid():
         grid_calls.clear()
         inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, seed, f, 0.5)
         result = check(TheoremId.ENTROPY_NONNEG, inst)
-        # power:0.5's nonnegative interval (0, inf) covers the window, so the
-        # gate evaluates f on no grid (f is still evaluated on the spectra).
+        # The gate evaluates f at the window's two ends alone, so f sees no
+        # grid (it is still evaluated on the spectra).
         assert grid_calls and sum(grid_calls) == 0
         reference = check(TheoremId.ENTROPY_NONNEG, random_instance(
             TheoremId.ENTROPY_NONNEG, 3, 2, seed, power(0.5), 0.5))
         assert result.hypothesis_met and result.margin == reference.margin
-    # log's interval [1, inf) does not cover the window, which straddles 1:
-    # the grid finds log < 0 there.
+    # The window straddles 1, and log is negative at its lower end.
     inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, 0, LOG, 0.5)
     assert not check(TheoremId.ENTROPY_NONNEG, inst).hypothesis_met
 
@@ -424,31 +422,109 @@ def test_trials_draw_from_the_admissible_functions(theorem):
     assert all(r.hypothesis_met and r.holds for r in records)
 
 
-def test_tangent_line_of_a_catalog_function_skips_the_grid():
-    grid_calls = []
+# Per catalog head: specs that cover its parameter range, ends included.
+_HEAD_SPECS = {
+    "identity": ["identity"], "log": ["log"], "neg_t_log_t": ["neg_t_log_t"],
+    "power": ["power:0", "power:0.05", "power:0.5", "power:0.95", "power:1"],
+    "const": ["const:0", "const:2"], "affine": ["affine:0,0", "affine:0,1", "affine:0.5,1", "affine:2,0"],
+}
+_FUNCTION_GATED = [t for t in TheoremId if STATEMENTS[t].nonneg or STATEMENTS[t].below_t_minus_1]
 
-    def counted_log(t):
-        grid_calls.append(np.size(t) == GRID_POINTS)
-        return np.log(t)
 
-    def counted_root(t):
-        grid_calls.append(np.size(t) == GRID_POINTS)
-        return np.sqrt(t)
+def _recording(f, args):
+    """f with every argument of f and f' appended to `args`."""
+    return dataclasses.replace(
+        f, fn=lambda t: args.append(t) or f.fn(t), deriv=lambda t: args.append(t) or f.deriv(t)
+    )
 
-    catalog = dataclasses.replace(LOG, fn=counted_log)
-    # power:0.5 has no tangent line at 1 (its value there is 1), so the
-    # f(t) <= t - 1 test evaluates it on the grid, once.
-    root = dataclasses.replace(power(0.5), fn=counted_root)
-    for seed in range(3):
-        grid_calls.clear()
-        result = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, catalog))
-        assert grid_calls and sum(grid_calls) == 0
-        reference = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, LOG))
-        assert result.hypothesis_met and result.margin == reference.margin
-        grid_calls.clear()
-        skipped = check(TheoremId.ENTROPY_UPPER, random_instance(TheoremId.ENTROPY_UPPER, 3, 2, seed, root))
-        assert sum(grid_calls) == 1
-        assert not skipped.hypothesis_met and "exceeds t - 1" in skipped.detail
+
+def test_no_gate_evaluates_f_on_an_array(monkeypatch):
+    assert set(_HEAD_SPECS) == set(verify.functions._CATALOG) and _FUNCTION_GATED
+    # The chord constants are bounds' (a grid search for the linear specs), not a gate.
+    monkeypatch.setattr(verify, "chord_ratio_bound", lambda f, lo, hi: 1.0)
+    monkeypatch.setattr(verify, "chord_gap_bound", lambda f, lo, hi: 0.0)
+    for theorem in _FUNCTION_GATED:
+        for spec in (spec for specs in _HEAD_SPECS.values() for spec in specs):
+            args = []
+            recorded = _recording(parse(spec), args)
+            for lo, hi in ((0.5, 2.0), (0.2, 0.9), (1.5, 4.0), (1.0 - 1e-6, 1.0 + 1e-6)):
+                try:
+                    verify._gate(STATEMENTS[theorem], recorded, lo, hi)
+                except verify._Skip:
+                    pass
+            assert args and not any(isinstance(t, np.ndarray) for t in args), (theorem, spec)
+    # power:0.5 is 1 at 1: no tangent line there, so the check skips.
+    inst = random_instance(TheoremId.ENTROPY_UPPER, 3, 2, 0, power(0.5))
+    skipped = check(TheoremId.ENTROPY_UPPER, inst)
+    assert not skipped.hypothesis_met and "exceeds t - 1" in skipped.detail
+
+
+def test_nonnegativity_gate():
+    nonneg = STATEMENTS[TheoremId.ENTROPY_NONNEG]
+    for f, lo, hi, met in ((LOG, 1.0, 2.0, True), (LOG, 0.5, 2.0, False),
+                           (NEG_T_LOG_T, 0.5, 1.0, True), (NEG_T_LOG_T, 0.5, 2.0, False)):
+        if met:
+            assert verify._gate(nonneg, f, lo, hi) is None
+        else:
+            with pytest.raises(verify._Skip, match="negative somewhere"):
+                verify._gate(nonneg, f, lo, hi)
+
+
+def _grid_nonnegative(f, lo, hi):
+    """The grid test the nonnegativity gate replaced: the catalog interval
+    covers [lo, hi], or f >= -1e-12 on GRID_POINTS points, ends included."""
+    low, high = f.nonnegative_on
+    ts = np.linspace(lo, hi, GRID_POINTS)
+    return low <= lo and hi <= high or float(f.evaluate_array(ts).min()) >= -1e-12
+
+
+def _grid_below_t_minus_1(f, lo, hi):
+    """The grid test the f(t) <= t - 1 gate replaced (tangent at 1, or no excess over the grid)."""
+    ts = np.linspace(lo, hi, GRID_POINTS)
+    return verify._tangent_at_one(f) or float((f.evaluate_array(ts) - (ts - 1.0)).max()) <= 1e-12
+
+
+def _gate_passes(theorem, f, lo, hi):
+    try:
+        verify._gate(STATEMENTS[theorem], f, lo, hi)
+    except verify._Skip:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("head", sorted(_HEAD_SPECS))
+def test_function_gates_decide_as_the_grid_did(head):
+    # Seeded windows, and windows with an end within 1e-13 of 1 or at 1 +- 1e-6.
+    rng = np.random.default_rng(sorted(_HEAD_SPECS).index(head))
+    near_one = [1.0 + s * d for s in (-1.0, 1.0) for d in (1e-14, 1e-13, 1e-12, 1e-11, 1e-6)] + [1.0]
+    lows = [float(x) for x in rng.uniform(0.01, 3.0, 40)] + near_one
+    windows = [(lo, lo * float(r)) for lo in lows for r in (1.0, *rng.uniform(1.0, 4.0, 2))]
+    windows += [(hi / float(rng.uniform(1.0, 4.0)), hi) for hi in near_one]
+    # f(t) <= t - 1 is only gated on windows that straddle 1 by 1e-6 (Instance.validate).
+    straddling = [(1.0 - 1e-6, 1.0 + 1e-6)] + [(1.0 - 1e-6, float(hi)) for hi in rng.uniform(1.0, 9.0, 10)]
+    straddling += [(float(lo), 1.0 + 1e-6) for lo in rng.uniform(0.01, 1.0, 10)]
+    straddling += [(float(lo), float(hi)) for lo, hi in zip(rng.uniform(0.01, 1.0 - 1e-6, 40),
+                                                            rng.uniform(1.0 + 1e-6, 9.0, 40))]
+    for f in map(parse, _HEAD_SPECS[head]):
+        for lo, hi in windows:
+            want = _grid_nonnegative(f, lo, hi)
+            assert _gate_passes(TheoremId.ENTROPY_NONNEG, f, lo, hi) == want, (f.spec, lo, hi)
+        for lo, hi in straddling:
+            want = _grid_below_t_minus_1(f, lo, hi)
+            assert _gate_passes(TheoremId.ENTROPY_UPPER, f, lo, hi) == want, (f.spec, lo, hi)
+
+
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if STATEMENTS[t].below_t_minus_1])
+def test_tangent_gate_statements_load_only_windows_straddling_one(theorem):
+    # The tangent rule decides f(t) <= t - 1 exactly only on windows with
+    # m <= 1 - 1e-6 and M >= 1 + 1e-6.  With fb = fa the pair spectrum is
+    # {1}, so any window around 1 covers it and only the straddle can refuse.
+    payload = random_instance(theorem, 2, 2, 3, LOG, 0.5).to_json()
+    payload.update(fb=payload["fa"], t0=1.0)
+    for m, M in ((1.0 - 1e-7, 1.0 + 1e-5), (1.0 - 1e-5, 1.0 + 1e-7), (1.0, 2.0)):
+        with pytest.raises(PreconditionError, match="1 - 1e-6"):
+            Instance.from_json(dict(payload, m=m, M=M))
+    assert Instance.from_json(dict(payload, m=1.0 - 1e-6, M=1.0 + 1e-6)).m == 1.0 - 1e-6
 
 
 _COMPRESSION = (TheoremId.COMPRESSION_JENSEN, TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA)
@@ -500,15 +576,15 @@ def test_precondition_error_is_a_trial_outcome():
 ])
 def test_floor_and_domain_errors_are_trial_outcomes(monkeypatch, error):
     # One bad cell ends as an error outcome; the rest of the campaign runs.
-    real, calls = verify.triage, []
+    real, calls = verify.check, []
 
-    def triage(theorem, inst, tol):
+    def check(theorem, inst, tol):
         calls.append(theorem)
         if len(calls) == 1:
             raise error
         return real(theorem, inst, tol)
 
-    monkeypatch.setattr(verify, "triage", triage)
+    monkeypatch.setattr(verify, "check", check)
     report = campaign(CampaignConfig(theorems=(TheoremId.KLEIN_UPPER,), trials=3, seed=2))
     (summary,) = report.summaries
     assert (summary.errors, summary.passes, summary.skips) == (1, 2, 0)
@@ -542,6 +618,21 @@ def test_instance_file_with_a_missing_field_is_rejected(theorem):
 _PAIRED = [t for t in TheoremId if STATEMENTS[t].family in verify._PAIRS]
 
 
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if "m" in STATEMENTS[t].needs])
+def test_window_must_lie_in_the_positive_half_line(theorem):
+    payload = random_instance(theorem, 2, 2, 5).to_json()
+    for m, M in ((-1.0, payload["M"]), (0.0, payload["M"]), (math.nan, payload["M"]),
+                 (payload["m"], math.inf), (payload["m"], math.nan), (payload["M"] + 1.0, payload["M"])):
+        with pytest.raises(PreconditionError, match="0 < m <= M < inf"):
+            Instance.from_json(dict(payload, m=m, M=M))
+
+
+def test_a_one_point_window_loads():
+    # Centered draws at dim 1 have m = M.
+    inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 2)
+    assert inst.m == inst.M and Instance.from_json(inst.to_json()).m == inst.m
+
+
 @pytest.mark.parametrize("theorem", _PAIRED)
 def test_window_must_cover_the_pair_spectra(theorem):
     # A stored window narrower than the pair spectra would turn a true
@@ -553,7 +644,7 @@ def test_window_must_cover_the_pair_spectra(theorem):
     with pytest.raises(PreconditionError, match="pair spectrum"):
         Instance.from_json(narrowed)
     widened = Instance.from_json(dict(payload, m=payload["m"] / 2.0, M=2.0 * payload["M"]))
-    assert triage(theorem, widened).triage != "substantive"
+    assert check(theorem, widened).triage != "substantive"
 
 
 def test_nonfinite_side_is_an_error_before_the_solve():
@@ -562,6 +653,15 @@ def test_nonfinite_side_is_an_error_before_the_solve():
     result = verify._verdict(TheoremId.ENTROPY_NONNEG, sides, 1e-9)
     assert not result.hypothesis_met and not result.holds and result.margin is None
     assert result.detail == "error: non-finite margin"
+
+
+def test_the_verdict_labels_violations_by_the_rule_at_1e_6():
+    # Norms 2 and 2 + shortfall: a shortfall of 1e-9 is float noise at 1e-6, one of 1 is not.
+    for shortfall, tol, label in ((0.0, 0.0, None), (1e-9, 1e-12, "numerical"), (1e-9, 1e-8, None),
+                                  (1.0, 1e-12, "substantive"), (1.0, 0.1, "substantive")):
+        sides = verify.Sides([((2.0 + shortfall) * np.eye(2), "<=", 2.0 * np.eye(2))], "x")
+        result = verify._verdict(TheoremId.ENTROPY_NONNEG, sides, tol)
+        assert result.holds == (label is None) and result.triage == label, (shortfall, tol)
 
 
 def _two_point_witness(theorem, f, which):
