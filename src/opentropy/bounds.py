@@ -15,9 +15,11 @@ f is a catalog function (`functions`), and every entry is concave, so the
 chord lies below f: gamma >= 1 and zeta >= 0, with equality cases at the
 endpoints.
 
-Closed forms.  The table `_CLOSED_FORMS`, keyed on the head of f's spec
-(parsed once, when f is built), gives the argmax, and the constant is f/c or
-f - c there:
+Closed forms.  One straight-line kernel, `_kernel`, serves `secant_data`,
+`chord_ratio_bound` and `chord_gap_bound`.  It checks the window, evaluates f
+at both ends, computes the chord and, for the heads below (read off f's spec,
+parsed once when f is built), the argmax; the constant is f/c or f - c there,
+floored at the endpoints' exact 1 and 0:
 
     power:p, 0 < p < 1   gamma at t = p nu / ((1 - p) mu), so gamma is
                          1/K(m, M, p), the generalized Kantorovich constant;
@@ -32,7 +34,9 @@ Inequalities, 2005, ch. 2.)  W0 is the principal branch of the Lambert W
 function, `_lambert_w0`.  The chord is linear and equals f at both ends, so
 whether gamma is defined (the chord goes below 0, or vanishes at both ends) is
 read off f(m) and f(M), once, before any rule or search; an undefined gamma
-raises nothing on `secant_data`'s path.  The closed form needs no
+raises nothing on `secant_data`'s path.  Where a rule divides by mu == 0
+(power:p with p near 0, where f(m) == f(M) in floating point), the kernel
+takes the grid search's value, floored the same way.  The closed form needs no
 nonnegativity check: a concave f with f(m), f(M) >= 0 is >= 0 on [m, M].
 Where the chord vanishes at one end (log on [1, M], -t log t on [m, 1], where
 W0's argument is the branch point -1/e), gamma is the ratio's limit
@@ -48,10 +52,10 @@ its search; an f whose nonnegative interval covers [m, M] skips the check.
 The gap bound is cross-checked against f'(t) = mu.  Each call checks the
 window and computes the chord once.  A window too narrow for double
 precision to resolve the chord (its rounding unit
-eps * max(1, |f(m)|, |f(M)|) * M / (M - m) above 1e-8, see `_chord`) raises
-UnresolvableWindowError, a PreconditionError, instead of answering with
-rounding noise.  The grid search is the oracle the closed forms are tested
-against (`grid_values`).
+eps * max(1, |f(m)|, |f(M)|) * M / (M - m) above 1e-8, see
+`_RESOLUTION_LIMIT`) raises UnresolvableWindowError, a PreconditionError,
+instead of answering with rounding noise.  The grid search, unfloored, is the
+oracle the closed forms are tested against (`grid_values`).
 
 Also here: the logarithmic and identric means, and the closed forms that the
 gap bound takes for log t and -t log t on intervals with m < 1 < M.
@@ -89,6 +93,7 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -130,22 +135,18 @@ _Chord = tuple[float, float, float, float, float, float]
 # windows, and it reads 1.65 for log on [3, 3 + 1 ulp], 1.0 on [1, 1 + 1 ulp],
 # 7.3e-4 on [3, 3 + 1e-12] and 6.3e-3 for power:0.5 on [2, 2 + 1e-13], where
 # the computed gamma (0.549, nan, 0.99983 < 1 for a concave f) and zeta
-# (8.8e-4 against about 1e-28) are rounding noise.
+# (8.8e-4 against about 1e-28) are rounding noise.  The unit does not bound
+# gamma's error next to a root of f, where f/chord is a ratio of two small
+# numbers and mu t + nu cancels: against the exact value of the rounded window,
+# gamma of log on [1 + 1e-13, 1.5] (unit 6.7e-16) is off by 1.8e-10 relative,
+# and of -t log t on [0.05, 1 - 1e-13] by 9.3e-11 (`test_gamma_near_the_root_of_f`).
 _RESOLUTION_LIMIT = 1e-8
 
 
 def _chord(f: ScalarFunction, m: float, M: float) -> _Chord:
     """The chord of f on the checked window [m, M]; UnresolvableWindowError
     when its rounding unit exceeds `_RESOLUTION_LIMIT`."""
-    m, M = _check_interval(m, M)
-    fm, fM = f.evaluate(m), f.evaluate(M)
-    unit = _EPS * max(1.0, abs(fm), abs(fM)) * M / (M - m)
-    if unit > _RESOLUTION_LIMIT:
-        raise UnresolvableWindowError(
-            f"[{m!r}, {M!r}] is too narrow to resolve the chord of {f.name}: "
-            f"its rounding unit is {unit:.3e}, above {_RESOLUTION_LIMIT:g}"
-        )
-    return m, M, fm, fM, (fM - fm) / (M - m), (M * fm - m * fM) / (M - m)
+    return _kernel(f, m, M, False, False)[:6]
 
 
 def secant_coeffs(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
@@ -233,9 +234,10 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
 
 def chord_ratio_bound(f: ScalarFunction, m: float, M: float) -> float:
     """max f/chord on [m, M]; >= 1 for concave f, = 1 at the endpoints."""
-    chord = _chord(f, m, M)
-    # Where the bound is undefined, the grid search raises the reason.
-    return (_ratio(f, chord, _rules(f)[0]) or _ratio_bound(f, chord))[1]
+    values = _kernel(f, m, M, True, False)
+    if values[6] is None:
+        _ratio_bound(f, values[:6])  # raises the reason the bound is undefined
+    return values[6]
 
 
 def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list[float]:
@@ -287,7 +289,7 @@ def chord_gap_bound(f: ScalarFunction, m: float, M: float) -> float:
     [4.631138111478391, 4.638084518833767], whose exact value is 0, gives
     -1.06e-12.
     """
-    return _gap(f, _chord(f, m, M), _rules(f)[1])[1]
+    return _kernel(f, m, M, False, True)[7]
 
 
 # -1/e = -(_INV_E + _INV_E_LO), two doubles, so that x + 1/e is exact up to
@@ -329,102 +331,112 @@ def _lambert_w0(x: float) -> float:
     return w
 
 
-# The closed-form argmax rules, each a function of (f.params, m, M, mu, nu).
-# gamma's rule sets the derivative of f/chord to zero:
+def _has_closed_forms(f: ScalarFunction) -> bool:
+    """Whether f's constants have closed forms: log, neg_t_log_t and power:p
+    with 0 < p < 1.  The linear entries (identity, affine, const, power:0,
+    power:1) take the grid search."""
+    return f.head in ("log", "neg_t_log_t") or f.head == "power" and 0.0 < f.params[0] < 1.0
+
+
+# The closed-form argmax rules.  gamma's sets the derivative of f/chord to zero:
 #   power:p      p (mu t + nu) = mu t;
 #   log          mu + nu/t = mu log t, and t = e^{1+w} gives w e^w = nu/(e mu);
 #   neg_t_log_t  nu log t + mu t + nu = 0, and t = e^{-1-w} = (nu/mu) w gives
 #                w e^w = mu/(e nu);
 # W0, not W-1, keeps f(t) >= 0: log t = 1 + w >= 0 for log, and
-# log t = -1 - w <= 0 for -t log t.  zeta's rule solves f'(t) = mu.
-def _power_gamma(params, m, M, mu, nu):
-    (p,) = params
-    return p * nu / ((1.0 - p) * mu)
+# log t = -1 - w <= 0 for -t log t.  zeta's solves f'(t) = mu.
+def _kernel(f: ScalarFunction, m: float, M: float, ratio: bool, gap: bool) -> tuple:
+    """The chord of f on [m, M] and the constants asked for, as
+    (m, M, f(m), f(M), mu, nu, gamma, zeta, argmax_gamma, argmax_zeta): the
+    chord (`_Chord`), then `SecantData`'s constants, each None where not asked
+    for (`ratio`, `gap`) and gamma's where undefined.
 
-
-def _power_zeta(params, m, M, mu, nu):
-    (p,) = params
-    return (mu / p) ** (1.0 / (p - 1.0))
-
-
-def _log_gamma(params, m, M, mu, nu):
-    return math.exp(1.0 + _lambert_w0(nu / (math.e * mu)))
-
-
-def _neg_t_log_t_gamma(params, m, M, mu, nu):
-    return math.exp(-1.0 - _lambert_w0(mu / (math.e * nu)))
-
-
-# Catalog spec head -> (argmax rule of f/chord, of f - chord).  Entries not
-# here (identity, affine, const) are linear and take the grid search.
-_CLOSED_FORMS = {
-    "power": (_power_gamma, _power_zeta),
-    "log": (_log_gamma, lambda params, m, M, mu, nu: logarithmic_mean(m, M)),
-    "neg_t_log_t": (_neg_t_log_t_gamma, lambda params, m, M, mu, nu: identric_mean(m, M)),
-}
-_GRID = (None, None)
-
-
-def _rules(f: ScalarFunction):
-    """f's (gamma rule, zeta rule), read off the spec parsed at construction;
-    power:0 and power:1 are linear and take the grid search."""
-    if f.head == "power" and not 0.0 < f.params[0] < 1.0:
-        return _GRID
-    return _CLOSED_FORMS.get(f.head, _GRID)
-
-
-def _closed_form(f: ScalarFunction, rule, chord: _Chord, ratio: bool):
-    """(argmax, value) of f/chord (`ratio`) or f - chord at the rule's argmax,
-    clamped to [m, M]; None where the rule fails in floating point."""
-    m, M, _, _, mu, nu = chord
-    try:
-        t = min(max(rule(f.params, m, M, mu, nu), m), M)
-    except ArithmeticError:  # mu == 0: power:p with p near 0, f(m) == f(M) in floating point
-        return None
-    ft, ct = f.evaluate(t), mu * t + nu
-    value, floor = (ft / ct, 1.0) if ratio else (ft - ct, 0.0)
-    # The endpoints give exactly 1 and 0; only rounding lands below them.
-    return (t, value) if value >= floor else (m, floor)
-
-
-def _ratio(f: ScalarFunction, chord: _Chord, rule):
-    """(argmax, value) of f/chord, or None, raising nothing, where the ratio
-    bound is undefined.
-
-    Where the chord vanishes at one end, with f, f/chord is the slope of f's
-    secant from that end over mu; for concave f it climbs toward that end,
-    so the bound is the limit f'(end)/mu there.
+    One straight-line pass for the closed-form heads, with f evaluated
+    through `fn` and `deriv` on the checked window.  A rule that fails in
+    floating point (mu == 0) falls back to the grid search.  Either way the
+    value is floored at the endpoints' exact 1 or 0, at argmax m: only
+    rounding lands below them.  The linear heads take the grid search.
     """
-    m, M, fm, fM, mu, _ = chord
-    ends = _ratio_ends(fm, fM)
-    if ends is None:
-        return None
-    left_zero, right_zero = ends
-    if rule is not None:
-        if left_zero or right_zero:
-            end = m if left_zero else M
-            return end, f.derivative(end) / mu
-        found = _closed_form(f, rule, chord, ratio=True)
-        if found is not None:
-            return found
-    # Every entry left to the grid is >= 0 on (0, inf), so the search raises nothing.
-    return _ratio_bound(f, chord)
-
-
-def _gap(f: ScalarFunction, chord: _Chord, rule) -> tuple[float, float]:
-    found = None if rule is None else _closed_form(f, rule, chord, ratio=False)
-    return found or _gap_bound(f, chord)
+    m, M = float(m), float(M)
+    if not 0.0 < m < M < _INF:
+        _check_interval(m, M)
+    fn = f.fn
+    fm, fM = float(fn(m)), float(fn(M))
+    scale = 1.0  # max(1, |f(m)|, |f(M)|)
+    if abs(fm) > scale:
+        scale = abs(fm)
+    if abs(fM) > scale:
+        scale = abs(fM)
+    unit = _EPS * scale * M / (M - m)
+    if unit > _RESOLUTION_LIMIT:
+        raise UnresolvableWindowError(
+            f"[{m!r}, {M!r}] is too narrow to resolve the chord of {f.name}: "
+            f"its rounding unit is {unit:.3e}, above {_RESOLUTION_LIMIT:g}"
+        )
+    mu = (fM - fm) / (M - m)
+    nu = (M * fm - m * fM) / (M - m)
+    chord = (m, M, fm, fM, mu, nu)
+    head, closed = f.head, _has_closed_forms(f)
+    gamma = zeta = argmax_gamma = argmax_zeta = None
+    # gamma is undefined where the chord, equal to f at both ends, goes below
+    # 0 or vanishes at both ends (`_ratio_ends`).
+    low = fM if fM < fm else fm
+    if ratio and not (low < -1e-12 * scale or (fm <= 0.0 and fM <= 0.0)):
+        if not closed:  # every linear entry is >= 0 on (0, inf): the search raises nothing
+            argmax_gamma, gamma = _ratio_bound(f, chord)
+        elif fm <= 0.0 or fM <= 0.0:
+            # The chord vanishes at one end, with f: f/chord is the slope of
+            # f's secant from that end over mu, which for concave f climbs
+            # toward that end, so the bound is the limit f'(end)/mu there.
+            argmax_gamma = m if fm <= 0.0 else M
+            gamma = float(f.deriv(argmax_gamma)) / mu
+        else:
+            try:
+                if head == "power":
+                    p = f.params[0]
+                    t = p * nu / ((1.0 - p) * mu)
+                elif head == "log":
+                    t = math.exp(1.0 + _lambert_w0(nu / (math.e * mu)))
+                else:
+                    t = math.exp(-1.0 - _lambert_w0(mu / (math.e * nu)))
+            except ArithmeticError:
+                argmax_gamma, gamma = _ratio_bound(f, chord)
+            else:
+                argmax_gamma = M if M < t else (m if m > t else t)
+                gamma = float(fn(argmax_gamma)) / (mu * argmax_gamma + nu)
+            if not gamma >= 1.0:
+                argmax_gamma, gamma = m, 1.0
+    if gap:
+        if not closed:
+            argmax_zeta, zeta = _gap_bound(f, chord)
+        else:
+            try:
+                if head == "power":
+                    p = f.params[0]
+                    t = (mu / p) ** (1.0 / (p - 1.0))
+                elif head == "log":
+                    t = logarithmic_mean(m, M)
+                else:
+                    t = identric_mean(m, M)
+            except ArithmeticError:
+                argmax_zeta, zeta = _gap_bound(f, chord)
+            else:
+                argmax_zeta = M if M < t else (m if m > t else t)
+                zeta = float(fn(argmax_zeta)) - (mu * argmax_zeta + nu)
+            if not zeta >= 0.0:
+                argmax_zeta, zeta = m, 0.0
+    return chord + (gamma, zeta, argmax_gamma, argmax_zeta)
 
 
 def secant_data(f: ScalarFunction, m: float, M: float) -> SecantData:
     """Full chord data; the ratio bound is reported as None where undefined."""
-    chord = _chord(f, m, M)
-    gamma_rule, zeta_rule = _rules(f)
-    argmax_gamma, gamma = _ratio(f, chord, gamma_rule) or (None, None)
-    argmax_zeta, zeta = _gap(f, chord, zeta_rule)
-    m, M, _, _, mu, nu = chord
-    # Positional arguments: the frozen dataclass binds keywords about 30% slower.
-    return SecantData(m, M, mu, nu, gamma, zeta, argmax_gamma, argmax_zeta)
+    m, M, _, _, mu, nu, gamma, zeta, argmax_gamma, argmax_zeta = _kernel(f, m, M, True, True)
+    # The frozen __init__ sets each field through object.__setattr__; one
+    # update of the instance dict costs less than half as much.
+    data = object.__new__(SecantData)
+    data.__dict__.update({"m": m, "M": M, "mu": mu, "nu": nu, "gamma": gamma, "zeta": zeta,
+                          "argmax_gamma": argmax_gamma, "argmax_zeta": argmax_zeta})
+    return data
 
 
 def grid_values(f: ScalarFunction, m: float, M: float) -> dict[str, float]:
@@ -432,12 +444,10 @@ def grid_values(f: ScalarFunction, m: float, M: float) -> dict[str, float]:
     a closed form for f and that is defined on [m, M] ("gamma", "zeta"): an
     independent cross-check."""
     chord = _chord(f, m, M)
-    gamma_rule, zeta_rule = _rules(f)
-    values = {}
-    if gamma_rule is not None and _ratio_ends(chord[2], chord[3]) is not None:
-        values["gamma"] = _ratio_bound(f, chord)[1]
-    if zeta_rule is not None:
-        values["zeta"] = _gap_bound(f, chord)[1]
+    if not _has_closed_forms(f):
+        return {}
+    values = {"gamma": _ratio_bound(f, chord)[1]} if _ratio_ends(chord[2], chord[3]) is not None else {}
+    values["zeta"] = _gap_bound(f, chord)[1]
     return values
 
 

@@ -14,6 +14,8 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
     sweep            the sorted-key JSON list of `secant_data(f, m,
                      M).to_json()` over `SweepWorkload(seed, 100,
                      40).windows(block)`, seeds 0-2, blocks 0-39 in order
+    edges            the same over `EDGE_WINDOWS`, which reach the chord
+                     kernel's branches that the sweep misses
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The file is not a test module, so
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from opentropy import bounds, cli  # noqa: E402
+from opentropy import bounds, cli, functions  # noqa: E402
 from workloads import SweepWorkload  # noqa: E402
 
 ACCEPTANCE = ["campaign", "--theorems", "all", "--trials", "1000", "--dims", "2:8", "--seed", "42"]
@@ -41,6 +43,23 @@ CAMPAIGNS = {
     "acceptance.csv": ACCEPTANCE + ["--format", "csv"],
     "dims48-64.json": ["campaign", "--theorems", "all", "--trials", "20", "--dims", "48:64", "--seed", "42"],
 }
+
+# (spec, m, M) of windows the sweep does not draw: the chord vanishing at the
+# left end and at the right end (gamma is the limit f'(end)/mu), gamma
+# undefined, mu == 0 (f(m) == f(M) in floating point; the closed-form rules
+# divide by it), and a chord rounding unit just under the 1e-8 limit.
+EDGE_WINDOWS = [
+    ("log", 1.0, 3.0),
+    ("neg_t_log_t", 0.25, 1.0),
+    ("log", 0.5, 2.0),
+    ("neg_t_log_t", 0.5, 2.0),
+    ("power:1e-9", 99.78717826040975, 99.7871818639737),
+    ("power:6.02037958099258e-10", 0.04036062765492545, 0.04036062867275069),
+    ("power:1.0788667269452913e-12", 0.2921784318286964, 0.29219207548974835),
+    ("log", 3.0, 3.0000000736),
+    ("neg_t_log_t", 0.5, 0.5000000112),
+    ("power:0.5", 2.0, 2.0000000631),
+]
 
 
 def _sha256(text: str) -> str:
@@ -63,11 +82,17 @@ def sweep_digest() -> str:
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
+def edges_digest() -> str:
+    payload = [bounds.secant_data(functions.parse(spec), m, M).to_json() for spec, m, M in EDGE_WINDOWS]
+    return _sha256(json.dumps(payload, sort_keys=True))
+
+
 def main() -> int:
     for name, argv in CAMPAIGNS.items():
         digest, code = campaign_digest(argv)
         print(f"{digest}  {name}" + (f"  (exit {code})" if code else ""), flush=True)
     print(f"{sweep_digest()}  sweep", flush=True)
+    print(f"{edges_digest()}  edges", flush=True)
     return 0
 
 

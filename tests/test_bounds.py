@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -394,3 +395,104 @@ class TestSecantData:
     def test_json_has_wire_keys(self):
         payload = secant_data(IDENTITY, 1.0, 2.0).to_json()
         assert set(payload) == {"m", "M", "mu", "nu", "gamma", "zeta", "argmax_gamma", "argmax_zeta"}
+
+
+class TestOneKernel:
+    # secant_data, chord_ratio_bound and chord_gap_bound share one kernel.
+    def test_public_entries_agree_on_the_sweep(self):
+        for block in range(4):
+            for f, m, M in SweepWorkload(0, 100, 40).windows(block):
+                data = secant_data(f, m, M)
+                assert chord_gap_bound(f, m, M) == data.zeta
+                if data.gamma is not None:
+                    assert chord_ratio_bound(f, m, M) == data.gamma
+                    continue
+                # The reason names f at the ends, where the chord equals f.
+                low = min(f(m), f(M))
+                reason = (f"chord mu*t + nu reaches {low:.6e} on [{m}, {M}]; ratio bound undefined"
+                          if low < 0.0 else f"chord vanishes identically on [{m}, {M}]")
+                with pytest.raises(UndefinedRatioError) as raised:
+                    chord_ratio_bound(f, m, M)
+                assert str(raised.value) == reason
+
+    # (f calls, f' calls) of secant_data, chord_ratio_bound and chord_gap_bound:
+    # f at both ends, then f at each closed-form argmax, or f' at an end where
+    # the chord vanishes; an undefined gamma costs nothing past the ends.
+    @pytest.mark.parametrize("spec,m,M,counts", [
+        ("log", 1.5, 4.0, [(4, 0), (3, 0), (3, 0)]),
+        ("log", 0.5, 2.0, [(3, 0), (2, 0), (3, 0)]),
+        ("log", 1.0, 3.0, [(3, 1), (2, 1), (3, 0)]),
+        ("neg_t_log_t", 0.2, 0.9, [(4, 0), (3, 0), (3, 0)]),
+        ("neg_t_log_t", 0.5, 2.0, [(3, 0), (2, 0), (3, 0)]),
+        ("neg_t_log_t", 0.25, 1.0, [(3, 1), (2, 1), (3, 0)]),
+        ("power:0.5", 0.5, 2.0, [(4, 0), (3, 0), (3, 0)]),
+    ], ids=["log-defined", "log-undefined", "log-vanishing-end", "neg_t_log_t-defined",
+            "neg_t_log_t-undefined", "neg_t_log_t-vanishing-end", "power-defined"])
+    def test_evaluations_per_entry(self, spec, m, M, counts):
+        f = parse(spec)
+        made = []
+        for entry in (secant_data, chord_ratio_bound, chord_gap_bound):
+            calls = []
+            counted = dataclasses.replace(
+                f, fn=lambda t: calls.append("fn") or f.fn(t), deriv=lambda t: calls.append("deriv") or f.deriv(t))
+            try:
+                entry(counted, m, M)
+            except UndefinedRatioError:
+                pass
+            made.append((calls.count("fn"), calls.count("deriv")))
+        assert made == counts
+
+    def test_kernel_built_value_keeps_the_dataclass_contract(self):
+        data = secant_data(LOG, 1.5, 4.0)
+        fields = [getattr(data, field.name) for field in dataclasses.fields(bounds.SecantData)]
+        assert data == bounds.SecantData(*fields) and hash(data) == hash(bounds.SecantData(*fields))
+        assert repr(data) == repr(bounds.SecantData(*fields))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.gamma = 2.0
+        assert dataclasses.replace(data, zeta=1.0) == bounds.SecantData(*fields[:5], 1.0, *fields[6:])
+        assert list(data.to_json()) == ["m", "M", "mu", "nu", "gamma", "zeta", "argmax_gamma", "argmax_zeta"]
+
+    # f(m) == f(M) in floating point, so mu == 0 and every closed-form rule of
+    # power:p divides by it; the grid search, without the closed form's floor,
+    # read gamma 0.9999999967 and zeta -3.3e-9 on the first window (`opentropy
+    # bounds` exited 0 with them), values a concave f cannot have.
+    @pytest.mark.parametrize("spec,m,M", [
+        ("power:1e-9", 99.78717826040975, 99.7871818639737),
+        ("power:6.02037958099258e-10", 0.04036062765492545, 0.04036062867275069),
+        ("power:1.0788667269452913e-12", 0.2921784318286964, 0.29219207548974835),
+    ])
+    def test_vanishing_slope_floors_at_the_endpoints(self, spec, m, M):
+        f = parse(spec)
+        data = secant_data(f, m, M)
+        assert data.mu == 0.0
+        assert (data.argmax_gamma, data.gamma, data.argmax_zeta, data.zeta) == (m, 1.0, m, 0.0)
+        assert chord_ratio_bound(f, m, M) == 1.0 and chord_gap_bound(f, m, M) == 0.0
+        # The grid search stays the raw oracle.
+        assert _ratio_bound(f, _chord(f, m, M))[1] < 1.0 and _gap_bound(f, _chord(f, m, M))[1] < 0.0
+
+    def test_vanishing_slope_window_from_the_cli(self, capsys):
+        from opentropy import cli
+
+        code = cli.main(["bounds", "--f", "power:1e-9", "--m", "99.78717826040975", "--M", "99.7871818639737"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and (payload["gamma"], payload["zeta"]) == (1.0, 0.0)
+
+    # One end within 1e-13 of f's root 1: f/chord is a ratio of two small
+    # numbers, and mu t + nu cancels near the root, so gamma carries an error
+    # near 1e-10 relative, far above the chord's rounding unit (see
+    # `_RESOLUTION_LIMIT`).  Measured: +1.8e-10 and -9.3e-11.
+    @pytest.mark.parametrize("spec,m,M", [("log", 1.0 + 1e-13, 1.5), ("neg_t_log_t", 0.05, 1.0 - 1e-13)])
+    def test_gamma_near_the_root_of_f(self, spec, m, M):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            lo, hi = mpmath.mpf(m), mpmath.mpf(M)
+            exact_f = mpmath.log if spec == "log" else (lambda t: -t * mpmath.log(t))
+            fm, fM = exact_f(lo), exact_f(hi)
+            mu, nu = (fM - fm) / (hi - lo), (hi * fm - lo * fM) / (hi - lo)
+            if spec == "log":
+                t = mpmath.exp(1 + mpmath.lambertw(nu / (mpmath.e * mu)).real)
+            else:
+                t = nu / mu * mpmath.lambertw(mu / (mpmath.e * nu)).real
+            t = min(max(t, lo), hi)
+            exact = exact_f(t) / (mu * t + nu)
+            assert abs(secant_data(parse(spec), m, M).gamma - exact) <= 1e-9 * exact
