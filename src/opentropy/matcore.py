@@ -105,7 +105,13 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + _adjoint(a)) / 2.0
+    """(a + a*) / 2, halved in place.  x * 0.5 is x / 2 bit for bit in a real
+    array; in a complex one every entry keeps its value, and only a zero part
+    (or a NaN) can take the other sign, as numpy's complex product and
+    quotient round their zero terms differently."""
+    s = a + _adjoint(a)
+    s *= 0.5
+    return s
 
 
 def _scalar_image(vectors: np.ndarray, values) -> np.ndarray:

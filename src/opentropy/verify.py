@@ -61,6 +61,7 @@ from .matcore import (
     _eye,
     _holds_within,
     _JsonRecord,
+    _relative_eigenvalues,
     _require_aligned,
     _scalar_image,
     _solve_pd,
@@ -70,7 +71,6 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     pair_spectra,
-    sandwich_bounds,
 )
 
 __all__ = [
@@ -579,19 +579,19 @@ def _joint_concave(inst: Instance, constant: None) -> Sides:
 
 def _map_monotone(inst: Instance, constant: None) -> Sides:
     """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
-    f, pm = inst.f, inst.pmap
+    f, pm, fa, fb = inst.f, inst.pmap, inst.fa, inst.fb
     if not pm.is_normalized():
         raise PreconditionError("map is not normalized")
-    lhs = pm.apply_array(inst.fa.pair_spectrum(inst.fb).aggregate(f.evaluate_array))
+    aggregate = fa.pair_spectrum(fb).aggregate(f.evaluate_array)
+    # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs).
+    images = pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]]))
     try:
-        image_a, image_b = (
-            OperatorField(_weights=fld.weights, _arrays=pm.apply_array(fld.arrays))
-            for fld in (inst.fa, inst.fb)
-        )
+        # One solve for both image fields; the floor names the first failing node, FA's first.
+        image_a, image_b = OperatorField.stack(fa.weights, images[:-1].reshape(2, *fa.arrays.shape))
     except NotPositiveDefiniteError as exc:
         raise _Skip(f"map image not positive definite ({exc})") from exc
     rhs = image_a.pair_spectrum(image_b).aggregate(f.evaluate_array)
-    return Sides([(lhs, "<=", rhs)], "informational monotonicity under a normalized positive map")
+    return Sides([(images[-1], "<=", rhs)], "informational monotonicity under a normalized positive map")
 
 
 def _example_log_pair(inst: Instance, constant: None) -> Sides:
@@ -714,19 +714,29 @@ def _free_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None
 
 
 def _centered(rng, inst: Instance, diagonal: bool) -> None:
-    """A free pair rescaled so the measured sandwich window straddles 1."""
+    """A free pair rescaled so the measured sandwich window straddles 1.
+
+    A draw solves FA's nodes, the eigenvalues alone of the unscaled pair
+    (for m and M), and then only the B field the instance keeps, B / sqrt(mM)
+    (B itself for a scalar 1x1 pair), with its pair spectrum, which the check
+    reuses.  The unscaled B is never solved as a field.
+    """
     dim, k = inst.dim, inst.k
     for _ in range(_RESAMPLE_CAP):
         weights = _random_weights(rng, k)
-        fa, fb = OperatorField.stack(weights, _free_arrays(rng, dim, k, diagonal, 2))
-        # The unscaled pair is only measured: its spectrum alone, not memoised.
-        m, M = sandwich_bounds(fa, fb)
+        a_arrays, b_arrays = _free_arrays(rng, dim, k, diagonal, 2)
+        fa = OperatorField(_weights=weights, _arrays=a_arrays)
+        # The unscaled pair is only measured: its eigenvalues alone, from FA's solve.
+        lam = _relative_eigenvalues(fa.decomposition, b_arrays)
+        m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
         if M / m >= 1.0 + 1e-9:
-            fb = fb.scaled(1.0 / math.sqrt(m * M))
-            spectrum = fa.pair_spectrum(fb)
-            m, M = spectrum.m, spectrum.M
+            b_arrays = (1.0 / math.sqrt(m * M)) * b_arrays
         elif dim > 1 or k > 1:
             continue
+        fb = OperatorField(_weights=fa.weights, _arrays=b_arrays)
+        # The memoised pair spectrum: the check reuses it.
+        spectrum = fa.pair_spectrum(fb)
+        m, M = spectrum.m, spectrum.M
         # A scalar 1x1 pair has m = M; the straddle is only possible (and only
         # stated) for genuinely spread spectra.
         if dim == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI):

@@ -1,5 +1,7 @@
+import math
 import signal
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -53,16 +55,30 @@ def rebind_entry(monkeypatch, name: str, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
+class Solve(NamedTuple):
+    """One eigensolve: the entry ("eigh" or "eigvalsh"), the number of d x d
+    matrices it solved (1 for one matrix) and d, with the input itself."""
+
+    label: str
+    count: int
+    dim: int
+    a: np.ndarray
+
+
+def labels(solves) -> list[str]:
+    return [s.label for s in solves]
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The eigensolves the package makes during the test, in order, each named
-    "eigh" or "eigvalsh": matcore's entry, wrapped to record its calls."""
+    """The eigensolves the package makes during the test, in order, each a
+    Solve: matcore's entry, wrapped to record its calls."""
     calls = []
     for name, label in ENTRY.items():
         real = getattr(matcore, name)
 
         def counted(a, _real=real, _label=label):
-            calls.append(_label)
+            calls.append(Solve(_label, math.prod(a.shape[:-2]), a.shape[-1], a))
             return _real(a)
 
         rebind_entry(monkeypatch, name, counted)

@@ -10,7 +10,8 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
                      --dims 2:8 --seed 42` (the acceptance campaign), stdout
     acceptance.csv   the same campaign with `--format csv`, stdout
     dims48-64.json   `opentropy campaign --theorems all --trials 20
-                     --dims 48:64 --seed 42`, stdout
+                     --dims 48:64 --seed 42`, stdout, followed by the BLAS
+                     thread setting it ran under
     sweep            the sorted-key JSON list of `secant_data(f, m,
                      M).to_json()` over `SweepWorkload(seed, 100,
                      40).windows(block)`, seeds 0-2, blocks 0-39 in order
@@ -18,8 +19,12 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
                      kernel's branches that the sweep misses
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
-code is printed next to its digest.  The file is not a test module, so
-pytest does not collect it.
+code is printed next to its digest.  The dims 48:64 products split their
+sums by BLAS thread, so that digest depends on the thread count: it reads
+67c7f65e... under the default and a669d8e6... under OPENBLAS_NUM_THREADS=1,
+the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
+that are set, or "default".  The file is not a test module, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +43,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from opentropy import bounds, cli, functions  # noqa: E402
 from workloads import SweepWorkload  # noqa: E402
 
+# The variables that set the BLAS thread count, as perfbench/run.py pins them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ACCEPTANCE = ["campaign", "--theorems", "all", "--trials", "1000", "--dims", "2:8", "--seed", "42"]
 CAMPAIGNS = {
     "acceptance.json": ACCEPTANCE,
@@ -87,10 +95,19 @@ def edges_digest() -> str:
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
+def blas_threads() -> str:
+    """The BLAS thread variables set in the environment, or "default"."""
+    pinned = [f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS if var in os.environ]
+    return " ".join(pinned) or "default"
+
+
 def main() -> int:
     for name, argv in CAMPAIGNS.items():
         digest, code = campaign_digest(argv)
-        print(f"{digest}  {name}" + (f"  (exit {code})" if code else ""), flush=True)
+        note = f"  (exit {code})" if code else ""
+        if name == "dims48-64.json":
+            note += f"  (BLAS threads: {blas_threads()})"
+        print(f"{digest}  {name}{note}", flush=True)
     print(f"{sweep_digest()}  sweep", flush=True)
     print(f"{edges_digest()}  edges", flush=True)
     return 0

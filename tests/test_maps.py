@@ -94,6 +94,29 @@ class TestPositiveLinearMap:
             assert np.linalg.norm(p.kraus_gram() - np.eye(5)) <= 1e-12
             np.testing.assert_allclose(p.apply_array(np.eye(5)), np.eye(5), atol=1e-10)
 
+    def test_one_call_draw_matches_the_per_factor_formula(self):
+        # The per-factor formula, written out: one real and one imaginary call
+        # per factor, stacked, solved and split.  The one-call draw gives the
+        # same Kraus factors and Gram sum, bit for bit.
+        for n in (1, 2, 3):
+            for dim in range(1, 9):
+                for seed in range(50):
+                    p = PositiveLinearMap.random_normalized(dim, dim, n, np.random.default_rng(seed))
+                    rng = np.random.default_rng(seed)
+                    gs = [
+                        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+                        for _ in range(n)
+                    ]
+                    u, _, vh = np.linalg.svd(np.vstack(gs), full_matrices=False)
+                    factors = np.split(u @ vh, n)
+                    assert len(p.kraus) == n
+                    for c, old in zip(p.kraus, factors):
+                        np.testing.assert_array_equal(c, old)
+                    gram = np.zeros((dim, dim), dtype=complex)
+                    for c in factors:
+                        gram += c.conj().T @ c
+                    np.testing.assert_array_equal(p.kraus_gram(), (gram + gram.conj().T) / 2.0)
+
     def test_too_few_terms_for_unital_rejected(self, rng):
         with pytest.raises(PreconditionError):
             PositiveLinearMap.random_normalized(1, 3, 2, rng)

@@ -19,15 +19,46 @@ from opentropy import (
 )
 from opentropy.functions import IDENTITY, LOG, power
 from opentropy.matcore import (
+    _adjoint,
     _eigh,
     _eigvalsh,
     _relative_spectrum,
     _require_pd_floor,
+    _symmetrize,
     matrix_from_json,
     matrix_to_json,
 )
 
 from conftest import random_hermitian, random_pd
+
+
+# Signed zeros, subnormals, an overflowing sum and infinities.
+EDGE_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.0, 1e308, np.inf, -np.inf])
+
+
+class TestSymmetrize:
+    """`_symmetrize` halves a + a* in place (x * 0.5); the reference is the
+    quotient (a + a*) / 2."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4, 4), (2, 3, 5, 5)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_halved_sum(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(50):
+            a = np.zeros(shape, dtype=dtype)
+            a.real = rng.choice(EDGE_ENTRIES, size=shape)
+            if dtype is complex:
+                a.imag = rng.choice(EDGE_ENTRIES, size=shape)
+            with np.errstate(all="ignore"):
+                got, want = _symmetrize(a), (a + _adjoint(a)) / 2.0
+            np.testing.assert_array_equal(got, want)
+            got, want = got.view(float), want.view(float)
+            # Every bit in a real array; in a complex one, all but the sign of
+            # a zero or a NaN part, which numpy's complex product and quotient
+            # round differently.
+            exact = np.ones(got.shape, bool) if dtype is float else (want != 0.0) & ~np.isnan(want)
+            np.testing.assert_array_equal(got.view(np.uint64)[exact], want.view(np.uint64)[exact])
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
 
 
 class TestHermitianMatrix:

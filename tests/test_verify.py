@@ -10,7 +10,7 @@ from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, 
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
-from opentropy.matcore import PositiveDefiniteMatrix
+from opentropy.matcore import PositiveDefiniteMatrix, sandwich_bounds
 from opentropy import verify
 from opentropy.verify import (
     STATEMENTS,
@@ -24,6 +24,8 @@ from opentropy.verify import (
     run_trial,
     trial_seed,
 )
+
+from conftest import labels
 
 SMALL = CampaignConfig(trials=4, dims=(2, 5), terms=(2, 3), seed=7)
 
@@ -348,7 +350,7 @@ def test_field_solves_do_not_grow_with_the_node_count(solve_calls):
         inst = random_instance(TheoremId.ENTROPY_LOWER, 3, k, 20240, power(0.5), 0.5)
         result = check(TheoremId.ENTROPY_LOWER, inst)
         assert result.hypothesis_met and result.holds
-        counts.append(sorted(solve_calls))
+        counts.append(sorted(labels(solve_calls)))
     assert counts[0] and counts[0] == counts[1]
 
 
@@ -361,21 +363,81 @@ def test_field_solves_do_not_grow_with_the_node_count(solve_calls):
 ])
 def test_draws_solve_their_fields_as_one_stack(solve_calls, theorem, solves):
     random_instance(theorem, 3, 2, 7, LOG, 0.0)
-    assert solve_calls == solves
+    assert labels(solve_calls) == solves
 
 
 @pytest.mark.parametrize(
     "theorem", [TheoremId.MEAN_INTEGRAL, TheoremId.KLEIN_UPPER, TheoremId.HOMOGENEOUS, TheoremId.MAP_MONOTONE]
 )
 def test_centered_draw_measures_the_unscaled_pair_without_frames(solve_calls, theorem):
-    # Two field solves (fa and fb as one stack, then the rescaled fb), the
-    # eigenvalues alone of the unscaled pair, and one full solve of the
-    # rescaled pair, which the check reuses.
+    # k matrices per solve: fa's nodes, the eigenvalues alone of the unscaled
+    # pair, the rescaled fb's nodes, and one full solve of the rescaled pair,
+    # which the check reuses.  That is 4k, where solving fa and the unscaled
+    # fb as one (2, k) stack took 5k.
+    k = STATEMENTS[theorem].fixed.get("k", 2)
     inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
-    assert sorted(solve_calls) == ["eigh"] * 3 + ["eigvalsh"]
+    assert [s[:3] for s in solve_calls] == [("eigh", k, 3), ("eigvalsh", k, 3), ("eigh", k, 3), ("eigh", k, 3)]
+    # The two field solves are the instance's fa and fb, which holds B / sqrt(mM):
+    # the unscaled B is never solved.
+    np.testing.assert_array_equal(solve_calls[0].a, inst.fa.arrays)
+    np.testing.assert_array_equal(solve_calls[2].a, inst.fb.arrays)
     solve_calls.clear()
     inst.fa.pair_spectrum(inst.fb)
     assert solve_calls == []
+
+
+def test_scalar_centered_pair_solves_the_b_it_keeps(solve_calls):
+    # A 1x1 one-node pair has m = M: fb is B itself, solved once, the window
+    # stays unscaled, and the instance check solves the pair spectrum.
+    inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 3, LOG, 0.5)
+    assert [s[:3] for s in solve_calls] == [("eigh", 1, 1), ("eigvalsh", 1, 1), ("eigh", 1, 1), ("eigh", 1, 1)]
+    np.testing.assert_array_equal(solve_calls[2].a, inst.fb.arrays)
+    assert inst.m == inst.M
+    assert inst.m == pytest.approx(inst.fb.arrays[0, 0, 0].real / inst.fa.arrays[0, 0, 0].real, rel=1e-14)
+    assert check(TheoremId.KLEIN_UPPER, inst).hypothesis_met
+
+
+def test_map_monotone_applies_the_map_once_and_solves_both_images_together(solve_calls, monkeypatch):
+    calls = []
+    real = verify.PositiveLinearMap.apply_array
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(verify.PositiveLinearMap, "apply_array", counted)
+    for dim, k in ((2, 2), (5, 4)):
+        inst = random_instance(TheoremId.MAP_MONOTONE, dim, k, 20243, NEG_T_LOG_T, 0.0)
+        calls.clear()
+        solve_calls.clear()
+        result = check(TheoremId.MAP_MONOTONE, inst)
+        assert result.hypothesis_met and result.holds
+        # fa's nodes, fb's nodes and the lhs aggregate through the map at once
+        assert calls == [(2 * k + 1, dim, dim)]
+        # both image fields, their pair spectrum, then the verdict's solve
+        assert [s[:3] for s in solve_calls[:2]] == [("eigh", 2 * k, dim), ("eigh", k, dim)]
+        assert labels(solve_calls[2:]) == ["eigvalsh"]
+
+
+def test_map_image_below_the_floor_skips_naming_the_first_node():
+    # A pinching within the normalization tolerance shrinks each node's least
+    # eigenvalue by 5e-11 relative, taking fa's second node (and fb's first,
+    # whose values differ) below the 1e-12 floor; a-then-b order names fa's.
+    shrink = 1.0 - 5e-11
+    pmap = verify.PositiveLinearMap([np.diag([1.0, 0.0]), np.diag([0.0, math.sqrt(shrink)])])
+    assert pmap.is_normalized()
+    low_a, low_b = 1.00000000002e-12, 4.00000000008e-12
+    fa = OperatorField([(1.0, np.diag([1.0, 2.0])), (1.0, np.diag([1.0, low_a]))])
+    fb = OperatorField([(1.0, np.diag([4.0, low_b])), (1.0, np.diag([3.0, 2.0]))])
+    m, M = sandwich_bounds(fa, fb)
+    inst = Instance(theorem=TheoremId.MAP_MONOTONE, seed=0, dim=2, k=2, f=LOG, q=0.0,
+                    fa=fa, fb=fb, m=m, M=M, pmap=pmap)
+    result = check(TheoremId.MAP_MONOTONE, inst)
+    assert not result.hypothesis_met and result.margin is None
+    assert result.detail == (
+        "map image not positive definite (smallest eigenvalue "
+        f"{shrink * low_a:.6e} is not safely positive (largest is 1.000000e+00))"
+    )
 
 
 def test_nonnegative_declaration_covering_the_window_skips_the_grid():
