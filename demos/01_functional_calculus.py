@@ -7,11 +7,11 @@ PD matrix with its eigendecomposition, solved once at construction."""
 import numpy as np
 
 from opentropy import (
+    PairSpectrum,
     PositiveDefiniteMatrix,
     apply_function,
     eig,
     loewner_leq,
-    sandwich_bounds,
 )
 from opentropy.functions import IDENTITY, LOG, power
 
@@ -43,7 +43,9 @@ print("diag(1,3) vs diag(2,2):", incomparable, " (neither dominates)")
 
 print()
 print("=== sandwich constants ===")
-m, M = sandwich_bounds(a, b.scaled(1.0 / 3.0))
-print(f"tightest m, M with m*A <= B <= M*A: ({m:.4f}, {M:.4f})")
-print("check m*A <= B:", loewner_leq(a.scaled(m), b.scaled(1.0 / 3.0))[0])
-print("check B <= M*A:", loewner_leq(b.scaled(1.0 / 3.0), a.scaled(M))[0])
+c = PositiveDefiniteMatrix(b.array / 3.0)
+spectrum = PairSpectrum(a, c)
+m, M = spectrum.m, spectrum.M
+print(f"tightest m, M with m*A <= C <= M*A, C = B/3: ({m:.4f}, {M:.4f})")
+print("check m*A <= C:", loewner_leq(m * a.array, c)[0])
+print("check C <= M*A:", loewner_leq(c, M * a.array)[0])

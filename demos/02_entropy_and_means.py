@@ -53,14 +53,18 @@ print("aggregated entropy (f = sqrt, q = 0), lambda_min:",
       np.linalg.eigvalsh(s)[0], " (f >= 0 keeps it PSD)")
 
 alpha = 2.0
-scaled = generalized_entropy(fa.scaled(alpha), fb.scaled(alpha), 0.0, power(0.5))
+scaled_a = OperatorField.from_matrices(weights, alpha * fa.arrays)
+scaled_b = OperatorField.from_matrices(weights, alpha * fb.arrays)
+scaled = generalized_entropy(scaled_a, scaled_b, 0.0, power(0.5))
 print("homogeneity residual:", np.linalg.norm(scaled - alpha * s))
 
 print()
 print("=== subadditivity at q=0 ===")
 fc = OperatorField.from_matrices(weights, [rand_pd(3), rand_pd(3)])
 fd = OperatorField.from_matrices(weights, [rand_pd(3), rand_pd(3)])
-lhs = generalized_entropy(fa.nodewise_sum(fb), fc.nodewise_sum(fd), 0.0, LOG)
+sum_ab = OperatorField.from_matrices(weights, fa.arrays + fb.arrays)
+sum_cd = OperatorField.from_matrices(weights, fc.arrays + fd.arrays)
+lhs = generalized_entropy(sum_ab, sum_cd, 0.0, LOG)
 rhs = generalized_entropy(fa, fc, 0.0, LOG) + generalized_entropy(fb, fd, 0.0, LOG)
 holds, margin = loewner_leq(rhs, lhs)
 print(f"S(FA+FB | FC+FD) >= S(FA|FC) + S(FB|FD): holds={holds}, margin={margin:.6f}")

@@ -16,7 +16,7 @@ from opentropy.functions import power
 
 print("=== every registered statement ===")
 for theorem in TheoremId:
-    print(f"  {theorem.value:20s} {STATEMENTS[theorem].note}")
+    print(f"  {theorem.value:20s} {STATEMENTS[theorem].build.__doc__}")
 
 print()
 print("=== one instance, one check ===")

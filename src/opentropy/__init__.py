@@ -8,7 +8,6 @@ from .bounds import (
     chord_ratio_bound,
     identric_mean,
     logarithmic_mean,
-    secant_coeffs,
     secant_data,
     zeta_closed_forms,
 )
@@ -47,10 +46,8 @@ from .matcore import (
     PositiveDefiniteMatrix,
     SpectralDecomposition,
     apply_function,
-    congruence,
     eig,
     loewner_leq,
-    sandwich_bounds,
 )
 from .verify import (
     CampaignConfig,
@@ -61,7 +58,6 @@ from .verify import (
     campaign,
     check,
     random_instance,
-    random_resolution,
 )
 
 __version__ = "0.1.0"

@@ -81,7 +81,6 @@ from .matcore import _JsonRecord
 
 __all__ = [
     "SecantData",
-    "secant_coeffs",
     "chord_ratio_bound",
     "chord_gap_bound",
     "secant_data",
@@ -147,11 +146,6 @@ def _chord(f: ScalarFunction, m: float, M: float) -> _Chord:
     """The chord of f on the checked window [m, M]; UnresolvableWindowError
     when its rounding unit exceeds `_RESOLUTION_LIMIT`."""
     return _kernel(f, m, M, False, False)[:6]
-
-
-def secant_coeffs(f: ScalarFunction, m: float, M: float) -> tuple[float, float]:
-    """(mu, nu) of the chord; c(m) = f(m) and c(M) = f(M) by construction."""
-    return _chord(f, m, M)[4:]
 
 
 def _golden_max(obj, a: float, b: float, width: float) -> tuple[float, float]:

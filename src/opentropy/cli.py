@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import functions, verify
-from .errors import DomainError, EigenConvergenceError, PreconditionError, ShapeError
+from .errors import EigenConvergenceError
 
 __all__ = ["main", "build_parser"]
 
@@ -36,37 +36,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
-
-
 def _int_range(text: str) -> tuple[int, int]:
-    """Parse 'lo:hi' (or a single integer) into an inclusive range."""
+    """Parse 'lo:hi' (or a single integer) into an inclusive range; the
+    campaign checks its bounds."""
     lo, sep, hi = text.partition(":")
     try:
         lo_v = int(lo)
         hi_v = int(hi) if sep else lo_v
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi integers, got {text!r}") from exc
-    if lo_v < 1 or hi_v < lo_v:
-        raise argparse.ArgumentTypeError(f"expected 1 <= lo <= hi, got {text!r}")
     return lo_v, hi_v
 
 
@@ -118,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate one instance file")
     gen.add_argument("--theorem", type=_theorem, required=True)
-    gen.add_argument("--dim", type=_positive_int, required=True)
-    gen.add_argument("--k", type=_positive_int, default=2)
+    gen.add_argument("--dim", type=int, required=True)
+    gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--f", type=str, default="power:0.5", help="function spec, e.g. log or power:0.5")
     gen.add_argument("--q", type=float, default=0.5, help="exponent q (or p) where applicable")
@@ -132,20 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     camp = sub.add_parser("campaign", help="run the bulk verification grid")
     camp.add_argument("--theorems", type=_theorem_list, default=tuple(verify.TheoremId))
-    camp.add_argument("--trials", type=_nonnegative_int, required=True)
+    camp.add_argument("--trials", type=int, required=True)
     camp.add_argument("--dims", type=_int_range, default=(2, 8))
     camp.add_argument("--k", type=_int_range, default=(2, 4))
     camp.add_argument("--functions", type=_spec_list, default="power:0.5,power:0.25,neg_t_log_t,log")
     camp.add_argument("--q", type=_float_list, default=(0.0, 0.25, 0.5, 0.75, 1.0))
-    camp.add_argument("--tol", type=_positive_float, default=verify.DEFAULT_LOEWNER_TOL)
+    camp.add_argument("--tol", type=float, default=verify.DEFAULT_LOEWNER_TOL)
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--out", type=Path, default=None)
     camp.add_argument("--format", choices=("json", "csv"), default="json")
 
     bnd = sub.add_parser("bounds", help="print secant data for f on [m, M]")
     bnd.add_argument("--f", type=str, required=True)
-    bnd.add_argument("--m", type=_positive_float, required=True)
-    bnd.add_argument("--M", type=_positive_float, required=True)
+    bnd.add_argument("--m", type=float, required=True)
+    bnd.add_argument("--M", type=float, required=True)
 
     return parser
 
@@ -247,7 +225,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PreconditionError, DomainError, ShapeError, ValueError, EigenConvergenceError) as exc:
+    except (ValueError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

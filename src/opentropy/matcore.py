@@ -1,7 +1,7 @@
 """Dense complex Hermitian matrix kernel and the positive-definite values.
 
-Spectral decompositions, functional calculus, congruences, and comparison in
-the Loewner order (A <= B iff B - A is positive semidefinite).  A Hermitian
+Spectral decompositions, functional calculus, and comparison in the Loewner
+order (A <= B iff B - A is positive semidefinite).  A Hermitian
 matrix is a plain complex ndarray: every Hermitian result of the package is
 a read-only (d, d) array, symmetrized once where a product can leave drift.
 The one positive-definite value is OperatorField, a finite weighted family
@@ -61,9 +61,7 @@ __all__ = [
     "pair_spectra",
     "eig",
     "apply_function",
-    "congruence",
     "loewner_leq",
-    "sandwich_bounds",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -288,15 +286,6 @@ class OperatorField:
         residual = self.weighted_sum() - _eye(self.dim)
         return float(np.linalg.norm(residual)) <= tol
 
-    def scaled(self, alpha: float) -> "OperatorField":
-        """Scale the matrices (not the weights) by alpha > 0: a new field that
-        solves its own node arrays, with its own pair spectra."""
-        return OperatorField(_weights=self._weights, _arrays=_positive(alpha) * self._arrays)
-
-    def nodewise_sum(self, other: "OperatorField") -> "OperatorField":
-        _require_aligned(self, other)
-        return OperatorField(_weights=self._weights, _arrays=self._arrays + other._arrays)
-
     def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
         """PairSpectrum(self, other), solved once per pair of field objects."""
         spectrum = self._spectra.get(other)
@@ -315,9 +304,9 @@ _UNIT_WEIGHT.setflags(write=False)
 class PositiveDefiniteMatrix(OperatorField):
     """One PD matrix A: the one-node field {(1, A)}, built from its entries
     (symmetrized) and solved at construction like any field.  `array`,
-    `eigenvalues` and `lambda_min`/`lambda_max` read its node; `inv` and
-    `scaled` return new matrices that solve their own arrays, so a matrix
-    rebuilt from its entries behaves identically."""
+    `eigenvalues` and `lambda_min`/`lambda_max` read its node; `inv` returns
+    a new matrix that solves its own array, so a matrix rebuilt from its
+    entries behaves identically."""
 
     __slots__ = ()
 
@@ -344,16 +333,6 @@ class PositiveDefiniteMatrix(OperatorField):
 
     def inv(self) -> "PositiveDefiniteMatrix":
         return PositiveDefiniteMatrix(_scalar_image(self._decomp.eigenvectors[0], 1.0 / self.eigenvalues))
-
-    def scaled(self, alpha: float) -> "PositiveDefiniteMatrix":
-        return PositiveDefiniteMatrix(_positive(alpha) * self.array)
-
-
-def _positive(alpha) -> float:
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise NotPositiveDefiniteError(f"scaling by {alpha} leaves the positive cone")
-    return alpha
 
 
 def _checked_weights(weights, k: int) -> np.ndarray:
@@ -471,15 +450,6 @@ def apply_function(a: PositiveDefiniteMatrix, f) -> np.ndarray:
     return _freeze(_scalar_image(a.decomposition.eigenvectors[0], values))
 
 
-def congruence(c, x) -> np.ndarray:
-    """C* X C, re-symmetrized.  C may be rectangular (n x m) against an n x n X."""
-    c = np.asarray(c, dtype=complex)
-    arr = _entries(x)
-    if c.ndim != 2 or c.shape[0] != arr.shape[0]:
-        raise ShapeError(f"congruence shape mismatch: C is {c.shape}, X is {arr.shape}")
-    return _freeze(_symmetrize(c.conj().T @ arr @ c))
-
-
 def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
     """Test A <= B in the Loewner order.
 
@@ -523,18 +493,6 @@ def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray
     T = R B R, with no frames (for callers that read only the spectrum)."""
     r = _scalar_image(a.eigenvectors, 1.0 / np.sqrt(a.eigenvalues))
     return _eigvalsh(_symmetrize(r @ b @ r))
-
-
-def sandwich_bounds(a: OperatorField, b: OperatorField) -> tuple[float, float]:
-    """Tightest constants (m, M) with m A_s <= B_s <= M A_s at every node of
-    two aligned fields (of two PD matrices, the one-node case).
-
-    These are the extreme eigenvalues of A_s^{-1/2} B_s A_s^{-1/2} over the
-    nodes, from one eigenvalues-only solve without frames.
-    """
-    _require_aligned(a, b)
-    lam = _relative_eigenvalues(a.decomposition, b.arrays)
-    return float(lam[:, 0].min()), float(lam[:, -1].max())
 
 
 def matrix_to_json(m) -> dict:

@@ -83,7 +83,6 @@ __all__ = [
     "TrialRecord",
     "TheoremSummary",
     "CampaignReport",
-    "random_resolution",
     "random_instance",
     "check",
     "trial_seed",
@@ -197,7 +196,7 @@ class Instance:
                 raise PreconditionError(
                     f"need m <= 1 - 1e-6 and M >= 1 + 1e-6, got m={self.m}, M={self.M}"
                 )
-        if self.t0 is not None and not self._covers(self.t0, self.t0):
+        if "t0" in st.needs and not self._covers(self.t0, self.t0):
             raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
         if family is _compression:
             # One strictly positive finite weight per factor: a positive measure.
@@ -290,23 +289,11 @@ class Sides:
     side by a second route: it adds a margin but not a norm.  The margin is the
     least one over claims and cross-checks; the norms are the largest over the
     claims.  `detail` is a string, or a function of the per-claim margins.
-    A side that is a Python float (the information inequality) is its own
-    eigenvalue.
     """
 
     claims: list
     detail: str | Callable[[list[float]], str]
     cross_checks: list = field(default_factory=list)
-
-
-def _spectra(stack: np.ndarray) -> list:
-    """Ascending eigenvalues of each item of a stack, in one stacked solve (the
-    same bits as one solve each); a stack of floats is its own eigenvalues.
-    Every item a builder makes is exactly Hermitian (a sum, difference or real
-    multiple of symmetrized arrays), so it is solved as it is."""
-    if stack.ndim == 1:
-        return list(stack[:, None])
-    return list(_eigvalsh(stack))
 
 
 def _snorm(w: np.ndarray) -> float:
@@ -325,7 +312,10 @@ def _psd_parts(lhs, op: str, rhs) -> list:
 def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult:
     parts = [_psd_parts(*claim) for claim in sides.claims + sides.cross_checks]
     n = len(sides.claims)
-    # Every difference, then every claimed lhs and rhs, in one stacked solve.
+    # Every difference, then every claimed lhs and rhs, in one stacked solve
+    # (the same bits as one solve each).  Every item a builder makes is exactly
+    # Hermitian (a sum, difference or real multiple of symmetrized arrays), so
+    # it is solved as it is.
     stack = np.array(
         [d for ds in parts for d in ds] + [side for lhs, _, rhs in sides.claims for side in (lhs, rhs)]
     )
@@ -333,7 +323,7 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
         # Overflow in a side (an exponent like 1e308): no order can be read off.
         # Checked before the solve, which can return finite eigenvalues for NaN entries.
         return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
-    spectra = iter(_spectra(stack))
+    spectra = iter(_eigvalsh(stack))
     all_margins = [min(float(next(spectra)[0]) for _ in ds) for ds in parts]
     margins, margin = all_margins[:n], min(all_margins)
     norms = [_snorm(next(spectra)) for _ in range(2 * n)]
@@ -371,7 +361,7 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
     if st.constant == "gamma":
         try:
             return chord_ratio_bound(f, lo, hi)
-        except (UndefinedRatioError, PreconditionError) as exc:
+        except UndefinedRatioError as exc:
             raise _Skip(f"ratio bound undefined: {exc}") from exc
     if st.constant == "zeta":
         return chord_gap_bound(f, lo, hi)
@@ -427,7 +417,7 @@ def _compression_terms(inst: Instance):
         inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
     )
     defect = eye - gram
-    low, size = _spectra(np.array([defect, gram]))
+    low, size = _eigvalsh(np.array([defect, gram]))
     if low[0] < -1e-10 * max(1.0, _snorm(size)):
         raise PreconditionError("compression sum exceeds the identity")
     arg = lifted + inst.t0 * defect
@@ -534,9 +524,10 @@ def _info_ineq(inst: Instance, constant: None) -> Sides:
     """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
     a = np.diag(inst.fa.arrays[0]).real
     b = np.diag(inst.fb.arrays[0]).real
-    value = float(np.sum(a * np.log(a / b)))
+    # The divergence and 0 as 1x1 matrices, each its own eigenvalue.
+    divergence = np.array([[np.sum(a * np.log(a / b))]])
     detail = "divergence of two probability vectors; equality exactly when a = b"
-    return Sides([(value, ">=", 0.0)], detail)
+    return Sides([(divergence, ">=", np.zeros((1, 1)))], detail)
 
 
 def _subadditive(inst: Instance, constant: None) -> Sides:
@@ -669,14 +660,6 @@ def _resolution_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None 
     sums = _solve_pd(arrays.sum(axis=-3))
     isq = _scalar_image(sums.eigenvectors, 1.0 / np.sqrt(sums.eigenvalues))[..., None, :, :]
     return _symmetrize(isq @ arrays @ isq)
-
-
-def random_resolution(dim: int, k: int, seed: int) -> OperatorField:
-    """k unit-weight PD matrices summing to the identity; deterministic in seed."""
-    if dim < 1 or k < 1:
-        raise PreconditionError(f"need dim >= 1 and k >= 1, got dim={dim}, k={k}")
-    rng = np.random.default_rng(seed)
-    return OperatorField(_weights=np.ones(k), _arrays=_resolution_arrays(rng, dim, k, diagonal=False))
 
 
 def _random_weights(rng, k: int) -> np.ndarray:
@@ -881,10 +864,6 @@ class Statement:
     nonneg: bool = False
     below_t_minus_1: bool = False
     constant: str | None = None
-
-    @property
-    def note(self) -> str:
-        return self.build.__doc__
 
     @functools.cached_property
     def needs(self) -> tuple[str, ...]:

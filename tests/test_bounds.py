@@ -17,7 +17,6 @@ from opentropy import (
     chord_ratio_bound,
     identric_mean,
     logarithmic_mean,
-    secant_coeffs,
     secant_data,
     zeta_closed_forms,
 )
@@ -36,29 +35,29 @@ def dense_scan_max(obj, m, M, n=1_000_000):
 
 class TestSecantCoeffs:
     def test_identity_chord(self):
-        assert secant_coeffs(IDENTITY, 1.0, 2.0) == (1.0, 0.0)
+        assert _chord(IDENTITY, 1.0, 2.0)[4:] == (1.0, 0.0)
 
     def test_log_chord(self):
-        mu, nu = secant_coeffs(LOG, 1.0, math.e)
+        mu, nu = _chord(LOG, 1.0, math.e)[4:]
         assert abs(mu - 1.0 / (math.e - 1.0)) <= 1e-15
         assert abs(nu + 1.0 / (math.e - 1.0)) <= 1e-15
 
     def test_sqrt_chord(self):
-        mu, nu = secant_coeffs(power(0.5), 1.0, 4.0)
+        mu, nu = _chord(power(0.5), 1.0, 4.0)[4:]
         assert abs(mu - 1.0 / 3.0) <= 1e-15
         assert abs(nu - 2.0 / 3.0) <= 1e-15
 
     def test_interpolates_endpoints(self):
         for f, m, M in [(LOG, 1.0, 7.3), (power(0.25), 0.2, 9.0), (NEG_T_LOG_T, 0.3, 2.0)]:
-            mu, nu = secant_coeffs(f, m, M)
+            mu, nu = _chord(f, m, M)[4:]
             assert abs(mu * m + nu - f(m)) <= 1e-12 * max(1.0, abs(f(m)))
             assert abs(mu * M + nu - f(M)) <= 1e-12 * max(1.0, abs(f(M)))
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(PreconditionError):
-            secant_coeffs(LOG, 2.0, 1.0)
+            _chord(LOG, 2.0, 1.0)
         with pytest.raises(PreconditionError):
-            secant_coeffs(LOG, 2.0, 2.0)
+            _chord(LOG, 2.0, 2.0)
 
 
 class TestRatioBound:
@@ -75,7 +74,7 @@ class TestRatioBound:
         # Non-degenerate interval: the maximum is attained, so a brute-force
         # scan and the grid+refinement optimizer agree tightly.
         m, M = 1.1, math.e ** 2
-        mu, nu = secant_coeffs(LOG, m, M)
+        mu, nu = _chord(LOG, m, M)[4:]
         scanned = dense_scan_max(lambda t: np.log(t) / (mu * t + nu), m, M)
         assert abs(chord_ratio_bound(LOG, m, M) - scanned) <= 1e-8
 
@@ -160,7 +159,7 @@ class TestGapBound:
 
     def test_against_dense_scan(self):
         for f, m, M in [(LOG, 0.3, 6.0), (power(0.5), 0.5, 8.0), (NEG_T_LOG_T, 0.4, 3.0)]:
-            mu, nu = secant_coeffs(f, m, M)
+            mu, nu = _chord(f, m, M)[4:]
             scanned = dense_scan_max(lambda t: f.fn(t) - (mu * t + nu), m, M)
             assert abs(chord_gap_bound(f, m, M) - scanned) <= 1e-8
 
@@ -180,7 +179,7 @@ class TestScalarSandwich:
     # The defining maxima are attained, never exceeded, on the whole grid.
     @pytest.mark.parametrize("f,m,M", [(power(0.5), 0.5, 4.0), (power(0.25), 1.0, 9.0)])
     def test_ratio_and_gap_dominate_f(self, f, m, M):
-        mu, nu = secant_coeffs(f, m, M)
+        mu, nu = _chord(f, m, M)[4:]
         gamma = chord_ratio_bound(f, m, M)
         zeta = chord_gap_bound(f, m, M)
         ts = np.linspace(m, M, 4096)
@@ -191,7 +190,7 @@ class TestScalarSandwich:
 
     @pytest.mark.parametrize("f,m,M", [(LOG, 0.5, 4.0), (NEG_T_LOG_T, 0.3, 2.0), (power(0.5), 0.5, 4.0)])
     def test_chord_below_concave_function(self, f, m, M):
-        mu, nu = secant_coeffs(f, m, M)
+        mu, nu = _chord(f, m, M)[4:]
         ts = np.linspace(m, M, 4096)
         assert np.all(f.evaluate_array(ts) >= mu * ts + nu - 1e-10)
 
@@ -353,7 +352,7 @@ class TestUnresolvableWindows:
     def test_reported_as_unresolvable(self, f, m, M, unit):
         measured = sys.float_info.epsilon * max(1.0, abs(f(m)), abs(f(M))) * M / (M - m)
         assert measured == pytest.approx(unit, rel=0.02)
-        for constant in (secant_data, chord_ratio_bound, chord_gap_bound, secant_coeffs, grid_values):
+        for constant in (secant_data, chord_ratio_bound, chord_gap_bound, _chord, grid_values):
             with pytest.raises(UnresolvableWindowError, match="too narrow"):
                 constant(f, m, M)
 

@@ -8,6 +8,7 @@ from opentropy import verify
 from opentropy.cli import main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
+from opentropy.matcore import matrix_to_json
 from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, check, random_instance
 
 from conftest import ENTRY, rebind_entry
@@ -162,6 +163,28 @@ class TestCheck:
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "pair spectrum" in err
+
+    def test_info_ineq_file_with_a_stray_t0_replays(self, tmp_path, capsys):
+        # The divergence reads no t0, so a file that carries one loads and
+        # replays to the margin of the file without it.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "info_ineq", "--dim", "3", "--k", "1", "--seed", "3", "--out", str(out))
+        code, want, _ = run(capsys, "check", "--file", str(out))
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), t0=0.5)))
+        stray_code, got, err = run(capsys, "check", "--file", str(out))
+        assert code == stray_code == 0 and got == want, err
+
+    @pytest.mark.parametrize("theorem", ["rev_jensen_gamma", "rev_jensen_zeta"])
+    def test_window_too_narrow_for_the_chord_exits_2(self, tmp_path, capsys, theorem):
+        # X and the window on [x, x(1 + 1e-12)], where the chord's rounding
+        # unit is about 4e-4: an error for either constant, never a skip.
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "0", "--out", str(out))
+        x, wide = 3.0, 3.0 * (1.0 + 1e-12)
+        payload = dict(json.loads(out.read_text()), x=matrix_to_json(np.diag([x, wide])), m=x, M=wide, t0=x)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "too narrow" in err
 
     def test_info_ineq_file_must_hold_diagonal_fields(self, tmp_path, capsys):
         # The check reads only the diagonals, so an off-diagonal file was
@@ -510,6 +533,22 @@ class TestBounds:
         # mu and nu are rounding noise on [1, 1 + 1 ulp]: no constant is reported.
         code, stdout, err = run(capsys, "bounds", "--f", "log", "--m", "1", "--M", "1.0000000000000002")
         assert code == 2 and stdout == "" and "too narrow" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "0"], "dim must lie in 1..64, got 0"),
+    (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "2", "--k", "0"], "k must be >= 1, got 0"),
+    (["campaign", "--trials", "-1"], "trials must be >= 0"),
+    (["campaign", "--trials", "1", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
+    (["campaign", "--trials", "1", "--dims", "0:3"], "dims must satisfy 1 <= lo <= hi <= 64, got (0, 3)"),
+    (["campaign", "--trials", "1", "--k", "3:2"], "terms must satisfy 1 <= lo <= hi, got (3, 2)"),
+    (["bounds", "--f", "log", "--m", "-1", "--M", "2"], "need 0 < m < M, got m=-1.0, M=2.0"),
+    (["bounds", "--f", "log", "--m", "0", "--M", "2"], "need 0 < m < M, got m=0.0, M=2.0"),
+    (["bounds", "--f", "log", "--m", "3", "--M", "2"], "need 0 < m < M, got m=3.0, M=2.0"),
+], ids=["gen-dim", "gen-k", "trials", "tol", "dims", "k-range", "m-negative", "m-zero", "m-above-M"])
+def test_out_of_range_input_exits_2_with_the_library_message(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and f"error: {message}" in err
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -186,7 +186,8 @@ class TestGeneralizedEntropy:
         fa, fb = random_pair(rng, 3, 2)
         for q, f in [(0.0, LOG), (0.7, power(0.5)), (-0.5, NEG_T_LOG_T)]:
             base = generalized_entropy(fa, fb, q, f)
-            scaled = generalized_entropy(fa.scaled(alpha), fb.scaled(alpha), q, f)
+            scaled_a, scaled_b = (OperatorField.from_matrices(x.weights, alpha * x.arrays) for x in (fa, fb))
+            scaled = generalized_entropy(scaled_a, scaled_b, q, f)
             err = np.linalg.norm(scaled - alpha * base) / max(1.0, np.linalg.norm(base))
             assert err <= 1e-10
 
@@ -199,7 +200,9 @@ class TestGeneralizedEntropy:
                     for _ in range(4)
                 ]
                 fa, fb, fc, fd = fields
-                lhs = generalized_entropy(fa.nodewise_sum(fb), fc.nodewise_sum(fd), 0.0, f)
+                left = OperatorField.from_matrices(w, fa.arrays + fb.arrays)
+                right = OperatorField.from_matrices(w, fc.arrays + fd.arrays)
+                lhs = generalized_entropy(left, right, 0.0, f)
                 rhs = generalized_entropy(fa, fc, 0.0, f) + generalized_entropy(fb, fd, 0.0, f)
                 assert loewner_leq(rhs, lhs, 1e-9)[0]
 
@@ -311,8 +314,8 @@ class TestStackedKernel:
         fa, fb = random_pair(rng, 3, 2)
         assert fa.pair_spectrum(fb) is fa.pair_spectrum(fb)
         assert fb.pair_spectrum(fa) is not fa.pair_spectrum(fb)
-        scaled = fa.scaled(2.0)
-        assert scaled.pair_spectrum(fb.scaled(2.0)) is not fa.pair_spectrum(fb)
+        scaled_a, scaled_b = (OperatorField.from_matrices(x.weights, 2.0 * x.arrays) for x in (fa, fb))
+        assert scaled_a.pair_spectrum(scaled_b) is not fa.pair_spectrum(fb)
 
     def test_matrices_rebuild_nodes_without_a_solve(self, rng, solve_calls):
         arrays = [random_pd(rng, 4).array for _ in range(3)]

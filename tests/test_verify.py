@@ -10,7 +10,7 @@ from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, 
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
-from opentropy.matcore import PositiveDefiniteMatrix, sandwich_bounds
+from opentropy.matcore import PositiveDefiniteMatrix
 from opentropy import verify
 from opentropy.verify import (
     STATEMENTS,
@@ -20,7 +20,6 @@ from opentropy.verify import (
     campaign,
     check,
     random_instance,
-    random_resolution,
     run_trial,
     trial_seed,
 )
@@ -34,29 +33,30 @@ def test_registry_is_total():
     assert set(STATEMENTS) == set(TheoremId)
 
 
+def draw_resolution(dim, k, seed):
+    """The normalized family's draw of k unit-weight PD matrices summing to the identity."""
+    return OperatorField.from_matrices(
+        np.ones(k), verify._resolution_arrays(np.random.default_rng(seed), dim, k, diagonal=False)
+    )
+
+
 class TestRandomResolution:
     def test_single_term_is_identity(self):
-        field = random_resolution(3, 1, seed=0)
+        field = draw_resolution(3, 1, seed=0)
         np.testing.assert_allclose(field.arrays[0], np.eye(3), atol=1e-12)
 
     def test_scalar_case_sums_to_one(self):
-        field = random_resolution(1, 2, seed=1)
+        field = draw_resolution(1, 2, seed=1)
         vals = [float(a[0, 0].real) for a in field.arrays]
         assert all(v > 0 for v in vals)
         assert abs(sum(vals) - 1.0) <= 1e-12
 
     def test_residual_and_determinism(self):
-        field = random_resolution(4, 3, seed=42)
+        field = draw_resolution(4, 3, seed=42)
         residual = np.linalg.norm(field.weighted_sum() - np.eye(4))
         assert residual <= 1e-10
-        again = random_resolution(4, 3, seed=42)
+        again = draw_resolution(4, 3, seed=42)
         np.testing.assert_array_equal(field.arrays, again.arrays)
-
-    def test_bad_arguments(self):
-        with pytest.raises(PreconditionError):
-            random_resolution(0, 2, seed=0)
-        with pytest.raises(PreconditionError):
-            random_resolution(2, 0, seed=0)
 
 
 class TestRandomInstance:
@@ -429,7 +429,8 @@ def test_map_image_below_the_floor_skips_naming_the_first_node():
     low_a, low_b = 1.00000000002e-12, 4.00000000008e-12
     fa = OperatorField([(1.0, np.diag([1.0, 2.0])), (1.0, np.diag([1.0, low_a]))])
     fb = OperatorField([(1.0, np.diag([4.0, low_b])), (1.0, np.diag([3.0, 2.0]))])
-    m, M = sandwich_bounds(fa, fb)
+    spectrum = fa.pair_spectrum(fb)
+    m, M = spectrum.m, spectrum.M
     inst = Instance(theorem=TheoremId.MAP_MONOTONE, seed=0, dim=2, k=2, f=LOG, q=0.0,
                     fa=fa, fb=fb, m=m, M=M, pmap=pmap)
     result = check(TheoremId.MAP_MONOTONE, inst)
@@ -653,15 +654,14 @@ def test_floor_and_domain_errors_are_trial_outcomes(monkeypatch, error):
     assert report.records[0].detail == f"error: {error}" and report.failures == []
 
 
-def test_unresolvable_window_skips_gamma_and_raises_for_zeta():
-    # A gamma gate skips on a precondition failure; a zeta gate has none to
-    # skip on, so the error reaches run_trial, which counts it.
+def test_unresolvable_window_raises_for_gamma_and_zeta():
+    # A gamma gate skips only where the ratio bound is undefined; a window too
+    # narrow for its chord is an error for both constants, which run_trial counts.
     inst = random_instance(TheoremId.REV_JENSEN_GAMMA, 2, 2, 0, LOG)
     inst.m, inst.M = 3.0, 3.0000000000000004
-    result = check(TheoremId.REV_JENSEN_GAMMA, inst)
-    assert not result.hypothesis_met and result.holds and "too narrow" in result.detail
-    with pytest.raises(UnresolvableWindowError, match="too narrow"):
-        check(TheoremId.REV_JENSEN_ZETA, dataclasses.replace(inst, theorem=TheoremId.REV_JENSEN_ZETA))
+    for theorem in (TheoremId.REV_JENSEN_GAMMA, TheoremId.REV_JENSEN_ZETA):
+        with pytest.raises(UnresolvableWindowError, match="too narrow"):
+            check(theorem, dataclasses.replace(inst, theorem=theorem))
 
 
 @pytest.mark.parametrize("theorem", list(TheoremId))
