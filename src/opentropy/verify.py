@@ -2,14 +2,17 @@
 
 Every numbered inequality handled by the package has one TheoremId and one
 entry in STATEMENTS.  The entry says how to draw a hypothesis-satisfying
-instance, which hypotheses the checker gates on, and how to build both sides
-of the inequality exactly as displayed.  `check` makes one pass over it: the
-hypotheses (the exponent range, then the function gates on the instance
-window, which give the statement's chord constant), then both sides, then
-one labelled verdict.  The verdict's margin is the Loewner margin (lambda_min
-of the difference that the statement claims is positive semidefinite; a
-scalar slack for the information inequality; a two-sided margin for the
-homogeneity identity).
+instance, which hypotheses the checker gates on, and how to build both sides of
+the inequality exactly as displayed.  A draw runs generator records (`Family`):
+`draw` makes the rng calls, the pure `project` meets the family's constraints,
+and the record names the slots it fills, the field pairs its window covers,
+whether the window straddles 1, and its load-time check.  `check` makes one
+pass over it: the hypotheses (the exponent range, then the function gates on
+the instance window, which give the statement's chord constant), then both
+sides, then one labelled verdict.  The verdict's margin is the Loewner margin
+(lambda_min of the difference that the statement claims is positive
+semidefinite; a scalar slack for the information inequality; a two-sided margin
+for the homogeneity identity).
 
 A failed hypothesis is never counted as a failure: the checker reports
 hypothesis_met=False with an explanation and an empty margin.  A violation
@@ -144,7 +147,7 @@ class Instance:
     """A generated hypothesis-satisfying input for one statement.
 
     (m, M) is a window 0 < m <= M < inf covering the pair spectra of the family's field pairs
-    (`_PAIRS`; a draw stores their measured sandwich constants) or, for the
+    (`Family.pairs`; a draw stores their measured sandwich constants) or, for the
     compression checks, the spectrum of X; t0 lies in [m, M] where used.  Optional slots cover the extra fields some statements need.
     """
 
@@ -180,34 +183,14 @@ class Instance:
             raise PreconditionError(f"the exponent must be finite, got {self.q}")
         if "m" in st.needs and not 0.0 < self.m <= self.M < math.inf:
             raise PreconditionError(f"need a window 0 < m <= M < inf, got m={self.m}, M={self.M}")
-        family = st.family
-        if family is _probability:
-            for name in ("fa", "fb"):
-                arrays = getattr(self, name).arrays
-                if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
-                    raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
-                if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
-                    raise PreconditionError("probability vectors must sum to one")
+        for family in (st.family, st.extras):
+            family.validate(self)
         self._check_header()
-        if family is _normalized:
-            if not (self.fa.is_normalized() and self.fb.is_normalized()):
-                raise PreconditionError("fields must sum to the identity within 1e-10")
-            if not (self.m <= _STRADDLE_LO and self.M >= _STRADDLE_HI):
-                raise PreconditionError(
-                    f"need m <= 1 - 1e-6 and M >= 1 + 1e-6, got m={self.m}, M={self.M}"
-                )
         if "t0" in st.needs and not self._covers(self.t0, self.t0):
             raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
-        if family is _compression:
-            # One strictly positive finite weight per factor: a positive measure.
-            _checked_weights(self.cs_weights, len(self.cs))
-        # The chord constants are taken on [m, M]; they bound f on the spectrum
-        # of X, or on the pair spectra of the fields, only when the window covers it.
-        if family is _compression and not self._covers(self.x.lambda_min, self.x.lambda_max):
-            raise PreconditionError(
-                f"spectrum [{self.x.lambda_min}, {self.x.lambda_max}] of X not inside [{self.m}, {self.M}]"
-            )
-        for a, b in _PAIRS.get(family, ()):
+        # The chord constants are taken on [m, M]; they bound f on the pair
+        # spectra of the fields only when the window covers them.
+        for a, b in st.family.pairs:
             spectrum = getattr(self, a).pair_spectrum(getattr(self, b))
             if not self._covers(spectrum.m, spectrum.M):
                 raise PreconditionError(
@@ -543,8 +526,6 @@ def _subadditive(inst: Instance, constant: None) -> Sides:
 def _homogeneous(inst: Instance, constant: None) -> Sides:
     """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
     alpha, q, f = float(inst.alpha), float(inst.q), inst.f
-    if alpha <= 0.0:
-        raise NotPositiveDefiniteError(f"scaling a field by {alpha} leaves the cone")
     # The scaled pair is solved afresh: the lhs shares no spectra with the rhs.
     scaled_a, scaled_b = _fields_like((inst.fa, inst.fb), alpha * np.array([inst.fa.arrays, inst.fb.arrays]))
     lhs = scaled_a.pair_spectrum(scaled_b).entropy_term(q, f)
@@ -555,8 +536,6 @@ def _homogeneous(inst: Instance, constant: None) -> Sides:
 def _joint_concave(inst: Instance, constant: None) -> Sides:
     """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
     alpha, beta = float(inst.alpha), float(inst.beta)
-    if alpha <= 0.0 or beta <= 0.0 or abs(alpha + beta - 1.0) > 1e-12:
-        raise PreconditionError(f"need alpha, beta > 0 with alpha + beta = 1, got {alpha}, {beta}")
     fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
     mixed = np.array([alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays])
     mixed_a, mixed_b = _fields_like((fa, fb, fa2, fb2), mixed)
@@ -571,8 +550,6 @@ def _joint_concave(inst: Instance, constant: None) -> Sides:
 def _map_monotone(inst: Instance, constant: None) -> Sides:
     """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
     f, pm, fa, fb = inst.f, inst.pmap, inst.fa, inst.fb
-    if not pm.is_normalized():
-        raise PreconditionError("map is not normalized")
     aggregate = fa.pair_spectrum(fb).aggregate(f.evaluate_array)
     # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs).
     images = pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]]))
@@ -588,10 +565,7 @@ def _map_monotone(inst: Instance, constant: None) -> Sides:
 def _example_log_pair(inst: Instance, constant: None) -> Sides:
     """closed-form gap bounds for log t and -t log t in the reverse entropy bound"""
     p, t0 = float(inst.q), inst.t0
-    try:
-        zeta_log, zeta_neg = zeta_closed_forms(inst.m, inst.M)
-    except PreconditionError as exc:
-        raise _Skip(f"closed forms need m < 1 < M: {exc}") from exc
+    zeta_log, zeta_neg = zeta_closed_forms(inst.m, inst.M)
     _, eye, v, w_arg, (s_p, s_p1) = _entropy_terms(
         inst, p, lambda lam: lam ** p * np.log(lam), lambda lam: lam ** (p + 1.0) * np.log(lam)
     )
@@ -609,8 +583,24 @@ def _example_log_pair(inst: Instance, constant: None) -> Sides:
 
 
 # ---------------------------------------------------------------------------
-# generator families: (rng, inst, diagonal) -> None, filling the instance
+# generator families: one record each, draw -> raw -> project -> slots
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """A generator family, or an extra drawn after it.  `draw(rng, dim, k, diagonal)`
+    makes the rng calls of one attempt; the pure `project(raw)` meets every constraint
+    and returns the values of `slots` in order (a last "t0" is drawn on the accepted
+    window), or None to draw again.  The window covers the spectra of `pairs`, and
+    holds 1 inside if `straddles`; `validate(inst)` checks a loaded instance."""
+
+    slots: tuple[str, ...]
+    draw: Callable
+    project: Callable
+    pairs: tuple[tuple[str, str], ...] = ()
+    straddles: bool = False
+    validate: Callable[[Instance], None] = lambda inst: None
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -630,36 +620,11 @@ def _cgauss(rng, n: int, *lead: int) -> np.ndarray:
     return out
 
 
-def _random_unitaries(rng, n: int, k: int) -> np.ndarray:
-    """k Haar-random n x n unitaries, drawn one after another, as one stack."""
-    q, r = np.linalg.qr(_cgauss(rng, n, k))
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases))[..., None, :]
-
-
-def _diagonals(rows: np.ndarray) -> np.ndarray:
-    """The stack of complex diagonal matrices diag(row), one per row (last axis)."""
-    return rows[..., None] * _eye(rows.shape[-1], complex)
-
-
-def _lead(k: int, count: int | None) -> tuple[int, ...]:
-    return (k,) if count is None else (count, k)
-
-
-def _resolution_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None) -> np.ndarray:
-    """A (k, dim, dim) stack of PD matrices summing to the identity, or
-    `count` of them as one (count, k, dim, dim) stack, drawn as consecutive
-    calls would draw them and with the count sums solved in one call."""
+def _node_draws(rng, dim: int, diagonal: bool, low: float, high: float, *lead: int) -> np.ndarray:
+    """The raw nodes of a (*lead) stack in one rng call: diagonals uniform on [low, high), or Gaussians."""
     if diagonal:
-        cols = rng.uniform(0.2, 1.0, size=(*_lead(k, count), dim))
-        cols /= cols.sum(axis=-2, keepdims=True)
-        return _diagonals(cols)
-    g = _cgauss(rng, dim, *_lead(k, count))
-    # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
-    arrays = _symmetrize(g @ _adjoint(g)) + 0.5 * dim * _eye(dim)
-    sums = _solve_pd(arrays.sum(axis=-3))
-    isq = _scalar_image(sums.eigenvectors, 1.0 / np.sqrt(sums.eigenvalues))[..., None, :, :]
-    return _symmetrize(isq @ arrays @ isq)
+        return rng.uniform(low, high, size=(*lead, dim))
+    return _cgauss(rng, dim, *lead)
 
 
 def _random_weights(rng, k: int) -> np.ndarray:
@@ -668,169 +633,199 @@ def _random_weights(rng, k: int) -> np.ndarray:
     return rng.uniform(0.5, 2.0, size=k)
 
 
-def _normalized(rng, inst: Instance, diagonal: bool) -> None:
-    """Two fields summing to the identity with m < 1 < M, and t0 in [m, M]."""
-    dim, k = inst.dim, inst.k
-    if k < 2:
-        raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
-    for _ in range(_RESAMPLE_CAP):
-        weights = _random_weights(rng, k)
-        resolutions = _resolution_arrays(rng, dim, k, diagonal, 2)
-        fa, fb = OperatorField.stack(weights, resolutions / weights[:, None, None])
-        # The memoised pair spectrum: the check reuses it.
-        spectrum = fa.pair_spectrum(fb)
-        m, M = spectrum.m, spectrum.M
-        if m <= _STRADDLE_LO and M >= _STRADDLE_HI:
-            inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
-            inst.t0 = float(rng.uniform(m, M))
-            return
-    raise GenerationError(f"no strict m < 1 < M pair after {_RESAMPLE_CAP} draws")
+def _diagonals(rows: np.ndarray) -> np.ndarray:
+    """The stack of complex diagonal matrices diag(row), one per row (last axis)."""
+    return rows[..., None] * _eye(rows.shape[-1], complex)
 
 
-def _free_arrays(rng, dim: int, k: int, diagonal: bool, count: int | None = None) -> np.ndarray:
-    """k well-conditioned PD matrices, drawn node by node, as one (k, dim, dim)
-    stack, or `count` such stacks drawn one after another as (count, k, dim, dim)."""
+def _resolution(nodes: np.ndarray, diagonal: bool) -> np.ndarray:
+    """PD matrices summing to the identity over the node axis (a stack's sums in one solve)."""
     if diagonal:
-        return _diagonals(rng.uniform(0.5, 4.0, size=(*_lead(k, count), dim)))
-    g = _cgauss(rng, dim, *_lead(k, count))
-    return _symmetrize(g @ _adjoint(g)) / dim + 0.5 * _eye(dim)
+        return _diagonals(nodes / nodes.sum(axis=-2, keepdims=True))
+    dim = nodes.shape[-1]
+    # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
+    arrays = _symmetrize(nodes @ _adjoint(nodes)) + 0.5 * dim * _eye(dim)
+    sums = _solve_pd(arrays.sum(axis=-3))
+    isq = _scalar_image(sums.eigenvectors, 1.0 / np.sqrt(sums.eigenvalues))[..., None, :, :]
+    return _symmetrize(isq @ arrays @ isq)
 
 
-def _centered(rng, inst: Instance, diagonal: bool) -> None:
-    """A free pair rescaled so the measured sandwich window straddles 1.
+def _free_nodes(nodes: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Well-conditioned PD matrices, one per raw node."""
+    if diagonal:
+        return _diagonals(nodes)
+    dim = nodes.shape[-1]
+    return _symmetrize(nodes @ _adjoint(nodes)) / dim + 0.5 * _eye(dim)
 
-    A draw solves FA's nodes, the eigenvalues alone of the unscaled pair
-    (for m and M), and then only the B field the instance keeps, B / sqrt(mM)
-    (B itself for a scalar 1x1 pair), with its pair spectrum, which the check
+
+def _draw_fields(rng, dim: int, k: int, diagonal: bool, count: int = 2, low: float = 0.5, high: float = 4.0):
+    """The raw nodes of `count` fields and their one shared weight vector."""
+    return diagonal, _random_weights(rng, k), _node_draws(rng, dim, diagonal, low, high, count, k)
+
+
+def _project_normalized(raw):
+    """Two fields summing to the identity, kept when m <= 1 - 1e-6 and M >= 1 + 1e-6."""
+    diagonal, weights, nodes = raw
+    if len(weights) < 2:
+        raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
+    fa, fb = OperatorField.stack(weights, _resolution(nodes, diagonal) / weights[:, None, None])
+    # The memoised pair spectrum: the check reuses it.
+    spectrum = fa.pair_spectrum(fb)
+    m, M = spectrum.m, spectrum.M
+    return (fa, fb, m, M) if m <= _STRADDLE_LO and M >= _STRADDLE_HI else None
+
+
+def _validate_normalized(inst: Instance) -> None:
+    if not (inst.fa.is_normalized() and inst.fb.is_normalized()):
+        raise PreconditionError("fields must sum to the identity within 1e-10")
+    if not (inst.m <= _STRADDLE_LO and inst.M >= _STRADDLE_HI):
+        raise PreconditionError(f"need m <= 1 - 1e-6 and M >= 1 + 1e-6, got m={inst.m}, M={inst.M}")
+
+
+def _project_centered(raw):
+    """A free pair with B rescaled so that the measured window straddles 1.
+
+    It solves FA's nodes, the eigenvalues alone of the unscaled pair (for m
+    and M), and then only the B field the instance keeps, B / sqrt(mM) (B
+    itself for a scalar 1x1 pair), with its pair spectrum, which the check
     reuses.  The unscaled B is never solved as a field.
     """
-    dim, k = inst.dim, inst.k
-    for _ in range(_RESAMPLE_CAP):
-        weights = _random_weights(rng, k)
-        a_arrays, b_arrays = _free_arrays(rng, dim, k, diagonal, 2)
-        fa = OperatorField(_weights=weights, _arrays=a_arrays)
-        # The unscaled pair is only measured: its eigenvalues alone, from FA's solve.
-        lam = _relative_eigenvalues(fa.decomposition, b_arrays)
-        m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
-        if M / m >= 1.0 + 1e-9:
-            b_arrays = (1.0 / math.sqrt(m * M)) * b_arrays
-        elif dim > 1 or k > 1:
-            continue
-        fb = OperatorField(_weights=fa.weights, _arrays=b_arrays)
-        # The memoised pair spectrum: the check reuses it.
-        spectrum = fa.pair_spectrum(fb)
-        m, M = spectrum.m, spectrum.M
-        # A scalar 1x1 pair has m = M; the straddle is only possible (and only
-        # stated) for genuinely spread spectra.
-        if dim == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI):
-            inst.fa, inst.fb, inst.m, inst.M = fa, fb, m, M
-            return
-    raise GenerationError(f"no usable free pair after {_RESAMPLE_CAP} draws")
+    diagonal, weights, nodes = raw
+    a_arrays, b_arrays = _free_nodes(nodes, diagonal)
+    fa = OperatorField(_weights=weights, _arrays=a_arrays)
+    lam = _relative_eigenvalues(fa.decomposition, b_arrays)
+    m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
+    if M / m >= 1.0 + 1e-9:
+        b_arrays = (1.0 / math.sqrt(m * M)) * b_arrays
+    elif b_arrays.size > 1:  # not a scalar 1x1 pair
+        return None
+    fb = OperatorField(_weights=fa.weights, _arrays=b_arrays)
+    spectrum = fa.pair_spectrum(fb)
+    m, M = spectrum.m, spectrum.M
+    # A scalar 1x1 pair has m = M; the straddle is only possible (and only
+    # stated) for genuinely spread spectra.
+    return (fa, fb, m, M) if b_arrays.shape[-1] == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI) else None
 
 
-def _free(draw_order: tuple[str, ...]):
-    """Free fields with one shared weight vector, drawn into the named slots;
-    the window covers every pair that `_PAIRS` names for the family."""
-
-    def draw(rng, inst: Instance, diagonal: bool) -> None:
-        weights = _random_weights(rng, inst.k)
-        arrays = _free_arrays(rng, inst.dim, inst.k, diagonal, len(draw_order))
-        for name, fld in zip(draw_order, OperatorField.stack(weights, arrays)):
-            setattr(inst, name, fld)
-        spectra = pair_spectra((getattr(inst, a), getattr(inst, b)) for a, b in _PAIRS[draw])
-        inst.m = min(s.m for s in spectra)
-        inst.M = max(s.M for s in spectra)
-
-    return draw
+def _project_free(pairs: tuple[tuple[int, int], ...], raw):
+    """Free fields as one stack, and the window over the spectra of `pairs` (indices into them)."""
+    diagonal, weights, nodes = raw
+    fields = OperatorField.stack(weights, _free_nodes(nodes, diagonal))
+    spectra = pair_spectra((fields[a], fields[b]) for a, b in pairs)
+    return (*fields, min(s.m for s in spectra), max(s.M for s in spectra))
 
 
-_four_fields = _free(("fa", "fb", "fc", "fd"))
-_two_pairs = _free(("fa", "fb", "fa2", "fb2"))
+def _draw_compression(rng, dim: int, k: int, diagonal: bool):
+    extra = 1 if rng.uniform() < 0.75 else 0
+    nodes = _node_draws(rng, dim, diagonal, 0.2, 1.0, k + extra)
+    weights = _random_weights(rng, k)
+    gauss = None if diagonal else _cgauss(rng, dim, k)
+    return diagonal, nodes, weights, gauss, _node_draws(rng, dim, diagonal, 0.5, 4.0, 1)
 
 
-def _compression(rng, inst: Instance, diagonal: bool) -> None:
-    """A sub-unital family {C_s} with weights, X centred on 1, and t0 in [m, M].
+def _project_compression(raw):
+    """A sub-unital family {C_s} with weights, and X centred on 1.
 
     [m, M] is spec(X)'s range; at dim 1, where X is a scalar x with no spread
     to centre, it is the window [r, max(x, 1/r)] with r = min(x, 1/x,
     1 - 1e-6), which contains x and has 1 in its interior as at dim >= 2.
     """
-    dim, k = inst.dim, inst.k
-    extra = 1 if rng.uniform() < 0.75 else 0
-    arrays = _resolution_arrays(rng, dim, k + extra, diagonal)[:k]
-    weights = _random_weights(rng, k)
-    unitaries = None if diagonal else _random_unitaries(rng, dim, k)
-    x0_array = _free_arrays(rng, dim, 1, diagonal)
+    diagonal, nodes, weights, gauss, x0 = raw
+    k = len(weights)
+    arrays = _resolution(nodes, diagonal)[:k]
+    x0_array = _free_nodes(x0, diagonal)
     # The k nodes C_s*C_s and X0 in one solve: node roots from the first k,
     # from the last X0's extreme eigenvalues, which centre X = X0 / sqrt(lo hi).
     solved = _solve_pd(np.concatenate([arrays / weights[:, None, None], x0_array]))
     roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
-    cs = roots if diagonal else unitaries @ roots
+    if not diagonal:
+        # Haar-random unitaries U_s from the Gaussians.
+        q, r = np.linalg.qr(gauss)
+        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        roots = q * (phases / np.abs(phases))[..., None, :] @ roots
+    dim = x0_array.shape[-1]
     lo, hi = float(solved.eigenvalues[k, 0]), float(solved.eigenvalues[k, -1])
     scale = 1.0 / math.sqrt(lo * hi) if dim > 1 and hi / lo > 1.0 + 1e-9 else 1.0
     x = PositiveDefiniteMatrix(scale * x0_array[0])
-    inst.cs, inst.cs_weights, inst.x = tuple(cs), weights, x
-    inst.m, inst.M = x.lambda_min, x.lambda_max
+    m, M = x.lambda_min, x.lambda_max
     if dim == 1:
-        r = min(inst.m, 1.0 / inst.m, _STRADDLE_LO)
-        inst.m, inst.M = r, max(inst.M, 1.0 / r)
-    inst.t0 = float(rng.uniform(inst.m, inst.M))
+        m = min(m, 1.0 / m, _STRADDLE_LO)
+        M = max(M, 1.0 / m)
+    return tuple(roots), weights, x, m, M
 
 
-def _prob_vector(rng, dim: int) -> np.ndarray:
-    v = rng.dirichlet(2.0 * np.ones(dim))
-    v = np.clip(v, 1e-9, None)
-    return v / v.sum()
+def _validate_compression(inst: Instance) -> None:
+    # One strictly positive finite weight per factor: a positive measure.
+    _checked_weights(inst.cs_weights, len(inst.cs))
+    # The chord constants are taken on [m, M]; they bound f on the spectrum
+    # of X only when the window covers it.
+    if not inst._covers(inst.x.lambda_min, inst.x.lambda_max):
+        raise PreconditionError(
+            f"spectrum [{inst.x.lambda_min}, {inst.x.lambda_max}] of X not inside [{inst.m}, {inst.M}]"
+        )
 
 
-def _probability(rng, inst: Instance, diagonal: bool) -> None:
+def _project_probability(raw):
     """Two strictly positive probability vectors as diagonal one-node fields."""
-    vectors = np.array([_prob_vector(rng, inst.dim) for _ in range(2)])
-    inst.fa, inst.fb = OperatorField.stack(np.ones(1), _diagonals(vectors[:, None]))
+    vectors = np.clip(raw, 1e-9, None)
+    vectors = vectors / vectors.sum(axis=-1, keepdims=True)
+    return OperatorField.stack(np.ones(1), _diagonals(vectors[:, None]))
 
 
-def _draw_scale(rng, inst: Instance, diagonal: bool) -> None:
-    inst.alpha = float(rng.choice([0.5, 2.0]))
+def _validate_probability(inst: Instance) -> None:
+    for name in ("fa", "fb"):
+        arrays = getattr(inst, name).arrays
+        if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
+            raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
+        if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
+            raise PreconditionError("probability vectors must sum to one")
 
 
-def _draw_blend(rng, inst: Instance, diagonal: bool) -> None:
-    inst.alpha = float(rng.uniform(0.25, 0.75))
-    inst.beta = 1.0 - inst.alpha
+def _require_positive(inst: Instance, *slots: str) -> None:
+    for slot in slots:
+        value = getattr(inst, slot)
+        if not 0.0 < value < math.inf:
+            raise PreconditionError(f"{slot!r} must be finite and > 0, got {value}")
 
 
-def _draw_map(rng, inst: Instance, diagonal: bool) -> None:
-    dim = inst.dim
+def _validate_blend(inst: Instance) -> None:
+    _require_positive(inst, "alpha", "beta")
+    if abs(inst.alpha + inst.beta - 1.0) > 1e-12:
+        raise PreconditionError(f"'alpha' + 'beta' must be 1 within 1e-12, got {inst.alpha} + {inst.beta}")
+
+
+def _draw_map(rng, dim: int, k: int, diagonal: bool):
+    """Weights p and Kraus factors C, sum p C*C = I: permutations, or a normalized family (p = 1)."""
     if diagonal:
         probs = rng.dirichlet(np.ones(3))
-        kraus = []
-        for prob in probs:
-            perm = np.eye(dim)[rng.permutation(dim)]
-            kraus.append(math.sqrt(prob) * perm.astype(complex))
-        inst.pmap = PositiveLinearMap(kraus)
-    else:
-        inst.pmap = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng)
+        return probs, [np.eye(dim)[rng.permutation(dim)].astype(complex) for _ in probs]
+    factors = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng).kraus
+    return np.ones(len(factors)), factors
 
 
-# The instance slots each generator family and extra fills.
-_FILLS = {
-    _normalized: ("fa", "fb", "m", "M", "t0"),
-    _centered: ("fa", "fb", "m", "M"),
-    _four_fields: ("fa", "fb", "fc", "fd", "m", "M"),
-    _two_pairs: ("fa", "fb", "fa2", "fb2", "m", "M"),
-    _compression: ("cs", "cs_weights", "x", "m", "M", "t0"),
-    _probability: ("fa", "fb"),
-    _draw_scale: ("alpha",),
-    _draw_blend: ("alpha", "beta"),
-    _draw_map: ("pmap",),
-}
+def _validate_map(inst: Instance) -> None:
+    if not inst.pmap.is_normalized():
+        raise PreconditionError("'map' is not normalized")
 
-# The field pairs whose spectra the window [m, M] of each field family covers.
-_PAIRS = {
-    _normalized: (("fa", "fb"),),
-    _centered: (("fa", "fb"),),
-    _four_fields: (("fa", "fc"), ("fb", "fd")),
-    _two_pairs: (("fa", "fb"), ("fa2", "fb2")),
-}
+
+_NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), functools.partial(_draw_fields, low=0.2, high=1.0),
+                     _project_normalized, pairs=(("fa", "fb"),), straddles=True, validate=_validate_normalized)
+_CENTERED = Family(("fa", "fb", "m", "M"), _draw_fields, _project_centered, pairs=(("fa", "fb"),))
+_FOUR_FIELDS = Family(("fa", "fb", "fc", "fd", "m", "M"), functools.partial(_draw_fields, count=4),
+                      functools.partial(_project_free, ((0, 2), (1, 3))), pairs=(("fa", "fc"), ("fb", "fd")))
+_TWO_PAIR_FIELDS = Family(("fa", "fb", "fa2", "fb2", "m", "M"), functools.partial(_draw_fields, count=4),
+                          functools.partial(_project_free, ((0, 1), (2, 3))), pairs=(("fa", "fb"), ("fa2", "fb2")))
+_COMPRESSION = Family(("cs", "cs_weights", "x", "m", "M", "t0"), _draw_compression, _project_compression,
+                      straddles=True, validate=_validate_compression)
+_PROBABILITY = Family(("fa", "fb"), lambda rng, dim, k, diagonal: np.array(
+    [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
+_NO_EXTRAS = Family((), lambda rng, dim, k, diagonal: (), tuple)
+_SCALE = Family(("alpha",), lambda rng, dim, k, diagonal: float(rng.choice([0.5, 2.0])), lambda alpha: (alpha,),
+                validate=lambda inst: _require_positive(inst, "alpha"))
+_BLEND = Family(("alpha", "beta"), lambda rng, dim, k, diagonal: float(rng.uniform(0.25, 0.75)),
+                lambda alpha: (alpha, 1.0 - alpha), validate=_validate_blend)
+_MAP = Family(("pmap",), _draw_map, lambda raw: (PositiveLinearMap([math.sqrt(p) * c for p, c in zip(*raw)]),),
+              validate=_validate_map)
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +837,9 @@ _PAIRS = {
 class Statement:
     """One verified statement: how to draw it, what it assumes, what it claims.
 
-    family and extras fill a fresh instance from the generator; `fixed` pins
-    instance fields before the draw; `reads` names the drawn parameters (f, q)
-    the builder uses.  The hypotheses, which `check` applies once on the
+    The `Family` records `family` and `extras` fill a fresh instance, in that
+    order; `fixed` pins instance fields before the draw; `reads` names the
+    drawn parameters (f, q) the builder uses.  The hypotheses, which `check` applies once on the
     instance window before the builder runs: unit_exponent requires q in
     [0, 1]; the function gates (`nonneg`: f >= 0 on the window;
     `below_t_minus_1`: f(t) <= t - 1) skip the check when they fail; and
@@ -855,9 +850,9 @@ class Statement:
     docstring is the statement as displayed.
     """
 
-    family: Callable
+    family: Family
     build: Callable[[Instance, float | None], Sides]
-    extras: Callable | None = None
+    extras: Family = _NO_EXTRAS
     fixed: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ("f", "q")
     unit_exponent: bool = False
@@ -868,7 +863,7 @@ class Statement:
     @functools.cached_property
     def needs(self) -> tuple[str, ...]:
         """The instance slots a check of this statement reads (computed once)."""
-        return _FILLS[self.family] + _FILLS.get(self.extras, ()) + self.reads
+        return self.family.slots + self.extras.slots + self.reads
 
     def admits(self, f: ScalarFunction) -> bool:
         """Whether f can meet this statement's function gates on the windows
@@ -880,15 +875,11 @@ class Statement:
         which for a concave f gives f(t) <= t - 1 everywhere.  Admissibility
         only shapes a campaign's draw of f; every trial is still gated.
         """
-        if self.nonneg and self.family in _STRADDLING_FAMILIES:
+        if self.nonneg and self.family.straddles:
             low, high = f.nonnegative_on
             if not low < 1.0 < high:
                 return False
         return not self.below_t_minus_1 or _tangent_at_one(f)
-
-
-# The families whose windows contain 1 in their interior.
-_STRADDLING_FAMILIES = (_normalized, _compression)
 
 
 def _tangent_at_one(f: ScalarFunction) -> bool:
@@ -898,42 +889,42 @@ def _tangent_at_one(f: ScalarFunction) -> bool:
 
 STATEMENTS: dict[TheoremId, Statement] = {
     TheoremId.MEAN_INTEGRAL: Statement(
-        _centered, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
+        _CENTERED, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
     ),
     TheoremId.COMPRESSION_JENSEN: Statement(
-        _compression, _compression_jensen, reads=("f",), nonneg=True
+        _COMPRESSION, _compression_jensen, reads=("f",), nonneg=True
     ),
     TheoremId.ENTROPY_LOWER: Statement(
-        _normalized, _entropy_lower, unit_exponent=True, nonneg=True
+        _NORMALIZED, _entropy_lower, unit_exponent=True, nonneg=True
     ),
-    TheoremId.ENTROPY_NONNEG: Statement(_normalized, _entropy_nonneg, nonneg=True),
-    TheoremId.ENTROPY_UPPER: Statement(_normalized, _entropy_upper, below_t_minus_1=True),
-    TheoremId.KLEIN_UPPER: Statement(_centered, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
-    TheoremId.INFO_INEQ: Statement(_probability, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.ENTROPY_NONNEG: Statement(_NORMALIZED, _entropy_nonneg, nonneg=True),
+    TheoremId.ENTROPY_UPPER: Statement(_NORMALIZED, _entropy_upper, below_t_minus_1=True),
+    TheoremId.KLEIN_UPPER: Statement(_CENTERED, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.INFO_INEQ: Statement(_PROBABILITY, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
     TheoremId.SUBADDITIVE: Statement(
-        _four_fields, _subadditive, fixed={"q": 0.0}, reads=("f",)
+        _FOUR_FIELDS, _subadditive, fixed={"q": 0.0}, reads=("f",)
     ),
-    TheoremId.HOMOGENEOUS: Statement(_centered, _homogeneous, extras=_draw_scale),
+    TheoremId.HOMOGENEOUS: Statement(_CENTERED, _homogeneous, extras=_SCALE),
     TheoremId.JOINT_CONCAVE: Statement(
-        _two_pairs, _joint_concave, extras=_draw_blend, fixed={"q": 0.0}, reads=("f",)
+        _TWO_PAIR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.MAP_MONOTONE: Statement(
-        _centered, _map_monotone, extras=_draw_map, fixed={"q": 0.0}, reads=("f",)
+        _CENTERED, _map_monotone, extras=_MAP, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.REV_JENSEN_GAMMA: Statement(
-        _compression, _rev_jensen_gamma, reads=("f",), nonneg=True, constant="gamma"
+        _COMPRESSION, _rev_jensen_gamma, reads=("f",), nonneg=True, constant="gamma"
     ),
     TheoremId.REV_ENTROPY_GAMMA: Statement(
-        _normalized, _rev_entropy_gamma, unit_exponent=True, nonneg=True, constant="gamma"
+        _NORMALIZED, _rev_entropy_gamma, unit_exponent=True, nonneg=True, constant="gamma"
     ),
     TheoremId.REV_JENSEN_ZETA: Statement(
-        _compression, _rev_jensen_zeta, reads=("f",), constant="zeta"
+        _COMPRESSION, _rev_jensen_zeta, reads=("f",), constant="zeta"
     ),
     TheoremId.REV_ENTROPY_ZETA: Statement(
-        _normalized, _rev_entropy_zeta, unit_exponent=True, constant="zeta"
+        _NORMALIZED, _rev_entropy_zeta, unit_exponent=True, constant="zeta"
     ),
     TheoremId.EXAMPLE_LOG_PAIR: Statement(
-        _normalized, _example_log_pair, fixed={"f": None}, reads=("q",), unit_exponent=True
+        _NORMALIZED, _example_log_pair, fixed={"f": None}, reads=("q",), unit_exponent=True
     ),
 }
 
@@ -986,9 +977,17 @@ def random_instance(
     )
     for key, value in st.fixed.items():
         setattr(inst, key, value)
-    st.family(rng, inst, diagonal)
-    if st.extras is not None:
-        st.extras(rng, inst, diagonal)
+    for family in (st.family, st.extras):
+        for _ in range(_RESAMPLE_CAP):
+            values = family.project(family.draw(rng, inst.dim, inst.k, diagonal))
+            if values is not None:
+                break
+        else:
+            raise GenerationError(f"no {theorem.value} draw met its constraints in {_RESAMPLE_CAP} attempts")
+        for slot, value in zip(family.slots, values):
+            setattr(inst, slot, value)
+        if "t0" in family.slots:
+            inst.t0 = float(rng.uniform(inst.m, inst.M))
     inst.validate()
     return inst
 

@@ -17,6 +17,12 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
                      40).windows(block)`, seeds 0-2, blocks 0-39 in order
     edges            the same over `EDGE_WINDOWS`, which reach the chord
                      kernel's branches that the sweep misses
+    instances        the sorted-key JSON list of `random_instance(theorem,
+                     dim, k, seed, diagonal=diagonal).to_json()`, or of the
+                     error text where the draw raises, over every statement,
+                     dims 1, 2, 3, 5, k 1-3, both diagonal settings and seeds
+                     0-3: the dim-1, k-1 and diagonal draws that no digested
+                     campaign makes
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
@@ -40,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from opentropy import bounds, cli, functions  # noqa: E402
+from opentropy import bounds, cli, functions, verify  # noqa: E402
 from workloads import SweepWorkload  # noqa: E402
 
 # The variables that set the BLAS thread count, as perfbench/run.py pins them.
@@ -95,6 +101,22 @@ def edges_digest() -> str:
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
+def instances_digest() -> str:
+    payload = []
+    for theorem in verify.TheoremId:
+        for dim in (1, 2, 3, 5):
+            for k in (1, 2, 3):
+                for diagonal in (False, True):
+                    for seed in range(4):
+                        try:
+                            inst = verify.random_instance(theorem, dim, k, seed, diagonal=diagonal)
+                        except Exception as exc:  # noqa: BLE001 - the error text is the digested outcome
+                            payload.append(f"{type(exc).__name__}: {exc}")
+                        else:
+                            payload.append(inst.to_json())
+    return _sha256(json.dumps(payload, sort_keys=True))
+
+
 def blas_threads() -> str:
     """The BLAS thread variables set in the environment, or "default"."""
     pinned = [f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS if var in os.environ]
@@ -110,6 +132,7 @@ def main() -> int:
         print(f"{digest}  {name}{note}", flush=True)
     print(f"{sweep_digest()}  sweep", flush=True)
     print(f"{edges_digest()}  edges", flush=True)
+    print(f"{instances_digest()}  instances", flush=True)
     return 0
 
 

@@ -256,6 +256,22 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "does not match the header" in err
 
+    @pytest.mark.parametrize("theorem,edit,named", [
+        ("homogeneous", {"alpha": float("inf")}, "'alpha'"), ("homogeneous", {"alpha": float("nan")}, "'alpha'"),
+        ("homogeneous", {"alpha": -1.0}, "'alpha'"), ("joint_concave", {"alpha": float("nan")}, "'alpha'"),
+        ("joint_concave", {"beta": float("nan")}, "'beta'"), ("joint_concave", {"beta": 0.0}, "'beta'"),
+        ("joint_concave", {"alpha": 0.5, "beta": 0.6}, "'alpha' + 'beta'"),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{key}={n}" for key, n in v.items()))
+    def test_extra_parameters_are_judged_at_load(self, tmp_path, capsys, theorem, edit, named):
+        # A homogeneous file with alpha inf or NaN, or a joint_concave one with
+        # a NaN weight, loaded and ended in "eigendecomposition did not converge".
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 2, 2, 0).to_json()
+        payload.update(edit)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "cannot load instance" in err and named in err
+
     def test_map_must_take_the_fields_dimension(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 0).to_json()

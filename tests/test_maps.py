@@ -204,10 +204,10 @@ class TestJensenChecks:
             assert res.hypothesis_met and res.holds, res.to_json()
 
     def test_unnormalized_map_rejected(self):
-        inst = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 5, NEG_T_LOG_T, 0.0)
-        inst.pmap = PositiveLinearMap([0.5 * np.eye(3)])
+        payload = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 5, NEG_T_LOG_T, 0.0).to_json()
+        payload["map"] = map_to_json(PositiveLinearMap([0.5 * np.eye(3)]))
         with pytest.raises(PreconditionError, match="not normalized"):
-            check(TheoremId.MAP_MONOTONE, inst)
+            Instance.from_json(payload)
 
 
 class TestJensenReverses:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from opentropy import DomainError, NotPositiveDefiniteError, PreconditionError, UnresolvableWindowError
+from opentropy import (
+    DomainError,
+    GenerationError,
+    NotPositiveDefiniteError,
+    PreconditionError,
+    UnresolvableWindowError,
+)
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
@@ -34,10 +40,10 @@ def test_registry_is_total():
 
 
 def draw_resolution(dim, k, seed):
-    """The normalized family's draw of k unit-weight PD matrices summing to the identity."""
-    return OperatorField.from_matrices(
-        np.ones(k), verify._resolution_arrays(np.random.default_rng(seed), dim, k, diagonal=False)
-    )
+    """k unit-weight PD matrices summing to the identity, projected as the
+    normalized family projects its raw nodes."""
+    nodes = verify._node_draws(np.random.default_rng(seed), dim, False, 0.2, 1.0, k)
+    return OperatorField.from_matrices(np.ones(k), verify._resolution(nodes, diagonal=False))
 
 
 class TestRandomResolution:
@@ -118,7 +124,7 @@ class TestRandomInstance:
         # log meets entropy_upper's f(t) <= t - 1.)
         for theorem in TheoremId:
             f = LOG if theorem is TheoremId.ENTROPY_UPPER else power(0.5)
-            least_k = 2 if STATEMENTS[theorem].family is verify._normalized else 1
+            least_k = 2 if STATEMENTS[theorem].family is verify._NORMALIZED else 1
             cases = [(17, 3, 3, False), (18, 4, 3, False), (19, 2, 3, False), (20, 5, 3, False),
                      (21, 1, least_k, False), (22, 3, least_k, False), (23, 1, 3, False),
                      (24, 3, 3, True), (25, 1, least_k, True), (26, 4, least_k, True)]
@@ -153,9 +159,10 @@ class TestStackedDraws:
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dim,k", [(1, 1), (1, 3), (3, 2), (6, 4)])
     def test_resolution_and_free_arrays(self, dim, k, diagonal):
-        for draw in (verify._resolution_arrays, verify._free_arrays):
-            single = lambda rng: draw(rng, dim, k, diagonal)
-            self.same(single, lambda rng, n: draw(rng, dim, k, diagonal, n))
+        # The raw nodes, and their projections: a stack's sums are solved in one call.
+        for low, high, project in ((0.2, 1.0, verify._resolution), (0.5, 4.0, verify._free_nodes)):
+            draw = lambda rng, *lead: project(verify._node_draws(rng, dim, diagonal, low, high, *lead, k), diagonal)
+            self.same(draw, draw)
 
 
 class TestCheckerBehavior:
@@ -577,11 +584,13 @@ def test_function_gates_decide_as_the_grid_did(head):
             assert _gate_passes(TheoremId.ENTROPY_UPPER, f, lo, hi) == want, (f.spec, lo, hi)
 
 
-@pytest.mark.parametrize("theorem", [t for t in TheoremId if STATEMENTS[t].below_t_minus_1])
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if STATEMENTS[t].family is verify._NORMALIZED])
 def test_tangent_gate_statements_load_only_windows_straddling_one(theorem):
-    # The tangent rule decides f(t) <= t - 1 exactly only on windows with
-    # m <= 1 - 1e-6 and M >= 1 + 1e-6.  With fb = fa the pair spectrum is
-    # {1}, so any window around 1 covers it and only the straddle can refuse.
+    # Every normalized-family statement loads only windows with m <= 1 - 1e-6
+    # and M >= 1 + 1e-6: the tangent rule decides f(t) <= t - 1 exactly only
+    # there, and example_log_pair's closed forms need m < 1 < M.  With fb = fa
+    # the pair spectrum is {1}, so any window around 1 covers it and only the
+    # straddle can refuse.
     payload = random_instance(theorem, 2, 2, 3, LOG, 0.5).to_json()
     payload.update(fb=payload["fa"], t0=1.0)
     for m, M in ((1.0 - 1e-7, 1.0 + 1e-5), (1.0 - 1e-5, 1.0 + 1e-7), (1.0, 2.0)):
@@ -677,7 +686,7 @@ def test_instance_file_with_a_missing_field_is_rejected(theorem):
 
 
 # The statements whose field families measure their window on pair spectra.
-_PAIRED = [t for t in TheoremId if STATEMENTS[t].family in verify._PAIRS]
+_PAIRED = [t for t in TheoremId if STATEMENTS[t].family.pairs]
 
 
 @pytest.mark.parametrize("theorem", [t for t in TheoremId if "m" in STATEMENTS[t].needs])
@@ -773,3 +782,93 @@ def test_exponents_outside_the_unit_interval_hold(q):
     assert len(report.records) == 120
     assert all(r.exponent == q and r.hypothesis_met and r.holds for r in report.records)
     assert {r.dim for r in report.records} == {2, 3, 4, 5, 6}
+
+
+def _replace_family(monkeypatch, theorem, **changes):
+    """STATEMENTS[theorem] with its family record's fields replaced, for one test."""
+    st = STATEMENTS[theorem]
+    monkeypatch.setitem(STATEMENTS, theorem, dataclasses.replace(st, family=dataclasses.replace(st.family, **changes)))
+
+
+def test_a_family_that_never_accepts_fails_generation_after_the_cap(monkeypatch):
+    theorem, draws = TheoremId.KLEIN_UPPER, []
+    family = STATEMENTS[theorem].family
+    _replace_family(monkeypatch, theorem, draw=lambda *args: draws.append(args) or family.draw(*args),
+                    project=lambda raw: None)
+    with pytest.raises(GenerationError, match=f"in {verify._RESAMPLE_CAP} attempts"):
+        random_instance(theorem, 2, 1, 0)
+    assert len(draws) == verify._RESAMPLE_CAP
+    record, inst, result = run_trial(theorem, SMALL, trial_seed(7, theorem, 0))
+    assert inst is None and result.margin is None
+    assert not record.hypothesis_met and record.holds and record.detail.startswith("generation failed: no klein_upper")
+
+
+def test_a_rejected_attempt_is_drawn_again(monkeypatch):
+    theorem, raws, projected = TheoremId.SUBADDITIVE, [], []
+    family = STATEMENTS[theorem].family
+
+    def project(raw):
+        raws.append(raw)
+        if len(raws) > 1:
+            projected.append(family.project(raw))
+            return projected[-1]
+        return None
+
+    _replace_family(monkeypatch, theorem, project=project)
+    inst = random_instance(theorem, 3, 2, 7, LOG, 0.0)
+    assert len(raws) == 2 and len(projected) == 1
+    assert all(getattr(inst, slot) is value for slot, value in zip(family.slots, projected[0]))
+    monkeypatch.undo()
+    # Unpatched, the same seed keeps the first attempt.
+    first = random_instance(theorem, 3, 2, 7, LOG, 0.0)
+    np.testing.assert_array_equal(first.fa.arrays, family.project(raws[0])[0].arrays)
+    assert not np.array_equal(first.fa.arrays, inst.fa.arrays)
+
+
+def _perturbed(raw, rng):
+    """The raw arrays of a draw moved off the draw's distribution: real ones
+    (diagonals, weights, probabilities) scaled by factors in [1/2, 2] and
+    shifted down by 0.1 where they are probabilities (so that the clip acts),
+    complex Gaussians shifted by another."""
+
+    def move(x):
+        if not isinstance(x, np.ndarray):
+            return x
+        if np.iscomplexobj(x):
+            return x + 0.5 * verify._cgauss(rng, x.shape[-1], *x.shape[:-2])
+        return x * np.exp(rng.uniform(-0.7, 0.7, x.shape))
+
+    return tuple(map(move, raw)) if isinstance(raw, tuple) else move(raw) - 0.1
+
+
+def _first_array(values):
+    first = values[0]
+    return first.arrays if isinstance(first, OperatorField) else np.array(first)
+
+
+@pytest.mark.parametrize("theorem", list({STATEMENTS[t].family: t for t in TheoremId}.values()),
+                         ids=lambda t: t.value)
+def test_projection_restores_the_family_constraints(theorem):
+    st, rng = STATEMENTS[theorem], np.random.default_rng(29)
+    family, accepted, moved = st.family, 0, 0
+    least_k = 2 if family is verify._NORMALIZED else 1
+    for dim, k, diagonal in ((1, 1, False), (1, 3, True), (2, 1, True), (3, 2, False), (4, 3, True), (5, 2, False)):
+        k = st.fixed.get("k", max(k, least_k))
+        for seed in range(4):
+            raw = family.draw(np.random.default_rng(seed), dim, k, diagonal)
+            values = family.project(_perturbed(raw, rng))
+            if values is None:
+                continue
+            inst = Instance(theorem, seed, dim, **{"k": k, "f": power(0.5), "q": 0.5, **st.fixed})
+            for slot, value in zip(family.slots, values):
+                setattr(inst, slot, value)
+            if "t0" in family.slots:
+                inst.t0 = float(rng.uniform(inst.m, inst.M))
+            for slot, value in zip(st.extras.slots, st.extras.project(st.extras.draw(rng, dim, k, diagonal))):
+                setattr(inst, slot, value)
+            inst.validate()
+            unperturbed = family.project(raw)
+            moved += unperturbed is None or not np.array_equal(_first_array(values), _first_array(unperturbed))
+            accepted += 1
+    # Only a dim-1 probability vector, always [1], cannot move.
+    assert accepted >= 20 and moved >= accepted - 8, (accepted, moved)
