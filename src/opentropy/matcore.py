@@ -28,8 +28,9 @@ Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
 (..., d, d) as well as one matrix.  A field is one (k, d, d) stack; n aligned
 fields built together (`OperatorField.stack`) are one (n, k, d, d) stack,
-decomposed in one LAPACK call with one floor check, and `pair_spectra`
-solves several aligned pairs in one pass of the pair kernel.  Stacked LAPACK
+decomposed in one LAPACK call with one floor check, and n aligned pairs
+(`OperatorField.pairs`) are one solve of the A stack and one pass of the
+pair kernel.  Stacked LAPACK
 and matmul give the same bits per matrix as one call per matrix
 (tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
 and 64), so a stacked solve never changes a result.  A field or spectrum
@@ -39,6 +40,18 @@ slices of a read-only stack are read-only already, so
 trial's path are gathered with `np.array([...])`, which copies same-shape
 arrays along a new leading axis as `np.stack` does, at about a fifth of its
 call overhead on these small arrays.
+
+The B side of a pair.  A pair (A, B) is read through the spectrum of
+T = A^{-1/2} B A^{-1/2}, and B = A^{1/2} T A^{1/2} is a congruence of T, so
+by Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9)
+lambda_min(B) >= lambda_min(A) lambda_min(T) and lambda_max(B) <=
+lambda_max(A) lambda_max(T) when T is positive definite.  The pair route
+(`OperatorField.pairs`, `OperatorField.partner`) floors B through them: B
+passes when lambda_min(A) lambda_min(T) > 1e-6 lambda_max(A) lambda_max(T) at
+every node, six orders above the 1e-12 floor, so no B that the exact floor
+refuses passes; otherwise the exact floor runs on B's own eigenvalues.  B's
+`decomposition` is then solved on its first read, the same bits as an eager
+build.
 """
 
 from __future__ import annotations
@@ -58,7 +71,6 @@ __all__ = [
     "OperatorField",
     "PositiveDefiniteMatrix",
     "PairSpectrum",
-    "pair_spectra",
     "eig",
     "apply_function",
     "loewner_leq",
@@ -71,6 +83,10 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Construction rejects matrices with lambda_min <= floor * lambda_max;
 # guards against numerically singular inputs before inversion.
 _PD_RELATIVE_FLOOR = 1e-12
+
+# The pair route accepts B when Ostrowski's bounds put lambda_min(B) above
+# this multiple of lambda_max(B) (the module docstring says why).
+_PAIR_IMPLIED_FLOOR = 1e-6
 
 
 def _nonconvergence(err, flag) -> None:
@@ -130,6 +146,16 @@ def _require_pd_floor(eigenvalues: np.ndarray) -> None:
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {lo:.6e} is not safely positive (largest is {hi:.6e})"
             )
+
+
+def _floor_implied(a_values: np.ndarray, t_values: np.ndarray) -> bool:
+    """Whether Ostrowski's bounds put every B = A^{1/2} T A^{1/2} above the
+    PD floor, from the ascending spectra of A and T (one row per node):
+    lambda_min(A) lambda_min(T) > 0 and > 1e-6 lambda_max(A) lambda_max(T).
+    A NaN fails it, as in `_require_pd_floor`."""
+    lows = (a_values[..., 0] * t_values[..., 0]).reshape(-1).tolist()
+    highs = (a_values[..., -1] * t_values[..., -1]).reshape(-1).tolist()
+    return all(lo > 0.0 and lo > _PAIR_IMPLIED_FLOOR * hi for lo, hi in zip(lows, highs))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -202,25 +228,47 @@ def _solve_pd(stack: np.ndarray) -> SpectralDecomposition:
     return decomposition
 
 
+def _floored_pair_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair kernel on A's floor-checked solve and B's exactly Hermitian
+    array (one matrix or matching stacks), with B's PD floor decided on the
+    way: a non-finite B is refused before the kernel's solve, B passes when
+    `_floor_implied` holds, and otherwise the exact floor runs on B's
+    eigenvalues (NotPositiveDefiniteError, reporting B's first failing node)."""
+    if b.shape != a.eigenvectors.shape:
+        raise ShapeError(f"B nodes of shape {b.shape} for A nodes of shape {a.eigenvectors.shape}")
+    if not np.isfinite(b).all():
+        raise NotPositiveDefiniteError("a node matrix has non-finite entries")
+    lam, frame = _relative_spectrum(a, b)
+    if not _floor_implied(a.eigenvalues, lam):
+        _require_pd_floor(_eigvalsh(b))
+    return lam, frame
+
+
 class OperatorField:
     """Finite weighted family {(w_s, A_s)} of PD matrices of one dimension.
 
     Stored as one read-only (k, d, d) stack of the node matrices (`arrays`)
-    with its weights and one stacked eigendecomposition (`decomposition`),
-    computed by a single eigensolve at construction; that solve also applies
-    the PD floor to every node: lambda_min > 0 and lambda_min > 1e-12
-    lambda_max (NotPositiveDefiniteError).  Fields are immutable, so the pair
-    spectra against another field are memoised on the field (`pair_spectrum`).
+    with its weights and one stacked eigendecomposition (`decomposition`).
+    Every field meets the PD floor at every node: lambda_min > 0 and
+    lambda_min > 1e-12 lambda_max (NotPositiveDefiniteError).  A field built
+    from its nodes, or by `stack`, is solved at construction, and that solve
+    applies the floor.  The B field of a pair (`pairs`, `partner`) is floored
+    through the pair spectrum instead (the module docstring gives the rule),
+    and its `decomposition` is solved on the first read, with the same bits
+    as a solve at construction.  Fields are immutable, so the pair spectra
+    against another field are memoised on the field (`pair_spectrum`).
 
     Nodes are (weight, matrix) pairs; a matrix is an array-like or a
     PositiveDefiniteMatrix and is symmetrized to (A + A*)/2.  The keyword-only
     arguments are the package's own route for a Hermitian stack it has
-    already built (and, from `stack`, its floor-checked solve).
+    already built (and, from `stack`, its floor-checked solve; with
+    `_floored`, checked weights and a frozen stack whose floor is
+    established, solved on first read).
     """
 
     __slots__ = ("_weights", "_arrays", "_decomp", "_spectra")
 
-    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None):
+    def __init__(self, nodes=(), *, _weights=None, _arrays=None, _decomposition=None, _floored=False):
         if _arrays is None:
             nodes = list(nodes)
             if not nodes:
@@ -231,7 +279,7 @@ class OperatorField:
             if len(dims) != 1:
                 raise ShapeError(f"field nodes have mixed dimensions {sorted(dims)}")
             _arrays = _symmetrize(np.array(matrices))
-        if _decomposition is None:
+        if _decomposition is None and not _floored:
             _weights = _checked_weights(_weights, len(_arrays))
             _decomposition = _solve_pd(_arrays)
             _arrays.setflags(write=False)
@@ -256,6 +304,38 @@ class OperatorField:
         parts = zip(arrays, decomposition.unstack())
         return tuple(OperatorField(_weights=weights, _arrays=a, _decomposition=d) for a, d in parts)
 
+    @classmethod
+    def pairs(cls, weights, a_stack: np.ndarray, b_stack: np.ndarray) -> tuple[tuple["OperatorField", ...], ...]:
+        """n aligned pairs (FA_i, FB_i) sharing `weights`, one per item of
+        exactly Hermitian (n, k, d, d) stacks of A and B nodes.  The weights
+        are checked, the A stack is solved and floored in one call, and then
+        one pass of the pair kernel gives every pair spectrum, memoised as
+        `pair_spectrum` does, and floors the B stack (the module docstring
+        gives the rule).  B is not solved.  Both stacks are frozen in place."""
+        weights = _checked_weights(weights, a_stack.shape[1])
+        decomposition = _solve_pd(a_stack)
+        a_stack.setflags(write=False)
+        lams, frames = _floored_pair_spectrum(decomposition, b_stack)
+        b_stack.setflags(write=False)
+        out = []
+        for a, d, b, lam, frame in zip(a_stack, decomposition.unstack(), b_stack, lams, frames):
+            fa = OperatorField(_weights=weights, _arrays=a, _decomposition=d)
+            fb = OperatorField(_weights=weights, _arrays=b, _floored=True)
+            fa._spectra[fb] = PairSpectrum(fa, fb, _spectrum=(lam, frame))
+            out.append((fa, fb))
+        return tuple(out)
+
+    def partner(self, b_arrays: np.ndarray) -> "OperatorField":
+        """The field FB on this field's weights with the exactly Hermitian
+        (k, d, d) nodes `b_arrays`, floored through the pair spectrum of
+        (self, FB) like `pairs`, which memoises that spectrum.  B is not
+        solved; `b_arrays` is frozen in place."""
+        spectrum = _floored_pair_spectrum(self.decomposition, b_arrays)
+        b_arrays.setflags(write=False)
+        fb = OperatorField(_weights=self._weights, _arrays=b_arrays, _floored=True)
+        self._spectra[fb] = PairSpectrum(self, fb, _spectrum=spectrum)
+        return fb
+
     @property
     def weights(self) -> np.ndarray:
         return self._weights
@@ -267,7 +347,10 @@ class OperatorField:
 
     @property
     def decomposition(self) -> SpectralDecomposition:
-        """Eigenvalues (k, d) and eigenvectors (k, d, d) of every node."""
+        """Eigenvalues (k, d) and eigenvectors (k, d, d) of every node, solved
+        on the first read for the B field of a pair."""
+        if self._decomp is None:
+            self._decomp = _solve_pd(self._arrays)
         return self._decomp
 
     @property
@@ -372,8 +455,8 @@ class PairSpectrum:
     for any scalar g.  All nodes come from one pass over A's stacked
     eigendecomposition (the pair kernel `_relative_spectrum`).  Every mean and
     entropy of the pair is one diagonal scaling away, and a field aggregate is
-    one batched product and one weighted sum.  `pair_spectra` solves several
-    aligned pairs in one pass and hands each its slice (`_spectrum`).
+    one batched product and one weighted sum.  `OperatorField.pairs` solves
+    several aligned pairs in one pass and hands each its slice (`_spectrum`).
     """
 
     __slots__ = ("weights", "eigenvalues", "frame")
@@ -421,23 +504,6 @@ class PairSpectrum:
         """sum_s w_s S(A_s, B_s; q, f) for a ScalarFunction f."""
         lam = self.eigenvalues
         return self.conjugate(lam ** float(q) * f.evaluate_array(lam))
-
-
-def pair_spectra(pairs) -> tuple[PairSpectrum, ...]:
-    """fa.pair_spectrum(fb) for each (fa, fb) of aligned field pairs of one
-    shape; the pairs not yet solved are solved in one pass of the pair kernel
-    (one (n, k, d, d) stack) and memoised like `pair_spectrum`."""
-    pairs = list(pairs)
-    todo = [(a, b) for a, b in pairs if b not in a._spectra]
-    if todo:
-        decomp = SpectralDecomposition(
-            np.array([a.decomposition.eigenvalues for a, _ in todo]),
-            np.array([a.decomposition.eigenvectors for a, _ in todo]),
-        )
-        lams, frames = _relative_spectrum(decomp, np.array([b.arrays for _, b in todo]))
-        for (a, b), lam, frame in zip(todo, lams, frames):
-            a._spectra[b] = PairSpectrum(a, b, _spectrum=(lam, frame))
-    return tuple(a._spectra[b] for a, b in pairs)
 
 
 def apply_function(a: PositiveDefiniteMatrix, f) -> np.ndarray:

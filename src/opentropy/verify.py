@@ -73,7 +73,6 @@ from .matcore import (
     apply_function,
     matrix_from_json,
     matrix_to_json,
-    pair_spectra,
 )
 
 __all__ = [
@@ -186,6 +185,14 @@ class Instance:
         for family in (st.family, st.extras):
             family.validate(self)
         self._check_header()
+        # A slot the statement fixes is read as that value, or not read at all.
+        for slot, value in st.fixed.items():
+            given = getattr(self, slot)
+            if value is not None and given is not None and given != value:
+                key, encode, _ = _SLOTS[slot]
+                raise PreconditionError(
+                    f"a {self.theorem.value} instance has {key!r} fixed at {encode(value)!r}, got {encode(given)!r}"
+                )
         if "t0" in st.needs and not self._covers(self.t0, self.t0):
             raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
         # The chord constants are taken on [m, M]; they bound f on the pair
@@ -363,12 +370,13 @@ def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
     return _scalar_image(v, scalar_map(w))
 
 
-def _fields_like(fields: tuple, stack: np.ndarray) -> tuple:
-    """Fields on the nodes and weights that the aligned `fields` share, one
-    per item of the (n, k, d, d) `stack` of their combinations, solved in one call."""
+def _pair_like(fields: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The pair (FA, FB) on the nodes and weights that the aligned `fields`
+    share, with the (k, d, d) node stacks `a` and `b` of their combinations,
+    its pair spectrum memoised."""
     for other in fields[1:]:
         _require_aligned(fields[0], other)
-    return OperatorField.stack(fields[0].weights, stack)
+    return OperatorField.pairs(fields[0].weights, a[None], b[None])[0]
 
 
 def _entropy_terms(inst: Instance, p: float, *more):
@@ -420,8 +428,8 @@ def _mean_integral(inst: Instance, constant: None) -> Sides:
     """sum_s w_s (A_s #_p B_s) <= (sum w A) #_p (sum w B), p in [0,1]"""
     p = float(inst.q)
     lhs = inst.fa.pair_spectrum(inst.fb).power_mean(p)
-    totals = np.array([inst.fa.weighted_sum(), inst.fb.weighted_sum()])
-    total_a, total_b = OperatorField.stack(np.ones(1), totals[:, None])
+    ((total_a, total_b),) = OperatorField.pairs(np.ones(1), inst.fa.weighted_sum()[None, None],
+                                                inst.fb.weighted_sum()[None, None])
     rhs = total_a.pair_spectrum(total_b).power_mean(p)
     return Sides([(lhs, "<=", rhs)], f"node-wise power means vs power mean of the integrals at p={p:g}")
 
@@ -516,7 +524,7 @@ def _info_ineq(inst: Instance, constant: None) -> Sides:
 def _subadditive(inst: Instance, constant: None) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
     fa, fb, fc, fd = inst.fa, inst.fb, inst.fc, inst.fd
-    left, right = _fields_like((fa, fb, fc, fd), np.array([fa.arrays + fb.arrays, fc.arrays + fd.arrays]))
+    left, right = _pair_like((fa, fb, fc, fd), fa.arrays + fb.arrays, fc.arrays + fd.arrays)
     term = inst.f.evaluate_array
     lhs = left.pair_spectrum(right).aggregate(term)
     rhs = inst.fa.pair_spectrum(inst.fc).aggregate(term) + inst.fb.pair_spectrum(inst.fd).aggregate(term)
@@ -527,7 +535,7 @@ def _homogeneous(inst: Instance, constant: None) -> Sides:
     """S_q(alpha A | alpha B) = alpha S_q(A|B) for alpha > 0 (equality, two-sided)"""
     alpha, q, f = float(inst.alpha), float(inst.q), inst.f
     # The scaled pair is solved afresh: the lhs shares no spectra with the rhs.
-    scaled_a, scaled_b = _fields_like((inst.fa, inst.fb), alpha * np.array([inst.fa.arrays, inst.fb.arrays]))
+    scaled_a, scaled_b = _pair_like((inst.fa, inst.fb), alpha * inst.fa.arrays, alpha * inst.fb.arrays)
     lhs = scaled_a.pair_spectrum(scaled_b).entropy_term(q, f)
     rhs = alpha * inst.fa.pair_spectrum(inst.fb).entropy_term(q, f)
     return Sides([(lhs, "==", rhs)], f"homogeneity at alpha={alpha:g}, q={q:g} (two-sided margin)")
@@ -537,8 +545,9 @@ def _joint_concave(inst: Instance, constant: None) -> Sides:
     """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
     alpha, beta = float(inst.alpha), float(inst.beta)
     fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
-    mixed = np.array([alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays])
-    mixed_a, mixed_b = _fields_like((fa, fb, fa2, fb2), mixed)
+    mixed_a, mixed_b = _pair_like(
+        (fa, fb, fa2, fb2), alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays
+    )
     term = inst.f.evaluate_array
     lhs = mixed_a.pair_spectrum(mixed_b).aggregate(term)
     first = inst.fa.pair_spectrum(inst.fb).aggregate(term)
@@ -553,9 +562,10 @@ def _map_monotone(inst: Instance, constant: None) -> Sides:
     aggregate = fa.pair_spectrum(fb).aggregate(f.evaluate_array)
     # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs).
     images = pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]]))
+    k = len(fa)
     try:
-        # One solve for both image fields; the floor names the first failing node, FA's first.
-        image_a, image_b = OperatorField.stack(fa.weights, images[:-1].reshape(2, *fa.arrays.shape))
+        # FA's image is floored first, so the floor names the first failing node, FA's first.
+        ((image_a, image_b),) = OperatorField.pairs(fa.weights, images[None, :k], images[None, k:-1])
     except NotPositiveDefiniteError as exc:
         raise _Skip(f"map image not positive definite ({exc})") from exc
     rhs = image_a.pair_spectrum(image_b).aggregate(f.evaluate_array)
@@ -668,7 +678,8 @@ def _project_normalized(raw):
     diagonal, weights, nodes = raw
     if len(weights) < 2:
         raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
-    fa, fb = OperatorField.stack(weights, _resolution(nodes, diagonal) / weights[:, None, None])
+    arrays = _resolution(nodes, diagonal) / weights[:, None, None]
+    ((fa, fb),) = OperatorField.pairs(weights, arrays[:1], arrays[1:])
     # The memoised pair spectrum: the check reuses it.
     spectrum = fa.pair_spectrum(fb)
     m, M = spectrum.m, spectrum.M
@@ -686,9 +697,9 @@ def _project_centered(raw):
     """A free pair with B rescaled so that the measured window straddles 1.
 
     It solves FA's nodes, the eigenvalues alone of the unscaled pair (for m
-    and M), and then only the B field the instance keeps, B / sqrt(mM) (B
-    itself for a scalar 1x1 pair), with its pair spectrum, which the check
-    reuses.  The unscaled B is never solved as a field.
+    and M), and then the pair spectrum of FA and the B field the instance
+    keeps, B / sqrt(mM) (B itself for a scalar 1x1 pair), which floors that
+    B and which the check reuses.  No B is solved as a field.
     """
     diagonal, weights, nodes = raw
     a_arrays, b_arrays = _free_nodes(nodes, diagonal)
@@ -699,7 +710,7 @@ def _project_centered(raw):
         b_arrays = (1.0 / math.sqrt(m * M)) * b_arrays
     elif b_arrays.size > 1:  # not a scalar 1x1 pair
         return None
-    fb = OperatorField(_weights=fa.weights, _arrays=b_arrays)
+    fb = fa.partner(b_arrays)
     spectrum = fa.pair_spectrum(fb)
     m, M = spectrum.m, spectrum.M
     # A scalar 1x1 pair has m = M; the straddle is only possible (and only
@@ -708,10 +719,16 @@ def _project_centered(raw):
 
 
 def _project_free(pairs: tuple[tuple[int, int], ...], raw):
-    """Free fields as one stack, and the window over the spectra of `pairs` (indices into them)."""
+    """Free fields built as the aligned `pairs` (indices into them), and the
+    window over the pairs' spectra."""
     diagonal, weights, nodes = raw
-    fields = OperatorField.stack(weights, _free_nodes(nodes, diagonal))
-    spectra = pair_spectra((fields[a], fields[b]) for a, b in pairs)
+    arrays = _free_nodes(nodes, diagonal)
+    firsts, seconds = (list(ends) for ends in zip(*pairs))
+    built = OperatorField.pairs(weights, arrays[firsts], arrays[seconds])
+    fields = [None] * len(arrays)
+    for (a, b), (fa, fb) in zip(pairs, built):
+        fields[a], fields[b] = fa, fb
+    spectra = [fa.pair_spectrum(fb) for fa, fb in built]
     return (*fields, min(s.m for s in spectra), max(s.M for s in spectra))
 
 

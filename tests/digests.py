@@ -24,6 +24,14 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
                      0-3: the dim-1, k-1 and diagonal draws that no digested
                      campaign makes
 
+A last line, which is not a digest, gives the eigensolves per trial of the
+acceptance campaign, counted through matcore's entry (`_eigh`, `_eigvalsh`)
+during the acceptance.json run: calls, and the d x d matrices they solved
+(a stack of n counts n), for each entry:
+
+    eigensolves per trial of acceptance.json (not a digest): eigh <calls>
+    calls, <matrices> matrices; eigvalsh <calls> calls, <matrices> matrices
+
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
 sums by BLAS thread, so that digest depends on the thread count: it reads
@@ -39,6 +47,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,7 +55,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from opentropy import bounds, cli, functions, verify  # noqa: E402
+import pytest  # noqa: E402
+from conftest import ENTRY, rebind_entry  # noqa: E402
+from opentropy import bounds, cli, functions, matcore, verify  # noqa: E402
 from workloads import SweepWorkload  # noqa: E402
 
 # The variables that set the BLAS thread count, as perfbench/run.py pins them.
@@ -87,6 +98,26 @@ def campaign_digest(argv: list[str]) -> tuple[str, int]:
     return _sha256(out.getvalue()), code
 
 
+@contextlib.contextmanager
+def eigensolve_counts():
+    """Count the calls to matcore's eigensolver entry and the matrices they
+    solve, in every package module that binds it, while the block runs.
+    Yields {"eigh": [calls, matrices], "eigvalsh": [calls, matrices]}."""
+    counts = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, label in ENTRY.items():
+            real = getattr(matcore, name)
+            tally = counts[label] = [0, 0]
+
+            def counted(a, _real=real, _tally=tally):
+                _tally[0] += 1
+                _tally[1] += math.prod(a.shape[:-2])
+                return _real(a)
+
+            rebind_entry(patch, name, counted)
+        yield counts
+
+
 def sweep_digest() -> str:
     payload = []
     for seed in range(3):
@@ -124,8 +155,12 @@ def blas_threads() -> str:
 
 
 def main() -> int:
+    trials = int(ACCEPTANCE[ACCEPTANCE.index("--trials") + 1]) * len(verify.TheoremId)
     for name, argv in CAMPAIGNS.items():
-        digest, code = campaign_digest(argv)
+        with eigensolve_counts() as counted:
+            digest, code = campaign_digest(argv)
+        if name == "acceptance.json":
+            counts = counted
         note = f"  (exit {code})" if code else ""
         if name == "dims48-64.json":
             note += f"  (BLAS threads: {blas_threads()})"
@@ -133,6 +168,11 @@ def main() -> int:
     print(f"{sweep_digest()}  sweep", flush=True)
     print(f"{edges_digest()}  edges", flush=True)
     print(f"{instances_digest()}  instances", flush=True)
+    per_trial = "; ".join(
+        f"{entry} {calls / trials:.4f} calls, {matrices / trials:.4f} matrices"
+        for entry, (calls, matrices) in counts.items()
+    )
+    print(f"eigensolves per trial of acceptance.json (not a digest): {per_trial}", flush=True)
     return 0
 
 

@@ -256,6 +256,17 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "does not match the header" in err
 
+    def test_klein_file_with_two_nodes_exits_2(self, tmp_path, capsys):
+        # Header and payload agree on k = 2, but klein_upper fixes k = 1: the
+        # check read node 0 alone and reported its margin (0.04517), exit 0.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.MEAN_INTEGRAL, 3, 2, 1).to_json()
+        payload.update(theorem="klein_upper", f="log")
+        del payload["q"]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "'k' fixed at 1, got 2" in err
+
     @pytest.mark.parametrize("theorem,edit,named", [
         ("homogeneous", {"alpha": float("inf")}, "'alpha'"), ("homogeneous", {"alpha": float("nan")}, "'alpha'"),
         ("homogeneous", {"alpha": -1.0}, "'alpha'"), ("joint_concave", {"alpha": float("nan")}, "'alpha'"),

@@ -19,7 +19,6 @@ from opentropy import (
     variational_form,
 )
 from opentropy.entropy import field_from_json, field_to_json
-from opentropy.matcore import pair_spectra
 from opentropy.functions import LOG, NEG_T_LOG_T, power
 
 from conftest import labels, random_pd
@@ -332,24 +331,29 @@ class TestStackedKernel:
         np.testing.assert_array_equal(field.arrays, np.stack(arrays))
 
     @pytest.mark.parametrize("dim,k", [(1, 1), (3, 2), (5, 4)])
-    def test_stacked_fields_and_pair_spectra_match_single_builds(self, rng, dim, k):
+    def test_stacked_fields_and_pair_spectra_match_single_builds(self, rng, dim, k, solve_calls):
         weights = rng.uniform(0.5, 2.0, size=k)
         stack = np.stack([[random_pd(rng, dim).array for _ in range(k)] for _ in range(4)])
-        fields = OperatorField.stack(weights, stack)
-        singles = [OperatorField(_weights=weights, _arrays=arrays) for arrays in stack]
+        fields = OperatorField.stack(weights, stack.copy())
+        singles = [OperatorField(_weights=weights, _arrays=arrays) for arrays in stack.copy()]
         for built, single in zip(fields, singles):
             np.testing.assert_array_equal(built.arrays, single.arrays)
             np.testing.assert_array_equal(built.decomposition.eigenvalues, single.decomposition.eigenvalues)
             np.testing.assert_array_equal(built.decomposition.eigenvectors, single.decomposition.eigenvectors)
-        pairs = [(fields[0], fields[2]), (fields[1], fields[3])]
-        spectra = pair_spectra(pairs)
-        single_pairs = [(singles[0], singles[2]), (singles[1], singles[3])]
-        for (a, b), spectrum, (sa, sb) in zip(pairs, spectra, single_pairs):
+        # The pairs (0, 2) and (1, 3): one solve of the A stack, one pass of the pair kernel.
+        solve_calls.clear()
+        pairs = OperatorField.pairs(weights, stack[:2].copy(), stack[2:].copy())
+        assert [s[:3] for s in solve_calls] == [("eigh", 2 * k, dim)] * 2
+        for (a, b), (sa, sb) in zip(pairs, [(singles[0], singles[2]), (singles[1], singles[3])]):
+            np.testing.assert_array_equal(a.arrays, sa.arrays)
+            np.testing.assert_array_equal(b.arrays, sb.arrays)
+            assert a.weights is b.weights
+            spectrum = a.pair_spectrum(b)
             assert a.pair_spectrum(b) is spectrum
             single = PairSpectrum(sa, sb)
             np.testing.assert_array_equal(spectrum.eigenvalues, single.eigenvalues)
             np.testing.assert_array_equal(spectrum.frame, single.frame)
-        assert pair_spectra(pairs) == spectra
+            np.testing.assert_array_equal(a.decomposition.eigenvectors, sa.decomposition.eigenvectors)
 
     def test_stacked_fields_reject_a_node_below_the_floor(self, rng):
         stack = np.stack([[random_pd(rng, 2).array] for _ in range(3)])

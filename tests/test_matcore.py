@@ -28,7 +28,7 @@ from opentropy.matcore import (
     matrix_to_json,
 )
 
-from conftest import random_hermitian, random_pd
+from conftest import labels, random_hermitian, random_pd
 
 
 # Signed zeros, subnormals, an overflowing sum and infinities.
@@ -240,6 +240,90 @@ class TestPositiveDefinite:
         b = PositiveDefiniteMatrix(2.5 * a.array)
         np.testing.assert_array_equal(b.array, 2.5 * a.array)
         np.testing.assert_array_equal(b.eigenvalues, np.linalg.eigh(b.array)[0])
+
+
+def node_stack(rng, dim, k, n=1):
+    """An exactly Hermitian (n, k, dim, dim) stack of well-conditioned PD nodes."""
+    return np.array([[random_pd(rng, dim).array for _ in range(k)] for _ in range(n)])
+
+
+class TestPairRoute:
+    """`OperatorField.pairs` floors B through the pair spectrum and solves
+    B's decomposition only when it is read."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_b_is_refused_before_the_pair_solve(self, rng, solve_calls, value):
+        a, b = node_stack(rng, 3, 2), node_stack(rng, 3, 2)
+        b[0, 1, 0, 2] = value
+        solve_calls.clear()
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            OperatorField.pairs(np.ones(2), a, b)
+        # A's own solve and floor only: no pair kernel solve, no B solve.
+        assert [s[:3] for s in solve_calls] == [("eigh", 2, 3)]
+
+    @pytest.mark.parametrize("low", [1e-13, 0.0, -0.5])
+    def test_b_below_the_floor_is_refused_as_a_field_build_refuses_it(self, rng, solve_calls, low):
+        a, b = node_stack(rng, 3, 2), node_stack(rng, 3, 2)
+        b[0, 1] = np.diag([1.0, low, 2.0])
+        with pytest.raises(NotPositiveDefiniteError) as field_build:
+            OperatorField(_weights=np.ones(2), _arrays=b[0].copy())
+        solve_calls.clear()
+        with pytest.raises(NotPositiveDefiniteError) as pair_build:
+            OperatorField.pairs(np.ones(2), a, b)
+        assert str(pair_build.value) == str(field_build.value)
+        # The refusal came from the exact floor on B's eigenvalues.
+        assert labels(solve_calls) == ["eigh", "eigh", "eigvalsh"]
+        np.testing.assert_array_equal(solve_calls[-1].a, b)
+
+    def test_ill_conditioned_a_takes_the_exact_floor_and_passes(self, rng, solve_calls):
+        # cond(A) = 1e8 spreads T far enough that the bounds cannot place B,
+        # which is benign, so B's own eigenvalues decide.
+        u = np.linalg.qr(random_hermitian(rng, 3))[0]
+        a = _symmetrize((u * np.array([1e-8, 0.5, 1.0])) @ _adjoint(u))[None, None]
+        b = node_stack(rng, 3, 1)
+        solve_calls.clear()
+        ((fa, fb),) = OperatorField.pairs(np.ones(1), a, b)
+        assert labels(solve_calls) == ["eigh", "eigh", "eigvalsh"]
+        np.testing.assert_array_equal(solve_calls[-1].a, b)
+        assert fa.pair_spectrum(fb).m > 0.0
+
+    def test_benign_pairs_solve_no_b(self, rng, solve_calls):
+        a, b = node_stack(rng, 4, 3, n=2), node_stack(rng, 4, 3, n=2)
+        solve_calls.clear()
+        built = OperatorField.pairs(np.ones(3), a, b)
+        assert [s[:3] for s in solve_calls] == [("eigh", 6, 4)] * 2
+        assert not any(np.array_equal(s.a, b) for s in solve_calls)
+        # Each pair spectrum was memoised by the build.
+        solve_calls.clear()
+        for fa, fb in built:
+            fa.pair_spectrum(fb)
+        assert solve_calls == []
+
+    def test_lazy_decomposition_is_the_eager_build_bit_for_bit(self, rng, solve_calls):
+        a, b = node_stack(rng, 5, 4), node_stack(rng, 5, 4)
+        eager = OperatorField(_weights=np.ones(4), _arrays=b[0].copy()).decomposition
+        ((_, fb),) = OperatorField.pairs(np.ones(4), a, b)
+        solve_calls.clear()
+        lazy = fb.decomposition
+        assert fb.decomposition is lazy
+        assert [s[:3] for s in solve_calls] == [("eigh", 4, 5)]
+        np.testing.assert_array_equal(lazy.eigenvalues, eager.eigenvalues)
+        np.testing.assert_array_equal(lazy.eigenvectors, eager.eigenvectors)
+
+    def test_partner_floors_b_on_an_already_solved_field(self, rng, solve_calls):
+        fa = OperatorField(_weights=np.ones(2), _arrays=node_stack(rng, 3, 2)[0])
+        b = node_stack(rng, 3, 2)[0]
+        solve_calls.clear()
+        fb = fa.partner(b)
+        assert [s[:3] for s in solve_calls] == [("eigh", 2, 3)]
+        assert fb.weights is fa.weights and not fb.arrays.flags.writeable
+        single = PairSpectrum(fa, OperatorField(_weights=np.ones(2), _arrays=b.copy()))
+        np.testing.assert_array_equal(fa.pair_spectrum(fb).eigenvalues, single.eigenvalues)
+        np.testing.assert_array_equal(fa.pair_spectrum(fb).frame, single.frame)
+        with pytest.raises(NotPositiveDefiniteError):
+            fa.partner(np.array([np.diag([1.0, 1e-13, 1.0])] * 2, dtype=complex))
+        with pytest.raises(ShapeError):
+            fa.partner(b[:1].copy())
 
 
 class TestApplyFunction:

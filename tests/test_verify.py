@@ -17,7 +17,7 @@ from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
-from opentropy import verify
+from opentropy import matcore, verify
 from opentropy.verify import (
     STATEMENTS,
     CampaignConfig,
@@ -362,7 +362,8 @@ def test_field_solves_do_not_grow_with_the_node_count(solve_calls):
 
 
 @pytest.mark.parametrize("theorem,solves", [
-    # four fields as one stack, then both measured pair spectra in one pass
+    # the two A fields as one stack, then both measured pair spectra in one
+    # pass, which floors the two B fields
     (TheoremId.SUBADDITIVE, ["eigh"] * 2),
     (TheoremId.JOINT_CONCAVE, ["eigh"] * 2),
     # both probability vectors' diagonal fields as one stack
@@ -378,27 +379,31 @@ def test_draws_solve_their_fields_as_one_stack(solve_calls, theorem, solves):
 )
 def test_centered_draw_measures_the_unscaled_pair_without_frames(solve_calls, theorem):
     # k matrices per solve: fa's nodes, the eigenvalues alone of the unscaled
-    # pair, the rescaled fb's nodes, and one full solve of the rescaled pair,
-    # which the check reuses.  That is 4k, where solving fa and the unscaled
-    # fb as one (2, k) stack took 5k.
+    # pair, and one full solve of the rescaled pair, which floors fb and which
+    # the check reuses.  That is 3k, where also solving fb's nodes took 4k.
     k = STATEMENTS[theorem].fixed.get("k", 2)
     inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
-    assert [s[:3] for s in solve_calls] == [("eigh", k, 3), ("eigvalsh", k, 3), ("eigh", k, 3), ("eigh", k, 3)]
-    # The two field solves are the instance's fa and fb, which holds B / sqrt(mM):
-    # the unscaled B is never solved.
+    assert [s[:3] for s in solve_calls] == [("eigh", k, 3), ("eigvalsh", k, 3), ("eigh", k, 3)]
+    # The one field solve is the instance's fa; fb, which holds B / sqrt(mM),
+    # is never solved, and neither is the unscaled B.
     np.testing.assert_array_equal(solve_calls[0].a, inst.fa.arrays)
-    np.testing.assert_array_equal(solve_calls[2].a, inst.fb.arrays)
+    assert not any(np.array_equal(s.a, inst.fb.arrays) for s in solve_calls)
     solve_calls.clear()
     inst.fa.pair_spectrum(inst.fb)
     assert solve_calls == []
+    # fb's decomposition is solved on its first read, and only then.
+    inst.fb.decomposition
+    inst.fb.decomposition
+    assert [s[:3] for s in solve_calls] == [("eigh", k, 3)]
+    np.testing.assert_array_equal(solve_calls[0].a, inst.fb.arrays)
 
 
-def test_scalar_centered_pair_solves_the_b_it_keeps(solve_calls):
-    # A 1x1 one-node pair has m = M: fb is B itself, solved once, the window
-    # stays unscaled, and the instance check solves the pair spectrum.
+def test_scalar_centered_pair_floors_the_b_it_keeps_through_the_pair(solve_calls):
+    # A 1x1 one-node pair has m = M: fb is B itself, floored by the solve of
+    # the pair spectrum that the instance check reuses, and the window stays unscaled.
     inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 3, LOG, 0.5)
-    assert [s[:3] for s in solve_calls] == [("eigh", 1, 1), ("eigvalsh", 1, 1), ("eigh", 1, 1), ("eigh", 1, 1)]
-    np.testing.assert_array_equal(solve_calls[2].a, inst.fb.arrays)
+    assert [s[:3] for s in solve_calls] == [("eigh", 1, 1), ("eigvalsh", 1, 1), ("eigh", 1, 1)]
+    assert not any(np.array_equal(s.a, inst.fb.arrays) for s in solve_calls)
     assert inst.m == inst.M
     assert inst.m == pytest.approx(inst.fb.arrays[0, 0, 0].real / inst.fa.arrays[0, 0, 0].real, rel=1e-14)
     assert check(TheoremId.KLEIN_UPPER, inst).hypothesis_met
@@ -421,8 +426,9 @@ def test_map_monotone_applies_the_map_once_and_solves_both_images_together(solve
         assert result.hypothesis_met and result.holds
         # fa's nodes, fb's nodes and the lhs aggregate through the map at once
         assert calls == [(2 * k + 1, dim, dim)]
-        # both image fields, their pair spectrum, then the verdict's solve
-        assert [s[:3] for s in solve_calls[:2]] == [("eigh", 2 * k, dim), ("eigh", k, dim)]
+        # FA's image field, the pair spectrum of both images, which floors
+        # FB's image, then the verdict's solve
+        assert [s[:3] for s in solve_calls[:2]] == [("eigh", k, dim), ("eigh", k, dim)]
         assert labels(solve_calls[2:]) == ["eigvalsh"]
 
 
@@ -446,6 +452,25 @@ def test_map_image_below_the_floor_skips_naming_the_first_node():
         "map image not positive definite (smallest eigenvalue "
         f"{shrink * low_a:.6e} is not safely positive (largest is 1.000000e+00))"
     )
+
+
+def test_no_b_side_field_is_eigensolved_on_the_trial_path(solve_calls, monkeypatch):
+    # Every B field of a pair, drawn or built by a check, is floored through
+    # its pair spectrum: no eigh input holds one of its nodes.
+    b_nodes = set()
+    real = matcore._floored_pair_spectrum
+
+    def recorded(a, b):
+        # + 0.0 turns -0.0 into 0.0, so that equal nodes have equal bytes.
+        b_nodes.update((m + 0.0).tobytes() for m in b.reshape(-1, *b.shape[-2:]))
+        return real(a, b)
+
+    monkeypatch.setattr(matcore, "_floored_pair_spectrum", recorded)
+    report = campaign(CampaignConfig(trials=10, seed=42))
+    assert report.error_total == 0 and report.substantive_total == 0
+    solved = {(m + 0.0).tobytes() for s in solve_calls if s.label == "eigh" for m in s.a.reshape(-1, s.dim, s.dim)}
+    assert b_nodes and solved
+    assert not b_nodes & solved
 
 
 def test_nonnegative_declaration_covering_the_window_skips_the_grid():
@@ -702,6 +727,19 @@ def test_a_one_point_window_loads():
     # Centered draws at dim 1 have m = M.
     inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 2)
     assert inst.m == inst.M and Instance.from_json(inst.to_json()).m == inst.m
+
+
+@pytest.mark.parametrize("theorem,edit", [
+    ("klein_upper", {"f": "power:0.5"}), ("info_ineq", {"f": "neg_t_log_t"}),
+    ("subadditive", {"q": 0.5}), ("joint_concave", {"q": 1.0}), ("map_monotone", {"q": 0.25}),
+])
+def test_a_slot_the_statement_fixes_must_hold_its_value(theorem, edit):
+    payload = random_instance(TheoremId(theorem), 3, 2, 0).to_json()
+    (key, value), = edit.items()
+    with pytest.raises(PreconditionError, match=f"{key!r} fixed at .*, got {value!r}"):
+        Instance.from_json(dict(payload, **edit))
+    # A statement that leaves the slot free takes any value.
+    Instance.from_json(dict(random_instance(TheoremId.HOMOGENEOUS, 3, 2, 0).to_json(), q=0.75))
 
 
 @pytest.mark.parametrize("theorem", _PAIRED)
