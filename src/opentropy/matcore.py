@@ -26,11 +26,11 @@ non-finite input included.
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_relative_eigenvalues`) and the private helpers (`_symmetrize`, `_adjoint`,
 `_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
-(..., d, d) as well as one matrix.  A field is one (k, d, d) stack; n aligned
-fields built together (`OperatorField.stack`) are one (n, k, d, d) stack,
-decomposed in one LAPACK call with one floor check, and n aligned pairs
-(`OperatorField.pairs`) are one solve of the A stack and one pass of the
-pair kernel.  Stacked LAPACK
+(..., d, d) as well as one matrix.  A field is one (k, d, d) stack, and n
+aligned pairs built together (`OperatorField.pairs`) are one (n, k, d, d)
+solve of the A stack, with one floor check, and one pass of the pair kernel.
+The pair kernel's eigenvalues and frames are read-only, so a spectrum memoised
+on a field cannot be changed under a later check.  Stacked LAPACK
 and matmul give the same bits per matrix as one call per matrix
 (tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
 and 64), so a stacked solve never changes a result.  A field or spectrum
@@ -251,17 +251,17 @@ class OperatorField:
     with its weights and one stacked eigendecomposition (`decomposition`).
     Every field meets the PD floor at every node: lambda_min > 0 and
     lambda_min > 1e-12 lambda_max (NotPositiveDefiniteError).  A field built
-    from its nodes, or by `stack`, is solved at construction, and that solve
-    applies the floor.  The B field of a pair (`pairs`, `partner`) is floored
-    through the pair spectrum instead (the module docstring gives the rule),
-    and its `decomposition` is solved on the first read, with the same bits
-    as a solve at construction.  Fields are immutable, so the pair spectra
+    from its nodes, or as the A field of a pair, is solved at construction,
+    and that solve applies the floor.  The B field of a pair (`pairs`,
+    `partner`) is floored through the pair spectrum instead (the module
+    docstring gives the rule), and its `decomposition` is solved on the first
+    read, with the same bits as a solve at construction.  Fields are immutable, so the pair spectra
     against another field are memoised on the field (`pair_spectrum`).
 
     Nodes are (weight, matrix) pairs; a matrix is an array-like or a
     PositiveDefiniteMatrix and is symmetrized to (A + A*)/2.  The keyword-only
     arguments are the package's own route for a Hermitian stack it has
-    already built (and, from `stack`, its floor-checked solve; with
+    already built (and, from `pairs`, its floor-checked solve; with
     `_floored`, checked weights and a frozen stack whose floor is
     established, solved on first read).
     """
@@ -291,18 +291,6 @@ class OperatorField:
     @classmethod
     def from_matrices(cls, weights, matrices) -> "OperatorField":
         return cls(zip(weights, matrices))
-
-    @classmethod
-    def stack(cls, weights, arrays: np.ndarray) -> tuple["OperatorField", ...]:
-        """n aligned fields sharing `weights`, one per item of an exactly
-        Hermitian (n, k, d, d) stack, from one eigensolve and one floor check
-        for all of them.  The weights are checked and the stack frozen once,
-        and each field takes its read-only slice."""
-        weights = _checked_weights(weights, arrays.shape[1])
-        decomposition = _solve_pd(arrays)
-        arrays.setflags(write=False)
-        parts = zip(arrays, decomposition.unstack())
-        return tuple(OperatorField(_weights=weights, _arrays=a, _decomposition=d) for a, d in parts)
 
     @classmethod
     def pairs(cls, weights, a_stack: np.ndarray, b_stack: np.ndarray) -> tuple[tuple["OperatorField", ...], ...]:
@@ -545,12 +533,13 @@ def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndar
     matrix or stacks of the same length.  R = A^{-1/2} and S = A^{1/2} come
     from A's eigenbasis in one batched product, T = R B R, one (stacked)
     eigensolve gives T = U diag(lambda) U*, and Q = S U, so that
-    A^{1/2} g(T) A^{1/2} = Q diag(g(lambda)) Q* for any scalar g.
+    A^{1/2} g(T) A^{1/2} = Q diag(g(lambda)) Q* for any scalar g.  Both
+    results are read-only (a PairSpectrum memoises them).
     """
     root = np.sqrt(a.eigenvalues)
     r, s = _scalar_image(a.eigenvectors, np.array([1.0 / root, root]))
     lam, u = _eigh(_symmetrize(r @ b @ r))
-    return lam, s @ u
+    return _freeze(lam), _freeze(s @ u)
 
 
 def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:

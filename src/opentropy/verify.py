@@ -24,7 +24,17 @@ An Instance is its JSON: every slot has one encoder and one decoder
 is the solve of exactly the array its JSON stores (a field or X matrix that
 is not exactly Hermitian is refused, and so is a payload that does not match
 the header's dim and k), so a file written by `gen` or dumped by a campaign
-re-checks to the same margin bit for bit.
+re-checks to the same margin bit for bit.  Instance files and campaign reports
+carry `"format": 2`; a file without it is refused at load.
+
+Every draw is a pure function of a 128-bit key (keyed streams, after Salmon,
+Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+an instance is drawn from Philox keyed on its seed at counter 0, and a campaign
+trial's key packs (master seed, statement index, trial index) with no hashing
+(`trial_seed`).  `run_trial` draws the trial's parameters from the same key at
+counter word 3 = 1, a region the instance's draws never reach, and the trial's
+instance seed is its key.  No generator is built per draw: each thread keeps one
+Philox generator per role and re-keys its whole state at every use (`_keyed`).
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ import csv
 import functools
 import io
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -171,6 +183,8 @@ class Instance:
     x: PositiveDefiniteMatrix | None = None
     alpha: float | None = None
     beta: float | None = None
+    pa: np.ndarray | None = None
+    pb: np.ndarray | None = None
 
     def validate(self) -> None:
         st = STATEMENTS[self.theorem]
@@ -227,20 +241,30 @@ class Instance:
         return self.m - slack <= lo and hi <= self.M + slack
 
     def to_json(self) -> dict:
-        return {
-            key: encode(getattr(self, slot))
-            for slot, (key, encode, _) in _SLOTS.items()
-            if getattr(self, slot) is not None
-        }
+        out = {"format": FORMAT}
+        for slot, (key, encode, _) in _SLOTS.items():
+            value = getattr(self, slot)
+            if value is not None:
+                out[key] = encode(value)
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        version = data.get("format") if isinstance(data, dict) else None
+        if version != FORMAT:
+            raise PreconditionError(
+                f"an instance file must carry \"format\": {FORMAT}, got {version!r}"
+                " (format 1 files, written before keyed streams, are not read)"
+            )
         inst = cls(**{slot: decode(data[key]) for slot, (key, _, decode) in _SLOTS.items() if key in data})
         inst.validate()
         return inst
 
 
+# The version of the instance and campaign report formats.
+FORMAT = 2
 _FIELDS = ("fa", "fb", "fc", "fd", "fa2", "fb2")
+_VECTOR = (lambda v: [float(x) for x in v], lambda d: np.asarray(d, dtype=float))
 
 # The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
 # that is None is left out of the file; a key absent from the file is None.
@@ -254,10 +278,12 @@ _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
     "pmap": ("map", map_to_json, map_from_json),
     "cs": ("cs", lambda cs: [matrix_to_json(c) for c in cs], lambda d: tuple(map(_array_from_json, d))),
-    "cs_weights": ("cs_weights", lambda w: [float(v) for v in w], lambda d: np.asarray(d, dtype=float)),
+    "cs_weights": ("cs_weights", *_VECTOR),
     "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
     "alpha": ("alpha", float, float),
     "beta": ("beta", float, float),
+    "pa": ("pa", *_VECTOR),
+    "pb": ("pb", *_VECTOR),
 }
 
 
@@ -513,8 +539,7 @@ def _klein_upper(inst: Instance, constant: None) -> Sides:
 
 def _info_ineq(inst: Instance, constant: None) -> Sides:
     """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
-    a = np.diag(inst.fa.arrays[0]).real
-    b = np.diag(inst.fb.arrays[0]).real
+    a, b = inst.pa, inst.pb
     # The divergence and 0 as 1x1 matrices, each its own eigenvalue.
     divergence = np.array([[np.sum(a * np.log(a / b))]])
     detail = "divergence of two probability vectors; equality exactly when a = b"
@@ -783,19 +808,21 @@ def _validate_compression(inst: Instance) -> None:
 
 
 def _project_probability(raw):
-    """Two strictly positive probability vectors as diagonal one-node fields."""
+    """Two strictly positive probability vectors."""
     vectors = np.clip(raw, 1e-9, None)
-    vectors = vectors / vectors.sum(axis=-1, keepdims=True)
-    return OperatorField.stack(np.ones(1), _diagonals(vectors[:, None]))
+    vectors /= vectors.sum(axis=-1, keepdims=True)
+    return tuple(vectors)
 
 
 def _validate_probability(inst: Instance) -> None:
-    for name in ("fa", "fb"):
-        arrays = getattr(inst, name).arrays
-        if len(arrays) != 1 or not np.array_equal(arrays[0], np.diag(np.diag(arrays[0]))):
-            raise PreconditionError(f"{name} must be one diagonal matrix (a probability vector)")
-        if abs(np.diag(arrays[0]).real.sum() - 1.0) > 1e-10:
-            raise PreconditionError("probability vectors must sum to one")
+    for slot in ("pa", "pb"):
+        p = getattr(inst, slot)
+        if p.shape != (inst.dim,):
+            raise PreconditionError(f"{slot!r} must hold dim={inst.dim} probabilities, got shape {p.shape}")
+        if not (np.isfinite(p).all() and (p > 0.0).all()):
+            raise PreconditionError(f"{slot!r} must have finite entries > 0")
+        if abs(p.sum() - 1.0) > 1e-10:
+            raise PreconditionError(f"{slot!r} must sum to 1 within 1e-10, got {float(p.sum())!r}")
 
 
 def _require_positive(inst: Instance, *slots: str) -> None:
@@ -834,7 +861,7 @@ _TWO_PAIR_FIELDS = Family(("fa", "fb", "fa2", "fb2", "m", "M"), functools.partia
                           functools.partial(_project_free, ((0, 1), (2, 3))), pairs=(("fa", "fb"), ("fa2", "fb2")))
 _COMPRESSION = Family(("cs", "cs_weights", "x", "m", "M", "t0"), _draw_compression, _project_compression,
                       straddles=True, validate=_validate_compression)
-_PROBABILITY = Family(("fa", "fb"), lambda rng, dim, k, diagonal: np.array(
+_PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k, diagonal: np.array(
     [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
 _NO_EXTRAS = Family((), lambda rng, dim, k, diagonal: (), tuple)
 _SCALE = Family(("alpha",), lambda rng, dim, k, diagonal: float(rng.choice([0.5, 2.0])), lambda alpha: (alpha,),
@@ -974,7 +1001,8 @@ def random_instance(
     p_or_q: float = 0.5,
     diagonal: bool = False,
 ) -> Instance:
-    """Draw a hypothesis-satisfying instance for `theorem`; deterministic in seed.
+    """Draw a hypothesis-satisfying instance for `theorem` from Philox keyed on
+    `seed`, an integer in [0, 2**128), at counter 0: a pure function of its arguments.
 
     With diagonal=True every matrix in the instance is diagonal, so both sides
     of the checked inequality reduce to scalar arithmetic (the smoke mode used
@@ -987,7 +1015,7 @@ def random_instance(
     st = STATEMENTS[theorem]
     if st.unit_exponent:
         _require_unit_exponent(p_or_q)
-    rng = np.random.default_rng(seed)
+    rng = _keyed(_STREAMS.instance, seed)
     inst = Instance(
         theorem=theorem, seed=int(seed), dim=int(dim), k=int(k),
         f=functions.power(0.5) if f is None else f, q=float(p_or_q),
@@ -1010,13 +1038,56 @@ def random_instance(
 
 
 # ---------------------------------------------------------------------------
+# keyed streams
+# ---------------------------------------------------------------------------
+
+
+_KEY_BOUND = 1 << 128
+_WORD = (1 << 64) - 1
+# run_trial's parameters are drawn at counter word 3 = 1; an instance's draws
+# start at counter 0 and would need 2**192 blocks to get there.
+_TRIAL_REGION = 1
+
+
+class _Streams(threading.local):
+    """One Philox generator per role and thread, built on the thread's first
+    draw: `instance` for `random_instance`, `trial` for `run_trial`'s parameters."""
+
+    def __init__(self):
+        self.instance = np.random.Generator(np.random.Philox())
+        self.trial = np.random.Generator(np.random.Philox())
+
+
+_STREAMS = _Streams()
+
+
+def _keyed(gen: np.random.Generator, key: int, region: int = 0) -> np.random.Generator:
+    """`gen` at the start of Philox's stream under the 128-bit `key`, at counter
+    (0, 0, 0, region): the same draws as Generator(Philox(key=key, counter=region
+    << 192)).  Every word of the state is set (key, counter, the output buffer
+    and its position, the cached 32-bit half), so a draw depends on its key
+    alone, whatever the generator drew before."""
+    key = operator.index(key)
+    if not 0 <= key < _KEY_BOUND:
+        raise PreconditionError(f"seed must lie in [0, 2**128), got {key}")
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, region), "key": (key & _WORD, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
+# ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CampaignConfig(_JsonRecord):
-    """Plan for a bulk verification run; every random draw flows from `seed`."""
+    """Plan for a bulk verification run; every random draw flows from `seed`,
+    an integer in [0, 2**64), and fewer than 2**32 trials per statement keep
+    every trial's key distinct (`trial_seed`)."""
 
     theorems: tuple[TheoremId, ...] = tuple(TheoremId)
     trials: int = 100
@@ -1030,6 +1101,10 @@ class CampaignConfig(_JsonRecord):
     def validate(self) -> None:
         if self.trials < 0:
             raise PreconditionError("trials must be >= 0")
+        if self.trials >= 1 << 32:
+            raise PreconditionError(f"trials must be < 2**32, got {self.trials}")
+        if not 0 <= self.seed < 1 << 64:
+            raise PreconditionError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise PreconditionError(f"tol must be finite and > 0, got {self.tol}")
         if not (1 <= self.dims[0] <= self.dims[1] <= 64):
@@ -1095,6 +1170,7 @@ class CampaignReport:
 
     def to_json(self) -> dict:
         return {
+            "format": FORMAT,
             "config": self.config.to_json(),
             "results": [s.to_json() for s in self.summaries],
             "failures": self.failures,
@@ -1109,15 +1185,15 @@ class CampaignReport:
         return buf.getvalue()
 
 
-_THEOREM_ORDER = list(TheoremId)
+_STATEMENT_INDEX = {theorem: i for i, theorem in enumerate(TheoremId)}
 
 
 def trial_seed(master_seed: int, theorem: TheoremId, index: int) -> int:
-    """Stream-independent 64-bit seed for one (theorem, trial) cell."""
-    ss = np.random.SeedSequence(
-        [int(master_seed) & 0xFFFFFFFFFFFFFFFF, _THEOREM_ORDER.index(theorem), int(index)]
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    """The 128-bit key of one (theorem, trial) cell, packed with no hashing:
+    master_seed << 64 | statement index << 32 | index.  Cells with a master
+    seed in [0, 2**64) and an index in [0, 2**32) (`CampaignConfig.validate`)
+    have distinct keys, and so independent streams."""
+    return int(master_seed) << 64 | _STATEMENT_INDEX[theorem] << 32 | int(index)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1131,10 +1207,14 @@ def _function_pool(theorem: TheoremId, specs: tuple[str, ...]) -> tuple[tuple[st
 def run_trial(
     theorem: TheoremId, config: CampaignConfig, seed: int, index: int = 0
 ) -> tuple[TrialRecord, Instance | None, VerificationResult]:
-    """One campaign cell: draw parameters and an instance from `seed`, then check it.
+    """One campaign cell: draw parameters and an instance from the key `seed`, then check it.
 
-    f is drawn from the configured functions the statement admits
-    (`Statement.admits`), or from all of them when it admits none.
+    dim, k, f and the exponent come from Philox keyed on `seed` at counter
+    word 3 = 1, and the instance from `random_instance(..., seed, ...)`, so
+    `opentropy gen --seed <record.seed>` with the record's dim, k, f and q
+    replays the draw.  f is drawn from the configured functions the
+    statement admits (`Statement.admits`), or from all of them when it
+    admits none.
 
     Every cell ends in one outcome.  A generation failure is a hypothesis skip;
     a PreconditionError while drawing or checking (an exponent or a term count
@@ -1144,16 +1224,15 @@ def run_trial(
     exponent so large that a side overflows) is an error: hypothesis_met and
     holds both False, detail "error: <message>".
     """
-    rng = np.random.default_rng(seed)
+    rng = _keyed(_STREAMS.trial, seed, _TRIAL_REGION)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
     k = int(rng.integers(config.terms[0], config.terms[1] + 1))
     pool = _function_pool(theorem, tuple(config.functions))
     spec, f = pool[int(rng.integers(len(pool)))]
     exponent = float(config.exponents[int(rng.integers(len(config.exponents)))])
-    inst_seed = int(rng.integers(0, 2**63))
     inst = None
     try:
-        inst = random_instance(theorem, dim, k, inst_seed, f, exponent)
+        inst = random_instance(theorem, dim, k, seed, f, exponent)
         result = check(theorem, inst, config.tol)
     except GenerationError as exc:
         result = VerificationResult(theorem, True, None, 0.0, 0.0, False, f"generation failed: {exc}")

@@ -35,7 +35,7 @@ during the acceptance.json run: calls, and the d x d matrices they solved
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
 sums by BLAS thread, so that digest depends on the thread count: it reads
-67c7f65e... under the default and a669d8e6... under OPENBLAS_NUM_THREADS=1,
+246878df... under the default and 8655e60a... under OPENBLAS_NUM_THREADS=1,
 the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
 that are set, or "default".  The file is not a test module, so pytest does
 not collect it.

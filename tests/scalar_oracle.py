@@ -170,8 +170,7 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
         return min(bb - aa - aa * math.log(bb / aa) for aa, bb in zip(a, b))
 
     if theorem is TheoremId.INFO_INEQ:
-        a = _diag(inst.fa.arrays[0])
-        b = _diag(inst.fb.arrays[0])
+        a, b = inst.pa.tolist(), inst.pb.tolist()
         return sum(aa * math.log(aa / bb) for aa, bb in zip(a, b))
 
     if theorem is TheoremId.SUBADDITIVE:

@@ -58,6 +58,31 @@ class TestGen:
                          "--k", "2", "--seed", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [str(-1), str(2**128), str(2**130 + 5)])
+    def test_seed_outside_the_key_range_exits_2(self, tmp_path, capsys, seed):
+        # A seed of 2**128 + s would otherwise alias the key s.
+        out = tmp_path / "inst.json"
+        code, stdout, err = run(capsys, "gen", "--theorem", "klein_upper", "--dim", "2", "--k", "1",
+                                "--seed", seed, "--out", str(out))
+        assert code == 2 and "seed must lie in [0, 2**128)" in err and not out.exists()
+
+    def test_largest_key_draws(self, capsys):
+        code, stdout, _ = run(capsys, "gen", "--theorem", "klein_upper", "--dim", "2", "--k", "1",
+                              "--seed", str(2**128 - 1))
+        assert code == 0 and json.loads(stdout)["seed"] == 2**128 - 1
+
+    def test_campaign_records_replay_through_gen(self, capsys):
+        # The record's seed is the trial's key, and gen draws the campaign's
+        # instance from it with the record's dim, k, f and q.
+        report = campaign(CampaignConfig(theorems=(TheoremId.ENTROPY_LOWER,), trials=3, seed=42))
+        for record in report.records:
+            code, stdout, _ = run(capsys, "gen", "--theorem", "entropy_lower", "--dim", str(record.dim),
+                                  "--k", str(record.k), "--seed", str(record.seed), "--f", record.function,
+                                  "--q", repr(record.exponent))
+            assert code == 0
+            replayed = Instance.from_json(json.loads(stdout))
+            assert check(TheoremId.ENTROPY_LOWER, replayed).margin == record.margin
+
 
 class TestCheck:
     def test_roundtrip_holds(self, tmp_path, capsys):
@@ -146,6 +171,21 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "0 < m <= M < inf" in err
 
+    @pytest.mark.parametrize("version", [None, 1, 3, "2"])
+    def test_file_of_another_format_exits_2(self, tmp_path, capsys, version):
+        # A format-1 file's seed and info_ineq fields do not replay under
+        # keyed streams, so it is refused, not misread.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.KLEIN_UPPER, 3, 1, 5).to_json()
+        assert payload["format"] == 2
+        if version is None:
+            del payload["format"]
+        else:
+            payload["format"] = version
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and '"format": 2' in err and "format 1" in err
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_nonfinite_tol_exits_2(self, tmp_path, capsys, tol):
         # --tol nan printed VIOLATED (exit 1) on a valid file; inf passed any margin.
@@ -186,23 +226,23 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "too narrow" in err
 
-    def test_info_ineq_file_must_hold_diagonal_fields(self, tmp_path, capsys):
-        # The check reads only the diagonals, so an off-diagonal file was
-        # checked as another pair of vectors (holds, margin 1.244, exit 0).
+    @pytest.mark.parametrize("slot,value,message", [
+        ("pa", [0.5, 0.5], "must hold dim=3 probabilities"),
+        ("pb", [[0.2, 0.3, 0.5]], "must hold dim=3 probabilities"),
+        ("pa", [0.5, 0.5, 0.0], "must have finite entries > 0"),
+        ("pb", [1.2, -0.4, 0.2], "must have finite entries > 0"),
+        ("pa", [float("nan"), 0.5, 0.5], "must have finite entries > 0"),
+        ("pb", [0.2, 0.3, 0.6], "must sum to 1 within 1e-10"),
+    ], ids=["pa-length", "pb-shape", "pa-zero", "pb-negative", "pa-nan", "pb-sum"])
+    def test_info_ineq_file_must_hold_probability_vectors(self, tmp_path, capsys, slot, value, message):
+        # The divergence of a vector that is no probability vector is no
+        # statement of the paper: each broken slot is refused by name.
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.INFO_INEQ, 3, 1, 3).to_json()
-        fa = payload["fa"]["matrices"][0]
-        fa["re"][0][1] = fa["re"][1][0] = 0.3
-        fa["im"][0][2], fa["im"][2][0] = 0.05, -0.05
+        payload[slot] = value
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and "diagonal" in err
-        two_nodes = random_instance(TheoremId.INFO_INEQ, 3, 1, 3).to_json()
-        two_nodes["fb"]["weights"] *= 2
-        two_nodes["fb"]["matrices"] *= 2
-        out.write_text(json.dumps(two_nodes))
-        code, _, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and "diagonal" in err
+        assert code == 2 and stdout == "" and f"'{slot}' {message}" in err
 
     @pytest.mark.parametrize("theorem,key", [("klein_upper", "fb"), ("compression_jensen", "x")])
     def test_non_hermitian_matrix_exits_2(self, tmp_path, capsys, theorem, key):
@@ -394,6 +434,17 @@ class TestCampaign:
         code, _, _ = run(capsys, "campaign", "--trials", "1", "--dims", "8:2")
         assert code == 2
 
+    def test_master_seeds_do_not_alias(self, capsys):
+        # -1 was masked to 2**64 - 1, so both seeds ran the same trials.
+        args = ["campaign", "--theorems", "klein_upper", "--trials", "3"]
+        code, stdout, err = run(capsys, *args, "--seed", "-1")
+        assert code == 2 and stdout == "" and "seed must lie in [0, 2**64), got -1" in err
+        code, stdout, err = run(capsys, *args, "--seed", str(2**64))
+        assert code == 2 and stdout == "" and "seed must lie in [0, 2**64)" in err
+        code, stdout, _ = run(capsys, *args, "--seed", str(2**64 - 1))
+        report = json.loads(stdout)
+        assert code == 0 and report["format"] == 2 and report["results"][0]["worst_seed"] >> 64 == 2**64 - 1
+
     def test_negative_trials_exit_2(self, capsys):
         code, _, _ = run(capsys, "campaign", "--trials", "-3")
         assert code == 2
@@ -566,13 +617,15 @@ class TestBounds:
     (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "0"], "dim must lie in 1..64, got 0"),
     (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "2", "--k", "0"], "k must be >= 1, got 0"),
     (["campaign", "--trials", "-1"], "trials must be >= 0"),
+    (["campaign", "--trials", str(2**32)], f"trials must be < 2**32, got {2**32}"),
+    (["campaign", "--trials", "1", "--seed", "-3"], "seed must lie in [0, 2**64), got -3"),
     (["campaign", "--trials", "1", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
     (["campaign", "--trials", "1", "--dims", "0:3"], "dims must satisfy 1 <= lo <= hi <= 64, got (0, 3)"),
     (["campaign", "--trials", "1", "--k", "3:2"], "terms must satisfy 1 <= lo <= hi, got (3, 2)"),
     (["bounds", "--f", "log", "--m", "-1", "--M", "2"], "need 0 < m < M, got m=-1.0, M=2.0"),
     (["bounds", "--f", "log", "--m", "0", "--M", "2"], "need 0 < m < M, got m=0.0, M=2.0"),
     (["bounds", "--f", "log", "--m", "3", "--M", "2"], "need 0 < m < M, got m=3.0, M=2.0"),
-], ids=["gen-dim", "gen-k", "trials", "tol", "dims", "k-range", "m-negative", "m-zero", "m-above-M"])
+], ids=["gen-dim", "gen-k", "trials", "trials-2**32", "master-seed", "tol", "dims", "k-range", "m-negative", "m-zero", "m-above-M"])
 def test_out_of_range_input_exits_2_with_the_library_message(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == "" and f"error: {message}" in err

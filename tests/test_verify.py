@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from opentropy import (
     UnresolvableWindowError,
 )
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
-from opentropy.entropy import OperatorField
+from opentropy.entropy import OperatorField, PairSpectrum
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
 from opentropy.matcore import PositiveDefiniteMatrix
 from opentropy import matcore, verify
@@ -94,20 +95,19 @@ class TestRandomInstance:
 
     def test_info_instance_is_probability_pair(self):
         inst = random_instance(TheoremId.INFO_INEQ, 8, 1, 5)
-        a = np.diag(inst.fa.arrays[0]).real
-        b = np.diag(inst.fb.arrays[0]).real
+        a, b = inst.pa, inst.pb
+        assert a.shape == b.shape == (8,)
         assert abs(a.sum() - 1.0) <= 1e-12 and abs(b.sum() - 1.0) <= 1e-12
         assert np.all(a > 0) and np.all(b > 0)
 
     def test_info_draw_measures_no_window(self):
-        # The divergence reads the two diagonals only, so the draw solves no
-        # pair spectrum for an [m, M] that nothing reads.
+        # The divergence reads the two vectors only, so the draw stores no
+        # field and no [m, M] that nothing reads.
         inst = random_instance(TheoremId.INFO_INEQ, 6, 1, 3)
-        assert inst.m is None and inst.M is None and not inst.fa._spectra
-        # Files that carry the window still load and replay.
-        spectrum = inst.fa.pair_spectrum(inst.fb)
-        old = Instance.from_json(dict(inst.to_json(), m=spectrum.m, M=spectrum.M))
-        assert old.M == spectrum.M and check(TheoremId.INFO_INEQ, old) == check(TheoremId.INFO_INEQ, inst)
+        assert inst.m is None and inst.M is None and inst.fa is None and inst.fb is None
+        # A file that carries a window still loads and replays.
+        windowed = Instance.from_json(dict(inst.to_json(), m=0.5, M=2.0))
+        assert windowed.M == 2.0 and check(TheoremId.INFO_INEQ, windowed) == check(TheoremId.INFO_INEQ, inst)
 
     def test_compression_instance_shapes(self):
         inst = random_instance(TheoremId.COMPRESSION_JENSEN, 4, 3, 21)
@@ -178,8 +178,7 @@ class TestCheckerBehavior:
 
     def test_info_equality_iff_equal_vectors(self):
         v = np.array([0.2, 0.3, 0.5])
-        field = OperatorField([(1.0, PositiveDefiniteMatrix(np.diag(v)))])
-        inst = Instance(TheoremId.INFO_INEQ, 0, 3, 1, f=LOG, m=1.0, M=1.0, fa=field, fb=field)
+        inst = Instance(TheoremId.INFO_INEQ, 0, 3, 1, f=LOG, pa=v, pb=v)
         res = check(TheoremId.INFO_INEQ, inst)
         assert res.holds and abs(res.margin) <= 1e-12
         for seed in range(10):
@@ -316,6 +315,114 @@ class TestTrialsAndCampaign:
             campaign(CampaignConfig(trials=1, functions=("sqrt_is_not_a_spec",)))
 
 
+class TestKeyedStreams:
+    def test_distinct_cells_have_distinct_keys(self):
+        masters, indices = (0, 1, 2, 2**63, 2**64 - 1), (0, 1, 7, 2**31, 2**32 - 1)
+        keys = {trial_seed(m, t, i): (m, t, i) for m in masters for t in TheoremId for i in indices}
+        assert len(keys) == len(masters) * len(TheoremId) * len(indices)
+        assert all(0 <= key < 2**128 for key in keys)
+        # Packed with no hashing: master << 64 | statement << 32 | index.
+        assert trial_seed(42, TheoremId.KLEIN_UPPER, 7) == 42 << 64 | 5 << 32 | 7
+
+    def test_campaign_draws_replay_from_the_record_seed(self, monkeypatch):
+        real, seen = verify.run_trial, []
+
+        def probe(theorem, config, seed, index=0):
+            row = real(theorem, config, seed, index)
+            seen.append(row)
+            return row
+
+        monkeypatch.setattr(verify, "run_trial", probe)
+        report = campaign(CampaignConfig(trials=20, seed=42))
+        assert len(seen) == 20 * len(TheoremId) and report.records == [record for record, _, _ in seen]
+        for record, inst, _ in seen:
+            assert record.seed == trial_seed(42, record.theorem, record.index)
+            # The parameters come from the key's stream at counter word 3 = 1.
+            params = np.random.Generator(np.random.Philox(key=record.seed, counter=1 << 192))
+            assert (record.dim, record.k) == (params.integers(2, 9), params.integers(2, 5))
+            replayed = random_instance(record.theorem, record.dim, record.k, record.seed,
+                                       parse(record.function), record.exponent)
+            assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(inst.to_json(), sort_keys=True)
+
+    def test_a_draw_depends_on_its_key_alone(self):
+        gen = verify._STREAMS.instance
+        key, other = trial_seed(3, TheoremId.SUBADDITIVE, 9), 2**128 - 1
+        want = np.random.Generator(np.random.Philox(key=key))
+        fresh = (want.standard_normal(5), want.integers(0, 7, size=3, dtype=np.int32), want.uniform(size=2))
+        for before in (None, other, key):
+            if before is not None:
+                # Leave a half-used buffer and a cached 32-bit half behind.
+                verify._keyed(gen, before).integers(0, 7, size=3, dtype=np.int32)
+            got = verify._keyed(gen, key)
+            drawn = (got.standard_normal(5), got.integers(0, 7, size=3, dtype=np.int32), got.uniform(size=2))
+            for a, b in zip(drawn, fresh):
+                np.testing.assert_array_equal(a, b)
+        # The trial region is counter word 3 = 1.
+        region = np.random.Generator(np.random.Philox(key=key, counter=1 << 192))
+        np.testing.assert_array_equal(verify._keyed(gen, key, 1).standard_normal(4), region.standard_normal(4))
+
+    def test_instances_do_not_depend_on_interleaved_draws(self):
+        def draw(seed):
+            return json.dumps(random_instance(TheoremId.MAP_MONOTONE, 3, 2, seed).to_json(), sort_keys=True)
+
+        first = draw(11)
+        draw(2**100)
+        assert draw(11) == first
+
+    def test_two_threads_draw_the_same_bits_as_one(self):
+        seeds = [trial_seed(7, t, i) for t in (TheoremId.ENTROPY_LOWER, TheoremId.JOINT_CONCAVE) for i in range(12)]
+        serial = {seed: random_instance(TheoremId.JOINT_CONCAVE, 3, 2, seed).to_json() for seed in seeds}
+        start = threading.Barrier(2)
+        results = [{}, {}]
+
+        def worker(out, order):
+            start.wait()
+            for seed in order:
+                out[seed] = random_instance(TheoremId.JOINT_CONCAVE, 3, 2, seed).to_json()
+
+        threads = [threading.Thread(target=worker, args=(results[0], seeds)),
+                   threading.Thread(target=worker, args=(results[1], seeds[::-1]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results[0] == serial and results[1] == serial
+
+    def test_a_warm_campaign_builds_no_generator(self, monkeypatch):
+        campaign(CampaignConfig(trials=1, seed=5))
+        built = []
+        for name in ("SeedSequence", "default_rng", "Philox", "Generator"):
+            real = getattr(verify.np.random, name)
+            monkeypatch.setattr(verify.np.random, name,
+                                lambda *a, _real=real, _name=name, **kw: built.append(_name) or _real(*a, **kw))
+        report = campaign(CampaignConfig(trials=10, seed=42))
+        assert len(report.records) == 160 and built == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, -(2**64)])
+    def test_a_seed_outside_the_key_range_is_refused(self, seed):
+        with pytest.raises(PreconditionError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            random_instance(TheoremId.KLEIN_UPPER, 2, 1, seed)
+
+    def test_campaign_refuses_a_master_seed_or_trial_count_that_would_alias(self):
+        for config in (CampaignConfig(trials=1, seed=-1), CampaignConfig(trials=1, seed=2**64),
+                       CampaignConfig(trials=2**32, seed=0)):
+            with pytest.raises(PreconditionError):
+                campaign(config)
+
+
+def test_memoised_pair_spectra_are_read_only():
+    # A write into a memoised spectrum used to change later checks of the
+    # same instance (margin 0.99999... read 0.49999... after it).
+    inst = random_instance(TheoremId.ENTROPY_NONNEG, 3, 2, 1)
+    margin = check(TheoremId.ENTROPY_NONNEG, inst).margin
+    spectrum = inst.fa.pair_spectrum(inst.fb)
+    solo = PairSpectrum(OperatorField(_weights=inst.fa.weights, _arrays=inst.fa.arrays), inst.fb)
+    for values in (spectrum.eigenvalues, spectrum.frame, solo.eigenvalues, solo.frame):
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0.5
+    assert check(TheoremId.ENTROPY_NONNEG, inst).margin == margin
+
+
 def test_worst_seed_replays_to_min_margin():
     report = campaign(CampaignConfig(theorems=(TheoremId.MEAN_INTEGRAL,), trials=8, seed=13))
     summary = report.summaries[0]
@@ -366,8 +473,8 @@ def test_field_solves_do_not_grow_with_the_node_count(solve_calls):
     # pass, which floors the two B fields
     (TheoremId.SUBADDITIVE, ["eigh"] * 2),
     (TheoremId.JOINT_CONCAVE, ["eigh"] * 2),
-    # both probability vectors' diagonal fields as one stack
-    (TheoremId.INFO_INEQ, ["eigh"]),
+    # the probability vectors are stored as drawn: no solve
+    (TheoremId.INFO_INEQ, []),
 ])
 def test_draws_solve_their_fields_as_one_stack(solve_calls, theorem, solves):
     random_instance(theorem, 3, 2, 7, LOG, 0.0)
