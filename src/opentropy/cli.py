@@ -3,7 +3,9 @@
 Subcommands:
     gen       write one random instance as JSON
     check     re-verify an instance file and print the result
-    campaign  run the bulk per-theorem verification grid
+    campaign  run the bulk per-theorem verification grid; each option sets the
+              CampaignConfig field of its name (--k: terms, --q: exponents),
+              whose default it takes
     bounds    print chord/secant data (mu, nu, gamma, zeta) for f on [m, M], with
               grid-search cross-checks of the constants taken from closed forms
 
@@ -12,14 +14,16 @@ affine:a,b, const:c, identity; see functions.parse), the only form in which
 the CLI and instance files carry one.
 
 Machine-readable JSON goes to stdout (or --out); the human summary goes to
-stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = substantive
-violation, 2 = usage or input error (for campaign: also any trial that ended
-in an error, after the report is written).  All randomness flows from --seed.
+stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = a violation (check:
+numerical or substantive; campaign: substantive only), 2 = usage or input
+error (for campaign: also any trial that ended in an error, after the report
+is written).  All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -108,15 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--file", type=Path, required=True)
     chk.add_argument("--tol", type=float, default=verify.DEFAULT_LOEWNER_TOL)
 
-    camp = sub.add_parser("campaign", help="run the bulk verification grid")
-    camp.add_argument("--theorems", type=_theorem_list, default=tuple(verify.TheoremId))
+    # An option left out stays out of the namespace: CampaignConfig gives its default.
+    camp = sub.add_parser("campaign", help="run the bulk verification grid", argument_default=argparse.SUPPRESS)
+    camp.add_argument("--theorems", type=_theorem_list)
     camp.add_argument("--trials", type=int, required=True)
-    camp.add_argument("--dims", type=_int_range, default=(2, 8))
-    camp.add_argument("--k", type=_int_range, default=(2, 4))
-    camp.add_argument("--functions", type=_spec_list, default="power:0.5,power:0.25,neg_t_log_t,log")
-    camp.add_argument("--q", type=_float_list, default=(0.0, 0.25, 0.5, 0.75, 1.0))
-    camp.add_argument("--tol", type=float, default=verify.DEFAULT_LOEWNER_TOL)
-    camp.add_argument("--seed", type=int, default=0)
+    camp.add_argument("--dims", type=_int_range)
+    camp.add_argument("--k", type=_int_range, dest="terms", metavar="K")
+    camp.add_argument("--functions", type=_spec_list)
+    camp.add_argument("--q", type=_float_list, dest="exponents", metavar="Q")
+    camp.add_argument("--tol", type=float)
+    camp.add_argument("--seed", type=int)
     camp.add_argument("--out", type=Path, default=None)
     camp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -146,6 +151,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+_CHECK_STATUS = {"pass": ("holds", 0), "skip": ("skip (hypothesis not met)", 0), "error": ("{detail}", 2),
+                 "numerical": ("VIOLATED (numerical)", 1), "substantive": ("VIOLATED (substantive)", 1)}
+
+
 def _cmd_check(args) -> int:
     try:
         payload = json.loads(args.file.read_text())
@@ -155,26 +164,14 @@ def _cmd_check(args) -> int:
         return 2
     result = verify.check(inst.theorem, inst, args.tol)
     sys.stdout.write(_json_text(result.to_json()))
-    if not result.hypothesis_met:
-        # hypothesis_met and holds both False is an error outcome (a non-finite margin).
-        status = "skip (hypothesis not met)" if result.holds else result.detail
-    else:
-        status = "holds" if result.holds else f"VIOLATED ({result.triage})"
-    print(f"{inst.theorem.value}: {status}, margin={result.margin}", file=sys.stderr)
-    return 0 if result.holds else (1 if result.hypothesis_met else 2)
+    status, code = _CHECK_STATUS[result.outcome]
+    print(f"{inst.theorem.value}: {status.format(detail=result.detail)}, margin={result.margin}", file=sys.stderr)
+    return code
 
 
 def _cmd_campaign(args) -> int:
-    config = verify.CampaignConfig(
-        theorems=args.theorems,
-        trials=args.trials,
-        dims=args.dims,
-        terms=args.k,
-        functions=args.functions,
-        exponents=args.q,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    names = {f.name for f in dataclasses.fields(verify.CampaignConfig)}
+    config = verify.CampaignConfig(**{name: value for name, value in vars(args).items() if name in names})
     report = verify.campaign(config)
     if args.format == "json":
         _emit(_json_text(report.to_json()), args.out)

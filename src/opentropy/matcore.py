@@ -480,10 +480,6 @@ class PairSpectrum:
         """
         return _weighted_sum(self.weights, self._products(values))
 
-    def aggregate(self, g) -> np.ndarray:
-        """sum_s w_s A_s^{1/2} g(T_s) A_s^{1/2} for a vectorized scalar map g."""
-        return self.conjugate(g(self.eigenvalues))
-
     def power_mean(self, q: float) -> np.ndarray:
         """sum_s w_s (A_s #_q B_s)."""
         return self.conjugate(self.eigenvalues ** float(q))

@@ -34,7 +34,7 @@ trial's key packs (master seed, statement index, trial index) with no hashing
 (`trial_seed`).  `run_trial` draws the trial's parameters from the same key at
 counter word 3 = 1, a region the instance's draws never reach, and the trial's
 instance seed is its key.  No generator is built per draw: each thread keeps one
-Philox generator per role and re-keys its whole state at every use (`_keyed`).
+Philox generator and re-keys its whole state at every use (`_keyed`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ import io
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable
 
@@ -131,16 +132,24 @@ _STRADDLE_HI = 1.0 + 1e-6
 _RESAMPLE_CAP = 100
 
 
+class _Outcome:
+    @property
+    def outcome(self) -> str:
+        """The one name of a result's flags: "pass", "skip", "error", "numerical" or "substantive"."""
+        if not self.hypothesis_met:
+            return "skip" if self.holds else "error"
+        return "pass" if self.holds else self.triage
+
+
 @dataclass(frozen=True)
-class VerificationResult(_JsonRecord):
+class VerificationResult(_Outcome, _JsonRecord):
     """Outcome of one inequality check.
 
     margin is lambda_min of the claimed-PSD difference (scalar slack for
-    INFO_INEQ, two-sided for equalities) and None on hypothesis skips.
-    hypothesis_met=False means "not applicable", never "fail"; in a campaign,
-    hypothesis_met=False with holds=False marks a trial that ended in an
-    error (see run_trial).  triage labels a violation (hypothesis_met and
-    not holds) "numerical" or "substantive" and is None otherwise.
+    INFO_INEQ, two-sided for equalities) and None on skips and errors.
+    hypothesis_met=False means "not applicable", never "fail"; with holds=False
+    it marks an error (see run_trial).  triage labels a violation "numerical"
+    or "substantive" and is None otherwise.  `outcome` names the case.
     """
 
     theorem: TheoremId
@@ -187,6 +196,7 @@ class Instance:
     pb: np.ndarray | None = None
 
     def validate(self) -> None:
+        _require_draw_ranges(self.seed, self.dim, self.k)
         st = STATEMENTS[self.theorem]
         for slot in st.needs:
             if getattr(self, slot) is None:
@@ -194,11 +204,13 @@ class Instance:
                 raise PreconditionError(f"a {self.theorem.value} instance needs {key!r}, which is missing")
         if self.q is not None and not math.isfinite(self.q):
             raise PreconditionError(f"the exponent must be finite, got {self.q}")
+        if st.unit_exponent:
+            _require_unit_exponent(self.q)
         if "m" in st.needs and not 0.0 < self.m <= self.M < math.inf:
             raise PreconditionError(f"need a window 0 < m <= M < inf, got m={self.m}, M={self.M}")
+        self._check_header()
         for family in (st.family, st.extras):
             family.validate(self)
-        self._check_header()
         # A slot the statement fixes is read as that value, or not read at all.
         for slot, value in st.fixed.items():
             given = getattr(self, slot)
@@ -266,22 +278,29 @@ FORMAT = 2
 _FIELDS = ("fa", "fb", "fc", "fd", "fa2", "fb2")
 _VECTOR = (lambda v: [float(x) for x in v], lambda d: np.asarray(d, dtype=float))
 
+
+def _json_number(kind: type, key: str) -> Callable:
+    """A header slot's decoder: a JSON integer for int, any JSON number for float, never a bool or string."""
+    def decode(value):
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            raise PreconditionError(f"{key!r} must be a JSON {'integer' if kind is int else 'number'}, got {value!r}")
+        return kind(value)
+    return decode
+
+
 # The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
 # that is None is left out of the file; a key absent from the file is None.
 _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "theorem": ("theorem", lambda t: t.value, TheoremId),
-    "seed": ("seed", int, int),
-    "dim": ("dim", int, int),
-    "k": ("k", int, int),
+    **{name: (name, int, _json_number(int, name)) for name in ("seed", "dim", "k")},
     "f": ("f", lambda f: f.spec, functions.parse),
-    **{name: (name, float, float) for name in ("q", "t0", "m", "M")},
+    **{name: (name, float, _json_number(float, name)) for name in ("q", "t0", "m", "M")},
     **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
     "pmap": ("map", map_to_json, map_from_json),
     "cs": ("cs", lambda cs: [matrix_to_json(c) for c in cs], lambda d: tuple(map(_array_from_json, d))),
     "cs_weights": ("cs_weights", *_VECTOR),
     "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
-    "alpha": ("alpha", float, float),
-    "beta": ("beta", float, float),
+    **{name: (name, float, _json_number(float, name)) for name in ("alpha", "beta")},
     "pa": ("pa", *_VECTOR),
     "pb": ("pb", *_VECTOR),
 }
@@ -434,9 +453,6 @@ def _compression_terms(inst: Instance):
         inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
     )
     defect = eye - gram
-    low, size = _eigvalsh(np.array([defect, gram]))
-    if low[0] < -1e-10 * max(1.0, _snorm(size)):
-        raise PreconditionError("compression sum exceeds the identity")
     arg = lifted + inst.t0 * defect
     f_arg = _spectral_image(arg, f.evaluate_array)
     rhs = compressed + f.evaluate(inst.t0) * defect
@@ -548,11 +564,10 @@ def _info_ineq(inst: Instance, constant: None) -> Sides:
 
 def _subadditive(inst: Instance, constant: None) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
-    fa, fb, fc, fd = inst.fa, inst.fb, inst.fc, inst.fd
+    fa, fb, fc, fd, f = inst.fa, inst.fb, inst.fc, inst.fd, inst.f
     left, right = _pair_like((fa, fb, fc, fd), fa.arrays + fb.arrays, fc.arrays + fd.arrays)
-    term = inst.f.evaluate_array
-    lhs = left.pair_spectrum(right).aggregate(term)
-    rhs = inst.fa.pair_spectrum(inst.fc).aggregate(term) + inst.fb.pair_spectrum(inst.fd).aggregate(term)
+    lhs = left.pair_spectrum(right).entropy_term(0.0, f)
+    rhs = fa.pair_spectrum(fc).entropy_term(0.0, f) + fb.pair_spectrum(fd).entropy_term(0.0, f)
     return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
 
@@ -568,15 +583,14 @@ def _homogeneous(inst: Instance, constant: None) -> Sides:
 
 def _joint_concave(inst: Instance, constant: None) -> Sides:
     """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
-    alpha, beta = float(inst.alpha), float(inst.beta)
+    alpha, beta, f = float(inst.alpha), float(inst.beta), inst.f
     fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
     mixed_a, mixed_b = _pair_like(
         (fa, fb, fa2, fb2), alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays
     )
-    term = inst.f.evaluate_array
-    lhs = mixed_a.pair_spectrum(mixed_b).aggregate(term)
-    first = inst.fa.pair_spectrum(inst.fb).aggregate(term)
-    second = inst.fa2.pair_spectrum(inst.fb2).aggregate(term)
+    lhs = mixed_a.pair_spectrum(mixed_b).entropy_term(0.0, f)
+    first = fa.pair_spectrum(fb).entropy_term(0.0, f)
+    second = fa2.pair_spectrum(fb2).entropy_term(0.0, f)
     rhs = alpha * first + beta * second
     return Sides([(lhs, ">=", rhs)], f"joint concavity at alpha={alpha:g}")
 
@@ -584,7 +598,7 @@ def _joint_concave(inst: Instance, constant: None) -> Sides:
 def _map_monotone(inst: Instance, constant: None) -> Sides:
     """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
     f, pm, fa, fb = inst.f, inst.pmap, inst.fa, inst.fb
-    aggregate = fa.pair_spectrum(fb).aggregate(f.evaluate_array)
+    aggregate = fa.pair_spectrum(fb).entropy_term(0.0, f)
     # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs).
     images = pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]]))
     k = len(fa)
@@ -593,7 +607,7 @@ def _map_monotone(inst: Instance, constant: None) -> Sides:
         ((image_a, image_b),) = OperatorField.pairs(fa.weights, images[None, :k], images[None, k:-1])
     except NotPositiveDefiniteError as exc:
         raise _Skip(f"map image not positive definite ({exc})") from exc
-    rhs = image_a.pair_spectrum(image_b).aggregate(f.evaluate_array)
+    rhs = image_a.pair_spectrum(image_b).entropy_term(0.0, f)
     return Sides([(images[-1], "<=", rhs)], "informational monotonicity under a normalized positive map")
 
 
@@ -799,6 +813,12 @@ def _project_compression(raw):
 def _validate_compression(inst: Instance) -> None:
     # One strictly positive finite weight per factor: a positive measure.
     _checked_weights(inst.cs_weights, len(inst.cs))
+    # Sub-unital: sum w C*C <= I, with I sized from the C_j themselves.
+    c = np.array(inst.cs)
+    gram = _weighted_sum(inst.cs_weights, _adjoint(c) @ c)
+    low, size = _eigvalsh(np.array([_eye(c.shape[-1]) - gram, gram]))
+    if low[0] < -1e-10 * max(1.0, _snorm(size)):
+        raise PreconditionError("compression sum exceeds the identity")
     # The chord constants are taken on [m, M]; they bound f on the spectrum
     # of X only when the window covers it.
     if not inst._covers(inst.x.lambda_min, inst.x.lambda_max):
@@ -1008,14 +1028,9 @@ def random_instance(
     of the checked inequality reduce to scalar arithmetic (the smoke mode used
     to compare checkers against an independent scalar implementation).
     """
-    if dim < 1 or not 1 <= dim <= 64:
-        raise PreconditionError(f"dim must lie in 1..64, got {dim}")
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
+    _require_draw_ranges(seed, dim, k)
     st = STATEMENTS[theorem]
-    if st.unit_exponent:
-        _require_unit_exponent(p_or_q)
-    rng = _keyed(_STREAMS.instance, seed)
+    rng = _keyed(seed)
     inst = Instance(
         theorem=theorem, seed=int(seed), dim=int(dim), k=int(k),
         f=functions.power(0.5) if f is None else f, q=float(p_or_q),
@@ -1049,27 +1064,38 @@ _WORD = (1 << 64) - 1
 _TRIAL_REGION = 1
 
 
-class _Streams(threading.local):
-    """One Philox generator per role and thread, built on the thread's first
-    draw: `instance` for `random_instance`, `trial` for `run_trial`'s parameters."""
-
-    def __init__(self):
-        self.instance = np.random.Generator(np.random.Philox())
-        self.trial = np.random.Generator(np.random.Philox())
-
-
-_STREAMS = _Streams()
+def _require_draw_ranges(seed: int, dim: int, k: int) -> None:
+    """A draw's header ranges, for `random_instance` and `Instance.validate` alike."""
+    if not 1 <= dim <= 64:
+        raise PreconditionError(f"dim must lie in 1..64, got {dim}")
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
+    _require_key(seed)
 
 
-def _keyed(gen: np.random.Generator, key: int, region: int = 0) -> np.random.Generator:
-    """`gen` at the start of Philox's stream under the 128-bit `key`, at counter
-    (0, 0, 0, region): the same draws as Generator(Philox(key=key, counter=region
-    << 192)).  Every word of the state is set (key, counter, the output buffer
-    and its position, the cached 32-bit half), so a draw depends on its key
-    alone, whatever the generator drew before."""
+def _require_key(key: int) -> int:
     key = operator.index(key)
     if not 0 <= key < _KEY_BOUND:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {key}")
+    return key
+
+
+class _Stream(threading.local):
+    """One Philox generator per thread, built on the thread's first draw."""
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.Philox())
+
+
+_STREAM = _Stream()
+
+
+def _keyed(key: int, region: int = 0) -> np.random.Generator:
+    """The thread's generator at the start of Philox's stream under `key`, at counter
+    (0, 0, 0, region): the draws of Generator(Philox(key=key, counter=region << 192)).
+    Every word of the state is set, so a draw depends on its key alone, whatever the
+    generator drew before (`run_trial` is done with region 1 when `random_instance` re-keys)."""
+    key, gen = _require_key(key), _STREAM.gen
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, region), "key": (key & _WORD, key >> 64)},
@@ -1120,7 +1146,7 @@ class CampaignConfig(_JsonRecord):
 
 
 @dataclass(frozen=True)
-class TrialRecord(_JsonRecord):
+class TrialRecord(_Outcome, _JsonRecord):
     theorem: TheoremId
     index: int
     seed: int
@@ -1136,8 +1162,7 @@ class TrialRecord(_JsonRecord):
 
 
 # The per-trial CSV row: every TrialRecord field but the free-text detail.
-_CSV_COLUMNS = ("theorem", "index", "seed", "dim", "k", "function", "exponent",
-                "hypothesis_met", "holds", "margin", "triage")
+_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "detail")
 
 
 @dataclass(frozen=True)
@@ -1224,7 +1249,7 @@ def run_trial(
     exponent so large that a side overflows) is an error: hypothesis_met and
     holds both False, detail "error: <message>".
     """
-    rng = _keyed(_STREAMS.trial, seed, _TRIAL_REGION)
+    rng = _keyed(seed, _TRIAL_REGION)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
     k = int(rng.integers(config.terms[0], config.terms[1] + 1))
     pool = _function_pool(theorem, tuple(config.functions))
@@ -1257,35 +1282,17 @@ def campaign(config: CampaignConfig) -> CampaignReport:
             run_trial(theorem, config, trial_seed(config.seed, theorem, i), i)
             for i in range(config.trials)
         ]
-        passes = skips = errors = numerical = substantive = 0
-        min_margin: float | None = None
-        worst_seed: int | None = None
-        for record, inst, result in rows:
-            records.append(record)
-            if not record.hypothesis_met:
-                if record.holds:
-                    skips += 1
-                else:
-                    errors += 1
-                continue
-            if record.holds:
-                passes += 1
-            elif record.triage == "numerical":
-                numerical += 1
-            else:
-                substantive += 1
-            if record.margin is not None and (min_margin is None or record.margin < min_margin):
-                min_margin, worst_seed = record.margin, record.seed
-            if not record.holds:
-                failures.append(
-                    {
-                        "record": record.to_json(),
-                        "result": result.to_json(),
-                        "instance": inst.to_json() if inst is not None else None,
-                    }
-                )
+        records.extend(record for record, _, _ in rows)
+        counts = Counter(record.outcome for record, _, _ in rows)
+        # The first least margin; a margin is set exactly when the hypotheses are met.
+        margins = [(record.margin, record.seed) for record, _, _ in rows if record.margin is not None]
+        min_margin, worst_seed = min(margins, key=lambda pair: pair[0], default=(None, None))
+        failures.extend(
+            {"record": record.to_json(), "result": result.to_json(), "instance": inst.to_json()}
+            for record, inst, result in rows if record.outcome in ("numerical", "substantive")
+        )
         summaries.append(
-            TheoremSummary(theorem, config.trials, passes, skips, errors, numerical, substantive,
-                           min_margin, worst_seed)
+            TheoremSummary(theorem, config.trials, counts["pass"], counts["skip"], counts["error"],
+                           counts["numerical"], counts["substantive"], min_margin, worst_seed)
         )
     return CampaignReport(config, summaries, records, failures)

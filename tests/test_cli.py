@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opentropy import verify
-from opentropy.cli import main
+from opentropy.cli import build_parser, main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
 from opentropy.matcore import matrix_to_json
@@ -331,6 +331,52 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "'map' does not match the header dim=3" in err
 
+    @pytest.mark.parametrize("theorem,edit,message", [
+        ("homogeneous", {"seed": 1.5}, "'seed' must be a JSON integer, got 1.5"),
+        ("homogeneous", {"dim": 3.9}, "'dim' must be a JSON integer, got 3.9"),
+        ("klein_upper", {"k": True}, "'k' must be a JSON integer, got True"),
+        ("homogeneous", {"seed": -1}, "seed must lie in [0, 2**128), got -1"),
+        ("homogeneous", {"q": "0.5"}, "'q' must be a JSON number, got '0.5'"),
+        ("homogeneous", {"alpha": "2"}, "'alpha' must be a JSON number, got '2'"),
+    ], ids=["seed-float", "dim-float", "k-bool", "seed-negative", "q-string", "alpha-string"])
+    def test_header_numbers_are_judged_by_the_draws_rules(self, tmp_path, capsys, theorem, edit, message):
+        # Each of these files loaded: the header was coerced (1.5 to 1, 3.9 to
+        # 3, true to 1, "0.5" to 0.5) and a negative key was never checked.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 3, 1 if theorem == "klein_upper" else 2, 0).to_json()
+        payload.update(edit)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and f"cannot load instance: {message}" in err, err
+
+    def test_oversized_compression_family_is_refused_at_load(self, tmp_path, capsys):
+        # The file loaded and failed inside the check.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
+        payload["cs_weights"] = [5.0 * w for w in payload["cs_weights"]]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert "cannot load instance: compression sum exceeds the identity" in err, err
+
+    def test_compression_factor_of_another_size_is_a_header_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
+        payload["cs"][1] = matrix_to_json(0.1 * np.eye(2))
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "'cs' does not match the header dim=3, k=2" in err, err
+
+    def test_exponent_range_is_judged_at_load(self, tmp_path, capsys):
+        # The file loaded and errored in the check.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.ENTROPY_LOWER, 3, 2, 0).to_json()
+        payload["q"] = 2.0
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert "cannot load instance: this statement requires an exponent in [0, 1], got 2.0" in err, err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -394,6 +440,25 @@ class TestCampaign:
             real = getattr(np.linalg, solver)
             rebind_entry(monkeypatch, name, lambda a, _real=real: used.append(1) or _real(a))
         assert reports("numpy") == entry and used
+
+    def test_options_land_on_their_config_fields(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "campaign", lambda config: seen.append(config) or verify.CampaignReport(
+            config, [], [], []))
+        assert run(capsys, "campaign", "--trials", "3")[0] == 0
+        assert run(capsys, "campaign", "--theorems", "klein_upper,info_ineq", "--trials", "5", "--dims", "3:4",
+                   "--k", "1:2", "--functions", "log,power:0.25", "--q", "-0.5,1", "--tol", "1e-7",
+                   "--seed", "9")[0] == 0
+        assert seen == [
+            CampaignConfig(trials=3),
+            CampaignConfig(theorems=(TheoremId.KLEIN_UPPER, TheoremId.INFO_INEQ), trials=5, dims=(3, 4),
+                           terms=(1, 2), functions=("log", "power:0.25"), exponents=(-0.5, 1.0), tol=1e-7,
+                           seed=9),
+        ]
+
+    def test_parser_holds_no_config_default(self):
+        args = build_parser().parse_args(["campaign", "--trials", "3"])
+        assert vars(args) == {"command": "campaign", "trials": 3, "out": None, "format": "json"}
 
     def test_zero_trials_empty_report(self, capsys):
         code, stdout, _ = run(capsys, "campaign", "--trials", "0", "--seed", "1")
@@ -520,6 +585,45 @@ class TestCampaign:
         (result,) = json.loads(out.read_text())["results"]
         assert code == 2 and "0/2 pass, 0 skips, 2 errors" in err
         assert result["errors"] == 2 and result["passes"] == 0
+
+    @pytest.mark.parametrize("eps,triage,code", [(1e-7, "numerical", 0), (1e-3, "substantive", 1)])
+    def test_violations_are_tallied_and_dumped(self, tmp_path, capsys, monkeypatch, eps, triage, code):
+        # A mutant klein_upper that claims eps I <= 0 fails every trial by eps.
+        def mutant(inst, constant):
+            eye = np.eye(inst.dim)
+            return verify.Sides([(eps * eye, "<=", 0.0 * eye)], "mutant")
+
+        statement = verify.STATEMENTS[TheoremId.KLEIN_UPPER]
+        monkeypatch.setitem(verify.STATEMENTS, TheoremId.KLEIN_UPPER, dataclasses.replace(statement, build=mutant))
+        out = tmp_path / "r.json"
+        got, _, err = run(capsys, "campaign", "--theorems", "klein_upper,info_ineq", "--trials", "3",
+                          "--dims", "2:3", "--seed", "5", "--out", str(out))
+        assert got == code, err
+        report = json.loads(out.read_text())
+        klein, info = report["results"]
+        assert (klein["passes"], klein["skips"], klein["errors"]) == (0, 0, 0)
+        assert klein[f"violations_{triage}"] == 3 and klein["min_margin"] == -eps
+        assert (info["passes"], info["violations_numerical"], info["violations_substantive"]) == (3, 0, 0)
+        assert len(report["failures"]) == 3
+        failure = report["failures"][0]
+        record, result, instance = failure["record"], failure["result"], failure["instance"]
+        assert record["theorem"] == result["theorem"] == instance["theorem"] == "klein_upper"
+        assert (record["index"], record["seed"]) == (0, instance["seed"]) and record["seed"] == klein["worst_seed"]
+        assert record["hypothesis_met"] and not record["holds"] and record["triage"] == result["triage"] == triage
+        assert record["margin"] == result["margin"] == -eps and result["detail"] == "mutant"
+        replay = tmp_path / "inst.json"
+        replay.write_text(json.dumps(instance))
+        got, stdout, err = run(capsys, "check", "--file", str(replay))
+        assert got == 1 and f"VIOLATED ({triage})" in err
+        assert json.loads(stdout)["margin"] == record["margin"]
+
+    def test_undefined_ratio_bound_skips(self):
+        config = CampaignConfig(theorems=(TheoremId.REV_JENSEN_GAMMA,), trials=3, functions=("const:0",), seed=1)
+        report = campaign(config)
+        assert [r.outcome for r in report.records] == ["skip"] * 3
+        assert all(r.detail.startswith("ratio bound undefined: chord vanishes") for r in report.records)
+        (summary,) = report.summaries
+        assert (summary.skips, summary.min_margin, summary.worst_seed) == (3, None, None)
 
     def test_negative_exponent_list_is_a_value(self, tmp_path, capsys):
         reports = []

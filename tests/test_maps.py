@@ -165,7 +165,7 @@ class TestLiftedJensenLhs:
         x = random_pd(rng, 3)
         inst = jensen_instance(TheoremId.COMPRESSION_JENSEN, [np.eye(3), np.eye(3)], x, power(0.5))
         with pytest.raises(PreconditionError, match="exceeds the identity"):
-            check(TheoremId.COMPRESSION_JENSEN, inst)
+            inst.validate()
 
     def test_t0_outside_spectrum_rejected(self, rng):
         x = random_pd(rng, 3)

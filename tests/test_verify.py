@@ -345,21 +345,20 @@ class TestKeyedStreams:
             assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(inst.to_json(), sort_keys=True)
 
     def test_a_draw_depends_on_its_key_alone(self):
-        gen = verify._STREAMS.instance
         key, other = trial_seed(3, TheoremId.SUBADDITIVE, 9), 2**128 - 1
         want = np.random.Generator(np.random.Philox(key=key))
         fresh = (want.standard_normal(5), want.integers(0, 7, size=3, dtype=np.int32), want.uniform(size=2))
         for before in (None, other, key):
             if before is not None:
                 # Leave a half-used buffer and a cached 32-bit half behind.
-                verify._keyed(gen, before).integers(0, 7, size=3, dtype=np.int32)
-            got = verify._keyed(gen, key)
+                verify._keyed(before).integers(0, 7, size=3, dtype=np.int32)
+            got = verify._keyed(key)
             drawn = (got.standard_normal(5), got.integers(0, 7, size=3, dtype=np.int32), got.uniform(size=2))
             for a, b in zip(drawn, fresh):
                 np.testing.assert_array_equal(a, b)
         # The trial region is counter word 3 = 1.
         region = np.random.Generator(np.random.Philox(key=key, counter=1 << 192))
-        np.testing.assert_array_equal(verify._keyed(gen, key, 1).standard_normal(4), region.standard_normal(4))
+        np.testing.assert_array_equal(verify._keyed(key, 1).standard_normal(4), region.standard_normal(4))
 
     def test_instances_do_not_depend_on_interleaved_draws(self):
         def draw(seed):
@@ -1017,3 +1016,26 @@ def test_projection_restores_the_family_constraints(theorem):
             accepted += 1
     # Only a dim-1 probability vector, always [1], cannot move.
     assert accepted >= 20 and moved >= accepted - 8, (accepted, moved)
+
+
+def test_outcome_names_each_flag_combination():
+    cases = {"pass": (True, True, None), "skip": (False, True, None), "error": (False, False, None),
+             "numerical": (True, False, "numerical"), "substantive": (True, False, "substantive")}
+    for name, (met, holds, triage) in cases.items():
+        result = verify.VerificationResult(TheoremId.KLEIN_UPPER, holds, None, 0.0, 0.0, met, "", triage)
+        record = verify.TrialRecord(TheoremId.KLEIN_UPPER, 0, 0, 2, 1, "log", 0.0, met, holds, None, triage, "")
+        assert result.outcome == record.outcome == name
+        assert "outcome" not in result.to_json() and "outcome" not in record.to_json()
+    assert verify._CSV_COLUMNS == ("theorem", "index", "seed", "dim", "k", "function", "exponent",
+                                   "hypothesis_met", "holds", "margin", "triage")
+
+
+def test_one_key_check_serves_every_draw():
+    for key in (-1, 2**128):
+        with pytest.raises(PreconditionError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            run_trial(TheoremId.KLEIN_UPPER, SMALL, key)
+        with pytest.raises(PreconditionError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            random_instance(TheoremId.KLEIN_UPPER, 2, 1, key)
+    # A numpy integer key draws as the int it holds.
+    assert random_instance(TheoremId.KLEIN_UPPER, 2, 1, np.int64(5)).to_json() == \
+        random_instance(TheoremId.KLEIN_UPPER, 2, 1, 5).to_json()
