@@ -18,6 +18,13 @@ ratio, the pairs the change won (by the metric's declared direction), both
 medians, and the parent's quartiles with its IQR (q3 - q1), against which
 the gap between the medians is read.  The exit code is 0 when every run
 exited 0.
+
+Give it clean checkouts of both commits (`git worktree add`, or a
+`git archive` of each commit unpacked into an empty directory), not copied
+working directories.  A copy made with `cp -r` carries stale `__pycache__`
+and `.pytest_cache` directories, and in a 10-pair run such a copy of a change
+read setup_s 1.17x worse than its parent and lost 8 of 10 pairs, while a
+`git archive` copy of the same source read 0.96x.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import _adjoint, _array_from_json, _entries, _freeze, _symmetrize, matrix_to_json
+from .matcore import _adjoint, _array_from_json, _entries, _freeze, _frobenius, _svd, _symmetrize, matrix_to_json
 
 __all__ = ["PositiveLinearMap", "map_to_json", "map_from_json"]
 
@@ -54,8 +54,7 @@ class PositiveLinearMap:
         return _symmetrize((_adjoint(c) @ c).sum(axis=0))
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
-        residual = self.kraus_gram() - np.eye(self._out_dim)
-        return float(np.linalg.norm(residual)) <= tol
+        return _frobenius(self.kraus_gram() - np.eye(self._out_dim)) <= tol
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in)."""
@@ -83,7 +82,7 @@ class PositiveLinearMap:
         # One call draws the variates that n (real, imaginary) pairs of calls would.
         z = rng.standard_normal((n, 2, in_dim, out_dim))
         g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        u, _, vh = np.linalg.svd(g.reshape(n * in_dim, out_dim), full_matrices=False)
+        u, _, vh = _svd(g.reshape(n * in_dim, out_dim))
         return cls((u @ vh).reshape(n, in_dim, out_dim))
 
     def __repr__(self) -> str:

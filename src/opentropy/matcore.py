@@ -9,19 +9,20 @@ The one positive-definite value is OperatorField, a finite weighted family
 the one-node field of weight 1, and PairSpectrum holds the relative spectra
 of two aligned fields.
 
-One eigensolver entry.  Every eigensolve of the package goes through `_eigh`
-(eigenvalues and eigenvectors) or `_eigvalsh` (eigenvalues alone).  Each
-calls the LAPACK gufunc that `np.linalg.eigh` and `np.linalg.eigvalsh` call
-themselves (`_umath_linalg.eigh_lo`, `eigvalsh_lo`), with the signature numpy
-picks from the dtype ("D" for complex input, "d" otherwise) and under the
-same `np.errstate`, whose callback raises EigenConvergenceError where numpy
-raises LinAlgError.  It skips the numpy.linalg wrapper's conversions and
-checks, which pass the package's (..., d, d) float and complex ndarrays
-through unchanged: about 6 us of a 25-30 us solve of a (3, 5, 5) complex
-stack (timeit), on the 2x2 to 8x8 arrays where a trial's time is per-call
-overhead rather than LAPACK work.  The results are the same bits
-(tests/test_matcore.py compares both at d = 1..8 and 64), NaN spectra of
-non-finite input included.
+One LAPACK entry.  Every factorization of the package goes through `_eigh`
+(eigenvalues and eigenvectors), `_eigvalsh` (eigenvalues alone), `_qr` (Q
+and R's diagonal) or `_svd` (a thin SVD).  Each calls the LAPACK gufunc that
+numpy.linalg calls (`_umath_linalg.eigh_lo`, `eigvalsh_lo`, `qr_r_raw` then
+`qr_reduced`, `svd_s`) with numpy's signature for the dtype, through
+`_lapack`, which sets numpy's floating-point state for the call to one built
+at import from numpy.linalg's errstate settings: a LAPACK failure calls back
+to raise (EigenConvergenceError for an eigensolve, numpy's LinAlgError and
+message for QR and SVD).  That skips the wrappers' checks and the errstate
+built per call (2.5 us of a 3.7 us solve at d = 4, timeit), on the 2x2 to
+8x8 arrays where a trial's time is per-call overhead.  The results are the
+same bits as numpy.linalg's, NaN spectra of non-finite input included
+(tests/test_matcore.py compares them, and fails on a numpy.linalg
+factorization or an `np.errstate` anywhere else in the package).
 
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
 `_relative_eigenvalues`) and the private helpers (`_symmetrize`, `_adjoint`,
@@ -57,10 +58,12 @@ build.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError
@@ -89,29 +92,63 @@ _PD_RELATIVE_FLOOR = 1e-12
 _PAIR_IMPLIED_FLOOR = 1e-6
 
 
-def _nonconvergence(err, flag) -> None:
-    raise EigenConvergenceError("eigendecomposition did not converge")
+def _lapack_state(error: type, message: str):
+    """numpy.linalg's floating-point state, built once: a LAPACK failure sets
+    `invalid`, which calls back to raise error(message); the rest is ignored."""
+
+    def fail(err, flag):
+        raise error(message)
+
+    return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _solver_errstate() -> np.errstate:
-    """The floating-point state numpy.linalg solves under: a non-convergence
-    sets `invalid`, which calls `_nonconvergence`; the rest is ignored."""
-    return np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+_EIGH_STATE = _lapack_state(EigenConvergenceError, "eigendecomposition did not converge")
+_QR_STATE = _lapack_state(np.linalg.LinAlgError, "Incorrect argument found while performing QR factorization")
+_SVD_STATE = _lapack_state(np.linalg.LinAlgError, "SVD did not converge")
+
+
+def _lapack(state, gufunc, *args, signature: str):
+    """gufunc(*args) under the prebuilt `state`; the caller's state is back after."""
+    token = _extobj_contextvar.set(state)
+    try:
+        return gufunc(*args, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian
     ndarray (..., d, d), as `np.linalg.eigh` gives them (the module docstring
     says why this entry skips it)."""
-    with _solver_errstate():
-        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _lapack(_EIGH_STATE, _umath_linalg.eigh_lo, a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian ndarray (..., d, d), as
     `np.linalg.eigvalsh` gives them."""
-    with _solver_errstate():
-        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    return _lapack(_EIGH_STATE, _umath_linalg.eigvalsh_lo, a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and the diagonal of R of the reduced QR factorization of an ndarray
+    (..., m, n), as `np.linalg.qr` gives them."""
+    raw, reduced = ("D->D", "DD->D") if a.dtype.kind == "c" else ("d->d", "dd->d")
+    r = a.copy()  # LAPACK overwrites its input with R and the reflectors
+    tau = _lapack(_QR_STATE, _umath_linalg.qr_r_raw, r, signature=raw)
+    return _lapack(_QR_STATE, _umath_linalg.qr_reduced, r, tau, signature=reduced), r.diagonal(0, -2, -1)
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD (U, sigma, V*) of an ndarray (..., m, n), as
+    `np.linalg.svd(a, full_matrices=False)` gives it."""
+    return _lapack(_SVD_STATE, _umath_linalg.svd_s, a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """The Frobenius norm by `np.linalg.norm`'s own formula, sqrt(re.re + im.im)."""
+    x = x.ravel("K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -354,8 +391,7 @@ class OperatorField:
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
         """True when sum_s w_s A_s = I within `tol` in Frobenius norm."""
-        residual = self.weighted_sum() - _eye(self.dim)
-        return float(np.linalg.norm(residual)) <= tol
+        return _frobenius(self.weighted_sum() - _eye(self.dim)) <= tol
 
     def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
         """PairSpectrum(self, other), solved once per pair of field objects."""
@@ -447,22 +483,28 @@ class PairSpectrum:
     several aligned pairs in one pass and hands each its slice (`_spectrum`).
     """
 
-    __slots__ = ("weights", "eigenvalues", "frame")
+    __slots__ = ("weights", "eigenvalues", "frame", "_m", "_M")
 
     def __init__(self, fa: OperatorField, fb: OperatorField, *, _spectrum=None):
         _require_aligned(fa, fb)
         self.weights = fa.weights
         self.eigenvalues, self.frame = _spectrum or _relative_spectrum(fa.decomposition, fb.arrays)
+        self._m = self._M = None
 
     @property
     def m(self) -> float:
-        """Least eigenvalue over all nodes: the largest m with m A_s <= B_s for every s."""
-        return float(self.eigenvalues[:, 0].min())
+        """Least eigenvalue over all nodes: the largest m with m A_s <= B_s for
+        every s (reduced on the first read; the eigenvalues are read-only)."""
+        if self._m is None:
+            self._m = float(self.eigenvalues[:, 0].min())
+        return self._m
 
     @property
     def M(self) -> float:
         """Largest eigenvalue over all nodes: the least M with B_s <= M A_s for every s."""
-        return float(self.eigenvalues[:, -1].max())
+        if self._M is None:
+            self._M = float(self.eigenvalues[:, -1].max())
+        return self._M
 
     def _products(self, values) -> np.ndarray:
         q = self.frame
@@ -504,16 +546,20 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
     """Test A <= B in the Loewner order.
 
     Returns (holds, margin) with margin = lambda_min(B - A); the test passes
-    when margin >= -tol * max(1, ||A||_2, ||B||_2).
+    when margin >= -tol * max(1, ||A||_2, ||B||_2).  A non-finite entry is
+    refused (PreconditionError).
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    aa, bb = _entries(a), _entries(b)
+    aa, bb = _square(a), _square(b)
     if aa.shape != bb.shape:
         raise ShapeError(f"loewner_leq shape mismatch: {aa.shape} vs {bb.shape}")
-    margin = float(_eigvalsh(_symmetrize(bb - aa))[0])
-    wa = _eigvalsh(_symmetrize(aa))
-    wb = _eigvalsh(_symmetrize(bb))
+    # Refused before the solve, which can return finite eigenvalues for NaN entries.
+    if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
+        raise PreconditionError("loewner_leq needs finite entries")
+    # One stacked solve of B - A, A and B (the same bits as a solve each).
+    diff, wa, wb = _eigvalsh(_symmetrize(np.array([bb - aa, aa, bb])))
+    margin = float(diff[0])
     return _holds_within(margin, tol, abs(wa[0]), abs(wa[-1]), abs(wb[0]), abs(wb[-1])), margin
 
 

@@ -77,6 +77,7 @@ from .matcore import (
     _eye,
     _holds_within,
     _JsonRecord,
+    _qr,
     _relative_eigenvalues,
     _require_aligned,
     _scalar_image,
@@ -331,7 +332,8 @@ class Sides:
     cross_checks: list = field(default_factory=list)
 
 
-def _snorm(w: np.ndarray) -> float:
+def _snorm(w) -> float:
+    """max(|w_first|, |w_last|) of an ascending spectrum, an array or a list."""
     return float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -358,8 +360,8 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
         # Overflow in a side (an exponent like 1e308): no order can be read off.
         # Checked before the solve, which can return finite eigenvalues for NaN entries.
         return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
-    spectra = iter(_eigvalsh(stack))
-    all_margins = [min(float(next(spectra)[0]) for _ in ds) for ds in parts]
+    spectra = iter(_eigvalsh(stack).tolist())
+    all_margins = [min(next(spectra)[0] for _ in ds) for ds in parts]
     margins, margin = all_margins[:n], min(all_margins)
     norms = [_snorm(next(spectra)) for _ in range(2 * n)]
     ln, rn = max(norms[0::2]), max(norms[1::2])
@@ -796,8 +798,7 @@ def _project_compression(raw):
     roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
     if not diagonal:
         # Haar-random unitaries U_s from the Gaussians.
-        q, r = np.linalg.qr(gauss)
-        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        q, phases = _qr(gauss)
         roots = q * (phases / np.abs(phases))[..., None, :] @ roots
     dim = x0_array.shape[-1]
     lo, hi = float(solved.eigenvalues[k, 0]), float(solved.eigenvalues[k, -1])

@@ -1,4 +1,8 @@
+import ast
 import json
+import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +20,17 @@ from opentropy import (
     eig,
     loewner_leq,
 )
+import opentropy
 from opentropy.functions import IDENTITY, LOG, power
 from opentropy.matcore import (
     _adjoint,
     _eigh,
     _eigvalsh,
+    _frobenius,
+    _qr,
     _relative_spectrum,
     _require_pd_floor,
+    _svd,
     _symmetrize,
     matrix_from_json,
     matrix_to_json,
@@ -151,6 +159,149 @@ class TestEigensolverEntry:
         for solve in (_eigh, _eigvalsh, eig):
             with pytest.raises(EigenConvergenceError, match="did not converge"):
                 solve(a)
+
+
+class TestQrAndSvdEntries:
+    """`_qr` (Q and R's diagonal) and `_svd` (thin) call numpy.linalg's LAPACK
+    gufuncs without its wrapper and must give exactly what `np.linalg.qr`
+    and `np.linalg.svd(full_matrices=False)` give."""
+
+    @staticmethod
+    def gaussian(rng, shape, dtype):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if dtype is complex else g
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
+    def test_qr_matches_numpy_linalg_bitwise(self, rng, dim, dtype):
+        for shape in ((dim, dim), (3, dim, dim), (2, 3, dim, dim)):
+            a = self.gaussian(rng, shape, dtype)
+            before = a.copy()
+            q, diagonal = _qr(a)
+            expected_q, expected_r = np.linalg.qr(a)
+            np.testing.assert_array_equal(a, before)
+            assert q.dtype == expected_q.dtype and diagonal.dtype == expected_r.dtype
+            np.testing.assert_array_equal(q, expected_q)
+            np.testing.assert_array_equal(diagonal, np.diagonal(expected_r, axis1=-2, axis2=-1))
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
+    def test_thin_svd_matches_numpy_linalg_bitwise(self, rng, dim, dtype):
+        shapes = [(n * dim, dim) for n in range(1, 4)] + [(2, 2 * dim, dim), (3, dim, dim)]
+        for shape in shapes:
+            a = self.gaussian(rng, shape, dtype)
+            for got, expected in zip(_svd(a), np.linalg.svd(a, full_matrices=False)):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+
+    def test_svd_failure_raises_numpys_error(self):
+        a = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.svd(a, full_matrices=False)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _svd(a)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4, 1.0, 1e2])
+    def test_frobenius_matches_numpy_norm_bitwise(self, rng, scale):
+        for dim in (1, 2, 3, 5, 8):
+            residual = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            assert _frobenius(residual) == float(np.linalg.norm(residual))
+            real = residual.real.copy()
+            assert _frobenius(real) == float(np.linalg.norm(real))
+
+
+class TestLapackState:
+    """The entries set numpy's floating-point state for one call and put the
+    caller's back, after a failure too; filterwarnings = error turns a
+    leaked RuntimeWarning into a failure."""
+
+    NAN = np.full((3, 3), np.nan, dtype=complex)
+
+    def test_callers_state_is_unchanged_after_a_solve_and_a_failure(self, rng):
+        def hook(err, flag):
+            raise AssertionError("the caller's callback ran")
+
+        a = random_hermitian(rng, 4)
+        for state in ({}, {"all": "warn", "call": hook}, {"all": "raise"}):
+            with np.errstate(**state):
+                before = np.geterr(), np.geterrcall()
+                _eigh(a)
+                _eigvalsh(a)
+                _qr(a)
+                _svd(a)
+                assert (np.geterr(), np.geterrcall()) == before
+                with pytest.raises(EigenConvergenceError):
+                    _eigh(self.NAN)
+                assert (np.geterr(), np.geterrcall()) == before
+
+    def test_failure_raises_inside_a_callers_raise_state(self):
+        with np.errstate(all="raise"):
+            for solve in (_eigh, _eigvalsh):
+                with pytest.raises(EigenConvergenceError, match="did not converge"):
+                    solve(self.NAN)
+
+    def test_failure_raises_in_another_thread(self, rng):
+        caught = []
+
+        def solve():
+            try:
+                _eigh(self.NAN)
+            except Exception as exc:
+                caught.append(exc)
+            caught.append(_eigvalsh(a))
+
+        a = random_hermitian(rng, 4)
+        worker = threading.Thread(target=solve)
+        worker.start()
+        worker.join()
+        assert isinstance(caught[0], EigenConvergenceError)
+        np.testing.assert_array_equal(caught[1], np.linalg.eigvalsh(a))
+
+
+# Calls that must go through matcore's LAPACK entry: the numpy.linalg wrappers
+# it replaces and np.errstate, which it builds once at import instead.
+_WRAPPED = re.compile(r"(np|numpy)\.(linalg\.(eigh|eigvalsh|qr|svd|norm)|errstate)")
+# bounds._ratio_bound's grid search divides by a chord that can vanish; its
+# errstate guards no factorization.
+_ALLOWED = {("bounds.py", "_ratio_bound", "np.errstate")}
+
+
+def wrapper_calls(source: str, filename: str) -> set:
+    """(file, enclosing function, callee) of every call to a wrapped name, and
+    of every `from numpy.linalg import` of one."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and _WRAPPED.fullmatch(ast.unparse(child.func)):
+                found.add((filename, inner, ast.unparse(child.func)))
+            if isinstance(child, ast.ImportFrom) and child.module in ("numpy", "numpy.linalg"):
+                for alias in child.names:
+                    if _WRAPPED.fullmatch(f"{child.module}.{alias.name}"):
+                        found.add((filename, inner, f"{child.module}.{alias.name}"))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestNoWrapperOutsideTheEntry:
+    def test_the_package_calls_no_wrapper_outside_matcores_entry(self):
+        found = set()
+        for path in sorted(Path(opentropy.__file__).parent.glob("*.py")):
+            found |= wrapper_calls(path.read_text(), path.name)
+        assert found == _ALLOWED
+
+    def test_the_guard_sees_each_form(self):
+        source = (
+            "import numpy as np\nfrom numpy.linalg import svd\n"
+            "def f(a):\n    with np.errstate(all='ignore'):\n        return np.linalg.eigh(a), numpy.linalg.norm(a)\n"
+        )
+        assert wrapper_calls(source, "x.py") == {
+            ("x.py", None, "numpy.linalg.svd"), ("x.py", "f", "np.errstate"),
+            ("x.py", "f", "np.linalg.eigh"), ("x.py", "f", "numpy.linalg.norm"),
+        }
 
 
 class TestEig:
@@ -415,6 +566,19 @@ class TestLoewner:
         a = random_hermitian(rng, 4)
         holds, margin = loewner_leq(a, a)
         assert holds and abs(margin) <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([np.nan, 1.0]), np.eye(2)),
+        (np.eye(2), np.diag([np.nan, 1.0])),
+        (np.diag([np.inf, 1.0]), np.eye(2)),
+    ], ids=["nan-a", "nan-b", "inf-a"])
+    def test_nonfinite_entry_refused(self, a, b):
+        with pytest.raises(PreconditionError, match="finite"):
+            loewner_leq(a, b)
+
+    def test_margin_is_the_least_eigenvalue_of_the_difference(self, rng):
+        a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        assert loewner_leq(a, b)[1] == float(np.linalg.eigvalsh(_symmetrize(b - a))[0])
 
     def test_gelfand_order_preservation(self, rng):
         # f >= g pointwise on the spectrum forces f(A) >= g(A); 100 here,

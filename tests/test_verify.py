@@ -1039,3 +1039,52 @@ def test_one_key_check_serves_every_draw():
     # A numpy integer key draws as the int it holds.
     assert random_instance(TheoremId.KLEIN_UPPER, 2, 1, np.int64(5)).to_json() == \
         random_instance(TheoremId.KLEIN_UPPER, 2, 1, 5).to_json()
+
+
+# Premise controls: each row breaks one hypothesis of a statement after a
+# normal draw (d = k = 3, seeds 0-99) and calls the statement's builder
+# directly, so no gate refuses the broken instance.  A failure is a margin
+# below -1e-8; the counts are the observed ones.
+
+
+def _zeta_on_shrunk_window(inst, fraction):
+    """zeta of log on [m, M] shrunk about its centre to `fraction` of its length."""
+    centre, half = (inst.m + inst.M) / 2.0, fraction * (inst.M - inst.m) / 2.0
+    return chord_gap_bound(LOG, centre - half, centre + half)
+
+
+PREMISE_CONTROLS = {
+    # The unit exponent: the node-wise power means exceed the power mean of
+    # the integrals on every draw once p leaves [0, 1].
+    **{f"mean_integral p={p:g}": (
+        TheoremId.MEAN_INTEGRAL, None,
+        lambda inst, p=p: verify._mean_integral(dataclasses.replace(inst, q=p), None), 100,
+    ) for p in (1.5, 2.0, -0.5)},
+    # The window covering X's spectrum: a zeta taken on a shrunk window is too
+    # small for the spectrum it no longer covers.
+    "rev_jensen_zeta window 90%": (
+        TheoremId.REV_JENSEN_ZETA, LOG,
+        lambda inst: verify._rev_jensen_zeta(inst, _zeta_on_shrunk_window(inst, 0.9)), 30,
+    ),
+    "rev_jensen_zeta window 50%": (
+        TheoremId.REV_JENSEN_ZETA, LOG,
+        lambda inst: verify._rev_jensen_zeta(inst, _zeta_on_shrunk_window(inst, 0.5)), 100,
+    ),
+    # alpha + beta = 1 is not needed: S_0 is jointly concave and positively
+    # homogeneous, hence superadditive, so S_0(aP1 + bP2) >= S_0(aP1) + S_0(bP2)
+    # = a S_0(P1) + b S_0(P2) for every a, b > 0.
+    **{f"joint_concave alpha={a:g} beta={b:g}": (
+        TheoremId.JOINT_CONCAVE, None,
+        lambda inst, a=a, b=b: verify._joint_concave(dataclasses.replace(inst, alpha=a, beta=b), None), 0,
+    ) for a, b in ((0.3, 0.3), (0.9, 0.9), (2.0, 0.5))},
+}
+
+
+@pytest.mark.parametrize("name", PREMISE_CONTROLS)
+def test_a_broken_premise_fails_as_often_as_observed(name):
+    theorem, f, build, expected = PREMISE_CONTROLS[name]
+    margins = [
+        verify._verdict(theorem, build(random_instance(theorem, 3, 3, seed, f)), matcore.DEFAULT_LOEWNER_TOL).margin
+        for seed in range(100)
+    ]
+    assert sum(margin < -1e-8 for margin in margins) == expected
