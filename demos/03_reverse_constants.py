@@ -56,12 +56,11 @@ pm = PositiveLinearMap.random_normalized(4, 4, 2, rng)
 g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
 # X is a PositiveDefiniteMatrix: a one-node field, solved once here.
 a = PositiveDefiniteMatrix(g @ g.conj().T + 2.0 * np.eye(4))
-# Kraus factors with sum C_i* C_i = I form a unital compression family with
-# unit weights: the lifted argument is Phi(A) itself and t0 drops out.
+# A unital map, sum C_i* C_i = I, is a compression with no defect: the lifted
+# argument is Phi(A) itself and t0 drops out.
 inst = Instance(
     theorem=TheoremId.COMPRESSION_JENSEN, seed=2, dim=4, k=len(pm.kraus), f=power(0.5),
-    t0=a.lambda_min, m=a.lambda_min, M=a.lambda_max,
-    cs=pm.kraus, cs_weights=np.ones(len(pm.kraus)), x=a,
+    t0=a.lambda_min, m=a.lambda_min, M=a.lambda_max, pmap=pm, x=a,
 )
 for theorem, claim in (
     (TheoremId.COMPRESSION_JENSEN, "f(Phi(A)) >= Phi(f(A))         "),

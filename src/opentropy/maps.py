@@ -1,9 +1,10 @@
-"""Normalized positive linear maps in Kraus form.
+"""Positive linear maps in Kraus form.
 
-A map Phi(X) = sum_i C_i* X C_i is positive by construction and normalized
-(unital) when sum_i C_i* C_i = I.  The Jensen inequality f(Phi(A)) >= Phi(f(A))
-for such maps and its reverses are the compression statements of the verify
-module (a unital compression family is a Kraus family).
+A map Phi(X) = sum_i C_i* X C_i is positive by construction, normalized
+(unital) when sum_i C_i* C_i = I and sub-unital when sum_i C_i* C_i <= I.  The
+lifted Jensen inequality for a sub-unital map and its reverses are the
+compression statements of the verify module, whose compression family draws
+its map in this form; `map_monotone` reads a normalized one.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ class PositiveLinearMap:
             raise ShapeError("Kraus factors must be matrices")
         if any(c.shape != shape for c in factors):
             raise ShapeError("Kraus factors must share one shape")
-        for c in factors:
-            c.setflags(write=False)
-        self._kraus = tuple(factors)
+        # One read-only (n, in, out) stack; `kraus` reads its factors as views.
+        self._kraus = np.array(factors)
+        self._kraus.setflags(write=False)
         self._in_dim, self._out_dim = int(shape[0]), int(shape[1])
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
-        return self._kraus
+        return tuple(self._kraus)
 
     @property
     def in_dim(self) -> int:
@@ -50,15 +51,17 @@ class PositiveLinearMap:
     def kraus_gram(self) -> np.ndarray:
         """sum_i C_i* C_i, one stacked product summed over the factors; equals
         I_out to rounding (about 1e-14) when the map is normalized."""
-        c = np.array(self._kraus)
-        return _symmetrize((_adjoint(c) @ c).sum(axis=0))
+        return _symmetrize((_adjoint(self._kraus) @ self._kraus).sum(axis=0))
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
         return _frobenius(self.kraus_gram() - np.eye(self._out_dim)) <= tol
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in)."""
-        return _symmetrize(sum(c.conj().T @ x @ c for c in self._kraus))
+        """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in):
+        every factor in one stacked product, summed over the factors in order
+        (the bits of one product per factor added one after another)."""
+        c = self._kraus.reshape(len(self._kraus), *(1,) * (x.ndim - 2), self._in_dim, self._out_dim)
+        return _symmetrize((_adjoint(c) @ x @ c).sum(axis=0))
 
     def apply(self, x) -> np.ndarray:
         """Phi(X) as a read-only array, for an array-like or a PositiveDefiniteMatrix X."""

@@ -25,7 +25,7 @@ is the solve of exactly the array its JSON stores (a field or X matrix that
 is not exactly Hermitian is refused, and so is a payload that does not match
 the header's dim and k), so a file written by `gen` or dumped by a campaign
 re-checks to the same margin bit for bit.  Instance files and campaign reports
-carry `"format": 2`; a file without it is refused at load.
+carry `"format": 3`; a file without it is refused at load.
 
 Every draw is a pure function of a 128-bit key (keyed streams, after Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
@@ -61,6 +61,7 @@ from .errors import (
     GenerationError,
     NotPositiveDefiniteError,
     PreconditionError,
+    ShapeError,
     UndefinedRatioError,
 )
 from .functions import LOG, ScalarFunction
@@ -70,8 +71,6 @@ from .matcore import (
     OperatorField,
     PositiveDefiniteMatrix,
     _adjoint,
-    _array_from_json,
-    _checked_weights,
     _eigh,
     _eigvalsh,
     _eye,
@@ -185,11 +184,7 @@ class Instance:
     fb: OperatorField | None = None
     fc: OperatorField | None = None
     fd: OperatorField | None = None
-    fa2: OperatorField | None = None
-    fb2: OperatorField | None = None
     pmap: PositiveLinearMap | None = None
-    cs: tuple | None = None
-    cs_weights: np.ndarray | None = None
     x: PositiveDefiniteMatrix | None = None
     alpha: float | None = None
     beta: float | None = None
@@ -232,17 +227,17 @@ class Instance:
                 )
 
     def _check_header(self) -> None:
-        """dim and k describe the payload: every field and cs hold k dim x dim
-        matrices, X is dim x dim and the map takes dim x dim input."""
+        """dim and k describe the payload: every field holds k dim x dim
+        matrices, X is dim x dim, and the map's Kraus factors are dim x dim, k
+        of them where the statement's family draws the map (a compression)."""
         node = (self.dim, self.dim)
-        for slot in (*_FIELDS, "cs", "x", "pmap"):
+        for slot in (*_FIELDS, "x", "pmap"):
             value = getattr(self, slot)
             if value is None:
                 continue
-            if slot == "cs":
-                fits = len(value) == self.k and all(c.shape == node for c in value)
-            elif slot == "pmap":
-                fits = value.in_dim == self.dim
+            if slot == "pmap":
+                n = self.k if "pmap" in STATEMENTS[self.theorem].family.slots else len(value.kraus)
+                fits = (len(value.kraus), value.in_dim, value.out_dim) == (n, *node)
             else:
                 fits = value.arrays.shape == (1 if slot == "x" else self.k, *node)
             if not fits:
@@ -266,17 +261,26 @@ class Instance:
         version = data.get("format") if isinstance(data, dict) else None
         if version != FORMAT:
             raise PreconditionError(
-                f"an instance file must carry \"format\": {FORMAT}, got {version!r}"
-                " (format 1 files, written before keyed streams, are not read)"
+                f"an instance file must carry \"format\": {FORMAT}, got {version!r} (format 1 files,"
+                " written before keyed streams, and format 2 files, whose compressions store cs, are not read)"
             )
-        inst = cls(**{slot: decode(data[key]) for slot, (key, _, decode) in _SLOTS.items() if key in data})
+        inst = cls(**{slot: _decoded(key, decode, data[key]) for slot, (key, _, decode) in _SLOTS.items()
+                      if key in data})
         inst.validate()
         return inst
 
 
+def _decoded(key: str, decode: Callable, value):
+    """A slot's decoded value; a ShapeError names the slot's key (a ragged map, say)."""
+    try:
+        return decode(value)
+    except ShapeError as exc:
+        raise ShapeError(f"{key!r}: {exc}") from exc
+
+
 # The version of the instance and campaign report formats.
-FORMAT = 2
-_FIELDS = ("fa", "fb", "fc", "fd", "fa2", "fb2")
+FORMAT = 3
+_FIELDS = ("fa", "fb", "fc", "fd")
 _VECTOR = (lambda v: [float(x) for x in v], lambda d: np.asarray(d, dtype=float))
 
 
@@ -298,12 +302,9 @@ _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     **{name: (name, float, _json_number(float, name)) for name in ("q", "t0", "m", "M")},
     **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
     "pmap": ("map", map_to_json, map_from_json),
-    "cs": ("cs", lambda cs: [matrix_to_json(c) for c in cs], lambda d: tuple(map(_array_from_json, d))),
-    "cs_weights": ("cs_weights", *_VECTOR),
     "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
     **{name: (name, float, _json_number(float, name)) for name in ("alpha", "beta")},
-    "pa": ("pa", *_VECTOR),
-    "pb": ("pb", *_VECTOR),
+    **{name: (name, *_VECTOR) for name in ("pa", "pb")},
 }
 
 
@@ -445,15 +446,11 @@ def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
 
 
 def _compression_terms(inst: Instance):
-    """f(lifted argument) and the compressed right-hand side it is checked against."""
+    """f(lifted argument) and the compressed right-hand side it is checked
+    against, from Phi(I), Phi(X) and Phi(f(X)) in one application of the map."""
     f, x = inst.f, inst.x
     eye = _eye(x.dim)
-    c = np.array(inst.cs)
-    ch = _adjoint(c)
-    fx = apply_function(x, f)
-    gram, lifted, compressed = _weighted_sum(
-        inst.cs_weights, np.array([ch @ c, ch @ x.array @ c, ch @ fx @ c])
-    )
+    gram, lifted, compressed = inst.pmap.apply_array(np.array([eye, x.array, apply_function(x, f)]))
     defect = eye - gram
     arg = lifted + inst.t0 * defect
     f_arg = _spectral_image(arg, f.evaluate_array)
@@ -479,19 +476,19 @@ def _mean_integral(inst: Instance, constant: None) -> Sides:
 
 
 def _compression_jensen(inst: Instance, constant: None) -> Sides:
-    """f(sum w C*XC + t0(I - sum w C*C)) >= sum w C*f(X)C + f(t0)(I - sum w C*C)"""
+    """f(Phi(X) + t0(I - Phi(I))) >= Phi(f(X)) + f(t0)(I - Phi(I)) for a sub-unital Phi"""
     f_arg, rhs = _compression_terms(inst)
     return Sides([(f_arg, ">=", rhs)], "lifted Jensen inequality for a sub-unital compression family")
 
 
 def _rev_jensen_gamma(inst: Instance, gamma: float) -> Sides:
-    """f(lifted argument) <= gamma * [sum w C*f(X)C + f(t0)(I - sum w C*C)]"""
+    """f(lifted argument) <= gamma * [Phi(f(X)) + f(t0)(I - Phi(I))]"""
     f_arg, rhs = _compression_terms(inst)
     return Sides([(f_arg, "<=", gamma * rhs)], f"reverse lifted Jensen with gamma={gamma!r}")
 
 
 def _rev_jensen_zeta(inst: Instance, zeta: float) -> Sides:
-    """f(lifted argument) <= sum w C*f(X)C + f(t0)(I - sum w C*C) + zeta I"""
+    """f(lifted argument) <= Phi(f(X)) + f(t0)(I - Phi(I)) + zeta I"""
     f_arg, rhs = _compression_terms(inst)
     shifted = rhs + zeta * _eye(inst.x.dim)
     return Sides([(f_arg, "<=", shifted)], f"reverse lifted Jensen with zeta={zeta!r}")
@@ -564,12 +561,21 @@ def _info_ineq(inst: Instance, constant: None) -> Sides:
     return Sides([(divergence, ">=", np.zeros((1, 1)))], detail)
 
 
+def _superadditive_terms(inst: Instance, alpha: float = 1.0, beta: float = 1.0):
+    """S_0(alpha P1 + beta P2) and alpha S_0(P1) + beta S_0(P2) for the pairs
+    P1 = (FA, FC) and P2 = (FB, FD).  At alpha = beta = 1.0 every product is
+    its factor bit for bit (1.0 x = x)."""
+    fa, fb, fc, fd, f = inst.fa, inst.fb, inst.fc, inst.fd, inst.f
+    left, right = _pair_like((fa, fb, fc, fd), alpha * fa.arrays + beta * fb.arrays,
+                             alpha * fc.arrays + beta * fd.arrays)
+    lhs = left.pair_spectrum(right).entropy_term(0.0, f)
+    rhs = alpha * fa.pair_spectrum(fc).entropy_term(0.0, f) + beta * fb.pair_spectrum(fd).entropy_term(0.0, f)
+    return lhs, rhs
+
+
 def _subadditive(inst: Instance, constant: None) -> Sides:
     """S_0(FA+FB | FC+FD) >= S_0(FA|FC) + S_0(FB|FD) node-wise"""
-    fa, fb, fc, fd, f = inst.fa, inst.fb, inst.fc, inst.fd, inst.f
-    left, right = _pair_like((fa, fb, fc, fd), fa.arrays + fb.arrays, fc.arrays + fd.arrays)
-    lhs = left.pair_spectrum(right).entropy_term(0.0, f)
-    rhs = fa.pair_spectrum(fc).entropy_term(0.0, f) + fb.pair_spectrum(fd).entropy_term(0.0, f)
+    lhs, rhs = _superadditive_terms(inst)
     return Sides([(lhs, ">=", rhs)], "subadditivity of the aggregated entropy at q=0")
 
 
@@ -585,15 +591,8 @@ def _homogeneous(inst: Instance, constant: None) -> Sides:
 
 def _joint_concave(inst: Instance, constant: None) -> Sides:
     """S_0(alpha P1 + beta P2) >= alpha S_0(P1) + beta S_0(P2), alpha + beta = 1"""
-    alpha, beta, f = float(inst.alpha), float(inst.beta), inst.f
-    fa, fb, fa2, fb2 = inst.fa, inst.fb, inst.fa2, inst.fb2
-    mixed_a, mixed_b = _pair_like(
-        (fa, fb, fa2, fb2), alpha * fa.arrays + beta * fa2.arrays, alpha * fb.arrays + beta * fb2.arrays
-    )
-    lhs = mixed_a.pair_spectrum(mixed_b).entropy_term(0.0, f)
-    first = fa.pair_spectrum(fb).entropy_term(0.0, f)
-    second = fa2.pair_spectrum(fb2).entropy_term(0.0, f)
-    rhs = alpha * first + beta * second
+    alpha = float(inst.alpha)
+    lhs, rhs = _superadditive_terms(inst, alpha, float(inst.beta))
     return Sides([(lhs, ">=", rhs)], f"joint concavity at alpha={alpha:g}")
 
 
@@ -759,42 +758,37 @@ def _project_centered(raw):
     return (fa, fb, m, M) if b_arrays.shape[-1] == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI) else None
 
 
-def _project_free(pairs: tuple[tuple[int, int], ...], raw):
-    """Free fields built as the aligned `pairs` (indices into them), and the
-    window over the pairs' spectra."""
+def _project_free(raw):
+    """Four free fields built as the aligned pairs (FA, FC) and (FB, FD), and
+    the window over the pairs' spectra."""
     diagonal, weights, nodes = raw
     arrays = _free_nodes(nodes, diagonal)
-    firsts, seconds = (list(ends) for ends in zip(*pairs))
-    built = OperatorField.pairs(weights, arrays[firsts], arrays[seconds])
-    fields = [None] * len(arrays)
-    for (a, b), (fa, fb) in zip(pairs, built):
-        fields[a], fields[b] = fa, fb
-    spectra = [fa.pair_spectrum(fb) for fa, fb in built]
-    return (*fields, min(s.m for s in spectra), max(s.M for s in spectra))
+    (fa, fc), (fb, fd) = built = OperatorField.pairs(weights, arrays[[0, 1]], arrays[[2, 3]])
+    spectra = [first.pair_spectrum(second) for first, second in built]
+    return fa, fb, fc, fd, min(s.m for s in spectra), max(s.M for s in spectra)
 
 
 def _draw_compression(rng, dim: int, k: int, diagonal: bool):
     extra = 1 if rng.uniform() < 0.75 else 0
     nodes = _node_draws(rng, dim, diagonal, 0.2, 1.0, k + extra)
-    weights = _random_weights(rng, k)
     gauss = None if diagonal else _cgauss(rng, dim, k)
-    return diagonal, nodes, weights, gauss, _node_draws(rng, dim, diagonal, 0.5, 4.0, 1)
+    return diagonal, k, nodes, gauss, _node_draws(rng, dim, diagonal, 0.5, 4.0, 1)
 
 
 def _project_compression(raw):
-    """A sub-unital family {C_s} with weights, and X centred on 1.
+    """A sub-unital map, K_s = U_s A_s^{1/2} with the A_s k of the k or k + 1
+    nodes of a resolution of I and the U_s Haar unitaries, and X centred on 1.
 
     [m, M] is spec(X)'s range; at dim 1, where X is a scalar x with no spread
     to centre, it is the window [r, max(x, 1/r)] with r = min(x, 1/x,
     1 - 1e-6), which contains x and has 1 in its interior as at dim >= 2.
     """
-    diagonal, nodes, weights, gauss, x0 = raw
-    k = len(weights)
+    diagonal, k, nodes, gauss, x0 = raw
     arrays = _resolution(nodes, diagonal)[:k]
     x0_array = _free_nodes(x0, diagonal)
-    # The k nodes C_s*C_s and X0 in one solve: node roots from the first k,
+    # The k nodes A_s and X0 in one solve: node roots from the first k,
     # from the last X0's extreme eigenvalues, which centre X = X0 / sqrt(lo hi).
-    solved = _solve_pd(np.concatenate([arrays / weights[:, None, None], x0_array]))
+    solved = _solve_pd(np.concatenate([arrays, x0_array]))
     roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
     if not diagonal:
         # Haar-random unitaries U_s from the Gaussians.
@@ -808,16 +802,13 @@ def _project_compression(raw):
     if dim == 1:
         m = min(m, 1.0 / m, _STRADDLE_LO)
         M = max(M, 1.0 / m)
-    return tuple(roots), weights, x, m, M
+    return PositiveLinearMap(roots), x, m, M
 
 
 def _validate_compression(inst: Instance) -> None:
-    # One strictly positive finite weight per factor: a positive measure.
-    _checked_weights(inst.cs_weights, len(inst.cs))
-    # Sub-unital: sum w C*C <= I, with I sized from the C_j themselves.
-    c = np.array(inst.cs)
-    gram = _weighted_sum(inst.cs_weights, _adjoint(c) @ c)
-    low, size = _eigvalsh(np.array([_eye(c.shape[-1]) - gram, gram]))
+    # Sub-unital: Phi(I) = sum K*K <= I (the header check sized the K_s).
+    gram = inst.pmap.kraus_gram()
+    low, size = _eigvalsh(np.array([_eye(inst.dim) - gram, gram]))
     if low[0] < -1e-10 * max(1.0, _snorm(size)):
         raise PreconditionError("compression sum exceeds the identity")
     # The chord constants are taken on [m, M]; they bound f on the spectrum
@@ -877,10 +868,8 @@ _NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), functools.partial(_draw_field
                      _project_normalized, pairs=(("fa", "fb"),), straddles=True, validate=_validate_normalized)
 _CENTERED = Family(("fa", "fb", "m", "M"), _draw_fields, _project_centered, pairs=(("fa", "fb"),))
 _FOUR_FIELDS = Family(("fa", "fb", "fc", "fd", "m", "M"), functools.partial(_draw_fields, count=4),
-                      functools.partial(_project_free, ((0, 2), (1, 3))), pairs=(("fa", "fc"), ("fb", "fd")))
-_TWO_PAIR_FIELDS = Family(("fa", "fb", "fa2", "fb2", "m", "M"), functools.partial(_draw_fields, count=4),
-                          functools.partial(_project_free, ((0, 1), (2, 3))), pairs=(("fa", "fb"), ("fa2", "fb2")))
-_COMPRESSION = Family(("cs", "cs_weights", "x", "m", "M", "t0"), _draw_compression, _project_compression,
+                      _project_free, pairs=(("fa", "fc"), ("fb", "fd")))
+_COMPRESSION = Family(("pmap", "x", "m", "M", "t0"), _draw_compression, _project_compression,
                       straddles=True, validate=_validate_compression)
 _PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k, diagonal: np.array(
     [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
@@ -971,7 +960,7 @@ STATEMENTS: dict[TheoremId, Statement] = {
     ),
     TheoremId.HOMOGENEOUS: Statement(_CENTERED, _homogeneous, extras=_SCALE),
     TheoremId.JOINT_CONCAVE: Statement(
-        _TWO_PAIR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}, reads=("f",)
+        _FOUR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.MAP_MONOTONE: Statement(
         _CENTERED, _map_monotone, extras=_MAP, fixed={"q": 0.0}, reads=("f",)
@@ -1238,9 +1227,10 @@ def run_trial(
     dim, k, f and the exponent come from Philox keyed on `seed` at counter
     word 3 = 1, and the instance from `random_instance(..., seed, ...)`, so
     `opentropy gen --seed <record.seed>` with the record's dim, k, f and q
-    replays the draw.  f is drawn from the configured functions the
-    statement admits (`Statement.admits`), or from all of them when it
-    admits none.
+    replays the draw (with no f where the record's function is empty).  f is
+    drawn from the configured functions the statement admits
+    (`Statement.admits`), or from all of them when it admits none.  The record
+    holds the instance's k, f and q where it exists, which `Statement.fixed` can set.
 
     Every cell ends in one outcome.  A generation failure is a hypothesis skip;
     a PreconditionError while drawing or checking (an exponent or a term count
@@ -1265,6 +1255,8 @@ def run_trial(
     except (PreconditionError, NotPositiveDefiniteError, DomainError, np.linalg.LinAlgError,
             EigenConvergenceError) as exc:
         result = VerificationResult(theorem, False, None, 0.0, 0.0, False, f"error: {exc}")
+    if inst is not None:
+        k, spec, exponent = inst.k, "" if inst.f is None else inst.f.spec, inst.q
     record = TrialRecord(
         theorem, index, int(seed), dim, k, spec, exponent,
         result.hypothesis_met, result.holds, result.margin, result.triage, result.detail,

@@ -34,11 +34,15 @@ during the acceptance.json run: calls, and the d x d matrices they solved
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
-sums by BLAS thread, so that digest depends on the thread count: it reads
-246878df... under the default and 8655e60a... under OPENBLAS_NUM_THREADS=1,
-the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
-that are set, or "default".  The file is not a test module, so pytest does
-not collect it.
+sums by BLAS thread, so that digest depends on the thread count: in format 3
+it reads c824cadb... under the default and 12d1f994... under
+OPENBLAS_NUM_THREADS=1, the benchmark's pin (both at 2 vCPUs).  Its line
+names the thread variables that are set, or "default".  The three campaign
+digests and `instances` move with the report and instance formats (format 3
+moved them: compression instances store a map, `joint_concave` pairs the
+four fields as `subadditive` does, and a trial record names its instance's
+k, f and q); `sweep`, `edges` and the count line do not.  The file is not a
+test module, so pytest does not collect it.
 """
 
 from __future__ import annotations

@@ -116,14 +116,10 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
         f = _fn(inst)
         x = _diag(inst.x.array)
         n = len(x)
-        cs = [[float(np.asarray(c)[i, i].real) for i in range(n)] for c in inst.cs]
-        ws = [float(w) for w in inst.cs_weights]
-        gram = [sum(w * c[i] ** 2 for w, c in zip(ws, cs)) for i in range(n)]
-        arg = [sum(w * c[i] ** 2 * x[i] for w, c in zip(ws, cs)) + inst.t0 * (1.0 - gram[i]) for i in range(n)]
-        rhs = [
-            sum(w * c[i] ** 2 * f(x[i]) for w, c in zip(ws, cs)) + f(inst.t0) * (1.0 - gram[i])
-            for i in range(n)
-        ]
+        cs = [[float(np.asarray(c)[i, i].real) for i in range(n)] for c in inst.pmap.kraus]
+        gram = [sum(c[i] ** 2 for c in cs) for i in range(n)]
+        arg = [sum(c[i] ** 2 * x[i] for c in cs) + inst.t0 * (1.0 - gram[i]) for i in range(n)]
+        rhs = [sum(c[i] ** 2 * f(x[i]) for c in cs) + f(inst.t0) * (1.0 - gram[i]) for i in range(n)]
         if theorem is TheoremId.COMPRESSION_JENSEN:
             return min(f(arg[i]) - rhs[i] for i in range(n))
         if theorem is TheoremId.REV_JENSEN_GAMMA:
@@ -215,10 +211,11 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
     if theorem is TheoremId.JOINT_CONCAVE:
         f = _fn(inst)
         alpha, beta = inst.alpha, inst.beta
+        # P1 = (FA, FC) and P2 = (FB, FD).
         wa, da1 = _field(inst.fa)
-        _, db1 = _field(inst.fb)
-        _, da2 = _field(inst.fa2)
-        _, db2 = _field(inst.fb2)
+        _, db1 = _field(inst.fc)
+        _, da2 = _field(inst.fb)
+        _, db2 = _field(inst.fd)
         n = len(da1[0])
         margins = []
         for i in range(n):

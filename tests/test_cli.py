@@ -8,6 +8,7 @@ from opentropy import verify
 from opentropy.cli import build_parser, main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
+from opentropy.maps import PositiveLinearMap, map_from_json, map_to_json
 from opentropy.matcore import matrix_to_json
 from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, check, random_instance
 
@@ -82,6 +83,19 @@ class TestGen:
             assert code == 0
             replayed = Instance.from_json(json.loads(stdout))
             assert check(TheoremId.ENTROPY_LOWER, replayed).margin == record.margin
+
+    @pytest.mark.parametrize("theorem", ["mean_integral", "klein_upper", "subadditive", "example_log_pair"])
+    def test_records_of_fixed_slots_replay_through_gen(self, capsys, theorem):
+        # The record holds the instance's k, f and q; gen takes no --f where
+        # the instance holds no f.
+        report = campaign(CampaignConfig(theorems=(TheoremId(theorem),), trials=3, seed=42))
+        for record in report.records:
+            f = ["--f", record.function] if record.function else []
+            code, stdout, _ = run(capsys, "gen", "--theorem", theorem, "--dim", str(record.dim),
+                                  "--k", str(record.k), "--seed", str(record.seed), *f, "--q", repr(record.exponent))
+            assert code == 0
+            replayed = Instance.from_json(json.loads(stdout))
+            assert check(TheoremId(theorem), replayed).margin == record.margin
 
 
 class TestCheck:
@@ -171,20 +185,21 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "0 < m <= M < inf" in err
 
-    @pytest.mark.parametrize("version", [None, 1, 3, "2"])
+    @pytest.mark.parametrize("version", [None, 1, 2, 4, "3"])
     def test_file_of_another_format_exits_2(self, tmp_path, capsys, version):
         # A format-1 file's seed and info_ineq fields do not replay under
-        # keyed streams, so it is refused, not misread.
+        # keyed streams, and a format-2 compression stores cs and cs_weights
+        # instead of a map, so both are refused, not misread.
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.KLEIN_UPPER, 3, 1, 5).to_json()
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         if version is None:
             del payload["format"]
         else:
             payload["format"] = version
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and '"format": 2' in err and "format 1" in err
+        assert code == 2 and stdout == "" and '"format": 3' in err and "format 1" in err and "format 2" in err
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_nonfinite_tol_exits_2(self, tmp_path, capsys, tol):
@@ -260,27 +275,12 @@ class TestCheck:
     def test_compression_factors_need_not_be_hermitian(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 5).to_json()
-        c = np.array(payload["cs"][0]["re"]) + 1j * np.array(payload["cs"][0]["im"])
+        factor = payload["map"]["kraus"][0]
+        c = np.array(factor["re"]) + 1j * np.array(factor["im"])
         assert not np.array_equal(c, c.conj().T)
         out.write_text(json.dumps(payload))
         code, stdout, _ = run(capsys, "check", "--file", str(out))
         assert code == 0 and json.loads(stdout)["holds"] is True
-
-    @pytest.mark.parametrize("edit", ["negate", "zero", "nan", "extra"])
-    def test_compression_weights_must_be_a_positive_measure(self, tmp_path, capsys, edit):
-        # A negated weight read as a counterexample to the paper ("VIOLATED
-        # (substantive), margin=-0.039278644459173624", exit 1), a zero one as holds.
-        out = tmp_path / "inst.json"
-        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 3, 0).to_json()
-        weights = payload["cs_weights"]
-        if edit == "extra":
-            weights.append(1.0)
-        else:
-            weights[0] = {"negate": -weights[0], "zero": 0.0, "nan": float("nan")}[edit]
-        out.write_text(json.dumps(payload))
-        code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == ""
-        assert ("weights for 3 nodes" if edit == "extra" else "strictly positive and finite") in err
 
     @pytest.mark.parametrize("theorem,header", [
         ("map_monotone", {"dim": 5, "k": 7}), ("map_monotone", {"k": 3}), ("compression_jensen", {"dim": 4}),
@@ -353,7 +353,7 @@ class TestCheck:
         # The file loaded and failed inside the check.
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
-        payload["cs_weights"] = [5.0 * w for w in payload["cs_weights"]]
+        payload["map"] = map_to_json(PositiveLinearMap([3.0 * c for c in map_from_json(payload["map"]).kraus]))
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == ""
@@ -362,10 +362,26 @@ class TestCheck:
     def test_compression_factor_of_another_size_is_a_header_mismatch(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
-        payload["cs"][1] = matrix_to_json(0.1 * np.eye(2))
+        payload["map"]["kraus"][1] = matrix_to_json(0.1 * np.eye(2))
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and "'cs' does not match the header dim=3, k=2" in err, err
+        assert code == 2 and stdout == "" and "cannot load instance: 'map': Kraus factors must share one shape" in err
+
+    @pytest.mark.parametrize("edit", ["smaller", "extra", "missing"])
+    def test_compression_map_holds_k_factors_of_size_dim(self, tmp_path, capsys, edit):
+        # A compression's map holds one dim x dim Kraus factor per node.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
+        factors = payload["map"]["kraus"]
+        if edit == "smaller":
+            factors[:] = [matrix_to_json(0.1 * np.eye(2))] * 2
+        elif edit == "extra":
+            factors.append(matrix_to_json(np.zeros((3, 3))))
+        else:
+            del factors[1]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "'map' does not match the header dim=3, k=2" in err, err
 
     def test_exponent_range_is_judged_at_load(self, tmp_path, capsys):
         # The file loaded and errored in the check.
@@ -403,7 +419,7 @@ class TestCheck:
 
 
     @pytest.mark.parametrize("theorem,key,value", [
-        ("compression_jensen", "cs", float("nan")), ("compression_jensen", "x", float("inf")),
+        ("compression_jensen", "map", float("nan")), ("compression_jensen", "x", float("inf")),
         ("map_monotone", "map", float("nan")), ("entropy_lower", "fa", -float("inf")),
     ])
     def test_nonfinite_matrix_entry_exits_2(self, tmp_path, capsys, theorem, key, value):
@@ -411,7 +427,7 @@ class TestCheck:
         run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "1",
             "--f", "log", "--out", str(out))
         payload = json.loads(out.read_text())
-        matrix = {"cs": lambda p: p["cs"][0], "x": lambda p: p["x"], "map": lambda p: p["map"]["kraus"][0],
+        matrix = {"x": lambda p: p["x"], "map": lambda p: p["map"]["kraus"][0],
                   "fa": lambda p: p["fa"]["matrices"][0]}[key](payload)
         matrix["re"][0][0] = value
         out.write_text(json.dumps(payload))
@@ -508,7 +524,7 @@ class TestCampaign:
         assert code == 2 and stdout == "" and "seed must lie in [0, 2**64)" in err
         code, stdout, _ = run(capsys, *args, "--seed", str(2**64 - 1))
         report = json.loads(stdout)
-        assert code == 0 and report["format"] == 2 and report["results"][0]["worst_seed"] >> 64 == 2**64 - 1
+        assert code == 0 and report["format"] == 3 and report["results"][0]["worst_seed"] >> 64 == 2**64 - 1
 
     def test_negative_trials_exit_2(self, capsys):
         code, _, _ = run(capsys, "campaign", "--trials", "-3")

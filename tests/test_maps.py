@@ -23,18 +23,17 @@ def random_unitary(rng, n):
 
 
 def jensen_instance(theorem, kraus, x, f, t0=None, m=None, M=None):
-    """A compression instance for the Kraus family `kraus` (unit weights) on X.
+    """A compression instance for the map Phi(X) = sum C* X C with Kraus factors `kraus` on X.
 
-    With a unital family the compression statements are the Jensen
-    inequality f(Phi(X)) >= Phi(f(X)) and its two reverses for Phi(X) =
-    sum C* X C; the window [m, M] defaults to the spectral range of X.
+    With a unital map the compression statements are the Jensen inequality
+    f(Phi(X)) >= Phi(f(X)) and its two reverses; the window [m, M] defaults
+    to the spectral range of X.
     """
     return Instance(
         theorem=theorem, seed=0, dim=x.dim, k=len(kraus), f=f, q=0.5,
         t0=float(np.mean(x.eigenvalues)) if t0 is None else t0,
         m=x.lambda_min if m is None else m, M=x.lambda_max if M is None else M,
-        cs=tuple(np.asarray(c, dtype=complex) for c in kraus),
-        cs_weights=np.ones(len(kraus)), x=x,
+        pmap=PositiveLinearMap(kraus), x=x,
     )
 
 
@@ -116,6 +115,16 @@ class TestPositiveLinearMap:
                     for c in factors:
                         gram += c.conj().T @ c
                     np.testing.assert_array_equal(p.kraus_gram(), (gram + gram.conj().T) / 2.0)
+
+    def test_stacked_application_matches_one_product_per_factor(self, rng):
+        # The loop it replaced: one product per factor, summed in order.
+        for n in (1, 2, 3, 4):
+            for dim in range(1, 9):
+                p = PositiveLinearMap([random_hermitian(rng, dim) + 1j * random_hermitian(rng, dim)
+                                       for _ in range(n)])
+                for x in (random_hermitian(rng, dim), np.array([random_hermitian(rng, dim) for _ in range(5)])):
+                    want = sum(c.conj().T @ x @ c for c in p.kraus)
+                    np.testing.assert_array_equal(p.apply_array(x), (want + np.swapaxes(want, -1, -2).conj()) / 2.0)
 
     def test_too_few_terms_for_unital_rejected(self, rng):
         with pytest.raises(PreconditionError):

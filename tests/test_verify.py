@@ -17,6 +17,7 @@ from opentropy import (
 from opentropy.bounds import chord_gap_bound, chord_ratio_bound, secant_data
 from opentropy.entropy import OperatorField, PairSpectrum
 from opentropy.functions import GRID_POINTS, IDENTITY, LOG, NEG_T_LOG_T, parse, power
+from opentropy.maps import PositiveLinearMap
 from opentropy.matcore import PositiveDefiniteMatrix
 from opentropy import matcore, verify
 from opentropy.verify import (
@@ -111,7 +112,7 @@ class TestRandomInstance:
 
     def test_compression_instance_shapes(self):
         inst = random_instance(TheoremId.COMPRESSION_JENSEN, 4, 3, 21)
-        assert len(inst.cs) == 3 and inst.cs_weights.shape == (3,)
+        assert (len(inst.pmap.kraus), inst.pmap.in_dim, inst.pmap.out_dim) == (3, 4, 4)
         assert inst.m == inst.x.lambda_min and inst.M == inst.x.lambda_max
 
     def test_json_round_trip_preserves_margin(self):
@@ -214,7 +215,7 @@ class TestCheckerBehavior:
             theorem=TheoremId.COMPRESSION_JENSEN, seed=0, dim=3, k=1, f=LOG,
             q=0.5, t0=float(np.mean(x.eigenvalues)),
             m=x.lambda_min, M=x.lambda_max,
-            cs=(0.8 * u,), cs_weights=np.array([1.0]), x=x,
+            pmap=PositiveLinearMap([0.8 * u]), x=x,
         )
         res = check(TheoremId.COMPRESSION_JENSEN, inst)
         assert res.hypothesis_met and res.holds
@@ -337,11 +338,15 @@ class TestKeyedStreams:
         assert len(seen) == 20 * len(TheoremId) and report.records == [record for record, _, _ in seen]
         for record, inst, _ in seen:
             assert record.seed == trial_seed(42, record.theorem, record.index)
-            # The parameters come from the key's stream at counter word 3 = 1.
+            # The parameters come from the key's stream at counter word 3 = 1;
+            # the record holds the instance's k, f and q, which a statement can fix.
             params = np.random.Generator(np.random.Philox(key=record.seed, counter=1 << 192))
-            assert (record.dim, record.k) == (params.integers(2, 9), params.integers(2, 5))
+            assert (record.dim, record.k) == (params.integers(2, 9), STATEMENTS[record.theorem].fixed.get(
+                "k", params.integers(2, 5)))
+            assert (record.k, record.function, record.exponent) == (
+                inst.k, inst.f.spec if inst.f else "", inst.q)
             replayed = random_instance(record.theorem, record.dim, record.k, record.seed,
-                                       parse(record.function), record.exponent)
+                                       parse(record.function) if record.function else None, record.exponent)
             assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(inst.to_json(), sort_keys=True)
 
     def test_a_draw_depends_on_its_key_alone(self):
@@ -619,6 +624,10 @@ def test_trials_draw_from_the_admissible_functions(theorem):
         want = list(config.functions)
     assert [spec for spec in config.functions if STATEMENTS[theorem].admits(parse(spec))] == want
     records = [run_trial(theorem, config, trial_seed(11, theorem, i), i)[0] for i in range(24)]
+    fixed = STATEMENTS[theorem].fixed
+    if "f" in fixed:
+        # The record names the f the instance holds, which the statement fixes.
+        want = ["" if fixed["f"] is None else fixed["f"].spec]
     assert {r.function for r in records} == set(want)
     assert all(r.hypothesis_met and r.holds for r in records)
 
@@ -887,8 +896,8 @@ def _two_point_witness(theorem, f, which):
     m, M = 0.5, 2.0
     t_star = getattr(secant_data(f, m, M), which)
     x = np.sqrt([(M - t_star) / (M - m), (t_star - m) / (M - m)])
-    cs = tuple(np.outer(x, e).astype(complex) for e in np.eye(2))
-    inst = Instance(theorem, 0, 2, 2, f=f, t0=m, m=m, M=M, cs=cs, cs_weights=np.ones(2),
+    kraus = [np.outer(x, e).astype(complex) for e in np.eye(2)]
+    inst = Instance(theorem, 0, 2, 2, f=f, t0=m, m=m, M=M, pmap=PositiveLinearMap(kraus),
                     x=PositiveDefiniteMatrix(np.diag([m, M])))
     inst.validate()
     return inst
@@ -1030,6 +1039,23 @@ def test_outcome_names_each_flag_combination():
                                    "hypothesis_met", "holds", "margin", "triage")
 
 
+def test_the_record_describes_the_checked_instance():
+    # Records held the trial's draws: klein_upper's trial 0 read k=4 and
+    # power:0.5 for an instance with k=1 and log, subadditive's trial 1 read
+    # exponent 0.75 for q=0.0.
+    config = CampaignConfig(trials=2, seed=42)
+    klein = run_trial(TheoremId.KLEIN_UPPER, config, trial_seed(42, TheoremId.KLEIN_UPPER, 0), 0)[0]
+    assert (klein.k, klein.function) == (1, "log")
+    assert run_trial(TheoremId.SUBADDITIVE, config, trial_seed(42, TheoremId.SUBADDITIVE, 1), 1)[0].exponent == 0.0
+    for theorem in (t for t in TheoremId if STATEMENTS[t].fixed):
+        for i in range(2):
+            record, inst, _ = run_trial(theorem, config, trial_seed(42, theorem, i), i)
+            assert (record.k, record.function, record.exponent) == (inst.k, inst.f.spec if inst.f else "", inst.q)
+    # With no instance the record keeps the trial's draws.
+    record, inst, _ = run_trial(TheoremId.ENTROPY_LOWER, CampaignConfig(terms=(1, 1)), 7)
+    assert inst is None and record.outcome == "error" and record.k == 1 and record.function in SMALL.functions
+
+
 def test_one_key_check_serves_every_draw():
     for key in (-1, 2**128):
         with pytest.raises(PreconditionError, match=r"seed must lie in \[0, 2\*\*128\)"):
@@ -1044,13 +1070,31 @@ def test_one_key_check_serves_every_draw():
 # Premise controls: each row breaks one hypothesis of a statement after a
 # normal draw (d = k = 3, seeds 0-99) and calls the statement's builder
 # directly, so no gate refuses the broken instance.  A failure is a margin
-# below -1e-8; the counts are the observed ones.
+# below -1e-8, or a side that leaves f's domain; the counts are the observed
+# ones.
 
 
 def _zeta_on_shrunk_window(inst, fraction):
     """zeta of log on [m, M] shrunk about its centre to `fraction` of its length."""
     centre, half = (inst.m + inst.M) / 2.0, fraction * (inst.M - inst.m) / 2.0
     return chord_gap_bound(LOG, centre - half, centre + half)
+
+
+def _with_kraus(inst, kraus):
+    return dataclasses.replace(inst, pmap=PositiveLinearMap(kraus))
+
+
+def _scaled_compression(build, constant, scale):
+    """`build` on the instance with every Kraus factor scaled by `scale`, which
+    takes Phi(I) above I, with the statement's chord constant on the window."""
+    return lambda inst: build(_with_kraus(inst, [scale * c for c in inst.pmap.kraus]),
+                              constant and constant(inst.f, inst.m, inst.M))
+
+
+def _first_factor_scaled(inst, scale):
+    """A 3-factor normalized map drawn from the instance's seed, its first factor scaled by `scale`."""
+    kraus = list(PositiveLinearMap.random_normalized(3, 3, 3, np.random.default_rng(inst.seed)).kraus)
+    return _with_kraus(inst, [scale * kraus[0], *kraus[1:]])
 
 
 PREMISE_CONTROLS = {
@@ -1064,7 +1108,7 @@ PREMISE_CONTROLS = {
     # small for the spectrum it no longer covers.
     "rev_jensen_zeta window 90%": (
         TheoremId.REV_JENSEN_ZETA, LOG,
-        lambda inst: verify._rev_jensen_zeta(inst, _zeta_on_shrunk_window(inst, 0.9)), 30,
+        lambda inst: verify._rev_jensen_zeta(inst, _zeta_on_shrunk_window(inst, 0.9)), 36,
     ),
     "rev_jensen_zeta window 50%": (
         TheoremId.REV_JENSEN_ZETA, LOG,
@@ -1077,14 +1121,41 @@ PREMISE_CONTROLS = {
         TheoremId.JOINT_CONCAVE, None,
         lambda inst, a=a, b=b: verify._joint_concave(dataclasses.replace(inst, alpha=a, beta=b), None), 0,
     ) for a, b in ((0.3, 0.3), (0.9, 0.9), (2.0, 0.5))},
+    # Sub-unital compressions: with every Kraus factor scaled past 1 the
+    # defect I - Phi(I) is negative somewhere, and the claims fail on some
+    # draws (each by its margin: no lifted argument here leaves f's domain).
+    **{f"{theorem.value} ({spec}) Kraus x{scale:g}": (
+        theorem, parse(spec), _scaled_compression(build, constant, scale), count,
+    ) for theorem, spec, build, constant, counts in (
+        (TheoremId.COMPRESSION_JENSEN, "power:0.5", verify._compression_jensen, None, (5, 12)),
+        (TheoremId.REV_JENSEN_GAMMA, "power:0.5", verify._rev_jensen_gamma, chord_ratio_bound, (2, 2)),
+        (TheoremId.REV_JENSEN_ZETA, "log", verify._rev_jensen_zeta, chord_gap_bound, (1, 2)),
+        (TheoremId.REV_JENSEN_ZETA, "power:0.5", verify._rev_jensen_zeta, chord_gap_bound, (1, 3)),
+    ) for scale, count in zip((1.05, 1.1), counts)},
+    # A normalized map is not needed: for every positive linear Phi, Ando's
+    # inequality Phi(A s B) <= Phi(A) s Phi(B) holds for each operator mean s,
+    # and S_0 is the perspective of a mean (f = t^p) or the derivative of one
+    # at 0 (log gives S(A|B), -t log t gives S(B|A)).
+    **{f"map_monotone ({spec}) {name}": (
+        TheoremId.MAP_MONOTONE, parse(spec),
+        lambda inst, override=override: verify._map_monotone(override(inst), None), 0,
+    ) for spec in ("power:0.5", "power:0.25", "log", "neg_t_log_t") for name, override in (
+        *((f"first factor x{c:g}", lambda inst, c=c: _first_factor_scaled(inst, c)) for c in (0.3, 2.0, 4.0)),
+        *((f"every factor x{c:g}", lambda inst, c=c: _with_kraus(inst, [c * k for k in inst.pmap.kraus]))
+          for c in (1.5, 3.0)),
+    )},
 }
+
+
+def _broken_premise_fails(theorem, f, build, seed) -> bool:
+    try:
+        sides = build(random_instance(theorem, 3, 3, seed, f))
+    except DomainError:
+        return True
+    return verify._verdict(theorem, sides, matcore.DEFAULT_LOEWNER_TOL).margin < -1e-8
 
 
 @pytest.mark.parametrize("name", PREMISE_CONTROLS)
 def test_a_broken_premise_fails_as_often_as_observed(name):
     theorem, f, build, expected = PREMISE_CONTROLS[name]
-    margins = [
-        verify._verdict(theorem, build(random_instance(theorem, 3, 3, seed, f)), matcore.DEFAULT_LOEWNER_TOL).margin
-        for seed in range(100)
-    ]
-    assert sum(margin < -1e-8 for margin in margins) == expected
+    assert sum(_broken_premise_fails(theorem, f, build, seed) for seed in range(100)) == expected
