@@ -228,16 +228,14 @@ class Instance:
 
     def _check_header(self) -> None:
         """dim and k describe the payload: every field holds k dim x dim
-        matrices, X is dim x dim, and the map's Kraus factors are dim x dim, k
-        of them where the statement's family draws the map (a compression)."""
+        matrices, X is dim x dim, and the map's Kraus factors are dim x dim."""
         node = (self.dim, self.dim)
         for slot in (*_FIELDS, "x", "pmap"):
             value = getattr(self, slot)
             if value is None:
                 continue
             if slot == "pmap":
-                n = self.k if "pmap" in STATEMENTS[self.theorem].family.slots else len(value.kraus)
-                fits = (len(value.kraus), value.in_dim, value.out_dim) == (n, *node)
+                fits = (value.in_dim, value.out_dim) == node
             else:
                 fits = value.arrays.shape == (1 if slot == "x" else self.k, *node)
             if not fits:
@@ -806,7 +804,10 @@ def _project_compression(raw):
 
 
 def _validate_compression(inst: Instance) -> None:
-    # Sub-unital: Phi(I) = sum K*K <= I (the header check sized the K_s).
+    # The compression's k factors K_s (the header check sized them dim x dim).
+    if len(inst.pmap.kraus) != inst.k:
+        raise PreconditionError(f"'map' does not match the header dim={inst.dim}, k={inst.k}")
+    # Sub-unital: Phi(I) = sum K*K <= I.
     gram = inst.pmap.kraus_gram()
     low, size = _eigvalsh(np.array([_eye(inst.dim) - gram, gram]))
     if low[0] < -1e-10 * max(1.0, _snorm(size)):
