@@ -39,6 +39,7 @@ from .matcore import (
     PairSpectrum,
     PositiveDefiniteMatrix,
     _freeze,
+    _json_floats,
     _symmetrize,
     matrix_from_json,
     matrix_to_json,
@@ -107,7 +108,7 @@ def field_to_json(field: OperatorField) -> dict:
 
 
 def field_from_json(data: dict) -> OperatorField:
-    weights = [float(w) for w in data["weights"]]
+    weights = _json_floats(data["weights"])
     matrices = [matrix_from_json(d) for d in data["matrices"]]
     if len(weights) != len(matrices):
         raise ShapeError("field payload has mismatched weights/matrices lengths")

@@ -24,9 +24,9 @@ same bits as numpy.linalg's, NaN spectra of non-finite input included
 (tests/test_matcore.py compares them, and fails on a numpy.linalg
 factorization or an `np.errstate` anywhere else in the package).
 
-Leading axes.  `eig`, the pair kernel (`_relative_spectrum`,
-`_relative_eigenvalues`) and the private helpers (`_symmetrize`, `_adjoint`,
-`_scalar_image`, `_require_pd_floor`, `_solve_pd`) take a stack of matrices
+Leading axes.  `eig`, the pair kernel (`_relative_spectrum`) and the
+private helpers (`_symmetrize`, `_adjoint`, `_scalar_image`,
+`_require_pd_floor`, `_solve_pd`) take a stack of matrices
 (..., d, d) as well as one matrix.  A field is one (k, d, d) stack, and n
 aligned pairs built together (`OperatorField.pairs`) are one (n, k, d, d)
 solve of the A stack, with one floor check, and one pass of the pair kernel.
@@ -37,7 +37,7 @@ and matmul give the same bits per matrix as one call per matrix
 and 64), so a stacked solve never changes a result.  A field or spectrum
 built from a stacked solve receives its read-only slice privately; the
 slices of a read-only stack are read-only already, so
-`SpectralDecomposition.unstack` does not freeze them again.  Stacks on a
+`SpectralDecomposition.unstack` hands them on as they are.  Stacks on a
 trial's path are gathered with `np.array([...])`, which copies same-shape
 arrays along a new leading axis as `np.stack` does, at about a fifth of its
 call overhead on these small arrays.
@@ -47,7 +47,7 @@ T = A^{-1/2} B A^{-1/2}, and B = A^{1/2} T A^{1/2} is a congruence of T, so
 by Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9)
 lambda_min(B) >= lambda_min(A) lambda_min(T) and lambda_max(B) <=
 lambda_max(A) lambda_max(T) when T is positive definite.  The pair route
-(`OperatorField.pairs`, `OperatorField.partner`) floors B through them: B
+(`OperatorField.pairs`) floors B through them: B
 passes when lambda_min(A) lambda_min(T) > 1e-6 lambda_max(A) lambda_max(T) at
 every node, six orders above the 1e-12 floor, so no B that the exact floor
 refuses passes; otherwise the exact floor runs on B's own eigenvalues.  B's
@@ -59,8 +59,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from numpy._core.umath import _extobj_contextvar, _make_extobj
@@ -218,9 +219,9 @@ def _eye(dim: int, dtype=float) -> np.ndarray:
     return _freeze(np.eye(dim, dtype=dtype))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in nondecreasing order with matching orthonormal columns.
+class SpectralDecomposition(NamedTuple):
+    """Eigenvalues in nondecreasing order with matching orthonormal columns,
+    both read-only (`eig` freezes them).
 
     Either one matrix's (eigenvalues (d,), eigenvectors (d, d)) or a stack's
     ((k, d) and (k, d, d)), one row of eigenvalues per matrix.
@@ -229,32 +230,21 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __post_init__(self):
-        _freeze(self.eigenvalues)
-        _freeze(self.eigenvectors)
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
     def unstack(self) -> tuple["SpectralDecomposition", ...]:
-        """The decompositions of the items along the leading axis of a stack.
-        They are slices of this one's read-only arrays, read-only themselves,
-        so they are set up without freezing them again."""
-        new, setattr_ = object.__new__, object.__setattr__
-        items = []
-        for w, v in zip(self.eigenvalues, self.eigenvectors):
-            item = new(SpectralDecomposition)
-            setattr_(item, "eigenvalues", w)
-            setattr_(item, "eigenvectors", v)
-            items.append(item)
-        return tuple(items)
+        """The decompositions of the items along the leading axis of a stack:
+        slices of this one's read-only arrays, read-only themselves."""
+        return tuple(map(SpectralDecomposition, self.eigenvalues, self.eigenvectors))
 
 
 def eig(h) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
     Hermitian stack (..., d, d) in one call (LAPACK, ascending order)."""
-    return SpectralDecomposition(*_eigh(_entries(h)))
+    w, v = _eigh(_entries(h))
+    return SpectralDecomposition(_freeze(w), _freeze(v))
 
 
 def _solve_pd(stack: np.ndarray) -> SpectralDecomposition:
@@ -289,8 +279,8 @@ class OperatorField:
     Every field meets the PD floor at every node: lambda_min > 0 and
     lambda_min > 1e-12 lambda_max (NotPositiveDefiniteError).  A field built
     from its nodes, or as the A field of a pair, is solved at construction,
-    and that solve applies the floor.  The B field of a pair (`pairs`,
-    `partner`) is floored through the pair spectrum instead (the module
+    and that solve applies the floor.  The B field of a pair (`pairs`) is
+    floored through the pair spectrum instead (the module
     docstring gives the rule), and its `decomposition` is solved on the first
     read, with the same bits as a solve at construction.  Fields are immutable, so the pair spectra
     against another field are memoised on the field (`pair_spectrum`).
@@ -349,17 +339,6 @@ class OperatorField:
             fa._spectra[fb] = PairSpectrum(fa, fb, _spectrum=(lam, frame))
             out.append((fa, fb))
         return tuple(out)
-
-    def partner(self, b_arrays: np.ndarray) -> "OperatorField":
-        """The field FB on this field's weights with the exactly Hermitian
-        (k, d, d) nodes `b_arrays`, floored through the pair spectrum of
-        (self, FB) like `pairs`, which memoises that spectrum.  B is not
-        solved; `b_arrays` is frozen in place."""
-        spectrum = _floored_pair_spectrum(self.decomposition, b_arrays)
-        b_arrays.setflags(write=False)
-        fb = OperatorField(_weights=self._weights, _arrays=b_arrays, _floored=True)
-        self._spectra[fb] = PairSpectrum(self, fb, _spectrum=spectrum)
-        return fb
 
     @property
     def weights(self) -> np.ndarray:
@@ -584,14 +563,6 @@ def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndar
     return _freeze(lam), _freeze(s @ u)
 
 
-def _relative_eigenvalues(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
-    """The eigenvalues of T = A^{-1/2} B A^{-1/2} alone, for one matrix or a
-    stack: R = A^{-1/2} from A's eigenbasis and one eigenvalues-only solve of
-    T = R B R, with no frames (for callers that read only the spectrum)."""
-    r = _scalar_image(a.eigenvectors, 1.0 / np.sqrt(a.eigenvalues))
-    return _eigvalsh(_symmetrize(r @ b @ r))
-
-
 def matrix_to_json(m) -> dict:
     """Exchange format: {"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
     arr = _entries(m)
@@ -604,13 +575,35 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_number(value, integer: bool = False):
+    """`value` if it is a JSON number (a JSON integer if `integer`), never a
+    bool or a string, the rule of every number in an instance file; anything
+    else is refused (PreconditionError)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise PreconditionError(f"must be a JSON {'integer' if integer else 'number'}, got {value!r}")
+    return value
+
+
+def _json_floats(data) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float ndarray; each
+    number follows `_json_number`'s rule."""
+    items = [data]
+    for item in items:  # a list's items join the walk
+        if isinstance(item, list):
+            items += item
+        else:
+            _json_number(item)
+    return np.asarray(data, dtype=float)
+
+
 def _array_from_json(data: dict) -> np.ndarray:
     """The complex (dim, dim) array of a matrix payload, entry for entry (not
-    symmetrized).  Non-finite entries are rejected (PreconditionError): the
-    eigensolver returns NaN spectra for them without an error."""
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    symmetrized).  dim must be a JSON integer and the entries JSON numbers,
+    and non-finite entries are rejected (PreconditionError): the eigensolver
+    returns NaN spectra for them without an error."""
+    dim = _json_number(data["dim"], integer=True)
+    re = _json_floats(data["re"])
+    im = _json_floats(data["im"])
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

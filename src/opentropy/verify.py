@@ -5,8 +5,8 @@ entry in STATEMENTS.  The entry says how to draw a hypothesis-satisfying
 instance, which hypotheses the checker gates on, and how to build both sides of
 the inequality exactly as displayed.  A draw runs generator records (`Family`):
 `draw` makes the rng calls, the pure `project` meets the family's constraints,
-and the record names the slots it fills, the field pairs its window covers,
-whether the window straddles 1, and its load-time check.  `check` makes one
+and the record names the slots it fills, whether its window straddles 1,
+and its load-time check.  `check` makes one
 pass over it: the hypotheses (the exponent range, then the function gates on
 the instance window, which give the statement's chord constant), then both
 sides, then one labelled verdict.  The verdict's margin is the Loewner margin
@@ -24,7 +24,9 @@ An Instance is its JSON: every slot has one encoder and one decoder
 is the solve of exactly the array its JSON stores (a field or X matrix that
 is not exactly Hermitian is refused, and so is a payload that does not match
 the header's dim and k), so a file written by `gen` or dumped by a campaign
-re-checks to the same margin bit for bit.  Instance files and campaign reports
+re-checks to the same margin bit for bit.  Every number of a file, header or
+payload, is a JSON number (`matcore._json_number`), and every refusal while
+decoding a slot starts with its key.  Instance files and campaign reports
 carry `"format": 3`; a file without it is refused at load.
 
 Every draw is a pure function of a 128-bit key (keyed streams, after Salmon,
@@ -61,7 +63,6 @@ from .errors import (
     GenerationError,
     NotPositiveDefiniteError,
     PreconditionError,
-    ShapeError,
     UndefinedRatioError,
 )
 from .functions import LOG, ScalarFunction
@@ -75,9 +76,10 @@ from .matcore import (
     _eigvalsh,
     _eye,
     _holds_within,
+    _json_floats,
+    _json_number,
     _JsonRecord,
     _qr,
-    _relative_eigenvalues,
     _require_aligned,
     _scalar_image,
     _solve_pd,
@@ -166,9 +168,12 @@ class VerificationResult(_Outcome, _JsonRecord):
 class Instance:
     """A generated hypothesis-satisfying input for one statement.
 
-    (m, M) is a window 0 < m <= M < inf covering the pair spectra of the family's field pairs
-    (`Family.pairs`; a draw stores their measured sandwich constants) or, for the
-    compression checks, the spectrum of X; t0 lies in [m, M] where used.  Optional slots cover the extra fields some statements need.
+    (m, M) is a window 0 < m <= M < inf, stored only by the families whose
+    statements gate on it or read it: it covers the pair spectrum of (FA, FB)
+    for the normalized family (a draw stores the measured sandwich constants)
+    and the spectrum of X for the compression family; t0 lies in [m, M] where
+    used.  A window a statement does not read is ignored.  Optional slots
+    cover the extra fields some statements need.
     """
 
     theorem: TheoremId
@@ -215,16 +220,8 @@ class Instance:
                 raise PreconditionError(
                     f"a {self.theorem.value} instance has {key!r} fixed at {encode(value)!r}, got {encode(given)!r}"
                 )
-        if "t0" in st.needs and not self._covers(self.t0, self.t0):
-            raise PreconditionError(f"t0={self.t0} outside [{self.m}, {self.M}]")
-        # The chord constants are taken on [m, M]; they bound f on the pair
-        # spectra of the fields only when the window covers them.
-        for a, b in st.family.pairs:
-            spectrum = getattr(self, a).pair_spectrum(getattr(self, b))
-            if not self._covers(spectrum.m, spectrum.M):
-                raise PreconditionError(
-                    f"pair spectrum [{spectrum.m}, {spectrum.M}] of ({a}, {b}) not inside [{self.m}, {self.M}]"
-                )
+        if "t0" in st.needs:
+            self._require_within("t0", self.t0, self.t0)
 
     def _check_header(self) -> None:
         """dim and k describe the payload: every field holds k dim x dim
@@ -241,10 +238,11 @@ class Instance:
             if not fits:
                 raise PreconditionError(f"{_SLOTS[slot][0]!r} does not match the header dim={self.dim}, k={self.k}")
 
-    def _covers(self, lo: float, hi: float) -> bool:
-        """[lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
+    def _require_within(self, what: str, lo: float, hi: float) -> None:
+        """Refuse unless [lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
         slack = 1e-9 * max(1.0, abs(self.M))
-        return self.m - slack <= lo and hi <= self.M + slack
+        if not (self.m - slack <= lo and hi <= self.M + slack):
+            raise PreconditionError(f"{what} [{lo}, {hi}] not inside [{self.m}, {self.M}]")
 
     def to_json(self) -> dict:
         out = {"format": FORMAT}
@@ -269,39 +267,37 @@ class Instance:
 
 
 def _decoded(key: str, decode: Callable, value):
-    """A slot's decoded value; a ShapeError names the slot's key (a ragged map, say)."""
+    """A slot's decoded value.  Every refusal (a ragged map, a non-finite or
+    non-Hermitian matrix, a missing payload entry, a payload of the wrong
+    JSON type) is a PreconditionError that starts with the slot's key."""
     try:
         return decode(value)
-    except ShapeError as exc:
-        raise ShapeError(f"{key!r}: {exc}") from exc
+    except KeyError as exc:
+        raise PreconditionError(f"{key!r}: missing entry {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise PreconditionError(f"{key!r}: {exc}") from exc
 
 
 # The version of the instance and campaign report formats.
 FORMAT = 3
 _FIELDS = ("fa", "fb", "fc", "fd")
-_VECTOR = (lambda v: [float(x) for x in v], lambda d: np.asarray(d, dtype=float))
-
-
-def _json_number(kind: type, key: str) -> Callable:
-    """A header slot's decoder: a JSON integer for int, any JSON number for float, never a bool or string."""
-    def decode(value):
-        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-            raise PreconditionError(f"{key!r} must be a JSON {'integer' if kind is int else 'number'}, got {value!r}")
-        return kind(value)
-    return decode
+_VECTOR = (lambda v: [float(x) for x in v], _json_floats)
+# A header number's decoder: a JSON integer for int, any JSON number for float.
+_INTEGER = (int, lambda value: int(_json_number(value, integer=True)))
+_NUMBER = (float, lambda value: float(_json_number(value)))
 
 
 # The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
 # that is None is left out of the file; a key absent from the file is None.
 _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "theorem": ("theorem", lambda t: t.value, TheoremId),
-    **{name: (name, int, _json_number(int, name)) for name in ("seed", "dim", "k")},
+    **{name: (name, *_INTEGER) for name in ("seed", "dim", "k")},
     "f": ("f", lambda f: f.spec, functions.parse),
-    **{name: (name, float, _json_number(float, name)) for name in ("q", "t0", "m", "M")},
+    **{name: (name, *_NUMBER) for name in ("q", "t0", "m", "M")},
     **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
     "pmap": ("map", map_to_json, map_from_json),
     "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
-    **{name: (name, float, _json_number(float, name)) for name in ("alpha", "beta")},
+    **{name: (name, *_NUMBER) for name in ("alpha", "beta")},
     **{name: (name, *_VECTOR) for name in ("pa", "pb")},
 }
 
@@ -640,13 +636,13 @@ class Family:
     """A generator family, or an extra drawn after it.  `draw(rng, dim, k, diagonal)`
     makes the rng calls of one attempt; the pure `project(raw)` meets every constraint
     and returns the values of `slots` in order (a last "t0" is drawn on the accepted
-    window), or None to draw again.  The window covers the spectra of `pairs`, and
-    holds 1 inside if `straddles`; `validate(inst)` checks a loaded instance."""
+    window), or None to draw again.  A window "m", "M" among the slots holds 1
+    inside if `straddles`; `validate(inst)` checks a loaded instance, a stored
+    window included."""
 
     slots: tuple[str, ...]
     draw: Callable
     project: Callable
-    pairs: tuple[tuple[str, str], ...] = ()
     straddles: bool = False
     validate: Callable[[Instance], None] = lambda inst: None
 
@@ -729,41 +725,20 @@ def _validate_normalized(inst: Instance) -> None:
         raise PreconditionError("fields must sum to the identity within 1e-10")
     if not (inst.m <= _STRADDLE_LO and inst.M >= _STRADDLE_HI):
         raise PreconditionError(f"need m <= 1 - 1e-6 and M >= 1 + 1e-6, got m={inst.m}, M={inst.M}")
-
-
-def _project_centered(raw):
-    """A free pair with B rescaled so that the measured window straddles 1.
-
-    It solves FA's nodes, the eigenvalues alone of the unscaled pair (for m
-    and M), and then the pair spectrum of FA and the B field the instance
-    keeps, B / sqrt(mM) (B itself for a scalar 1x1 pair), which floors that
-    B and which the check reuses.  No B is solved as a field.
-    """
-    diagonal, weights, nodes = raw
-    a_arrays, b_arrays = _free_nodes(nodes, diagonal)
-    fa = OperatorField(_weights=weights, _arrays=a_arrays)
-    lam = _relative_eigenvalues(fa.decomposition, b_arrays)
-    m, M = float(lam[:, 0].min()), float(lam[:, -1].max())
-    if M / m >= 1.0 + 1e-9:
-        b_arrays = (1.0 / math.sqrt(m * M)) * b_arrays
-    elif b_arrays.size > 1:  # not a scalar 1x1 pair
-        return None
-    fb = fa.partner(b_arrays)
-    spectrum = fa.pair_spectrum(fb)
-    m, M = spectrum.m, spectrum.M
-    # A scalar 1x1 pair has m = M; the straddle is only possible (and only
-    # stated) for genuinely spread spectra.
-    return (fa, fb, m, M) if b_arrays.shape[-1] == 1 or (m <= _STRADDLE_LO and M >= _STRADDLE_HI) else None
+    # The chord constants are taken on [m, M]; they bound f on the pair
+    # spectrum of the fields only when the window covers it.
+    spectrum = inst.fa.pair_spectrum(inst.fb)
+    inst._require_within("pair spectrum of (fa, fb)", spectrum.m, spectrum.M)
 
 
 def _project_free(raw):
-    """Four free fields built as the aligned pairs (FA, FC) and (FB, FD), and
-    the window over the pairs' spectra."""
+    """Free fields, the first half of the drawn ones paired with the second
+    half through `OperatorField.pairs`: (FA, FB) from two, the pairs (FA, FC)
+    and (FB, FD) from four.  No window: no statement of these families reads one."""
     diagonal, weights, nodes = raw
     arrays = _free_nodes(nodes, diagonal)
-    (fa, fc), (fb, fd) = built = OperatorField.pairs(weights, arrays[[0, 1]], arrays[[2, 3]])
-    spectra = [first.pair_spectrum(second) for first, second in built]
-    return fa, fb, fc, fd, min(s.m for s in spectra), max(s.M for s in spectra)
+    pairs = OperatorField.pairs(weights, arrays[:len(arrays) // 2], arrays[len(arrays) // 2:])
+    return (*(a for a, _ in pairs), *(b for _, b in pairs))
 
 
 def _draw_compression(rng, dim: int, k: int, diagonal: bool):
@@ -814,10 +789,7 @@ def _validate_compression(inst: Instance) -> None:
         raise PreconditionError("compression sum exceeds the identity")
     # The chord constants are taken on [m, M]; they bound f on the spectrum
     # of X only when the window covers it.
-    if not inst._covers(inst.x.lambda_min, inst.x.lambda_max):
-        raise PreconditionError(
-            f"spectrum [{inst.x.lambda_min}, {inst.x.lambda_max}] of X not inside [{inst.m}, {inst.M}]"
-        )
+    inst._require_within("spectrum of X", inst.x.lambda_min, inst.x.lambda_max)
 
 
 def _project_probability(raw):
@@ -866,10 +838,9 @@ def _validate_map(inst: Instance) -> None:
 
 
 _NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), functools.partial(_draw_fields, low=0.2, high=1.0),
-                     _project_normalized, pairs=(("fa", "fb"),), straddles=True, validate=_validate_normalized)
-_CENTERED = Family(("fa", "fb", "m", "M"), _draw_fields, _project_centered, pairs=(("fa", "fb"),))
-_FOUR_FIELDS = Family(("fa", "fb", "fc", "fd", "m", "M"), functools.partial(_draw_fields, count=4),
-                      _project_free, pairs=(("fa", "fc"), ("fb", "fd")))
+                     _project_normalized, straddles=True, validate=_validate_normalized)
+_FREE_PAIR = Family(("fa", "fb"), _draw_fields, _project_free)
+_FOUR_FIELDS = Family(("fa", "fb", "fc", "fd"), functools.partial(_draw_fields, count=4), _project_free)
 _COMPRESSION = Family(("pmap", "x", "m", "M", "t0"), _draw_compression, _project_compression,
                       straddles=True, validate=_validate_compression)
 _PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k, diagonal: np.array(
@@ -944,7 +915,7 @@ def _tangent_at_one(f: ScalarFunction) -> bool:
 
 STATEMENTS: dict[TheoremId, Statement] = {
     TheoremId.MEAN_INTEGRAL: Statement(
-        _CENTERED, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
+        _FREE_PAIR, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
     ),
     TheoremId.COMPRESSION_JENSEN: Statement(
         _COMPRESSION, _compression_jensen, reads=("f",), nonneg=True
@@ -954,17 +925,17 @@ STATEMENTS: dict[TheoremId, Statement] = {
     ),
     TheoremId.ENTROPY_NONNEG: Statement(_NORMALIZED, _entropy_nonneg, nonneg=True),
     TheoremId.ENTROPY_UPPER: Statement(_NORMALIZED, _entropy_upper, below_t_minus_1=True),
-    TheoremId.KLEIN_UPPER: Statement(_CENTERED, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.KLEIN_UPPER: Statement(_FREE_PAIR, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
     TheoremId.INFO_INEQ: Statement(_PROBABILITY, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
     TheoremId.SUBADDITIVE: Statement(
         _FOUR_FIELDS, _subadditive, fixed={"q": 0.0}, reads=("f",)
     ),
-    TheoremId.HOMOGENEOUS: Statement(_CENTERED, _homogeneous, extras=_SCALE),
+    TheoremId.HOMOGENEOUS: Statement(_FREE_PAIR, _homogeneous, extras=_SCALE),
     TheoremId.JOINT_CONCAVE: Statement(
         _FOUR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.MAP_MONOTONE: Statement(
-        _CENTERED, _map_monotone, extras=_MAP, fixed={"q": 0.0}, reads=("f",)
+        _FREE_PAIR, _map_monotone, extras=_MAP, fixed={"q": 0.0}, reads=("f",)
     ),
     TheoremId.REV_JENSEN_GAMMA: Statement(
         _COMPRESSION, _rev_jensen_gamma, reads=("f",), nonneg=True, constant="gamma"

@@ -34,15 +34,21 @@ during the acceptance.json run: calls, and the d x d matrices they solved
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
-sums by BLAS thread, so that digest depends on the thread count: in format 3
-it reads c824cadb... under the default and 12d1f994... under
-OPENBLAS_NUM_THREADS=1, the benchmark's pin (both at 2 vCPUs).  Its line
-names the thread variables that are set, or "default".  The three campaign
-digests and `instances` move with the report and instance formats (format 3
-moved them: compression instances store a map, `joint_concave` pairs the
-four fields as `subadditive` does, and a trial record names its instance's
-k, f and q); `sweep`, `edges` and the count line do not.  The file is not a
-test module, so pytest does not collect it.
+sums by BLAS thread, so that digest depends on the thread count: it reads
+db17871d... under the default and f14f37bf... under OPENBLAS_NUM_THREADS=1,
+the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
+that are set, or "default".  The three campaign digests and `instances` move
+with the report and instance formats (format 3 moved them: compression
+instances store a map, `joint_concave` pairs the four fields as
+`subadditive` does, and a trial record names its instance's k, f and q) and
+with the draws: when the free-pair statements (`mean_integral`,
+`klein_upper`, `homogeneous`, `map_monotone`) stopped storing a window and
+rescaling B, acceptance.json became db33b056..., acceptance.csv 8bc88624...
+and instances 08d6aacc..., and the count line's eigvalsh fell from 1.4375
+calls on 4.2722 matrices to 1.1875 calls on 3.6487 (eigh stayed at 3.5000
+calls on 8.9473).  `sweep` (4d4fbc45...) and `edges` (43acc592...) do not
+move with either.  The file is not a test module, so pytest does not
+collect it.
 """
 
 from __future__ import annotations

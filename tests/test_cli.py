@@ -270,7 +270,7 @@ class TestCheck:
         matrix["re"][1][0] -= 1e-4
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and "not Hermitian" in err
+        assert code == 2 and stdout == "" and f"cannot load instance: '{key}': matrix payload is not Hermitian" in err
 
     def test_compression_factors_need_not_be_hermitian(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -332,12 +332,12 @@ class TestCheck:
         assert code == 2 and stdout == "" and "'map' does not match the header dim=3" in err
 
     @pytest.mark.parametrize("theorem,edit,message", [
-        ("homogeneous", {"seed": 1.5}, "'seed' must be a JSON integer, got 1.5"),
-        ("homogeneous", {"dim": 3.9}, "'dim' must be a JSON integer, got 3.9"),
-        ("klein_upper", {"k": True}, "'k' must be a JSON integer, got True"),
+        ("homogeneous", {"seed": 1.5}, "'seed': must be a JSON integer, got 1.5"),
+        ("homogeneous", {"dim": 3.9}, "'dim': must be a JSON integer, got 3.9"),
+        ("klein_upper", {"k": True}, "'k': must be a JSON integer, got True"),
         ("homogeneous", {"seed": -1}, "seed must lie in [0, 2**128), got -1"),
-        ("homogeneous", {"q": "0.5"}, "'q' must be a JSON number, got '0.5'"),
-        ("homogeneous", {"alpha": "2"}, "'alpha' must be a JSON number, got '2'"),
+        ("homogeneous", {"q": "0.5"}, "'q': must be a JSON number, got '0.5'"),
+        ("homogeneous", {"alpha": "2"}, "'alpha': must be a JSON number, got '2'"),
     ], ids=["seed-float", "dim-float", "k-bool", "seed-negative", "q-string", "alpha-string"])
     def test_header_numbers_are_judged_by_the_draws_rules(self, tmp_path, capsys, theorem, edit, message):
         # Each of these files loaded: the header was coerced (1.5 to 1, 3.9 to
@@ -421,18 +421,59 @@ class TestCheck:
     @pytest.mark.parametrize("theorem,key,value", [
         ("compression_jensen", "map", float("nan")), ("compression_jensen", "x", float("inf")),
         ("map_monotone", "map", float("nan")), ("entropy_lower", "fa", -float("inf")),
+        ("klein_upper", "fb", float("nan")), ("subadditive", "fc", float("nan")),
     ])
     def test_nonfinite_matrix_entry_exits_2(self, tmp_path, capsys, theorem, key, value):
+        # The refusal named no slot: "matrix payload has non-finite entries".
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "1",
             "--f", "log", "--out", str(out))
         payload = json.loads(out.read_text())
-        matrix = {"x": lambda p: p["x"], "map": lambda p: p["map"]["kraus"][0],
-                  "fa": lambda p: p["fa"]["matrices"][0]}[key](payload)
+        matrix = payload[key] if key == "x" else payload[key]["kraus" if key == "map" else "matrices"][0]
         matrix["re"][0][0] = value
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and "non-finite" in err
+        assert code == 2 and stdout == ""
+        assert f"cannot load instance: '{key}': matrix payload has non-finite entries" in err, err
+
+    @pytest.mark.parametrize("theorem,key,entry", [
+        ("klein_upper", "fb", "weights"), ("subadditive", "fc", "matrices"), ("compression_jensen", "map", "kraus"),
+    ])
+    def test_payload_without_an_entry_names_its_slot(self, tmp_path, capsys, theorem, key, entry):
+        # fb without "weights" ended in a bare KeyError: 'weights'.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 2, 2, 1).to_json()
+        del payload[key][entry]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert f"cannot load instance: '{key}': missing entry '{entry}'" in err, err
+
+    @pytest.mark.parametrize("theorem,key,edit,message", [
+        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, "0.5"), "must be a JSON number, got '0.5'"),
+        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, True), "must be a JSON number, got True"),
+        ("klein_upper", "fb", lambda p: p["matrices"][0]["re"][0].__setitem__(1, "0.1"),
+         "must be a JSON number, got '0.1'"),
+        ("klein_upper", "fb", lambda p: p["matrices"][0]["im"][1].__setitem__(0, False),
+         "must be a JSON number, got False"),
+        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", 2.7), "must be a JSON integer, got 2.7"),
+        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", "2"), "must be a JSON integer, got '2'"),
+        ("compression_jensen", "map", lambda p: p["kraus"][1]["re"][0].__setitem__(0, "1"),
+         "must be a JSON number, got '1'"),
+        ("compression_jensen", "x", lambda p: p.__setitem__("dim", True), "must be a JSON integer, got True"),
+        ("info_ineq", "pa", lambda p: p.__setitem__(0, str(p[0])), "must be a JSON number, got '0."),
+        ("info_ineq", "pb", lambda p: p.__setitem__(1, True), "must be a JSON number, got True"),
+    ], ids=["weight-string", "weight-bool", "re-string", "im-bool", "dim-float", "dim-string", "kraus-string",
+            "x-dim-bool", "pa-string", "pb-bool"])
+    def test_payload_numbers_follow_the_header_rule(self, tmp_path, capsys, theorem, key, edit, message):
+        # Each of these files loaded, and a klein_upper one checked to its
+        # unchanged margin: the payload decoders cast with float() and int().
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 2, 2, 1).to_json()
+        edit(payload[key])
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and f"cannot load instance: '{key}': {message}" in err, err
 
 
 class TestCampaign:

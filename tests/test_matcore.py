@@ -461,21 +461,6 @@ class TestPairRoute:
         np.testing.assert_array_equal(lazy.eigenvalues, eager.eigenvalues)
         np.testing.assert_array_equal(lazy.eigenvectors, eager.eigenvectors)
 
-    def test_partner_floors_b_on_an_already_solved_field(self, rng, solve_calls):
-        fa = OperatorField(_weights=np.ones(2), _arrays=node_stack(rng, 3, 2)[0])
-        b = node_stack(rng, 3, 2)[0]
-        solve_calls.clear()
-        fb = fa.partner(b)
-        assert [s[:3] for s in solve_calls] == [("eigh", 2, 3)]
-        assert fb.weights is fa.weights and not fb.arrays.flags.writeable
-        single = PairSpectrum(fa, OperatorField(_weights=np.ones(2), _arrays=b.copy()))
-        np.testing.assert_array_equal(fa.pair_spectrum(fb).eigenvalues, single.eigenvalues)
-        np.testing.assert_array_equal(fa.pair_spectrum(fb).frame, single.frame)
-        with pytest.raises(NotPositiveDefiniteError):
-            fa.partner(np.array([np.diag([1.0, 1e-13, 1.0])] * 2, dtype=complex))
-        with pytest.raises(ShapeError):
-            fa.partner(b[:1].copy())
-
 
 class TestApplyFunction:
     def test_identity_function(self, rng):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,6 @@ class TestCheckerBehavior:
         a = PositiveDefiniteMatrix(np.diag([0.5, 2.0, 1.0]))
         inst = Instance(
             theorem=TheoremId.KLEIN_UPPER, seed=0, dim=3, k=1, f=LOG,
-            m=1.0, M=1.0,
             fa=OperatorField([(1.0, a)]), fb=OperatorField([(1.0, a)]),
         )
         res = check(TheoremId.KLEIN_UPPER, inst)
@@ -485,39 +485,25 @@ def test_draws_solve_their_fields_as_one_stack(solve_calls, theorem, solves):
     assert labels(solve_calls) == solves
 
 
-@pytest.mark.parametrize(
-    "theorem", [TheoremId.MEAN_INTEGRAL, TheoremId.KLEIN_UPPER, TheoremId.HOMOGENEOUS, TheoremId.MAP_MONOTONE]
-)
-def test_centered_draw_measures_the_unscaled_pair_without_frames(solve_calls, theorem):
-    # k matrices per solve: fa's nodes, the eigenvalues alone of the unscaled
-    # pair, and one full solve of the rescaled pair, which floors fb and which
-    # the check reuses.  That is 3k, where also solving fb's nodes took 4k.
-    k = STATEMENTS[theorem].fixed.get("k", 2)
-    inst = random_instance(theorem, 3, 2, 20241, power(0.5), 0.5)
-    assert [s[:3] for s in solve_calls] == [("eigh", k, 3), ("eigvalsh", k, 3), ("eigh", k, 3)]
-    # The one field solve is the instance's fa; fb, which holds B / sqrt(mM),
-    # is never solved, and neither is the unscaled B.
-    np.testing.assert_array_equal(solve_calls[0].a, inst.fa.arrays)
-    assert not any(np.array_equal(s.a, inst.fb.arrays) for s in solve_calls)
-    solve_calls.clear()
-    inst.fa.pair_spectrum(inst.fb)
-    assert solve_calls == []
-    # fb's decomposition is solved on its first read, and only then.
-    inst.fb.decomposition
-    inst.fb.decomposition
-    assert [s[:3] for s in solve_calls] == [("eigh", k, 3)]
-    np.testing.assert_array_equal(solve_calls[0].a, inst.fb.arrays)
+_FREE_PAIR = [t for t in TheoremId if STATEMENTS[t].family is verify._FREE_PAIR]
 
 
-def test_scalar_centered_pair_floors_the_b_it_keeps_through_the_pair(solve_calls):
-    # A 1x1 one-node pair has m = M: fb is B itself, floored by the solve of
-    # the pair spectrum that the instance check reuses, and the window stays unscaled.
-    inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 3, LOG, 0.5)
-    assert [s[:3] for s in solve_calls] == [("eigh", 1, 1), ("eigvalsh", 1, 1), ("eigh", 1, 1)]
-    assert not any(np.array_equal(s.a, inst.fb.arrays) for s in solve_calls)
-    assert inst.m == inst.M
-    assert inst.m == pytest.approx(inst.fb.arrays[0, 0, 0].real / inst.fa.arrays[0, 0, 0].real, rel=1e-14)
-    assert check(TheoremId.KLEIN_UPPER, inst).hypothesis_met
+def test_free_pair_draw_solves_fa_and_the_pair_spectrum_alone(solve_calls):
+    # One pair build: FA's nodes, then the pair spectrum, which floors FB and
+    # which the check reuses.  That is two eigh calls on k matrices and no
+    # eigvalsh (the window's rescale of B also solved the unscaled pair's
+    # eigenvalues), at dim 1 and k = 1 as elsewhere.
+    assert len(_FREE_PAIR) == 4
+    for theorem, dim in [(t, 3) for t in _FREE_PAIR] + [(TheoremId.KLEIN_UPPER, 1)]:
+        k = STATEMENTS[theorem].fixed.get("k", 2)
+        solve_calls.clear()
+        inst = random_instance(theorem, dim, 2, 20241, power(0.5), 0.5)
+        assert [s[:3] for s in solve_calls] == [("eigh", k, dim)] * 2, theorem
+        np.testing.assert_array_equal(solve_calls[0].a[0], inst.fa.arrays)
+        assert not any(np.array_equal(s.a[0], inst.fb.arrays) for s in solve_calls)
+        solve_calls.clear()
+        inst.fa.pair_spectrum(inst.fb)
+        assert solve_calls == []
 
 
 def test_map_monotone_applies_the_map_once_and_solves_both_images_together(solve_calls, monkeypatch):
@@ -553,10 +539,7 @@ def test_map_image_below_the_floor_skips_naming_the_first_node():
     low_a, low_b = 1.00000000002e-12, 4.00000000008e-12
     fa = OperatorField([(1.0, np.diag([1.0, 2.0])), (1.0, np.diag([1.0, low_a]))])
     fb = OperatorField([(1.0, np.diag([4.0, low_b])), (1.0, np.diag([3.0, 2.0]))])
-    spectrum = fa.pair_spectrum(fb)
-    m, M = spectrum.m, spectrum.M
-    inst = Instance(theorem=TheoremId.MAP_MONOTONE, seed=0, dim=2, k=2, f=LOG, q=0.0,
-                    fa=fa, fb=fb, m=m, M=M, pmap=pmap)
+    inst = Instance(theorem=TheoremId.MAP_MONOTONE, seed=0, dim=2, k=2, f=LOG, q=0.0, fa=fa, fb=fb, pmap=pmap)
     result = check(TheoremId.MAP_MONOTONE, inst)
     assert not result.hypothesis_met and result.margin is None
     assert result.detail == (
@@ -825,8 +808,8 @@ def test_instance_file_with_a_missing_field_is_rejected(theorem):
             Instance.from_json(partial)
 
 
-# The statements whose field families measure their window on pair spectra.
-_PAIRED = [t for t in TheoremId if STATEMENTS[t].family.pairs]
+# The statements whose window covers a pair spectrum.
+_PAIRED = [t for t in TheoremId if STATEMENTS[t].family is verify._NORMALIZED]
 
 
 @pytest.mark.parametrize("theorem", [t for t in TheoremId if "m" in STATEMENTS[t].needs])
@@ -838,10 +821,58 @@ def test_window_must_lie_in_the_positive_half_line(theorem):
             Instance.from_json(dict(payload, m=m, M=M))
 
 
-def test_a_one_point_window_loads():
-    # Centered draws at dim 1 have m = M.
-    inst = random_instance(TheoremId.KLEIN_UPPER, 1, 1, 2)
-    assert inst.m == inst.M and Instance.from_json(inst.to_json()).m == inst.m
+_WINDOW = ("m", "M", "t0")
+
+
+class _WindowReads(Instance):
+    """An instance that records which of its window slots are read."""
+
+    def __getattribute__(self, name):
+        if name in _WINDOW:
+            object.__getattribute__(self, "window_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+def test_a_window_is_stored_wherever_a_check_reads_it(theorem):
+    # The gates read [m, M] when the statement has one; a builder reads what
+    # it reads.  Each of those slots is one its family stores, so no check is
+    # handed a None window, and a family that stores none has no gate.
+    st = STATEMENTS[theorem]
+    inst = random_instance(theorem, 3, 2, 5, LOG if st.below_t_minus_1 else power(0.5), 0.5)
+    reads = {"m", "M"} if st.nonneg or st.below_t_minus_1 or st.constant else set()
+    recording = _WindowReads(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
+    recording.window_reads = set()
+    st.build(recording, verify._gate(st, inst.f, inst.m, inst.M))
+    reads |= recording.window_reads
+    stored = {slot for slot in _WINDOW if slot in st.family.slots}
+    assert reads <= stored
+    assert all(getattr(inst, slot) is not None for slot in stored)
+    assert all(getattr(inst, slot) is None for slot in _WINDOW if slot not in stored)
+    if not stored:
+        assert verify._gate(st, inst.f, None, None) is None and "m" not in inst.to_json()
+
+
+def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
+    # Written by `opentropy gen --theorem homogeneous --dim 3 --k 2 --seed 7`
+    # while the free-pair family still stored a window: the file carries m
+    # and M, and a B that the draw rescaled by 1/sqrt(mM).  The window is
+    # ignored, and the check reads what it read then, bit for bit.
+    payload = json.loads((Path(__file__).parent / "data" / "homogeneous-windowed.json").read_text())
+    assert {"m", "M"} <= set(payload)
+    inst = Instance.from_json(payload)
+    assert check(TheoremId.HOMOGENEOUS, inst).to_json() == {
+        "theorem": "homogeneous", "holds": True, "margin": -1.7828269397511913e-15,
+        "lhs_norm": 2.5313796245718945, "rhs_norm": 2.5313796245718936, "hypothesis_met": True,
+        "detail": "homogeneity at alpha=0.5, q=0.5 (two-sided margin)", "triage": None,
+    }
+    # The same key now draws the same FA and alpha, and B unscaled.
+    drawn = random_instance(TheoremId.HOMOGENEOUS, 3, 2, 7)
+    np.testing.assert_array_equal(drawn.fa.arrays, inst.fa.arrays)
+    assert drawn.alpha == inst.alpha and drawn.m is None and drawn.M is None
+    scale = drawn.fb.arrays[0, 0, 0].real / inst.fb.arrays[0, 0, 0].real
+    assert scale != 1.0
+    np.testing.assert_allclose(drawn.fb.arrays, scale * inst.fb.arrays, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("theorem,edit", [
