@@ -466,8 +466,10 @@ class TestCheck:
     ], ids=["weight-string", "weight-bool", "re-string", "im-bool", "dim-float", "dim-string", "kraus-string",
             "x-dim-bool", "pa-string", "pb-bool"])
     def test_payload_numbers_follow_the_header_rule(self, tmp_path, capsys, theorem, key, edit, message):
-        # Each of these files loaded, and a klein_upper one checked to its
-        # unchanged margin: the payload decoders cast with float() and int().
+        # The payload decoders cast with float() and int(): a string weight,
+        # entry or dim loaded (a klein_upper file checked to its unchanged
+        # margin), and a bool was read as 0 or 1, so the file loaded or was
+        # refused for another reason than the bool.
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId(theorem), 2, 2, 1).to_json()
         edit(payload[key])
