@@ -457,6 +457,8 @@ def logarithmic_mean(a: float, b: float) -> float:
     if abs(a - b) <= 1e-12 * max(a, b):
         return 0.5 * (a + b)
     u = (b - a) / a
+    if u == -1.0:  # b/a below the rounding unit: log1p(u) is undefined, and log b - log a does not cancel
+        return (b - a) / (math.log(b) - math.log(a))
     return a * u / math.log1p(u)
 
 

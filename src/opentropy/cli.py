@@ -17,7 +17,8 @@ Machine-readable JSON goes to stdout (or --out); the human summary goes to
 stderr.  Exit codes: 0 = verified or hypothesis-skip, 1 = a violation (check:
 numerical or substantive; campaign: substantive only), 2 = usage or input
 error (for campaign: also any trial that ended in an error, after the report
-is written).  All randomness flows from --seed.
+is written), 3 = an unexpected exception, whose traceback goes to stderr, so
+that a crash never reads as a violation.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import dataclasses
 import json
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -159,7 +161,7 @@ def _cmd_check(args) -> int:
     try:
         payload = json.loads(args.file.read_text())
         inst = verify.Instance.from_json(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2
     result = verify.check(inst.theorem, inst, args.tol)
@@ -225,6 +227,9 @@ def main(argv=None) -> int:
     except (ValueError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

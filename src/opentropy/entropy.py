@@ -24,25 +24,22 @@ and the frames Q_s in one pass, so that any weighted sum
 is one batched product and one weighted sum (the eigenbasis route of
 Higham, Functions of Matrices, SIAM 2008; cf. Golub and Van Loan, Matrix
 Computations, 8.7, for the symmetric-definite pair).  This module holds the
-paper's functions of those values and the field exchange format; each
-Hermitian result is a read-only (d, d) ndarray.
+paper's functions of those values, and no exchange format (a field's JSON
+form is verify's); each Hermitian result is a read-only (d, d) ndarray.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError
 from .functions import ScalarFunction
 from .matcore import (
     OperatorField,
     PairSpectrum,
     PositiveDefiniteMatrix,
     _freeze,
-    _json_floats,
     _symmetrize,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 __all__ = [
@@ -51,8 +48,6 @@ __all__ = [
     "variational_form",
     "generalized_entropy",
     "mean_field",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -97,19 +92,3 @@ def mean_field(fa: OperatorField, fb: OperatorField, p: float) -> np.ndarray:
     if not 0.0 <= float(p) <= 1.0:
         raise PreconditionError(f"mean_field requires p in [0, 1], got {p}")
     return _freeze(fa.pair_spectrum(fb).power_mean(p))
-
-
-def field_to_json(field: OperatorField) -> dict:
-    """Exchange format: {"weights": [...], "matrices": [matrix, ...]}."""
-    return {
-        "weights": [float(w) for w in field.weights],
-        "matrices": [matrix_to_json(a) for a in field.arrays],
-    }
-
-
-def field_from_json(data: dict) -> OperatorField:
-    weights = _json_floats(data["weights"])
-    matrices = [matrix_from_json(d) for d in data["matrices"]]
-    if len(weights) != len(matrices):
-        raise ShapeError("field payload has mismatched weights/matrices lengths")
-    return OperatorField.from_matrices(weights, matrices)

@@ -94,6 +94,8 @@ class ScalarFunction:
     operator_concave = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spec, str):
+            raise PreconditionError(f"a function spec must be a string, got {self.spec!r}")
         head, _, arg = self.spec.strip().partition(":")
         if head not in _CATALOG:
             raise PreconditionError(f"unknown function spec {self.spec!r}")

@@ -4,7 +4,8 @@ A map Phi(X) = sum_i C_i* X C_i is positive by construction, normalized
 (unital) when sum_i C_i* C_i = I and sub-unital when sum_i C_i* C_i <= I.  The
 lifted Jensen inequality for a sub-unital map and its reverses are the
 compression statements of the verify module, whose compression family draws
-its map in this form; `map_monotone` reads a normalized one.
+its map in this form; `map_monotone` reads a normalized one.  A map's JSON
+form, its Kraus factors, is verify's.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import _adjoint, _array_from_json, _entries, _freeze, _frobenius, _svd, _symmetrize, matrix_to_json
+from .matcore import _adjoint, _entries, _freeze, _frobenius, _svd, _symmetrize
 
-__all__ = ["PositiveLinearMap", "map_to_json", "map_from_json"]
+__all__ = ["PositiveLinearMap"]
 
 
 class PositiveLinearMap:
@@ -90,14 +91,3 @@ class PositiveLinearMap:
 
     def __repr__(self) -> str:
         return f"PositiveLinearMap(terms={len(self._kraus)}, {self._in_dim}->{self._out_dim})"
-
-
-def map_to_json(p: PositiveLinearMap) -> dict:
-    """Exchange format: {"kraus": [matrix, ...]} using the matcore matrix layout."""
-    if p.in_dim != p.out_dim:
-        raise ShapeError("only square Kraus families are serializable")
-    return {"kraus": [matrix_to_json(c) for c in p.kraus]}
-
-
-def map_from_json(data: dict) -> PositiveLinearMap:
-    return PositiveLinearMap([_array_from_json(d) for d in data["kraus"]])

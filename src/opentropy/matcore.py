@@ -7,7 +7,8 @@ a read-only (d, d) array, symmetrized once where a product can leave drift.
 The one positive-definite value is OperatorField, a finite weighted family
 {(w_s, A_s)} of PD matrices; a single PD matrix (PositiveDefiniteMatrix) is
 the one-node field of weight 1, and PairSpectrum holds the relative spectra
-of two aligned fields.
+of two aligned fields.  None of them has a JSON form here: the instance-file
+codec is verify's slot table.
 
 One LAPACK entry.  Every factorization of the package goes through `_eigh`
 (eigenvalues and eigenvectors), `_eigvalsh` (eigenvalues alone), `_qr` (Q
@@ -78,8 +79,6 @@ __all__ = [
     "eig",
     "apply_function",
     "loewner_leq",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 DEFAULT_LOEWNER_TOL = 1e-9
@@ -561,64 +560,6 @@ def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndar
     r, s = _scalar_image(a.eigenvectors, np.array([1.0 / root, root]))
     lam, u = _eigh(_symmetrize(r @ b @ r))
     return _freeze(lam), _freeze(s @ u)
-
-
-def matrix_to_json(m) -> dict:
-    """Exchange format: {"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
-    arr = _entries(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeError("only square matrices use the dim/re/im exchange format")
-    return {
-        "dim": int(arr.shape[0]),
-        "re": arr.real.tolist(),
-        "im": arr.imag.tolist(),
-    }
-
-
-def _json_number(value, integer: bool = False):
-    """`value` if it is a JSON number (a JSON integer if `integer`), never a
-    bool or a string, the rule of every number in an instance file; anything
-    else is refused (PreconditionError)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise PreconditionError(f"must be a JSON {'integer' if integer else 'number'}, got {value!r}")
-    return value
-
-
-def _json_floats(data) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float ndarray; each
-    number follows `_json_number`'s rule."""
-    items = [data]
-    for item in items:  # a list's items join the walk
-        if isinstance(item, list):
-            items += item
-        else:
-            _json_number(item)
-    return np.asarray(data, dtype=float)
-
-
-def _array_from_json(data: dict) -> np.ndarray:
-    """The complex (dim, dim) array of a matrix payload, entry for entry (not
-    symmetrized).  dim must be a JSON integer and the entries JSON numbers,
-    and non-finite entries are rejected (PreconditionError): the eigensolver
-    returns NaN spectra for them without an error."""
-    dim = _json_number(data["dim"], integer=True)
-    re = _json_floats(data["re"])
-    im = _json_floats(data["im"])
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise PreconditionError("matrix payload has non-finite entries")
-    return re + 1j * im
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    """The read-only Hermitian array of a matrix payload.  A payload that is
-    not exactly its conjugate transpose is rejected (PreconditionError), so
-    that the matrix checked is the matrix the file states."""
-    arr = _array_from_json(data)
-    if not np.array_equal(arr, _adjoint(arr)):
-        raise PreconditionError("matrix payload is not Hermitian")
-    return _freeze(arr)
 
 
 class _JsonRecord:

@@ -19,15 +19,16 @@ hypothesis_met=False with an explanation and an empty margin.  A violation
 carries a label from the same tolerance rule at tol=1e-6: "numerical" (float
 noise) or "substantive" (a real counterexample, which would be a finding).
 
-An Instance is its JSON: every slot has one encoder and one decoder
-(`_SLOTS`; the function slot is its catalog spec), and every matrix and field
-is the solve of exactly the array its JSON stores (a field or X matrix that
-is not exactly Hermitian is refused, and so is a payload that does not match
-the header's dim and k), so a file written by `gen` or dumped by a campaign
-re-checks to the same margin bit for bit.  Every number of a file, header or
-payload, is a JSON number (`matcore._json_number`), and every refusal while
-decoding a slot starts with its key.  Instance files and campaign reports
-carry `"format": 3`; a file without it is refused at load.
+An Instance is its JSON, and this module alone holds the format: each slot
+has one encoder and one decoder (`_SLOTS`; the function slot is its catalog
+spec), and each payload form (a JSON number, rectangular lists of numbers, a
+matrix, a field, a Kraus map) checks its JSON type before it indexes, so
+every refusal while decoding starts with the slot's key.  A file is read for
+the slots a draw of its statement fills, and every matrix and field is the
+solve of exactly the array it stores (a non-Hermitian field or X, or a payload
+off the header's dim and k, is refused), so a file written by `gen` or dumped
+by a campaign re-checks to the same margin bit for bit.  Instance files and
+campaign reports carry `"format": 3`; a file without it is refused at load.
 
 Every draw is a pure function of a 128-bit key (keyed streams, after Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
@@ -46,6 +47,7 @@ import functools
 import io
 import math
 import operator
+import reprlib
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -56,17 +58,17 @@ import numpy as np
 
 from . import functions
 from .bounds import chord_gap_bound, chord_ratio_bound, zeta_closed_forms
-from .entropy import field_from_json, field_to_json
 from .errors import (
     DomainError,
     EigenConvergenceError,
     GenerationError,
     NotPositiveDefiniteError,
     PreconditionError,
+    ShapeError,
     UndefinedRatioError,
 )
 from .functions import LOG, ScalarFunction
-from .maps import PositiveLinearMap, map_from_json, map_to_json
+from .maps import PositiveLinearMap
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     OperatorField,
@@ -76,8 +78,6 @@ from .matcore import (
     _eigvalsh,
     _eye,
     _holds_within,
-    _json_floats,
-    _json_number,
     _JsonRecord,
     _qr,
     _require_aligned,
@@ -86,8 +86,6 @@ from .matcore import (
     _symmetrize,
     _weighted_sum,
     apply_function,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 __all__ = [
@@ -172,7 +170,7 @@ class Instance:
     statements gate on it or read it: it covers the pair spectrum of (FA, FB)
     for the normalized family (a draw stores the measured sandwich constants)
     and the spectrum of X for the compression family; t0 lies in [m, M] where
-    used.  A window a statement does not read is ignored.  Optional slots
+    used.  A file's window is read only where a draw stores one.  Optional slots
     cover the extra fields some statements need.
     """
 
@@ -225,7 +223,8 @@ class Instance:
 
     def _check_header(self) -> None:
         """dim and k describe the payload: every field holds k dim x dim
-        matrices, X is dim x dim, and the map's Kraus factors are dim x dim."""
+        matrices, X is dim x dim, and the map's Kraus factors are dim x dim.
+        Every field has fa's weights (a draw's share one object, read first)."""
         node = (self.dim, self.dim)
         for slot in (*_FIELDS, "x", "pmap"):
             value = getattr(self, slot)
@@ -237,6 +236,9 @@ class Instance:
                 fits = value.arrays.shape == (1 if slot == "x" else self.k, *node)
             if not fits:
                 raise PreconditionError(f"{_SLOTS[slot][0]!r} does not match the header dim={self.dim}, k={self.k}")
+            if slot in _FIELDS[1:] and value.weights is not self.fa.weights \
+                    and not np.array_equal(value.weights, self.fa.weights):
+                raise PreconditionError(f"'fa' and {slot!r} must share one weight vector node for node")
 
     def _require_within(self, what: str, lo: float, hi: float) -> None:
         """Refuse unless [lo, hi] lies in [m, M], up to a slack of 1e-9 max(1, |M|)."""
@@ -254,51 +256,127 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        """The instance a file states, read from the slots that a draw of its
+        statement fills (`random_instance`); any other key is ignored."""
         version = data.get("format") if isinstance(data, dict) else None
         if version != FORMAT:
             raise PreconditionError(
                 f"an instance file must carry \"format\": {FORMAT}, got {version!r} (format 1 files,"
                 " written before keyed streams, and format 2 files, whose compressions store cs, are not read)"
             )
-        inst = cls(**{slot: _decoded(key, decode, data[key]) for slot, (key, _, decode) in _SLOTS.items()
-                      if key in data})
+        st = STATEMENTS[_decoded("theorem", data)]
+        slots = [slot for slot in _HEADER + ("f", "q") + st.family.slots + st.extras.slots
+                 if (slot in _HEADER or _SLOTS[slot][0] in data) and st.fixed.get(slot, slot) is not None]
+        inst = cls(**{slot: _decoded(slot, data) for slot in slots})
         inst.validate()
         return inst
 
 
-def _decoded(key: str, decode: Callable, value):
-    """A slot's decoded value.  Every refusal (a ragged map, a non-finite or
-    non-Hermitian matrix, a missing payload entry, a payload of the wrong
-    JSON type) is a PreconditionError that starts with the slot's key."""
+def _decoded(slot: str, data: dict):
+    """A slot's decoded value.  Each payload form below checks its JSON type
+    before it indexes, so every refusal is a ValueError, which this prefixes
+    with the slot's key (or one that names a missing key)."""
+    key, _, decode = _SLOTS[slot]
+    if key not in data:
+        raise PreconditionError(f"an instance file needs {key!r}, which is missing")
     try:
-        return decode(value)
-    except KeyError as exc:
-        raise PreconditionError(f"{key!r}: missing entry {exc}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
+        return decode(data[key])
+    except (ValueError, OverflowError) as exc:
         raise PreconditionError(f"{key!r}: {exc}") from exc
 
 
 # The version of the instance and campaign report formats.
 FORMAT = 3
+_HEADER = ("theorem", "seed", "dim", "k")
 _FIELDS = ("fa", "fb", "fc", "fd")
-_VECTOR = (lambda v: [float(x) for x in v], _json_floats)
-# A header number's decoder: a JSON integer for int, any JSON number for float.
-_INTEGER = (int, lambda value: int(_json_number(value, integer=True)))
-_NUMBER = (float, lambda value: float(_json_number(value)))
+
+
+def _number(value, integer: bool = False):
+    """`value` if it is a JSON number (a JSON integer if `integer`), never a
+    bool or a string: the rule of every number in an instance file."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise PreconditionError(f"must be a JSON {'integer' if integer else 'number'}, got {reprlib.repr(value)}")
+    return value
+
+
+def _floats(data, depth: int = 1) -> np.ndarray:
+    """Rectangular lists of JSON numbers, `depth` deep, as a float array."""
+    rows, rectangular = [data], True
+    for _ in range(depth):
+        rectangular = rectangular and all(isinstance(row, list) for row in rows) and len(set(map(len, rows))) < 2
+        rows = [item for row in rows for item in row] if rectangular else []
+    if not rectangular or any(isinstance(item, list) for item in rows):
+        wanted = "a list of " + "equal-length lists of " * (depth - 1)
+        raise PreconditionError(f"must be {wanted}JSON numbers, got {reprlib.repr(data)}")
+    for item in rows:
+        _number(item)
+    return np.array(data, dtype=float)
+
+
+def _entries(data, *names: str) -> list:
+    """The entries `names` of a JSON object, in that order."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"must be an object with the entries {', '.join(names)}, got {reprlib.repr(data)}")
+    for name in names:
+        if name not in data:
+            raise PreconditionError(f"missing entry {name!r}")
+    return [data[name] for name in names]
+
+
+def _matrices(data, hermitian: bool = True) -> list:
+    """The arrays of a JSON list of matrix objects (`_matrix_from_json`)."""
+    if not isinstance(data, list):
+        raise PreconditionError(f"must hold a list of matrix objects, got {reprlib.repr(data)}")
+    return [_matrix_from_json(item, hermitian) for item in data]
+
+
+def _matrix_to_json(a: np.ndarray) -> dict:
+    """{"dim": n, "re": [[...]], "im": [[...]]}, row-major, for a square array."""
+    return {"dim": len(a), "re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def _matrix_from_json(data, hermitian: bool = True) -> np.ndarray:
+    """The complex (dim, dim) array of a matrix object, entry for entry (not
+    symmetrized).  Non-finite entries are refused (the eigensolver returns
+    NaN spectra for them without an error), and so is an array that is not
+    exactly its conjugate transpose if `hermitian`, so that the matrix
+    checked is the one the file states."""
+    dim, re, im = _entries(data, "dim", "re", "im")
+    dim, re, im = _number(dim, integer=True), _floats(re, 2), _floats(im, 2)
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise PreconditionError("matrix payload has non-finite entries")
+    arr = re + 1j * im
+    if hermitian and not np.array_equal(arr, _adjoint(arr)):
+        raise PreconditionError("matrix payload is not Hermitian")
+    return arr
+
+
+def _field_from_json(data) -> OperatorField:
+    weights, matrices = _entries(data, "weights", "matrices")
+    weights, matrices = _floats(weights), _matrices(matrices)
+    if len(weights) != len(matrices):
+        raise ShapeError("field payload has mismatched weights/matrices lengths")
+    return OperatorField.from_matrices(weights, matrices)
 
 
 # The codec of an instance file: slot -> (JSON key, encoder, decoder).  A slot
 # that is None is left out of the file; a key absent from the file is None.
+# A field is {"weights": [...], "matrices": [matrix, ...]} and a map
+# {"kraus": [matrix, ...]}, a matrix being `_matrix_to_json`'s object.
 _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "theorem": ("theorem", lambda t: t.value, TheoremId),
-    **{name: (name, *_INTEGER) for name in ("seed", "dim", "k")},
+    **{name: (name, int, lambda value: int(_number(value, integer=True))) for name in ("seed", "dim", "k")},
     "f": ("f", lambda f: f.spec, functions.parse),
-    **{name: (name, *_NUMBER) for name in ("q", "t0", "m", "M")},
-    **{name: (name, field_to_json, field_from_json) for name in _FIELDS},
-    "pmap": ("map", map_to_json, map_from_json),
-    "x": ("x", matrix_to_json, lambda d: PositiveDefiniteMatrix(matrix_from_json(d))),
-    **{name: (name, *_NUMBER) for name in ("alpha", "beta")},
-    **{name: (name, *_VECTOR) for name in ("pa", "pb")},
+    **{name: (name, float, lambda value: float(_number(value))) for name in ("q", "t0", "m", "M", "alpha", "beta")},
+    **{name: (name, lambda field: {"weights": field.weights.tolist(),
+                                   "matrices": [_matrix_to_json(a) for a in field.arrays]}, _field_from_json)
+       for name in _FIELDS},
+    "pmap": ("map", lambda p: {"kraus": [_matrix_to_json(c) for c in p.kraus]},
+             lambda d: PositiveLinearMap(_matrices(*_entries(d, "kraus"), hermitian=False))),
+    "x": ("x", lambda x: _matrix_to_json(x.array), lambda d: PositiveDefiniteMatrix(_matrix_from_json(d))),
+    **{name: (name, lambda v: [float(x) for x in v], _floats) for name in ("pa", "pb")},
 }
 
 
@@ -367,11 +445,9 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     return VerificationResult(theorem, holds, margin, ln, rn, True, detail, label)
 
 
-def _require_unit_exponent(q) -> float:
-    p = float(q)
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"this statement requires an exponent in [0, 1], got {p}")
-    return p
+def _require_unit_exponent(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise PreconditionError(f"this statement requires an exponent in [0, 1], got {q}")
 
 
 def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | None:
@@ -785,7 +861,8 @@ def _validate_compression(inst: Instance) -> None:
     # Sub-unital: Phi(I) = sum K*K <= I.
     gram = inst.pmap.kraus_gram()
     low, size = _eigvalsh(np.array([_eye(inst.dim) - gram, gram]))
-    if low[0] < -1e-10 * max(1.0, _snorm(size)):
+    # A Phi(I) that overflowed fails it: its spectrum is NaN or infinite.
+    if not (np.isfinite(gram).all() and low[0] >= -1e-10 * max(1.0, _snorm(size))):
         raise PreconditionError("compression sum exceeds the identity")
     # The chord constants are taken on [m, M]; they bound f on the spectrum
     # of X only when the window covers it.

@@ -223,6 +223,12 @@ class TestMeans:
             assert lm <= im + 1e-12
             assert im <= (a + b) / 2.0 + 1e-12
 
+    @pytest.mark.parametrize("b", [1e-17, 1e-300])
+    def test_ratio_below_the_rounding_unit(self, b):
+        # u = (b - a)/a rounds to -1 there, and log1p(-1) raised "math domain error".
+        assert logarithmic_mean(1.0, b) == pytest.approx(logarithmic_mean(b, 1.0), rel=1e-14)
+        assert logarithmic_mean(1.0, b) == (b - 1.0) / math.log(b)
+
     def test_near_diagonal_continuity(self):
         a = 3.0
         for eps in (1e-13, 1e-10, 1e-8):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from opentropy import verify
 from opentropy.cli import build_parser, main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
-from opentropy.maps import PositiveLinearMap, map_from_json, map_to_json
-from opentropy.matcore import matrix_to_json
-from opentropy.verify import CampaignConfig, Instance, TheoremId, campaign, check, random_instance
+from opentropy.maps import PositiveLinearMap
+from opentropy.verify import CampaignConfig, Instance, TheoremId, _matrix_to_json, campaign, check, random_instance
 
 from conftest import ENTRY, rebind_entry
 
@@ -236,18 +236,18 @@ class TestCheck:
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "0", "--out", str(out))
         x, wide = 3.0, 3.0 * (1.0 + 1e-12)
-        payload = dict(json.loads(out.read_text()), x=matrix_to_json(np.diag([x, wide])), m=x, M=wide, t0=x)
+        payload = dict(json.loads(out.read_text()), x=_matrix_to_json(np.diag([x, wide])), m=x, M=wide, t0=x)
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "too narrow" in err
 
     @pytest.mark.parametrize("slot,value,message", [
-        ("pa", [0.5, 0.5], "must hold dim=3 probabilities"),
-        ("pb", [[0.2, 0.3, 0.5]], "must hold dim=3 probabilities"),
-        ("pa", [0.5, 0.5, 0.0], "must have finite entries > 0"),
-        ("pb", [1.2, -0.4, 0.2], "must have finite entries > 0"),
-        ("pa", [float("nan"), 0.5, 0.5], "must have finite entries > 0"),
-        ("pb", [0.2, 0.3, 0.6], "must sum to 1 within 1e-10"),
+        ("pa", [0.5, 0.5], " must hold dim=3 probabilities"),
+        ("pb", [[0.2, 0.3, 0.5]], ": must be a list of JSON numbers, got [[0.2, 0.3, 0.5]]"),
+        ("pa", [0.5, 0.5, 0.0], " must have finite entries > 0"),
+        ("pb", [1.2, -0.4, 0.2], " must have finite entries > 0"),
+        ("pa", [float("nan"), 0.5, 0.5], " must have finite entries > 0"),
+        ("pb", [0.2, 0.3, 0.6], " must sum to 1 within 1e-10"),
     ], ids=["pa-length", "pb-shape", "pa-zero", "pb-negative", "pa-nan", "pb-sum"])
     def test_info_ineq_file_must_hold_probability_vectors(self, tmp_path, capsys, slot, value, message):
         # The divergence of a vector that is no probability vector is no
@@ -257,7 +257,7 @@ class TestCheck:
         payload[slot] = value
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
-        assert code == 2 and stdout == "" and f"'{slot}' {message}" in err
+        assert code == 2 and stdout == "" and f"'{slot}'{message}" in err
 
     @pytest.mark.parametrize("theorem,key", [("klein_upper", "fb"), ("compression_jensen", "x")])
     def test_non_hermitian_matrix_exits_2(self, tmp_path, capsys, theorem, key):
@@ -353,6 +353,7 @@ class TestCheck:
         # The file loaded and failed inside the check.
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
+        _, map_to_json, map_from_json = verify._SLOTS["pmap"]
         payload["map"] = map_to_json(PositiveLinearMap([3.0 * c for c in map_from_json(payload["map"]).kraus]))
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
@@ -362,7 +363,7 @@ class TestCheck:
     def test_compression_factor_of_another_size_is_a_header_mismatch(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
-        payload["map"]["kraus"][1] = matrix_to_json(0.1 * np.eye(2))
+        payload["map"]["kraus"][1] = _matrix_to_json(0.1 * np.eye(2))
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and "cannot load instance: 'map': Kraus factors must share one shape" in err
@@ -374,9 +375,9 @@ class TestCheck:
         payload = random_instance(TheoremId.COMPRESSION_JENSEN, 3, 2, 0).to_json()
         factors = payload["map"]["kraus"]
         if edit == "smaller":
-            factors[:] = [matrix_to_json(0.1 * np.eye(2))] * 2
+            factors[:] = [_matrix_to_json(0.1 * np.eye(2))] * 2
         elif edit == "extra":
-            factors.append(matrix_to_json(np.zeros((3, 3))))
+            factors.append(_matrix_to_json(np.zeros((3, 3))))
         else:
             del factors[1]
         out.write_text(json.dumps(payload))
@@ -476,6 +477,89 @@ class TestCheck:
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == "" and f"cannot load instance: '{key}': {message}" in err, err
+
+    @pytest.mark.parametrize("key,edit,message", [
+        ("fb", lambda p: p["fb"].__setitem__("weights", 0.5), "must be a list of JSON numbers, got 0.5"),
+        ("fb", lambda p: p["fb"].__setitem__("matrices", {"a": 1}),
+         "must hold a list of matrix objects, got {'a': 1}"),
+        ("fb", lambda p: p.__setitem__("fb", [1, 2]), "must be an object with the entries weights, matrices, got [1, 2]"),
+        ("fa", lambda p: p["fa"]["matrices"][0]["re"].__setitem__(1, [1.0]),
+         "must be a list of equal-length lists of JSON numbers, got "),
+        ("fa", lambda p: p["fa"]["matrices"][0].__setitem__("im", [0.0, 0.0]),
+         "must be a list of equal-length lists of JSON numbers, got [0.0, 0.0]"),
+    ], ids=["weights-number", "matrices-object", "field-list", "ragged-rows", "flat-im"])
+    def test_payload_of_the_wrong_json_shape_says_what_the_slot_wants(self, tmp_path, capsys, key, edit, message):
+        # Each was refused with Python's own text after the key: "len() of
+        # unsized object", "string indices must be integers, not 'str'",
+        # "list indices must be integers or slices, not str" and numpy's
+        # "inhomogeneous shape".
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.KLEIN_UPPER, 2, 1, 7).to_json()
+        edit(payload)
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and f"cannot load instance: '{key}': {message}" in err, err
+
+    @pytest.mark.parametrize("value", [None, True, 1, 0.5, [], {}], ids=["null", "true", "1", "0.5", "list", "object"])
+    def test_function_spec_must_be_a_string(self, tmp_path, capsys, value):
+        # A non-string "f" reached .strip() in ScalarFunction: a traceback,
+        # and exit 1, the exit code of a violation.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.HOMOGENEOUS, 2, 2, 7).to_json()
+        payload["f"] = value
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert f"cannot load instance: 'f': a function spec must be a string, got {value!r}" in err, err
+
+    @pytest.mark.parametrize("key", ["theorem", "seed", "dim", "k"])
+    def test_file_without_a_header_entry_names_it(self, tmp_path, capsys, key):
+        # Without "theorem" the refusal read "Instance.__init__() missing 1
+        # required positional argument: 'theorem'".
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.KLEIN_UPPER, 2, 1, 7).to_json()
+        del payload[key]
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert f"cannot load instance: an instance file needs '{key}', which is missing" in err, err
+
+    @pytest.mark.parametrize("theorem", ["mean_integral", "homogeneous", "subadditive"])
+    def test_fields_must_share_one_weight_vector(self, tmp_path, capsys, theorem):
+        # The file loaded, and the check ended in "error: fields must share
+        # one weight vector node-for-node", which names no slot.
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId(theorem), 2, 2, 7).to_json()
+        payload["fa"]["weights"][0] += 0.25
+        out.write_text(json.dumps(payload))
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == ""
+        assert "cannot load instance: 'fa' and 'fb' must share one weight vector node for node" in err, err
+
+    @pytest.mark.parametrize("factor,entry", [(0, (0, 0)), (0, (1, 0)), (1, (1, 1))])
+    def test_overflowing_compression_map_is_refused_at_load(self, tmp_path, capsys, factor, entry):
+        # Phi(I) overflows, and the sub-unital test read its spectrum (NaN
+        # or infinite) as no excess: the file loaded, and the check ended in
+        # an error such as "power_0.5: eigenvalue -2.38e+307 outside domain".
+        out = tmp_path / "inst.json"
+        payload = random_instance(TheoremId.COMPRESSION_JENSEN, 2, 2, 7).to_json()
+        payload["map"]["kraus"][factor]["re"][entry[0]][entry[1]] = 1e308
+        out.write_text(json.dumps(payload))
+        with np.errstate(all="ignore"):
+            code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 2 and stdout == "" and "cannot load instance: compression sum exceeds the identity" in err, err
+
+    def test_an_unexpected_exception_exits_3_with_its_traceback(self, tmp_path, capsys, monkeypatch):
+        # An exception that no handler expects must not read as a violation (exit 1).
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--theorem", "klein_upper", "--dim", "2", "--k", "1", "--seed", "7", "--out", str(out))
+
+        def broken(*args):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setattr(verify, "check", broken)
+        code, stdout, err = run(capsys, "check", "--file", str(out))
+        assert code == 3 and stdout == "" and "Traceback" in err and "RuntimeError: a defect" in err
 
 
 class TestCampaign:
@@ -768,6 +852,13 @@ class TestBounds:
     def test_nonfinite_parameter_exits_2(self, capsys, spec):
         code, stdout, err = run(capsys, "bounds", "--f", spec, "--m", "1", "--M", "2")
         assert code == 2 and stdout == "" and "finite" in err
+
+    def test_log_window_whose_inverse_ratio_is_below_the_rounding_unit(self, capsys):
+        # The closed form of -t log t takes L(1/m, 1/M), whose ratio 0.38e-17
+        # made log1p(-1) raise: "error: math domain error", exit 2.
+        code, stdout, err = run(capsys, "bounds", "--f", "log", "--m", "0.38", "--M", "1e17")
+        payload = json.loads(stdout)
+        assert code == 0 and math.isfinite(payload["zeta_closed_form"]) and payload["zeta_closed_form_delta"] == 0.0
 
     @pytest.mark.usefixtures("deadline")
     def test_one_ulp_window_exits_2(self, capsys):

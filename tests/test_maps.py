@@ -11,8 +11,7 @@ from opentropy import (
     chord_gap_bound,
 )
 from opentropy.functions import IDENTITY, LOG, NEG_T_LOG_T, power
-from opentropy.maps import map_from_json, map_to_json
-from opentropy.verify import Instance, TheoremId, check, random_instance
+from opentropy.verify import _SLOTS, Instance, TheoremId, check, random_instance
 
 from conftest import random_hermitian, random_pd
 
@@ -146,6 +145,7 @@ class TestPositiveLinearMap:
 
     def test_json_round_trip(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)
+        _, map_to_json, map_from_json = _SLOTS["pmap"]
         back = map_from_json(map_to_json(p))
         for c1, c2 in zip(back.kraus, p.kraus):
             np.testing.assert_array_equal(c1, c2)
@@ -214,7 +214,7 @@ class TestJensenChecks:
 
     def test_unnormalized_map_rejected(self):
         payload = random_instance(TheoremId.MAP_MONOTONE, 3, 2, 5, NEG_T_LOG_T, 0.0).to_json()
-        payload["map"] = map_to_json(PositiveLinearMap([0.5 * np.eye(3)]))
+        payload["map"] = _SLOTS["pmap"][1](PositiveLinearMap([0.5 * np.eye(3)]))
         with pytest.raises(PreconditionError, match="not normalized"):
             Instance.from_json(payload)
 

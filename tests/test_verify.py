@@ -107,9 +107,10 @@ class TestRandomInstance:
         # field and no [m, M] that nothing reads.
         inst = random_instance(TheoremId.INFO_INEQ, 6, 1, 3)
         assert inst.m is None and inst.M is None and inst.fa is None and inst.fb is None
-        # A file that carries a window still loads and replays.
+        # A file that carries a window still loads and replays; the window,
+        # which no draw of the statement fills, is not read.
         windowed = Instance.from_json(dict(inst.to_json(), m=0.5, M=2.0))
-        assert windowed.M == 2.0 and check(TheoremId.INFO_INEQ, windowed) == check(TheoremId.INFO_INEQ, inst)
+        assert windowed.M is None and check(TheoremId.INFO_INEQ, windowed) == check(TheoremId.INFO_INEQ, inst)
 
     def test_compression_instance_shapes(self):
         inst = random_instance(TheoremId.COMPRESSION_JENSEN, 4, 3, 21)
@@ -866,6 +867,8 @@ def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
         "lhs_norm": 2.5313796245718945, "rhs_norm": 2.5313796245718936, "hypothesis_met": True,
         "detail": "homogeneity at alpha=0.5, q=0.5 (two-sided margin)", "triage": None,
     }
+    # The window, which no draw of the statement fills, is not read or written back.
+    assert inst.m is None and inst.M is None and not {"m", "M"} & set(inst.to_json())
     # The same key now draws the same FA and alpha, and B unscaled.
     drawn = random_instance(TheoremId.HOMOGENEOUS, 3, 2, 7)
     np.testing.assert_array_equal(drawn.fa.arrays, inst.fa.arrays)
