@@ -457,7 +457,9 @@ def logarithmic_mean(a: float, b: float) -> float:
     if abs(a - b) <= 1e-12 * max(a, b):
         return 0.5 * (a + b)
     u = (b - a) / a
-    if u == -1.0:  # b/a below the rounding unit: log1p(u) is undefined, and log b - log a does not cancel
+    # b/a below the rounding unit (log1p(-1) is undefined) or beyond the double
+    # range (a u / log1p(u) is inf / inf): log b - log a does not cancel there.
+    if u == -1.0 or u == _INF:
         return (b - a) / (math.log(b) - math.log(a))
     return a * u / math.log1p(u)
 
@@ -466,7 +468,9 @@ def identric_mean(a: float, b: float) -> float:
     """I(a, b) = (1/e) (b^b / a^a)^{1/(b-a)}, continuous on the diagonal.
 
     Uses log I = log a + (1 + u) log1p(u)/u - 1 with u = (b - a)/a, which is
-    cancellation-free near the diagonal.
+    cancellation-free near the diagonal.  Where b/a is below the rounding
+    unit or (1 + u) log1p(u) overflows, it takes the same mean as
+    hi exp(lo (log hi - log lo)/(hi - lo) - 1) with lo < hi, which does not cancel.
     """
     a, b = float(a), float(b)
     if a <= 0.0 or b <= 0.0:
@@ -474,6 +478,9 @@ def identric_mean(a: float, b: float) -> float:
     if abs(a - b) <= 1e-12 * max(a, b):
         return 0.5 * (a + b)
     u = (b - a) / a
+    if u == -1.0 or u > 1e300:
+        lo, hi = (b, a) if b < a else (a, b)
+        return hi * math.exp(lo * (math.log(hi) - math.log(lo)) / (hi - lo) - 1.0)
     return math.exp(math.log(a) + (1.0 + u) * math.log1p(u) / u - 1.0)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -135,6 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on `main`'s first call: it holds
+    no state between parses, and building it is most of an in-process call."""
+    return build_parser()
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -211,9 +219,8 @@ def _cmd_bounds(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
+        args = _parser().parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

@@ -36,9 +36,9 @@ on a field cannot be changed under a later check.  Stacked LAPACK
 and matmul give the same bits per matrix as one call per matrix
 (tests/test_matcore.py checks eigh, eigvalsh and the pair kernel at d = 1..8
 and 64), so a stacked solve never changes a result.  A field or spectrum
-built from a stacked solve receives its read-only slice privately; the
-slices of a read-only stack are read-only already, so
-`SpectralDecomposition.unstack` hands them on as they are.  Stacks on a
+built from a stacked solve receives its slice privately: `pairs` hands each
+pair the slices of A's decomposition and of the kernel's results as they
+are, read-only already as slices of read-only arrays.  Stacks on a
 trial's path are gathered with `np.array([...])`, which copies same-shape
 arrays along a new leading axis as `np.stack` does, at about a fifth of its
 call overhead on these small arrays.
@@ -47,13 +47,14 @@ The B side of a pair.  A pair (A, B) is read through the spectrum of
 T = A^{-1/2} B A^{-1/2}, and B = A^{1/2} T A^{1/2} is a congruence of T, so
 by Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9)
 lambda_min(B) >= lambda_min(A) lambda_min(T) and lambda_max(B) <=
-lambda_max(A) lambda_max(T) when T is positive definite.  The pair route
-(`OperatorField.pairs`) floors B through them: B
-passes when lambda_min(A) lambda_min(T) > 1e-6 lambda_max(A) lambda_max(T) at
-every node, six orders above the 1e-12 floor, so no B that the exact floor
-refuses passes; otherwise the exact floor runs on B's own eigenvalues.  B's
-`decomposition` is then solved on its first read, the same bits as an eager
-build.
+lambda_max(A) lambda_max(T) when T is positive definite.  The one pair
+route, `OperatorField.pairs`, solves and floors A, refuses a B of the wrong
+shape or with a non-finite entry, runs the pair kernel, and floors B through
+these bounds: B passes when lambda_min(A) lambda_min(T) > 1e-6
+lambda_max(A) lambda_max(T) at every node, six orders above the 1e-12
+floor, so no B that the exact floor refuses passes; otherwise the exact
+floor runs on B's eigenvalues and names its first failing node.  B's
+`decomposition` is solved on its first read, the same bits as an eager build.
 """
 
 from __future__ import annotations
@@ -233,11 +234,6 @@ class SpectralDecomposition(NamedTuple):
         v = self.eigenvectors
         return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
-    def unstack(self) -> tuple["SpectralDecomposition", ...]:
-        """The decompositions of the items along the leading axis of a stack:
-        slices of this one's read-only arrays, read-only themselves."""
-        return tuple(map(SpectralDecomposition, self.eigenvalues, self.eigenvectors))
-
 
 def eig(h) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
@@ -247,27 +243,11 @@ def eig(h) -> SpectralDecomposition:
 
 
 def _solve_pd(stack: np.ndarray) -> SpectralDecomposition:
-    """`eig` of a Hermitian matrix or stack, then the positive-definite floor
-    on every matrix of it."""
-    decomposition = eig(stack)
-    _require_pd_floor(decomposition.eigenvalues)
-    return decomposition
-
-
-def _floored_pair_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair kernel on A's floor-checked solve and B's exactly Hermitian
-    array (one matrix or matching stacks), with B's PD floor decided on the
-    way: a non-finite B is refused before the kernel's solve, B passes when
-    `_floor_implied` holds, and otherwise the exact floor runs on B's
-    eigenvalues (NotPositiveDefiniteError, reporting B's first failing node)."""
-    if b.shape != a.eigenvectors.shape:
-        raise ShapeError(f"B nodes of shape {b.shape} for A nodes of shape {a.eigenvectors.shape}")
-    if not np.isfinite(b).all():
-        raise NotPositiveDefiniteError("a node matrix has non-finite entries")
-    lam, frame = _relative_spectrum(a, b)
-    if not _floor_implied(a.eigenvalues, lam):
-        _require_pd_floor(_eigvalsh(b))
-    return lam, frame
+    """The frozen eigendecomposition of a complex Hermitian matrix or stack
+    (..., d, d), then the positive-definite floor on every matrix of it."""
+    w, v = _eigh(stack)
+    _require_pd_floor(w)
+    return SpectralDecomposition(_freeze(w), _freeze(v))
 
 
 class OperatorField:
@@ -325,15 +305,22 @@ class OperatorField:
         are checked, the A stack is solved and floored in one call, and then
         one pass of the pair kernel gives every pair spectrum, memoised as
         `pair_spectrum` does, and floors the B stack (the module docstring
-        gives the rule).  B is not solved.  Both stacks are frozen in place."""
+        gives the rule, and the order of the refusals).  B is not solved.
+        Both stacks are frozen in place."""
         weights = _checked_weights(weights, a_stack.shape[1])
-        decomposition = _solve_pd(a_stack)
+        solved = _solve_pd(a_stack)
         a_stack.setflags(write=False)
-        lams, frames = _floored_pair_spectrum(decomposition, b_stack)
+        if b_stack.shape != a_stack.shape:
+            raise ShapeError(f"B nodes of shape {b_stack.shape} for A nodes of shape {a_stack.shape}")
+        if not np.isfinite(b_stack).all():
+            raise NotPositiveDefiniteError("a node matrix has non-finite entries")
+        lams, frames = _relative_spectrum(solved, b_stack)
+        if not _floor_implied(solved.eigenvalues, lams):
+            _require_pd_floor(_eigvalsh(b_stack))
         b_stack.setflags(write=False)
         out = []
-        for a, d, b, lam, frame in zip(a_stack, decomposition.unstack(), b_stack, lams, frames):
-            fa = OperatorField(_weights=weights, _arrays=a, _decomposition=d)
+        for a, b, w, v, lam, frame in zip(a_stack, b_stack, solved.eigenvalues, solved.eigenvectors, lams, frames):
+            fa = OperatorField(_weights=weights, _arrays=a, _decomposition=SpectralDecomposition(w, v))
             fb = OperatorField(_weights=weights, _arrays=b, _floored=True)
             fa._spectra[fb] = PairSpectrum(fa, fb, _spectrum=(lam, frame))
             out.append((fa, fb))
@@ -457,7 +444,8 @@ class PairSpectrum:
     for any scalar g.  All nodes come from one pass over A's stacked
     eigendecomposition (the pair kernel `_relative_spectrum`).  Every mean and
     entropy of the pair is one diagonal scaling away, and a field aggregate is
-    one batched product and one weighted sum.  `OperatorField.pairs` solves
+    one batched product and one weighted sum; the unweighted image of one
+    node is `_scalar_image(frame, values)`.  `OperatorField.pairs` solves
     several aligned pairs in one pass and hands each its slice (`_spectrum`).
     """
 
@@ -484,21 +472,14 @@ class PairSpectrum:
             self._M = float(self.eigenvalues[:, -1].max())
         return self._M
 
-    def _products(self, values) -> np.ndarray:
-        q = self.frame
-        return (q * np.asarray(values)[..., None, :]) @ _adjoint(q)
-
-    def node_images(self, values) -> np.ndarray:
-        """Q_s diag(values_s) Q_s* per node, unweighted: (..., k, d, d) for values (..., k, d)."""
-        return _symmetrize(self._products(values))
-
     def conjugate(self, values) -> np.ndarray:
         """sum_s w_s Q_s diag(values_s) Q_s* (Hermitian for real `values`).
 
         `values` has the shape of `eigenvalues`, with optional leading axes
         for several aggregates at once; a (d,) vector applies to every node.
         """
-        return _weighted_sum(self.weights, self._products(values))
+        q = self.frame
+        return _weighted_sum(self.weights, (q * np.asarray(values)[..., None, :]) @ _adjoint(q))
 
     def power_mean(self, q: float) -> np.ndarray:
         """sum_s w_s (A_s #_q B_s)."""

@@ -48,6 +48,7 @@ import io
 import math
 import operator
 import reprlib
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -293,9 +294,13 @@ _FIELDS = ("fa", "fb", "fc", "fd")
 
 def _number(value, integer: bool = False):
     """`value` if it is a JSON number (a JSON integer if `integer`), never a
-    bool or a string: the rule of every number in an instance file."""
+    bool or a string: the rule of every number in an instance file.  A number
+    that is read as a float must be within the double range; an integer slot
+    checks its own range."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise PreconditionError(f"must be a JSON {'integer' if integer else 'number'}, got {reprlib.repr(value)}")
+    if not integer and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise PreconditionError(f"must be a JSON number within the double range, got {reprlib.repr(value)}")
     return value
 
 
@@ -617,7 +622,7 @@ def _klein_upper(inst: Instance, constant: None) -> Sides:
     """S(A|B) <= B - A (relative operator entropy, Klein bound)"""
     spectrum = inst.fa.pair_spectrum(inst.fb)
     # The node's own term, unweighted: the field carries the pair's one node.
-    s = spectrum.node_images(LOG.evaluate_array(spectrum.eigenvalues))[0]
+    s = _scalar_image(spectrum.frame, LOG.evaluate_array(spectrum.eigenvalues))[0]
     rhs = inst.fb.arrays[0] - inst.fa.arrays[0]
     return Sides([(s, "<=", rhs)], "relative operator entropy against B - A")
 

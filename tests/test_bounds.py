@@ -235,6 +235,21 @@ class TestMeans:
             assert abs(logarithmic_mean(a, a * (1 + eps)) - a) <= 1e-6
             assert abs(identric_mean(a, a * (1 + eps)) - a) <= 1e-6
 
+    @pytest.mark.parametrize("b", [1e-17, 1e-300])
+    def test_identric_ratio_below_the_rounding_unit(self, b):
+        # u rounds to -1 there too; I(1, b) tends to 1/e as b/a does to 0.
+        assert identric_mean(1.0, b) == pytest.approx(identric_mean(b, 1.0), rel=1e-14)
+        assert identric_mean(1.0, b) == pytest.approx(1.0 / math.e, rel=1e-14)
+
+    @pytest.mark.parametrize("a,b", [(1e-200, 1e200), (1e-300, 1e300), (1e-10, 1e300), (1e-6, 1e300)])
+    def test_ratio_beyond_the_double_range(self, a, b):
+        # u = (b - a)/a overflows (or (1 + u) log1p(u) does), where both means
+        # were NaN or inf: L = (b - a)/(log b - log a), and I = b/e to rounding.
+        assert logarithmic_mean(a, b) == pytest.approx((b - a) / (math.log(b) - math.log(a)), rel=1e-14)
+        assert logarithmic_mean(a, b) == pytest.approx(logarithmic_mean(b, a), rel=1e-14)
+        assert identric_mean(a, b) == pytest.approx(b / math.e, rel=1e-14)
+        assert identric_mean(a, b) == pytest.approx(identric_mean(b, a), rel=1e-14)
+
 
 class TestZetaClosedForms:
     def test_hypothesis_gate(self):
@@ -256,6 +271,65 @@ class TestZetaClosedForms:
         zeta_log, zeta_neg = zeta_closed_forms(1.0 - 1e-6, 1.0 + 1e-6)
         assert 0.0 <= zeta_log <= 1e-9
         assert 0.0 <= zeta_neg <= 1e-9
+
+
+def _exact_zeta(spec: str, m: float, M: float):
+    """zeta of f on the window [m, M] of doubles, to 50 digits (mpmath): f
+    minus its chord at the stationary point f'(t) = mu, clamped to [m, M]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(m), mpmath.mpf(M)
+        f = {"log": mpmath.log, "neg_t_log_t": lambda t: -t * mpmath.log(t), "power:0.5": mpmath.sqrt}[spec]
+        mu, nu = (f(hi) - f(lo)) / (hi - lo), (hi * f(lo) - lo * f(hi)) / (hi - lo)
+        if spec == "log":
+            t = 1 / mu
+        elif spec == "neg_t_log_t":
+            t = mpmath.exp(-1 - mu)
+        else:
+            t = 0.25 / mu ** 2
+        t = min(max(t, lo), hi)
+        return f(t) - (mu * t + nu)
+
+
+# Windows whose ratio M/m overflows the double range, where log's zeta read a
+# silent 0.0 (the logarithmic mean was NaN).
+_FAR_WINDOWS = [(1e-200, 1e200), (1e-300, 1e300), (1e-10, 1e300)]
+
+
+class TestClosedFormsAtTheEndsOfTheDoubleRange:
+    @pytest.mark.parametrize("m,M", _FAR_WINDOWS)
+    def test_log_zeta_where_the_ratio_overflows(self, m, M):
+        data = secant_data(LOG, m, M)
+        assert data.zeta > 0.0 and m < data.argmax_zeta < M
+        assert data.zeta == pytest.approx(_gap_bound(LOG, _chord(LOG, m, M))[1], rel=1e-12)
+        if (m, M) == (1e-200, 1e200):
+            assert data.zeta == pytest.approx(913.20854020526234, rel=1e-12)
+
+    def test_bounds_cli_prints_no_nan(self, capsys):
+        from opentropy import cli
+
+        assert cli.main(["bounds", "--f", "log", "--m", "1e-200", "--M", "1e200"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert "NaN" not in out and payload["zeta"] == pytest.approx(913.20854020526234, rel=1e-12)
+        assert payload["zeta_closed_form_delta"] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec,m,M",
+        [("log", 1e-300, 10.0), *(("log", m, M) for m, M in _FAR_WINDOWS),
+         ("neg_t_log_t", 1e-300, 10.0), ("power:0.5", 1e-300, 10.0)],
+    )
+    def test_closed_form_zeta_against_mpmath(self, spec, m, M):
+        exact = _exact_zeta(spec, m, M)
+        assert abs(secant_data(parse(spec), m, M).zeta - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("spec", ["neg_t_log_t", "power:0.5"])
+    @pytest.mark.parametrize("m,M", _FAR_WINDOWS)
+    def test_unresolved_far_windows_are_refused(self, spec, m, M):
+        # f(M) is 1e100 or more there: the chord's rounding unit is far above
+        # the resolution limit, so the kernel refuses rather than guesses.
+        with pytest.raises(UnresolvableWindowError):
+            secant_data(parse(spec), m, M)
 
 
 class TestClosedFormsAgainstTheGrid:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from opentropy import verify
+from opentropy import cli, verify
 from opentropy.cli import build_parser, main
 from opentropy.errors import EigenConvergenceError
 from opentropy.functions import power
@@ -338,7 +338,9 @@ class TestCheck:
         ("homogeneous", {"seed": -1}, "seed must lie in [0, 2**128), got -1"),
         ("homogeneous", {"q": "0.5"}, "'q': must be a JSON number, got '0.5'"),
         ("homogeneous", {"alpha": "2"}, "'alpha': must be a JSON number, got '2'"),
-    ], ids=["seed-float", "dim-float", "k-bool", "seed-negative", "q-string", "alpha-string"])
+        ("homogeneous", {"q": 10**400}, "'q': must be a JSON number within the double range, got 1000"),
+        ("homogeneous", {"seed": 10**400}, "seed must lie in [0, 2**128), got 1000"),
+    ], ids=["seed-float", "dim-float", "k-bool", "seed-negative", "q-string", "alpha-string", "q-huge", "seed-huge"])
     def test_header_numbers_are_judged_by_the_draws_rules(self, tmp_path, capsys, theorem, edit, message):
         # Each of these files loaded: the header was coerced (1.5 to 1, 3.9 to
         # 3, true to 1, "0.5" to 0.5) and a negative key was never checked.
@@ -464,8 +466,13 @@ class TestCheck:
         ("compression_jensen", "x", lambda p: p.__setitem__("dim", True), "must be a JSON integer, got True"),
         ("info_ineq", "pa", lambda p: p.__setitem__(0, str(p[0])), "must be a JSON number, got '0."),
         ("info_ineq", "pb", lambda p: p.__setitem__(1, True), "must be a JSON number, got True"),
+        # A JSON integer beyond the double range was refused with "int too large to convert to float".
+        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, 10**400),
+         "must be a JSON number within the double range, got 1000"),
+        ("klein_upper", "fa", lambda p: p["matrices"][0]["re"][0].__setitem__(0, -10**400),
+         "must be a JSON number within the double range, got -1000"),
     ], ids=["weight-string", "weight-bool", "re-string", "im-bool", "dim-float", "dim-string", "kraus-string",
-            "x-dim-bool", "pa-string", "pb-bool"])
+            "x-dim-bool", "pa-string", "pb-bool", "weight-huge", "re-huge"])
     def test_payload_numbers_follow_the_header_rule(self, tmp_path, capsys, theorem, key, edit, message):
         # The payload decoders cast with float() and int(): a string weight,
         # entry or dim loaded (a klein_upper file checked to its unchanged
@@ -887,3 +894,23 @@ def test_out_of_range_input_exits_2_with_the_library_message(capsys, argv, messa
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # Each call built all four subcommands, about 1 ms, most of an
+    # in-process `check` of a small file.
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "bounds", "--f", "log", "--m", "0.5", "--M", "2")[0] == 0
+        assert run(capsys, "bounds", "--f", "log", "--m", "0.25", "--M", "4")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert build_parser() is not build_parser()

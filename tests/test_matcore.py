@@ -349,13 +349,6 @@ class TestStackedSolves:
                 np.testing.assert_array_equal(lam[i, s], one_lam)
                 np.testing.assert_array_equal(frame[i, s], one_frame)
 
-    def test_unstack_gives_each_items_decomposition(self, rng):
-        stack = np.stack([random_pd(rng, 3).array for _ in range(4)])
-        whole = eig(stack)
-        for arr, part in zip(stack, whole.unstack()):
-            np.testing.assert_array_equal(part.eigenvalues, eig(arr).eigenvalues)
-            np.testing.assert_array_equal(part.eigenvectors, eig(arr).eigenvectors)
-
     def test_floor_reports_the_first_failing_row(self):
         spectra = np.array([[[1.0, 2.0], [-3.0, 1.0]], [[-5.0, 1.0], [1.0, 1.0]]])
         with pytest.raises(NotPositiveDefiniteError, match="-3.000000e"):

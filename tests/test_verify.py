@@ -553,14 +553,14 @@ def test_no_b_side_field_is_eigensolved_on_the_trial_path(solve_calls, monkeypat
     # Every B field of a pair, drawn or built by a check, is floored through
     # its pair spectrum: no eigh input holds one of its nodes.
     b_nodes = set()
-    real = matcore._floored_pair_spectrum
+    real = matcore._relative_spectrum
 
     def recorded(a, b):
         # + 0.0 turns -0.0 into 0.0, so that equal nodes have equal bytes.
         b_nodes.update((m + 0.0).tobytes() for m in b.reshape(-1, *b.shape[-2:]))
         return real(a, b)
 
-    monkeypatch.setattr(matcore, "_floored_pair_spectrum", recorded)
+    monkeypatch.setattr(matcore, "_relative_spectrum", recorded)
     report = campaign(CampaignConfig(trials=10, seed=42))
     assert report.error_total == 0 and report.substantive_total == 0
     solved = {(m + 0.0).tobytes() for s in solve_calls if s.label == "eigh" for m in s.a.reshape(-1, s.dim, s.dim)}
