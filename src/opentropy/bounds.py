@@ -363,9 +363,15 @@ def _kernel(f: ScalarFunction, m: float, M: float, ratio: bool, gap: bool) -> tu
         scale = abs(fM)
     unit = _EPS * scale * M / (M - m)
     if unit > _RESOLUTION_LIMIT:
+        # The larger factor of the unit names the cause; printed in this
+        # order, the unit is finite where eps * scale * M overflows.
+        width = M / (M - m)
+        if width >= scale:
+            cause = f"[{m!r}, {M!r}] is too narrow to resolve the chord of {f.name}"
+        else:
+            cause = f"{f.name} is too large on [{m!r}, {M!r}] to resolve its chord"
         raise UnresolvableWindowError(
-            f"[{m!r}, {M!r}] is too narrow to resolve the chord of {f.name}: "
-            f"its rounding unit is {unit:.3e}, above {_RESOLUTION_LIMIT:g}"
+            f"{cause}: its rounding unit is {_EPS * scale * width:.3e}, above {_RESOLUTION_LIMIT:g}"
         )
     mu = (fM - fm) / (M - m)
     nu = (M * fm - m * fM) / (M - m)

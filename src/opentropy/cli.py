@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import re
 import sys
@@ -101,13 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate one instance file")
+    # An option left out stays out of the namespace: random_instance gives its default.
+    gen = sub.add_parser("gen", help="generate one instance file", argument_default=argparse.SUPPRESS)
     gen.add_argument("--theorem", type=_theorem, required=True)
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--f", type=str, default="power:0.5", help="function spec, e.g. log or power:0.5")
-    gen.add_argument("--q", type=float, default=0.5, help="exponent q (or p) where applicable")
+    gen.add_argument("--f", type=str, help="function spec, e.g. log or power:0.5")
+    gen.add_argument("--q", type=float, dest="p_or_q", metavar="Q", help="exponent q (or p) where applicable")
     gen.add_argument("--diagonal", action="store_true", help="diagonal smoke-mode instance")
     gen.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
 
@@ -151,10 +153,11 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    f = functions.parse(args.f)
-    inst = verify.random_instance(
-        args.theorem, args.dim, args.k, args.seed, f, args.q, diagonal=args.diagonal
-    )
+    options = {name: value for name, value in vars(args).items()
+               if name in inspect.signature(verify.random_instance).parameters}
+    if "f" in options:
+        options["f"] = functions.parse(options["f"])
+    inst = verify.random_instance(**options)
     _emit(_json_text(inst.to_json()), args.out)
     print(f"wrote {args.theorem.value} instance (dim={inst.dim}, k={inst.k}, seed={inst.seed})",
           file=sys.stderr)

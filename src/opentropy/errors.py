@@ -26,7 +26,7 @@ class UndefinedRatioError(PreconditionError):
 
 
 class UnresolvableWindowError(PreconditionError):
-    """The window [m, M] is too narrow for double precision to resolve f's chord on it."""
+    """Double precision cannot resolve f's chord on [m, M]: the window is too narrow, or f too large on it."""
 
 
 class ConsistencyError(ArithmeticError):

@@ -51,7 +51,7 @@ import reprlib
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable
 
@@ -946,8 +946,10 @@ class Statement:
     """One verified statement: how to draw it, what it assumes, what it claims.
 
     The `Family` records `family` and `extras` fill a fresh instance, in that
-    order; `fixed` pins instance fields before the draw; `reads` names the
-    drawn parameters (f, q) the builder uses.  The hypotheses, which `check` applies once on the
+    order; `fixed` pins instance fields after the draw (k before it), and a
+    slot fixed at None is one the check does not read, so the draw leaves it
+    empty and a file's value is ignored.  `needs` is the rest of the drawn
+    slots and (f, q).  The hypotheses, which `check` applies once on the
     instance window before the builder runs: unit_exponent requires q in
     [0, 1]; the function gates (`nonneg`: f >= 0 on the window;
     `below_t_minus_1`: f(t) <= t - 1) skip the check when they fail; and
@@ -962,7 +964,6 @@ class Statement:
     build: Callable[[Instance, float | None], Sides]
     extras: Family = _NO_EXTRAS
     fixed: dict = field(default_factory=dict)
-    reads: tuple[str, ...] = ("f", "q")
     unit_exponent: bool = False
     nonneg: bool = False
     below_t_minus_1: bool = False
@@ -970,8 +971,8 @@ class Statement:
 
     @functools.cached_property
     def needs(self) -> tuple[str, ...]:
-        """The instance slots a check of this statement reads (computed once)."""
-        return self.family.slots + self.extras.slots + self.reads
+        """The slots a check reads (computed once): the families' slots, f and q, less the fixed ones."""
+        return tuple(slot for slot in self.family.slots + self.extras.slots + ("f", "q") if slot not in self.fixed)
 
     def admits(self, f: ScalarFunction) -> bool:
         """Whether f can meet this statement's function gates on the windows
@@ -997,42 +998,42 @@ def _tangent_at_one(f: ScalarFunction) -> bool:
 
 STATEMENTS: dict[TheoremId, Statement] = {
     TheoremId.MEAN_INTEGRAL: Statement(
-        _FREE_PAIR, _mean_integral, fixed={"f": None}, reads=("q",), unit_exponent=True
+        _FREE_PAIR, _mean_integral, fixed={"f": None}, unit_exponent=True
     ),
     TheoremId.COMPRESSION_JENSEN: Statement(
-        _COMPRESSION, _compression_jensen, reads=("f",), nonneg=True
+        _COMPRESSION, _compression_jensen, fixed={"q": None}, nonneg=True
     ),
     TheoremId.ENTROPY_LOWER: Statement(
         _NORMALIZED, _entropy_lower, unit_exponent=True, nonneg=True
     ),
-    TheoremId.ENTROPY_NONNEG: Statement(_NORMALIZED, _entropy_nonneg, nonneg=True),
-    TheoremId.ENTROPY_UPPER: Statement(_NORMALIZED, _entropy_upper, below_t_minus_1=True),
-    TheoremId.KLEIN_UPPER: Statement(_FREE_PAIR, _klein_upper, fixed={"k": 1, "f": LOG}, reads=()),
-    TheoremId.INFO_INEQ: Statement(_PROBABILITY, _info_ineq, fixed={"k": 1, "f": LOG}, reads=()),
+    TheoremId.ENTROPY_NONNEG: Statement(_NORMALIZED, _entropy_nonneg, fixed={"t0": None}, nonneg=True),
+    TheoremId.ENTROPY_UPPER: Statement(_NORMALIZED, _entropy_upper, fixed={"t0": None}, below_t_minus_1=True),
+    TheoremId.KLEIN_UPPER: Statement(_FREE_PAIR, _klein_upper, fixed={"k": 1, "f": LOG, "q": None}),
+    TheoremId.INFO_INEQ: Statement(_PROBABILITY, _info_ineq, fixed={"k": 1, "f": LOG, "q": None}),
     TheoremId.SUBADDITIVE: Statement(
-        _FOUR_FIELDS, _subadditive, fixed={"q": 0.0}, reads=("f",)
+        _FOUR_FIELDS, _subadditive, fixed={"q": 0.0}
     ),
     TheoremId.HOMOGENEOUS: Statement(_FREE_PAIR, _homogeneous, extras=_SCALE),
     TheoremId.JOINT_CONCAVE: Statement(
-        _FOUR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}, reads=("f",)
+        _FOUR_FIELDS, _joint_concave, extras=_BLEND, fixed={"q": 0.0}
     ),
     TheoremId.MAP_MONOTONE: Statement(
-        _FREE_PAIR, _map_monotone, extras=_MAP, fixed={"q": 0.0}, reads=("f",)
+        _FREE_PAIR, _map_monotone, extras=_MAP, fixed={"q": 0.0}
     ),
     TheoremId.REV_JENSEN_GAMMA: Statement(
-        _COMPRESSION, _rev_jensen_gamma, reads=("f",), nonneg=True, constant="gamma"
+        _COMPRESSION, _rev_jensen_gamma, fixed={"q": None}, nonneg=True, constant="gamma"
     ),
     TheoremId.REV_ENTROPY_GAMMA: Statement(
         _NORMALIZED, _rev_entropy_gamma, unit_exponent=True, nonneg=True, constant="gamma"
     ),
     TheoremId.REV_JENSEN_ZETA: Statement(
-        _COMPRESSION, _rev_jensen_zeta, reads=("f",), constant="zeta"
+        _COMPRESSION, _rev_jensen_zeta, fixed={"q": None}, constant="zeta"
     ),
     TheoremId.REV_ENTROPY_ZETA: Statement(
         _NORMALIZED, _rev_entropy_zeta, unit_exponent=True, constant="zeta"
     ),
     TheoremId.EXAMPLE_LOG_PAIR: Statement(
-        _NORMALIZED, _example_log_pair, fixed={"f": None}, reads=("q",), unit_exponent=True
+        _NORMALIZED, _example_log_pair, fixed={"f": None}, unit_exponent=True
     ),
 }
 
@@ -1042,10 +1043,14 @@ def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) 
 
     The hypotheses come first: the exponent range, then `_gate` on the
     instance window, whose chord constant the builder receives.  Then the
-    builder's sides, and last `_verdict`'s margin with its label.
+    builder's sides, and last `_verdict`'s margin with its label.  An instance
+    drawn for another statement is first validated as one of `theorem`'s, so
+    that a slot `theorem` needs, or one it fixes, is refused as at load.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
+    if theorem is not inst.theorem:
+        replace(inst, theorem=theorem).validate()
     st = STATEMENTS[theorem]
     if st.unit_exponent:
         _require_unit_exponent(inst.q)
@@ -1062,11 +1067,15 @@ def random_instance(
     k: int,
     seed: int,
     f: ScalarFunction | None = None,
-    p_or_q: float = 0.5,
+    p_or_q: float | None = 0.5,
     diagonal: bool = False,
 ) -> Instance:
     """Draw a hypothesis-satisfying instance for `theorem` from Philox keyed on
     `seed`, an integer in [0, 2**128), at counter 0: a pure function of its arguments.
+
+    p_or_q=None gives no exponent, as a record states where there is none.
+    `Statement.fixed` sets k before the draw and its other slots after it:
+    t0 is drawn even where it is fixed, so that no later draw moves.
 
     With diagonal=True every matrix in the instance is diagonal, so both sides
     of the checked inequality reduce to scalar arithmetic (the smoke mode used
@@ -1076,11 +1085,9 @@ def random_instance(
     st = STATEMENTS[theorem]
     rng = _keyed(seed)
     inst = Instance(
-        theorem=theorem, seed=int(seed), dim=int(dim), k=int(k),
-        f=functions.power(0.5) if f is None else f, q=float(p_or_q),
+        theorem=theorem, seed=int(seed), dim=int(dim), k=int(st.fixed.get("k", k)),
+        f=functions.power(0.5) if f is None else f, q=None if p_or_q is None else float(p_or_q),
     )
-    for key, value in st.fixed.items():
-        setattr(inst, key, value)
     for family in (st.family, st.extras):
         for _ in range(_RESAMPLE_CAP):
             values = family.project(family.draw(rng, inst.dim, inst.k, diagonal))
@@ -1092,6 +1099,8 @@ def random_instance(
             setattr(inst, slot, value)
         if "t0" in family.slots:
             inst.t0 = float(rng.uniform(inst.m, inst.M))
+    for slot, value in st.fixed.items():
+        setattr(inst, slot, value)
     inst.validate()
     return inst
 
@@ -1197,7 +1206,7 @@ class TrialRecord(_Outcome, _JsonRecord):
     dim: int
     k: int
     function: str
-    exponent: float
+    exponent: float | None
     hypothesis_met: bool
     holds: bool
     margin: float | None
@@ -1281,7 +1290,7 @@ def run_trial(
     dim, k, f and the exponent come from Philox keyed on `seed` at counter
     word 3 = 1, and the instance from `random_instance(..., seed, ...)`, so
     `opentropy gen --seed <record.seed>` with the record's dim, k, f and q
-    replays the draw (with no f where the record's function is empty).  f is
+    replays the draw (with no f or q where the record's is empty).  f is
     drawn from the configured functions the statement admits
     (`Statement.admits`), or from all of them when it admits none.  The record
     holds the instance's k, f and q where it exists, which `Statement.fixed` can set.

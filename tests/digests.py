@@ -46,9 +46,14 @@ with the draws: when the free-pair statements (`mean_integral`,
 rescaling B, acceptance.json became db33b056..., acceptance.csv 8bc88624...
 and instances 08d6aacc..., and the count line's eigvalsh fell from 1.4375
 calls on 4.2722 matrices to 1.1875 calls on 3.6487 (eigh stayed at 3.5000
-calls on 8.9473).  `sweep` (4d4fbc45...) and `edges` (43acc592...) do not
-move with either.  The file is not a test module, so pytest does not
-collect it.
+calls on 8.9473).  When the statements whose claims have no exponent
+(`compression_jensen`, `rev_jensen_*`, `klein_upper`, `info_ineq`) stopped
+storing `q`, and `entropy_nonneg` and `entropy_upper` stopped storing `t0`,
+acceptance.csv became 8f1c0c30... (the `exponent` field of those five
+statements' rows is empty) and instances 0ed9d6ae...; acceptance.json,
+dims48-64.json and the count line did not move.  `sweep` (4d4fbc45...) and
+`edges` (43acc592...) do not move with any of these.  The file is not a
+test module, so pytest does not collect it.
 """
 
 from __future__ import annotations

@@ -327,8 +327,9 @@ class TestClosedFormsAtTheEndsOfTheDoubleRange:
     @pytest.mark.parametrize("m,M", _FAR_WINDOWS)
     def test_unresolved_far_windows_are_refused(self, spec, m, M):
         # f(M) is 1e100 or more there: the chord's rounding unit is far above
-        # the resolution limit, so the kernel refuses rather than guesses.
-        with pytest.raises(UnresolvableWindowError):
+        # the resolution limit, so the kernel refuses rather than guesses, and
+        # says why, with a finite unit.
+        with pytest.raises(UnresolvableWindowError, match=r"is too large on .*: its rounding unit is \d\.\d{3}e\+\d+,"):
             secant_data(parse(spec), m, M)
 
 

@@ -87,12 +87,13 @@ class TestGen:
     @pytest.mark.parametrize("theorem", ["mean_integral", "klein_upper", "subadditive", "example_log_pair"])
     def test_records_of_fixed_slots_replay_through_gen(self, capsys, theorem):
         # The record holds the instance's k, f and q; gen takes no --f where
-        # the instance holds no f.
+        # the instance holds no f, and no --q where it holds no exponent.
         report = campaign(CampaignConfig(theorems=(TheoremId(theorem),), trials=3, seed=42))
         for record in report.records:
             f = ["--f", record.function] if record.function else []
+            q = [] if record.exponent is None else ["--q", repr(record.exponent)]
             code, stdout, _ = run(capsys, "gen", "--theorem", theorem, "--dim", str(record.dim),
-                                  "--k", str(record.k), "--seed", str(record.seed), *f, "--q", repr(record.exponent))
+                                  "--k", str(record.k), "--seed", str(record.seed), *f, *q)
             assert code == 0
             replayed = Instance.from_json(json.loads(stdout))
             assert check(TheoremId(theorem), replayed).margin == record.margin

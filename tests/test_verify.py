@@ -797,6 +797,20 @@ def test_unresolvable_window_raises_for_gamma_and_zeta():
             check(theorem, dataclasses.replace(inst, theorem=theorem))
 
 
+@pytest.mark.parametrize("theorem,drawn,dim,k,seed,message", [
+    (TheoremId.REV_ENTROPY_ZETA, TheoremId.MEAN_INTEGRAL, 3, 2, 7, "needs 'm'"),
+    (TheoremId.REV_ENTROPY_ZETA, TheoremId.REV_JENSEN_ZETA, 2, 2, 0, "needs 'fa'"),
+    (TheoremId.REV_ENTROPY_ZETA, TheoremId.INFO_INEQ, 3, 1, 0, "needs 'fa'"),
+    (TheoremId.KLEIN_UPPER, TheoremId.MEAN_INTEGRAL, 3, 3, 0, "'k' fixed at 1, got 3"),
+], ids=["no window", "no fields", "no fields (probability)", "k fixed"])
+def test_an_instance_of_another_statement_is_validated_as_its_own(theorem, drawn, dim, k, seed, message):
+    # These crashed with TypeError or AttributeError, or (k fixed) passed
+    # unchecked; an instance drawn for the statement itself is not re-validated.
+    inst = random_instance(drawn, dim, k, seed)
+    with pytest.raises(PreconditionError, match=message):
+        check(theorem, inst)
+
+
 @pytest.mark.parametrize("theorem", list(TheoremId))
 def test_instance_file_with_a_missing_field_is_rejected(theorem):
     inst = random_instance(theorem, 2, 2, 5)
@@ -822,36 +836,42 @@ def test_window_must_lie_in_the_positive_half_line(theorem):
             Instance.from_json(dict(payload, m=m, M=M))
 
 
-_WINDOW = ("m", "M", "t0")
+# The slots a draw fills past the header.
+_DRAWN = tuple(slot for slot in verify._SLOTS if slot not in verify._HEADER)
 
 
-class _WindowReads(Instance):
-    """An instance that records which of its window slots are read."""
+class _SlotReads(Instance):
+    """An instance that records which of its slots past the header are read."""
 
     def __getattribute__(self, name):
-        if name in _WINDOW:
-            object.__getattribute__(self, "window_reads").add(name)
+        if name in _DRAWN:
+            object.__getattribute__(self, "slot_reads").add(name)
         return object.__getattribute__(self, name)
 
 
 @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
-def test_a_window_is_stored_wherever_a_check_reads_it(theorem):
-    # The gates read [m, M] when the statement has one; a builder reads what
-    # it reads.  Each of those slots is one its family stores, so no check is
-    # handed a None window, and a family that stores none has no gate.
+def test_a_slot_is_stored_wherever_a_check_reads_it(theorem):
+    # The hypotheses read q for a unit exponent, and f and [m, M] for a
+    # function gate; a builder reads what it reads.  A draw stores exactly
+    # those slots and the ones the statement fixes, so no check is handed a
+    # None slot, no stored slot goes unread, and a family that stores no
+    # window has no gate.
     st = STATEMENTS[theorem]
     inst = random_instance(theorem, 3, 2, 5, LOG if st.below_t_minus_1 else power(0.5), 0.5)
-    reads = {"m", "M"} if st.nonneg or st.below_t_minus_1 or st.constant else set()
-    recording = _WindowReads(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
-    recording.window_reads = set()
+    reads = {"q"} if st.unit_exponent else set()
+    if st.nonneg or st.below_t_minus_1 or st.constant:
+        reads |= {"f", "m", "M"}
+    recording = _SlotReads(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
+    recording.slot_reads = set()
     st.build(recording, verify._gate(st, inst.f, inst.m, inst.M))
-    reads |= recording.window_reads
-    stored = {slot for slot in _WINDOW if slot in st.family.slots}
-    assert reads <= stored
-    assert all(getattr(inst, slot) is not None for slot in stored)
-    assert all(getattr(inst, slot) is None for slot in _WINDOW if slot not in stored)
-    if not stored:
-        assert verify._gate(st, inst.f, None, None) is None and "m" not in inst.to_json()
+    reads |= recording.slot_reads
+    stored = {slot for slot in _DRAWN if getattr(inst, slot) is not None and slot not in st.fixed}
+    assert reads == stored == set(st.needs)
+    # A slot fixed at None is neither drawn nor written.
+    payload = inst.to_json()
+    assert all(getattr(inst, slot) is None and slot not in payload for slot, value in st.fixed.items() if value is None)
+    if "m" not in stored:
+        assert verify._gate(st, inst.f, None, None) is None and "m" not in payload
 
 
 def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
@@ -876,6 +896,27 @@ def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
     scale = drawn.fb.arrays[0, 0, 0].real / inst.fb.arrays[0, 0, 0].real
     assert scale != 1.0
     np.testing.assert_allclose(drawn.fb.arrays, scale * inst.fb.arrays, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name,unread,margin,lhs_norm,rhs_norm,detail", [
+    ("compression-jensen-with-q", "q", 0.004285549923040058, 1.3747558659797412, 1.3496024666069775,
+     "lifted Jensen inequality for a sub-unital compression family"),
+    ("entropy-nonneg-with-t0", "t0", 0.9999999999999978, 0.0, 0.9999999999999997,
+     "nonnegativity of the aggregated entropy at q=0.5"),
+], ids=["compression_jensen", "entropy_nonneg"])
+def test_a_file_with_an_unread_slot_replays_bit_for_bit(name, unread, margin, lhs_norm, rhs_norm, detail):
+    # Written by `opentropy gen --dim 3 --k 2 --seed 7` while every draw
+    # stored q and t0.  The slot, which the check does not read, is ignored:
+    # the check reads what it read then, bit for bit, and the slot is not
+    # written back.
+    payload = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    inst = Instance.from_json(payload)
+    assert check(inst.theorem, inst).to_json() == {
+        "theorem": inst.theorem.value, "holds": True, "margin": margin, "lhs_norm": lhs_norm,
+        "rhs_norm": rhs_norm, "hypothesis_met": True, "detail": detail, "triage": None,
+    }
+    assert getattr(inst, unread) is None
+    assert inst.to_json() == {key: value for key, value in payload.items() if key != unread}
 
 
 @pytest.mark.parametrize("theorem,edit", [
@@ -1140,6 +1181,18 @@ PREMISE_CONTROLS = {
         TheoremId.MEAN_INTEGRAL, None,
         lambda inst, p=p: verify._mean_integral(dataclasses.replace(inst, q=p), None), 100,
     ) for p in (1.5, 2.0, -0.5)},
+    # f >= 0 on the window: log and -t log t are each negative on one side of
+    # 1, which every normalized window holds in its interior.
+    **{f"entropy_nonneg ({spec})": (
+        TheoremId.ENTROPY_NONNEG, parse(spec), lambda inst: verify._entropy_nonneg(inst, None), count,
+    ) for spec, count in (("log", 96), ("neg_t_log_t", 100))},
+    # f(t) <= t - 1: the powers and the identity exceed t - 1 next to 1.  So
+    # does -t log t, yet no draw fails; this premise is not exercised.  At
+    # q = 0 the claim is Klein's bound S(B|A) <= A - B summed over a
+    # normalized pair, where sum w (A - B) = 0; the draws are at q = 0.5.
+    **{f"entropy_upper ({spec})": (
+        TheoremId.ENTROPY_UPPER, parse(spec), lambda inst: verify._entropy_upper(inst, None), count,
+    ) for spec, count in (("power:0.5", 100), ("power:0.25", 100), ("identity", 100), ("neg_t_log_t", 0))},
     # The window covering X's spectrum: a zeta taken on a shrunk window is too
     # small for the spectrum it no longer covers.
     "rev_jensen_zeta window 90%": (
