@@ -13,13 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import _adjoint, _entries, _freeze, _frobenius, _svd, _symmetrize
+from .matcore import _adjoint, _cgauss, _entries, _freeze, _frobenius, _haar, _symmetrize
 
 __all__ = ["PositiveLinearMap"]
 
 
+def _haar_blocks(gauss: np.ndarray) -> np.ndarray:
+    """The n row blocks (n, in, out) of the Haar isometry of n stacked complex
+    Gaussians (n, in, out), n in >= out: Kraus factors with sum C_i* C_i = I."""
+    return _haar(gauss.reshape(-1, gauss.shape[-1])).reshape(gauss.shape)
+
+
 class PositiveLinearMap:
-    """Positive linear map X -> sum_i C_i* X C_i given by Kraus factors C_i."""
+    """Positive linear map X -> sum_i C_i* X C_i given by Kraus factors C_i,
+    matrices of one shape with finite entries (PreconditionError otherwise)."""
 
     __slots__ = ("_kraus", "_in_dim", "_out_dim")
 
@@ -34,6 +41,8 @@ class PositiveLinearMap:
             raise ShapeError("Kraus factors must share one shape")
         # One read-only (n, in, out) stack; `kraus` reads its factors as views.
         self._kraus = np.array(factors)
+        if not np.isfinite(self._kraus).all():
+            raise PreconditionError("Kraus factors must have finite entries")
         self._kraus.setflags(write=False)
         self._in_dim, self._out_dim = int(shape[0]), int(shape[1])
 
@@ -73,21 +82,18 @@ class PositiveLinearMap:
 
     @classmethod
     def random_normalized(cls, in_dim: int, out_dim: int, n_terms: int, rng) -> "PositiveLinearMap":
-        """Sample G_i and return C_i = G_i S^{-1/2} with S = sum G_i* G_i: exactly unital.
+        """Sample complex Gaussians G_i and return C_i, the row blocks of the Haar
+        isometry (`matcore._haar`) of the stacked [G_1; ...; G_n]: exactly unital.
 
-        The C_i are the row blocks of the polar factor U V* of the stacked
-        [G_1; ...; G_n] = U diag(sigma) V* (thin SVD), whose orthonormal
-        columns keep sum C_i* C_i = I to rounding (about 1e-14); an eigensolve
-        of S leaves errors near the 1e-10 tolerance of is_normalized.
+        The law is that of the polar factor C_i = G_i S^{-1/2}, S = sum G_i* G_i,
+        as both are Haar isometries; the QR's orthonormal columns keep sum C_i* C_i
+        = I to rounding (about 1e-14), where an eigensolve of S leaves errors near
+        the 1e-10 tolerance of is_normalized.
         """
         n = max(1, int(n_terms))
         if n * in_dim < out_dim:
             raise PreconditionError(f"{n} terms of {in_dim}x{out_dim} cannot sum to I_{out_dim}")
-        # One call draws the variates that n (real, imaginary) pairs of calls would.
-        z = rng.standard_normal((n, 2, in_dim, out_dim))
-        g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        u, _, vh = _svd(g.reshape(n * in_dim, out_dim))
-        return cls((u @ vh).reshape(n, in_dim, out_dim))
+        return cls(_haar_blocks(_cgauss(rng, (n, in_dim, out_dim))))
 
     def __repr__(self) -> str:
         return f"PositiveLinearMap(terms={len(self._kraus)}, {self._in_dim}->{self._out_dim})"

@@ -11,19 +11,21 @@ of two aligned fields.  None of them has a JSON form here: the instance-file
 codec is verify's slot table.
 
 One LAPACK entry.  Every factorization of the package goes through `_eigh`
-(eigenvalues and eigenvectors), `_eigvalsh` (eigenvalues alone), `_qr` (Q
-and R's diagonal) or `_svd` (a thin SVD).  Each calls the LAPACK gufunc that
-numpy.linalg calls (`_umath_linalg.eigh_lo`, `eigvalsh_lo`, `qr_r_raw` then
-`qr_reduced`, `svd_s`) with numpy's signature for the dtype, through
-`_lapack`, which sets numpy's floating-point state for the call to one built
-at import from numpy.linalg's errstate settings: a LAPACK failure calls back
-to raise (EigenConvergenceError for an eigensolve, numpy's LinAlgError and
-message for QR and SVD).  That skips the wrappers' checks and the errstate
-built per call (2.5 us of a 3.7 us solve at d = 4, timeit), on the 2x2 to
-8x8 arrays where a trial's time is per-call overhead.  The results are the
-same bits as numpy.linalg's, NaN spectra of non-finite input included
-(tests/test_matcore.py compares them, and fails on a numpy.linalg
-factorization or an `np.errstate` anywhere else in the package).
+(eigenvalues and eigenvectors), `_eigvalsh` (eigenvalues alone) or `_qr` (Q
+and R's diagonal, read by `_haar`, which turns the complex Gaussians of
+`_cgauss` into Haar isometries: the package's one random-matrix route).  Each
+calls the LAPACK gufunc that numpy.linalg calls (`_umath_linalg.eigh_lo`,
+`eigvalsh_lo`, `qr_r_raw` then `qr_reduced`) with numpy's signature for the
+dtype, through `_lapack`, which sets numpy's floating-point state for the
+call to one built at import from numpy.linalg's errstate settings: a LAPACK
+failure calls back to raise (EigenConvergenceError for an eigensolve,
+numpy's LinAlgError and message for QR).  That skips the wrappers' checks
+and the errstate built per call (2.5 us of a 3.7 us solve at d = 4,
+timeit), on the 2x2 to 8x8 arrays where a trial's time is per-call
+overhead.  The results are the same bits as numpy.linalg's, NaN spectra of
+non-finite input included (tests/test_matcore.py compares them, and fails
+on a numpy.linalg factorization or an `np.errstate` anywhere else in the
+package).
 
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`) and the
 private helpers (`_symmetrize`, `_adjoint`, `_scalar_image`,
@@ -105,7 +107,6 @@ def _lapack_state(error: type, message: str):
 
 _EIGH_STATE = _lapack_state(EigenConvergenceError, "eigendecomposition did not converge")
 _QR_STATE = _lapack_state(np.linalg.LinAlgError, "Incorrect argument found while performing QR factorization")
-_SVD_STATE = _lapack_state(np.linalg.LinAlgError, "SVD did not converge")
 
 
 def _lapack(state, gufunc, *args, signature: str):
@@ -139,10 +140,29 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lapack(_QR_STATE, _umath_linalg.qr_reduced, r, tau, signature=reduced), r.diagonal(0, -2, -1)
 
 
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The thin SVD (U, sigma, V*) of an ndarray (..., m, n), as
-    `np.linalg.svd(a, full_matrices=False)` gives it."""
-    return _lapack(_SVD_STATE, _umath_linalg.svd_s, a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _cgauss(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussians of `shape` (..., rows, cols) in one rng call, each
+    matrix's real part and then its imaginary part (the numbers, in order, of
+    one call per matrix), scaled by 1/sqrt(2) into one complex array: the bits
+    of (re + 1j im) / sqrt(2), which numpy divides as a product with 1/sqrt(2)."""
+    *lead, rows, cols = shape
+    z = rng.standard_normal((*lead, 2, rows, cols))
+    z *= _INV_SQRT2
+    out = np.empty(shape, dtype=complex)
+    out.real = z[..., 0, :, :]
+    out.imag = z[..., 1, :, :]
+    return out
+
+
+def _haar(gauss: np.ndarray) -> np.ndarray:
+    """The Haar isometry of complex Gaussians (..., m, n), m >= n: the reduced
+    QR's Q, each column turned so that R's diagonal is positive (Mezzadri,
+    "How to generate random matrices from the classical compact groups", 2007)."""
+    q, diagonal = _qr(gauss)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -506,10 +526,10 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
 
     Returns (holds, margin) with margin = lambda_min(B - A); the test passes
     when margin >= -tol * max(1, ||A||_2, ||B||_2).  A non-finite entry is
-    refused (PreconditionError).
+    refused (PreconditionError), as is a negative or non-finite `tol`.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
     aa, bb = _square(a), _square(b)
     if aa.shape != bb.shape:
         raise ShapeError(f"loewner_leq shape mismatch: {aa.shape} vs {bb.shape}")

@@ -69,18 +69,19 @@ from .errors import (
     UndefinedRatioError,
 )
 from .functions import LOG, ScalarFunction
-from .maps import PositiveLinearMap
+from .maps import PositiveLinearMap, _haar_blocks
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     OperatorField,
     PositiveDefiniteMatrix,
     _adjoint,
+    _cgauss,
     _eigh,
     _eigvalsh,
     _eye,
+    _haar,
     _holds_within,
     _JsonRecord,
-    _qr,
     _require_aligned,
     _scalar_image,
     _solve_pd,
@@ -728,28 +729,11 @@ class Family:
     validate: Callable[[Instance], None] = lambda inst: None
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _cgauss(rng, n: int, *lead: int) -> np.ndarray:
-    """A complex Gaussian n x n matrix (real part drawn first), or a
-    (*lead, n, n) stack of them drawn one after another in one rng call (the
-    same numbers, in the same order, as one call per matrix).  Both parts are
-    scaled by 1/sqrt(2) and written into one complex array, the same bits as
-    (re + 1j im) / sqrt(2), which numpy divides as a product with 1/sqrt(2)."""
-    z = rng.standard_normal((*lead, 2, n, n))
-    z *= _INV_SQRT2
-    out = np.empty((*lead, n, n), dtype=complex)
-    out.real = z[..., 0, :, :]
-    out.imag = z[..., 1, :, :]
-    return out
-
-
 def _node_draws(rng, dim: int, diagonal: bool, low: float, high: float, *lead: int) -> np.ndarray:
     """The raw nodes of a (*lead) stack in one rng call: diagonals uniform on [low, high), or Gaussians."""
     if diagonal:
         return rng.uniform(low, high, size=(*lead, dim))
-    return _cgauss(rng, dim, *lead)
+    return _cgauss(rng, (*lead, dim, dim))
 
 
 def _random_weights(rng, k: int) -> np.ndarray:
@@ -825,7 +809,7 @@ def _project_free(raw):
 def _draw_compression(rng, dim: int, k: int, diagonal: bool):
     extra = 1 if rng.uniform() < 0.75 else 0
     nodes = _node_draws(rng, dim, diagonal, 0.2, 1.0, k + extra)
-    gauss = None if diagonal else _cgauss(rng, dim, k)
+    gauss = None if diagonal else _cgauss(rng, (k, dim, dim))
     return diagonal, k, nodes, gauss, _node_draws(rng, dim, diagonal, 0.5, 4.0, 1)
 
 
@@ -845,9 +829,7 @@ def _project_compression(raw):
     solved = _solve_pd(np.concatenate([arrays, x0_array]))
     roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
     if not diagonal:
-        # Haar-random unitaries U_s from the Gaussians.
-        q, phases = _qr(gauss)
-        roots = q * (phases / np.abs(phases))[..., None, :] @ roots
+        roots = _haar(gauss) @ roots
     dim = x0_array.shape[-1]
     lo, hi = float(solved.eigenvalues[k, 0]), float(solved.eigenvalues[k, -1])
     scale = 1.0 / math.sqrt(lo * hi) if dim > 1 and hi / lo > 1.0 + 1e-9 else 1.0
@@ -906,12 +888,19 @@ def _validate_blend(inst: Instance) -> None:
 
 
 def _draw_map(rng, dim: int, k: int, diagonal: bool):
-    """Weights p and Kraus factors C, sum p C*C = I: permutations, or a normalized family (p = 1)."""
+    """Weights p and permutation matrices, or (None, n in 1..3 complex Gaussians)."""
     if diagonal:
         probs = rng.dirichlet(np.ones(3))
         return probs, [np.eye(dim)[rng.permutation(dim)].astype(complex) for _ in probs]
-    factors = PositiveLinearMap.random_normalized(dim, dim, int(rng.integers(1, 4)), rng).kraus
-    return np.ones(len(factors)), factors
+    return None, _cgauss(rng, (int(rng.integers(1, 4)), dim, dim))
+
+
+def _project_map(raw):
+    """Kraus factors C with sum C*C = I: the permutations scaled by sqrt(p), or
+    the row blocks of the Gaussians' Haar isometry (a normalized family)."""
+    probs, draws = raw
+    factors = _haar_blocks(draws) if probs is None else [math.sqrt(p) * c for p, c in zip(probs, draws)]
+    return (PositiveLinearMap(factors),)
 
 
 def _validate_map(inst: Instance) -> None:
@@ -932,8 +921,7 @@ _SCALE = Family(("alpha",), lambda rng, dim, k, diagonal: float(rng.choice([0.5,
                 validate=lambda inst: _require_positive(inst, "alpha"))
 _BLEND = Family(("alpha", "beta"), lambda rng, dim, k, diagonal: float(rng.uniform(0.25, 0.75)),
                 lambda alpha: (alpha, 1.0 - alpha), validate=_validate_blend)
-_MAP = Family(("pmap",), _draw_map, lambda raw: (PositiveLinearMap([math.sqrt(p) * c for p, c in zip(*raw)]),),
-              validate=_validate_map)
+_MAP = Family(("pmap",), _draw_map, _project_map, validate=_validate_map)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ during the acceptance.json run: calls, and the d x d matrices they solved
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
 sums by BLAS thread, so that digest depends on the thread count: it reads
-db17871d... under the default and f14f37bf... under OPENBLAS_NUM_THREADS=1,
+e4e37f70... under the default and 72ac56d0... under OPENBLAS_NUM_THREADS=1,
 the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
 that are set, or "default".  The three campaign digests and `instances` move
 with the report and instance formats (format 3 moved them: compression
@@ -51,9 +51,15 @@ calls on 8.9473).  When the statements whose claims have no exponent
 storing `q`, and `entropy_nonneg` and `entropy_upper` stopped storing `t0`,
 acceptance.csv became 8f1c0c30... (the `exponent` field of those five
 statements' rows is empty) and instances 0ed9d6ae...; acceptance.json,
-dims48-64.json and the count line did not move.  `sweep` (4d4fbc45...) and
-`edges` (43acc592...) do not move with any of these.  The file is not a
-test module, so pytest does not collect it.
+dims48-64.json and the count line did not move.  When `map_monotone`'s
+normalized maps became the row blocks of the phase-fixed QR's Haar isometry
+of their Gaussians instead of the polar factor of a thin SVD (the same
+Gaussians and the same law, but a different map from each draw),
+acceptance.json became f714f12b..., acceptance.csv 4ea06c18...,
+dims48-64.json 72ac56d0... and instances 7bac8731...: only `map_monotone`'s
+rows and its non-diagonal instances moved, and the count line did not.
+`sweep` (4d4fbc45...) and `edges` (43acc592...) do not move with any of
+these.  The file is not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations

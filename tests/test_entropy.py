@@ -46,6 +46,21 @@ def random_pair(rng, dim, k):
     return make(), make()
 
 
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["natural_power", "relative_entropy", "variational_form", "generalized_entropy"])
+def test_a_nonfinite_exponent_is_refused(name, q):
+    # Unrefused, each gives a NaN matrix, or natural_power names an eigenvalue of nan.
+    a, b = diag_pd(1.0, 2.0), diag_pd(3.0, 0.5)
+    calls = {
+        "natural_power": lambda: natural_power(a, b, q),
+        "relative_entropy": lambda: relative_entropy(a, b, q, LOG),
+        "variational_form": lambda: variational_form(a, b, q, LOG),
+        "generalized_entropy": lambda: generalized_entropy(a, b, q, LOG),
+    }
+    with pytest.raises(PreconditionError, match=r"the exponent q must be finite, got (-?inf|nan)"):
+        calls[name]()
+
+
 class TestNaturalPower:
     def test_endpoint_exponents(self, rng):
         x, y = random_pd(rng, 3), random_pd(rng, 3)

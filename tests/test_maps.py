@@ -48,6 +48,14 @@ class TestPositiveLinearMap:
         with pytest.raises(PreconditionError):
             PositiveLinearMap([])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_factor_refused(self, value):
+        # Unrefused, a NaN factor gives a NaN image and no error.
+        factor = np.eye(2, dtype=complex)
+        factor[1, 0] = value
+        with pytest.raises(PreconditionError, match="finite entries"):
+            PositiveLinearMap([np.eye(2), factor])
+
     def test_unitary_preserves_spectrum(self, rng):
         u = random_unitary(rng, 3)
         p = PositiveLinearMap([u])
@@ -92,10 +100,20 @@ class TestPositiveLinearMap:
             assert np.linalg.norm(p.kraus_gram() - np.eye(5)) <= 1e-12
             np.testing.assert_allclose(p.apply_array(np.eye(5)), np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 64])
+    def test_random_normalized_gram_is_the_identity_to_1e_13(self, dim, n):
+        # The isometry's orthonormal columns: a hundredth of is_normalized's 1e-10
+        # tolerance would still be ten times the worst residual seen (7e-15).
+        for seed in range(20 if dim < 64 else 3):
+            p = PositiveLinearMap.random_normalized(dim, dim, n, np.random.default_rng(seed))
+            assert np.linalg.norm(p.kraus_gram() - np.eye(dim)) <= 1e-13
+
     def test_one_call_draw_matches_the_per_factor_formula(self):
         # The per-factor formula, written out: one real and one imaginary call
-        # per factor, stacked, solved and split.  The one-call draw gives the
-        # same Kraus factors and Gram sum, bit for bit.
+        # per factor, stacked, factored by np.linalg.qr, each column of Q turned
+        # so that R's diagonal is positive, and split.  The one-call draw gives
+        # the same Kraus factors and Gram sum, bit for bit.
         for n in (1, 2, 3):
             for dim in range(1, 9):
                 for seed in range(50):
@@ -105,8 +123,9 @@ class TestPositiveLinearMap:
                         (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
                         for _ in range(n)
                     ]
-                    u, _, vh = np.linalg.svd(np.vstack(gs), full_matrices=False)
-                    factors = np.split(u @ vh, n)
+                    q, r = np.linalg.qr(np.vstack(gs))
+                    phases = np.diagonal(r)
+                    factors = np.split(q * (phases / np.abs(phases)), n)
                     assert len(p.kraus) == n
                     for c, old in zip(p.kraus, factors):
                         np.testing.assert_array_equal(c, old)

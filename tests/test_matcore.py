@@ -30,7 +30,6 @@ from opentropy.matcore import (
     _qr,
     _relative_spectrum,
     _require_pd_floor,
-    _svd,
     _symmetrize,
 )
 from opentropy.verify import _SLOTS, _matrix_from_json, _matrix_to_json
@@ -161,10 +160,10 @@ class TestEigensolverEntry:
                 solve(a)
 
 
-class TestQrAndSvdEntries:
-    """`_qr` (Q and R's diagonal) and `_svd` (thin) call numpy.linalg's LAPACK
-    gufuncs without its wrapper and must give exactly what `np.linalg.qr`
-    and `np.linalg.svd(full_matrices=False)` give."""
+class TestQrAndFrobenius:
+    """`_qr` (Q and R's diagonal) calls numpy.linalg's LAPACK gufuncs without
+    its wrapper and must give exactly what `np.linalg.qr` gives; `_frobenius`
+    must give exactly what `np.linalg.norm` gives."""
 
     @staticmethod
     def gaussian(rng, shape, dtype):
@@ -183,23 +182,6 @@ class TestQrAndSvdEntries:
             assert q.dtype == expected_q.dtype and diagonal.dtype == expected_r.dtype
             np.testing.assert_array_equal(q, expected_q)
             np.testing.assert_array_equal(diagonal, np.diagonal(expected_r, axis1=-2, axis2=-1))
-
-    @pytest.mark.parametrize("dtype", [complex, float])
-    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
-    def test_thin_svd_matches_numpy_linalg_bitwise(self, rng, dim, dtype):
-        shapes = [(n * dim, dim) for n in range(1, 4)] + [(2, 2 * dim, dim), (3, dim, dim)]
-        for shape in shapes:
-            a = self.gaussian(rng, shape, dtype)
-            for got, expected in zip(_svd(a), np.linalg.svd(a, full_matrices=False)):
-                assert got.dtype == expected.dtype
-                np.testing.assert_array_equal(got, expected)
-
-    def test_svd_failure_raises_numpys_error(self):
-        a = np.full((3, 3), np.nan, dtype=complex)
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            np.linalg.svd(a, full_matrices=False)
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            _svd(a)
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4, 1.0, 1e2])
     def test_frobenius_matches_numpy_norm_bitwise(self, rng, scale):
@@ -228,7 +210,6 @@ class TestLapackState:
                 _eigh(a)
                 _eigvalsh(a)
                 _qr(a)
-                _svd(a)
                 assert (np.geterr(), np.geterrcall()) == before
                 with pytest.raises(EigenConvergenceError):
                     _eigh(self.NAN)
@@ -553,6 +534,16 @@ class TestLoewner:
     def test_nonfinite_entry_refused(self, a, b):
         with pytest.raises(PreconditionError, match="finite"):
             loewner_leq(a, b)
+
+    @pytest.mark.parametrize("a, b, tol", [
+        (4.0 * np.eye(2), np.eye(2), np.inf),
+        (np.eye(2), 4.0 * np.eye(2), np.nan),
+        (np.eye(2), np.eye(2), -1e-9),
+    ], ids=["inf", "nan", "negative"])
+    def test_nonfinite_or_negative_tol_refused(self, a, b, tol):
+        # Unrefused, tol=inf would pass 4I <= I and tol=nan fail I <= 4I.
+        with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
+            loewner_leq(a, b, tol=tol)
 
     def test_margin_is_the_least_eigenvalue_of_the_difference(self, rng):
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)

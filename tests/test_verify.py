@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -156,8 +157,10 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("dim,k", [(1, 1), (3, 2), (6, 4)])
     def test_cgauss(self, dim, k):
-        self.same(lambda rng: verify._cgauss(rng, dim), lambda rng, n: verify._cgauss(rng, dim, n))
-        self.same(lambda rng: verify._cgauss(rng, dim, k), lambda rng, n: verify._cgauss(rng, dim, n, k))
+        cgauss = matcore._cgauss
+        self.same(lambda rng: cgauss(rng, (dim, dim)), lambda rng, n: cgauss(rng, (n, dim, dim)))
+        self.same(lambda rng: cgauss(rng, (k, dim, dim)), lambda rng, n: cgauss(rng, (n, k, dim, dim)))
+        self.same(lambda rng: cgauss(rng, (dim, k)), lambda rng, n: cgauss(rng, (n, dim, k)))
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dim,k", [(1, 1), (1, 3), (3, 2), (6, 4)])
@@ -1063,7 +1066,7 @@ def _perturbed(raw, rng):
         if not isinstance(x, np.ndarray):
             return x
         if np.iscomplexobj(x):
-            return x + 0.5 * verify._cgauss(rng, x.shape[-1], *x.shape[:-2])
+            return x + 0.5 * matcore._cgauss(rng, x.shape)
         return x * np.exp(rng.uniform(-0.7, 0.7, x.shape))
 
     return tuple(map(move, raw)) if isinstance(raw, tuple) else move(raw) - 0.1
@@ -1074,6 +1077,19 @@ def _first_array(values):
     if isinstance(first, OperatorField):
         return first.arrays
     return np.array(first.kraus) if isinstance(first, PositiveLinearMap) else np.array(first)
+
+
+def test_a_draw_makes_only_generator_calls(monkeypatch):
+    # Every factorization of an attempt is its project's: with matcore's LAPACK
+    # entry refusing, each family's and each extra's draw still runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw called matcore's LAPACK entry")
+
+    monkeypatch.setattr(matcore, "_lapack", refuse)
+    for theorem, st in STATEMENTS.items():
+        for dim, k, diagonal in itertools.product((1, 2, 3), (1, 2, 3), (False, True)):
+            for family in (st.family, st.extras):
+                family.draw(np.random.default_rng(dim * 10 + k), dim, k, diagonal)
 
 
 @pytest.mark.parametrize("theorem", list({STATEMENTS[t].family: t for t in TheoremId}.values()),
@@ -1168,6 +1184,15 @@ def _scaled_compression(build, constant, scale):
                               constant and constant(inst.f, inst.m, inst.M))
 
 
+def _scaled_fields(build, constant, c):
+    """`build` on the instance with both fields' nodes scaled by c, with the
+    statement's chord constant on the window, which still holds the pair spectra."""
+    def scaled(inst):
+        fa, fb = verify._pair_like((inst.fa, inst.fb), c * inst.fa.arrays, c * inst.fb.arrays)
+        return build(dataclasses.replace(inst, fa=fa, fb=fb), constant and constant(inst.f, inst.m, inst.M))
+    return scaled
+
+
 def _first_factor_scaled(inst, scale):
     """A 3-factor normalized map drawn from the instance's seed, its first factor scaled by `scale`."""
     kraus = list(PositiveLinearMap.random_normalized(3, 3, 3, np.random.default_rng(inst.seed)).kraus)
@@ -1187,12 +1212,40 @@ PREMISE_CONTROLS = {
         TheoremId.ENTROPY_NONNEG, parse(spec), lambda inst: verify._entropy_nonneg(inst, None), count,
     ) for spec, count in (("log", 96), ("neg_t_log_t", 100))},
     # f(t) <= t - 1: the powers and the identity exceed t - 1 next to 1.  So
-    # does -t log t, yet no draw fails; this premise is not exercised.  At
-    # q = 0 the claim is Klein's bound S(B|A) <= A - B summed over a
-    # normalized pair, where sum w (A - B) = 0; the draws are at q = 0.5.
+    # does -t log t, above t - 1 on (0, 1) and below it on (1, oo), yet no
+    # draw at q = 0.5 or q = 1 fails.  At q = 0 none can: the claim is then
+    # Klein's bound S(B|A) <= A - B summed over a normalized pair, where
+    # sum w (A - B) = 0.  At q = -0.5 every draw fails (log, which meets the
+    # premise, fails none there), so the premise is exercised below q = 0.
     **{f"entropy_upper ({spec})": (
         TheoremId.ENTROPY_UPPER, parse(spec), lambda inst: verify._entropy_upper(inst, None), count,
     ) for spec, count in (("power:0.5", 100), ("power:0.25", 100), ("identity", 100), ("neg_t_log_t", 0))},
+    **{f"entropy_upper (neg_t_log_t) q={q:g}": (
+        TheoremId.ENTROPY_UPPER, NEG_T_LOG_T,
+        lambda inst, q=q: verify._entropy_upper(dataclasses.replace(inst, q=q), None), count,
+    ) for q, count in ((0.0, 0), (1.0, 0), (-0.5, 100))},
+    # The normalized resolution sum w A = sum w B = I: with both fields scaled
+    # by c the pair spectra, the window and t0 stay, and sum w A = sum w B = cI.
+    # Only c > 1 fails: the claims are the lifted Jensen inequality and its
+    # reverses for Psi(X) = sum w K* X K with K = T^{p/2} A^{1/2}, where
+    # Psi(I) = V, Psi(T) + t0 (I - V) = W and Psi(f(T)) = S_p, and they need
+    # only V <= I.  The power mean is jointly concave (`mean_integral`), so
+    # V <= (sum w A) #_p (sum w B) = cI, and the premise is needed only as
+    # V <= I, which every c <= 1 keeps.
+    **{f"{theorem.value} ({spec}) fields x{c:g}": (
+        theorem, parse(spec), _scaled_fields(build, constant, c), count,
+    ) for theorem, spec, build, constant, scales in (
+        (TheoremId.ENTROPY_LOWER, "power:0.5", verify._entropy_lower, None, ((0.9, 0), (1.1, 5), (1.25, 28))),
+        (TheoremId.REV_ENTROPY_ZETA, "log", verify._rev_entropy_zeta, chord_gap_bound, ((0.9, 0), (1.5, 22))),
+    ) for c, count in scales},
+    # Probability vectors: by the log-sum inequality sum a log(a/b) >=
+    # (sum a) log(sum a / sum b), so the divergence stays >= 0 whenever
+    # sum a >= sum b; the premise is needed only as that.
+    **{f"info_ineq {slot} x{c:g}": (
+        TheoremId.INFO_INEQ, None,
+        lambda inst, slot=slot, c=c: verify._info_ineq(dataclasses.replace(inst, **{slot: c * getattr(inst, slot)}),
+                                                       None), count,
+    ) for slot, c, count in (("pa", 0.9, 22), ("pb", 1.1, 22), ("pa", 1.1, 0), ("pb", 0.9, 0))},
     # The window covering X's spectrum: a zeta taken on a shrunk window is too
     # small for the spectrum it no longer covers.
     "rev_jensen_zeta window 90%": (
@@ -1237,7 +1290,11 @@ PREMISE_CONTROLS = {
 
 
 def _broken_premise_fails(theorem, f, build, seed) -> bool:
-    sides = build(random_instance(theorem, 3, 3, seed, f))
+    inst = random_instance(theorem, 3, 3, seed, f)
+    try:
+        sides = build(inst)
+    except DomainError:
+        return True
     return verify._verdict(theorem, sides, matcore.DEFAULT_LOEWNER_TOL).margin < -1e-8
 
 
@@ -1245,3 +1302,14 @@ def _broken_premise_fails(theorem, f, build, seed) -> bool:
 def test_a_broken_premise_fails_as_often_as_observed(name):
     theorem, f, build, expected = PREMISE_CONTROLS[name]
     assert sum(_broken_premise_fails(theorem, f, build, seed) for seed in range(100)) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, -2.0])
+def test_a_nonpositive_alpha_is_refused_by_the_pd_floor(alpha):
+    # alpha > 0 of `homogeneous` has no count: alpha A is not positive
+    # definite for alpha <= 0, so the builder's pair solve refuses every
+    # such draw before a side is built (and `Instance.validate` at load).
+    build = lambda inst: verify._homogeneous(dataclasses.replace(inst, alpha=alpha), None)
+    for seed in range(100):
+        with pytest.raises(NotPositiveDefiniteError):
+            _broken_premise_fails(TheoremId.HOMOGENEOUS, power(0.5), build, seed)
