@@ -1287,7 +1287,7 @@ def run_trial(
     a PreconditionError while drawing or checking (an exponent or a term count
     the statement does not admit, a window too narrow for the chord), a
     matrix that fails the positive-definite floor, a scalar function
-    evaluated outside its domain, or an eigensolver or SVD failure (an
+    evaluated outside its domain, or an eigensolver or QR failure (an
     exponent so large that a side overflows) is an error: hypothesis_met and
     holds both False, detail "error: <message>".
     """
