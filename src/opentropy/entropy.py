@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def _finite(q) -> float:
+def _finite_exponent(q) -> float:
     """The exponent q as a float, refused unless finite."""
     q = float(q)
     if not math.isfinite(q):
@@ -64,7 +64,7 @@ def _finite(q) -> float:
 
 def natural_power(x: PositiveDefiniteMatrix, y: PositiveDefiniteMatrix, q: float) -> PositiveDefiniteMatrix:
     """X #_q Y = X^{1/2} (X^{-1/2} Y X^{-1/2})^q X^{1/2}; PD for any real q."""
-    return PositiveDefiniteMatrix(PairSpectrum(x, y).power_mean(_finite(q)))
+    return PositiveDefiniteMatrix(PairSpectrum(x, y).power_mean(_finite_exponent(q)))
 
 
 def relative_entropy(
@@ -75,7 +75,7 @@ def relative_entropy(
     The spectrum of T must lie in the domain of f.  With q = 0, f = log this
     is the relative operator entropy S(A|B).
     """
-    return _freeze(PairSpectrum(a, b).entropy_term(_finite(q), f))
+    return _freeze(PairSpectrum(a, b).entropy_term(_finite_exponent(q), f))
 
 
 def variational_form(
@@ -87,7 +87,7 @@ def variational_form(
 
     which agrees with relative_entropy(a, b, q, f) identically.
     """
-    inner = relative_entropy(b.inv(), a.inv(), _finite(q) - 1.0, f)
+    inner = relative_entropy(b.inv(), a.inv(), _finite_exponent(q) - 1.0, f)
     return _freeze(_symmetrize(b.array @ inner @ b.array))
 
 
@@ -95,7 +95,7 @@ def generalized_entropy(
     fa: OperatorField, fb: OperatorField, q: float, f: ScalarFunction
 ) -> np.ndarray:
     """sum_s w_s S(A_s, B_s; q, f) over node-aligned fields."""
-    return _freeze(fa.pair_spectrum(fb).entropy_term(_finite(q), f))
+    return _freeze(fa.pair_spectrum(fb).entropy_term(_finite_exponent(q), f))
 
 
 def mean_field(fa: OperatorField, fb: OperatorField, p: float) -> np.ndarray:

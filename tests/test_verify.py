@@ -1228,10 +1228,9 @@ PREMISE_CONTROLS = {
     # by c the pair spectra, the window and t0 stay, and sum w A = sum w B = cI.
     # Only c > 1 fails: the claims are the lifted Jensen inequality and its
     # reverses for Psi(X) = sum w K* X K with K = T^{p/2} A^{1/2}, where
-    # Psi(I) = V, Psi(T) + t0 (I - V) = W and Psi(f(T)) = S_p, and they need
-    # only V <= I.  The power mean is jointly concave (`mean_integral`), so
-    # V <= (sum w A) #_p (sum w B) = cI, and the premise is needed only as
-    # V <= I, which every c <= 1 keeps.
+    # Psi(I) = V, Psi(T) + t0 (I - V) = W and Psi(f(T)) = S_p, so they need
+    # only V <= I; the power mean is jointly concave (`mean_integral`), so
+    # V <= (sum w A) #_p (sum w B) = cI, which every c <= 1 keeps below I.
     **{f"{theorem.value} ({spec}) fields x{c:g}": (
         theorem, parse(spec), _scaled_fields(build, constant, c), count,
     ) for theorem, spec, build, constant, scales in (
