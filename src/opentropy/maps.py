@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .matcore import _adjoint, _cgauss, _entries, _freeze, _frobenius, _haar, _symmetrize
+from .matcore import _NORMALIZED_TOL, _adjoint, _cgauss, _entries, _freeze, _frobenius, _haar, _symmetrize
 
 __all__ = ["PositiveLinearMap"]
 
@@ -63,8 +63,9 @@ class PositiveLinearMap:
         I_out to rounding (about 1e-14) when the map is normalized."""
         return _symmetrize((_adjoint(self._kraus) @ self._kraus).sum(axis=0))
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return _frobenius(self.kraus_gram() - np.eye(self._out_dim)) <= tol
+    def is_normalized(self) -> bool:
+        """True when sum_i C_i* C_i = I within the fixed 1e-10 in Frobenius norm."""
+        return _frobenius(self.kraus_gram() - np.eye(self._out_dim)) <= _NORMALIZED_TOL
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in):

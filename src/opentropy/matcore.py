@@ -94,6 +94,9 @@ _PD_RELATIVE_FLOOR = 1e-12
 # this multiple of lambda_max(B) (the module docstring says why).
 _PAIR_IMPLIED_FLOOR = 1e-6
 
+# A field's resolution or a map's Kraus Gram is I within this Frobenius distance.
+_NORMALIZED_TOL = 1e-10
+
 
 def _lapack_state(error: type, message: str):
     """numpy.linalg's floating-point state, built once: a LAPACK failure sets
@@ -374,9 +377,9 @@ class OperatorField:
         """sum_s w_s A_s, standing in for the Bochner integral of the field."""
         return _weighted_sum(self._weights, self._arrays)
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        """True when sum_s w_s A_s = I within `tol` in Frobenius norm."""
-        return _frobenius(self.weighted_sum() - _eye(self.dim)) <= tol
+    def is_normalized(self) -> bool:
+        """True when sum_s w_s A_s = I within the fixed 1e-10 in Frobenius norm."""
+        return _frobenius(self.weighted_sum() - _eye(self.dim)) <= _NORMALIZED_TOL
 
     def pair_spectrum(self, other: "OperatorField") -> "PairSpectrum":
         """PairSpectrum(self, other), solved once per pair of field objects."""

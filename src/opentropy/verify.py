@@ -5,14 +5,13 @@ entry in STATEMENTS.  The entry says how to draw a hypothesis-satisfying
 instance, which hypotheses the checker gates on, and how to build both sides of
 the inequality exactly as displayed.  A draw runs generator records (`Family`):
 `draw` makes the rng calls, the pure `project` meets the family's constraints,
-and the record names the slots it fills, whether its window straddles 1,
-and its load-time check.  `check` makes one
-pass over it: the hypotheses (the exponent range, then the function gates on
-the instance window, which give the statement's chord constant), then both
-sides, then one labelled verdict.  The verdict's margin is the Loewner margin
-(lambda_min of the difference that the statement claims is positive
-semidefinite; a scalar slack for the information inequality; a two-sided margin
-for the homogeneity identity).
+and the record names the slots it fills (a window among them holds 1 inside)
+and its load-time check.  `check` makes one pass over it: the hypotheses (the
+exponent range, then the function gates on the instance window, which give the
+statement's chord constant), then both sides, then one labelled verdict.  The
+verdict's margin is the Loewner margin (lambda_min of the difference that the
+statement claims is positive semidefinite; a scalar slack for the information
+inequality; a two-sided margin for the homogeneity identity).
 
 A failed hypothesis is never counted as a failure: the checker reports
 hypothesis_met=False with an explanation and an empty margin.  A violation
@@ -68,7 +67,7 @@ from .errors import (
     ShapeError,
     UndefinedRatioError,
 )
-from .functions import LOG, ScalarFunction
+from .functions import LOG, NEG_T_LOG_T, ScalarFunction
 from .maps import PositiveLinearMap, _haar_blocks
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
@@ -487,11 +486,12 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 # ---------------------------------------------------------------------------
 
 
-def _spectral_image(arr: np.ndarray, scalar_map) -> np.ndarray:
-    """scalar_map applied to an exactly Hermitian array (every caller's is a
-    sum of symmetrized arrays and real multiples of them)."""
+def _spectral_images(arr: np.ndarray, *fs: ScalarFunction) -> np.ndarray:
+    """f(arr) for each catalog f, stacked, from one solve of an exactly
+    Hermitian array (every caller's is a sum of symmetrized arrays and real
+    multiples of them)."""
     w, v = _eigh(arr)
-    return _scalar_image(v, scalar_map(w))
+    return _scalar_image(v, np.array([f.evaluate_array(w) for f in fs]))
 
 
 def _pair_like(fields: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -503,22 +503,20 @@ def _pair_like(fields: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
     return OperatorField.pairs(fields[0].weights, a[None], b[None])[0]
 
 
-def _entropy_terms(inst: Instance, p: float, *more):
-    """Pair spectra, I, V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V), and
-    one aggregate sum w A^{1/2} g(T) A^{1/2} per extra eigenvalue map g."""
+def _entropy_bound_terms(inst: Instance, fs: tuple[ScalarFunction, ...], gamma: float = 1.0):
+    """For each f in fs, f(W) - gamma f(t0)(I - V) and S_p = sum w A^{1/2} T^p
+    f(T) A^{1/2}, with V = sum w A#_pB and W = sum w A#_{p+1}B + t0(I - V)
+    from one pass over the pair spectra and one solve of W; and I."""
+    p, t0 = float(inst.q), inst.t0
     spectrum = inst.fa.pair_spectrum(inst.fb)
     lam = spectrum.eigenvalues
+    lam_p = lam ** p
     eye = _eye(inst.fa.dim)
-    v, w_plus, *rest = spectrum.conjugate(np.array([lam ** p, lam ** (p + 1.0)] + [g(lam) for g in more]))
-    return spectrum, eye, v, w_plus + inst.t0 * (eye - v), rest
-
-
-def _entropy_bound_terms(inst: Instance, gamma: float = 1.0):
-    """f(W) - gamma f(t0)(I - V), S_p = sum w A^{1/2} T^p f(T) A^{1/2} and I."""
-    p, f = float(inst.q), inst.f
-    _, eye, v, w_arg, (s,) = _entropy_terms(inst, p, lambda lam: lam ** p * f.evaluate_array(lam))
-    lhs = _spectral_image(w_arg, f.evaluate_array) - gamma * f.evaluate(inst.t0) * (eye - v)
-    return lhs, s, eye
+    rows = [lam_p, lam ** (p + 1.0), *(lam_p * f.evaluate_array(lam) for f in fs)]
+    v, w_plus, *s = spectrum.conjugate(np.array(rows))
+    defect = eye - v
+    images = _spectral_images(w_plus + t0 * defect, *fs)
+    return [image - gamma * f.evaluate(t0) * defect for f, image in zip(fs, images)], s, eye
 
 
 def _compression_terms(inst: Instance):
@@ -529,7 +527,7 @@ def _compression_terms(inst: Instance):
     gram, lifted, compressed = inst.pmap.apply_array(np.array([eye, x.array, apply_function(x, f)]))
     defect = eye - gram
     arg = lifted + inst.t0 * defect
-    f_arg = _spectral_image(arg, f.evaluate_array)
+    (f_arg,) = _spectral_images(arg, f)
     rhs = compressed + f.evaluate(inst.t0) * defect
     return f_arg, rhs
 
@@ -572,20 +570,20 @@ def _rev_jensen_zeta(inst: Instance, zeta: float) -> Sides:
 
 def _entropy_lower(inst: Instance, constant: None) -> Sides:
     """f(W) - f(t0)(I - V) >= S_p with V = sum w A#_pB, W = sum w A#_{p+1}B + t0(I - V)"""
-    lhs, s, _ = _entropy_bound_terms(inst)
+    (lhs,), (s,), _ = _entropy_bound_terms(inst, (inst.f,))
     return Sides([(lhs, ">=", s)], f"entropy lower bound at p={inst.q:g}, t0={inst.t0:.6g}")
 
 
 def _rev_entropy_gamma(inst: Instance, gamma: float) -> Sides:
     """f(W) - gamma f(t0)(I - V) <= gamma S_p"""
-    lhs, s, _ = _entropy_bound_terms(inst, gamma)
+    (lhs,), (s,), _ = _entropy_bound_terms(inst, (inst.f,), gamma)
     detail = f"reverse entropy bound with gamma={gamma!r} at p={inst.q:g}"
     return Sides([(lhs, "<=", gamma * s)], detail)
 
 
 def _rev_entropy_zeta(inst: Instance, zeta: float) -> Sides:
     """f(W) - f(t0)(I - V) <= S_p + zeta I"""
-    lhs, s, eye = _entropy_bound_terms(inst)
+    (lhs,), (s,), eye = _entropy_bound_terms(inst, (inst.f,))
     detail = f"reverse entropy bound with zeta={zeta!r} at p={inst.q:g}"
     return Sides([(lhs, "<=", s + zeta * eye)], detail)
 
@@ -632,7 +630,7 @@ def _info_ineq(inst: Instance, constant: None) -> Sides:
     """sum_j a_j log(a_j/b_j) >= 0 for probability vectors, equality iff a = b"""
     a, b = inst.pa, inst.pb
     # The divergence and 0 as 1x1 matrices, each its own eigenvalue.
-    divergence = np.array([[np.sum(a * np.log(a / b))]])
+    divergence = np.array([[np.sum(a * LOG.evaluate_array(a / b))]])
     detail = "divergence of two probability vectors; equality exactly when a = b"
     return Sides([(divergence, ">=", np.zeros((1, 1)))], detail)
 
@@ -689,21 +687,12 @@ def _map_monotone(inst: Instance, constant: None) -> Sides:
 
 
 def _example_log_pair(inst: Instance, constant: None) -> Sides:
-    """closed-form gap bounds for log t and -t log t in the reverse entropy bound"""
-    p, t0 = float(inst.q), inst.t0
+    """f(W) - f(t0)(I - V) <= S_p + zeta_f I for f = -t log t and f = log at the closed-form zeta_f"""
+    p = float(inst.q)
     zeta_log, zeta_neg = zeta_closed_forms(inst.m, inst.M)
-    _, eye, v, w_arg, (s_p, s_p1) = _entropy_terms(
-        inst, p, lambda lam: lam ** p * np.log(lam), lambda lam: lam ** (p + 1.0) * np.log(lam)
-    )
-    ww, wv = _eigh(w_arg)
-    w_log_w, log_w = _scalar_image(wv, np.array([ww * np.log(ww), np.log(ww)]))
+    (lhs_neg, lhs_log), (s_neg, s_log), eye = _entropy_bound_terms(inst, (NEG_T_LOG_T, LOG))
     return Sides(
-        [
-            # -t log t route: W log W - t0 log(t0) (I - V) >= S_{p+1} - zeta_neg I
-            (w_log_w - t0 * math.log(t0) * (eye - v), ">=", s_p1 - zeta_neg * eye),
-            # log route: log W - log(t0) (I - V) <= S_p + zeta_log I
-            (log_w - math.log(t0) * (eye - v), "<=", s_p + zeta_log * eye),
-        ],
+        [(lhs_neg, "<=", s_neg + zeta_neg * eye), (lhs_log, "<=", s_log + zeta_log * eye)],
         lambda m: f"closed-form pair at p={p:g}: margins {m[0]:.3e} (-t log t) and {m[1]:.3e} (log)",
     )
 
@@ -719,13 +708,11 @@ class Family:
     makes the rng calls of one attempt; the pure `project(raw)` meets every constraint
     and returns the values of `slots` in order (a last "t0" is drawn on the accepted
     window), or None to draw again.  A window "m", "M" among the slots holds 1
-    inside if `straddles`; `validate(inst)` checks a loaded instance, a stored
-    window included."""
+    inside; `validate(inst)` checks a loaded instance, a stored window included."""
 
     slots: tuple[str, ...]
     draw: Callable
     project: Callable
-    straddles: bool = False
     validate: Callable[[Instance], None] = lambda inst: None
 
 
@@ -909,11 +896,11 @@ def _validate_map(inst: Instance) -> None:
 
 
 _NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), functools.partial(_draw_fields, low=0.2, high=1.0),
-                     _project_normalized, straddles=True, validate=_validate_normalized)
+                     _project_normalized, validate=_validate_normalized)
 _FREE_PAIR = Family(("fa", "fb"), _draw_fields, _project_free)
 _FOUR_FIELDS = Family(("fa", "fb", "fc", "fd"), functools.partial(_draw_fields, count=4), _project_free)
 _COMPRESSION = Family(("pmap", "x", "m", "M", "t0"), _draw_compression, _project_compression,
-                      straddles=True, validate=_validate_compression)
+                      validate=_validate_compression)
 _PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k, diagonal: np.array(
     [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
 _NO_EXTRAS = Family((), lambda rng, dim, k, diagonal: (), tuple)
@@ -966,13 +953,14 @@ class Statement:
         """Whether f can meet this statement's function gates on the windows
         its family draws, judged from the gates and f's catalog entry alone.
 
-        `nonneg` on a family whose windows contain 1 in their interior needs
-        f's nonnegative interval to contain a neighbourhood of 1.
+        `nonneg` on a family that draws a window (every window contains 1 in
+        its interior) needs f's nonnegative interval to contain a
+        neighbourhood of 1.
         `below_t_minus_1` needs the tangent line at 1: f(1) = 0 and f'(1) = 1,
         which for a concave f gives f(t) <= t - 1 everywhere.  Admissibility
         only shapes a campaign's draw of f; every trial is still gated.
         """
-        if self.nonneg and self.family.straddles:
+        if self.nonneg and "m" in self.family.slots:
             low, high = f.nonnegative_on
             if not low < 1.0 < high:
                 return False

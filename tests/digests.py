@@ -58,8 +58,14 @@ Gaussians and the same law, but a different map from each draw),
 acceptance.json became f714f12b..., acceptance.csv 4ea06c18...,
 dims48-64.json 72ac56d0... and instances 7bac8731...: only `map_monotone`'s
 rows and its non-diagonal instances moved, and the count line did not.
-`sweep` (4d4fbc45...) and `edges` (43acc592...) do not move with any of
-these.  The file is not a test module, so pytest does not collect it.
+When `example_log_pair`'s two claims became `rev_entropy_zeta`'s for -t log t
+and log, built by the same term helper (the -t log t claim's S term is
+lambda^p (-lambda log lambda), where it was lambda^(p+1) log lambda, and
+f(t0) is the catalog's np.log, where it was math.log), acceptance.csv became
+eab47ae5...: 480 of that statement's 1,000 rows moved, each margin by at most
+1.0e-15, and no other row; acceptance.json, dims48-64.json, instances and
+the count line did not move.  `sweep` (4d4fbc45...) and `edges`
+(43acc592...) do not move with any of these.  The file is not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations

@@ -242,6 +242,9 @@ class TestLapackState:
 # Calls that must go through matcore's LAPACK entry: the numpy.linalg wrappers
 # it replaces and np.errstate, which it builds once at import instead.
 _WRAPPED = re.compile(r"(np|numpy)\.(linalg\.(eigh|eigvalsh|qr|svd|norm)|errstate)")
+# Logarithms in verify go through the catalog (`LOG`, a statement's f), whose
+# `evaluate_array` refuses an argument outside the domain with DomainError.
+_CATALOG_ONLY = {"verify.py": re.compile(r"(np|numpy|math)\.log")}
 # bounds._ratio_bound's grid search divides by a chord that can vanish; its
 # errstate guards no factorization.
 _ALLOWED = {("bounds.py", "_ratio_bound", "np.errstate")}
@@ -249,17 +252,22 @@ _ALLOWED = {("bounds.py", "_ratio_bound", "np.errstate")}
 
 def wrapper_calls(source: str, filename: str) -> set:
     """(file, enclosing function, callee) of every call to a wrapped name, and
-    of every `from numpy.linalg import` of one."""
+    of every `from numpy.linalg import` of one; in a file of `_CATALOG_ONLY`,
+    of its logarithms too."""
     found = set()
+    catalog_only = _CATALOG_ONLY.get(filename)
+
+    def guarded(name):
+        return _WRAPPED.fullmatch(name) or (catalog_only is not None and catalog_only.fullmatch(name))
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            if isinstance(child, ast.Call) and _WRAPPED.fullmatch(ast.unparse(child.func)):
+            if isinstance(child, ast.Call) and guarded(ast.unparse(child.func)):
                 found.add((filename, inner, ast.unparse(child.func)))
-            if isinstance(child, ast.ImportFrom) and child.module in ("numpy", "numpy.linalg"):
+            if isinstance(child, ast.ImportFrom) and child.module in ("numpy", "numpy.linalg", "math"):
                 for alias in child.names:
-                    if _WRAPPED.fullmatch(f"{child.module}.{alias.name}"):
+                    if guarded(f"{child.module}.{alias.name}"):
                         found.add((filename, inner, f"{child.module}.{alias.name}"))
             visit(child, inner)
 
@@ -283,6 +291,17 @@ class TestNoWrapperOutsideTheEntry:
             ("x.py", None, "numpy.linalg.svd"), ("x.py", "f", "np.errstate"),
             ("x.py", "f", "np.linalg.eigh"), ("x.py", "f", "numpy.linalg.norm"),
         }
+        # A logarithm in verify, in each form.
+        source = (
+            "import math\nfrom math import log\n"
+            "def f(a, t):\n    return np.log(a), numpy.log(a), math.log(t), np.log1p(a)\n"
+        )
+        assert wrapper_calls(source, "verify.py") == {
+            ("verify.py", None, "math.log"), ("verify.py", "f", "np.log"),
+            ("verify.py", "f", "numpy.log"), ("verify.py", "f", "math.log"),
+        }
+        # Elsewhere (the catalog, the closed forms) a logarithm is the implementation.
+        assert wrapper_calls(source, "bounds.py") == set()
 
 
 class TestEig:

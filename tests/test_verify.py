@@ -445,6 +445,15 @@ def test_example_log_pair_margins_reference_both_routes():
     assert "-t log t" in res.detail and "log" in res.detail
 
 
+def test_example_log_pair_refuses_a_w_outside_the_domain():
+    # Both fields scaled by 2 take V above I and W off positive definite; the
+    # claims' f(W) is the catalog's, which refuses it as every builder does.
+    inst = random_instance(TheoremId.EXAMPLE_LOG_PAIR, 3, 3, 2)
+    fa, fb = verify._pair_like((inst.fa, inst.fb), 2.0 * inst.fa.arrays, 2.0 * inst.fb.arrays)
+    with pytest.raises(DomainError, match=r"neg_t_log_t: eigenvalue -1\.576006e-01 outside domain"):
+        verify._example_log_pair(dataclasses.replace(inst, fa=fa, fb=fb), None)
+
+
 def test_homogeneous_equality_margin_is_tiny():
     for seed in range(10):
         inst = random_instance(TheoremId.HOMOGENEOUS, 4, 2, seed, parse("log"), 0.5)
@@ -1237,6 +1246,12 @@ PREMISE_CONTROLS = {
         (TheoremId.ENTROPY_LOWER, "power:0.5", verify._entropy_lower, None, ((0.9, 0), (1.1, 5), (1.25, 28))),
         (TheoremId.REV_ENTROPY_ZETA, "log", verify._rev_entropy_zeta, chord_gap_bound, ((0.9, 0), (1.5, 22))),
     ) for c, count in scales},
+    # example_log_pair's two claims are rev_entropy_zeta's, for -t log t and
+    # log at the closed-form zetas, so the same V <= I argument holds: only
+    # c > 1 fails.  At c = 1.5 (3 draws) and 2.0 (23) W leaves the domain.
+    **{f"example_log_pair fields x{c:g}": (
+        TheoremId.EXAMPLE_LOG_PAIR, None, _scaled_fields(verify._example_log_pair, None, c), count,
+    ) for c, count in ((0.9, 0), (1.1, 0), (1.5, 45), (2.0, 81))},
     # Probability vectors: by the log-sum inequality sum a log(a/b) >=
     # (sum a) log(sum a / sum b), so the divergence stays >= 0 whenever
     # sum a >= sum b; the premise is needed only as that.
