@@ -34,38 +34,11 @@ during the acceptance.json run: calls, and the d x d matrices they solved
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
 code is printed next to its digest.  The dims 48:64 products split their
-sums by BLAS thread, so that digest depends on the thread count: it reads
-e4e37f70... under the default and 72ac56d0... under OPENBLAS_NUM_THREADS=1,
-the benchmark's pin (both at 2 vCPUs).  Its line names the thread variables
-that are set, or "default".  The three campaign digests and `instances` move
-with the report and instance formats (format 3 moved them: compression
-instances store a map, `joint_concave` pairs the four fields as
-`subadditive` does, and a trial record names its instance's k, f and q) and
-with the draws: when the free-pair statements (`mean_integral`,
-`klein_upper`, `homogeneous`, `map_monotone`) stopped storing a window and
-rescaling B, acceptance.json became db33b056..., acceptance.csv 8bc88624...
-and instances 08d6aacc..., and the count line's eigvalsh fell from 1.4375
-calls on 4.2722 matrices to 1.1875 calls on 3.6487 (eigh stayed at 3.5000
-calls on 8.9473).  When the statements whose claims have no exponent
-(`compression_jensen`, `rev_jensen_*`, `klein_upper`, `info_ineq`) stopped
-storing `q`, and `entropy_nonneg` and `entropy_upper` stopped storing `t0`,
-acceptance.csv became 8f1c0c30... (the `exponent` field of those five
-statements' rows is empty) and instances 0ed9d6ae...; acceptance.json,
-dims48-64.json and the count line did not move.  When `map_monotone`'s
-normalized maps became the row blocks of the phase-fixed QR's Haar isometry
-of their Gaussians instead of the polar factor of a thin SVD (the same
-Gaussians and the same law, but a different map from each draw),
-acceptance.json became f714f12b..., acceptance.csv 4ea06c18...,
-dims48-64.json 72ac56d0... and instances 7bac8731...: only `map_monotone`'s
-rows and its non-diagonal instances moved, and the count line did not.
-When `example_log_pair`'s two claims became `rev_entropy_zeta`'s for -t log t
-and log, built by the same term helper (the -t log t claim's S term is
-lambda^p (-lambda log lambda), where it was lambda^(p+1) log lambda, and
-f(t0) is the catalog's np.log, where it was math.log), acceptance.csv became
-eab47ae5...: 480 of that statement's 1,000 rows moved, each margin by at most
-1.0e-15, and no other row; acceptance.json, dims48-64.json, instances and
-the count line did not move.  `sweep` (4d4fbc45...) and `edges`
-(43acc592...) do not move with any of these.  The file is not a test module, so pytest does not collect it.
+sums by BLAS thread, so that digest depends on the thread count (read it
+under OPENBLAS_NUM_THREADS=1, the benchmark's pin); its line names the
+thread variables that are set, or "default".  The current values, and every
+move of a digest with its cause, are in CHANGES.md.  The file is not a test
+module, so pytest does not collect it.
 """
 
 from __future__ import annotations

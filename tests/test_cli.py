@@ -650,6 +650,12 @@ class TestCampaign:
         code, _, _ = run(capsys, "campaign", "--trials", "1", "--dims", "8:2")
         assert code == 2
 
+    @pytest.mark.parametrize("theorems", [",", " "])
+    def test_empty_theorem_list_exits_2(self, capsys, theorems):
+        # An empty list ran no trial and reported success on nothing.
+        code, stdout, err = run(capsys, "campaign", "--theorems", theorems, "--trials", "3")
+        assert code == 2 and stdout == "" and "need at least one theorem" in err
+
     def test_master_seeds_do_not_alias(self, capsys):
         # -1 was masked to 2**64 - 1, so both seeds ran the same trials.
         args = ["campaign", "--theorems", "klein_upper", "--trials", "3"]

@@ -244,12 +244,14 @@ class TestGeneralizedEntropy:
             for w, a, b in nodes(fa, fb):
                 rhs += w * (natural_power(a, b, q + 1.0).array - natural_power(a, b, q).array)
             assert loewner_leq(s, rhs, 1e-9)[0]
-            if q == 0.0:
-                direct = sum(w * (b.array - a.array) for w, a, b in nodes(fa, fb))
-                assert loewner_leq(s, direct, 1e-9)[0]
-            if q == 1.0:
-                direct = sum(w * (b.array @ a.inv().array @ b.array - b.array) for w, a, b in nodes(fa, fb))
-                assert loewner_leq(s, direct, 1e-9)[0]
+            # At q = 0 and q = 1 the bound has a closed form, which it equals
+            # within 1e-12 of its largest entry: A #_1 B = B, A #_0 B = A and
+            # A #_2 B = B A^{-1} B.
+            closed = {0.0: lambda a, b: b.array - a.array,
+                      1.0: lambda a, b: b.array @ a.inv().array @ b.array - b.array}.get(q)
+            if closed is not None:
+                direct = sum(w * closed(a, b) for w, a, b in nodes(fa, fb))
+                np.testing.assert_allclose(rhs, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
 
 
 class TestMeanField:

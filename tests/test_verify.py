@@ -1202,6 +1202,10 @@ def _scaled_fields(build, constant, c):
     return scaled
 
 
+# t^2 as a catalog entry (f, f', the interval where f >= 0): operator convex, not operator concave.
+SQUARE = ("square", lambda: ((lambda t: t * t), (lambda t: 2.0 * t), (0.0, math.inf)))
+
+
 def _first_factor_scaled(inst, scale):
     """A 3-factor normalized map drawn from the instance's seed, its first factor scaled by `scale`."""
     kraus = list(PositiveLinearMap.random_normalized(3, 3, 3, np.random.default_rng(inst.seed)).kraus)
@@ -1260,6 +1264,15 @@ PREMISE_CONTROLS = {
         lambda inst, slot=slot, c=c: verify._info_ineq(dataclasses.replace(inst, **{slot: c * getattr(inst, slot)}),
                                                        None), count,
     ) for slot, c, count in (("pa", 0.9, 22), ("pb", 1.1, 22), ("pa", 1.1, 0), ("pb", 0.9, 0))},
+    # Operator concavity of f: every catalog entry has it, so these rows use
+    # t^2, which is operator convex, added to the catalog for the test only
+    # (`SQUARE`).  Both claims are the lifted Jensen inequality (for Phi, and
+    # for the Psi of the `fields x` rows above), which an operator convex f
+    # reverses: every draw fails.
+    **{f"{theorem.value} (square)": (
+        theorem, None, lambda inst, build=build: build(dataclasses.replace(inst, f=parse("square")), None), 100,
+    ) for theorem, build in ((TheoremId.COMPRESSION_JENSEN, verify._compression_jensen),
+                             (TheoremId.ENTROPY_LOWER, verify._entropy_lower))},
     # The window covering X's spectrum: a zeta taken on a shrunk window is too
     # small for the spectrum it no longer covers.
     "rev_jensen_zeta window 90%": (
@@ -1313,7 +1326,8 @@ def _broken_premise_fails(theorem, f, build, seed) -> bool:
 
 
 @pytest.mark.parametrize("name", PREMISE_CONTROLS)
-def test_a_broken_premise_fails_as_often_as_observed(name):
+def test_a_broken_premise_fails_as_often_as_observed(name, monkeypatch):
+    monkeypatch.setitem(verify.functions._CATALOG, *SQUARE)
     theorem, f, build, expected = PREMISE_CONTROLS[name]
     assert sum(_broken_premise_fails(theorem, f, build, seed) for seed in range(100)) == expected
 
