@@ -1,6 +1,6 @@
 """A 50-digit reference for both sides of every statement, from the definitions.
 
-    PYTHONPATH=src python tests/reference.py [--count N] [--seed S]
+    PYTHONPATH=src python tests/reference.py
 
 For each statement, `REFERENCES` computes the claims of `STATEMENTS[t].build`
 (the same (lhs, op, rhs) list, in the same order) with mpmath at 50 digits,
@@ -13,8 +13,8 @@ straight from the paper's definitions:
 and the weighted sums over nodes.  Square roots, T's powers and f come from
 `mpmath.eighe`, f from its catalog spec; this file imports no matcore kernel
 (`tests/test_reference.py` holds it to that with an `ast` check).  The chord
-constants come from `bounds`: the reference receives the same gamma or zeta
-as the builder.
+constant is `verify._gate`'s, which takes it from `bounds`: the reference
+receives the same gamma or zeta as the builder.
 
 Each side is compared with its reference in the Frobenius norm:
 
@@ -28,18 +28,17 @@ right side at q = 0 is sum w (B - A) = 0 on a normalized pair), and the
 verdict reads its margin on the same scale.  C is stated once, below; a
 side beyond it is a finding.
 
-The sample is campaign trial keys (`trial_seed`) at dims 2..4 with the
-default functions and exponents, the draws whose check meets its hypotheses.
-Run as a script, it compares `--count` of them per statement and prints,
-per statement, the worst relative error of each side, ||side - ref|| /
-scale, and the worst observed C; the exit code is 0 when every side is
+The sample is campaign trial keys (`trial_seed`, seed `SEED`) at dims 2..4
+with the default functions and exponents, the draws whose check meets its
+hypotheses.  Run as a script, it compares `COUNT` of them per statement and
+prints, per statement, the worst relative error of each side, ||side - ref||
+/ scale, and the worst observed C; the exit code is 0 when every side is
 within the bound.  `tests/test_reference.py` runs two per statement in
 tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
 
@@ -47,7 +46,7 @@ import mpmath as mp
 import numpy as np
 
 from opentropy import bounds
-from opentropy.verify import STATEMENTS, CampaignConfig, Instance, TheoremId, run_trial, trial_seed
+from opentropy.verify import STATEMENTS, CampaignConfig, Instance, TheoremId, _gate, run_trial, trial_seed
 
 DPS = 50
 EPS = 2.0 ** -52
@@ -55,6 +54,9 @@ EPS = 2.0 ** -52
 # per statement is 2.54 (map_monotone); CHANGES.md records the table.
 C = 16.0
 DIMS = (2, 4)
+# The script's sample: instances per statement, and the campaign seed.
+COUNT = 50
+SEED = 42
 
 
 @dataclass
@@ -312,18 +314,12 @@ class Side:
         return self.needed_c <= C
 
 
-def _chord_constant(theorem: TheoremId, inst: Instance):
-    """The chord constant `check` gives the builder, from `bounds`."""
-    name = STATEMENTS[theorem].constant
-    if name is None:
-        return None
-    return {"gamma": bounds.chord_ratio_bound, "zeta": bounds.chord_gap_bound}[name](inst.f, inst.m, inst.M)
-
-
 def compare(theorem: TheoremId, inst: Instance) -> list[Side]:
     """Every claimed side of the builder's Sides on `inst` against the reference."""
-    constant = _chord_constant(theorem, inst)
-    claims = STATEMENTS[theorem].build(inst, constant).claims
+    # `sample` yields only instances whose check met its hypotheses: no _Skip.
+    st = STATEMENTS[theorem]
+    constant = _gate(st, inst.f, inst.m, inst.M)
+    claims = st.build(inst, constant).claims
     with mp.workdps(DPS):
         ref = Reference(inst.dim)
         expected = REFERENCES[theorem](ref, inst, constant)
@@ -339,7 +335,7 @@ def compare(theorem: TheoremId, inst: Instance) -> list[Side]:
     return out
 
 
-def sample(theorem: TheoremId, count: int, seed: int = 42):
+def sample(theorem: TheoremId, count: int, seed: int = SEED):
     """The first `count` campaign-key instances of `theorem` at dims 2..4
     whose check meets its hypotheses, with their trial indices."""
     config = CampaignConfig(theorems=(theorem,), dims=DIMS, seed=seed)
@@ -354,17 +350,13 @@ def sample(theorem: TheoremId, count: int, seed: int = 42):
     raise AssertionError(f"{theorem.value}: fewer than {count} instances in {50 * count} keys")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
+def main() -> int:
     beyond = 0
     print(f"{'statement':<20} {'n':>4} {'lhs rel':>10} {'rhs rel':>10} {'max C':>8}  (C = {C:g})")
     for theorem in TheoremId:
         worst = {"lhs": 0.0, "rhs": 0.0}
         needed, n = 0.0, 0
-        for index, inst in sample(theorem, args.count, args.seed):
+        for index, inst in sample(theorem, COUNT):
             n += 1
             for side in compare(theorem, inst):
                 worst[side.side] = max(worst[side.side], side.relative)

@@ -12,13 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-pytest.importorskip("mpmath")
+import reference
+from opentropy import entropy, maps, matcore, verify
+from opentropy.verify import TheoremId
 
-import reference  # noqa: E402
-from opentropy import entropy, maps, matcore, verify  # noqa: E402
-from opentropy.verify import TheoremId  # noqa: E402
-
-# Two instances per statement in tier-1; the script compares 50 (`python tests/reference.py`).
+# Two instances per statement in tier-1; the script compares reference.COUNT (`python tests/reference.py`).
 COUNT = 2
 KERNEL_MODULES = (matcore, entropy, maps)
 # What a kernel object computes: its spectral data, read off as attributes.
