@@ -21,12 +21,13 @@ and the frames Q_s in one pass, so that any weighted sum
 
     sum_s w_s A_s^{1/2} g(T_s) A_s^{1/2} = sum_s w_s Q_s diag(g(lambda_s)) Q_s*
 
-is one batched product and one weighted sum (the eigenbasis route of
+is one product over the node-concatenated frames (the eigenbasis route of
 Higham, Functions of Matrices, SIAM 2008; cf. Golub and Van Loan, Matrix
 Computations, 8.7, for the symmetric-definite pair).  This module holds the
 paper's functions of those values, and no exchange format (a field's JSON
-form is verify's); each Hermitian result is a read-only (d, d) ndarray.  A
-non-finite exponent is refused (PreconditionError).
+form is verify's); each Hermitian result is a read-only (d, d) ndarray,
+symmetrized here, since a pair aggregate is Hermitian only up to rounding
+(matcore's rule).  A non-finite exponent is refused (PreconditionError).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def relative_entropy(
     The spectrum of T must lie in the domain of f.  With q = 0, f = log this
     is the relative operator entropy S(A|B).
     """
-    return _freeze(PairSpectrum(a, b).entropy_term(_finite_exponent(q), f))
+    return _freeze(_symmetrize(PairSpectrum(a, b).entropy_term(_finite_exponent(q), f)))
 
 
 def variational_form(
@@ -95,11 +96,11 @@ def generalized_entropy(
     fa: OperatorField, fb: OperatorField, q: float, f: ScalarFunction
 ) -> np.ndarray:
     """sum_s w_s S(A_s, B_s; q, f) over node-aligned fields."""
-    return _freeze(fa.pair_spectrum(fb).entropy_term(_finite_exponent(q), f))
+    return _freeze(_symmetrize(fa.pair_spectrum(fb).entropy_term(_finite_exponent(q), f)))
 
 
 def mean_field(fa: OperatorField, fb: OperatorField, p: float) -> np.ndarray:
     """sum_s w_s (A_s #_p B_s) for p in [0, 1]."""
     if not 0.0 <= float(p) <= 1.0:
         raise PreconditionError(f"mean_field requires p in [0, 1], got {p}")
-    return _freeze(fa.pair_spectrum(fb).power_mean(p))
+    return _freeze(_symmetrize(fa.pair_spectrum(fb).power_mean(p)))

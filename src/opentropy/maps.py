@@ -70,16 +70,18 @@ class PositiveLinearMap:
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         """Phi(X) for an (in, in) array, or node by node for a stack (..., in, in):
         every factor in one stacked product, summed over the factors in order
-        (the bits of one product per factor added one after another)."""
+        (the bits of one product per factor added one after another).  An
+        intermediate, Hermitian up to rounding for a Hermitian X (matcore's
+        rule); `apply` symmetrizes what it returns."""
         c = self._kraus.reshape(len(self._kraus), *(1,) * (x.ndim - 2), self._in_dim, self._out_dim)
-        return _symmetrize((_adjoint(c) @ x @ c).sum(axis=0))
+        return (_adjoint(c) @ x @ c).sum(axis=0)
 
     def apply(self, x) -> np.ndarray:
         """Phi(X) as a read-only array, for an array-like or a PositiveDefiniteMatrix X."""
         arr = _entries(x)
         if arr.shape != (self._in_dim, self._in_dim):
             raise ShapeError(f"map expects a {self._in_dim}x{self._in_dim} input, got {arr.shape}")
-        return _freeze(self.apply_array(arr))
+        return _freeze(_symmetrize(self.apply_array(arr)))
 
     @classmethod
     def random_normalized(cls, in_dim: int, out_dim: int, n_terms: int, rng) -> "PositiveLinearMap":

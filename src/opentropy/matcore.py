@@ -1,10 +1,19 @@
 """Dense complex Hermitian matrix kernel and the positive-definite values.
 
 Spectral decompositions, functional calculus, and comparison in the Loewner
-order (A <= B iff B - A is positive semidefinite).  A Hermitian
-matrix is a plain complex ndarray: every Hermitian result of the package is
-a read-only (d, d) array, symmetrized once where a product can leave drift.
-The one positive-definite value is OperatorField, a finite weighted family
+order (A <= B iff B - A is positive semidefinite).  A Hermitian matrix is a
+plain complex ndarray, and one rule says when it is exactly Hermitian.  A
+stored or returned matrix (a field's nodes, a drawn node, a public result)
+is exactly Hermitian: `_symmetrize` makes it so once, where a product can
+leave drift.  An intermediate (an image `_scalar_image`, a pair aggregate
+`PairSpectrum.conjugate`, the pair kernel's Y* B Y, a map image `apply_array`,
+and sums and real multiples of these) is Hermitian only up to rounding, and
+where it is read as a Hermitian matrix, only a lower-triangle solve reads
+it.  LAPACK's `eigh_lo` and `eigvalsh_lo` read one triangle and the real
+part of the diagonal (Anderson et al., LAPACK Users' Guide, SIAM 1999, on
+UPLO), so the solve sees the Hermitian matrix that the lower triangle
+defines, and the drift between the triangles is never read.  The one
+positive-definite value is OperatorField, a finite weighted family
 {(w_s, A_s)} of PD matrices; a single PD matrix (PositiveDefiniteMatrix) is
 the one-node field of weight 1, and PairSpectrum holds the relative spectra
 of two aligned fields.  None of them has a JSON form here: the instance-file
@@ -190,8 +199,9 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _scalar_image(vectors: np.ndarray, values) -> np.ndarray:
-    """V diag(values) V*, for one eigenbasis or a stack of them."""
-    return _symmetrize((vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors))
+    """V diag(values) V*, for one eigenbasis or a stack of them: an
+    intermediate, Hermitian up to rounding (the module docstring's rule)."""
+    return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)
 
 
 def _require_pd_floor(eigenvalues: np.ndarray) -> None:
@@ -324,12 +334,13 @@ class OperatorField:
     @classmethod
     def pairs(cls, weights, a_stack: np.ndarray, b_stack: np.ndarray) -> tuple[tuple["OperatorField", ...], ...]:
         """n aligned pairs (FA_i, FB_i) sharing `weights`, one per item of
-        exactly Hermitian (n, k, d, d) stacks of A and B nodes.  The weights
-        are checked, the A stack is solved and floored in one call, and then
-        one pass of the pair kernel gives every pair spectrum, memoised as
-        `pair_spectrum` does, and floors the B stack (the module docstring
-        gives the rule, and the order of the refusals).  B is not solved.
-        Both stacks are frozen in place."""
+        (n, k, d, d) stacks of A and B nodes.  The stacks become the fields'
+        stored nodes, so the caller passes them exactly Hermitian (the module
+        docstring's rule).  The weights are checked, the A stack is solved
+        and floored in one call, and then one pass of the pair kernel gives
+        every pair spectrum, memoised as `pair_spectrum` does, and floors the
+        B stack (the module docstring gives the rule, and the order of the
+        refusals).  B is not solved.  Both stacks are frozen in place."""
         weights = _checked_weights(weights, a_stack.shape[1])
         solved = _solve_pd(a_stack)
         a_stack.setflags(write=False)
@@ -374,8 +385,9 @@ class OperatorField:
         return len(self._arrays)
 
     def weighted_sum(self) -> np.ndarray:
-        """sum_s w_s A_s, standing in for the Bochner integral of the field."""
-        return _weighted_sum(self._weights, self._arrays)
+        """sum_s w_s A_s, standing in for the Bochner integral of the field;
+        exactly Hermitian."""
+        return _symmetrize(_weighted_sum(self._weights, self._arrays))
 
     def is_normalized(self) -> bool:
         """True when sum_s w_s A_s = I within the fixed 1e-10 in Frobenius norm."""
@@ -442,9 +454,9 @@ def _checked_weights(weights, k: int) -> np.ndarray:
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_s w_s X_s over the node axis of a (..., k, d, d) stack, symmetrized."""
+    """sum_s w_s X_s over the node axis of a (..., k, d, d) stack."""
     *lead, k, d, _ = stack.shape
-    return _symmetrize((weights @ stack.reshape(*lead, k, d * d)).reshape(*lead, d, d))
+    return (weights @ stack.reshape(*lead, k, d * d)).reshape(*lead, d, d)
 
 
 def _require_aligned(fa: OperatorField, fb: OperatorField) -> None:
@@ -462,13 +474,16 @@ class PairSpectrum:
     Built from two aligned OperatorFields (two PositiveDefiniteMatrix values
     are the one-node case).  For every node it stores the eigenvalues of
     T_s = A_s^{-1/2} B_s A_s^{-1/2} (`eigenvalues`, (k, d), ascending) and the
-    frame Q_s = A_s^{1/2} U_s (`frame`, (k, d, d)), with U_s the eigenvectors
-    of T_s, so that A_s^{1/2} g(T_s) A_s^{1/2} = Q_s diag(g(lambda_s)) Q_s*
-    for any scalar g.  All nodes come from one pass over A's stacked
-    eigendecomposition (the pair kernel `_relative_spectrum`).  Every mean and
-    entropy of the pair is one diagonal scaling away, and a field aggregate is
-    one batched product and one weighted sum; the unweighted image of one
-    node is `_scalar_image(frame, values)`.  `OperatorField.pairs` solves
+    frame Q_s = A_s^{1/2} U_s (`frame`, (k, d, d)), with U_s an orthonormal
+    eigenbasis of T_s, so that A_s^{1/2} g(T_s) A_s^{1/2} = Q_s
+    diag(g(lambda_s)) Q_s* for any scalar g.  All nodes come from one pass
+    over A's stacked eigendecomposition (the pair kernel
+    `_relative_spectrum`).  Every mean and entropy of the pair is one diagonal
+    scaling away, and a field aggregate is one product (`conjugate`); the
+    unweighted image of one node is `_scalar_image(frame, values)`.  The
+    aggregates are intermediates, Hermitian up to rounding (the module
+    docstring's rule): entropy.py symmetrizes what it returns, and verify
+    hands them to lower-triangle solves.  `OperatorField.pairs` solves
     several aligned pairs in one pass and hands each its slice (`_spectrum`).
     """
 
@@ -496,13 +511,18 @@ class PairSpectrum:
         return self._M
 
     def conjugate(self, values) -> np.ndarray:
-        """sum_s w_s Q_s diag(values_s) Q_s* (Hermitian for real `values`).
+        """sum_s w_s Q_s diag(values_s) Q_s*, Hermitian up to rounding for real `values`.
 
         `values` has the shape of `eigenvalues`, with optional leading axes
         for several aggregates at once; a (d,) vector applies to every node.
+        One product over the node-concatenated frame [Q_1 | ... | Q_k]
+        (d x kd), with the weights folded into the diagonal.
         """
         q = self.frame
-        return _weighted_sum(self.weights, (q * np.asarray(values)[..., None, :]) @ _adjoint(q))
+        k, d = q.shape[0], q.shape[-1]
+        wide = q.swapaxes(0, 1).reshape(d, k * d)
+        scaled = np.asarray(values) * self.weights[:, None]
+        return (wide * scaled.reshape(*scaled.shape[:-2], 1, k * d)) @ _adjoint(wide)
 
     def power_mean(self, q: float) -> np.ndarray:
         """sum_s w_s (A_s #_q B_s)."""
@@ -521,7 +541,7 @@ def apply_function(a: PositiveDefiniteMatrix, f) -> np.ndarray:
     eigenvalue of `a` must lie in its domain.
     """
     values = f.evaluate_array(a.eigenvalues)
-    return _freeze(_scalar_image(a.decomposition.eigenvectors[0], values))
+    return _freeze(_symmetrize(_scalar_image(a.decomposition.eigenvectors[0], values)))
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
@@ -553,17 +573,21 @@ def _holds_within(margin: float, tol: float, *norms: float) -> bool:
 def _relative_spectrum(a: SpectralDecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair kernel: eigenvalues of T = A^{-1/2} B A^{-1/2} and frames Q = A^{1/2} U.
 
-    `a` is the eigendecomposition of A, `b` the array of B; both are one
-    matrix or stacks of the same length.  R = A^{-1/2} and S = A^{1/2} come
-    from A's eigenbasis in one batched product, T = R B R, one (stacked)
-    eigensolve gives T = U diag(lambda) U*, and Q = S U, so that
-    A^{1/2} g(T) A^{1/2} = Q diag(g(lambda)) Q* for any scalar g.  Both
-    results are read-only (a PairSpectrum memoises them).
+    `a` is the eigendecomposition A = V D V*, `b` the array of B; both are
+    one matrix or stacks of the same length.  T is solved in A's eigenbasis:
+    with Y = V D^{-1/2}, T' = Y* B Y = V* T V is unitarily similar to T, one
+    (stacked) eigensolve of its lower triangle gives T' = U' diag(lambda) U'*,
+    and Q = (V D^{1/2}) U' is A^{1/2} U for the eigenbasis U = V U' of T.  So
+    Q Q* = A, Q diag(lambda) Q* = B and A^{1/2} g(T) A^{1/2} = Q diag(g(lambda))
+    Q* for any scalar g, from three products.  T' is an intermediate (the
+    module docstring's rule).  Both results are read-only (a PairSpectrum
+    memoises them).
     """
-    root = np.sqrt(a.eigenvalues)
-    r, s = _scalar_image(a.eigenvectors, np.array([1.0 / root, root]))
-    lam, u = _eigh(_symmetrize(r @ b @ r))
-    return _freeze(lam), _freeze(s @ u)
+    v = a.eigenvectors
+    root = np.sqrt(a.eigenvalues)[..., None, :]
+    y = v / root
+    lam, u = _eigh(_adjoint(y) @ b @ y)
+    return _freeze(lam), _freeze((v * root) @ u)
 
 
 class _JsonRecord:

@@ -424,9 +424,10 @@ def _psd_parts(lhs, op: str, rhs) -> list:
 def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult:
     parts = [_psd_parts(*claim) for claim in sides.claims]
     # Every difference, then every claimed lhs and rhs, in one stacked solve
-    # (the same bits as one solve each).  Every item a builder makes is exactly
-    # Hermitian (a sum, difference or real multiple of symmetrized arrays), so
-    # it is solved as it is.
+    # (the same bits as one solve each).  An item a builder makes is an
+    # intermediate, Hermitian up to rounding (matcore's rule): the solve reads
+    # its lower triangle and the real part of its diagonal, so it is solved
+    # as it is.
     stack = np.array(
         [d for ds in parts for d in ds] + [side for lhs, _, rhs in sides.claims for side in (lhs, rhs)]
     )
@@ -483,9 +484,10 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 
 
 def _spectral_images(arr: np.ndarray, *fs: ScalarFunction) -> np.ndarray:
-    """f(arr) for each catalog f, stacked, from one solve of an exactly
-    Hermitian array (every caller's is a sum of symmetrized arrays and real
-    multiples of them)."""
+    """f(arr) for each catalog f, stacked, from one solve of the lower
+    triangle of `arr`, an intermediate Hermitian up to rounding (every
+    caller's is a sum of pair aggregates or map images and real multiples of
+    them).  The images are intermediates too."""
     w, v = _eigh(arr)
     return _scalar_image(v, np.array([f.evaluate_array(w) for f in fs]))
 
@@ -502,7 +504,9 @@ def _pair_like(fields: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
 def _entropy_bound_terms(inst: Instance, fs: tuple[ScalarFunction, ...], gamma: float = 1.0):
     """For each f in fs, f(W) - gamma f(t0)(I - V) and S_p = sum w A^{1/2} T^p
     f(T) A^{1/2}, with V = sum w A#_pB and W = sum w A#_{p+1}B + t0(I - V)
-    from one pass over the pair spectra and one solve of W; and I."""
+    from one product over the pair spectra and one solve of W's lower
+    triangle; and I.  V, W, S_p and the terms are Hermitian up to rounding
+    (matcore's rule), read only by that solve and `_verdict`'s."""
     p, t0 = float(inst.q), inst.t0
     spectrum = inst.fa.pair_spectrum(inst.fb)
     lam = spectrum.eigenvalues
@@ -658,8 +662,9 @@ def _map_monotone(inst: Instance, constant: None) -> Sides:
     """Phi(S_0(FA|FB)) <= S_0(Phi FA | Phi FB) for normalized positive Phi"""
     f, pm, fa, fb = inst.f, inst.pmap, inst.fa, inst.fb
     aggregate = fa.pair_spectrum(fb).entropy_term(0.0, f)
-    # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs).
-    images = pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]]))
+    # Phi applied once: to FA's nodes, then FB's, then the aggregate (the lhs),
+    # symmetrized, as the images of the nodes are stored as fields.
+    images = _symmetrize(pm.apply_array(np.concatenate([fa.arrays, fb.arrays, aggregate[None]])))
     k = len(fa)
     try:
         # FA's image is floored first, so the floor names the first failing node, FA's first.
@@ -1152,6 +1157,9 @@ class CampaignConfig(_JsonRecord):
             raise PreconditionError(f"terms must satisfy 1 <= lo <= hi, got {self.terms}")
         if not self.theorems or not self.functions or not self.exponents:
             raise PreconditionError("need at least one theorem, one function and one exponent")
+        repeated = sorted({t.value for t in self.theorems if self.theorems.count(t) > 1})
+        if repeated:
+            raise PreconditionError(f"theorems must not repeat, got {', '.join(repeated)} more than once")
         if not all(math.isfinite(q) for q in self.exponents):
             raise PreconditionError(f"exponents must be finite, got {self.exponents}")
         for spec in self.functions:

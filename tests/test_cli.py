@@ -656,6 +656,14 @@ class TestCampaign:
         code, stdout, err = run(capsys, "campaign", "--theorems", theorems, "--trials", "3")
         assert code == 2 and stdout == "" and "need at least one theorem" in err
 
+    @pytest.mark.parametrize("theorems", ["klein_upper,klein_upper", "info_ineq, klein_upper,info_ineq"])
+    def test_repeated_theorem_exits_2(self, capsys, theorems):
+        # A repeated name ran the statement again on the same trial keys and
+        # reported it twice.
+        code, stdout, err = run(capsys, "campaign", "--theorems", theorems, "--trials", "2")
+        repeated = theorems.split(",")[0].strip()
+        assert code == 2 and stdout == "" and f"theorems must not repeat, got {repeated} more than once" in err
+
     def test_master_seeds_do_not_alias(self, capsys):
         # -1 was masked to 2**64 - 1, so both seeds ran the same trials.
         args = ["campaign", "--theorems", "klein_upper", "--trials", "3"]

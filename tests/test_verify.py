@@ -895,8 +895,8 @@ def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
     assert {"m", "M"} <= set(payload)
     inst = Instance.from_json(payload)
     assert check(TheoremId.HOMOGENEOUS, inst).to_json() == {
-        "theorem": "homogeneous", "holds": True, "margin": -1.7828269397511913e-15,
-        "lhs_norm": 2.5313796245718945, "rhs_norm": 2.5313796245718936, "hypothesis_met": True,
+        "theorem": "homogeneous", "holds": True, "margin": -1.0835573688247985e-15,
+        "lhs_norm": 2.5313796245718936, "rhs_norm": 2.531379624571893, "hypothesis_met": True,
         "detail": "homogeneity at alpha=0.5, q=0.5 (two-sided margin)", "triage": None,
     }
     # The window, which no draw of the statement fills, is not read or written back.
@@ -911,9 +911,9 @@ def test_a_free_pair_file_with_a_window_replays_bit_for_bit():
 
 
 @pytest.mark.parametrize("name,unread,margin,lhs_norm,rhs_norm,detail", [
-    ("compression-jensen-with-q", "q", 0.004285549923040058, 1.3747558659797412, 1.3496024666069775,
+    ("compression-jensen-with-q", "q", 0.004285549923040199, 1.3747558659797416, 1.349602466606977,
      "lifted Jensen inequality for a sub-unital compression family"),
-    ("entropy-nonneg-with-t0", "t0", 0.9999999999999978, 0.0, 0.9999999999999997,
+    ("entropy-nonneg-with-t0", "t0", 0.9999999999999999, 0.0, 1.000000000000001,
      "nonnegativity of the aggregated entropy at q=0.5"),
 ], ids=["compression_jensen", "entropy_nonneg"])
 def test_a_file_with_an_unread_slot_replays_bit_for_bit(name, unread, margin, lhs_norm, rhs_norm, detail):
