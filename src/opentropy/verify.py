@@ -170,8 +170,7 @@ class Instance:
     statements gate on it or read it: it covers the pair spectrum of (FA, FB)
     for the normalized family (a draw stores the measured sandwich constants)
     and the spectrum of X for the compression family; t0 lies in [m, M] where
-    used.  A file's window is read only where a draw stores one.  Optional slots
-    cover the extra fields some statements need.
+    used.  Optional slots cover the extra fields some statements need.
     """
 
     theorem: TheoremId
@@ -195,16 +194,9 @@ class Instance:
     pb: np.ndarray | None = None
 
     def validate(self) -> None:
+        """The full check of an instance a draw did not build: a file's, or another statement's in `check`."""
         _require_draw_ranges(self.seed, self.dim, self.k)
-        st = STATEMENTS[self.theorem]
-        for slot in st.needs:
-            if getattr(self, slot) is None:
-                key = _SLOTS[slot][0]
-                raise PreconditionError(f"a {self.theorem.value} instance needs {key!r}, which is missing")
-        if self.q is not None and not math.isfinite(self.q):
-            raise PreconditionError(f"the exponent must be finite, got {self.q}")
-        if st.unit_exponent:
-            _require_unit_exponent(self.q)
+        st = self._require_arguments()
         if "m" in st.needs and not 0.0 < self.m <= self.M < math.inf:
             raise PreconditionError(f"need a window 0 < m <= M < inf, got m={self.m}, M={self.M}")
         self._check_header()
@@ -221,10 +213,22 @@ class Instance:
         if "t0" in st.needs:
             self._require_within("t0", self.t0, self.t0)
 
+    def _require_arguments(self) -> "Statement":
+        """What a draw's arguments can break: a slot the statement reads left empty, q not finite or off [0, 1]."""
+        st = STATEMENTS[self.theorem]
+        for slot in st.needs:
+            if getattr(self, slot) is None:
+                raise PreconditionError(f"a {self.theorem.value} instance needs {_SLOTS[slot][0]!r}, which is missing")
+        if self.q is not None and not math.isfinite(self.q):
+            raise PreconditionError(f"the exponent must be finite, got {self.q}")
+        if st.unit_exponent and not 0.0 <= self.q <= 1.0:
+            raise PreconditionError(f"this statement requires an exponent in [0, 1], got {self.q}")
+        return st
+
     def _check_header(self) -> None:
         """dim and k describe the payload: every field holds k dim x dim
         matrices, X is dim x dim, and the map's Kraus factors are dim x dim.
-        Every field has fa's weights (a draw's share one object, read first)."""
+        Every field has fa's weights."""
         node = (self.dim, self.dim)
         for slot in (*_FIELDS, "x", "pmap"):
             value = getattr(self, slot)
@@ -236,8 +240,7 @@ class Instance:
                 fits = value.arrays.shape == (1 if slot == "x" else self.k, *node)
             if not fits:
                 raise PreconditionError(f"{_SLOTS[slot][0]!r} does not match the header dim={self.dim}, k={self.k}")
-            if slot in _FIELDS[1:] and value.weights is not self.fa.weights \
-                    and not np.array_equal(value.weights, self.fa.weights):
+            if slot in _FIELDS[1:] and not np.array_equal(value.weights, self.fa.weights):
                 raise PreconditionError(f"'fa' and {slot!r} must share one weight vector node for node")
 
     def _require_within(self, what: str, lo: float, hi: float) -> None:
@@ -447,11 +450,6 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     return VerificationResult(theorem, holds, margin, ln, rn, True, detail, label)
 
 
-def _require_unit_exponent(q: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise PreconditionError(f"this statement requires an exponent in [0, 1], got {q}")
-
-
 def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | None:
     """Apply the statement's function gates to f on the window [lo, hi].
 
@@ -461,7 +459,7 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
     f >= 0 on [lo, hi] exactly when it is at both ends.  An entry tangent to
     t - 1 at 1 has f(t) <= t - 1 everywhere; any other entry (each is >= 0
     at 1) exceeds t - 1 next to 1, which the windows of a `below_t_minus_1`
-    statement hold in their interior (`Instance.validate`).  The chord
+    statement hold in their interior (drawn and loaded alike).  The chord
     constants are `bounds`' own.
     """
     if st.nonneg and not (f.evaluate(lo) >= -1e-12 and f.evaluate(hi) >= -1e-12):
@@ -1006,19 +1004,19 @@ STATEMENTS: dict[TheoremId, Statement] = {
 def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
     """Evaluate one theorem on one instance in one pass; pure in (theorem, inst, tol).
 
-    The hypotheses come first: the exponent range, then `_gate` on the
-    instance window, whose chord constant the builder receives.  Then the
-    builder's sides, and last `_verdict`'s margin with its label.  An instance
-    drawn for another statement is first validated as one of `theorem`'s, so
-    that a slot `theorem` needs, or one it fixes, is refused as at load.
+    The hypotheses come first: `_require_arguments`, or on an instance drawn
+    for another statement the full `validate` as one of `theorem`'s (a slot
+    `theorem` needs, or one it fixes, is refused as at load); then `_gate` on
+    the instance window, whose chord constant the builder receives.  Then the
+    builder's sides, and last `_verdict`'s margin with its label.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
-    if theorem is not inst.theorem:
+    if theorem is inst.theorem:
+        st = inst._require_arguments()
+    else:
         replace(inst, theorem=theorem).validate()
-    st = STATEMENTS[theorem]
-    if st.unit_exponent:
-        _require_unit_exponent(inst.q)
+        st = STATEMENTS[theorem]
     try:
         sides = st.build(inst, _gate(st, inst.f, inst.m, inst.M))
     except _Skip as skip:
@@ -1040,7 +1038,8 @@ def random_instance(
 
     p_or_q=None gives no exponent, as a record states where there is none.
     `Statement.fixed` sets k before the draw and its other slots after it:
-    t0 is drawn even where it is fixed, so that no later draw moves.
+    t0 is drawn even where it is fixed, so that no later draw moves.  The projections
+    build in the rest of `Instance.validate`, so a draw checks its arguments alone.
 
     With diagonal=True every matrix in the instance is diagonal, so both sides
     of the checked inequality reduce to scalar arithmetic (the smoke mode used
@@ -1066,7 +1065,7 @@ def random_instance(
             inst.t0 = float(rng.uniform(inst.m, inst.M))
     for slot, value in st.fixed.items():
         setattr(inst, slot, value)
-    inst.validate()
+    inst._require_arguments()
     return inst
 
 

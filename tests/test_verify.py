@@ -72,9 +72,19 @@ class TestRandomResolution:
 class TestRandomInstance:
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_generates_and_validates(self, theorem):
-        inst = random_instance(theorem, dim=3, k=2, seed=11, f=power(0.5), p_or_q=0.5)
-        inst.validate()
-        assert inst.dim == 3
+        # A draw checks only its arguments, so here every projection meets the
+        # load-time check, over the instances digest's grid (`tests/digests.py`).
+        # Normalized fields need k >= 2.
+        st = STATEMENTS[theorem]
+        least_k = 2 if st.family is verify._NORMALIZED else 1
+        for dim, k, diagonal, seed in itertools.product((1, 2, 3, 5), (1, 2, 3), (False, True), range(4)):
+            if k < least_k:
+                with pytest.raises(PreconditionError, match="need k >= 2"):
+                    random_instance(theorem, dim, k, seed, diagonal=diagonal)
+                continue
+            inst = random_instance(theorem, dim, k, seed, diagonal=diagonal)
+            inst.validate()
+            assert (inst.dim, inst.k) == (dim, st.fixed.get("k", k))
 
     def test_deterministic_in_seed(self):
         a = random_instance(TheoremId.ENTROPY_LOWER, 3, 2, 99, power(0.5), 0.5)
@@ -821,6 +831,47 @@ def test_an_instance_of_another_statement_is_validated_as_its_own(theorem, drawn
     inst = random_instance(drawn, dim, k, seed)
     with pytest.raises(PreconditionError, match=message):
         check(theorem, inst)
+
+
+@pytest.mark.parametrize("theorem,slot,key", [
+    (TheoremId.REV_JENSEN_ZETA, "m", "m"),
+    (TheoremId.MEAN_INTEGRAL, "fb", "fb"),
+    (TheoremId.REV_ENTROPY_ZETA, "t0", "t0"),
+    (TheoremId.INFO_INEQ, "pb", "pb"),
+    (TheoremId.ENTROPY_LOWER, "q", "q"),
+    (TheoremId.ENTROPY_LOWER, "f", "f"),
+    (TheoremId.COMPRESSION_JENSEN, "pmap", "map"),
+], ids=lambda value: getattr(value, "value", value))
+def test_check_refuses_its_own_statement_with_a_missing_slot(theorem, slot, key):
+    # These raised TypeError or AttributeError inside the builder or the gate.
+    inst = dataclasses.replace(random_instance(theorem, 3, 2, 0), **{slot: None})
+    with pytest.raises(PreconditionError, match=f"^a {theorem.value} instance needs '{key}', which is missing$"):
+        check(theorem, inst)
+
+
+def test_a_draw_runs_no_load_time_check(monkeypatch):
+    # The projections build in every rule of `Instance.validate` but those on
+    # the arguments, so neither it nor a family's validator runs on a draw.
+    def refuse(*args):
+        raise AssertionError("a draw ran a load-time check")
+
+    least_k = {t: 2 if st.family is verify._NORMALIZED else 1 for t, st in STATEMENTS.items()}
+    monkeypatch.setattr(Instance, "validate", refuse)
+    for theorem, st in list(STATEMENTS.items()):
+        monkeypatch.setitem(STATEMENTS, theorem, dataclasses.replace(
+            st, family=dataclasses.replace(st.family, validate=refuse),
+            extras=dataclasses.replace(st.extras, validate=refuse)))
+    for theorem in TheoremId:
+        for dim, k in {(3, 2), (1, least_k[theorem])}:
+            assert random_instance(theorem, dim, k, 0).dim == dim
+    # What an argument can break is still refused, after the projection's own refusals.
+    for theorem in (TheoremId.HOMOGENEOUS, TheoremId.ENTROPY_LOWER):
+        with pytest.raises(PreconditionError, match="^a .* instance needs 'q', which is missing$"):
+            random_instance(theorem, 3, 2, 0, p_or_q=None)
+    with pytest.raises(PreconditionError, match="need k >= 2"):
+        random_instance(TheoremId.ENTROPY_LOWER, 3, 1, 0, p_or_q=1.5)
+    with pytest.raises(PreconditionError, match=r"requires an exponent in \[0, 1\], got 1.5"):
+        random_instance(TheoremId.ENTROPY_LOWER, 3, 2, 0, p_or_q=1.5)
 
 
 @pytest.mark.parametrize("theorem", list(TheoremId))
