@@ -93,7 +93,7 @@ class PositiveLinearMap:
         = I to rounding (about 1e-14), where an eigensolve of S leaves errors near
         the 1e-10 tolerance of is_normalized.
         """
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_terms, in_dim, out_dim)):
+        if not all((type(n) is int or isinstance(n, np.integer)) and n >= 1 for n in (n_terms, in_dim, out_dim)):
             raise PreconditionError(f"need integers >= 1, got {n_terms!r} terms of {in_dim!r}x{out_dim!r}")
         if n_terms * in_dim < out_dim:
             raise PreconditionError(f"{n_terms} terms of {in_dim}x{out_dim} cannot sum to I_{out_dim}")

@@ -149,9 +149,11 @@ class TestPositiveLinearMap:
         with pytest.raises(PreconditionError):
             PositiveLinearMap.random_normalized(1, 3, 2, rng)
 
-    @pytest.mark.parametrize("in_dim,out_dim,n_terms", [(3, 3, 0), (3, 3, -3), (3, 3, 2.7), (3, 0, 2), (0, 3, 2)])
+    @pytest.mark.parametrize("in_dim,out_dim,n_terms",
+                             [(3, 3, 0), (3, 3, -3), (3, 3, 2.7), (3, 3, True), (3, 0, 2), (0, 3, 2)])
     def test_random_normalized_refuses_a_bad_size(self, rng, in_dim, out_dim, n_terms):
-        # 0 and -3 terms were drawn as one term and 2.7 as two; out_dim = 0 failed in numpy's reshape.
+        # 0 and -3 terms were drawn as one term, 2.7 as two and True as one; out_dim = 0 failed in
+        # numpy's reshape.
         with pytest.raises(PreconditionError, match="need integers >= 1"):
             PositiveLinearMap.random_normalized(in_dim, out_dim, n_terms, rng)
 
