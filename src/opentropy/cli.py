@@ -24,6 +24,7 @@ that a crash never reads as a violation.  All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import functions, verify
-from .errors import EigenConvergenceError
+from .errors import EigenConvergenceError, PreconditionError
 
 __all__ = ["main", "build_parser"]
 
@@ -110,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--f", type=str, help="function spec, e.g. log or power:0.5")
     gen.add_argument("--q", type=float, dest="p_or_q", metavar="Q", help="exponent q (or p) where applicable")
-    gen.add_argument("--diagonal", action="store_true", help="diagonal smoke-mode instance")
     gen.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
 
     chk = sub.add_parser("check", help="verify one instance file")
@@ -145,11 +145,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _output(out: Path | None):
+    """stdout, or `out` opened for writing; a path that cannot be opened is an input error."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return out.open("w")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -158,7 +161,8 @@ def _cmd_gen(args) -> int:
     if "f" in options:
         options["f"] = functions.parse(options["f"])
     inst = verify.random_instance(**options)
-    _emit(_json_text(inst.to_json()), args.out)
+    with _output(args.out) as stream:
+        stream.write(_json_text(inst.to_json()))
     print(f"wrote {args.theorem.value} instance (dim={inst.dim}, k={inst.k}, seed={inst.seed})",
           file=sys.stderr)
     return 0
@@ -185,11 +189,11 @@ def _cmd_check(args) -> int:
 def _cmd_campaign(args) -> int:
     names = {f.name for f in dataclasses.fields(verify.CampaignConfig)}
     config = verify.CampaignConfig(**{name: value for name, value in vars(args).items() if name in names})
-    report = verify.campaign(config)
-    if args.format == "json":
-        _emit(_json_text(report.to_json()), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
+    config.validate()
+    # The output is opened before the first trial, so that a path that cannot be written costs no run.
+    with _output(args.out) as stream:
+        report = verify.campaign(config)
+        stream.write(_json_text(report.to_json()) if args.format == "json" else report.to_csv())
     for summary in report.summaries:
         errors = f", {summary.errors} errors" if summary.errors else ""
         print(

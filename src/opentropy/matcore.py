@@ -247,9 +247,9 @@ def _square(m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _eye(dim: int, dtype=float) -> np.ndarray:
-    """The read-only dim x dim identity of `dtype`, built once per (dim, dtype)."""
-    return _freeze(np.eye(dim, dtype=dtype))
+def _eye(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity, built once per dim."""
+    return _freeze(np.eye(dim))
 
 
 class SpectralDecomposition(NamedTuple):

@@ -86,6 +86,7 @@ from .matcore import (
     _solve_pd,
     _symmetrize,
     apply_function,
+    loewner_leq,
 )
 
 __all__ = [
@@ -410,11 +411,6 @@ class Sides:
     detail: str | Callable[[list[float]], str]
 
 
-def _snorm(w) -> float:
-    """max(|w_first|, |w_last|) of an ascending spectrum, an array or a list."""
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 def _psd_parts(lhs, op: str, rhs) -> list:
     """The differences a claim says are positive semidefinite."""
     if op == "<=":
@@ -441,7 +437,7 @@ def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult
     spectra = iter(_eigvalsh(stack).tolist())
     margins = [min(next(spectra)[0] for _ in ds) for ds in parts]
     margin = min(margins)
-    norms = [_snorm(w) for w in spectra]
+    norms = [max(abs(w[0]), abs(w[-1])) for w in spectra]
     ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = _holds_within(margin, tol, ln, rn)
     detail = sides.detail(margins) if callable(sides.detail) else sides.detail
@@ -691,9 +687,9 @@ def _example_log_pair(inst: Instance, constant: None) -> Sides:
 
 @dataclass(frozen=True)
 class Family:
-    """A generator family, or an extra drawn after it.  `draw(rng, dim, k, diagonal)`
-    makes the rng calls of one attempt; the pure `project(raw)` meets every constraint
-    and returns the values of `slots` in order (a last "t0" is drawn on the accepted
+    """A generator family, or an extra drawn after it.  `draw(rng, dim, k)` makes the
+    rng calls of one attempt; the pure `project(raw)` meets every constraint and
+    returns the values of `slots` in order (a last "t0" is drawn on the accepted
     window), or None to draw again.  A window "m", "M" among the slots holds 1
     inside; `validate(inst)` checks a loaded instance, a stored window included."""
 
@@ -703,28 +699,8 @@ class Family:
     validate: Callable[[Instance], None] = lambda inst: None
 
 
-def _node_draws(rng, dim: int, diagonal: bool, low: float, high: float, *lead: int) -> np.ndarray:
-    """The raw nodes of a (*lead) stack in one rng call: diagonals uniform on [low, high), or Gaussians."""
-    if diagonal:
-        return rng.uniform(low, high, size=(*lead, dim))
-    return _cgauss(rng, (*lead, dim, dim))
-
-
-def _random_weights(rng, k: int) -> np.ndarray:
-    if rng.uniform() < 0.5:
-        return np.ones(k)
-    return rng.uniform(0.5, 2.0, size=k)
-
-
-def _diagonals(rows: np.ndarray) -> np.ndarray:
-    """The stack of complex diagonal matrices diag(row), one per row (last axis)."""
-    return rows[..., None] * _eye(rows.shape[-1], complex)
-
-
-def _resolution(nodes: np.ndarray, diagonal: bool) -> np.ndarray:
+def _resolution(nodes: np.ndarray) -> np.ndarray:
     """PD matrices summing to the identity over the node axis (a stack's sums in one solve)."""
-    if diagonal:
-        return _diagonals(nodes / nodes.sum(axis=-2, keepdims=True))
     dim = nodes.shape[-1]
     # The 0.5*dim ridge keeps every summand (hence every node) well conditioned.
     arrays = _symmetrize(nodes @ _adjoint(nodes)) + 0.5 * dim * _eye(dim)
@@ -733,25 +709,24 @@ def _resolution(nodes: np.ndarray, diagonal: bool) -> np.ndarray:
     return _symmetrize(isq @ arrays @ isq)
 
 
-def _free_nodes(nodes: np.ndarray, diagonal: bool) -> np.ndarray:
+def _free_nodes(nodes: np.ndarray) -> np.ndarray:
     """Well-conditioned PD matrices, one per raw node."""
-    if diagonal:
-        return _diagonals(nodes)
     dim = nodes.shape[-1]
     return _symmetrize(nodes @ _adjoint(nodes)) / dim + 0.5 * _eye(dim)
 
 
-def _draw_fields(rng, dim: int, k: int, diagonal: bool, count: int = 2, low: float = 0.5, high: float = 4.0):
-    """The raw nodes of `count` fields and their one shared weight vector."""
-    return diagonal, _random_weights(rng, k), _node_draws(rng, dim, diagonal, low, high, count, k)
+def _draw_fields(rng, dim: int, k: int, count: int = 2):
+    """The one weight vector that `count` fields share (ones, or uniform on [0.5, 2)) and their raw nodes."""
+    weights = np.ones(k) if rng.uniform() < 0.5 else rng.uniform(0.5, 2.0, size=k)
+    return weights, _cgauss(rng, (count, k, dim, dim))
 
 
 def _project_normalized(raw):
     """Two fields summing to the identity, kept when m <= 1 - 1e-6 and M >= 1 + 1e-6."""
-    diagonal, weights, nodes = raw
+    weights, nodes = raw
     if len(weights) < 2:
         raise PreconditionError("normalized instances need k >= 2 (k = 1 forces both fields to {I})")
-    arrays = _resolution(nodes, diagonal) / weights[:, None, None]
+    arrays = _resolution(nodes) / weights[:, None, None]
     ((fa, fb),) = OperatorField.pairs(weights, arrays[:1], arrays[1:])
     # The memoised pair spectrum: the check reuses it.
     spectrum = fa.pair_spectrum(fb)
@@ -774,17 +749,16 @@ def _project_free(raw):
     """Free fields, the first half of the drawn ones paired with the second
     half through `OperatorField.pairs`: (FA, FB) from two, the pairs (FA, FC)
     and (FB, FD) from four.  No window: no statement of these families reads one."""
-    diagonal, weights, nodes = raw
-    arrays = _free_nodes(nodes, diagonal)
+    weights, nodes = raw
+    arrays = _free_nodes(nodes)
     pairs = OperatorField.pairs(weights, arrays[:len(arrays) // 2], arrays[len(arrays) // 2:])
     return (*(a for a, _ in pairs), *(b for _, b in pairs))
 
 
-def _draw_compression(rng, dim: int, k: int, diagonal: bool):
+def _draw_compression(rng, dim: int, k: int):
+    """k and the raw nodes of the resolution (k or k + 1), of the k unitaries and of X."""
     extra = 1 if rng.uniform() < 0.75 else 0
-    nodes = _node_draws(rng, dim, diagonal, 0.2, 1.0, k + extra)
-    gauss = None if diagonal else _cgauss(rng, (k, dim, dim))
-    return diagonal, k, nodes, gauss, _node_draws(rng, dim, diagonal, 0.5, 4.0, 1)
+    return k, _cgauss(rng, (k + extra, dim, dim)), _cgauss(rng, (k, dim, dim)), _cgauss(rng, (1, dim, dim))
 
 
 def _project_compression(raw):
@@ -795,15 +769,13 @@ def _project_compression(raw):
     to centre, it is the window [r, max(x, 1/r)] with r = min(x, 1/x,
     1 - 1e-6), which contains x and has 1 in its interior as at dim >= 2.
     """
-    diagonal, k, nodes, gauss, x0 = raw
-    arrays = _resolution(nodes, diagonal)[:k]
-    x0_array = _free_nodes(x0, diagonal)
+    k, nodes, gauss, x0 = raw
+    arrays = _resolution(nodes)[:k]
+    x0_array = _free_nodes(x0)
     # The k nodes A_s and X0 in one solve: node roots from the first k,
     # from the last X0's extreme eigenvalues, which centre X = X0 / sqrt(lo hi).
     solved = _solve_pd(np.concatenate([arrays, x0_array]))
-    roots = _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
-    if not diagonal:
-        roots = _haar(gauss) @ roots
+    roots = _haar(gauss) @ _scalar_image(solved.eigenvectors[:k], np.sqrt(solved.eigenvalues[:k]))
     dim = x0_array.shape[-1]
     lo, hi = float(solved.eigenvalues[k, 0]), float(solved.eigenvalues[k, -1])
     scale = 1.0 / math.sqrt(lo * hi) if dim > 1 and hi / lo > 1.0 + 1e-9 else 1.0
@@ -819,11 +791,9 @@ def _validate_compression(inst: Instance) -> None:
     # The compression's k factors K_s (the header check sized them dim x dim).
     if len(inst.pmap.kraus) != inst.k:
         raise PreconditionError(f"'map' does not match the header dim={inst.dim}, k={inst.k}")
-    # Sub-unital: Phi(I) = sum K*K <= I.
+    # Sub-unital: Phi(I) = sum K*K <= I.  A Phi(I) that overflowed fails it.
     gram = inst.pmap.kraus_gram()
-    low, size = _eigvalsh(np.array([_eye(inst.dim) - gram, gram]))
-    # A Phi(I) that overflowed fails it: its spectrum is NaN or infinite.
-    if not (np.isfinite(gram).all() and low[0] >= -1e-10 * max(1.0, _snorm(size))):
+    if not (np.isfinite(gram).all() and loewner_leq(gram, _eye(inst.dim), 1e-10)[0]):
         raise PreconditionError("compression sum exceeds the identity")
     # The chord constants are taken on [m, M]; they bound f on the spectrum
     # of X only when the window covers it.
@@ -861,20 +831,15 @@ def _validate_blend(inst: Instance) -> None:
         raise PreconditionError(f"'alpha' + 'beta' must be 1 within 1e-12, got {inst.alpha} + {inst.beta}")
 
 
-def _draw_map(rng, dim: int, k: int, diagonal: bool):
-    """Weights p and permutation matrices, or (None, n in 1..3 complex Gaussians)."""
-    if diagonal:
-        probs = rng.dirichlet(np.ones(3))
-        return probs, [np.eye(dim)[rng.permutation(dim)].astype(complex) for _ in probs]
-    return None, _cgauss(rng, (int(rng.integers(1, 4)), dim, dim))
+def _draw_map(rng, dim: int, k: int):
+    """n in 1..3 complex Gaussians."""
+    return _cgauss(rng, (int(rng.integers(1, 4)), dim, dim))
 
 
-def _project_map(raw):
-    """Kraus factors C with sum C*C = I: the permutations scaled by sqrt(p), or
-    the row blocks of the Gaussians' Haar isometry (a normalized family)."""
-    probs, draws = raw
-    factors = _haar_blocks(draws) if probs is None else [math.sqrt(p) * c for p, c in zip(probs, draws)]
-    return (PositiveLinearMap(factors),)
+def _project_map(draws):
+    """Kraus factors C with sum C*C = I: the row blocks of the Gaussians' Haar
+    isometry (a normalized family)."""
+    return (PositiveLinearMap(_haar_blocks(draws)),)
 
 
 def _validate_map(inst: Instance) -> None:
@@ -882,18 +847,17 @@ def _validate_map(inst: Instance) -> None:
         raise PreconditionError("'map' is not normalized")
 
 
-_NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), functools.partial(_draw_fields, low=0.2, high=1.0),
-                     _project_normalized, validate=_validate_normalized)
+_NORMALIZED = Family(("fa", "fb", "m", "M", "t0"), _draw_fields, _project_normalized, validate=_validate_normalized)
 _FREE_PAIR = Family(("fa", "fb"), _draw_fields, _project_free)
 _FOUR_FIELDS = Family(("fa", "fb", "fc", "fd"), functools.partial(_draw_fields, count=4), _project_free)
 _COMPRESSION = Family(("pmap", "x", "m", "M", "t0"), _draw_compression, _project_compression,
                       validate=_validate_compression)
-_PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k, diagonal: np.array(
+_PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k: np.array(
     [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
-_NO_EXTRAS = Family((), lambda rng, dim, k, diagonal: (), tuple)
-_SCALE = Family(("alpha",), lambda rng, dim, k, diagonal: float(rng.choice([0.5, 2.0])), lambda alpha: (alpha,),
+_NO_EXTRAS = Family((), lambda rng, dim, k: (), tuple)
+_SCALE = Family(("alpha",), lambda rng, dim, k: float(rng.choice([0.5, 2.0])), lambda alpha: (alpha,),
                 validate=lambda inst: _require_positive(inst, "alpha"))
-_BLEND = Family(("alpha", "beta"), lambda rng, dim, k, diagonal: float(rng.uniform(0.25, 0.75)),
+_BLEND = Family(("alpha", "beta"), lambda rng, dim, k: float(rng.uniform(0.25, 0.75)),
                 lambda alpha: (alpha, 1.0 - alpha), validate=_validate_blend)
 _MAP = Family(("pmap",), _draw_map, _project_map, validate=_validate_map)
 
@@ -1031,7 +995,6 @@ def random_instance(
     seed: int,
     f: ScalarFunction | None = None,
     p_or_q: float | None = 0.5,
-    diagonal: bool = False,
 ) -> Instance:
     """Draw a hypothesis-satisfying instance for `theorem` from Philox keyed on
     `seed`, an integer in [0, 2**128), at counter 0: a pure function of its arguments.
@@ -1040,10 +1003,6 @@ def random_instance(
     `Statement.fixed` sets k before the draw and its other slots after it:
     t0 is drawn even where it is fixed, so that no later draw moves.  The projections
     build in the rest of `Instance.validate`, so a draw checks its arguments alone.
-
-    With diagonal=True every matrix in the instance is diagonal, so both sides
-    of the checked inequality reduce to scalar arithmetic (the smoke mode used
-    to compare checkers against an independent scalar implementation).
     """
     _require_draw_ranges(seed, dim, k)
     st = STATEMENTS[theorem]
@@ -1054,7 +1013,7 @@ def random_instance(
     )
     for family in (st.family, st.extras):
         for _ in range(_RESAMPLE_CAP):
-            values = family.project(family.draw(rng, inst.dim, inst.k, diagonal))
+            values = family.project(family.draw(rng, inst.dim, inst.k))
             if values is not None:
                 break
         else:
@@ -1082,7 +1041,10 @@ _TRIAL_REGION = 1
 
 
 def _require_draw_ranges(seed: int, dim: int, k: int) -> None:
-    """A draw's header ranges, for `random_instance` and `Instance.validate` alike."""
+    """A draw's header types and ranges, for `random_instance` and `Instance.validate` alike."""
+    for name, value in (("dim", dim), ("k", k), ("seed", seed)):
+        if not (type(value) is int or isinstance(value, np.integer)):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if not 1 <= dim <= 64:
         raise PreconditionError(f"dim must lie in 1..64, got {dim}")
     if k < 1:
@@ -1142,6 +1104,14 @@ class CampaignConfig(_JsonRecord):
     seed: int = 0
 
     def validate(self) -> None:
+        # The report states the config as JSON: its integers are ints, never bools or numpy integers.
+        if not (type(self.trials) is int and type(self.seed) is int):
+            raise PreconditionError(f"trials and seed must be integers, got trials={self.trials!r}, seed={self.seed!r}")
+        for name, pair in (("dims", self.dims), ("terms", self.terms)):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(v) is int for v in pair)):
+                raise PreconditionError(f"{name} must be a pair of integers (lo, hi), got {pair!r}")
+        if not all(isinstance(theorem, TheoremId) for theorem in self.theorems):
+            raise PreconditionError(f"theorems must be TheoremId members, got {self.theorems!r}")
         if self.trials < 0:
             raise PreconditionError("trials must be >= 0")
         if self.trials >= 1 << 32:

@@ -18,11 +18,10 @@ the sweep's windows from its `perfbench/workloads.py`.  One line per output,
     edges            the same over `EDGE_WINDOWS`, which reach the chord
                      kernel's branches that the sweep misses
     instances        the sorted-key JSON list of `random_instance(theorem,
-                     dim, k, seed, diagonal=diagonal).to_json()`, or of the
-                     error text where the draw raises, over every statement,
-                     dims 1, 2, 3, 5, k 1-3, both diagonal settings and seeds
-                     0-3: the dim-1, k-1 and diagonal draws that no digested
-                     campaign makes
+                     dim, k, seed).to_json()`, or of the error text where
+                     the draw raises, over every statement, dims 1, 2, 3, 5,
+                     k 1-3 and seeds 0-3: the dim-1 and k-1 draws that no
+                     digested campaign makes
 
 A last line, which is not a digest, gives the eigensolves per trial of the
 acceptance campaign, counted through matcore's entry (`_eigh`, `_eigvalsh`)
@@ -137,14 +136,13 @@ def instances_digest() -> str:
     for theorem in verify.TheoremId:
         for dim in (1, 2, 3, 5):
             for k in (1, 2, 3):
-                for diagonal in (False, True):
-                    for seed in range(4):
-                        try:
-                            inst = verify.random_instance(theorem, dim, k, seed, diagonal=diagonal)
-                        except Exception as exc:  # noqa: BLE001 - the error text is the digested outcome
-                            payload.append(f"{type(exc).__name__}: {exc}")
-                        else:
-                            payload.append(inst.to_json())
+                for seed in range(4):
+                    try:
+                        inst = verify.random_instance(theorem, dim, k, seed)
+                    except Exception as exc:  # noqa: BLE001 - the error text is the digested outcome
+                        payload.append(f"{type(exc).__name__}: {exc}")
+                    else:
+                        payload.append(inst.to_json())
     return _sha256(json.dumps(payload, sort_keys=True))
 
 

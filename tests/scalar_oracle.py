@@ -78,21 +78,6 @@ def _entropy_pieces(inst: Instance, p: float):
     return wa, das, dbs, n, v, warg
 
 
-def _perm_terms(pmap):
-    """(weight, source-position list) per Kraus factor of a permutation map."""
-    terms = []
-    for c in pmap.kraus:
-        arr = np.asarray(c)
-        src = []
-        weight = None
-        for j in range(arr.shape[1]):
-            i = int(np.argmax(np.abs(arr[:, j])))
-            src.append(i)
-            weight = float(abs(arr[i, j]) ** 2)
-        terms.append((weight, src))
-    return terms
-
-
 def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> float:
     """Scalar reproduction of the checker margin for a diagonal instance.
 
@@ -116,7 +101,8 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
         f = _fn(inst)
         x = _diag(inst.x.array)
         n = len(x)
-        cs = [[float(np.asarray(c)[i, i].real) for i in range(n)] for c in inst.pmap.kraus]
+        # A factor's weight is its modulus: the Haar factors carry phases.
+        cs = [[abs(complex(c[i, i])) for i in range(n)] for c in inst.pmap.kraus]
         gram = [sum(c[i] ** 2 for c in cs) for i in range(n)]
         arg = [sum(c[i] ** 2 * x[i] for c in cs) + inst.t0 * (1.0 - gram[i]) for i in range(n)]
         rhs = [sum(c[i] ** 2 * f(x[i]) for c in cs) + f(inst.t0) * (1.0 - gram[i]) for i in range(n)]
@@ -232,13 +218,14 @@ def margin(theorem: TheoremId, inst: Instance, extras: dict | None = None) -> fl
 
     if theorem is TheoremId.MAP_MONOTONE:
         f = _fn(inst)
-        terms = _perm_terms(inst.pmap)
         wa, das = _field(inst.fa)
         _, dbs = _field(inst.fb)
         n = len(das[0])
+        # A diagonal map scales position i by sum |C[i, i]|^2 over its factors.
+        gains = [sum(abs(complex(c[i, i])) ** 2 for c in inst.pmap.kraus) for i in range(n)]
 
         def apply(vec):
-            return [sum(w * vec[src[j]] for w, src in terms) for j in range(n)]
+            return [g * v for g, v in zip(gains, vec)]
 
         inner = [
             sum(w * a[i] * f(b[i] / a[i]) for w, a, b in zip(wa, das, dbs)) for i in range(n)

@@ -67,6 +67,14 @@ class TestGen:
                                 "--seed", seed, "--out", str(out))
         assert code == 2 and "seed must lie in [0, 2**128)" in err and not out.exists()
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # It crashed with exit 3 and a traceback.
+        out = tmp_path / "missing" / "inst.json"
+        code, stdout, err = run(capsys, "gen", "--theorem", "klein_upper", "--dim", "2", "--k", "1",
+                                "--seed", "0", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.parent.exists()
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
     def test_largest_key_draws(self, capsys):
         code, stdout, _ = run(capsys, "gen", "--theorem", "klein_upper", "--dim", "2", "--k", "1",
                               "--seed", str(2**128 - 1))
@@ -155,11 +163,11 @@ class TestCheck:
         assert payload["margin"] is None and not payload["holds"] and not payload["hypothesis_met"]
 
     def test_nonfinite_side_is_an_error_before_the_solve(self, tmp_path, capsys):
-        # q = 1e308 on a diagonal instance fills a side with inf and NaN: it
-        # is refused before the margin's solve, which may not converge on it.
+        # q = 1e308 fills a side with inf and NaN: it is refused before the
+        # margin's solve, which may not converge on it.
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", "homogeneous", "--dim", "3", "--k", "2",
-            "--seed", "0", "--q", "1e308", "--diagonal", "--out", str(out))
+            "--seed", "0", "--q", "1e308", "--out", str(out))
         with np.errstate(all="ignore"):
             code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and json.loads(stdout)["detail"] == "error: non-finite margin"
@@ -706,6 +714,15 @@ class TestCampaign:
         code, _, err = run(capsys, "campaign", "--trials", "2", *option, "--out", str(out))
         assert code == 2 and "error:" in err
         assert trials == [] and not out.exists()
+
+    def test_unwritable_output_exits_2_before_any_trial(self, monkeypatch, tmp_path, capsys):
+        # It crashed with exit 3 and a traceback, after running every trial.
+        trials = []
+        monkeypatch.setattr(verify, "run_trial", lambda *args: trials.append(args))
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            code, stdout, err = run(capsys, "campaign", "--trials", "2", "--out", str(out))
+            assert code == 2 and stdout == "" and trials == []
+            assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
     def test_eigensolver_failure_is_counted_not_fatal(self, tmp_path, capsys):
         # q = 1e308 overflows the q-dependent sides of these statements, and

@@ -46,8 +46,8 @@ def test_registry_is_total():
 def draw_resolution(dim, k, seed):
     """k unit-weight PD matrices summing to the identity, projected as the
     normalized family projects its raw nodes."""
-    nodes = verify._node_draws(np.random.default_rng(seed), dim, False, 0.2, 1.0, k)
-    return OperatorField.from_matrices(np.ones(k), verify._resolution(nodes, diagonal=False))
+    nodes = matcore._cgauss(np.random.default_rng(seed), (k, dim, dim))
+    return OperatorField.from_matrices(np.ones(k), verify._resolution(nodes))
 
 
 class TestRandomResolution:
@@ -77,12 +77,12 @@ class TestRandomInstance:
         # Normalized fields need k >= 2.
         st = STATEMENTS[theorem]
         least_k = 2 if st.family is verify._NORMALIZED else 1
-        for dim, k, diagonal, seed in itertools.product((1, 2, 3, 5), (1, 2, 3), (False, True), range(4)):
+        for dim, k, seed in itertools.product((1, 2, 3, 5), (1, 2, 3), range(4)):
             if k < least_k:
                 with pytest.raises(PreconditionError, match="need k >= 2"):
-                    random_instance(theorem, dim, k, seed, diagonal=diagonal)
+                    random_instance(theorem, dim, k, seed)
                 continue
-            inst = random_instance(theorem, dim, k, seed, diagonal=diagonal)
+            inst = random_instance(theorem, dim, k, seed)
             inst.validate()
             assert (inst.dim, inst.k) == (dim, st.fixed.get("k", k))
 
@@ -139,13 +139,24 @@ class TestRandomInstance:
         for theorem in TheoremId:
             f = LOG if theorem is TheoremId.ENTROPY_UPPER else power(0.5)
             least_k = 2 if STATEMENTS[theorem].family is verify._NORMALIZED else 1
-            cases = [(17, 3, 3, False), (18, 4, 3, False), (19, 2, 3, False), (20, 5, 3, False),
-                     (21, 1, least_k, False), (22, 3, least_k, False), (23, 1, 3, False),
-                     (24, 3, 3, True), (25, 1, least_k, True), (26, 4, least_k, True)]
-            for seed, dim, k, diagonal in cases:
-                inst = random_instance(theorem, dim, k, seed, f, 0.5, diagonal=diagonal)
+            cases = [(17, 3, 3), (18, 4, 3), (19, 2, 3), (20, 5, 3), (21, 1, least_k), (22, 3, least_k),
+                     (23, 1, 3), (24, 3, 3), (25, 1, least_k), (26, 4, least_k)]
+            for seed, dim, k in cases:
+                inst = random_instance(theorem, dim, k, seed, f, 0.5)
                 back = Instance.from_json(json.loads(json.dumps(inst.to_json())))
                 assert check(theorem, back) == check(theorem, inst), (theorem, seed)
+
+    @pytest.mark.parametrize("size", [{"dim": 2.5}, {"k": 2.7}, {"dim": True}, {"k": True}, {"seed": 1.5},
+                                      {"seed": True}, {"dim": "3"}], ids=repr)
+    def test_a_size_or_seed_that_is_not_an_integer_is_refused(self, size):
+        # 2.5 drew dim 2, 2.7 drew k = 2, True was read as 1, and seed 1.5
+        # raised a bare TypeError.  numpy integers are integers.
+        args = {"theorem": TheoremId.HOMOGENEOUS, "dim": 2, "k": 2, "seed": 0, **size}
+        (name, value), = size.items()
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer, got {value!r}"):
+            random_instance(**args)
+        inst = random_instance(TheoremId.HOMOGENEOUS, np.int64(2), np.int32(2), np.uint64(0))
+        assert (type(inst.dim), type(inst.k), type(inst.seed)) == (int, int, int)
 
     @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
     def test_nonfinite_exponent_rejected(self, q):
@@ -172,12 +183,11 @@ class TestStackedDraws:
         self.same(lambda rng: cgauss(rng, (k, dim, dim)), lambda rng, n: cgauss(rng, (n, k, dim, dim)))
         self.same(lambda rng: cgauss(rng, (dim, k)), lambda rng, n: cgauss(rng, (n, dim, k)))
 
-    @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dim,k", [(1, 1), (1, 3), (3, 2), (6, 4)])
-    def test_resolution_and_free_arrays(self, dim, k, diagonal):
-        # The raw nodes, and their projections: a stack's sums are solved in one call.
-        for low, high, project in ((0.2, 1.0, verify._resolution), (0.5, 4.0, verify._free_nodes)):
-            draw = lambda rng, *lead: project(verify._node_draws(rng, dim, diagonal, low, high, *lead, k), diagonal)
+    def test_resolution_and_free_arrays(self, dim, k):
+        # The projections of the raw nodes: a stack's sums are solved in one call.
+        for project in (verify._resolution, verify._free_nodes):
+            draw = lambda rng, *lead: project(matcore._cgauss(rng, (*lead, k, dim, dim)))
             self.same(draw, draw)
 
 
@@ -260,16 +270,27 @@ class TestCheckerBehavior:
             check(TheoremId.KLEIN_UPPER, inst, tol=-1.0)
 
 
+def _diagonal(arrays) -> bool:
+    arrays = np.asarray(arrays)
+    return np.array_equal(arrays, arrays * np.eye(arrays.shape[-1]))
+
+
 class TestDiagonalSmoke:
-    """Every checker against the independent scalar implementation."""
+    """Every checker against the independent scalar implementation, on the
+    commuting corner of the campaign's own draw: with `_cgauss` zeroing the
+    off-diagonals of every square Gaussian stack it returns, each field, X and
+    Kraus factor that `random_instance` projects is diagonal."""
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
-    def test_matches_scalar_oracle(self, theorem):
+    def test_matches_scalar_oracle(self, theorem, monkeypatch):
+        gauss = verify._cgauss
+        monkeypatch.setattr(verify, "_cgauss", lambda rng, shape: gauss(rng, shape) * np.eye(shape[-1]))
         exercised = 0
         for seed in range(6):
             f = [power(0.5), power(0.25), NEG_T_LOG_T, LOG][seed % 4]
-            inst = random_instance(theorem, dim=4, k=3, seed=1000 + seed, f=f,
-                                   p_or_q=[0.0, 0.5, 1.0][seed % 3], diagonal=True)
+            inst = random_instance(theorem, dim=4, k=3, seed=1000 + seed, f=f, p_or_q=[0.0, 0.5, 1.0][seed % 3])
+            values = [getattr(inst, slot) for slot in ("fa", "fb", "fc", "fd", "x", "pmap")]
+            assert all(_diagonal(v.kraus if v is inst.pmap else v.arrays) for v in values if v is not None), theorem
             res = check(theorem, inst)
             if not res.hypothesis_met:
                 continue
@@ -328,6 +349,28 @@ class TestTrialsAndCampaign:
             campaign(CampaignConfig(trials=1, dims=(0, 4)))
         with pytest.raises(PreconditionError):
             campaign(CampaignConfig(trials=1, functions=("sqrt_is_not_a_spec",)))
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"trials": True}, "trials and seed must be integers, got trials=True, seed=0"),
+        ({"trials": 2.5}, "trials and seed must be integers, got trials=2.5, seed=0"),
+        ({"seed": 1.5}, "trials and seed must be integers, got trials=1, seed=1.5"),
+        ({"seed": False}, "trials and seed must be integers, got trials=1, seed=False"),
+        ({"dims": (2, 3.5)}, r"dims must be a pair of integers \(lo, hi\), got \(2, 3.5\)"),
+        ({"dims": (2, 3, 4)}, r"dims must be a pair of integers \(lo, hi\), got \(2, 3, 4\)"),
+        ({"terms": (True, 2)}, r"terms must be a pair of integers \(lo, hi\), got \(True, 2\)"),
+        ({"terms": 2}, r"terms must be a pair of integers \(lo, hi\), got 2"),
+        ({"seed": np.int64(3)}, r"trials and seed must be integers, got trials=1, seed=np.int64\(3\)"),
+        ({"theorems": (TheoremId.INFO_INEQ, "klein_upper")},
+         r"theorems must be TheoremId members, got \(<TheoremId.INFO_INEQ: 'info_ineq'>, 'klein_upper'\)"),
+    ])
+    def test_config_of_the_wrong_type_is_refused_before_any_trial(self, monkeypatch, edit, message):
+        # trials=True ran and reported "trials": true, seed=1.5 ran the trials
+        # of seed 1, dims=(2, 3.5) ran; trials=2.5 raised TypeError and a
+        # theorem named by its string KeyError.  The report is JSON, which
+        # holds no numpy integer.
+        monkeypatch.setattr(verify, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(PreconditionError, match=message):
+            campaign(CampaignConfig(**{"trials": 1, **edit}))
 
 
 class TestKeyedStreams:
@@ -1118,7 +1161,7 @@ def test_a_rejected_attempt_is_drawn_again(monkeypatch):
 
 def _perturbed(raw, rng):
     """The raw arrays of a draw moved off the draw's distribution: real ones
-    (diagonals, weights, probabilities) scaled by factors in [1/2, 2] and
+    (weights, probabilities) scaled by factors in [1/2, 2] and
     shifted down by 0.1 where they are probabilities (so that the clip acts),
     complex Gaussians shifted by another."""
 
@@ -1147,9 +1190,9 @@ def test_a_draw_makes_only_generator_calls(monkeypatch):
 
     monkeypatch.setattr(matcore, "_lapack", refuse)
     for theorem, st in STATEMENTS.items():
-        for dim, k, diagonal in itertools.product((1, 2, 3), (1, 2, 3), (False, True)):
+        for dim, k in itertools.product((1, 2, 3), (1, 2, 3)):
             for family in (st.family, st.extras):
-                family.draw(np.random.default_rng(dim * 10 + k), dim, k, diagonal)
+                family.draw(np.random.default_rng(dim * 10 + k), dim, k)
 
 
 @pytest.mark.parametrize("theorem", list({STATEMENTS[t].family: t for t in TheoremId}.values()),
@@ -1158,10 +1201,10 @@ def test_projection_restores_the_family_constraints(theorem):
     st, rng = STATEMENTS[theorem], np.random.default_rng(29)
     family, accepted, moved = st.family, 0, 0
     least_k = 2 if family is verify._NORMALIZED else 1
-    for dim, k, diagonal in ((1, 1, False), (1, 3, True), (2, 1, True), (3, 2, False), (4, 3, True), (5, 2, False)):
+    for dim, k in ((1, 1), (1, 3), (2, 1), (3, 2), (4, 3), (5, 2)):
         k = st.fixed.get("k", max(k, least_k))
         for seed in range(4):
-            raw = family.draw(np.random.default_rng(seed), dim, k, diagonal)
+            raw = family.draw(np.random.default_rng(seed), dim, k)
             values = family.project(_perturbed(raw, rng))
             if values is None:
                 continue
@@ -1170,7 +1213,7 @@ def test_projection_restores_the_family_constraints(theorem):
                 setattr(inst, slot, value)
             if "t0" in family.slots:
                 inst.t0 = float(rng.uniform(inst.m, inst.M))
-            for slot, value in zip(st.extras.slots, st.extras.project(st.extras.draw(rng, dim, k, diagonal))):
+            for slot, value in zip(st.extras.slots, st.extras.project(st.extras.draw(rng, dim, k))):
                 setattr(inst, slot, value)
             inst.validate()
             unperturbed = family.project(raw)
