@@ -34,7 +34,10 @@ timeit), on the 2x2 to 8x8 arrays where a trial's time is per-call
 overhead.  The results are the same bits as numpy.linalg's, NaN spectra of
 non-finite input included (tests/test_matcore.py compares them, and fails
 on a numpy.linalg factorization or an `np.errstate` anywhere else in the
-package).
+package, and on a module other than this one that names the entry).  On it
+sits the one Loewner test: `_loewner_margins` decides every claim lhs <= rhs
+(>=, or == as both), read by `_holds_within` at a tol `_require_tol` admits,
+for verify's builders and for `loewner_leq`, the one-claim case.
 
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`) and the
 private helpers (`_symmetrize`, `_adjoint`, `_scalar_image`,
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import fields
 from enum import Enum
 from typing import NamedTuple
@@ -204,6 +208,12 @@ def _scalar_image(vectors: np.ndarray, values) -> np.ndarray:
     return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)
 
 
+def _spectral_images(arr: np.ndarray, *fs) -> np.ndarray:
+    """f(arr) for each catalog f, stacked, from one solve of `arr`'s lower triangle (intermediates in and out)."""
+    w, v = _eigh(arr)
+    return _scalar_image(v, np.array([f.evaluate_array(w) for f in fs]))
+
+
 def _require_pd_floor(eigenvalues: np.ndarray) -> None:
     """Raise NotPositiveDefiniteError unless lambda_min > 0 and lambda_min > 1e-12 lambda_max,
     for one ascending spectrum or for every row of a stack of them (the first
@@ -264,8 +274,7 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
+        return _scalar_image(self.eigenvectors, self.eigenvalues)
 
 
 def eig(h) -> SpectralDecomposition:
@@ -404,8 +413,7 @@ class OperatorField:
         return f"{type(self).__name__}(k={len(self)}, dim={self.dim})"
 
 
-_UNIT_WEIGHT = np.ones(1)
-_UNIT_WEIGHT.setflags(write=False)
+_UNIT_WEIGHT = _freeze(np.ones(1))
 
 
 class PositiveDefiniteMatrix(OperatorField):
@@ -449,8 +457,7 @@ def _checked_weights(weights, k: int) -> np.ndarray:
         raise ShapeError(f"{weights.shape} weights for {k} nodes")
     if not all(0.0 < w < np.inf for w in weights.tolist()):
         raise PreconditionError("weights must be strictly positive and finite")
-    weights.setflags(write=False)
-    return weights
+    return _freeze(weights)
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -545,28 +552,50 @@ def apply_function(a: PositiveDefiniteMatrix, f) -> np.ndarray:
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
-    """Test A <= B in the Loewner order.
+    """Test A <= B in the Loewner order, as the one claim (A + A*)/2 <= (B + B*)/2.
 
-    Returns (holds, margin) with margin = lambda_min(B - A); the test passes
-    when margin >= -tol * max(1, ||A||_2, ||B||_2).  A non-finite entry is
-    refused (PreconditionError), as is a negative or non-finite `tol`.
-    """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
+    Returns (holds, margin) with margin = lambda_min(B - A), which holds when
+    margin >= -tol * max(1, ||A||_2, ||B||_2).  A non-finite or overflowing
+    entry, or a `tol` that `_require_tol` refuses, raises PreconditionError."""
+    _require_tol(tol)
     aa, bb = _square(a), _square(b)
     if aa.shape != bb.shape:
         raise ShapeError(f"loewner_leq shape mismatch: {aa.shape} vs {bb.shape}")
-    # Refused before the solve, which can return finite eigenvalues for NaN entries.
+    # Refused before the symmetrize too, whose complex halving warns at an inf (inf * 0j).
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise PreconditionError("loewner_leq needs finite entries")
-    # One stacked solve of B - A, A and B (the same bits as a solve each).
-    diff, wa, wb = _eigvalsh(_symmetrize(np.array([bb - aa, aa, bb])))
-    margin = float(diff[0])
-    return _holds_within(margin, tol, abs(wa[0]), abs(wa[-1]), abs(wb[0]), abs(wb[-1])), margin
+    aa, bb = _symmetrize(np.array([aa, bb]))
+    solved = _loewner_margins([(aa, "<=", bb)])
+    if solved is None:
+        raise PreconditionError("loewner_leq needs a finite symmetrized pair and difference (an entry overflowed)")
+    (margin,), a_norm, b_norm = solved
+    return _holds_within(margin, tol, a_norm, b_norm), margin
+
+
+def _require_tol(tol) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tol must be finite and nonnegative (a real number, not a bool), got {tol!r}")
+
+
+def _loewner_margins(claims) -> tuple[list[float], float, float] | None:
+    """Each claim's margin, the least eigenvalue of the difference it says is
+    PSD (the lesser of two for "=="), and the largest lhs and rhs norms, from
+    one stacked solve of every difference, then every side, each read by its
+    lower triangle; None on a non-finite entry, which is checked before the
+    solve, as it can return finite eigenvalues for NaN entries."""
+    parts = [[rhs - lhs] if op == "<=" else [lhs - rhs] if op == ">=" else [lhs - rhs, rhs - lhs]
+             for lhs, op, rhs in claims]
+    stack = np.array([d for ds in parts for d in ds] + [side for lhs, _, rhs in claims for side in (lhs, rhs)])
+    if not np.isfinite(stack).all():
+        return None
+    spectra = iter(_eigvalsh(stack).tolist())
+    margins = [min(next(spectra)[0] for _ in ds) for ds in parts]
+    norms = [max(abs(w[0]), abs(w[-1])) for w in spectra]
+    return margins, max(norms[0::2]), max(norms[1::2])
 
 
 def _holds_within(margin: float, tol: float, *norms: float) -> bool:
-    """The one tolerance rule of the Loewner tests: margin >= -tol * max(1, norms)."""
+    """The one tolerance rule of the Loewner test: margin >= -tol * max(1, norms)."""
     return bool(margin >= -tol * float(max(1.0, *norms)))
 
 

@@ -8,9 +8,8 @@ the inequality exactly as displayed.  A draw runs generator records (`Family`):
 and the record names the slots it fills (a window among them holds 1 inside)
 and its load-time check.  `check` makes one pass over it: the hypotheses (the
 exponent range, then the function gates on the instance window, which give the
-statement's chord constant), then both sides, then one labelled verdict.  The
-verdict's margin is the Loewner margin (lambda_min of the difference that the
-statement claims is positive semidefinite; a scalar slack for the information
+statement's chord constant), then both sides, then one labelled verdict of
+matcore's one Loewner test on their claims (a scalar slack for the information
 inequality; a two-sided margin for the homogeneity identity).
 
 A failed hypothesis is never counted as a failure: the checker reports
@@ -75,15 +74,16 @@ from .matcore import (
     PositiveDefiniteMatrix,
     _adjoint,
     _cgauss,
-    _eigh,
-    _eigvalsh,
     _eye,
     _haar,
     _holds_within,
     _JsonRecord,
+    _loewner_margins,
     _require_aligned,
+    _require_tol,
     _scalar_image,
     _solve_pd,
+    _spectral_images,
     _symmetrize,
     apply_function,
     loewner_leq,
@@ -399,46 +399,21 @@ class _Skip(Exception):
 
 @dataclass(frozen=True)
 class Sides:
-    """Both sides of a statement on one instance, as a builder returns them.
-
-    Each claim (lhs, op, rhs) asserts lhs op rhs in the Loewner order, with op
-    one of "<=", ">=" or "==" (two-sided).  The margin is the least one over
-    the claims, and the norms are the largest.  `detail` is a string, or a
-    function of the per-claim margins.
-    """
+    """Both sides of a statement on one instance, as a builder returns them: the
+    claims (lhs, op, rhs) that matcore's one Loewner test decides, and `detail`,
+    a string or a function of the per-claim margins."""
 
     claims: list
     detail: str | Callable[[list[float]], str]
 
 
-def _psd_parts(lhs, op: str, rhs) -> list:
-    """The differences a claim says are positive semidefinite."""
-    if op == "<=":
-        return [rhs - lhs]
-    if op == ">=":
-        return [lhs - rhs]
-    return [lhs - rhs, rhs - lhs]
-
-
 def _verdict(theorem: TheoremId, sides: Sides, tol: float) -> VerificationResult:
-    parts = [_psd_parts(*claim) for claim in sides.claims]
-    # Every difference, then every claimed lhs and rhs, in one stacked solve
-    # (the same bits as one solve each).  An item a builder makes is an
-    # intermediate, Hermitian up to rounding (matcore's rule): the solve reads
-    # its lower triangle and the real part of its diagonal, so it is solved
-    # as it is.
-    stack = np.array(
-        [d for ds in parts for d in ds] + [side for lhs, _, rhs in sides.claims for side in (lhs, rhs)]
-    )
-    if not np.isfinite(stack).all():
+    solved = _loewner_margins(sides.claims)
+    if solved is None:
         # Overflow in a side (an exponent like 1e308): no order can be read off.
-        # Checked before the solve, which can return finite eigenvalues for NaN entries.
         return VerificationResult(theorem, False, None, 0.0, 0.0, False, "error: non-finite margin")
-    spectra = iter(_eigvalsh(stack).tolist())
-    margins = [min(next(spectra)[0] for _ in ds) for ds in parts]
+    margins, ln, rn = solved
     margin = min(margins)
-    norms = [max(abs(w[0]), abs(w[-1])) for w in spectra]
-    ln, rn = max(norms[0::2]), max(norms[1::2])
     holds = _holds_within(margin, tol, ln, rn)
     detail = sides.detail(margins) if callable(sides.detail) else sides.detail
     # A violation is numerical if it passes the rule at tol=1e-6 (whatever tol is).
@@ -477,15 +452,6 @@ def _gate(st: "Statement", f: ScalarFunction, lo: float, hi: float) -> float | N
 # ---------------------------------------------------------------------------
 
 
-def _spectral_images(arr: np.ndarray, *fs: ScalarFunction) -> np.ndarray:
-    """f(arr) for each catalog f, stacked, from one solve of the lower
-    triangle of `arr`, an intermediate Hermitian up to rounding (every
-    caller's is a sum of pair aggregates or map images and real multiples of
-    them).  The images are intermediates too."""
-    w, v = _eigh(arr)
-    return _scalar_image(v, np.array([f.evaluate_array(w) for f in fs]))
-
-
 def _pair_like(fields: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
     """The pair (FA, FB) on the nodes and weights that the aligned `fields`
     share, with the (k, d, d) node stacks `a` and `b` of their combinations,
@@ -500,7 +466,7 @@ def _entropy_bound_terms(inst: Instance, fs: tuple[ScalarFunction, ...], gamma: 
     f(T) A^{1/2}, with V = sum w A#_pB and W = sum w A#_{p+1}B + t0(I - V)
     from one product over the pair spectra and one solve of W's lower
     triangle; and I.  V, W, S_p and the terms are Hermitian up to rounding
-    (matcore's rule), read only by that solve and `_verdict`'s."""
+    (matcore's rule), read only by that solve and the Loewner test's."""
     p, t0 = float(inst.q), inst.t0
     spectrum = inst.fa.pair_spectrum(inst.fb)
     lam = spectrum.eigenvalues
@@ -968,14 +934,13 @@ STATEMENTS: dict[TheoremId, Statement] = {
 def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
     """Evaluate one theorem on one instance in one pass; pure in (theorem, inst, tol).
 
-    The hypotheses come first: `_require_arguments`, or on an instance drawn
-    for another statement the full `validate` as one of `theorem`'s (a slot
-    `theorem` needs, or one it fixes, is refused as at load); then `_gate` on
-    the instance window, whose chord constant the builder receives.  Then the
-    builder's sides, and last `_verdict`'s margin with its label.
+    `tol` (`loewner_leq`'s rule) and the hypotheses come first: `_require_arguments`,
+    or on an instance drawn for another statement the full `validate` as one of
+    `theorem`'s (a slot `theorem` needs, or one it fixes, is refused as at load);
+    then `_gate` on the instance window, whose chord constant the builder
+    receives.  Then the builder's sides, and last `_verdict`'s margin and label.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
+    _require_tol(tol)
     if theorem is inst.theorem:
         st = inst._require_arguments()
     else:
@@ -1104,7 +1069,7 @@ class CampaignConfig(_JsonRecord):
     seed: int = 0
 
     def validate(self) -> None:
-        # The report states the config as JSON: its integers are ints, never bools or numpy integers.
+        # The report states the config as JSON: ints, never bools or numpy integers, and tol and exponents by `_number`.
         if not (type(self.trials) is int and type(self.seed) is int):
             raise PreconditionError(f"trials and seed must be integers, got trials={self.trials!r}, seed={self.seed!r}")
         for name, pair in (("dims", self.dims), ("terms", self.terms)):
@@ -1112,6 +1077,11 @@ class CampaignConfig(_JsonRecord):
                 raise PreconditionError(f"{name} must be a pair of integers (lo, hi), got {pair!r}")
         if not all(isinstance(theorem, TheoremId) for theorem in self.theorems):
             raise PreconditionError(f"theorems must be TheoremId members, got {self.theorems!r}")
+        for name, value in [("tol", self.tol), *(("exponents", q) for q in self.exponents)]:
+            try:
+                _number(value)
+            except PreconditionError as exc:
+                raise PreconditionError(f"{name}: {exc}") from None
         if self.trials < 0:
             raise PreconditionError("trials must be >= 0")
         if self.trials >= 1 << 32:

@@ -1,6 +1,5 @@
 import math
 import signal
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -47,12 +46,9 @@ def deadline():
 
 
 def rebind_entry(monkeypatch, name: str, replacement) -> None:
-    """Replace matcore's entry `name` with `replacement` in every package
-    module that binds it (verify imports it by name), for one test."""
-    original = getattr(matcore, name)
-    for key, module in sorted(sys.modules.items()):
-        if (key == "opentropy" or key.startswith("opentropy.")) and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
+    """Replace matcore's entry `name` with `replacement` for one test; no
+    other module names it (tests/test_matcore.py guards that)."""
+    monkeypatch.setattr(matcore, name, replacement)
 
 
 class Solve(NamedTuple):

@@ -100,7 +100,7 @@ def campaign_digest(argv: list[str]) -> tuple[str, int]:
 @contextlib.contextmanager
 def eigensolve_counts():
     """Count the calls to matcore's eigensolver entry and the matrices they
-    solve, in every package module that binds it, while the block runs.
+    solve while the block runs (no other module binds the entry).
     Yields {"eigh": [calls, matrices], "eigvalsh": [calls, matrices]}."""
     counts = {}
     with pytest.MonkeyPatch.context() as patch:

@@ -35,6 +35,7 @@ from opentropy.matcore import (
     _eigh,
     _eigvalsh,
     _frobenius,
+    _loewner_margins,
     _qr,
     _relative_spectrum,
     _require_pd_floor,
@@ -283,12 +284,47 @@ def wrapper_calls(source: str, filename: str) -> set:
     return found
 
 
+# matcore's LAPACK entry: no other module names it, so the other modules
+# solve through matcore's helpers and one patch of matcore sees every solve.
+_ENTRY = {"_eigh", "_eigvalsh", "_qr", "_lapack"}
+
+
+def entry_names(source: str, filename: str) -> set:
+    """(file, name) of every name, attribute or import of the entry in a
+    module other than matcore.py."""
+    if filename == "matcore.py":
+        return set()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.rpartition(".")[2] for alias in node.names}
+        found |= {(filename, name) for name in names & _ENTRY}
+    return found
+
+
 class TestNoWrapperOutsideTheEntry:
     def test_the_package_calls_no_wrapper_outside_matcores_entry(self):
         found = set()
         for path in sorted(Path(opentropy.__file__).parent.glob("*.py")):
             found |= wrapper_calls(path.read_text(), path.name)
         assert found == _ALLOWED
+
+    def test_no_module_but_matcore_names_the_entry(self):
+        found = set()
+        for path in sorted(Path(opentropy.__file__).parent.glob("*.py")):
+            found |= entry_names(path.read_text(), path.name)
+        assert found == set()
+
+    def test_the_entry_guard_sees_each_form(self):
+        source = (
+            "from .matcore import _eigh, _qr as factor\nimport opentropy.matcore._lapack\n"
+            "def f(a):\n    return matcore._eigvalsh(a), _eigh\n"
+        )
+        assert entry_names(source, "verify.py") == {
+            ("verify.py", "_eigh"), ("verify.py", "_qr"), ("verify.py", "_lapack"), ("verify.py", "_eigvalsh"),
+        }
+        assert entry_names(source, "matcore.py") == set()
 
     def test_the_guard_sees_each_form(self):
         source = (
@@ -686,15 +722,48 @@ class TestLoewner:
         with pytest.raises(PreconditionError, match="finite"):
             loewner_leq(a, b)
 
+    def test_an_overflowing_difference_is_refused(self):
+        # A + A* overflows to inf in the symmetrize; that read as (False, nan).
+        a, b = np.diag([-1.5e308, 1.0]), np.diag([1.5e308, 1.0])
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="overflowed"):
+            loewner_leq(a, b)
+
     @pytest.mark.parametrize("a, b, tol", [
         (4.0 * np.eye(2), np.eye(2), np.inf),
         (np.eye(2), 4.0 * np.eye(2), np.nan),
         (np.eye(2), np.eye(2), -1e-9),
-    ], ids=["inf", "nan", "negative"])
+        (4.0 * np.eye(2), np.eye(2), True),
+        (np.eye(2), 4.0 * np.eye(2), False),
+        (np.eye(2), 4.0 * np.eye(2), "1e-9"),
+        (np.eye(2), 4.0 * np.eye(2), None),
+        (np.eye(2), 4.0 * np.eye(2), 1e-9j),
+    ], ids=["inf", "nan", "negative", "true", "false", "str", "none", "complex"])
     def test_nonfinite_or_negative_tol_refused(self, a, b, tol):
-        # Unrefused, tol=inf would pass 4I <= I and tol=nan fail I <= 4I.
+        # Unrefused, tol=inf would pass 4I <= I and tol=nan fail I <= 4I; tol=True
+        # passed 4I <= I at tol = 1.0, and a string, None or a complex raised TypeError.
         with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
             loewner_leq(a, b, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 1e-9, np.float64(1e-9), np.float32(1e-9), np.int64(0)])
+    def test_any_real_tol_is_read(self, tol):
+        assert loewner_leq(np.eye(2), 2.0 * np.eye(2), tol=tol) == (True, 1.0)
+
+    def test_one_solve_decides_every_claim(self, rng, solve_calls):
+        a, b, c = (random_hermitian(rng, 3) for _ in range(3))
+        solve_calls.clear()
+        margins, lhs_norm, rhs_norm = _loewner_margins([(a, "<=", b), (a, ">=", c), (a, "==", b)])
+        # The four differences, then the six sides, in one stacked solve.
+        assert [s[:3] for s in solve_calls] == [("eigvalsh", 10, 3)]
+        low = [float(np.linalg.eigvalsh(x)[0]) for x in (b - a, a - c, a - b)]
+        assert margins == [low[0], low[1], min(low[2], low[0])]
+        norm = [float(np.abs(np.linalg.eigvalsh(x)[[0, -1]]).max()) for x in (a, b, c)]
+        assert (lhs_norm, rhs_norm) == (norm[0], max(norm[1], norm[2]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_nonfinite_side_is_refused_before_the_solve(self, solve_calls, value):
+        with np.errstate(all="ignore"):
+            assert _loewner_margins([(np.diag([value, 1.0]), "<=", np.eye(2))]) is None
+        assert solve_calls == []
 
     def test_margin_is_the_least_eigenvalue_of_the_difference(self, rng):
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)

@@ -34,7 +34,7 @@ from opentropy.verify import (
     trial_seed,
 )
 
-from conftest import labels
+from conftest import labels, random_hermitian
 
 SMALL = CampaignConfig(trials=4, dims=(2, 5), terms=(2, 3), seed=7)
 
@@ -269,6 +269,13 @@ class TestCheckerBehavior:
         with pytest.raises(PreconditionError):
             check(TheoremId.KLEIN_UPPER, inst, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=["bool", "str", "none"])
+    def test_tol_is_read_by_loewner_leqs_rule(self, tol):
+        # tol=True checked at tol = 1.0, and a string or None raised TypeError.
+        inst = random_instance(TheoremId.KLEIN_UPPER, 2, 1, 0)
+        with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
+            check(TheoremId.KLEIN_UPPER, inst, tol=tol)
+
 
 def _diagonal(arrays) -> bool:
     arrays = np.asarray(arrays)
@@ -362,6 +369,15 @@ class TestTrialsAndCampaign:
         ({"seed": np.int64(3)}, r"trials and seed must be integers, got trials=1, seed=np.int64\(3\)"),
         ({"theorems": (TheoremId.INFO_INEQ, "klein_upper")},
          r"theorems must be TheoremId members, got \(<TheoremId.INFO_INEQ: 'info_ineq'>, 'klein_upper'\)"),
+        # tol and the exponents by the instance file's number rule: tol=True
+        # ran and wrote "tol": true, exponents=(True,) wrote [true], and a
+        # string raised TypeError.
+        ({"tol": True}, "tol: must be a JSON number, got True"),
+        ({"tol": "1e-9"}, "tol: must be a JSON number, got '1e-9'"),
+        ({"tol": 2**1100}, "tol: must be a JSON number within the double range"),
+        ({"exponents": (True,)}, "exponents: must be a JSON number, got True"),
+        ({"exponents": (0.5, "0.5")}, "exponents: must be a JSON number, got '0.5'"),
+        ({"exponents": (np.float32(0.5),)}, r"exponents: must be a JSON number, got np.float32\(0.5\)"),
     ])
     def test_config_of_the_wrong_type_is_refused_before_any_trial(self, monkeypatch, edit, message):
         # trials=True ran and reported "trials": true, seed=1.5 ran the trials
@@ -371,6 +387,10 @@ class TestTrialsAndCampaign:
         monkeypatch.setattr(verify, "run_trial", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(PreconditionError, match=message):
             campaign(CampaignConfig(**{"trials": 1, **edit}))
+
+    def test_integer_tol_and_exponents_are_json_numbers(self):
+        report = campaign(CampaignConfig(theorems=(TheoremId.KLEIN_UPPER,), trials=2, exponents=(0, 1), tol=1))
+        assert report.to_json()["config"]["exponents"] == [0, 1] and report.error_total == 0
 
 
 class TestKeyedStreams:
@@ -1058,6 +1078,15 @@ def test_nonfinite_side_is_an_error_before_the_solve():
     result = verify._verdict(TheoremId.ENTROPY_NONNEG, sides, 1e-9)
     assert not result.hypothesis_met and not result.holds and result.margin is None
     assert result.detail == "error: non-finite margin"
+
+
+def test_the_verdict_and_loewner_leq_are_one_test(rng):
+    # One claim A <= B on exactly Hermitian sides: the same margin, norms and verdict.
+    for _ in range(20):
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4) + 0.2 * np.eye(4)
+        result = verify._verdict(TheoremId.ENTROPY_NONNEG, verify.Sides([(a, "<=", b)], "x"), 1e-9)
+        assert (result.holds, result.margin) == matcore.loewner_leq(a, b, 1e-9)
+        assert (result.lhs_norm, result.rhs_norm) == tuple(float(np.abs(np.linalg.eigvalsh(x)).max()) for x in (a, b))
 
 
 def test_the_verdict_labels_violations_by_the_rule_at_1e_6():
