@@ -75,8 +75,9 @@ from .errors import (
     PreconditionError,
     UndefinedRatioError,
     UnresolvableWindowError,
+    _number,
 )
-from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, _grid, _nonnegative
+from .functions import GRID_POINTS, LOG, NEG_T_LOG_T, ScalarFunction, _nonnegative
 from .matcore import _JsonRecord
 
 __all__ = [
@@ -115,8 +116,8 @@ class SecantData(_JsonRecord):
 
 
 def _check_interval(m: float, M: float) -> tuple[float, float]:
-    m, M = float(m), float(M)
-    if not (0.0 < m < M) or not (math.isfinite(m) and math.isfinite(M)):
+    m, M = float(_number(m, "m")), float(_number(M, "M"))
+    if not 0.0 < m < M:
         raise PreconditionError(f"need 0 < m < M, got m={m}, M={M}")
     return m, M
 
@@ -203,7 +204,7 @@ def _ratio_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
         )
     # f is evaluated on the grid once, for the nonnegativity check and the
     # search; the catalog's nonnegative interval covering [m, M] needs no check.
-    ts = _grid(m, M)
+    ts = np.linspace(m, M, GRID_POINTS)
     fs = f.evaluate_array(ts)
     lo, hi = f.nonnegative_on
     if not (lo <= m and M <= hi) and not _nonnegative(fs):
@@ -257,7 +258,7 @@ def _stationary_points(f: ScalarFunction, mu: float, m: float, M: float) -> list
 def _gap_bound(f: ScalarFunction, chord: _Chord) -> tuple[float, float]:
     m, M, _, _, mu, nu = chord
     obj = lambda t: f.fn(t) - (mu * t + nu)
-    ts = _grid(m, M)
+    ts = np.linspace(m, M, GRID_POINTS)
     t_grid, v_grid = _maximize(obj, ts, obj(ts))
     roots = _stationary_points(f, mu, m, M)
     if not roots:
@@ -351,9 +352,8 @@ def _kernel(f: ScalarFunction, m: float, M: float, ratio: bool, gap: bool) -> tu
     value is floored at the endpoints' exact 1 or 0, at argmax m: only
     rounding lands below them.  The linear heads take the grid search.
     """
-    m, M = float(m), float(M)
-    if not 0.0 < m < M < _INF:
-        _check_interval(m, M)
+    if not (type(m) is float and type(M) is float and 0.0 < m < M < _INF):
+        m, M = _check_interval(m, M)
     fn = f.fn
     fm, fM = float(fn(m)), float(fn(M))
     scale = 1.0  # max(1, |f(m)|, |f(M)|)
@@ -457,9 +457,10 @@ def logarithmic_mean(a: float, b: float) -> float:
     Evaluated through u = (b - a)/a and log1p, which stays accurate for
     nearly equal arguments where the textbook quotient cancels.
     """
-    a, b = float(a), float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"logarithmic mean needs positive arguments, got {a}, {b}")
+    if not (type(a) is float and type(b) is float and 0.0 < a < _INF and 0.0 < b < _INF):
+        a, b = float(_number(a, "a")), float(_number(b, "b"))
+        if a <= 0.0 or b <= 0.0:
+            raise DomainError(f"logarithmic mean needs positive arguments, got {a}, {b}")
     if abs(a - b) <= 1e-12 * max(a, b):
         return 0.5 * (a + b)
     u = (b - a) / a
@@ -478,9 +479,10 @@ def identric_mean(a: float, b: float) -> float:
     unit or (1 + u) log1p(u) overflows, it takes the same mean as
     hi exp(lo (log hi - log lo)/(hi - lo) - 1) with lo < hi, which does not cancel.
     """
-    a, b = float(a), float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"identric mean needs positive arguments, got {a}, {b}")
+    if not (type(a) is float and type(b) is float and 0.0 < a < _INF and 0.0 < b < _INF):
+        a, b = float(_number(a, "a")), float(_number(b, "b"))
+        if a <= 0.0 or b <= 0.0:
+            raise DomainError(f"identric mean needs positive arguments, got {a}, {b}")
     if abs(a - b) <= 1e-12 * max(a, b):
         return 0.5 * (a + b)
     u = (b - a) / a

@@ -27,16 +27,16 @@ Computations, 8.7, for the symmetric-definite pair).  This module holds the
 paper's functions of those values, and no exchange format (a field's JSON
 form is verify's); each Hermitian result is a read-only (d, d) ndarray,
 symmetrized here, since a pair aggregate is Hermitian only up to rounding
-(matcore's rule).  A non-finite exponent is refused (PreconditionError).
+(matcore's rule).  Every exponent is read by the package's number rule
+(`errors._number`): a finite int or float, never a bool or a string
+(PreconditionError).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import _number
 from .functions import ScalarFunction
 from .matcore import (
     OperatorField,
@@ -55,17 +55,9 @@ __all__ = [
 ]
 
 
-def _finite_exponent(q) -> float:
-    """The exponent q as a float, refused unless finite."""
-    q = float(q)
-    if not math.isfinite(q):
-        raise PreconditionError(f"the exponent q must be finite, got {q}")
-    return q
-
-
 def natural_power(x: PositiveDefiniteMatrix, y: PositiveDefiniteMatrix, q: float) -> PositiveDefiniteMatrix:
     """X #_q Y = X^{1/2} (X^{-1/2} Y X^{-1/2})^q X^{1/2}; PD for any real q."""
-    return PositiveDefiniteMatrix(PairSpectrum(x, y).power_mean(_finite_exponent(q)))
+    return PositiveDefiniteMatrix(PairSpectrum(x, y).power_mean(_number(q, "the exponent q")))
 
 
 def relative_entropy(
@@ -76,7 +68,7 @@ def relative_entropy(
     The spectrum of T must lie in the domain of f.  With q = 0, f = log this
     is the relative operator entropy S(A|B).
     """
-    return _freeze(_symmetrize(PairSpectrum(a, b).entropy_term(_finite_exponent(q), f)))
+    return _freeze(_symmetrize(PairSpectrum(a, b).entropy_term(_number(q, "the exponent q"), f)))
 
 
 def variational_form(
@@ -88,7 +80,7 @@ def variational_form(
 
     which agrees with relative_entropy(a, b, q, f) identically.
     """
-    inner = relative_entropy(b.inv(), a.inv(), _finite_exponent(q) - 1.0, f)
+    inner = relative_entropy(b.inv(), a.inv(), _number(q, "the exponent q") - 1.0, f)
     return _freeze(_symmetrize(b.array @ inner @ b.array))
 
 
@@ -96,11 +88,9 @@ def generalized_entropy(
     fa: OperatorField, fb: OperatorField, q: float, f: ScalarFunction
 ) -> np.ndarray:
     """sum_s w_s S(A_s, B_s; q, f) over node-aligned fields."""
-    return _freeze(_symmetrize(fa.pair_spectrum(fb).entropy_term(_finite_exponent(q), f)))
+    return _freeze(_symmetrize(fa.pair_spectrum(fb).entropy_term(_number(q, "the exponent q"), f)))
 
 
 def mean_field(fa: OperatorField, fb: OperatorField, p: float) -> np.ndarray:
     """sum_s w_s (A_s #_p B_s) for p in [0, 1]."""
-    if not 0.0 <= float(p) <= 1.0:
-        raise PreconditionError(f"mean_field requires p in [0, 1], got {p}")
-    return _freeze(_symmetrize(fa.pair_spectrum(fb).power_mean(p)))
+    return _freeze(_symmetrize(fa.pair_spectrum(fb).power_mean(_number(p, "p", 0.0, 1.0))))

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one number rule (`_number`)."""
+
+import math
+import reprlib
+import sys
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -35,3 +41,39 @@ class ConsistencyError(ArithmeticError):
 
 class GenerationError(RuntimeError):
     """Constrained random generation exhausted its resampling budget."""
+
+
+_MAX = sys.float_info.max
+# The least positive double: as a lower bound it reads "> 0".
+_POSITIVE = math.ulp(0.0)
+
+
+def _number(value, name: str = "", lo=-_MAX, hi=_MAX, integer: bool = False):
+    """The package's one number rule: `value` as a Python int or float in
+    [lo, hi] (an int if `integer`), else PreconditionError naming `name`.
+    A Python or numpy int or float is read; a bool, a string, any other
+    object, a NaN, an inf and an int beyond the double range are refused.
+    An exact int or float in bounds returns at once (every trial and chord
+    window runs the rule)."""
+    kind = type(value)
+    if (kind is int or kind is float and not integer) and lo <= value <= hi:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        number = int(value)
+    elif isinstance(value, (float, np.floating)) and not integer:
+        number = float(value)
+    else:
+        number = None
+    if number is None:
+        need = "be an integer" if integer else "be a number"
+    elif not -_MAX <= number <= _MAX:
+        need = "be finite" if isinstance(number, float) else "be within the double range"
+    elif not lo <= number <= hi:
+        if hi == _MAX:  # one-sided
+            need = "be > 0" if lo == _POSITIVE else f"be >= {lo!r}"
+        else:  # an int bound 2**n - 1 (n >= 32) reads as the open end 2**n
+            wide = type(hi) is int and hi >= 0xFFFFFFFF and not hi & (hi + 1)
+            need = f"lie in [{lo!r}, " + (f"2**{hi.bit_length()})" if wide else f"{hi!r}]")
+    else:
+        return number
+    raise PreconditionError(f"{name} must {need}, got {reprlib.repr(value)}".lstrip())

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _number
 
 __all__ = [
     "GRID_POINTS",
@@ -40,20 +40,18 @@ _POSITIVE = (0.0, _INF)
 
 
 def _power(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"power catalog entry requires p in [0, 1], got {p}")
+    _number(p, "the power p", 0.0, 1.0)
     return (lambda t: t ** p), (lambda t: p * t ** (p - 1.0)), _POSITIVE
 
 
 def _constant(c: float):
-    if not (math.isfinite(c) and c >= 0.0):
-        raise PreconditionError(f"constant catalog entry requires a finite c >= 0, got {c}")
+    _number(c, "the constant c", 0.0)
     return (lambda t: c + 0.0 * t), (lambda t: 0.0 * t), _POSITIVE
 
 
 def _affine(a: float, b: float):
-    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
-        raise PreconditionError(f"affine catalog entry requires finite a, b >= 0, got a={a}, b={b}")
+    _number(a, "the affine a", 0.0)
+    _number(b, "the affine b", 0.0)
     return (lambda t: a + b * t), (lambda t: b + 0.0 * t), _POSITIVE
 
 
@@ -143,26 +141,20 @@ NEG_T_LOG_T = ScalarFunction("neg_t_log_t")
 
 
 def constant(c: float) -> ScalarFunction:
-    return ScalarFunction(f"const:{float(c)!r}")
+    return ScalarFunction(f"const:{_number(c, 'the constant c')!r}")
 
 
 def affine(a: float, b: float) -> ScalarFunction:
-    return ScalarFunction(f"affine:{float(a)!r},{float(b)!r}")
+    return ScalarFunction(f"affine:{_number(a, 'the affine a')!r},{_number(b, 'the affine b')!r}")
 
 
 def power(p: float) -> ScalarFunction:
-    return ScalarFunction(f"power:{float(p)!r}")
+    return ScalarFunction(f"power:{_number(p, 'the power p')!r}")
 
 
 def parse(text: str) -> ScalarFunction:
     """The catalog function of a CLI spec: log | power:p | neg_t_log_t | affine:a,b | const:c | identity."""
     return ScalarFunction(text)
-
-
-def _grid(m: float, M: float) -> np.ndarray:
-    if not 0.0 < m <= M:
-        raise PreconditionError(f"need 0 < m <= M, got m={m}, M={M}")
-    return np.linspace(m, M, GRID_POINTS)
 
 
 def _nonnegative(vals: np.ndarray) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError, ShapeError, _number
 from .matcore import _NORMALIZED_TOL, _adjoint, _cgauss, _entries, _freeze, _frobenius, _haar, _symmetrize
 
 __all__ = ["PositiveLinearMap"]
@@ -93,8 +93,8 @@ class PositiveLinearMap:
         = I to rounding (about 1e-14), where an eigensolve of S leaves errors near
         the 1e-10 tolerance of is_normalized.
         """
-        if not all((type(n) is int or isinstance(n, np.integer)) and n >= 1 for n in (n_terms, in_dim, out_dim)):
-            raise PreconditionError(f"need integers >= 1, got {n_terms!r} terms of {in_dim!r}x{out_dim!r}")
+        n_terms = _number(n_terms, "n_terms", 1, integer=True)
+        in_dim, out_dim = _number(in_dim, "in_dim", 1, integer=True), _number(out_dim, "out_dim", 1, integer=True)
         if n_terms * in_dim < out_dim:
             raise PreconditionError(f"{n_terms} terms of {in_dim}x{out_dim} cannot sum to I_{out_dim}")
         return cls(_haar_blocks(_cgauss(rng, (n_terms, in_dim, out_dim))))

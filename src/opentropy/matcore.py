@@ -36,8 +36,9 @@ non-finite input included (tests/test_matcore.py compares them, and fails
 on a numpy.linalg factorization or an `np.errstate` anywhere else in the
 package, and on a module other than this one that names the entry).  On it
 sits the one Loewner test: `_loewner_margins` decides every claim lhs <= rhs
-(>=, or == as both), read by `_holds_within` at a tol `_require_tol` admits,
-for verify's builders and for `loewner_leq`, the one-claim case.
+(>=, or == as both), read by `_holds_within` at a tol the number rule admits
+(`errors._number`: finite and >= 0), for verify's builders and for
+`loewner_leq`, the one-claim case.
 
 Leading axes.  `eig`, the pair kernel (`_relative_spectrum`) and the
 private helpers (`_symmetrize`, `_adjoint`, `_scalar_image`,
@@ -75,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import fields
 from enum import Enum
 from typing import NamedTuple
@@ -84,7 +84,7 @@ import numpy as np
 from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
-from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError
+from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError, _number
 
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
@@ -249,10 +249,23 @@ def _entries(m) -> np.ndarray:
     return np.asarray(getattr(m, "array", m), dtype=complex)
 
 
-def _square(m) -> np.ndarray:
-    arr = _entries(m)
+def _require_finite(arr: np.ndarray, refusal: type = NotPositiveDefiniteError) -> None:
+    if not np.isfinite(arr).all():
+        raise refusal(f"a matrix has a non-finite entry ({'nan' if np.isnan(arr).any() else 'inf'})")
+
+
+def _square(m, refusal: type = NotPositiveDefiniteError) -> np.ndarray:
+    """The complex array of a square matrix of finite entries.  A non-finite
+    entry, or one beyond the complex conversion (10**400), raises `refusal`
+    before any arithmetic reads it (the complex halving of `_symmetrize`
+    warns at an inf: inf * 0j is NaN)."""
+    try:
+        arr = _entries(m)
+    except OverflowError:
+        raise refusal("a matrix entry is beyond the double range") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ShapeError(f"expected a square matrix of dimension >= 1, got shape {arr.shape}")
+    _require_finite(arr, refusal)
     return arr
 
 
@@ -355,8 +368,7 @@ class OperatorField:
         a_stack.setflags(write=False)
         if b_stack.shape != a_stack.shape:
             raise ShapeError(f"B nodes of shape {b_stack.shape} for A nodes of shape {a_stack.shape}")
-        if not np.isfinite(b_stack).all():
-            raise NotPositiveDefiniteError("a node matrix has non-finite entries")
+        _require_finite(b_stack)
         lams, frames = _relative_spectrum(solved, b_stack)
         if not _floor_implied(solved.eigenvalues, lams):
             _require_pd_floor(_eigvalsh(b_stack))
@@ -556,25 +568,17 @@ def loewner_leq(a, b, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
 
     Returns (holds, margin) with margin = lambda_min(B - A), which holds when
     margin >= -tol * max(1, ||A||_2, ||B||_2).  A non-finite or overflowing
-    entry, or a `tol` that `_require_tol` refuses, raises PreconditionError."""
-    _require_tol(tol)
-    aa, bb = _square(a), _square(b)
+    entry, or a `tol` that is not a finite number >= 0, raises PreconditionError."""
+    tol = _number(tol, "tol", 0.0)
+    aa, bb = _square(a, PreconditionError), _square(b, PreconditionError)
     if aa.shape != bb.shape:
         raise ShapeError(f"loewner_leq shape mismatch: {aa.shape} vs {bb.shape}")
-    # Refused before the symmetrize too, whose complex halving warns at an inf (inf * 0j).
-    if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
-        raise PreconditionError("loewner_leq needs finite entries")
     aa, bb = _symmetrize(np.array([aa, bb]))
     solved = _loewner_margins([(aa, "<=", bb)])
     if solved is None:
         raise PreconditionError("loewner_leq needs a finite symmetrized pair and difference (an entry overflowed)")
     (margin,), a_norm, b_norm = solved
     return _holds_within(margin, tol, a_norm, b_norm), margin
-
-
-def _require_tol(tol) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tol must be finite and nonnegative (a real number, not a bool), got {tol!r}")
 
 
 def _loewner_margins(claims) -> tuple[list[float], float, float] | None:

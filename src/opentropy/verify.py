@@ -44,9 +44,7 @@ import csv
 import functools
 import io
 import math
-import operator
 import reprlib
-import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -65,6 +63,9 @@ from .errors import (
     PreconditionError,
     ShapeError,
     UndefinedRatioError,
+    _MAX,
+    _number,
+    _POSITIVE,
 )
 from .functions import LOG, NEG_T_LOG_T, ScalarFunction
 from .maps import PositiveLinearMap, _haar_blocks
@@ -80,7 +81,6 @@ from .matcore import (
     _JsonRecord,
     _loewner_margins,
     _require_aligned,
-    _require_tol,
     _scalar_image,
     _solve_pd,
     _spectral_images,
@@ -196,7 +196,9 @@ class Instance:
 
     def validate(self) -> None:
         """The full check of an instance a draw did not build: a file's, or another statement's in `check`."""
-        _require_draw_ranges(self.seed, self.dim, self.k)
+        _number(self.seed, "seed", 0, _KEY_MAX, True)
+        _number(self.dim, "dim", 1, _DIM_MAX, True)
+        _number(self.k, "k", 1, integer=True)
         st = self._require_arguments()
         if "m" in st.needs and not 0.0 < self.m <= self.M < math.inf:
             raise PreconditionError(f"need a window 0 < m <= M < inf, got m={self.m}, M={self.M}")
@@ -215,15 +217,19 @@ class Instance:
             self._require_within("t0", self.t0, self.t0)
 
     def _require_arguments(self) -> "Statement":
-        """What a draw's arguments can break: a slot the statement reads left empty, q not finite or off [0, 1]."""
-        st = STATEMENTS[self.theorem]
+        """What a draw's arguments can break: the theorem or f of another type,
+        a slot the statement reads left empty, q off the number rule or, for a
+        unit-exponent statement, off [0, 1]."""
+        st = _statement(self.theorem)
+        if not isinstance(self.f, (ScalarFunction, type(None))):
+            raise PreconditionError(f"f must be a ScalarFunction, got {reprlib.repr(self.f)}")
         for slot in st.needs:
             if getattr(self, slot) is None:
                 raise PreconditionError(f"a {self.theorem.value} instance needs {_SLOTS[slot][0]!r}, which is missing")
-        if self.q is not None and not math.isfinite(self.q):
-            raise PreconditionError(f"the exponent must be finite, got {self.q}")
-        if st.unit_exponent and not 0.0 <= self.q <= 1.0:
-            raise PreconditionError(f"this statement requires an exponent in [0, 1], got {self.q}")
+        if st.unit_exponent:
+            _number(self.q, "the exponent q", 0.0, 1.0)
+        elif self.q is not None:
+            _number(self.q, "the exponent q")
         return st
 
     def _check_header(self) -> None:
@@ -285,7 +291,7 @@ def _decoded(slot: str, data: dict):
         raise PreconditionError(f"an instance file needs {key!r}, which is missing")
     try:
         return decode(data[key])
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise PreconditionError(f"{key!r}: {exc}") from exc
 
 
@@ -295,20 +301,8 @@ _HEADER = ("theorem", "seed", "dim", "k")
 _FIELDS = ("fa", "fb", "fc", "fd")
 
 
-def _number(value, integer: bool = False):
-    """`value` if it is a JSON number (a JSON integer if `integer`), never a
-    bool or a string: the rule of every number in an instance file.  A number
-    that is read as a float must be within the double range; an integer slot
-    checks its own range."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise PreconditionError(f"must be a JSON {'integer' if integer else 'number'}, got {reprlib.repr(value)}")
-    if not integer and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise PreconditionError(f"must be a JSON number within the double range, got {reprlib.repr(value)}")
-    return value
-
-
 def _floats(data, depth: int = 1) -> np.ndarray:
-    """Rectangular lists of JSON numbers, `depth` deep, as a float array."""
+    """Rectangular lists of JSON numbers, `depth` deep, each by the number rule, as a float array."""
     rows, rectangular = [data], True
     for _ in range(depth):
         rectangular = rectangular and all(isinstance(row, list) for row in rows) and len(set(map(len, rows))) < 2
@@ -345,16 +339,13 @@ def _matrix_to_json(a: np.ndarray) -> dict:
 
 def _matrix_from_json(data, hermitian: bool = True) -> np.ndarray:
     """The complex (dim, dim) array of a matrix object, entry for entry (not
-    symmetrized).  Non-finite entries are refused (the eigensolver returns
-    NaN spectra for them without an error), and so is an array that is not
-    exactly its conjugate transpose if `hermitian`, so that the matrix
-    checked is the one the file states."""
+    symmetrized).  An array that is not exactly its conjugate transpose is
+    refused if `hermitian`, so that the matrix checked is the one the file
+    states."""
     dim, re, im = _entries(data, "dim", "re", "im")
     dim, re, im = _number(dim, integer=True), _floats(re, 2), _floats(im, 2)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ShapeError(f"matrix payload shape {re.shape}/{im.shape} does not match dim {dim}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise PreconditionError("matrix payload has non-finite entries")
     arr = re + 1j * im
     if hermitian and not np.array_equal(arr, _adjoint(arr)):
         raise PreconditionError("matrix payload is not Hermitian")
@@ -375,7 +366,7 @@ def _field_from_json(data) -> OperatorField:
 # {"kraus": [matrix, ...]}, a matrix being `_matrix_to_json`'s object.
 _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "theorem": ("theorem", lambda t: t.value, TheoremId),
-    **{name: (name, int, lambda value: int(_number(value, integer=True))) for name in ("seed", "dim", "k")},
+    **{name: (name, int, lambda value: _number(value, integer=True)) for name in ("seed", "dim", "k")},
     "f": ("f", lambda f: f.spec, functions.parse),
     **{name: (name, float, lambda value: float(_number(value))) for name in ("q", "t0", "m", "M", "alpha", "beta")},
     **{name: (name, lambda field: {"weights": field.weights.tolist(),
@@ -778,21 +769,15 @@ def _validate_probability(inst: Instance) -> None:
         p = getattr(inst, slot)
         if p.shape != (inst.dim,):
             raise PreconditionError(f"{slot!r} must hold dim={inst.dim} probabilities, got shape {p.shape}")
-        if not (np.isfinite(p).all() and (p > 0.0).all()):
+        if not (p > 0.0).all():
             raise PreconditionError(f"{slot!r} must have finite entries > 0")
         if abs(p.sum() - 1.0) > 1e-10:
             raise PreconditionError(f"{slot!r} must sum to 1 within 1e-10, got {float(p.sum())!r}")
 
 
-def _require_positive(inst: Instance, *slots: str) -> None:
-    for slot in slots:
-        value = getattr(inst, slot)
-        if not 0.0 < value < math.inf:
-            raise PreconditionError(f"{slot!r} must be finite and > 0, got {value}")
-
-
 def _validate_blend(inst: Instance) -> None:
-    _require_positive(inst, "alpha", "beta")
+    _number(inst.alpha, "'alpha'", _POSITIVE)
+    _number(inst.beta, "'beta'", _POSITIVE)
     if abs(inst.alpha + inst.beta - 1.0) > 1e-12:
         raise PreconditionError(f"'alpha' + 'beta' must be 1 within 1e-12, got {inst.alpha} + {inst.beta}")
 
@@ -822,7 +807,7 @@ _PROBABILITY = Family(("pa", "pb"), lambda rng, dim, k: np.array(
     [rng.dirichlet(2.0 * np.ones(dim)) for _ in range(2)]), _project_probability, validate=_validate_probability)
 _NO_EXTRAS = Family((), lambda rng, dim, k: (), tuple)
 _SCALE = Family(("alpha",), lambda rng, dim, k: float(rng.choice([0.5, 2.0])), lambda alpha: (alpha,),
-                validate=lambda inst: _require_positive(inst, "alpha"))
+                validate=lambda inst: _number(inst.alpha, "'alpha'", _POSITIVE))
 _BLEND = Family(("alpha", "beta"), lambda rng, dim, k: float(rng.uniform(0.25, 0.75)),
                 lambda alpha: (alpha, 1.0 - alpha), validate=_validate_blend)
 _MAP = Family(("pmap",), _draw_map, _project_map, validate=_validate_map)
@@ -931,16 +916,23 @@ STATEMENTS: dict[TheoremId, Statement] = {
 }
 
 
+def _statement(theorem: TheoremId) -> Statement:
+    """The statement of a TheoremId; anything else is refused."""
+    if not isinstance(theorem, TheoremId):
+        raise PreconditionError(f"theorem must be a TheoremId, got {reprlib.repr(theorem)}")
+    return STATEMENTS[theorem]
+
+
 def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) -> VerificationResult:
     """Evaluate one theorem on one instance in one pass; pure in (theorem, inst, tol).
 
-    `tol` (`loewner_leq`'s rule) and the hypotheses come first: `_require_arguments`,
+    `tol` (finite and >= 0, `loewner_leq`'s rule) and the hypotheses come first: `_require_arguments`,
     or on an instance drawn for another statement the full `validate` as one of
     `theorem`'s (a slot `theorem` needs, or one it fixes, is refused as at load);
     then `_gate` on the instance window, whose chord constant the builder
     receives.  Then the builder's sides, and last `_verdict`'s margin and label.
     """
-    _require_tol(tol)
+    tol = _number(tol, "tol", 0.0)
     if theorem is inst.theorem:
         st = inst._require_arguments()
     else:
@@ -969,12 +961,14 @@ def random_instance(
     t0 is drawn even where it is fixed, so that no later draw moves.  The projections
     build in the rest of `Instance.validate`, so a draw checks its arguments alone.
     """
-    _require_draw_ranges(seed, dim, k)
-    st = STATEMENTS[theorem]
+    seed = _number(seed, "seed", 0, _KEY_MAX, True)
+    dim, k = _number(dim, "dim", 1, _DIM_MAX, True), _number(k, "k", 1, integer=True)
+    st = _statement(theorem)
     rng = _keyed(seed)
     inst = Instance(
-        theorem=theorem, seed=int(seed), dim=int(dim), k=int(st.fixed.get("k", k)),
-        f=functions.power(0.5) if f is None else f, q=None if p_or_q is None else float(p_or_q),
+        theorem=theorem, seed=seed, dim=dim, k=st.fixed.get("k", k),
+        f=functions.power(0.5) if f is None else f,
+        q=None if p_or_q is None else float(_number(p_or_q, "the exponent q")),
     )
     for family in (st.family, st.extras):
         for _ in range(_RESAMPLE_CAP):
@@ -998,30 +992,12 @@ def random_instance(
 # ---------------------------------------------------------------------------
 
 
-_KEY_BOUND = 1 << 128
+_KEY_MAX = (1 << 128) - 1
+_DIM_MAX = 64
 _WORD = (1 << 64) - 1
 # run_trial's parameters are drawn at counter word 3 = 1; an instance's draws
 # start at counter 0 and would need 2**192 blocks to get there.
 _TRIAL_REGION = 1
-
-
-def _require_draw_ranges(seed: int, dim: int, k: int) -> None:
-    """A draw's header types and ranges, for `random_instance` and `Instance.validate` alike."""
-    for name, value in (("dim", dim), ("k", k), ("seed", seed)):
-        if not (type(value) is int or isinstance(value, np.integer)):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= dim <= 64:
-        raise PreconditionError(f"dim must lie in 1..64, got {dim}")
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
-    _require_key(seed)
-
-
-def _require_key(key: int) -> int:
-    key = operator.index(key)
-    if not 0 <= key < _KEY_BOUND:
-        raise PreconditionError(f"seed must lie in [0, 2**128), got {key}")
-    return key
 
 
 class _Stream(threading.local):
@@ -1039,7 +1015,7 @@ def _keyed(key: int, region: int = 0) -> np.random.Generator:
     (0, 0, 0, region): the draws of Generator(Philox(key=key, counter=region << 192)).
     Every word of the state is set, so a draw depends on its key alone, whatever the
     generator drew before (`run_trial` is done with region 1 when `random_instance` re-keys)."""
-    key, gen = _require_key(key), _STREAM.gen
+    key, gen = _number(key, "seed", 0, _KEY_MAX, True), _STREAM.gen
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, region), "key": (key & _WORD, key >> 64)},
@@ -1069,38 +1045,28 @@ class CampaignConfig(_JsonRecord):
     seed: int = 0
 
     def validate(self) -> None:
-        # The report states the config as JSON: ints, never bools or numpy integers, and tol and exponents by `_number`.
-        if not (type(self.trials) is int and type(self.seed) is int):
-            raise PreconditionError(f"trials and seed must be integers, got trials={self.trials!r}, seed={self.seed!r}")
-        for name, pair in (("dims", self.dims), ("terms", self.terms)):
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(v) is int for v in pair)):
-                raise PreconditionError(f"{name} must be a pair of integers (lo, hi), got {pair!r}")
+        """Refuse a config that cannot run, before any trial; each number is
+        kept as the number rule returns it, so the report's config is plain JSON."""
+        self.trials = _number(self.trials, "trials", 0, (1 << 32) - 1, True)
+        self.seed = _number(self.seed, "seed", 0, (1 << 64) - 1, True)
+        self.tol = _number(self.tol, "tol", 0.0)
+        for name, top in (("dims", _DIM_MAX), ("terms", _MAX)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise PreconditionError(f"{name} must be a pair of integers (lo, hi), got {reprlib.repr(pair)}")
+            lo = _number(pair[0], f"{name}[0]", 1, top, True)
+            setattr(self, name, (lo, _number(pair[1], f"{name}[1]", lo, top, True)))
+        for name in ("theorems", "functions", "exponents"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise PreconditionError(f"{name} must be a tuple or a list, got {reprlib.repr(getattr(self, name))}")
         if not all(isinstance(theorem, TheoremId) for theorem in self.theorems):
             raise PreconditionError(f"theorems must be TheoremId members, got {self.theorems!r}")
-        for name, value in [("tol", self.tol), *(("exponents", q) for q in self.exponents)]:
-            try:
-                _number(value)
-            except PreconditionError as exc:
-                raise PreconditionError(f"{name}: {exc}") from None
-        if self.trials < 0:
-            raise PreconditionError("trials must be >= 0")
-        if self.trials >= 1 << 32:
-            raise PreconditionError(f"trials must be < 2**32, got {self.trials}")
-        if not 0 <= self.seed < 1 << 64:
-            raise PreconditionError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise PreconditionError(f"tol must be finite and > 0, got {self.tol}")
-        if not (1 <= self.dims[0] <= self.dims[1] <= 64):
-            raise PreconditionError(f"dims must satisfy 1 <= lo <= hi <= 64, got {self.dims}")
-        if not (1 <= self.terms[0] <= self.terms[1]):
-            raise PreconditionError(f"terms must satisfy 1 <= lo <= hi, got {self.terms}")
+        self.exponents = tuple(_number(q, "each exponent") for q in self.exponents)
         if not self.theorems or not self.functions or not self.exponents:
             raise PreconditionError("need at least one theorem, one function and one exponent")
         repeated = sorted({t.value for t in self.theorems if self.theorems.count(t) > 1})
         if repeated:
             raise PreconditionError(f"theorems must not repeat, got {', '.join(repeated)} more than once")
-        if not all(math.isfinite(q) for q in self.exponents):
-            raise PreconditionError(f"exponents must be finite, got {self.exponents}")
         for spec in self.functions:
             functions.parse(spec)
 

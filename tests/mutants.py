@@ -50,7 +50,7 @@ PYTHON_TEXT = re.compile(
 # The load refusals that name a hypothesis rather than start with a slot's key.
 HYPOTHESES = re.compile(
     r'an instance file must carry "format"|an instance file needs \'\w+\', which is missing|'
-    r"a \w+ instance (needs|has) '\w+'|the exponent must be finite|requires an exponent in \[0, 1\]|"
+    r"a \w+ instance (needs|has) '\w+'|the exponent q must lie in \[0\.0, 1\.0\]|"
     r"need a window 0 < m <= M < inf|need m <= 1 - 1e-6 and M >= 1 \+ 1e-6|dim must lie in|k must be >= 1|"
     r"seed must lie in|fields must sum to the identity|not inside \[|compression sum exceeds the identity"
 )

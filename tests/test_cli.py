@@ -255,7 +255,7 @@ class TestCheck:
         ("pb", [[0.2, 0.3, 0.5]], ": must be a list of JSON numbers, got [[0.2, 0.3, 0.5]]"),
         ("pa", [0.5, 0.5, 0.0], " must have finite entries > 0"),
         ("pb", [1.2, -0.4, 0.2], " must have finite entries > 0"),
-        ("pa", [float("nan"), 0.5, 0.5], " must have finite entries > 0"),
+        ("pa", [float("nan"), 0.5, 0.5], ": must be finite, got nan"),
         ("pb", [0.2, 0.3, 0.6], " must sum to 1 within 1e-10"),
     ], ids=["pa-length", "pb-shape", "pa-zero", "pb-negative", "pa-nan", "pb-sum"])
     def test_info_ineq_file_must_hold_probability_vectors(self, tmp_path, capsys, slot, value, message):
@@ -341,14 +341,14 @@ class TestCheck:
         assert code == 2 and stdout == "" and "'map' does not match the header dim=3" in err
 
     @pytest.mark.parametrize("theorem,edit,message", [
-        ("homogeneous", {"seed": 1.5}, "'seed': must be a JSON integer, got 1.5"),
-        ("homogeneous", {"dim": 3.9}, "'dim': must be a JSON integer, got 3.9"),
-        ("klein_upper", {"k": True}, "'k': must be a JSON integer, got True"),
+        ("homogeneous", {"seed": 1.5}, "'seed': must be an integer, got 1.5"),
+        ("homogeneous", {"dim": 3.9}, "'dim': must be an integer, got 3.9"),
+        ("klein_upper", {"k": True}, "'k': must be an integer, got True"),
         ("homogeneous", {"seed": -1}, "seed must lie in [0, 2**128), got -1"),
-        ("homogeneous", {"q": "0.5"}, "'q': must be a JSON number, got '0.5'"),
-        ("homogeneous", {"alpha": "2"}, "'alpha': must be a JSON number, got '2'"),
-        ("homogeneous", {"q": 10**400}, "'q': must be a JSON number within the double range, got 1000"),
-        ("homogeneous", {"seed": 10**400}, "seed must lie in [0, 2**128), got 1000"),
+        ("homogeneous", {"q": "0.5"}, "'q': must be a number, got '0.5'"),
+        ("homogeneous", {"alpha": "2"}, "'alpha': must be a number, got '2'"),
+        ("homogeneous", {"q": 10**400}, "'q': must be within the double range, got 1000"),
+        ("homogeneous", {"seed": 10**400}, "'seed': must be within the double range, got 1000"),
     ], ids=["seed-float", "dim-float", "k-bool", "seed-negative", "q-string", "alpha-string", "q-huge", "seed-huge"])
     def test_header_numbers_are_judged_by_the_draws_rules(self, tmp_path, capsys, theorem, edit, message):
         # Each of these files loaded: the header was coerced (1.5 to 1, 3.9 to
@@ -403,7 +403,7 @@ class TestCheck:
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == ""
-        assert "cannot load instance: this statement requires an exponent in [0, 1], got 2.0" in err, err
+        assert "cannot load instance: the exponent q must lie in [0.0, 1.0], got 2.0" in err, err
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -436,7 +436,8 @@ class TestCheck:
         ("klein_upper", "fb", float("nan")), ("subadditive", "fc", float("nan")),
     ])
     def test_nonfinite_matrix_entry_exits_2(self, tmp_path, capsys, theorem, key, value):
-        # The refusal named no slot: "matrix payload has non-finite entries".
+        # The refusal named no slot: "matrix payload has non-finite entries".  Each
+        # entry is now read by the number rule, which refuses it with the slot's key.
         out = tmp_path / "inst.json"
         run(capsys, "gen", "--theorem", theorem, "--dim", "2", "--k", "2", "--seed", "1",
             "--f", "log", "--out", str(out))
@@ -446,7 +447,7 @@ class TestCheck:
         out.write_text(json.dumps(payload))
         code, stdout, err = run(capsys, "check", "--file", str(out))
         assert code == 2 and stdout == ""
-        assert f"cannot load instance: '{key}': matrix payload has non-finite entries" in err, err
+        assert f"cannot load instance: '{key}': must be finite, got {value!r}" in err, err
 
     @pytest.mark.parametrize("theorem,key,entry", [
         ("klein_upper", "fb", "weights"), ("subadditive", "fc", "matrices"), ("compression_jensen", "map", "kraus"),
@@ -462,24 +463,24 @@ class TestCheck:
         assert f"cannot load instance: '{key}': missing entry '{entry}'" in err, err
 
     @pytest.mark.parametrize("theorem,key,edit,message", [
-        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, "0.5"), "must be a JSON number, got '0.5'"),
-        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, True), "must be a JSON number, got True"),
+        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, "0.5"), "must be a number, got '0.5'"),
+        ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, True), "must be a number, got True"),
         ("klein_upper", "fb", lambda p: p["matrices"][0]["re"][0].__setitem__(1, "0.1"),
-         "must be a JSON number, got '0.1'"),
+         "must be a number, got '0.1'"),
         ("klein_upper", "fb", lambda p: p["matrices"][0]["im"][1].__setitem__(0, False),
-         "must be a JSON number, got False"),
-        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", 2.7), "must be a JSON integer, got 2.7"),
-        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", "2"), "must be a JSON integer, got '2'"),
+         "must be a number, got False"),
+        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", 2.7), "must be an integer, got 2.7"),
+        ("klein_upper", "fa", lambda p: p["matrices"][0].__setitem__("dim", "2"), "must be an integer, got '2'"),
         ("compression_jensen", "map", lambda p: p["kraus"][1]["re"][0].__setitem__(0, "1"),
-         "must be a JSON number, got '1'"),
-        ("compression_jensen", "x", lambda p: p.__setitem__("dim", True), "must be a JSON integer, got True"),
-        ("info_ineq", "pa", lambda p: p.__setitem__(0, str(p[0])), "must be a JSON number, got '0."),
-        ("info_ineq", "pb", lambda p: p.__setitem__(1, True), "must be a JSON number, got True"),
+         "must be a number, got '1'"),
+        ("compression_jensen", "x", lambda p: p.__setitem__("dim", True), "must be an integer, got True"),
+        ("info_ineq", "pa", lambda p: p.__setitem__(0, str(p[0])), "must be a number, got '0."),
+        ("info_ineq", "pb", lambda p: p.__setitem__(1, True), "must be a number, got True"),
         # A JSON integer beyond the double range was refused with "int too large to convert to float".
         ("klein_upper", "fb", lambda p: p["weights"].__setitem__(0, 10**400),
-         "must be a JSON number within the double range, got 1000"),
+         "must be within the double range, got 1000"),
         ("klein_upper", "fa", lambda p: p["matrices"][0]["re"][0].__setitem__(0, -10**400),
-         "must be a JSON number within the double range, got -1000"),
+         "must be within the double range, got -1000"),
     ], ids=["weight-string", "weight-bool", "re-string", "im-bool", "dim-float", "dim-string", "kraus-string",
             "x-dim-bool", "pa-string", "pb-bool", "weight-huge", "re-huge"])
     def test_payload_numbers_follow_the_header_rule(self, tmp_path, capsys, theorem, key, edit, message):
@@ -715,6 +716,20 @@ class TestCampaign:
         assert code == 2 and "error:" in err
         assert trials == [] and not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (("--dims", "a:b"), "argument --dims: expected lo:hi integers, got 'a:b'"),
+        (("--k", "2:x"), "argument --k: expected lo:hi integers, got '2:x'"),
+        (("--q", "x"), "argument --q: expected comma-separated floats, got 'x'"),
+    ], ids=["dims", "k", "q"])
+    def test_an_unparsable_range_or_list_exits_2(self, capsys, option, message):
+        code, stdout, err = run(capsys, "campaign", "--trials", "1", *option)
+        assert code == 2 and stdout == "" and message in err
+
+    def test_tol_zero_runs(self, capsys):
+        # A campaign refused tol 0, which `check` read; one rule now serves both.
+        code, stdout, _ = run(capsys, "campaign", "--theorems", "klein_upper", "--trials", "2", "--tol", "0")
+        assert code == 0 and json.loads(stdout)["config"]["tol"] == 0.0
+
     def test_unwritable_output_exits_2_before_any_trial(self, monkeypatch, tmp_path, capsys):
         # It crashed with exit 3 and a traceback, after running every trial.
         trials = []
@@ -907,14 +922,14 @@ class TestBounds:
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "0"], "dim must lie in 1..64, got 0"),
+    (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "0"], "dim must lie in [1, 64], got 0"),
     (["gen", "--theorem", "entropy_lower", "--seed", "7", "--dim", "2", "--k", "0"], "k must be >= 1, got 0"),
-    (["campaign", "--trials", "-1"], "trials must be >= 0"),
-    (["campaign", "--trials", str(2**32)], f"trials must be < 2**32, got {2**32}"),
+    (["campaign", "--trials", "-1"], "trials must lie in [0, 2**32), got -1"),
+    (["campaign", "--trials", str(2**32)], f"trials must lie in [0, 2**32), got {2**32}"),
     (["campaign", "--trials", "1", "--seed", "-3"], "seed must lie in [0, 2**64), got -3"),
-    (["campaign", "--trials", "1", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
-    (["campaign", "--trials", "1", "--dims", "0:3"], "dims must satisfy 1 <= lo <= hi <= 64, got (0, 3)"),
-    (["campaign", "--trials", "1", "--k", "3:2"], "terms must satisfy 1 <= lo <= hi, got (3, 2)"),
+    (["campaign", "--trials", "1", "--tol", "-0.5"], "tol must be >= 0.0, got -0.5"),
+    (["campaign", "--trials", "1", "--dims", "0:3"], "dims[0] must lie in [1, 64], got 0"),
+    (["campaign", "--trials", "1", "--k", "3:2"], "terms[1] must be >= 3, got 2"),
     (["bounds", "--f", "log", "--m", "-1", "--M", "2"], "need 0 < m < M, got m=-1.0, M=2.0"),
     (["bounds", "--f", "log", "--m", "0", "--M", "2"], "need 0 < m < M, got m=0.0, M=2.0"),
     (["bounds", "--f", "log", "--m", "3", "--M", "2"], "need 0 < m < M, got m=3.0, M=2.0"),

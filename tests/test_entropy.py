@@ -165,6 +165,7 @@ class TestGeneralizedEntropy:
     def test_single_node_equal_pair(self, rng):
         a = random_pd(rng, 3)
         fa = OperatorField([(1.0, a)])
+        assert (repr(fa), repr(a)) == ("OperatorField(k=1, dim=3)", "PositiveDefiniteMatrix(k=1, dim=3)")
         assert np.linalg.norm(generalized_entropy(fa, fa, 0.0, LOG)) <= 1e-12
 
     def test_weight_mismatch_rejected(self, rng):
@@ -175,6 +176,9 @@ class TestGeneralizedEntropy:
         short = OperatorField([(1.0, random_pd(rng, 2))])
         with pytest.raises(ShapeError):
             generalized_entropy(fa, short, 0.0, LOG)
+        wide = OperatorField([(1.0, random_pd(rng, 3)), (1.0, random_pd(rng, 3))])
+        with pytest.raises(ShapeError, match="fields have dimension 2 vs 3"):
+            generalized_entropy(fa, wide, 0.0, LOG)
 
     def test_two_node_diagonal_scalar_sum(self, rng):
         a1, a2 = rng.uniform(0.3, 3.0, size=2), rng.uniform(0.3, 3.0, size=2)

@@ -149,12 +149,15 @@ class TestPositiveLinearMap:
         with pytest.raises(PreconditionError):
             PositiveLinearMap.random_normalized(1, 3, 2, rng)
 
-    @pytest.mark.parametrize("in_dim,out_dim,n_terms",
-                             [(3, 3, 0), (3, 3, -3), (3, 3, 2.7), (3, 3, True), (3, 0, 2), (0, 3, 2)])
-    def test_random_normalized_refuses_a_bad_size(self, rng, in_dim, out_dim, n_terms):
+    @pytest.mark.parametrize("in_dim,out_dim,n_terms,message", [
+        (3, 3, 0, "n_terms must be >= 1, got 0"), (3, 3, -3, "n_terms must be >= 1, got -3"),
+        (3, 3, 2.7, "n_terms must be an integer, got 2.7"), (3, 3, True, "n_terms must be an integer, got True"),
+        (3, 0, 2, "out_dim must be >= 1, got 0"), (0, 3, 2, "in_dim must be >= 1, got 0"),
+    ])
+    def test_random_normalized_refuses_a_bad_size(self, rng, in_dim, out_dim, n_terms, message):
         # 0 and -3 terms were drawn as one term, 2.7 as two and True as one; out_dim = 0 failed in
         # numpy's reshape.
-        with pytest.raises(PreconditionError, match="need integers >= 1"):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
             PositiveLinearMap.random_normalized(in_dim, out_dim, n_terms, rng)
 
     def test_rectangular_kraus(self, rng):
@@ -162,9 +165,13 @@ class TestPositiveLinearMap:
         c[0, 0] = 1.0
         c[1, 1] = 1.0
         p = PositiveLinearMap([c])  # corner compression to the top 2x2 block
-        assert (p.in_dim, p.out_dim) == (3, 2)
+        assert (p.in_dim, p.out_dim) == (3, 2) and repr(p) == "PositiveLinearMap(terms=1, 3->2)"
         x = random_hermitian(rng, 3)
         np.testing.assert_allclose(p.apply(x), x[:2, :2], atol=1e-14)
+
+    def test_kraus_factors_must_be_matrices(self):
+        with pytest.raises(ShapeError, match="Kraus factors must be matrices"):
+            PositiveLinearMap([np.ones(3)])
 
     def test_shape_check_on_apply(self, rng):
         p = PositiveLinearMap.random_normalized(3, 3, 2, rng)

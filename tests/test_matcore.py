@@ -121,7 +121,7 @@ class TestHermitianMatrix:
     def test_json_nonfinite_entry_rejected(self, part, value):
         payload = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         payload[part][1][0] = value
-        with pytest.raises(PreconditionError, match="non-finite"):
+        with pytest.raises(PreconditionError, match=f"must be finite, got {value!r}"):
             _matrix_from_json(payload)
 
 
@@ -484,6 +484,16 @@ class TestStackedSolves:
         with pytest.raises(NotPositiveDefiniteError, match="nan"):
             OperatorField([(1.0, random_pd(rng, 2)), (1.0, np.diag([np.nan, 1.0]))])
 
+    @pytest.mark.parametrize("entries", [np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf]).astype(complex),
+                                         [[10**400, 0], [0, 1]]], ids=["inf", "complex-inf", "10**400"])
+    def test_an_infinite_or_overflowing_entry_is_refused_before_the_symmetrize(self, rng, entries):
+        # An inf warned in the complex halving (inf * 0j is NaN), a RuntimeWarning
+        # under -W error, and 10**400 raised a bare OverflowError.
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite entry|beyond the double range"):
+            PositiveDefiniteMatrix(entries)
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite entry|beyond the double range"):
+            OperatorField([(1.0, random_pd(rng, 2)), (1.0, entries)])
+
 
 class TestPositiveDefinite:
     def test_rejects_relative_floor(self):
@@ -572,6 +582,18 @@ class TestPairRoute:
             OperatorField.pairs(np.ones(2), a, b)
         # A's own solve and floor only: no pair kernel solve, no B solve.
         assert [s[:3] for s in solve_calls] == [("eigh", 2, 3)]
+
+    def test_b_of_another_shape_is_refused(self, rng):
+        a, b = node_stack(rng, 3, 2), node_stack(rng, 2, 2)
+        with pytest.raises(ShapeError, match=r"B nodes of shape \(1, 2, 2, 2\) for A nodes of shape \(1, 2, 3, 3\)"):
+            OperatorField.pairs(np.ones(2), a, b)
+
+    @pytest.mark.parametrize("weights", [np.ones(3), np.ones((2, 1)), 1.0])
+    def test_weights_of_another_shape_are_refused(self, rng, weights):
+        with pytest.raises(ShapeError, match="weights for 2 nodes"):
+            OperatorField.pairs(weights, node_stack(rng, 3, 2), node_stack(rng, 3, 2))
+        with pytest.raises(ShapeError, match="weights for 2 nodes"):
+            OperatorField(_weights=weights, _arrays=node_stack(rng, 3, 2)[0])
 
     @pytest.mark.parametrize("low", [1e-13, 0.0, -0.5])
     def test_b_below_the_floor_is_refused_as_a_field_build_refuses_it(self, rng, solve_calls, low):
@@ -722,26 +744,35 @@ class TestLoewner:
         with pytest.raises(PreconditionError, match="finite"):
             loewner_leq(a, b)
 
+    def test_an_entry_beyond_the_double_range_is_refused(self):
+        # It raised a bare OverflowError in the complex conversion.
+        with pytest.raises(PreconditionError, match="beyond the double range"):
+            loewner_leq([[10**400, 0], [0, 1]], np.eye(2))
+
+    def test_a_shape_mismatch_is_refused(self):
+        with pytest.raises(ShapeError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+            loewner_leq(np.eye(2), np.eye(3))
+
     def test_an_overflowing_difference_is_refused(self):
         # A + A* overflows to inf in the symmetrize; that read as (False, nan).
         a, b = np.diag([-1.5e308, 1.0]), np.diag([1.5e308, 1.0])
         with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="overflowed"):
             loewner_leq(a, b)
 
-    @pytest.mark.parametrize("a, b, tol", [
-        (4.0 * np.eye(2), np.eye(2), np.inf),
-        (np.eye(2), 4.0 * np.eye(2), np.nan),
-        (np.eye(2), np.eye(2), -1e-9),
-        (4.0 * np.eye(2), np.eye(2), True),
-        (np.eye(2), 4.0 * np.eye(2), False),
-        (np.eye(2), 4.0 * np.eye(2), "1e-9"),
-        (np.eye(2), 4.0 * np.eye(2), None),
-        (np.eye(2), 4.0 * np.eye(2), 1e-9j),
+    @pytest.mark.parametrize("a, b, tol, message", [
+        (4.0 * np.eye(2), np.eye(2), np.inf, "be finite, got inf"),
+        (np.eye(2), 4.0 * np.eye(2), np.nan, "be finite, got nan"),
+        (np.eye(2), np.eye(2), -1e-9, "be >= 0.0, got -1e-09"),
+        (4.0 * np.eye(2), np.eye(2), True, "be a number, got True"),
+        (np.eye(2), 4.0 * np.eye(2), False, "be a number, got False"),
+        (np.eye(2), 4.0 * np.eye(2), "1e-9", "be a number, got '1e-9'"),
+        (np.eye(2), 4.0 * np.eye(2), None, "be a number, got None"),
+        (np.eye(2), 4.0 * np.eye(2), 1e-9j, r"be a number, got 1e-09j"),
     ], ids=["inf", "nan", "negative", "true", "false", "str", "none", "complex"])
-    def test_nonfinite_or_negative_tol_refused(self, a, b, tol):
+    def test_nonfinite_or_negative_tol_refused(self, a, b, tol, message):
         # Unrefused, tol=inf would pass 4I <= I and tol=nan fail I <= 4I; tol=True
         # passed 4I <= I at tol = 1.0, and a string, None or a complex raised TypeError.
-        with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
+        with pytest.raises(PreconditionError, match=f"^tol must {message}$"):
             loewner_leq(a, b, tol=tol)
 
     @pytest.mark.parametrize("tol", [0, 1e-9, np.float64(1e-9), np.float32(1e-9), np.int64(0)])

@@ -1,10 +1,12 @@
 """Every claimed side of every statement against the 50-digit reference of
-`tests/reference.py`, two instances per statement; the reference's own
+`tests/reference.py`, two instances per statement (stratified: a
+unit-exponent statement's pair holds an interior q); the reference's own
 independence from the kernel; and source mutants it kills by itself."""
 
 import ast
 import dataclasses
 import inspect
+import itertools
 import textwrap
 import types
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 
 import reference
 from opentropy import entropy, maps, matcore, verify
-from opentropy.verify import TheoremId
+from opentropy.verify import STATEMENTS, TheoremId
 
 # Two instances per statement in tier-1; the script compares reference.COUNT (`python tests/reference.py`).
 COUNT = 2
@@ -78,9 +80,27 @@ def test_the_guard_sees_each_form():
     }
 
 
+def stratified(theorem: TheoremId, count: int = COUNT) -> list:
+    """The first `count` instances of the reference sample, but a
+    unit-exponent statement's last is its first with 0 < q < 1 when none of
+    the others has one.  At q = 0 and at q = 1 the normalized fields give
+    V = sum w A#_q B = I, so the t0 terms gamma f(t0)(I - V) are 0 and a
+    sample of those exponents alone cannot see them."""
+    drawn = reference.sample(theorem, 50 * count)
+    first = list(itertools.islice(drawn, count))
+    if not STATEMENTS[theorem].unit_exponent or any(0.0 < inst.q < 1.0 for _, inst in first):
+        return first
+    return first[:-1] + [next(pair for pair in drawn if 0.0 < pair[1].q < 1.0)]
+
+
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if STATEMENTS[t].unit_exponent], ids=lambda t: t.value)
+def test_a_unit_exponent_sample_holds_an_interior_q(theorem):
+    assert any(0.0 < inst.q < 1.0 for _, inst in stratified(theorem))
+
+
 @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
 def test_every_side_agrees_with_the_reference(theorem):
-    for index, inst in reference.sample(theorem, COUNT):
+    for index, inst in stratified(theorem):
         beyond = [side for side in reference.compare(theorem, inst) if not side.within]
         assert beyond == [], (index, beyond)
 
@@ -142,3 +162,13 @@ def test_the_reference_kills_the_campaign_survivors(name, monkeypatch):
     theorem, function, old, new = CAMPAIGN_SURVIVORS[name]
     apply_mutant(monkeypatch, function, old, new)
     assert disagrees(theorem)
+
+
+def test_the_stratified_sample_kills_the_dropped_gamma_mutant(monkeypatch):
+    # gamma dropped from the t0 term of the reverse entropy bound: both
+    # instances of the first two keys have q = 0, where that term is 0, so
+    # only the 16,000-trial acceptance criterion killed it.
+    apply_mutant(monkeypatch, "_entropy_bound_terms", "gamma * f.evaluate(t0) * defect", "f.evaluate(t0) * defect")
+    sides = [side for _, inst in stratified(TheoremId.REV_ENTROPY_GAMMA)
+             for side in reference.compare(TheoremId.REV_ENTROPY_GAMMA, inst)]
+    assert not all(side.within for side in sides)

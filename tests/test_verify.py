@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import threading
 from pathlib import Path
 
@@ -273,7 +274,7 @@ class TestCheckerBehavior:
     def test_tol_is_read_by_loewner_leqs_rule(self, tol):
         # tol=True checked at tol = 1.0, and a string or None raised TypeError.
         inst = random_instance(TheoremId.KLEIN_UPPER, 2, 1, 0)
-        with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
+        with pytest.raises(PreconditionError, match="^tol must be a number, got "):
             check(TheoremId.KLEIN_UPPER, inst, tol=tol)
 
 
@@ -351,33 +352,35 @@ class TestTrialsAndCampaign:
         with pytest.raises(PreconditionError):
             campaign(CampaignConfig(trials=-1))
         with pytest.raises(PreconditionError):
-            campaign(CampaignConfig(trials=1, tol=0.0))
+            campaign(CampaignConfig(trials=1, tol=-1e-9))
+        CampaignConfig(trials=1, tol=0.0).validate()  # check's rule: tol 0 runs
         with pytest.raises(PreconditionError):
             campaign(CampaignConfig(trials=1, dims=(0, 4)))
         with pytest.raises(PreconditionError):
             campaign(CampaignConfig(trials=1, functions=("sqrt_is_not_a_spec",)))
 
     @pytest.mark.parametrize("edit,message", [
-        ({"trials": True}, "trials and seed must be integers, got trials=True, seed=0"),
-        ({"trials": 2.5}, "trials and seed must be integers, got trials=2.5, seed=0"),
-        ({"seed": 1.5}, "trials and seed must be integers, got trials=1, seed=1.5"),
-        ({"seed": False}, "trials and seed must be integers, got trials=1, seed=False"),
-        ({"dims": (2, 3.5)}, r"dims must be a pair of integers \(lo, hi\), got \(2, 3.5\)"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"dims": (2, 3.5)}, r"dims\[1\] must be an integer, got 3.5"),
         ({"dims": (2, 3, 4)}, r"dims must be a pair of integers \(lo, hi\), got \(2, 3, 4\)"),
-        ({"terms": (True, 2)}, r"terms must be a pair of integers \(lo, hi\), got \(True, 2\)"),
+        ({"terms": (True, 2)}, r"terms\[0\] must be an integer, got True"),
         ({"terms": 2}, r"terms must be a pair of integers \(lo, hi\), got 2"),
-        ({"seed": np.int64(3)}, r"trials and seed must be integers, got trials=1, seed=np.int64\(3\)"),
+        # exponents=0.5 raised a bare TypeError, and "log" was read as the specs "l", "o", "g".
+        ({"exponents": 0.5}, "exponents must be a tuple or a list, got 0.5"),
+        ({"functions": "log"}, "functions must be a tuple or a list, got 'log'"),
         ({"theorems": (TheoremId.INFO_INEQ, "klein_upper")},
          r"theorems must be TheoremId members, got \(<TheoremId.INFO_INEQ: 'info_ineq'>, 'klein_upper'\)"),
         # tol and the exponents by the instance file's number rule: tol=True
         # ran and wrote "tol": true, exponents=(True,) wrote [true], and a
         # string raised TypeError.
-        ({"tol": True}, "tol: must be a JSON number, got True"),
-        ({"tol": "1e-9"}, "tol: must be a JSON number, got '1e-9'"),
-        ({"tol": 2**1100}, "tol: must be a JSON number within the double range"),
-        ({"exponents": (True,)}, "exponents: must be a JSON number, got True"),
-        ({"exponents": (0.5, "0.5")}, "exponents: must be a JSON number, got '0.5'"),
-        ({"exponents": (np.float32(0.5),)}, r"exponents: must be a JSON number, got np.float32\(0.5\)"),
+        ({"tol": True}, "tol must be a number, got True"),
+        ({"tol": "1e-9"}, "tol must be a number, got '1e-9'"),
+        ({"tol": 2**1100}, "tol must be within the double range"),
+        ({"exponents": (True,)}, "each exponent must be a number, got True"),
+        ({"exponents": (0.5, "0.5")}, "each exponent must be a number, got '0.5'"),
     ])
     def test_config_of_the_wrong_type_is_refused_before_any_trial(self, monkeypatch, edit, message):
         # trials=True ran and reported "trials": true, seed=1.5 ran the trials
@@ -391,6 +394,14 @@ class TestTrialsAndCampaign:
     def test_integer_tol_and_exponents_are_json_numbers(self):
         report = campaign(CampaignConfig(theorems=(TheoremId.KLEIN_UPPER,), trials=2, exponents=(0, 1), tol=1))
         assert report.to_json()["config"]["exponents"] == [0, 1] and report.error_total == 0
+
+    def test_numpy_numbers_are_kept_as_python_numbers(self):
+        # np.int64 and np.float32 were refused; the number rule reads them as the int or float they hold.
+        config = CampaignConfig(theorems=[TheoremId.KLEIN_UPPER], trials=np.int64(2), seed=np.int64(3),
+                                dims=[np.int32(2), np.int64(3)], exponents=[np.float32(0.5)], tol=np.float64(1e-9))
+        config.validate()
+        assert json.dumps(config.to_json()) == json.dumps(CampaignConfig(
+            theorems=(TheoremId.KLEIN_UPPER,), trials=2, seed=3, dims=(2, 3), exponents=(0.5,), tol=1e-9).to_json())
 
 
 class TestKeyedStreams:
@@ -933,7 +944,7 @@ def test_a_draw_runs_no_load_time_check(monkeypatch):
             random_instance(theorem, 3, 2, 0, p_or_q=None)
     with pytest.raises(PreconditionError, match="need k >= 2"):
         random_instance(TheoremId.ENTROPY_LOWER, 3, 1, 0, p_or_q=1.5)
-    with pytest.raises(PreconditionError, match=r"requires an exponent in \[0, 1\], got 1.5"):
+    with pytest.raises(PreconditionError, match=r"the exponent q must lie in \[0.0, 1.0\], got 1.5"):
         random_instance(TheoremId.ENTROPY_LOWER, 3, 2, 0, p_or_q=1.5)
 
 
@@ -956,9 +967,13 @@ _PAIRED = [t for t in TheoremId if STATEMENTS[t].family is verify._NORMALIZED]
 @pytest.mark.parametrize("theorem", [t for t in TheoremId if "m" in STATEMENTS[t].needs])
 def test_window_must_lie_in_the_positive_half_line(theorem):
     payload = random_instance(theorem, 2, 2, 5).to_json()
-    for m, M in ((-1.0, payload["M"]), (0.0, payload["M"]), (math.nan, payload["M"]),
-                 (payload["m"], math.inf), (payload["m"], math.nan), (payload["M"] + 1.0, payload["M"])):
-        with pytest.raises(PreconditionError, match="0 < m <= M < inf"):
+    # A non-finite end is refused as it is decoded, by the number rule.
+    for m, M, message in ((-1.0, payload["M"], "0 < m <= M < inf"), (0.0, payload["M"], "0 < m <= M < inf"),
+                          (math.nan, payload["M"], "'m': must be finite, got nan"),
+                          (payload["m"], math.inf, "'M': must be finite, got inf"),
+                          (payload["m"], math.nan, "'M': must be finite, got nan"),
+                          (payload["M"] + 1.0, payload["M"], "0 < m <= M < inf")):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             Instance.from_json(dict(payload, m=m, M=M))
 
 
