@@ -119,11 +119,15 @@ class ScalarFunction:
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
 
-    def evaluate(self, t: float) -> float:
-        t = float(t)
-        if not t > 0.0 or not math.isfinite(t):
+    def _argument(self, t) -> float:
+        """t by the number rule (PreconditionError), then in the domain (0, inf) (DomainError)."""
+        t = float(_number(t, f"{self.name}: the argument t"))
+        if not t > 0.0:
             raise DomainError(f"{self.name}: argument {t!r} outside domain (0.0, inf)")
-        return float(self.fn(t))
+        return t
+
+    def evaluate(self, t: float) -> float:
+        return float(self.fn(self._argument(t)))
 
     def evaluate_array(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -132,7 +136,7 @@ class ScalarFunction:
         return np.asarray(self.fn(values), dtype=float)
 
     def derivative(self, t: float) -> float:
-        return float(self.deriv(float(t)))
+        return float(self.deriv(self._argument(t)))
 
 
 IDENTITY = ScalarFunction("identity")

@@ -84,7 +84,7 @@ import numpy as np
 from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
-from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError, _number
+from .errors import EigenConvergenceError, NotPositiveDefiniteError, PreconditionError, ShapeError, _number, _POSITIVE
 
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
@@ -334,7 +334,7 @@ class OperatorField:
             nodes = list(nodes)
             if not nodes:
                 raise PreconditionError("an operator field needs at least one node")
-            _weights = [float(w) for w, _ in nodes]
+            _weights = [_number(w, "each weight") for w, _ in nodes]
             matrices = [_square(m) for _, m in nodes]
             dims = {len(m) for m in matrices}
             if len(dims) != 1:
@@ -463,13 +463,14 @@ class PositiveDefiniteMatrix(OperatorField):
 
 
 def _checked_weights(weights, k: int) -> np.ndarray:
-    """`weights` as a read-only float vector of k strictly positive finite entries."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (k,):
-        raise ShapeError(f"{weights.shape} weights for {k} nodes")
-    if not all(0.0 < w < np.inf for w in weights.tolist()):
-        raise PreconditionError("weights must be strictly positive and finite")
-    return _freeze(weights)
+    """`weights` as a read-only float vector of k entries, each > 0 by the number
+    rule (read from a list or tuple as given, so a bool among floats is seen)."""
+    array = np.asarray(weights)
+    if array.shape != (k,):
+        raise ShapeError(f"{array.shape} weights for {k} nodes")
+    for w in weights if isinstance(weights, (list, tuple)) else array.tolist():
+        _number(w, "each weight", _POSITIVE)
+    return _freeze(np.asarray(array, dtype=float))
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -31,10 +31,12 @@ campaign reports carry `"format": 3`; a file without it is refused at load.
 Every draw is a pure function of a 128-bit key (keyed streams, after Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
 an instance is drawn from Philox keyed on its seed at counter 0, and a campaign
-trial's key packs (master seed, statement index, trial index) with no hashing
-(`trial_seed`).  `run_trial` draws the trial's parameters from the same key at
-counter word 3 = 1, a region the instance's draws never reach, and the trial's
-instance seed is its key.  No generator is built per draw: each thread keeps one
+trial's key packs (master seed, group, trial index) with no hashing, a group
+being the statements of one family and fixed k (`trial_seed`).  `run_trial`
+draws dim and k from the same key at counter word 3 = 1, f and q in a region of
+the statement's own, and the instance with the key as its seed, so a group's
+statements check one instance per index (common random numbers), which
+`campaign` draws once.  No generator is built per draw: each thread keeps one
 Philox generator and re-keys its whole state at every use (`_keyed`).
 """
 
@@ -945,6 +947,17 @@ def check(theorem: TheoremId, inst: Instance, tol: float = DEFAULT_LOEWNER_TOL) 
     return _verdict(theorem, sides, tol)
 
 
+def _projected(theorem: TheoremId, family: Family, rng, dim: int, k: int) -> tuple:
+    """The values of `family.slots` from its first accepted draw, t0 (on the window that ends them) last."""
+    for _ in range(_RESAMPLE_CAP):
+        values = family.project(family.draw(rng, dim, k))
+        if values is not None:
+            break
+    else:
+        raise GenerationError(f"no {theorem.value} draw met its constraints in {_RESAMPLE_CAP} attempts")
+    return (*values, float(rng.uniform(*values[-2:]))) if "t0" in family.slots else values
+
+
 def random_instance(
     theorem: TheoremId,
     dim: int,
@@ -960,6 +973,7 @@ def random_instance(
     `Statement.fixed` sets k before the draw and its other slots after it:
     t0 is drawn even where it is fixed, so that no later draw moves.  The projections
     build in the rest of `Instance.validate`, so a draw checks its arguments alone.
+    Inside `campaign` a family draw (values, t0, stream position) is reused at the same (family, seed, dim, k).
     """
     seed = _number(seed, "seed", 0, _KEY_MAX, True)
     dim, k = _number(dim, "dim", 1, _DIM_MAX, True), _number(k, "k", 1, integer=True)
@@ -970,17 +984,16 @@ def random_instance(
         f=functions.power(0.5) if f is None else f,
         q=None if p_or_q is None else float(_number(p_or_q, "the exponent q")),
     )
-    for family in (st.family, st.extras):
-        for _ in range(_RESAMPLE_CAP):
-            values = family.project(family.draw(rng, inst.dim, inst.k))
-            if values is not None:
-                break
-        else:
-            raise GenerationError(f"no {theorem.value} draw met its constraints in {_RESAMPLE_CAP} attempts")
-        for slot, value in zip(family.slots, values):
-            setattr(inst, slot, value)
-        if "t0" in family.slots:
-            inst.t0 = float(rng.uniform(inst.m, inst.M))
+    draws, key = _STREAM.draws, (st.family, seed, dim, inst.k)
+    if draws is not None and key in draws:
+        values, rng.bit_generator.state = draws[key]
+    else:
+        values = _projected(theorem, st.family, rng, dim, inst.k)
+        if draws is not None:
+            draws[key] = values, rng.bit_generator.state
+    values += _projected(theorem, st.extras, rng, dim, inst.k)
+    for slot, value in zip(st.family.slots + st.extras.slots, values):
+        setattr(inst, slot, value)
     for slot, value in st.fixed.items():
         setattr(inst, slot, value)
     inst._require_arguments()
@@ -995,16 +1008,18 @@ def random_instance(
 _KEY_MAX = (1 << 128) - 1
 _DIM_MAX = 64
 _WORD = (1 << 64) - 1
-# run_trial's parameters are drawn at counter word 3 = 1; an instance's draws
-# start at counter 0 and would need 2**192 blocks to get there.
+# run_trial's dim and k are drawn at counter word 3 = 1, and a statement's f and
+# q at 2 + its place; an instance's draws start at counter 0 and would need
+# 2**192 blocks to get there.
 _TRIAL_REGION = 1
 
 
 class _Stream(threading.local):
-    """One Philox generator per thread, built on the thread's first draw."""
+    """One Philox generator per thread, built on its first draw, and its `campaign`'s family draws."""
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox())
+        self.draws = None
 
 
 _STREAM = _Stream()
@@ -1137,14 +1152,18 @@ class CampaignReport:
 
 
 _STATEMENT_INDEX = {theorem: i for i, theorem in enumerate(TheoremId)}
+# A statement's group: the place of the first statement with its family and fixed k.
+_GROUP = {theorem: [(s.family, s.fixed.get("k")) for s in STATEMENTS.values()].index((st.family, st.fixed.get("k")))
+          for theorem, st in STATEMENTS.items()}
 
 
 def trial_seed(master_seed: int, theorem: TheoremId, index: int) -> int:
-    """The 128-bit key of one (theorem, trial) cell, packed with no hashing:
-    master_seed << 64 | statement index << 32 | index.  Cells with a master
+    """The 128-bit key of one (group, trial) cell, packed with no hashing:
+    master_seed << 64 | group << 32 | index, the group being the place of the
+    first statement with `theorem`'s family and fixed k.  Cells with a master
     seed in [0, 2**64) and an index in [0, 2**32) (`CampaignConfig.validate`)
     have distinct keys, and so independent streams."""
-    return int(master_seed) << 64 | _STATEMENT_INDEX[theorem] << 32 | int(index)
+    return int(master_seed) << 64 | _GROUP[theorem] << 32 | int(index)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1160,9 +1179,10 @@ def run_trial(
 ) -> tuple[TrialRecord, Instance | None, VerificationResult]:
     """One campaign cell: draw parameters and an instance from the key `seed`, then check it.
 
-    dim, k, f and the exponent come from Philox keyed on `seed` at counter
-    word 3 = 1, and the instance from `random_instance(..., seed, ...)`, so
-    `opentropy gen --seed <record.seed>` with the record's dim, k, f and q
+    dim and k come from Philox keyed on `seed` at counter word 3 = 1, which the
+    statements of a group share, and f and the exponent from word 3 = 2 + the
+    statement's place; the instance comes from `random_instance(..., seed, ...)`,
+    so `opentropy gen --seed <record.seed>` with the record's dim, k, f and q
     replays the draw (with no f or q where the record's is empty).  f is
     drawn from the configured functions the statement admits
     (`Statement.admits`), or from all of them when it admits none.  The record
@@ -1179,6 +1199,7 @@ def run_trial(
     rng = _keyed(seed, _TRIAL_REGION)
     dim = int(rng.integers(config.dims[0], config.dims[1] + 1))
     k = int(rng.integers(config.terms[0], config.terms[1] + 1))
+    rng = _keyed(seed, _TRIAL_REGION + 1 + _STATEMENT_INDEX[theorem])
     pool = _function_pool(theorem, tuple(config.functions))
     spec, f = pool[int(rng.integers(len(pool)))]
     exponent = float(config.exponents[int(rng.integers(len(config.exponents)))])
@@ -1201,27 +1222,31 @@ def run_trial(
 
 
 def campaign(config: CampaignConfig) -> CampaignReport:
-    """Run the per-theorem trial grid; deterministic in config (schedule-free)."""
+    """Run the per-theorem trial grid; deterministic in config (schedule-free).
+    Trials run index-major, so a group shares one family draw per index, held for
+    that index only; the records and the failing rows' JSON are kept, theorem-major."""
     config.validate()
-    records: list[TrialRecord] = []
-    failures: list[dict] = []
-    summaries: list[TheoremSummary] = []
-    for theorem in config.theorems:
-        rows = [
-            run_trial(theorem, config, trial_seed(config.seed, theorem, i), i)
-            for i in range(config.trials)
-        ]
-        records.extend(record for record, _, _ in rows)
-        counts = Counter(record.outcome for record, _, _ in rows)
+    records, failures = ({theorem: [] for theorem in config.theorems} for _ in range(2))
+    _STREAM.draws = {}
+    try:
+        for i in range(config.trials):
+            _STREAM.draws.clear()
+            for theorem in config.theorems:
+                record, inst, result = run_trial(theorem, config, trial_seed(config.seed, theorem, i), i)
+                records[theorem].append(record)
+                if record.outcome in ("numerical", "substantive"):
+                    failures[theorem].append(
+                        {"record": record.to_json(), "result": result.to_json(), "instance": inst.to_json()})
+    finally:
+        _STREAM.draws = None
+    summaries = []
+    for theorem, rows in records.items():
+        counts = Counter(record.outcome for record in rows)
         # The first least margin; a margin is set exactly when the hypotheses are met.
-        margins = [(record.margin, record.seed) for record, _, _ in rows if record.margin is not None]
+        margins = [(record.margin, record.seed) for record in rows if record.margin is not None]
         min_margin, worst_seed = min(margins, key=lambda pair: pair[0], default=(None, None))
-        failures.extend(
-            {"record": record.to_json(), "result": result.to_json(), "instance": inst.to_json()}
-            for record, inst, result in rows if record.outcome in ("numerical", "substantive")
-        )
         summaries.append(
             TheoremSummary(theorem, config.trials, counts["pass"], counts["skip"], counts["error"],
                            counts["numerical"], counts["substantive"], min_margin, worst_seed)
         )
-    return CampaignReport(config, summaries, records, failures)
+    return CampaignReport(config, summaries, sum(records.values(), []), sum(failures.values(), []))

@@ -32,7 +32,11 @@ during the acceptance.json run: calls, and the d x d matrices they solved
     calls, <matrices> matrices; eigvalsh <calls> calls, <matrices> matrices
 
 Each campaign runs in-process through `opentropy.cli.main`; a nonzero exit
-code is printed next to its digest.  The dims 48:64 products split their
+code is printed next to its digest.  A campaign keys each trial by (master
+seed, family group, trial index), a group being the statements of one family
+and fixed k (`verify.trial_seed`), so the statements of a group check one
+family draw per index: a change to the group key moves all three campaign
+digests and the count line, not the instances digest.  The dims 48:64 products split their
 sums by BLAS thread, so that digest depends on the thread count (read it
 under OPENBLAS_NUM_THREADS=1, the benchmark's pin); its line names the
 thread variables that are set, or "default".  The current values, and every

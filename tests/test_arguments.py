@@ -82,6 +82,13 @@ TABLE = [
     ("mean_field p", lambda x: mean_field(FA, FB, x), {HALF}),
     ("logarithmic_mean a", lambda x: logarithmic_mean(x, 2.0), {HALF, THREE}),
     ("identric_mean b", lambda x: identric_mean(2.0, x), {HALF, THREE}),
+    ("ScalarFunction evaluate t", LOG.evaluate, {HALF, THREE}),
+    ("ScalarFunction call t", LOG, {HALF, THREE}),
+    ("ScalarFunction derivative t", LOG.derivative, {HALF, THREE}),
+    ("OperatorField weight", lambda x: OperatorField([(x, X), (1.0, Y)]).weights, {HALF, THREE}),
+    ("OperatorField.pairs weights", lambda x: OperatorField.pairs(
+        np.array([x, x]), np.array([[X.array, Y.array]]), np.array([[Y.array, X.array]]))[0][0].weights,
+     {HALF, THREE}),
     ("random_normalized n_terms", lambda x: PositiveLinearMap.random_normalized(2, 2, x, np.random.default_rng(0)),
      {THREE}),
     ("CampaignConfig trials", lambda x: config(trials=x), {THREE}),

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -869,6 +873,15 @@ class TestBounds:
         assert payload["gamma"] is None and '"gamma": null' in stdout
         assert abs(payload["zeta_closed_form_delta"]) <= 1e-8
         assert abs(payload["zeta_grid_delta"]) <= 1e-12 and "gamma_grid" not in payload
+
+    def test_the_module_runs_as_a_script(self):
+        # `python -m opentropy.cli` reaches the module's `__main__` call, which no in-process test runs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "opentropy.cli", "bounds", "--f", "log", "--m", "0.5", "--M", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["gamma"] is None
 
     @pytest.mark.parametrize("spec,m,M", [("log", "1.5", "4"), ("neg_t_log_t", "0.2", "0.8")])
     def test_closed_form_gamma_is_checked_against_the_grid(self, capsys, spec, m, M):

@@ -36,6 +36,21 @@ def test_domain_errors():
         LOG.evaluate_array(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("call", [LOG.evaluate, LOG, LOG.derivative], ids=["evaluate", "call", "derivative"])
+def test_an_argument_is_read_by_the_number_rule(call):
+    # float() read True as 1.0 (LOG.evaluate(True) was 0.0) and "2" as 2.0;
+    # an inf or a NaN was a DomainError, and is now refused by the rule.
+    for value, need in ((True, "be a number, got True"), ("2", "be a number, got '2'"),
+                        (1 + 1j, r"be a number, got \(1\+1j\)"), (math.inf, "be finite, got inf"),
+                        (math.nan, "be finite, got nan")):
+        with pytest.raises(PreconditionError, match=f"^log: the argument t must {need}$"):
+            call(value)
+    for value in (0, 0.0, -1.0):
+        with pytest.raises(DomainError, match="outside domain"):
+            call(value)
+    assert call(2) == call(2.0) == call(np.float64(2.0))
+
+
 def test_catalog_rejects_bad_parameters():
     with pytest.raises(PreconditionError):
         power(1.5)

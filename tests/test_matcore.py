@@ -595,6 +595,19 @@ class TestPairRoute:
         with pytest.raises(ShapeError, match="weights for 2 nodes"):
             OperatorField(_weights=weights, _arrays=node_stack(rng, 3, 2)[0])
 
+    def test_a_weight_that_is_not_a_number_is_refused(self, rng):
+        # The bools and the string were cast: weights [1.0, 2.0], and the pair's bools read as 1.0.
+        eye = np.eye(2)
+        with pytest.raises(PreconditionError, match="each weight must be a number, got True"):
+            OperatorField([(True, eye), ("2", eye)])
+        with pytest.raises(PreconditionError, match="each weight must be a number, got '2'"):
+            OperatorField([(1.0, eye), ("2", eye)])
+        for weights in (np.array([True, True]), [1.0, True]):
+            with pytest.raises(PreconditionError, match="each weight must be a number, got True"):
+                OperatorField.pairs(weights, node_stack(rng, 3, 2), node_stack(rng, 3, 2))
+        with pytest.raises(PreconditionError, match=r"each weight must be > 0, got -1\.0"):
+            OperatorField.pairs(np.array([1.0, -1.0]), node_stack(rng, 3, 2), node_stack(rng, 3, 2))
+
     @pytest.mark.parametrize("low", [1e-13, 0.0, -0.5])
     def test_b_below_the_floor_is_refused_as_a_field_build_refuses_it(self, rng, solve_calls, low):
         a, b = node_stack(rng, 3, 2), node_stack(rng, 3, 2)

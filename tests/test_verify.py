@@ -4,6 +4,8 @@ import json
 import math
 import re
 import threading
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -406,12 +408,23 @@ class TestTrialsAndCampaign:
 
 class TestKeyedStreams:
     def test_distinct_cells_have_distinct_keys(self):
+        # A cell is (master, group, index), a group the statements of one
+        # family and fixed k: they share the cell's key, and cells do not.
         masters, indices = (0, 1, 2, 2**63, 2**64 - 1), (0, 1, 7, 2**31, 2**32 - 1)
-        keys = {trial_seed(m, t, i): (m, t, i) for m in masters for t in TheoremId for i in indices}
-        assert len(keys) == len(masters) * len(TheoremId) * len(indices)
+        groups = {}
+        for theorem, st in STATEMENTS.items():
+            groups.setdefault((st.family, st.fixed.get("k")), []).append(theorem)
+        assert sorted(map(len, groups.values())) == [1, 1, 2, 3, 3, 6]
+        keys = {}
+        for m, i, members in itertools.product(masters, indices, groups.values()):
+            (key,) = {trial_seed(m, t, i) for t in members}
+            keys[key] = (m, members[0], i)
+        assert len(keys) == len(masters) * len(groups) * len(indices)
         assert all(0 <= key < 2**128 for key in keys)
-        # Packed with no hashing: master << 64 | statement << 32 | index.
+        # Packed with no hashing: master << 64 | group << 32 | index, the
+        # group being the place of its first statement.
         assert trial_seed(42, TheoremId.KLEIN_UPPER, 7) == 42 << 64 | 5 << 32 | 7
+        assert trial_seed(42, TheoremId.EXAMPLE_LOG_PAIR, 7) == 42 << 64 | 2 << 32 | 7
 
     def test_campaign_draws_replay_from_the_record_seed(self, monkeypatch):
         real, seen = verify.run_trial, []
@@ -423,10 +436,14 @@ class TestKeyedStreams:
 
         monkeypatch.setattr(verify, "run_trial", probe)
         report = campaign(CampaignConfig(trials=20, seed=42))
-        assert len(seen) == 20 * len(TheoremId) and report.records == [record for record, _, _ in seen]
-        for record, inst, _ in seen:
+        # Trials run index by index; the report lists them theorem by theorem.
+        assert [(record.index, record.theorem) for record, _, _ in seen] == list(
+            itertools.product(range(20), TheoremId))
+        assert report.records == sorted((record for record, _, _ in seen),
+                                        key=lambda record: (list(TheoremId).index(record.theorem), record.index))
+        for record, inst, result in seen:
             assert record.seed == trial_seed(42, record.theorem, record.index)
-            # The parameters come from the key's stream at counter word 3 = 1;
+            # dim and k come from the key's stream at counter word 3 = 1;
             # the record holds the instance's k, f and q, which a statement can fix.
             params = np.random.Generator(np.random.Philox(key=record.seed, counter=1 << 192))
             assert (record.dim, record.k) == (params.integers(2, 9), STATEMENTS[record.theorem].fixed.get(
@@ -436,6 +453,67 @@ class TestKeyedStreams:
             replayed = random_instance(record.theorem, record.dim, record.k, record.seed,
                                        parse(record.function) if record.function else None, record.exponent)
             assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(inst.to_json(), sort_keys=True)
+            assert check(record.theorem, replayed) == result
+
+    def test_a_group_shares_its_draw_and_draws_f_and_q_per_statement(self, monkeypatch):
+        real, seen = verify.run_trial, []
+        monkeypatch.setattr(verify, "run_trial", lambda *args: seen.append(real(*args)) or seen[-1])
+        config = CampaignConfig(trials=6, seed=7)
+        campaign(config)
+        cells = {}
+        for record, inst, _ in seen:
+            cells.setdefault(record.seed, []).append(inst)
+        assert len(cells) == 6 * config.trials
+        for insts in cells.values():
+            family = STATEMENTS[insts[0].theorem].family
+            shared = [slot for slot in family.slots if slot in ("fa", "fb", "fc", "fd", "pmap", "x", "pa", "pb")]
+            assert shared and all(getattr(inst, slot) is getattr(insts[0], slot) for inst in insts for slot in shared)
+        for record, _, _ in seen:
+            # f and q come from counter word 3 = 2 + the statement's place, not from the group's region.
+            own = np.random.Generator(np.random.Philox(
+                key=record.seed, counter=(2 + list(TheoremId).index(record.theorem)) << 192))
+            pool = verify._function_pool(record.theorem, config.functions)
+            spec, exponent = pool[own.integers(len(pool))][0], config.exponents[own.integers(len(config.exponents))]
+            fixed = STATEMENTS[record.theorem].fixed
+            assert record.function == (fixed["f"].spec if fixed.get("f") else "" if "f" in fixed else spec)
+            assert record.exponent == fixed.get("q", exponent)
+        pair = (TheoremId.ENTROPY_LOWER, TheoremId.EXAMPLE_LOG_PAIR)
+        exponents = [record.exponent for record, _, _ in seen if record.theorem in pair]
+        assert exponents[0::2] != exponents[1::2]
+
+    def test_a_campaign_projects_each_group_once_per_index(self, monkeypatch):
+        # A memo that never hits leaves every report byte unchanged; this count sees it.
+        accepted, counting = Counter(), {}
+        for theorem, st in STATEMENTS.items():
+            if st.family not in counting:
+                def project(raw, _real=st.family.project, _family=st.family):
+                    values = _real(raw)
+                    accepted[_family] += values is not None
+                    return values
+
+                counting[st.family] = dataclasses.replace(st.family, project=project)
+            monkeypatch.setitem(STATEMENTS, theorem, dataclasses.replace(st, family=counting[st.family]))
+        report = campaign(CampaignConfig(trials=5, seed=11))
+        assert report.error_total == 0
+        # Six groups; the free pair family serves two (k drawn, and k = 1 for klein_upper).
+        assert sorted(accepted.values()) == [5, 5, 5, 5, 10]
+        assert accepted[verify._FREE_PAIR] == 10
+
+    def test_a_campaign_keeps_no_instance_of_an_earlier_index(self, monkeypatch):
+        real, refs = verify.run_trial, []
+
+        def probe(theorem, config, seed, index=0):
+            # The campaign's loop still names the row before; from the second
+            # statement of an index on, no earlier index's instance may be alive.
+            if theorem is not config.theorems[0]:
+                assert [(i, ref()) for i, ref, failed in refs if i < index and not failed and ref()] == []
+            record, inst, result = real(theorem, config, seed, index)
+            refs.append((index, weakref.ref(inst), record.outcome in ("numerical", "substantive")))
+            return record, inst, result
+
+        monkeypatch.setattr(verify, "run_trial", probe)
+        campaign(CampaignConfig(trials=4, seed=3))
+        assert len(refs) == 4 * len(TheoremId) and not any(ref() for _, ref, _ in refs)
 
     def test_a_draw_depends_on_its_key_alone(self):
         key, other = trial_seed(3, TheoremId.SUBADDITIVE, 9), 2**128 - 1
