@@ -1048,7 +1048,7 @@ def _keyed(key: int, region: int = 0) -> np.random.Generator:
 class CampaignConfig(_JsonRecord):
     """Plan for a bulk verification run; every random draw flows from `seed`,
     an integer in [0, 2**64), and fewer than 2**32 trials per statement keep
-    every trial's key distinct (`trial_seed`)."""
+    the key of every (group, trial) cell distinct (`trial_seed`)."""
 
     theorems: tuple[TheoremId, ...] = tuple(TheoremId)
     trials: int = 100
